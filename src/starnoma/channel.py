@@ -17,42 +17,25 @@ exactly on both faces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "StarRisState",
     "RicianLink",
-    "ChannelRealization",
     "steering_vector",
     "array_response",
     "build_links",
-    "draw_realization",
     "sample_rician",
     "cascade",
     "cascaded_power_mean",
     "self_reflection_power_mean",
     "ARRIVAL_LINKS",
-    "CASCADE_SIDE",
 ]
 
 # Links carrying the raw (unconjugated) array response; user links flip sign.
 ARRIVAL_LINKS = frozenset({"b,r"})
-
-# Which face of the surface each cascaded path goes through: downlink edge
-# users are served off the reflection face, the uplink edge user and the BS
-# self-reflection go through the transmission face.
-CASCADE_SIDE = {
-    ("r,u1d", "r,u3u"): "t",
-    ("r,u2d", "r,u3u"): "t",
-    ("b,r", "r,u3u"): "t",
-    ("b,r", "b,r"): "t",
-    ("r,u3d", "b,r"): "r",
-    ("r,u3d", "r,u1u"): "r",
-    ("r,u3d", "r,u2u"): "r",
-    ("r,u3d", "r,u3u"): "r",
-}
 
 
 @dataclass(frozen=True)
@@ -256,48 +239,3 @@ def self_reflection_power_mean(link: RicianLink, state: StarRisState, side: str)
     |sum_n rho_n e^{j phi_n}|^2.
     """
     return _self_reflection_power_mean_coeffs(state.coefficients(side), link)
-
-
-@dataclass
-class ChannelRealization:
-    """One Monte-Carlo draw of every random quantity the SINRs touch."""
-
-    layout: object
-    scalars: dict = field(default_factory=dict)     # label -> complex CN(0,1) draws
-    vectors: dict = field(default_factory=dict)     # label -> (N,) complex vector
-    si_power: float = 0.0                           # realized |residual self-interference|^2
-
-    def __post_init__(self):
-        sizes = {v.shape[-1] for v in self.vectors.values()}
-        if len(sizes) > 1:
-            raise ValueError("all channel vectors must share the surface size N")
-
-
-# scalar Rayleigh links drawn alongside the surface-side vectors
-SCALAR_LINKS = (
-    "b,u1d", "b,u2d", "b,u1u", "b,u2u",
-    "u1d,u1u", "u1d,u2u", "u2d,u1u", "u2d,u2u",
-)
-
-
-def draw_realization(cfg, rng: np.random.Generator, layout=None) -> ChannelRealization:
-    """One full draw: user drop, scalar and vector channels, and the SI power.
-
-    The bulk simulator keeps these quantities in batched arrays for speed;
-    this constructor materializes a single trial for inspection and tests.
-    """
-    from .geometry import sample_layout  # deferred: geometry does not import channel
-
-    if layout is None:
-        layout = sample_layout(cfg, rng)
-    scalars = {
-        lbl: complex((rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0))
-        for lbl in SCALAR_LINKS
-    }
-    vectors = {lbl: sample_rician(link, rng) for lbl, link in build_links(cfg).items()}
-    variance = cfg.beta_si * cfg.P_b**cfg.lambda_si
-    draw = (rng.standard_normal() + 1j * rng.standard_normal()) / np.sqrt(2.0)
-    return ChannelRealization(
-        layout=layout, scalars=scalars, vectors=vectors,
-        si_power=float(variance * abs(draw) ** 2),
-    )

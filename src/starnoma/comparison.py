@@ -1,43 +1,60 @@
 """Clustering-versus-pairing comparison harness.
 
-Rates the near-far pairing baseline (2-user groups) with the same modeling
-ingredients as the 3-user clusters and implements the shared power policy of
-the comparison experiment: spend whatever power the cell-edge users need to
+Rates the near-far pairing baseline (2-user groups) with the same role table
+as the 3-user clusters: each pair, and the lone median user's slot, is a
+NOMA group of rates.noma_roles, read by the same analytic reader and the
+same simulator sampler.  Also implements the shared power policy of the
+comparison experiment: spend whatever power the cell-edge users need to
 reach their target rates, hand the rest to the cell-center users.
 
 Pairing order approximations mirror the cluster analysis: center users are
 ranked by BS distance (exact), edge users by surface distance standing in for
-their BS ranking; class-level line-of-sight angles are reused, i.e. every
-center user shares the r,u1d / r,u1u bearings and every edge user the
-r,u3d / r,u3u bearings of its direction.  The simulated counterpart ranks by
-realized BS distance directly.
+their BS ranking.  The analytic pairing reuses class-level line-of-sight
+bearings: every center user has the r,u1d / r,u1u bearing and every edge
+user the r,u3d / r,u3u bearing of its direction.  The simulated pairing
+ranks by realized BS distance directly and gives a pair's weak center
+member the r,u2d / r,u2u bearing; both choices are made in _pair_member.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StarRisState, build_links, sample_rician
+from .channel import StarRisState, build_links
 from .config import PowerAllocation, SystemConfig
-from .geometry import OrderSpec, ordered_pathloss_mean, ordered_pathloss_rule, sample_disk
-from .rates import (
-    build_rate_inputs,
-    expectation_terms,
-    fading_log2_mean,
-    pathloss,
-    si_variance,
-    sic_log2_mean,
-    surface_terms,
+from .geometry import (
+    OrderSpec,
+    ordered_pathloss_mean,
+    ordered_pathloss_rule,
+    outside_point_pathloss_mean,
+    pair_pathloss_mean,
+    sample_disk,
 )
-from .simulator import _Accumulator, _block_seeds, _draw_cn
+from .rates import (
+    Member,
+    Positions,
+    bind,
+    build_rate_inputs,
+    check_state_size,
+    key_means,
+    noma_roles,
+    pathloss,
+    position_parts,
+    rate_report,
+    role_log2_mean,
+    solve_sinr,
+    surface_terms,
+    table_keys,
+)
+from .simulator import BlockDraws, _Accumulator, _blocks, _sum_report, role_sinrs, sample_gains
 
 __all__ = [
     "PairAllocation",
     "pair_structure",
     "pair_slots",
+    "pair_groups",
     "pair_rate_sums",
     "simulate_pair_sums",
     "reference_edge_targets",
@@ -96,13 +113,67 @@ def pair_slots(K_center: int, K_edge: int):
     return pairs, leftover
 
 
-def _member_chi(cfg, kind, order, direction):
-    """Expected BS-side or surface-side path loss of one pair member."""
-    if kind == "center":
-        K = cfg.K_cd if direction == "DL" else cfg.K_cu
-        return ordered_pathloss_mean(OrderSpec(order, K, cfg.R), cfg.m)
-    K = cfg.K_ed if direction == "DL" else cfg.K_eu
-    return ordered_pathloss_mean(OrderSpec(order, K, cfg.R_r), cfg.m)
+def _pair_member(kind: str, order: int, direction: str, weak_bearing: bool = False) -> Member:
+    """A pair user; weak_bearing gives a center user the mid users' bearing."""
+    index = 3 if kind == "edge" else 2 if weak_bearing else 1
+    return Member(kind, direction, order, f"r,u{index}{direction[0].lower()}")
+
+
+def pair_groups(cfg: SystemConfig, simulated: bool = False) -> list:
+    """The pairing schedule as NOMA groups (dl users, ul users), strong first.
+
+    The lone median users' slot, if any, comes last.  simulated selects the
+    simulator's bearings (see the module docstring).
+    """
+    pairs_dl, lone_dl = pair_slots(cfg.K_cd, cfg.K_ed)
+    pairs_ul, lone_ul = pair_slots(cfg.K_cu, cfg.K_eu)
+    if len(pairs_dl) != len(pairs_ul):
+        raise ValueError("same pair count per direction required")
+    groups = [
+        tuple([_pair_member(*s, d), _pair_member(*w, d, simulated)] for (s, w), d in ((dl, "DL"), (ul, "UL")))
+        for dl, ul in zip(pairs_dl, pairs_ul)
+    ]
+    if lone_dl is not None:
+        groups.append(([_pair_member(*lone_dl, "DL")], [_pair_member(*lone_ul, "UL")]))
+    return groups
+
+
+def _group_vectors(cfg: SystemConfig, allocations, groups) -> list:
+    """Variables (alpha..., p..., 1) of every group; the lone slot sends at full power."""
+    if len(allocations) != len(pair_structure(cfg.K_cd, cfg.K_ed)):
+        raise ValueError("one allocation per pair required")
+    xs = [(*a.alpha, *a.p, 1.0) for a in allocations]
+    return xs + [(1.0, cfg.p_um, 1.0)] * (len(groups) - len(xs))
+
+
+def _pair_tables(cfg: SystemConfig, groups, state: StarRisState):
+    """Role table and key means of every group, plus the exact-signal rules.
+
+    Each center strong member's direct link carries its path-loss rule, so
+    it is rated like a cluster's strong users.
+    """
+    bs, edge, rules = {}, {}, {}
+    for dl, ul in groups:
+        for users in (dl, ul):
+            for i, u in enumerate(users):
+                dl_side = u.direction == "DL"
+                if u.kind == "center":
+                    spec = OrderSpec(u.order, cfg.K_cd if dl_side else cfg.K_cu, cfg.R)
+                    bs[u] = ordered_pathloss_mean(spec, cfg.m)
+                    if i == 0 and len(users) == 2:   # a pair's strong user, not the lone slot
+                        rules[("direct", u)] = ordered_pathloss_rule(spec, cfg.m)
+                else:
+                    spec = OrderSpec(u.order, cfg.K_ed if dl_side else cfg.K_eu, cfg.R_r)
+                    edge[u] = ordered_pathloss_mean(spec, cfg.m)
+    pos = Positions(
+        bs=bs, edge=edge, rules=rules,
+        y1=pair_pathloss_mean(cfg.R, cfg.m),
+        q_center=outside_point_pathloss_mean(cfg.R, cfg.r1, cfg.m),
+        l_br=float(pathloss(cfg.d_br, cfg.m)),
+    )
+    surf = surface_terms(cfg, state)
+    tables = [noma_roles(cfg, dl, ul) for dl, ul in groups]
+    return [(roles, key_means(position_parts(table_keys(roles), pos, cfg), surf)) for roles in tables], rules
 
 
 def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
@@ -115,101 +186,14 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     member that is a center user, decoded first, has its log averaged
     exactly over its direct-link signal, its interference held at the mean.
     """
-    pairs, leftover_dl = pair_slots(cfg.K_cd, cfg.K_ed)
-    pairs_ul, leftover_ul = pair_slots(cfg.K_cu, cfg.K_eu)
-    if len(allocations) != len(pairs) or len(pairs) != len(pairs_ul):
-        raise ValueError("one allocation per pair required, same pair count per direction")
-    M = len(pairs) + (1 if leftover_dl else 0)
-    terms = expectation_terms(cfg, cluster=1)
-    surf = surface_terms(cfg, state)
-    P, s2, xi = cfg.P_b, cfg.sigma2, cfg.xi_sic
-    floor = P * terms.l_br**2 * surf.y3_raw + si_variance(cfg) + s2
-
-    dl_sum = 0.0
-    ul_sum = 0.0
-    for j, alloc in enumerate(allocations):
-        a_s, a_w = alloc.alpha
-        p_s, p_w = alloc.p
-        (s_kind, s_ord), (w_kind, w_ord) = pairs[j]
-        (su_kind, su_ord), (wu_kind, wu_ord) = pairs_ul[j]
-
-        # interference the co-scheduled UL pair causes at a DL center user
-        def center_interference():
-            out = 0.0
-            for (kind, order), q in (((su_kind, su_ord), p_s), ((wu_kind, wu_ord), p_w)):
-                if kind == "center":
-                    out += q * terms.y1
-                else:
-                    out += q * surf.omega_u1d_u3u * _member_chi(cfg, kind, order, "UL") * terms.q_center
-            return out
-
-        # and at the DL edge user (everything arrives through the surface)
-        def edge_interference(x_edge):
-            out = 0.0
-            for (kind, order), q in (((su_kind, su_ord), p_s), ((wu_kind, wu_ord), p_w)):
-                if kind == "center":
-                    out += q * surf.omega_u3d_u1u * x_edge * terms.q_center
-                else:
-                    out += q * surf.omega_u3d_u3u * x_edge * _member_chi(cfg, kind, order, "UL")
-            return out
-
-        if s_kind == "center":
-            rest = center_interference() + s2
-            residual = xi * a_w * P / rest
-            rule = ordered_pathloss_rule(OrderSpec(s_ord, cfg.K_cd, cfg.R), cfg.m)
-            r_s = sic_log2_mean(rule, residual + a_s * P / rest, residual)
-        else:
-            x_s = _member_chi(cfg, s_kind, s_ord, "DL")
-            r_s = math.log2(1 + a_s * P * x_s / (xi * a_w * P * x_s + center_interference() + s2))
-        if w_kind == "center":
-            x_w = _member_chi(cfg, "center", w_ord, "DL")
-            g_w = a_w * P * x_w / (a_s * P * x_w + center_interference() + s2)
-        else:
-            x_e = _member_chi(cfg, "edge", w_ord, "DL")
-            S = terms.l_br * surf.omega_u3d_br * x_e
-            g_w = a_w * P * S / (a_s * P * S + edge_interference(x_e) + s2)
-        dl_sum += (r_s + math.log2(1 + g_w)) / M
-
-        chi_s = _member_chi(cfg, su_kind, su_ord, "UL")
-        if wu_kind == "center":
-            W_w = _member_chi(cfg, "center", wu_ord, "UL")
-        else:
-            W_w = surf.omega_br_u3u * terms.l_br * _member_chi(cfg, "edge", wu_ord, "UL")
-        if su_kind == "center":
-            rule = ordered_pathloss_rule(OrderSpec(su_ord, cfg.K_cu, cfg.R), cfg.m)
-            r_su = float(fading_log2_mean(rule, p_s / (p_w * W_w + floor)))
-        else:
-            r_su = math.log2(1 + p_s * chi_s / (p_w * W_w + floor))
-        g_wu = p_w * W_w / (xi * p_s * chi_s + floor)
-        ul_sum += (r_su + math.log2(1 + g_wu)) / M
-
-    if leftover_dl is not None:
-        # lone median users share the last slot: full DL power, one UL sender
-        kind_d, ord_d = leftover_dl
-        kind_u, ord_u = leftover_ul
-        p_lone = cfg.p_um
-        if kind_d == "center":
-            x_d = _member_chi(cfg, "center", ord_d, "DL")
-            if kind_u == "center":
-                i_dl = p_lone * terms.y1
-            else:
-                i_dl = p_lone * surf.omega_u1d_u3u * _member_chi(cfg, "edge", ord_u, "UL") * terms.q_center
-            g_d = P * x_d / (i_dl + s2)
-        else:
-            x_e = _member_chi(cfg, "edge", ord_d, "DL")
-            S = terms.l_br * surf.omega_u3d_br * x_e
-            if kind_u == "center":
-                i_dl = p_lone * surf.omega_u3d_u1u * x_e * terms.q_center
-            else:
-                i_dl = p_lone * surf.omega_u3d_u3u * x_e * _member_chi(cfg, "edge", ord_u, "UL")
-            g_d = P * S / (i_dl + s2)
-        dl_sum += math.log2(1 + g_d) / M
-        if kind_u == "center":
-            W_u = _member_chi(cfg, "center", ord_u, "UL")
-        else:
-            W_u = surf.omega_br_u3u * terms.l_br * _member_chi(cfg, "edge", ord_u, "UL")
-        ul_sum += math.log2(1 + p_lone * W_u / floor) / M
-    return dl_sum, ul_sum
+    groups = pair_groups(cfg)
+    xs = _group_vectors(cfg, allocations, groups)
+    tables, rules = _pair_tables(cfg, groups, state)
+    sums = {"DL": 0.0, "UL": 0.0}
+    for (roles, means), x in zip(tables, xs):
+        for role in roles:
+            sums[role.name[:2]] += role_log2_mean(bind(role, x), means, rules) / len(groups)
+    return sums["DL"], sums["UL"]
 
 
 def simulate_pair_sums(
@@ -221,155 +205,41 @@ def simulate_pair_sums(
     block_size: int = 1 << 14,
 ):
     """Monte-Carlo DL and UL pairing sum rates with realized orderings."""
-    pairs_dl, leftover_dl = pair_slots(cfg.K_cd, cfg.K_ed)
-    pairs_ul, leftover_ul = pair_slots(cfg.K_cu, cfg.K_eu)
-    if len(allocations) != len(pairs_dl):
-        raise ValueError("one allocation per pair required")
-    M = len(pairs_dl) + (1 if leftover_dl else 0)
+    groups = pair_groups(cfg, simulated=True)
+    xs = _group_vectors(cfg, allocations, groups)
+    check_state_size(cfg, state.N)
+    tables = [noma_roles(cfg, dl, ul) for dl, ul in groups]
+    bound = [tuple(bind(r, x) for r in roles) for roles, x in zip(tables, xs)]
     links = build_links(cfg)
-    V = si_variance(cfg)
-    c_t = state.coefficients("t")
-    c_r = state.coefficients("r")
     sc = np.array([cfg.d_br, 0.0])
-    m, P, s2, xi = cfg.m, cfg.P_b, cfg.sigma2, cfg.xi_sic
-    l_br = pathloss(cfg.d_br, m)
+    counts = {"DL": (cfg.K_cd, cfg.K_ed), "UL": (cfg.K_cu, cfg.K_eu)}
 
-    acc_dl, acc_ul = _Accumulator(), _Accumulator()
-    nblocks = (trials + block_size - 1) // block_size
-    seeds = _block_seeds(seed, nblocks)
-    done = 0
-    rows = None
-    for bi in range(nblocks):
-        B = min(block_size, trials - done)
-        rng = np.random.default_rng(seeds[bi])
+    acc = {"DL": _Accumulator(), "UL": _Accumulator()}
+    for B, rng in _blocks(trials, seed, block_size):
         rows = np.arange(B)
-
-        def draw_direction(Kc, Ke):
+        ranked = {}
+        for d, (Kc, Ke) in counts.items():
             center = sample_disk(rng, B * Kc, cfg.R).reshape(B, Kc, 2)
             edge = sample_disk(rng, B * Ke, cfg.R_r, center=sc).reshape(B, Ke, 2)
             pts = np.concatenate([center, edge], axis=1)
-            d_bs = np.linalg.norm(pts, axis=-1)
-            order = np.argsort(d_bs, kind="stable", axis=-1)
-            return pts, order
+            ranked[d] = (pts, np.argsort(np.linalg.norm(pts, axis=-1), kind="stable", axis=-1))
+        block = BlockDraws.draw(cfg, state, links, rng, B)
 
-        dl_pts, dl_order = draw_direction(cfg.K_cd, cfg.K_ed)
-        ul_pts, ul_order = draw_direction(cfg.K_cu, cfg.K_eu)
-        g_br = sample_rician(links["b,r"], rng, trials=B)
-        si_power = V * np.abs(_draw_cn(rng, B)) ** 2
-        bounce = l_br * l_br * np.abs(np.sum(np.abs(g_br) ** 2 * c_t, axis=-1)) ** 2
-        floor = P * bounce + si_power + s2
-
-        def member(pts, order, rank):
+        def geometry(u):
+            pts, order = ranked[u.direction]
+            rank = u.order if u.kind == "center" else counts[u.direction][0] + u.order
             pos = pts[rows, order[:, rank - 1]]
             return pos, np.linalg.norm(pos, axis=-1), np.linalg.norm(pos - sc, axis=-1)
 
-        def casc2(go, c, gi):
-            return np.abs(np.sum(go * c * gi, axis=-1)) ** 2
-
-        def rician(label):
-            return sample_rician(links[label], rng, trials=B)
-
-        dl_tot = np.zeros(B)
-        ul_tot = np.zeros(B)
-        K_dl = cfg.K_cd + cfg.K_ed
-        K_ul = cfg.K_cu + cfg.K_eu
-        for j, alloc in enumerate(allocations, start=1):
-            a_s, a_w = alloc.alpha
-            p_s, p_w = alloc.p
-            (s_kind, _), (w_kind, _) = pairs_dl[j - 1]
-            (su_kind, _), (wu_kind, _) = pairs_ul[j - 1]
-
-            pos_s, dbs_s, drs_s = member(dl_pts, dl_order, j)
-            pos_w, dbs_w, drs_w = member(dl_pts, dl_order, K_dl + 1 - j)
-            pos_su, dbs_su, drs_su = member(ul_pts, ul_order, j)
-            pos_wu, dbs_wu, drs_wu = member(ul_pts, ul_order, K_ul + 1 - j)
-
-            h = np.abs(_draw_cn(rng, (B, 8))) ** 2
-            g_eu = rician("r,u3u") if wu_kind == "edge" else None
-
-            # interference of the co-scheduled UL pair at a direct (center) DL receiver
-            def center_rx_interference(pos_rx, d_r_rx, g_rx_t, h_su, h_wu):
-                i = p_s * pathloss(np.linalg.norm(pos_rx - pos_su, axis=-1), m) * h_su
-                if wu_kind == "center":
-                    i = i + p_w * pathloss(np.linalg.norm(pos_rx - pos_wu, axis=-1), m) * h_wu
-                else:
-                    i = i + p_w * pathloss(drs_wu, m) * pathloss(d_r_rx, m) * casc2(g_rx_t, c_t, g_eu)
-                return i
-
-            # DL strong member is a center user (edge users are never nearest)
-            g_sd = rician("r,u1d")
-            A_s = pathloss(dbs_s, m) * h[:, 0]
-            I_s = center_rx_interference(pos_s, drs_s, g_sd, h[:, 2], h[:, 3])
-            g1 = a_s * P * A_s / (xi * a_w * P * A_s + I_s + s2)
-
-            if w_kind == "center":
-                g_wd = rician("r,u2d")
-                A_w = pathloss(dbs_w, m) * h[:, 1]
-                I_w = center_rx_interference(pos_w, drs_w, g_wd, h[:, 4], h[:, 5])
-                g2 = a_w * P * A_w / (a_s * P * A_w + I_w + s2)
-            else:
-                g_ed = rician("r,u3d")
-                S_w = l_br * pathloss(drs_w, m) * casc2(g_ed, c_r, g_br)
-                I_w = p_s * pathloss(drs_w, m) * pathloss(drs_su, m) * casc2(g_ed, c_r, rician("r,u1u"))
-                if wu_kind == "center":
-                    I_w = I_w + p_w * pathloss(drs_w, m) * pathloss(drs_wu, m) * casc2(g_ed, c_r, rician("r,u2u"))
-                else:
-                    I_w = I_w + p_w * pathloss(drs_w, m) * pathloss(drs_wu, m) * casc2(g_ed, c_r, g_eu)
-                g2 = a_w * P * S_w / (a_s * P * S_w + I_w + s2)
-
-            dl_tot += (np.log2(1 + g1) + np.log2(1 + g2)) / M
-
-            # UL pair at the BS: strong decoded first, weak sees its SIC residual
-            A_su = pathloss(dbs_su, m) * h[:, 6]
-            if wu_kind == "center":
-                W_wu = pathloss(dbs_wu, m) * h[:, 7]
-            else:
-                W_wu = l_br * pathloss(drs_wu, m) * casc2(g_br, c_t, g_eu)
-            g3 = p_s * A_su / (p_w * W_wu + floor)
-            g4 = p_w * W_wu / (xi * p_s * A_su + floor)
-            ul_tot += (np.log2(1 + g3) + np.log2(1 + g4)) / M
-
-        if leftover_dl is not None:
-            kind_d, _ = leftover_dl
-            kind_u, _ = leftover_ul
-            K_dl = cfg.K_cd + cfg.K_ed
-            K_ul = cfg.K_cu + cfg.K_eu
-            pos_d, dbs_d, drs_d = member(dl_pts, dl_order, K_dl // 2 + 1)
-            pos_u, dbs_u, drs_u = member(ul_pts, ul_order, K_ul // 2 + 1)
-            h = np.abs(_draw_cn(rng, (B, 3))) ** 2
-            p_lone = cfg.p_um
-            g_eu_l = rician("r,u3u") if kind_u == "edge" else None
-            if kind_d == "center":
-                A_d = pathloss(dbs_d, m) * h[:, 0]
-                if kind_u == "center":
-                    i_dl = p_lone * pathloss(np.linalg.norm(pos_d - pos_u, axis=-1), m) * h[:, 1]
-                else:
-                    g_sd_l = rician("r,u1d")
-                    i_dl = p_lone * pathloss(drs_u, m) * pathloss(drs_d, m) * casc2(g_sd_l, c_t, g_eu_l)
-                g_d = P * A_d / (i_dl + s2)
-            else:
-                g_ed_l = rician("r,u3d")
-                S_d = l_br * pathloss(drs_d, m) * casc2(g_ed_l, c_r, g_br)
-                if kind_u == "center":
-                    i_dl = p_lone * pathloss(drs_d, m) * pathloss(drs_u, m) * casc2(g_ed_l, c_r, rician("r,u1u"))
-                else:
-                    i_dl = p_lone * pathloss(drs_d, m) * pathloss(drs_u, m) * casc2(g_ed_l, c_r, g_eu_l)
-                g_d = P * S_d / (i_dl + s2)
-            dl_tot += np.log2(1 + g_d) / M
-            if kind_u == "center":
-                W_u = pathloss(dbs_u, m) * h[:, 2]
-            else:
-                W_u = l_br * pathloss(drs_u, m) * casc2(g_br, c_t, g_eu_l)
-            ul_tot += np.log2(1 + p_lone * W_u / floor) / M
-
-        acc_dl.add(dl_tot)
-        acc_ul.add(ul_tot)
-        done += B
-
-    return {
-        "dl_sum": acc_dl.mean, "dl_sum_stderr": acc_dl.stderr,
-        "ul_sum": acc_ul.mean, "ul_sum_stderr": acc_ul.stderr,
-    }
+        tot = {"DL": np.zeros(B), "UL": np.zeros(B)}
+        for (dl, ul), roles, group_bound in zip(groups, tables, bound):
+            users = dl + ul
+            gains = sample_gains(roles, users, {u: geometry(u) for u in users}, links, rng, block)
+            for name, sinr in role_sinrs(group_bound, gains).items():
+                tot[name[:2]] += np.log2(1.0 + sinr) / len(groups)
+        for d, total in tot.items():
+            acc[d].add(total)
+    return _sum_report(acc)
 
 
 # -- shared power policy ------------------------------------------------------
@@ -402,8 +272,6 @@ def reference_edge_targets(cfg: SystemConfig, state: StarRisState):
     there, while the pairing scheme must buy the same rates out of a smaller
     time share.
     """
-    from .rates import rate_report  # local import to avoid a cycle at module load
-
     reference = PowerAllocation(_REFERENCE_ALPHA, (cfg.p_um,) * 3)
     dl, ul = {}, {}
     for j in range(1, min(cfg.M_d, cfg.M_u) + 1):
@@ -420,6 +288,22 @@ def _as_target_map(target, cfg):
     return {j: float(target) for j in range(1, min(cfg.M_d, cfg.M_u) + 1)}
 
 
+def _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets):
+    """DL and UL edge target maps, the reference-derived defaults where None."""
+    dl_t = _as_target_map(dl_edge_targets, cfg)
+    ul_t = _as_target_map(ul_edge_targets, cfg)
+    if dl_t is None or ul_t is None:
+        ref_dl, ref_ul = reference_edge_targets(cfg, state)
+        dl_t = dl_t or ref_dl
+        ul_t = ul_t or ref_ul
+    return dl_t, ul_t
+
+
+def _center_sum(roles: dict, x, means: dict) -> float:
+    """Ratio-of-means sum rate of a group's two strongest DL users at x."""
+    return sum(role_log2_mean(bind(roles[name], x), means, {}) for name in ("DL1", "DL2"))
+
+
 def cluster_power_policy(
     cfg: SystemConfig,
     state: StarRisState,
@@ -432,50 +316,29 @@ def cluster_power_policy(
     reference-derived defaults.  Center UL users transmit at the cap; the UL
     edge power and the DL edge coefficient are solved in closed form from
     their target rates (each SINR is linear in the power being solved) and
-    clamped to the feasible box; the remaining DL budget splits 1:2 over the
-    center users, which preserves the NOMA ordering as long as
-    alpha3 >= 0.45 (enforced by the clamp).
+    clamped to the feasible box; the remaining DL budget splits over the
+    center users for the best ratio-of-means sum rate, which preserves the
+    NOMA ordering as long as alpha3 >= 0.45 (enforced by the clamp).
     """
-    dl_t = _as_target_map(dl_edge_targets, cfg)
-    ul_t = _as_target_map(ul_edge_targets, cfg)
-    if dl_t is None or ul_t is None:
-        ref_dl, ref_ul = reference_edge_targets(cfg, state)
-        dl_t = dl_t or ref_dl
-        ul_t = ul_t or ref_ul
+    dl_t, ul_t = _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets)
 
     out = {}
     for j in range(1, min(cfg.M_d, cfg.M_u) + 1):
         inputs = build_rate_inputs(cfg, PowerAllocation(_REFERENCE_ALPHA, (cfg.p_um,) * 3), state, cluster=j)
-        t, s = inputs.terms, inputs.surface
-        P, s2, xi = cfg.P_b, cfg.sigma2, cfg.xi_sic
-        floor = P * t.l_br**2 * s.y3_raw + si_variance(cfg) + s2
+        roles, means = {r.name: r for r in inputs.table.roles}, inputs.means()
         p1 = p2 = cfg.p_um
 
         g_ul = 2.0 ** (cfg.M_u * ul_t[j]) - 1.0
-        edge_gain = s.omega_br_u3u * t.l_br * t.x1_u3u
-        p3 = g_ul * (xi * (p1 * t.chi_u1u + p2 * t.chi_u2u) + floor) / edge_gain
+        p3 = solve_sinr(roles["UL3"], means, g_ul, (0, 0, 0, p1, p2, 0), (0, 0, 0, 0, 0, 1))
         p3 = _clamp(p3, 1e-9 * cfg.p_um, cfg.p_um)
 
+        # the center users share 1 - alpha3, and only their sum enters DL3
         g_dl = 2.0 ** (cfg.M_d * dl_t[j]) - 1.0
-        x3 = t.l_br * s.omega_u3d_br * t.x1_u3d
-        b = (p1 * s.omega_u3d_u1u + p2 * s.omega_u3d_u2u) * t.y1_u3d + p3 * s.omega_u3d_u3u * t.y2_u3d
-        a3 = g_dl * (P * x3 + b + s2) / (P * x3 * (1.0 + g_dl))
+        a3 = solve_sinr(roles["DL3"], means, g_dl, (1, 0, 0, p1, p2, p3), (-1, 0, 1, 0, 0, 0))
         a3 = _clamp(a3, 0.45, 0.95)
         rest = 1.0 - a3
 
-        # residual split chosen to maximize the two center users' sum rate
-        i_center = (p1 + p2) * t.y1
-        i1 = p3 * s.omega_u1d_u3u * t.y2_u1d + s2 + i_center
-        i2 = p3 * s.omega_u2d_u3u * t.y2_u1d + s2 + i_center
-
-        def center_sum(frac, rest=rest, i1=i1, i2=i2, t=t, a3=a3):
-            a1 = frac * rest
-            a2 = rest - a1
-            g1 = a1 * P * t.x1_u1d / (xi * P * (a2 + a3) * t.x1_u1d + i1)
-            g2 = a2 * P * t.x1_u2d / (P * t.x1_u2d * (xi * a3 + a1) + i2)
-            return math.log2(1 + g1) + math.log2(1 + g2)
-
-        frac = _best_split(center_sum)
+        frac = _best_split(lambda f: _center_sum(roles, (f * rest, rest - f * rest, a3, p1, p2, p3, 1.0), means))
         out[j] = PowerAllocation(alpha=(frac * rest, (1 - frac) * rest, a3), p_ul=(p1, p2, p3))
     return out
 
@@ -489,62 +352,30 @@ def pair_power_policy(
     """Per-pair allocations under the same edge-target policy.
 
     Pair j carries the same edge user as cluster j, so its targets reuse the
-    cluster-indexed map; pairs without an edge member fall back to the fixed
-    1:2 split and the UL power cap on both users.
+    cluster-indexed map; pairs without an edge member split the full DL
+    budget for the best ratio-of-means sum rate, with both UL users at the cap.
     """
-    pairs_dl = pair_structure(cfg.K_cd, cfg.K_ed)
-    pairs_ul = pair_structure(cfg.K_cu, cfg.K_eu)
-    M = len(pairs_dl)
-    dl_t = _as_target_map(dl_edge_targets, cfg)
-    ul_t = _as_target_map(ul_edge_targets, cfg)
-    if dl_t is None or ul_t is None:
-        ref_dl, ref_ul = reference_edge_targets(cfg, state)
-        dl_t = dl_t or ref_dl
-        ul_t = ul_t or ref_ul
-    terms = expectation_terms(cfg, cluster=1)
-    surf = surface_terms(cfg, state)
-    P, s2, xi = cfg.P_b, cfg.sigma2, cfg.xi_sic
-    floor = P * terms.l_br**2 * surf.y3_raw + si_variance(cfg) + s2
+    dl_t, ul_t = _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets)
+    groups = pair_groups(cfg)
+    tables, _ = _pair_tables(cfg, groups, state)
+    M = len(pair_structure(cfg.K_cd, cfg.K_ed))
 
     out = []
     for j in range(M):
-        (s_kind, s_ord), (w_kind, w_ord) = pairs_dl[j]
-        (su_kind, su_ord), (wu_kind, wu_ord) = pairs_ul[j]
-        p_s = cfg.p_um
-        if wu_kind == "edge":
+        (dl, ul), (roles, means) = groups[j], tables[j]
+        roles = {r.name: r for r in roles}
+        p_s = p_w = cfg.p_um
+        if ul[1].kind == "edge":
             # the UL cluster indexed by this user's surface order serves it too
-            g_ul = 2.0 ** (M * ul_t.get(wu_ord, min(ul_t.values()))) - 1.0
-            chi_s = _member_chi(cfg, su_kind, su_ord, "UL")
-            W = surf.omega_br_u3u * terms.l_br * _member_chi(cfg, "edge", wu_ord, "UL")
-            p_w = _clamp(g_ul * (xi * p_s * chi_s + floor) / W, 1e-9 * cfg.p_um, cfg.p_um)
-        else:
-            p_w = cfg.p_um
+            g_ul = 2.0 ** (M * ul_t.get(ul[1].order, min(ul_t.values()))) - 1.0
+            p_w = solve_sinr(roles["UL2"], means, g_ul, (0, 0, p_s, 0), (0, 0, 0, 1))
+            p_w = _clamp(p_w, 1e-9 * cfg.p_um, cfg.p_um)
 
-        if w_kind == "edge":
+        if dl[1].kind == "edge":
             g_dl = 2.0 ** (M * dl_t.get(j + 1, min(dl_t.values()))) - 1.0
-            x_e = _member_chi(cfg, "edge", w_ord, "DL")
-            S = terms.l_br * surf.omega_u3d_br * x_e
-            interference = 0.0
-            for (kind, order), q in (((su_kind, su_ord), p_s), ((wu_kind, wu_ord), p_w)):
-                if kind == "center":
-                    interference += q * surf.omega_u3d_u1u * x_e * terms.q_center
-                else:
-                    interference += q * surf.omega_u3d_u3u * x_e * _member_chi(cfg, kind, order, "UL")
-            a_w = g_dl * (P * S + interference + s2) / (P * S * (1.0 + g_dl))
+            a_w = solve_sinr(roles["DL2"], means, g_dl, (1, 0, p_s, p_w), (-1, 1, 0, 0))
             a_w = _clamp(a_w, 0.55, 0.95)
         else:
-            # center-center pair: split the full budget for the best sum rate
-            x_s = _member_chi(cfg, s_kind, s_ord, "DL")
-            x_w = _member_chi(cfg, "center", w_ord, "DL")
-            i_pair = p_s * terms.y1 + (p_w * terms.y1 if wu_kind == "center" else 0.0) + s2
-
-            def pair_sum(frac, x_s=x_s, x_w=x_w, i_pair=i_pair):
-                a_str = frac
-                a_wk = 1.0 - frac
-                g_str = a_str * P * x_s / (xi * a_wk * P * x_s + i_pair)
-                g_wk = a_wk * P * x_w / (a_str * P * x_w + i_pair)
-                return math.log2(1 + g_str) + math.log2(1 + g_wk)
-
-            a_w = 1.0 - _best_split(pair_sum)
+            a_w = 1.0 - _best_split(lambda f: _center_sum(roles, (f, 1.0 - f, p_s, p_w, 1.0), means))
         out.append(PairAllocation(alpha=(1.0 - a_w, a_w), p=(p_s, p_w)))
     return out

@@ -178,6 +178,10 @@ class SystemConfig:
                 raise ConfigError(f"kappa_map['{lbl}'] must be nonnegative")
             if lbl not in self.angle_map:
                 raise ConfigError(f"angle_map missing link '{lbl}'")
+        for name in ("weights_dl", "weights_ul"):
+            n = len(getattr(self, name))
+            if n != 3:
+                raise ConfigError(f"{name} must have exactly 3 entries, one per role, got {n}")
         if any(w < 0 for w in self.weights_dl + self.weights_ul):
             raise ConfigError("weights must be nonnegative")
         if self.allocation is not None:

@@ -21,24 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .channel import (
-    StarRisState,
-    build_links,
-    _cascaded_power_mean_coeffs,
-    _self_reflection_power_mean_coeffs,
-)
+from .channel import StarRisState, build_links
 from .config import PowerAllocation, SystemConfig
 from .rates import (
     DEFAULT_MODEL,
     ROLES,
-    SurfaceTerms,
-    _OMEGA_PATHS,
     RateInputs,
+    bind,
     build_rate_inputs,
+    cluster_table,
     expectation_terms,
     fading_log2_mean,
-    si_variance,
-    sic_log2_mean,
+    role_log2_mean,
+    sinr_row,
+    surface_terms,
     weighted_sum_rate,
 )
 
@@ -118,28 +114,14 @@ class _Objective:
         self.power = power
         self.links = build_links(cfg)
         self.terms = expectation_terms(cfg, cluster)
+        self.table = cluster_table(cfg, power, self.terms)
         self.weights = weights
         self.model = model
 
-    def surface_terms(self, c_t, c_r):
-        coeffs = {"t": c_t, "r": c_r}
-        vals = {
-            name: _cascaded_power_mean_coeffs(coeffs[side], self.links[out], self.links[inp])
-            for name, (out, side, inp) in _OMEGA_PATHS.items()
-        }
-        vals["y3_raw"] = _self_reflection_power_mean_coeffs(c_t, self.links["b,r"])
-        return SurfaceTerms(**vals)
-
     def value(self, theta_t, theta_r, rho_t, rho_r) -> float:
-        # carrier state: the rate formulas only read the surface terms, which
-        # are supplied directly from the (possibly infeasible) trial point
-        inputs = RateInputs(
-            cfg=self.cfg,
-            power=self.power,
-            state=StarRisState.uniform(len(rho_t)),
-            terms=self.terms,
-            surface=self.surface_terms(rho_t * theta_t, rho_r * theta_r),
-        )
+        # the surface terms come straight from the (possibly infeasible) trial point
+        surface = surface_terms(self.cfg, (rho_t * theta_t, rho_r * theta_r), self.links)
+        inputs = RateInputs(self.cfg, self.power, self.terms, surface, self.table)
         return weighted_sum_rate(inputs, self.weights, self.model)
 
 
@@ -337,16 +319,18 @@ def min_power_allocation(
     """Powers meeting six per-role rate targets (bits/s/Hz) with equality.
 
     The targets are read as the rates rate_report gives under its default
-    (exact-signal) model.  The UL rows involve only the UL powers: UL2 and
-    UL3 are linear in them, and inverting the monotone UL1 log-mean for the
-    ratio of p1 to its mean interference makes the UL1 row linear too, so
-    one 3x3 solve gives p.  With p known, the DL2 and DL3 rows give alpha2
-    and alpha3 as affine functions of alpha1, and the DL1 rate, increasing
-    in alpha1, leaves a 1-D root inside the DL budget sum(alpha) <= 1.  The
-    solution is checked against positivity, the NOMA ordering, and the
-    per-user cap p_um.  Targets beyond the imperfect-SIC ceiling of the DL
-    strong user are rejected up front: in every fading state its SINR is
-    below alpha1/(xi*(alpha2+alpha3)) < 1/(2*xi) for any ordered split.
+    (exact-signal) model.  Every row is read off the cluster's role table
+    (rates.sinr_row), whose coefficients are linear in the powers.  The UL
+    rows involve only the UL powers: UL2 and UL3 are linear in them, and
+    inverting the monotone UL1 log-mean for the ratio of p1 to its mean
+    interference makes the UL1 row linear too, so one 3x3 solve gives p.
+    With p known, the DL2 and DL3 rows give alpha2 and alpha3 as affine
+    functions of alpha1, and the DL1 rate, increasing in alpha1, leaves a
+    1-D root inside the DL budget sum(alpha) <= 1.  The solution is checked
+    against positivity, the NOMA ordering, and the per-user cap p_um.
+    Targets beyond the imperfect-SIC ceiling of the DL strong user are
+    rejected up front: in every fading state its SINR is below
+    alpha1/(xi*(alpha2+alpha3)) < 1/(2*xi) for any ordered split.
     """
     missing = set(ROLES) - set(targets)
     if missing:
@@ -364,11 +348,8 @@ def min_power_allocation(
         )
 
     inputs = build_rate_inputs(cfg, PowerAllocation((0.1, 0.3, 0.6), (cfg.p_um,) * 3), state, cluster)
-    t, s = inputs.terms, inputs.surface
-    P, s2, xi = cfg.P_b, cfg.sigma2, cfg.xi_sic
-    edge_gain = s.omega_br_u3u * t.l_br * t.x1_u3u
-    floor = P * t.l_br**2 * s.y3_raw + si_variance(cfg) + s2
-    x3 = t.l_br * s.omega_u3d_br * t.x1_u3d
+    roles = {r.name: r for r in inputs.table.roles}
+    means, rules = inputs.means(), inputs.table.rules
     names = ("alpha1", "alpha2", "alpha3", "p_u1u", "p_u2u", "p_u3u")
 
     def solve(A, b):
@@ -382,34 +363,30 @@ def min_power_allocation(
             if v <= 0:
                 raise InfeasibleTargetsError(f"positivity:{name}", f"{name} = {v:.4g}")
 
-    # UL rows in [p1, p2, p3]: UL1 reads p1 - ratio * interference = ratio * floor,
-    # UL2 and UL3 numerator - g * denominator = g * floor
-    ratio = _invert_fading_log2_mean(t.rule_u1u, cfg.M_u * targets["UL1"])
-    p1, p2, p3 = (float(v) for v in solve(
-        np.array([
-            [1.0, -ratio * t.chi_u2u, -ratio * edge_gain],
-            [-g["UL2"] * xi * t.chi_u1u, t.chi_u2u, -g["UL2"] * edge_gain],
-            [-g["UL3"] * xi * t.chi_u1u, -g["UL3"] * xi * t.chi_u2u, edge_gain],
-        ]),
-        np.array([ratio * floor, g["UL2"] * floor, g["UL3"] * floor]),
+    # UL rows (they carry no alpha): UL2 and UL3 at their SINR targets, and UL1
+    # per unit signal gain at the ratio whose exact log-mean meets its target
+    ul1 = roles["UL1"]
+    ratio = _invert_fading_log2_mean(rules[ul1.signal.key], cfg.M_u * targets["UL1"])
+    rows, rhs = map(np.array, zip(
+        sinr_row(ul1, {**means, ul1.signal.key: 1.0}, ratio),
+        sinr_row(roles["UL2"], means, g["UL2"]),
+        sinr_row(roles["UL3"], means, g["UL3"]),
     ))
+    p = solve(rows[:, 3:], rhs)
+    p1, p2, p3 = (float(v) for v in p)
     check_positive((p1, p2, p3), names[3:])
 
-    # DL2 and DL3 rows in [alpha2, alpha3]; columns: coefficient of alpha1, constant
-    rest1 = (p1 + p2) * t.y1 + p3 * s.omega_u1d_u3u * t.y2_u1d + s2
-    rest2 = (p1 + p2) * t.y1 + p3 * s.omega_u2d_u3u * t.y2_u1d + s2
-    rest3 = (p1 * s.omega_u3d_u1u + p2 * s.omega_u3d_u2u) * t.y1_u3d + p3 * s.omega_u3d_u3u * t.y2_u3d + s2
-    (u2, v2), (u3, v3) = solve(
-        np.array([[P * t.x1_u2d, -g["DL2"] * xi * P * t.x1_u2d], [-g["DL3"] * P * x3, P * x3]]),
-        np.array([[g["DL2"] * P * t.x1_u2d, g["DL2"] * rest2], [g["DL3"] * P * x3, g["DL3"] * rest3]]),
-    )
+    # with p known, the DL2 and DL3 rows give alpha2 and alpha3 as affine
+    # functions of alpha1; columns: coefficient of alpha1, constant
+    rows, rhs = map(np.array, zip(*(sinr_row(roles[r], means, g[r]) for r in ("DL2", "DL3"))))
+    (u2, v2), (u3, v3) = solve(rows[:, 1:3], np.column_stack([-rows[:, 0], rhs - rows[:, 3:] @ p]))
     # when the two rows admit positive powers at all (xi * g2 * g3 < 1), alpha2
     # and alpha3 are positive and grow with alpha1; otherwise v2, v3 <= 0
     check_positive((v2, v3), names[1:3])
 
     def dl1_excess(a1):
-        residual = xi * P * (a1 * (u2 + u3) + v2 + v3) / rest1
-        return sic_log2_mean(t.rule_u1d, residual + a1 * P / rest1, residual) - cfg.M_d * targets["DL1"]
+        x = (a1, u2 * a1 + v2, u3 * a1 + v3, p1, p2, p3, 1.0)
+        return role_log2_mean(bind(roles["DL1"], x), means, rules) - cfg.M_d * targets["DL1"]
 
     a1_max = (1.0 - v2 - v3) / (1.0 + u2 + u3)
     if a1_max <= 0 or dl1_excess(a1_max) < 0:

@@ -1,18 +1,32 @@
-"""Closed-form ergodic rates of the six cluster roles.
+"""The role table: every user role's SINR, written once as data, and its rates.
 
-Every rate is (1/M) * E log2(1 + S / D), S and D built from expected path
-losses (geometry module) and expected cascaded channel powers (channel
-module).  Two models evaluate it, selected by name:
+A NOMA group (a 3-user cluster, or a 2-user pair of the pairing baseline)
+gives each user one role, DL1..DLn and UL1..ULn from strong (decoded first)
+to weak.  noma_roles() writes each role's SINR as signal / (sum of
+interference terms + noise).  A term is a coefficient times a gain key: the
+coefficient weighs the group's variables x = (alpha_1..alpha_n, p_1..p_n, 1)
+linearly, with P_b and xi_sic inside it, and the key names one random gain:
+("direct", u) a center user's BS link, ("cross", rx, tx) a DL-center/UL-center
+link, ("cascade", side, out, in) a path through one surface face, ("bounce",)
+the BS's own signal off the surface, ("si",) the residual self-interference.
+Three readers use the table: key_means() and role_log2_mean() here (the
+closed forms), simulator.sample_gains() (per-trial draws), and sinr_row()
+(the linear rows of min-power allocation and the power policies).
+
+Two models evaluate a rate (1/M) E log2(1 + SINR), selected by name:
 
 * "ratio-of-means", the paper's closed forms: log2(1 + E S / E D) for every
   role, i.e. the expectation is pushed through the log.
-* "exact-signal", the default: the same closed forms for the mid and edge
-  users, while the strong users DL1 and UL1, whose direct-link signal is
-  dominated by the heavy tail of the nearest user's path loss, keep their
-  interference at its mean but average the log exactly over their signal:
-  over the Rayleigh fading via E ln(1 + aX) = e^{1/a} E1(1/a), then over the
-  order-statistic density of their distance with a fixed quadrature rule.
-  The log of the ratio of means overestimates this by up to 2.5x at 30-40 dB.
+* "exact-signal", the default: a role whose signal key carries an
+  order-statistic rule (the strong users DL1 and UL1, and a pair's center
+  strong member) keeps its other terms at their means but averages the log
+  exactly over its signal gain: over the Rayleigh fading via
+  E ln(1 + aX) = e^{1/a} E1(1/a), then over the order-statistic density of
+  its distance with a fixed quadrature rule; terms on the signal's own key
+  (a SIC residual) scale with the same gain.  The direct-link signal of
+  these users is dominated by the heavy tail of the nearest user's path
+  loss, so the log of the ratio of means overestimates it by up to 2.5x at
+  30-40 dB.
 
 Expectation terms split into two groups:
 
@@ -33,7 +47,9 @@ user; the UL cluster takes the j-th nearest user of every group.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,16 +74,24 @@ __all__ = [
     "SurfaceTerms",
     "RateInputs",
     "RateReport",
+    "Member",
+    "Term",
+    "Role",
     "cluster_orders",
+    "cluster_roles",
+    "noma_roles",
     "expectation_terms",
     "surface_terms",
     "build_rate_inputs",
+    "key_means",
+    "role_log2_mean",
+    "role_rates",
+    "sinr_row",
+    "solve_sinr",
     "dl_rate_strong",
-    "dl_rate_strong_exact",
     "dl_rate_mid",
     "dl_rate_edge",
     "ul_rate_strong",
-    "ul_rate_strong_exact",
     "ul_rate_mid",
     "ul_rate_edge",
     "fading_log2_mean",
@@ -93,6 +117,7 @@ _OMEGA_PATHS = {
     "omega_u3d_u3u": ("r,u3d", "r", "r,u3u"),
     "omega_br_u3u": ("b,r", "t", "r,u3u"),
 }
+_OMEGA_NAME = {path: name for name, path in _OMEGA_PATHS.items()}
 
 
 def pathloss(d, m: float):
@@ -125,6 +150,135 @@ def cluster_orders(cfg: SystemConfig, cluster: int) -> dict:
     return orders
 
 
+# -- the role table -----------------------------------------------------------
+
+
+class Member(NamedTuple):
+    """One user a role table refers to (or the BS, as the end of a cascade).
+
+    A plain tuple, so that gain keys hash fast: the optimizer looks them up
+    thousands of times per step.
+    """
+
+    kind: str        # "center", "edge", or "bs"
+    direction: str   # "DL" or "UL"
+    order: int       # distance rank inside its group, 1 = nearest
+    link: str        # surface link label whose bearing its fading vector has
+
+
+BS = Member("bs", "", 0, "b,r")
+
+
+class Term(NamedTuple):
+    """A coefficient over the group's variables (alpha..., p..., 1) times a gain key."""
+
+    coef: tuple
+    key: tuple
+
+
+class Role(NamedTuple):
+    """One role's SINR: signal / (sum of interference terms + noise)."""
+
+    name: str
+    signal: Term
+    interference: tuple
+    noise: float
+
+
+def signal_key(m: Member) -> tuple:
+    """Gain of a user's own link to the BS: direct for center users, via the surface for edge users."""
+    if m.kind == "center":
+        return ("direct", m)
+    return ("cascade", "r", m, BS) if m.direction == "DL" else ("cascade", "t", BS, m)
+
+
+def _heard_at(rx: Member, tx: Member) -> tuple:
+    """Gain of UL sender tx at DL receiver rx: direct between center users,
+    otherwise through the transmission face to a center receiver and the
+    reflection face to an edge receiver."""
+    if rx.kind == tx.kind == "center":
+        return ("cross", rx, tx)
+    return ("cascade", "t" if rx.kind == "center" else "r", rx, tx)
+
+
+def noma_roles(cfg: SystemConfig, dl, ul) -> tuple:
+    """Role table of one NOMA group; dl and ul list its users strong to weak.
+
+    A DL user cancels its weaker partners' signals by SIC up to a residual
+    xi of their power and hears its stronger partners in full.  The BS
+    decodes the UL users strong-first, so a UL user hears its weaker
+    partners in full and the residual of the stronger ones.  Every DL user
+    also hears every UL sender, and every UL user the BS's own signal off
+    the surface and the residual self-interference.
+    """
+    nd, nu = len(dl), len(ul)
+    P, xi = cfg.P_b, cfg.xi_sic
+
+    def coef(*weights):   # (variable index, weight) pairs -> coefficient vector
+        c = [0.0] * (nd + nu + 1)
+        for i, w in weights:
+            c[i] += w
+        return tuple(c)
+
+    roles = []
+    for i, m in enumerate(dl):
+        partners = [(j, P if j < i else xi * P) for j in range(nd) if j != i]
+        own = (Term(coef(*partners), signal_key(m)),) if partners else ()
+        heard = tuple(Term(coef((nd + k, 1.0)), _heard_at(m, u)) for k, u in enumerate(ul))
+        roles.append(Role(f"DL{i + 1}", Term(coef((i, P)), signal_key(m)), own + heard, cfg.sigma2))
+    floor = (Term(coef((nd + nu, P)), ("bounce",)), Term(coef((nd + nu, 1.0)), ("si",)))
+    for i, u in enumerate(ul):
+        others = tuple(
+            Term(coef((nd + j, 1.0 if j > i else xi)), signal_key(v)) for j, v in enumerate(ul) if j != i
+        )
+        roles.append(Role(f"UL{i + 1}", Term(coef((nd + i, 1.0)), signal_key(u)), others + floor, cfg.sigma2))
+    return tuple(roles)
+
+
+def cluster_members(cfg: SystemConfig, cluster: int = 1) -> tuple:
+    """The users of cluster j: DL strong, mid, edge, then UL strong, mid, edge."""
+    k = cluster_orders(cfg, cluster)
+    return (
+        Member("center", "DL", k["k_cd1"], "r,u1d"),
+        Member("center", "DL", k["k_cd2"], "r,u2d"),
+        Member("edge", "DL", k["k_ed3"], "r,u3d"),
+        Member("center", "UL", k["k_cu1"], "r,u1u"),
+        Member("center", "UL", k["k_cu2"], "r,u2u"),
+        Member("edge", "UL", k["k_eu3"], "r,u3u"),
+    )
+
+
+def cluster_roles(cfg: SystemConfig, cluster: int = 1) -> tuple:
+    """The six roles DL1..DL3, UL1..UL3 of cluster j."""
+    members = cluster_members(cfg, cluster)
+    return noma_roles(cfg, members[:3], members[3:])
+
+
+def table_keys(roles) -> tuple:
+    """Every gain key of a role table, in order of first appearance."""
+    return tuple(dict.fromkeys(t.key for role in roles for t in (role.signal, *role.interference)))
+
+
+def _dot(coef, x) -> float:
+    return sum(map(operator.mul, coef, x))
+
+
+def bind(role: Role, x) -> Role:
+    """The role with every coefficient evaluated at variables x, as the readers take it."""
+    return Role(
+        role.name, Term(_dot(role.signal.coef, x), role.signal.key),
+        tuple(Term(_dot(t.coef, x), t.key) for t in role.interference), role.noise,
+    )
+
+
+def power_vector(power: PowerAllocation) -> tuple:
+    """A cluster's variables x = (alpha1, alpha2, alpha3, p1, p2, p3, 1)."""
+    return (*power.alpha, *power.p_ul, 1.0)
+
+
+# -- analytic reader ------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class ExpectationTerms:
     """Position-only expectation terms of one cluster (state independent)."""
@@ -149,7 +303,7 @@ class ExpectationTerms:
             if getattr(self, name) < 0:
                 raise ValueError(f"expectation term {name} must be nonnegative")
 
-    # products the rate formulas consume directly
+    # products of two position terms, as the paper's closed forms name them
     @property
     def y2_u1d(self) -> float:
         return self.x1_u3u * self.q_center
@@ -182,6 +336,68 @@ class SurfaceTerms:
                 raise ValueError(f"surface term {name} must be nonnegative")
 
 
+class Positions(NamedTuple):
+    """Mean path losses of a role table's users: the position half of each key's mean."""
+
+    bs: dict          # center user -> mean path loss to the BS
+    edge: dict        # edge user -> mean path loss to the surface
+    rules: dict       # signal key averaged exactly (exact-signal) -> its path-loss rule
+    y1: float         # center-user pair distance law
+    q_center: float   # surface-to-center-user outside-point law
+    l_br: float       # BS-to-surface path loss
+
+    def at_surface(self, m: Member) -> float:
+        if m.kind == "bs":
+            return self.l_br
+        return self.q_center if m.kind == "center" else self.edge[m]
+
+
+def position_parts(keys, pos: Positions, cfg: SystemConfig) -> dict:
+    """Each gain key's mean as (position factor, name of its SurfaceTerms factor or None)."""
+    parts = {}
+    for key in keys:
+        if key[0] == "direct":
+            parts[key] = (pos.bs[key[1]], None)
+        elif key[0] == "cross":
+            parts[key] = (pos.y1, None)
+        elif key[0] == "cascade":
+            _, side, out, inp = key
+            parts[key] = (pos.at_surface(out) * pos.at_surface(inp), _OMEGA_NAME[(out.link, side, inp.link)])
+        elif key[0] == "bounce":
+            parts[key] = (pos.l_br**2, "y3_raw")
+        else:
+            parts[key] = (si_variance(cfg), None)
+    return parts
+
+
+def key_means(parts: dict, surface: SurfaceTerms) -> dict:
+    """Expectation of every gain key: its position factor times its surface term."""
+    return {key: f if name is None else getattr(surface, name) * f for key, (f, name) in parts.items()}
+
+
+class ClusterTable(NamedTuple):
+    """A cluster's role table with everything but the surface state settled."""
+
+    roles: tuple    # the six roles, coefficients over the variables
+    bound: tuple    # the same roles at the allocation's variables
+    parts: dict     # key -> position_parts entry
+    rules: dict     # signal key -> path-loss rule, for the exact-signal model
+
+
+def cluster_table(cfg: SystemConfig, power: PowerAllocation, t: ExpectationTerms) -> ClusterTable:
+    """The cluster's table, its position terms keyed by its users."""
+    u1d, u2d, u3d, u1u, u2u, u3u = members = cluster_members(cfg, t.cluster)
+    pos = Positions(
+        bs={u1d: t.x1_u1d, u2d: t.x1_u2d, u1u: t.chi_u1u, u2u: t.chi_u2u},
+        edge={u3d: t.x1_u3d, u3u: t.x1_u3u},
+        rules={("direct", u1d): t.rule_u1d, ("direct", u1u): t.rule_u1u},
+        y1=t.y1, q_center=t.q_center, l_br=t.l_br,
+    )
+    roles = noma_roles(cfg, members[:3], members[3:])
+    bound = tuple(bind(r, power_vector(power)) for r in roles)
+    return ClusterTable(roles, bound, position_parts(table_keys(roles), pos, cfg), pos.rules)
+
+
 def expectation_terms(cfg: SystemConfig, cluster: int = 1) -> ExpectationTerms:
     """Evaluate the position terms of cluster j by adaptive quadrature."""
     k = cluster_orders(cfg, cluster)
@@ -203,10 +419,24 @@ def expectation_terms(cfg: SystemConfig, cluster: int = 1) -> ExpectationTerms:
     )
 
 
-def surface_terms(cfg: SystemConfig, state: StarRisState, links: dict | None = None) -> SurfaceTerms:
-    """Evaluate the omega family and the self-bounce power for one state."""
+def check_state_size(cfg: SystemConfig, n: int) -> None:
+    """Reject a surface state whose element count is not the config's N."""
+    if n != cfg.N:
+        raise ValueError(f"surface state has N={n} elements but the config has N={cfg.N}")
+
+
+def surface_terms(cfg: SystemConfig, state, links: dict | None = None) -> SurfaceTerms:
+    """Evaluate the omega family and the self-bounce power for one state.
+
+    state is a StarRisState, or the pair (c_t, c_r) of its element
+    coefficients rho * exp(j*phi), which is how the optimizer passes its
+    trial points off the unit-modulus set.
+    """
+    if isinstance(state, StarRisState):
+        state = (state.coefficients("t"), state.coefficients("r"))
+    check_state_size(cfg, len(state[0]))
     links = links or build_links(cfg)
-    coeffs = {side: state.coefficients(side) for side in ("t", "r")}
+    coeffs = dict(zip(("t", "r"), state))
     values = {
         name: _cascaded_power_mean_coeffs(coeffs[side], links[out], links[inp])
         for name, (out, side, inp) in _OMEGA_PATHS.items()
@@ -217,17 +447,24 @@ def surface_terms(cfg: SystemConfig, state: StarRisState, links: dict | None = N
 
 @dataclass(frozen=True)
 class RateInputs:
-    """Everything the six rate formulas read, with terms precomputed."""
+    """Everything the analytic reader needs for one cluster, with terms precomputed."""
 
     cfg: SystemConfig
     power: PowerAllocation
-    state: StarRisState
     terms: ExpectationTerms
     surface: SurfaceTerms
+    table: ClusterTable = None   # derived from cfg, power and terms when omitted
+
+    def __post_init__(self):
+        if self.table is None:
+            object.__setattr__(self, "table", cluster_table(self.cfg, self.power, self.terms))
 
     @property
     def cluster(self) -> int:
         return self.terms.cluster
+
+    def means(self) -> dict:
+        return key_means(self.table.parts, self.surface)
 
 
 def build_rate_inputs(
@@ -239,91 +476,7 @@ def build_rate_inputs(
     links: dict | None = None,
 ) -> RateInputs:
     terms = terms if terms is not None else expectation_terms(cfg, cluster)
-    return RateInputs(
-        cfg=cfg, power=power, state=state, terms=terms,
-        surface=surface_terms(cfg, state, links),
-    )
-
-
-def _rate(num: float, den: float, clusters: int) -> float:
-    return math.log2(1.0 + num / den) / clusters
-
-
-def dl_rate_strong(inputs: RateInputs) -> float:
-    """DL strong user: decodes both partners first, leaks a residual xi of their power."""
-    cfg, a, p = inputs.cfg, inputs.power.alpha, inputs.power.p_ul
-    t, s = inputs.terms, inputs.surface
-    num = a[0] * cfg.P_b * t.x1_u1d
-    den = (
-        cfg.xi_sic * cfg.P_b * (a[1] + a[2]) * t.x1_u1d
-        + (p[0] + p[1]) * t.y1
-        + p[2] * s.omega_u1d_u3u * t.y2_u1d
-        + cfg.sigma2
-    )
-    return _rate(num, den, cfg.M_d)
-
-
-def dl_rate_mid(inputs: RateInputs) -> float:
-    """DL mid user: cancels only the edge signal, the strong user's stays as interference."""
-    cfg, a, p = inputs.cfg, inputs.power.alpha, inputs.power.p_ul
-    t, s = inputs.terms, inputs.surface
-    num = a[1] * cfg.P_b * t.x1_u2d
-    den = (
-        cfg.P_b * t.x1_u2d * (cfg.xi_sic * a[2] + a[0])
-        + (p[0] + p[1]) * t.y1
-        + p[2] * s.omega_u2d_u3u * t.y2_u1d
-        + cfg.sigma2
-    )
-    return _rate(num, den, cfg.M_d)
-
-
-def dl_rate_edge(inputs: RateInputs) -> float:
-    """DL edge user: served through the surface, decodes nothing, sees both partners."""
-    cfg, a, p = inputs.cfg, inputs.power.alpha, inputs.power.p_ul
-    t, s = inputs.terms, inputs.surface
-    x_u3d = t.l_br * s.omega_u3d_br * t.x1_u3d
-    b1 = p[0] * s.omega_u3d_u1u + p[1] * s.omega_u3d_u2u
-    b2 = p[2] * s.omega_u3d_u3u
-    num = a[2] * cfg.P_b * x_u3d
-    den = (a[0] + a[1]) * cfg.P_b * x_u3d + b1 * t.y1_u3d + b2 * t.y2_u3d + cfg.sigma2
-    return _rate(num, den, cfg.M_d)
-
-
-def _ul_common(inputs: RateInputs) -> tuple:
-    cfg, t, s = inputs.cfg, inputs.terms, inputs.surface
-    edge_gain = s.omega_br_u3u * t.l_br * t.x1_u3u      # UL edge signal power factor
-    bounce = cfg.P_b * t.l_br**2 * s.y3_raw             # BS's own signal off the surface
-    return edge_gain, bounce + si_variance(cfg) + cfg.sigma2
-
-
-def ul_rate_strong(inputs: RateInputs) -> float:
-    """UL strong user: decoded first at the BS, all partners still at full power."""
-    cfg, p = inputs.cfg, inputs.power.p_ul
-    t = inputs.terms
-    edge_gain, floor = _ul_common(inputs)
-    num = p[0] * t.chi_u1u
-    den = p[1] * t.chi_u2u + p[2] * edge_gain + floor
-    return _rate(num, den, cfg.M_u)
-
-
-def ul_rate_mid(inputs: RateInputs) -> float:
-    """UL mid user: the strong user's signal is cancelled up to the SIC residual."""
-    cfg, p = inputs.cfg, inputs.power.p_ul
-    t = inputs.terms
-    edge_gain, floor = _ul_common(inputs)
-    num = p[1] * t.chi_u2u
-    den = cfg.xi_sic * p[0] * t.chi_u1u + p[2] * edge_gain + floor
-    return _rate(num, den, cfg.M_u)
-
-
-def ul_rate_edge(inputs: RateInputs) -> float:
-    """UL edge user: decoded last, only SIC residuals of the center users remain."""
-    cfg, p = inputs.cfg, inputs.power.p_ul
-    t = inputs.terms
-    edge_gain, floor = _ul_common(inputs)
-    num = p[2] * edge_gain
-    den = cfg.xi_sic * (p[0] * t.chi_u1u + p[1] * t.chi_u2u) + floor
-    return _rate(num, den, cfg.M_u)
+    return RateInputs(cfg=cfg, power=power, terms=terms, surface=surface_terms(cfg, state, links))
 
 
 def fading_log2_mean(rule, scale):
@@ -351,57 +504,91 @@ def sic_log2_mean(rule, total: float, residual: float) -> float:
     return max(float(both[0] - both[1]), 0.0)
 
 
-def dl_strong_scales(inputs: RateInputs) -> tuple:
-    """DL strong user's SINR scales per unit direct-link gain, interference at its mean.
+def unit_gain_scales(role: Role, means: dict) -> tuple:
+    """(total, residual): a bound role's SINR per unit signal gain, other keys at their means.
 
-    Returns (total, residual): its log2(1 + SINR) is log2(1 + total * gain)
-    - log2(1 + residual * gain), as in sic_log2_mean.
+    log2(1 + SINR) is log2(1 + total * gain) - log2(1 + residual * gain),
+    residual being the terms on the signal's own key, as in sic_log2_mean.
     """
-    cfg, a, p = inputs.cfg, inputs.power.alpha, inputs.power.p_ul
-    t, s = inputs.terms, inputs.surface
-    rest = (p[0] + p[1]) * t.y1 + p[2] * s.omega_u1d_u3u * t.y2_u1d + cfg.sigma2
-    residual = cfg.xi_sic * cfg.P_b * (a[1] + a[2]) / rest
-    return residual + a[0] * cfg.P_b / rest, residual
+    key = role.signal.key
+    same = sum(t.coef for t in role.interference if t.key == key)
+    rest = sum(t.coef * means[t.key] for t in role.interference if t.key != key) + role.noise
+    residual = same / rest
+    return residual + role.signal.coef / rest, residual
+
+
+def role_log2_mean(role: Role, means: dict, rules: dict) -> float:
+    """E log2(1 + SINR) of one bound role.
+
+    A signal key found in rules is averaged exactly (exact-signal model);
+    any other role takes the log of the ratio of means.
+    """
+    rule = rules.get(role.signal.key)
+    if rule is not None:
+        return sic_log2_mean(rule, *unit_gain_scales(role, means))
+    den = sum(t.coef * means[t.key] for t in role.interference) + role.noise
+    return math.log2(1.0 + role.signal.coef * means[role.signal.key] / den)
+
+
+def sinr_row(role: Role, means: dict, g: float) -> tuple:
+    """(row, rhs) over the group's powers v = (alpha..., p...): the role's
+    ratio-of-means SINR equals g exactly where row . v = rhs."""
+    r = means[role.signal.key] * np.asarray(role.signal.coef)
+    for t in role.interference:
+        r = r - g * means[t.key] * np.asarray(t.coef)
+    return r[:-1], g * role.noise - r[-1]
+
+
+def solve_sinr(role: Role, means: dict, g: float, v0, dv) -> float:
+    """The step s at which the role's ratio-of-means SINR at powers v0 + s * dv equals g."""
+    row, rhs = sinr_row(role, means, g)
+    return float((rhs - row @ np.asarray(v0)) / (row @ np.asarray(dv)))
+
+
+RATE_MODELS = ("ratio-of-means", "exact-signal")
+DEFAULT_MODEL = "exact-signal"
+
+
+def role_rates(inputs: RateInputs, model: str = DEFAULT_MODEL) -> dict:
+    """Per-role rates (1/M) E log2(1 + SINR) of one cluster under the named model."""
+    if model not in RATE_MODELS:
+        raise ValueError(f"unknown rate model {model!r}; choose one of {RATE_MODELS}")
+    rules = inputs.table.rules if model == "exact-signal" else {}
+    means, cfg = inputs.means(), inputs.cfg
+    return {
+        role.name: role_log2_mean(role, means, rules) / (cfg.M_d if role.name.startswith("DL") else cfg.M_u)
+        for role in inputs.table.bound
+    }
+
+
+def _strong_scales(inputs: RateInputs, name: str) -> tuple:
+    role = next(role for role in inputs.table.bound if role.name == name)
+    return unit_gain_scales(role, inputs.means())
+
+
+def _paper_view(name: str):
+    def view(inputs: RateInputs) -> float:
+        return role_rates(inputs, "ratio-of-means")[name]
+    return view
+
+
+# the paper's closed form of each cluster role, one view onto the table each
+dl_rate_strong = _paper_view("DL1")   # decodes both partners first, leaks a residual xi of their power
+dl_rate_mid = _paper_view("DL2")      # cancels only the edge signal, the strong user's stays
+dl_rate_edge = _paper_view("DL3")     # served through the surface, decodes nothing
+ul_rate_strong = _paper_view("UL1")   # decoded first at the BS, all partners at full power
+ul_rate_mid = _paper_view("UL2")      # the strong user's signal cancelled up to the SIC residual
+ul_rate_edge = _paper_view("UL3")     # decoded last, only SIC residuals of the center users remain
+
+
+def dl_strong_scales(inputs: RateInputs) -> tuple:
+    """DL strong user's (total, residual) SINR scales per unit direct-link gain."""
+    return _strong_scales(inputs, "DL1")
 
 
 def ul_strong_scale(inputs: RateInputs) -> float:
     """UL strong user's SINR per unit direct-link gain, interference at its mean."""
-    p, t = inputs.power.p_ul, inputs.terms
-    edge_gain, floor = _ul_common(inputs)
-    return p[0] / (p[1] * t.chi_u2u + p[2] * edge_gain + floor)
-
-
-def dl_rate_strong_exact(inputs: RateInputs) -> float:
-    """DL strong user, exact-signal model: the log averaged over its own signal."""
-    return sic_log2_mean(inputs.terms.rule_u1d, *dl_strong_scales(inputs)) / inputs.cfg.M_d
-
-
-def ul_rate_strong_exact(inputs: RateInputs) -> float:
-    """UL strong user, exact-signal model: the log averaged over its own signal."""
-    return float(fading_log2_mean(inputs.terms.rule_u1u, ul_strong_scale(inputs))) / inputs.cfg.M_u
-
-
-_PAPER_RATES = {
-    "DL1": dl_rate_strong,
-    "DL2": dl_rate_mid,
-    "DL3": dl_rate_edge,
-    "UL1": ul_rate_strong,
-    "UL2": ul_rate_mid,
-    "UL3": ul_rate_edge,
-}
-_RATE_FNS = {
-    "ratio-of-means": _PAPER_RATES,
-    "exact-signal": {**_PAPER_RATES, "DL1": dl_rate_strong_exact, "UL1": ul_rate_strong_exact},
-}
-RATE_MODELS = tuple(_RATE_FNS)
-DEFAULT_MODEL = "exact-signal"
-
-
-def _rate_fns(model: str) -> dict:
-    try:
-        return _RATE_FNS[model]
-    except KeyError:
-        raise ValueError(f"unknown rate model {model!r}; choose one of {RATE_MODELS}") from None
+    return _strong_scales(inputs, "UL1")[0]
 
 
 def weighted_sum_rate(inputs: RateInputs, weights: dict | None = None, model: str = DEFAULT_MODEL) -> float:
@@ -414,7 +601,7 @@ def weighted_sum_rate(inputs: RateInputs, weights: dict | None = None, model: st
         }
     if any(w < 0 for w in weights.values()):
         raise ValueError("weights must be nonnegative")
-    return sum(weights.get(role, 0.0) * fn(inputs) for role, fn in _rate_fns(model).items())
+    return sum(weights.get(role, 0.0) * rate for role, rate in role_rates(inputs, model).items())
 
 
 @dataclass(frozen=True)
@@ -459,13 +646,8 @@ def rate_report(
     model: str = DEFAULT_MODEL,
 ) -> RateReport:
     """Analytic per-role rates of one cluster under the named model (see module docstring)."""
-    fns = _rate_fns(model)
     inputs = build_rate_inputs(cfg, power, state, cluster, terms=terms, links=links)
-    return RateReport(
-        rates={role: fn(inputs) for role, fn in fns.items()},
-        method="analytic",
-        cluster=inputs.cluster,
-    )
+    return RateReport(rates=role_rates(inputs, model), method="analytic", cluster=inputs.cluster)
 
 
 def conditional_terms(cfg: SystemConfig, layout, cluster: int = 1) -> ExpectationTerms:

@@ -2,10 +2,12 @@
 
 Each trial drops fresh user positions, sorts and clusters them, draws every
 fading realization, and evaluates the exact per-role SINRs; rates accumulate
-as (1/M) * log2(1 + SINR).  Imperfect SIC enters exactly as in the closed
-forms: a fraction xi of an already-decoded signal's power stays in the
-denominator.  The residual self-interference is drawn per trial as a
-CN(0, beta * P_b^lambda) scalar.
+as (1/M) * log2(1 + SINR).  The SINRs are those of the role table
+(rates.noma_roles): sample_gains() draws one per-trial array per gain key,
+once per block and group, and role_sinrs() combines them with the table's
+coefficients, so imperfect SIC enters exactly as in the closed forms.  The
+residual self-interference is drawn per trial as a CN(0, beta * P_b^lambda)
+scalar.
 
 Trials are split into fixed-size blocks with seeds derived via SeedSequence
 spawning, so a run is reproducible and block results could be computed in any
@@ -30,22 +32,31 @@ from .channel import StarRisState, build_links, sample_rician
 from .config import PowerAllocation, SystemConfig, default_power_allocation
 from .geometry import sample_disk
 from .rates import (
+    BS,
     RateReport,
     ROLES,
+    _OMEGA_PATHS,
+    bind,
     build_rate_inputs,
+    check_state_size,
+    cluster_members,
     cluster_orders,
-    dl_rate_strong_exact,
+    cluster_roles,
     dl_strong_scales,
     expectation_terms,
     pathloss,
+    power_vector,
+    role_rates,
     si_variance,
     surface_terms,
-    ul_rate_strong_exact,
+    table_keys,
     ul_strong_scale,
 )
 
 __all__ = [
     "SimPlan",
+    "sample_gains",
+    "role_sinrs",
     "simulate",
     "simulate_clusters",
     "estimate_expectation",
@@ -79,10 +90,6 @@ def _draw_cn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def _draw_rician_batch(link, rng, trials: int) -> np.ndarray:
-    return sample_rician(link, rng, trials=trials)
-
-
 class _Accumulator:
     """Streaming mean/stderr over per-trial values."""
 
@@ -108,8 +115,11 @@ class _Accumulator:
         return math.sqrt(var / self.n)
 
 
-def _block_seeds(seed: int, nblocks: int):
-    return np.random.SeedSequence(seed).spawn(nblocks)
+def _blocks(trials: int, seed: int, block_size: int):
+    """(size, generator) of each block; the seeds are spawned from one SeedSequence."""
+    nblocks = (trials + block_size - 1) // block_size
+    for b, block_seed in enumerate(np.random.SeedSequence(seed).spawn(nblocks)):
+        yield min(block_size, trials - b * block_size), np.random.default_rng(block_seed)
 
 
 def _sorted_drop(rng, B, count, radius, center):
@@ -121,82 +131,87 @@ def _sorted_drop(rng, B, count, radius, center):
     return pts, dist, order
 
 
-def _gather(pts, dist, order, col):
-    rows = np.arange(pts.shape[0])
-    idx = order[:, col]
-    return pts[rows, idx], dist[rows, idx]
+@dataclass(frozen=True)
+class BlockDraws:
+    """What one block of trials shares across its groups: the BS-surface
+    vector, the BS's own signal off the surface and the residual SI."""
+
+    g_br: np.ndarray
+    bounce: np.ndarray
+    si: np.ndarray
+    coeffs: dict      # face -> element coefficients rho * exp(j*phi)
+    l_br: float
+    m: float
+
+    @classmethod
+    def draw(cls, cfg, state, links, rng, B):
+        g_br = sample_rician(links["b,r"], rng, trials=B)
+        si = si_variance(cfg) * np.abs(_draw_cn(rng, B)) ** 2
+        c = {side: state.coefficients(side) for side in ("t", "r")}
+        l_br = pathloss(cfg.d_br, cfg.m)
+        bounce = l_br * l_br * np.abs(np.sum(np.abs(g_br) ** 2 * c["t"], axis=-1)) ** 2
+        return cls(g_br, bounce, si, c, l_br, cfg.m)
 
 
-def _cluster_sinrs(cfg, power, state, links, rng, B, drops, g_br, si_power, cluster):
-    """Six per-trial SINRs of one cluster, given the shared drop and BS-surface draw."""
-    k = cluster_orders(cfg, cluster)
-    (dl_pts, dl_d, dl_o), (ul_pts, ul_d, ul_o), (ed_pts, ed_d, ed_o), (eu_pts, eu_d, eu_o) = drops
-    a, p = power.alpha, power.p_ul
-    m, P, s2, xi = cfg.m, cfg.P_b, cfg.sigma2, cfg.xi_sic
+def _scalar_rank(key) -> int:
+    # the Rayleigh scalars of a group are one block, in this column order: DL direct
+    # links, cross links, UL direct links (the order fixes every seed's numbers)
+    return 1 if key[0] == "cross" else 0 if key[1].direction == "DL" else 2
+
+
+def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
+    """One per-trial array for every gain key of a role table.
+
+    geo maps each user to its (position, BS distance, surface distance)
+    arrays.  The Rayleigh scalars of the direct and cross keys are drawn
+    first, as one block, then one fading vector per user that a cascade
+    reaches, in the order of members.
+    """
+    keys = table_keys(roles)
+    scalar = sorted((k for k in keys if k[0] in ("direct", "cross")), key=_scalar_rank)
+    h = np.abs(_draw_cn(rng, (len(block.si), len(scalar)))) ** 2
+    reached = {end for k in keys if k[0] == "cascade" for end in k[2:]}
+    vec = {u: sample_rician(links[u.link], rng, trials=len(block.si)) for u in members if u in reached}
+    vec[BS] = block.g_br
+
+    def surface_loss(u):
+        return block.l_br if u.kind == "bs" else pathloss(geo[u][2], block.m)
+
+    gains = {("bounce",): block.bounce, ("si",): block.si}
+    for col, key in enumerate(scalar):
+        if key[0] == "direct":
+            loss = pathloss(geo[key[1]][1], block.m)
+        else:
+            loss = pathloss(np.linalg.norm(geo[key[1]][0] - geo[key[2]][0], axis=-1), block.m)
+        gains[key] = loss * h[:, col]
+    for key in keys:
+        if key[0] == "cascade":
+            _, side, out, inp = key
+            casc = np.abs(np.sum(vec[out] * block.coeffs[side] * vec[inp], axis=-1)) ** 2
+            gains[key] = surface_loss(out) * surface_loss(inp) * casc
+    return gains
+
+
+def role_sinrs(bound, gains) -> dict:
+    """Per-trial SINR of every bound role (rates.bind), from sampled gains."""
+    out = {}
+    for role in bound:
+        den = sum(t.coef * gains[t.key] for t in role.interference) + role.noise
+        out[role.name] = role.signal.coef * gains[role.signal.key] / den
+    return out
+
+
+def _cluster_geometry(cfg, drops, members):
+    """(position, BS distance, surface distance) of each cluster user from the shared drop."""
+    groups = dict(zip((("center", "DL"), ("center", "UL"), ("edge", "DL"), ("edge", "UL")), drops))
     sc = np.array([cfg.d_br, 0.0])
-
-    pos_u1d, d_b_u1d = _gather(dl_pts, dl_d, dl_o, k["k_cd1"] - 1)
-    pos_u2d, d_b_u2d = _gather(dl_pts, dl_d, dl_o, k["k_cd2"] - 1)
-    pos_u1u, d_b_u1u = _gather(ul_pts, ul_d, ul_o, k["k_cu1"] - 1)
-    pos_u2u, d_b_u2u = _gather(ul_pts, ul_d, ul_o, k["k_cu2"] - 1)
-    _, d_r_u3d = _gather(ed_pts, ed_d, ed_o, cfg.K_ed - cluster)
-    _, d_r_u3u = _gather(eu_pts, eu_d, eu_o, cluster - 1)
-
-    d_r_u1d = np.linalg.norm(pos_u1d - sc, axis=-1)
-    d_r_u2d = np.linalg.norm(pos_u2d - sc, axis=-1)
-    d_r_u1u = np.linalg.norm(pos_u1u - sc, axis=-1)
-    d_r_u2u = np.linalg.norm(pos_u2u - sc, axis=-1)
-
-    # scalar Rayleigh channels: BS links, then the four cross links
-    h2 = np.abs(_draw_cn(rng, (B, 8))) ** 2
-    g_u1d = _draw_rician_batch(links["r,u1d"], rng, B)
-    g_u2d = _draw_rician_batch(links["r,u2d"], rng, B)
-    g_u3d = _draw_rician_batch(links["r,u3d"], rng, B)
-    g_u1u = _draw_rician_batch(links["r,u1u"], rng, B)
-    g_u2u = _draw_rician_batch(links["r,u2u"], rng, B)
-    g_u3u = _draw_rician_batch(links["r,u3u"], rng, B)
-
-    c_t = state.coefficients("t")
-    c_r = state.coefficients("r")
-
-    def casc2(go, c, gi):
-        return np.abs(np.sum(go * c * gi, axis=-1)) ** 2
-
-    l_br = pathloss(cfg.d_br, m)
-
-    # downlink cluster roles
-    A1 = pathloss(d_b_u1d, m) * h2[:, 0]
-    B1 = p[0] * pathloss(np.linalg.norm(pos_u1d - pos_u1u, axis=-1), m) * h2[:, 2]
-    C1 = p[1] * pathloss(np.linalg.norm(pos_u1d - pos_u2u, axis=-1), m) * h2[:, 3]
-    D1 = p[2] * pathloss(d_r_u3u, m) * pathloss(d_r_u1d, m) * casc2(g_u1d, c_t, g_u3u)
-    sinr_dl1 = a[0] * P * A1 / (xi * P * (a[1] + a[2]) * A1 + B1 + C1 + D1 + s2)
-
-    A2 = pathloss(d_b_u2d, m) * h2[:, 1]
-    B2 = p[0] * pathloss(np.linalg.norm(pos_u2d - pos_u1u, axis=-1), m) * h2[:, 4]
-    C2 = p[1] * pathloss(np.linalg.norm(pos_u2d - pos_u2u, axis=-1), m) * h2[:, 5]
-    D2 = p[2] * pathloss(d_r_u3u, m) * pathloss(d_r_u2d, m) * casc2(g_u2d, c_t, g_u3u)
-    sinr_dl2 = a[1] * P * A2 / (P * A2 * (xi * a[2] + a[0]) + B2 + C2 + D2 + s2)
-
-    S3 = l_br * pathloss(d_r_u3d, m) * casc2(g_u3d, c_r, g_br)
-    B3 = p[0] * pathloss(d_r_u3d, m) * pathloss(d_r_u1u, m) * casc2(g_u3d, c_r, g_u1u)
-    C3 = p[1] * pathloss(d_r_u3d, m) * pathloss(d_r_u2u, m) * casc2(g_u3d, c_r, g_u2u)
-    D3 = p[2] * pathloss(d_r_u3d, m) * pathloss(d_r_u3u, m) * casc2(g_u3d, c_r, g_u3u)
-    sinr_dl3 = a[2] * P * S3 / ((a[0] + a[1]) * P * S3 + B3 + C3 + D3 + s2)
-
-    # uplink cluster roles, decoded at the BS in strong-first order
-    Au = pathloss(d_b_u1u, m) * h2[:, 6]
-    Bu = pathloss(d_b_u2u, m) * h2[:, 7]
-    Cu = l_br * pathloss(d_r_u3u, m) * casc2(g_br, c_t, g_u3u)
-    Du = l_br * l_br * np.abs(np.sum(np.abs(g_br) ** 2 * c_t, axis=-1)) ** 2
-    floor = P * Du + si_power + s2
-    sinr_ul1 = p[0] * Au / (p[1] * Bu + p[2] * Cu + floor)
-    sinr_ul2 = p[1] * Bu / (xi * p[0] * Au + p[2] * Cu + floor)
-    sinr_ul3 = p[2] * Cu / (xi * (p[0] * Au + p[1] * Bu) + floor)
-
-    return {
-        "DL1": sinr_dl1, "DL2": sinr_dl2, "DL3": sinr_dl3,
-        "UL1": sinr_ul1, "UL2": sinr_ul2, "UL3": sinr_ul3,
-    }
+    geo = {}
+    for u in members:
+        pts, dist, order = groups[(u.kind, u.direction)]
+        rows, idx = np.arange(pts.shape[0]), order[:, u.order - 1]
+        pos, dist = pts[rows, idx], dist[rows, idx]
+        geo[u] = (pos, dist, np.linalg.norm(pos - sc, axis=-1)) if u.kind == "center" else (pos, None, dist)
+    return geo
 
 
 def simulate_clusters(
@@ -220,19 +235,17 @@ def simulate_clusters(
     clusters = sorted(int(j) for j in clusters)
     if isinstance(powers, PowerAllocation):
         powers = {j: powers for j in clusters}
+    check_state_size(cfg, state.N)
     links = build_links(cfg)
-    V = si_variance(cfg)
+    tables = {}
+    for j in clusters:
+        roles = cluster_roles(cfg, j)
+        tables[j] = (cluster_members(cfg, j), roles, tuple(bind(r, power_vector(powers[j])) for r in roles))
 
     acc = {(j, role): _Accumulator() for j in clusters for role in ROLES}
-    acc_dl, acc_ul = _Accumulator(), _Accumulator()
-
-    nblocks = (trials + block_size - 1) // block_size
-    seeds = _block_seeds(seed, nblocks)
+    acc_sum = {"DL": _Accumulator(), "UL": _Accumulator()}
     frozen = None
-    done = 0
-    for b in range(nblocks):
-        B = min(block_size, trials - done)
-        rng = np.random.default_rng(seeds[b])
+    for B, rng in _blocks(trials, seed, block_size):
         sc = (cfg.d_br, 0.0)
         if frozen is None:
             drops = (
@@ -250,24 +263,18 @@ def simulate_clusters(
         else:
             drops = tuple((p[:B], d[:B], o[:B]) for p, d, o in frozen)
 
-        g_br = _draw_rician_batch(links["b,r"], rng, B)
-        si_power = V * np.abs(_draw_cn(rng, B)) ** 2
+        block = BlockDraws.draw(cfg, state, links, rng, B)
 
-        dl_tot = np.zeros(B)
-        ul_tot = np.zeros(B)
+        tot = {"DL": np.zeros(B), "UL": np.zeros(B)}
         for j in clusters:
-            sinrs = _cluster_sinrs(cfg, powers[j], state, links, rng, B, drops, g_br, si_power, j)
-            for role, sinr in sinrs.items():
-                M = cfg.M_d if role.startswith("DL") else cfg.M_u
-                r = np.log2(1.0 + sinr) / M
+            members, roles, bound = tables[j]
+            gains = sample_gains(roles, members, _cluster_geometry(cfg, drops, members), links, rng, block)
+            for role, sinr in role_sinrs(bound, gains).items():
+                r = np.log2(1.0 + sinr) / (cfg.M_d if role.startswith("DL") else cfg.M_u)
                 acc[(j, role)].add(r)
-                if role.startswith("DL"):
-                    dl_tot += r
-                else:
-                    ul_tot += r
-        acc_dl.add(dl_tot)
-        acc_ul.add(ul_tot)
-        done += B
+                tot[role[:2]] += r
+        for d, total in tot.items():
+            acc_sum[d].add(total)
 
     reports = {
         j: RateReport(
@@ -280,11 +287,14 @@ def simulate_clusters(
         )
         for j in clusters
     }
-    totals = {
-        "dl_sum": acc_dl.mean, "dl_sum_stderr": acc_dl.stderr,
-        "ul_sum": acc_ul.mean, "ul_sum_stderr": acc_ul.stderr,
+    return reports, _sum_report(acc_sum)
+
+
+def _sum_report(acc: dict) -> dict:
+    return {
+        "dl_sum": acc["DL"].mean, "dl_sum_stderr": acc["DL"].stderr,
+        "ul_sum": acc["UL"].mean, "ul_sum_stderr": acc["UL"].stderr,
     }
-    return reports, totals
 
 
 def simulate(plan: SimPlan) -> RateReport:
@@ -319,17 +329,6 @@ _ORDER_KEY = {
     "chi_u2u": ("k_cu2", "K_cu", "R"),
 }
 
-_OMEGA_KEY = {
-    "omega_u1d_u3u": ("r,u1d", "t", "r,u3u"),
-    "omega_u2d_u3u": ("r,u2d", "t", "r,u3u"),
-    "omega_u3d_br": ("r,u3d", "r", "b,r"),
-    "omega_u3d_u1u": ("r,u3d", "r", "r,u1u"),
-    "omega_u3d_u2u": ("r,u3d", "r", "r,u2u"),
-    "omega_u3d_u3u": ("r,u3d", "r", "r,u3u"),
-    "omega_br_u3u": ("b,r", "t", "r,u3u"),
-}
-
-
 def _ordered_draw(rng, B, k, K, radius, m):
     r = np.sort(radius * np.sqrt(rng.random((B, K))), axis=1)[:, k - 1]
     return pathloss(r, m)
@@ -362,12 +361,7 @@ def estimate_expectation(
     if key in LOG_MEAN_KEYS:
         inputs = build_rate_inputs(cfg, default_power_allocation(cfg), state, cluster)
     acc = _Accumulator()
-    nblocks = (trials + block_size - 1) // block_size
-    seeds = _block_seeds(seed, nblocks)
-    done = 0
-    for b in range(nblocks):
-        B = min(block_size, trials - done)
-        rng = np.random.default_rng(seeds[b])
+    for B, rng in _blocks(trials, seed, block_size):
         if key in _ORDER_KEY:
             kname, Kname, Rname = _ORDER_KEY[key]
             vals = _ordered_draw(rng, B, k[kname], getattr(cfg, Kname), getattr(cfg, Rname), cfg.m)
@@ -385,13 +379,13 @@ def estimate_expectation(
             vals = _ordered_draw(rng, B, k["k_ed3"], cfg.K_ed, cfg.R_r, cfg.m) * _ordered_draw(
                 rng, B, k["k_eu3"], cfg.K_eu, cfg.R_r, cfg.m
             )
-        elif key in _OMEGA_KEY:
-            out_lbl, side, in_lbl = _OMEGA_KEY[key]
-            go = _draw_rician_batch(links[out_lbl], rng, B)
-            gi = _draw_rician_batch(links[in_lbl], rng, B)
+        elif key in _OMEGA_PATHS:
+            out_lbl, side, in_lbl = _OMEGA_PATHS[key]
+            go = sample_rician(links[out_lbl], rng, trials=B)
+            gi = sample_rician(links[in_lbl], rng, trials=B)
             vals = np.abs(np.sum(go * state.coefficients(side) * gi, axis=-1)) ** 2
         elif key == "y3":
-            g = _draw_rician_batch(links["b,r"], rng, B)
+            g = sample_rician(links["b,r"], rng, trials=B)
             vals = np.abs(np.sum(np.abs(g) ** 2 * state.coefficients("t"), axis=-1)) ** 2
         elif key == "log_u1d":
             gain = _ordered_draw(rng, B, k["k_cd1"], cfg.K_cd, cfg.R, cfg.m) * np.abs(_draw_cn(rng, B)) ** 2
@@ -401,7 +395,6 @@ def estimate_expectation(
             gain = _ordered_draw(rng, B, k["k_cu1"], cfg.K_cu, cfg.R, cfg.m) * np.abs(_draw_cn(rng, B)) ** 2
             vals = np.log2(1.0 + ul_strong_scale(inputs) * gain)
         acc.add(np.asarray(vals, dtype=float))
-        done += B
     return acc.mean, acc.stderr
 
 
@@ -410,10 +403,8 @@ def analytic_expectation(key: str, cfg: SystemConfig, state: StarRisState, clust
     if key not in EXPECTATION_KEYS + LOG_MEAN_KEYS:
         raise KeyError(f"unknown expectation key {key!r}")
     if key in LOG_MEAN_KEYS:
-        inputs = build_rate_inputs(cfg, default_power_allocation(cfg), state, cluster)
-        if key == "log_u1d":
-            return cfg.M_d * dl_rate_strong_exact(inputs)
-        return cfg.M_u * ul_rate_strong_exact(inputs)
+        rates = role_rates(build_rate_inputs(cfg, default_power_allocation(cfg), state, cluster))
+        return cfg.M_d * rates["DL1"] if key == "log_u1d" else cfg.M_u * rates["UL1"]
     t = expectation_terms(cfg, cluster)
     if key in _ORDER_KEY or key in ("y1", "q_center", "y2_u1d", "y1_u3d", "y2_u3d"):
         return getattr(t, key)

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from starnoma.channel import (
-    ChannelRealization,
-    draw_realization,
     RicianLink,
     StarRisState,
     array_response,
@@ -186,20 +184,3 @@ def test_build_links_covers_all_labels(cfg):
     for link in links.values():
         assert link.los.shape == (cfg.N,)
         assert link.kappa == 3.0
-
-
-def test_draw_realization(cfg):
-    rng = np.random.default_rng(5)
-    real = draw_realization(cfg, rng)
-    assert set(real.vectors) == set(cfg.angle_map)
-    assert all(v.shape == (cfg.N,) for v in real.vectors.values())
-    assert len(real.scalars) == 8
-    assert real.si_power >= 0
-    # Rician decomposition: scatter part of each vector has the configured weight
-    link_var = np.abs(real.vectors["b,r"]).var()
-    assert np.isfinite(link_var)
-
-
-def test_realization_length_check():
-    with pytest.raises(ValueError):
-        ChannelRealization(layout=None, vectors={"a": np.ones(3, complex), "b": np.ones(4, complex)})

@@ -77,6 +77,14 @@ def test_invariant_violations_name_the_field(field, value, match):
         dataclasses.replace(baseline_config(), **{field: value})
 
 
+@pytest.mark.parametrize("field", ["weights_dl", "weights_ul"])
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0)])
+def test_weights_need_one_entry_per_role(field, weights):
+    # a short tuple would weight the missing role 0; a long one would fail only in RateReport.weighted_sum
+    with pytest.raises(ConfigError, match=field):
+        dataclasses.replace(baseline_config(), **{field: weights})
+
+
 def test_negative_kappa_rejected():
     cfg = baseline_config()
     bad = dict(cfg.kappa_map, **{"b,r": -1.0})

@@ -93,6 +93,10 @@ class TestPgam:
         _, trace = pgam_optimize(cfg, power, PgamSettings(max_iters=80), initial=StarRisState.random(cfg.N, np.random.default_rng(0)))
         assert trace[-1] >= best_random
 
+    def test_initial_state_size_checked(self, cfg, power):
+        with pytest.raises(ValueError, match="N=11"):
+            pgam_optimize(cfg, power, PgamSettings(max_iters=1), initial=StarRisState.uniform(cfg.N + 1))
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             PgamSettings(max_iters=0)
@@ -193,6 +197,11 @@ class TestMinPower:
         with pytest.raises(InfeasibleTargetsError) as err:
             min_power_allocation({r: 0.0 for r in ("DL1", "DL2", "DL3", "UL1", "UL2", "UL3")}, cfg, state)
         assert err.value.binding == "degenerate"
+
+    def test_state_size_checked(self, cfg, state, power):
+        targets = rate_report(cfg, power, state).rates
+        with pytest.raises(ValueError, match="N=11"):
+            min_power_allocation(targets, cfg, StarRisState.uniform(cfg.N + 1))
 
     def test_missing_role_rejected(self, cfg, state):
         with pytest.raises(ValueError):

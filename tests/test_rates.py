@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from starnoma.channel import StarRisState
 from starnoma.config import PowerAllocation, default_power_allocation
 from starnoma.comparison import pair_structure
 from starnoma.geometry import (
@@ -18,6 +19,7 @@ from starnoma.rates import (
     RATE_MODELS,
     RateReport,
     build_rate_inputs,
+    cluster_members,
     cluster_orders,
     conditional_terms,
     dl_rate_edge,
@@ -26,7 +28,9 @@ from starnoma.rates import (
     dl_strong_scales,
     expectation_terms,
     fading_log2_mean,
+    noma_roles,
     rate_report,
+    table_keys,
     ul_rate_edge,
     ul_rate_mid,
     ul_rate_strong,
@@ -162,7 +166,7 @@ class TestWiringOracles:
         num = a[2] * cfg.P_b * S
         den = (a[0] + a[1]) * cfg.P_b * S + b1 * x_e * q + p[2] * w3 * x_e * x_eu + cfg.sigma2
         hand = math.log2(1 + num / den) / cfg.M_d
-        assert dl_rate_edge(_inputs(cfg, power, state)) == pytest.approx(hand, rel=1e-14)
+        assert dl_rate_edge(_inputs(cfg, power, state)) == pytest.approx(hand, rel=1e-14, abs=0)
 
     def test_ul_strong_assembly(self, cfg, state, power):
         from starnoma.channel import (
@@ -184,7 +188,90 @@ class TestWiringOracles:
         num = p[0] * chi1
         den = p[1] * chi2 + p[2] * w_e * l_br * x_eu + cfg.P_b * l_br**2 * bounce + V + cfg.sigma2
         hand = math.log2(1 + num / den) / cfg.M_u
-        assert ul_rate_strong(_inputs(cfg, power, state)) == pytest.approx(hand, rel=1e-14)
+        assert ul_rate_strong(_inputs(cfg, power, state)) == pytest.approx(hand, rel=1e-14, abs=0)
+
+
+    @staticmethod
+    def _primitives(cfg, state):
+        from starnoma.channel import build_links, cascaded_power_mean, self_reflection_power_mean
+        from starnoma.geometry import (
+            OrderSpec,
+            ordered_pathloss_mean,
+            outside_point_pathloss_mean,
+            pair_pathloss_mean,
+        )
+
+        links = build_links(cfg)
+        return dict(
+            x1=ordered_pathloss_mean(OrderSpec(1, 6, cfg.R), cfg.m),    # nearest of 6 center users
+            x2=ordered_pathloss_mean(OrderSpec(4, 6, cfg.R), cfg.m),    # first of the second group
+            x_eu=ordered_pathloss_mean(OrderSpec(1, 3, cfg.R_r), cfg.m),
+            y1=pair_pathloss_mean(cfg.R, cfg.m),
+            q=outside_point_pathloss_mean(cfg.R, cfg.r1, cfg.m),
+            l_br=(1 + cfg.d_br) ** (-cfg.m),
+            w1=cascaded_power_mean(links["r,u1d"], state, "t", links["r,u3u"]),
+            w2=cascaded_power_mean(links["r,u2d"], state, "t", links["r,u3u"]),
+            w_e=cascaded_power_mean(links["b,r"], state, "t", links["r,u3u"]),
+            bounce=self_reflection_power_mean(links["b,r"], state, "t"),
+            V=cfg.beta_si * cfg.P_b**cfg.lambda_si,
+        )
+
+    @pytest.mark.parametrize("xi", [0.0, 0.1])
+    def test_dl_strong_and_mid_assembly(self, cfg, state, power, xi):
+        cfg = dataclasses.replace(cfg, xi_sic=xi)
+        t = self._primitives(cfg, state)
+        a, p, P = power.alpha, power.p_ul, cfg.P_b
+        ul_center = (p[0] + p[1]) * t["y1"]
+        den1 = xi * P * (a[1] + a[2]) * t["x1"] + ul_center + p[2] * t["w1"] * t["x_eu"] * t["q"] + cfg.sigma2
+        den2 = P * t["x2"] * (xi * a[2] + a[0]) + ul_center + p[2] * t["w2"] * t["x_eu"] * t["q"] + cfg.sigma2
+        inputs = _inputs(cfg, power, state)
+        hand1 = math.log2(1 + a[0] * P * t["x1"] / den1) / cfg.M_d
+        hand2 = math.log2(1 + a[1] * P * t["x2"] / den2) / cfg.M_d
+        assert dl_rate_strong(inputs) == pytest.approx(hand1, rel=1e-14, abs=0)
+        assert dl_rate_mid(inputs) == pytest.approx(hand2, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("xi", [0.0, 0.1])
+    def test_ul_mid_and_edge_assembly(self, cfg, state, power, xi):
+        cfg = dataclasses.replace(cfg, xi_sic=xi)
+        t = self._primitives(cfg, state)
+        p = power.p_ul
+        floor = cfg.P_b * t["l_br"] ** 2 * t["bounce"] + t["V"] + cfg.sigma2
+        edge = t["w_e"] * t["l_br"] * t["x_eu"]
+        inputs = _inputs(cfg, power, state)
+        hand2 = math.log2(1 + p[1] * t["x2"] / (xi * p[0] * t["x1"] + p[2] * edge + floor)) / cfg.M_u
+        hand3 = math.log2(1 + p[2] * edge / (xi * (p[0] * t["x1"] + p[1] * t["x2"]) + floor)) / cfg.M_u
+        assert ul_rate_mid(inputs) == pytest.approx(hand2, rel=1e-14, abs=0)
+        assert ul_rate_edge(inputs) == pytest.approx(hand3, rel=1e-14, abs=0)
+
+
+class TestRoleTable:
+    def test_every_key_has_a_mean_and_a_sampler(self, cfg, state):
+        from starnoma.comparison import _pair_tables, pair_groups
+        from starnoma.simulator import BlockDraws, sample_gains
+        from starnoma.channel import build_links
+
+        links = build_links(cfg)
+        rng = np.random.default_rng(0)
+        block = BlockDraws.draw(cfg, state, links, rng, 4)
+        fake = (np.zeros((4, 2)), np.ones(4), np.ones(4))   # position, BS and surface distance
+
+        def sampled(roles, users):
+            return set(sample_gains(roles, users, {u: fake for u in users}, links, rng, block))
+
+        for j in (1, 2, 3):
+            inputs = _inputs(cfg, default_power_allocation(cfg), state, cluster=j)
+            keys = set(table_keys(inputs.table.roles))
+            assert keys == set(inputs.means()) == sampled(inputs.table.roles, cluster_members(cfg, j))
+        tables, _ = _pair_tables(cfg, pair_groups(cfg), state)
+        for roles, means in tables:
+            assert set(table_keys(roles)) == set(means)
+        for dl, ul in pair_groups(cfg, simulated=True):
+            roles = noma_roles(cfg, dl, ul)
+            assert set(table_keys(roles)) == sampled(roles, dl + ul)
+
+    def test_state_size_checked_at_the_boundary(self, cfg, power):
+        with pytest.raises(ValueError, match="N=11"):
+            rate_report(cfg, power, StarRisState.uniform(cfg.N + 1))
 
 
 class TestAggregation:

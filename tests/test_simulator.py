@@ -76,6 +76,10 @@ class TestSimulate:
         want_ul = sum(r.ul_sum for r in reports.values())
         assert totals["ul_sum"] == pytest.approx(want_ul, rel=1e-12)
 
+    def test_state_size_checked_at_the_boundary(self, cfg, power):
+        with pytest.raises(ValueError, match="N=11"):
+            simulate_clusters(cfg, power, StarRisState.uniform(cfg.N + 1), 100, 0)
+
     def test_bad_trials_rejected(self, cfg, power, state):
         with pytest.raises(ValueError):
             SimPlan(cfg=cfg, power=power, state=state, trials=0)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from .comparison import (
     cluster_power_policy,
     pair_power_policy,
     pair_rate_sums,
+    reference_edge_targets,
     simulate_pair_sums,
 )
 from .config import SystemConfig, baseline_config, default_power_allocation, load_config
@@ -37,10 +39,12 @@ from .geometry import sample_layout
 from .rates import ROLES, rate_report
 from .simulator import SimPlan, simulate, simulate_clusters
 
-EXPERIMENTS = ("rates-vs-snr", "sic-ablation", "si-ablation", "cluster-vs-pair", "rates-vs-N", "custom")
 CSV_COLUMNS = ("sweep_var", "value", "role", "method", "rate", "stderr", "seed")
 DEFAULT_SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 DEFAULT_N_GRID = (4, 16, 36, 64)
+XIS = (0.0, 0.1)                        # SIC error factors of sic-ablation and cluster-vs-pair
+SI_LEVELS = ((0.001, 0.1), (1.0, 0.4))  # (beta_si, lambda_si) pairs of si-ablation
+N_SWEEP_SNR_DB = 40.0                   # transmit SNR of rates-vs-N
 
 
 def _load(args) -> SystemConfig:
@@ -57,29 +61,31 @@ def _pick_state(cfg: SystemConfig, kind: str, seed: int) -> StarRisState:
     raise ValueError(f"unknown state kind {kind!r}")
 
 
+@contextmanager
+def _csv_out(path):
+    """A CSV writer on the file at path, or on stdout when path is empty."""
+    with open(path, "w", encoding="utf-8", newline="") if path else nullcontext(sys.stdout) as stream:
+        yield csv.writer(stream, lineterminator="\n")
+
+
 def _write_rows(rows, out_path):
     rows = sorted(rows, key=lambda r: tuple(str(r[c]) for c in CSV_COLUMNS))
-    stream = open(out_path, "w", encoding="utf-8", newline="") if out_path else sys.stdout
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
+    with _csv_out(out_path) as writer:
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow([repr(float(row[c])) if isinstance(row[c], float) else row[c] for c in CSV_COLUMNS])
-    finally:
-        if out_path:
-            stream.close()
 
 
-def _report_rows(report, sweep_var, value, seed):
-    rows = []
-    for role in ROLES:
-        rows.append({
-            "sweep_var": sweep_var, "value": value, "role": role,
-            "method": report.method, "rate": float(report.rates[role]),
-            "stderr": float(report.stderr[role]) if report.stderr else "",
-            "seed": seed,
-        })
-    return rows
+def _row(*cells) -> dict:
+    return dict(zip(CSV_COLUMNS, cells))
+
+
+def _report_rows(report, sweep_var, value, seed, tag=""):
+    return [
+        _row(sweep_var, value, role + tag, report.method, float(report.rates[role]),
+             float(report.stderr[role]) if report.stderr else "", seed)
+        for role in ROLES
+    ]
 
 
 def validate_table(path: str) -> None:
@@ -102,99 +108,85 @@ def validate_table(path: str) -> None:
 # -- experiments --------------------------------------------------------------
 
 
-def _point_rows(cfg, state, seed, trials, sweep_var, value, cluster=1):
-    power = default_power_allocation(cfg)
-    ana = rate_report(cfg, power, state, cluster=cluster)
-    sim = simulate(SimPlan(cfg=cfg, power=power, state=state, trials=trials, seed=seed, cluster=cluster))
-    return _report_rows(ana, sweep_var, value, seed) + _report_rows(sim, sweep_var, value, seed)
+def _point_rows(points, seed, trials):
+    """Analytic and simulated rows of cluster 1 at every (sweep_var, value, cfg, state, tag) point."""
+    rows = []
+    for sweep_var, value, cfg, state, tag in points:
+        power = default_power_allocation(cfg)
+        ana = rate_report(cfg, power, state)
+        sim = simulate(SimPlan(cfg=cfg, power=power, state=state, trials=trials, seed=seed))
+        rows += _report_rows(ana, sweep_var, value, seed, tag) + _report_rows(sim, sweep_var, value, seed, tag)
+    return rows
+
+
+def _snr_points(cfg, seed, grid, variants):
+    """Every (tag, config fields) variant at every SNR of the grid, on one random state."""
+    state = _pick_state(cfg, "random", seed)
+    return [
+        ("snr_db", snr, replace(cfg.with_snr(snr), **fields), state, tag) for tag, fields in variants for snr in grid
+    ]
 
 
 def experiment_rates_vs_snr(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
+    return _point_rows(_snr_points(cfg, seed, grid, [("", {})]), seed, trials)
+
+
+def experiment_sic_ablation(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
+    variants = [(f"[xi={xi:g}]", {"xi_sic": xi}) for xi in XIS]
+    return _point_rows(_snr_points(cfg, seed, grid, variants), seed, trials)
+
+
+def experiment_si_ablation(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
+    variants = [(f"[beta={beta:g},lambda={lam:g}]", {"beta_si": beta, "lambda_si": lam}) for beta, lam in SI_LEVELS]
+    return _point_rows(_snr_points(cfg, seed, grid, variants), seed, trials)
+
+
+def experiment_rates_vs_N(cfg, seed, trials, grid=DEFAULT_N_GRID):
+    configs = [replace(cfg.with_snr(N_SWEEP_SNR_DB), N=int(n)) for n in grid]
+    return _point_rows([("N", c.N, c, aligned_state(c), "") for c in configs], seed, trials)
+
+
+def experiment_cluster_vs_pair(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
     state = _pick_state(cfg, "random", seed)
     rows = []
-    for snr in grid:
-        rows += _point_rows(cfg.with_snr(snr), state, seed, trials, "snr_db", snr)
-    return rows
-
-
-def experiment_sic_ablation(cfg, seed, trials, grid=DEFAULT_SNR_GRID, xis=(0.0, 0.1)):
-    state = _pick_state(cfg, "random", seed)
-    rows = []
-    for xi in xis:
-        for snr in grid:
-            point = cfg.with_snr(snr)
-            point = replace(point, xi_sic=xi)
-            for row in _point_rows(point, state, seed, trials, "snr_db", snr):
-                row["role"] = f"{row['role']}[xi={xi:g}]"
-                rows.append(row)
-    return rows
-
-
-def experiment_si_ablation(cfg, seed, trials, grid=DEFAULT_SNR_GRID, si=((0.001, 0.1), (1.0, 0.4))):
-    state = _pick_state(cfg, "random", seed)
-    rows = []
-    for beta, lam in si:
-        for snr in grid:
-            point = replace(cfg.with_snr(snr), beta_si=beta, lambda_si=lam)
-            for row in _point_rows(point, state, seed, trials, "snr_db", snr):
-                row["role"] = f"{row['role']}[beta={beta:g},lambda={lam:g}]"
-                rows.append(row)
-    return rows
-
-
-def experiment_rates_vs_N(cfg, seed, trials, grid=DEFAULT_N_GRID, snr_db=40.0):
-    rows = []
-    for n in grid:
-        point = replace(cfg.with_snr(snr_db), N=int(n))
-        state = aligned_state(point)
-        rows += _point_rows(point, state, seed, trials, "N", int(n))
-    return rows
-
-
-def experiment_cluster_vs_pair(
-    cfg, seed, trials, grid=DEFAULT_SNR_GRID, xis=(0.0, 0.1),
-    dl_edge_targets=None, ul_edge_targets=None,
-):
-    state = _pick_state(cfg, "random", seed)
-    rows = []
-    for xi in xis:
+    for xi in XIS:
         for snr in grid:
             point = replace(cfg.with_snr(snr), xi_sic=xi)
-            cl_pow = cluster_power_policy(point, state, dl_edge_targets, ul_edge_targets)
-            pr_pow = pair_power_policy(point, state, dl_edge_targets, ul_edge_targets)
+            dl_t, ul_t = reference_edge_targets(point, state)
+            cl_pow = cluster_power_policy(point, state, dl_t, ul_t)
+            pr_pow = pair_power_policy(point, state, dl_t, ul_t)
 
-            reports, _ = simulate_clusters(point, cl_pow, state, trials, seed)
-            ana_dl = sum(rate_report(point, cl_pow[j], state, cluster=j).dl_sum for j in cl_pow)
-            ana_ul = sum(rate_report(point, cl_pow[j], state, cluster=j).ul_sum for j in cl_pow)
-            sim_dl = sum(r.dl_sum for r in reports.values())
-            sim_ul = sum(r.ul_sum for r in reports.values())
-            pr_ana_dl, pr_ana_ul = pair_rate_sums(point, pr_pow, state)
+            analytic = [rate_report(point, cl_pow[j], state, cluster=j) for j in cl_pow]
+            simulated, _ = simulate_clusters(point, cl_pow, state, trials, seed)
+            pr_ana = dict(zip(("dl_sum", "ul_sum"), pair_rate_sums(point, pr_pow, state)))
             pr_sim = simulate_pair_sums(point, pr_pow, state, trials, seed)
 
-            for role, method, rate, err in (
-                (f"dl_sum_clustering[xi={xi:g}]", "analytic", ana_dl, ""),
-                (f"ul_sum_clustering[xi={xi:g}]", "analytic", ana_ul, ""),
-                (f"dl_sum_pairing[xi={xi:g}]", "analytic", pr_ana_dl, ""),
-                (f"ul_sum_pairing[xi={xi:g}]", "analytic", pr_ana_ul, ""),
-                (f"dl_sum_clustering[xi={xi:g}]", "simulated", sim_dl, ""),
-                (f"ul_sum_clustering[xi={xi:g}]", "simulated", sim_ul, ""),
-                (f"dl_sum_pairing[xi={xi:g}]", "simulated", pr_sim["dl_sum"], pr_sim["dl_sum_stderr"]),
-                (f"ul_sum_pairing[xi={xi:g}]", "simulated", pr_sim["ul_sum"], pr_sim["ul_sum_stderr"]),
-            ):
-                rows.append({
-                    "sweep_var": "snr_db", "value": snr, "role": role, "method": method,
-                    "rate": float(rate), "stderr": err if err == "" else float(err), "seed": seed,
-                })
+            for d in ("dl", "ul"):
+                for scheme, method, rate, err in (
+                    ("clustering", "analytic", sum(getattr(r, f"{d}_sum") for r in analytic), ""),
+                    ("pairing", "analytic", pr_ana[f"{d}_sum"], ""),
+                    ("clustering", "simulated", sum(getattr(r, f"{d}_sum") for r in simulated.values()), ""),
+                    ("pairing", "simulated", pr_sim[f"{d}_sum"], pr_sim[f"{d}_sum_stderr"]),
+                ):
+                    rows.append(_row("snr_db", snr, f"{d}_sum_{scheme}[xi={xi:g}]", method, float(rate), err, seed))
     return rows
 
 
 def experiment_custom(cfg, seed, trials, param, values):
     state = _pick_state(cfg, "random", seed)
-    rows = []
-    for v in values:
-        point = replace(cfg, **{param: type(getattr(cfg, param))(v)})
-        rows += _point_rows(point, state, seed, trials, param, v)
-    return rows
+    points = [(param, v, replace(cfg, **{param: type(getattr(cfg, param))(v)}), state, "") for v in values]
+    return _point_rows(points, seed, trials)
+
+
+# the grid sweeps: experiment -> (rows function, default grid)
+SWEEPS = {
+    "rates-vs-snr": (experiment_rates_vs_snr, DEFAULT_SNR_GRID),
+    "sic-ablation": (experiment_sic_ablation, DEFAULT_SNR_GRID),
+    "si-ablation": (experiment_si_ablation, DEFAULT_SNR_GRID),
+    "cluster-vs-pair": (experiment_cluster_vs_pair, DEFAULT_SNR_GRID),
+    "rates-vs-N": (experiment_rates_vs_N, DEFAULT_N_GRID),
+}
+EXPERIMENTS = (*SWEEPS, "custom")
 
 
 # -- entry points --------------------------------------------------------------
@@ -216,16 +208,11 @@ def _cmd_simulate(args):
         trials=args.trials, seed=args.seed, cluster=args.cluster,
     )
     report = simulate(plan)
-    stream = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
+    with _csv_out(args.out) as writer:
         writer.writerow(["role", "rate", "stderr", "trials", "seed"])
         for role in ROLES:
             writer.writerow([role, repr(float(report.rates[role])),
                              repr(float(report.stderr[role])), args.trials, args.seed])
-    finally:
-        if args.out:
-            stream.close()
     return 0
 
 
@@ -241,16 +228,11 @@ def _cmd_cluster(args):
     layout = sample_layout(cfg, np.random.default_rng(args.seed))
     build = cluster_users if args.scheme == "cluster" else pair_users
     plan = build(layout, cfg, args.mode)
-    stream = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
+    with _csv_out(args.out) as writer:
         writer.writerow(["cluster", "user", "role", "distance"])
         for c in plan.clusters:
             for member in c.members:
                 writer.writerow([c.index, member.user_id, member.role, repr(member.distance)])
-    finally:
-        if args.out:
-            stream.close()
     return 0
 
 
@@ -262,19 +244,13 @@ def _cmd_optimize(args):
         cfg, default_power_allocation(cfg), settings, initial=initial,
         rng=np.random.default_rng(args.seed), model="ratio-of-means",
     )
-    stream = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
+    with _csv_out(args.out) as writer:
         writer.writerow(["element", "rho_t", "rho_r", "phi_t", "phi_r"])
         for n in range(cfg.N):
             writer.writerow([n, repr(float(state.rho_t[n])), repr(float(state.rho_r[n])),
                              repr(float(state.phi_t[n])), repr(float(state.phi_r[n]))])
-    finally:
-        if args.out:
-            stream.close()
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+        with _csv_out(args.trace) as writer:
             writer.writerow(["iteration", "objective"])
             for i, v in enumerate(trace):
                 writer.writerow([i, repr(float(v))])
@@ -283,27 +259,13 @@ def _cmd_optimize(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    if args.experiment == "rates-vs-snr":
-        rows = experiment_rates_vs_snr(cfg, args.seed, args.trials, args.grid or DEFAULT_SNR_GRID)
-    elif args.experiment == "sic-ablation":
-        rows = experiment_sic_ablation(cfg, args.seed, args.trials, args.grid or DEFAULT_SNR_GRID)
-    elif args.experiment == "si-ablation":
-        rows = experiment_si_ablation(cfg, args.seed, args.trials, args.grid or DEFAULT_SNR_GRID)
-    elif args.experiment == "cluster-vs-pair":
-        rows = experiment_cluster_vs_pair(cfg, args.seed, args.trials, args.grid or DEFAULT_SNR_GRID)
-    elif args.experiment == "rates-vs-N":
-        grid = [int(v) for v in args.grid] if args.grid else DEFAULT_N_GRID
-        rows = experiment_rates_vs_N(cfg, args.seed, args.trials, grid)
-    elif args.experiment == "custom":
-        if not args.param or not args.grid:
-            print("error: custom sweep needs --param and --grid", file=sys.stderr)
-            return 2
+    if args.experiment != "custom":
+        run, default_grid = SWEEPS[args.experiment]
+        rows = run(cfg, args.seed, args.trials, args.grid or default_grid)
+    elif args.param and args.grid:
         rows = experiment_custom(cfg, args.seed, args.trials, args.param, args.grid)
     else:
-        print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
-        return 2
-    if not rows:
-        print("error: empty sweep grid", file=sys.stderr)
+        print("error: custom sweep needs --param and --grid", file=sys.stderr)
         return 2
     _write_rows(rows, args.out)
     return 0

@@ -10,8 +10,9 @@ requires.  All lengths are meters, powers watts, angles radians.
 from __future__ import annotations
 
 import math
+import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import IO
 
 import yaml
@@ -138,6 +139,11 @@ class SystemConfig:
         self._validate()
 
     def _validate(self) -> None:
+        # every comparison with NaN is false, so the range checks below would pass it
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "allocation" and not _all_finite(value):
+                raise ConfigError(f"{f.name} must hold finite numbers only, got {value}")
         if self.R <= 0:
             raise ConfigError(f"R must be positive, got {self.R}")
         if self.R_r <= 0:
@@ -211,6 +217,13 @@ class SystemConfig:
         )
 
 
+def _all_finite(value) -> bool:
+    """True when a scalar, a tuple, or a map of either holds finite numbers only."""
+    items = value.values() if isinstance(value, dict) else (value,)
+    entries = [x for v in items for x in (v if isinstance(v, tuple) else (v,))]
+    return all(isinstance(x, numbers.Real) and math.isfinite(x) for x in entries)
+
+
 def default_power_allocation(cfg: SystemConfig) -> PowerAllocation:
     """Default policy: fixed NOMA split, every UL user at the power cap."""
     if cfg.allocation is not None:
@@ -233,6 +246,31 @@ _SCHEMA = {
     "impairments": ("xi_sic", "beta_si", "lambda_si"),
     "power": ("sigma2", "P_b", "p_um"),
 }
+
+
+def _section(doc: dict, section: str, keys) -> dict:
+    """Pop one section of the document: a mapping of known keys ({} when absent)."""
+    block = doc.pop(section, None) or {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"section '{section}' must be a mapping")
+    for key in block:
+        if key not in keys:
+            raise ConfigError(f"unknown field '{section}.{key}'")
+    return block
+
+
+def _number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _numbers(name: str, value, count: int | None = None) -> tuple:
+    """A list of numbers, of exactly count entries when count is given."""
+    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
+        raise ConfigError(f"{name} must be a list of numbers{f' ({count} entries)' if count else ''}, got {value!r}")
+    return tuple(_number(name, v) for v in value)
 
 
 def load_config(source: str | IO[str]) -> SystemConfig:
@@ -259,47 +297,23 @@ def load_config(source: str | IO[str]) -> SystemConfig:
 
     kwargs = {}
     for section, keys in _SCHEMA.items():
-        block = doc.pop(section, {}) or {}
-        if not isinstance(block, dict):
-            raise ConfigError(f"section '{section}' must be a mapping")
-        for key, value in block.items():
-            if key not in keys:
-                raise ConfigError(f"unknown field '{section}.{key}'")
-            kwargs[key] = value
+        kwargs.update(_section(doc, section, keys))
 
-    rician = doc.pop("rician", None)
-    if rician is not None:
-        default = float(rician.get("default", 3.0))
-        kmap = {lbl: default for lbl in LINK_LABELS}
-        for key, value in rician.items():
-            if key == "default":
-                continue
-            if key not in LINK_LABELS:
-                raise ConfigError(f"unknown field 'rician.{key}'")
-            kmap[key] = float(value)
-        kwargs["kappa_map"] = kmap
+    rician = _section(doc, "rician", ("default", *LINK_LABELS))
+    default = _number("rician.default", rician.get("default", 3.0))
+    kwargs["kappa_map"] = {lbl: _number(f"rician.{lbl}", rician.get(lbl, default)) for lbl in LINK_LABELS}
 
-    weights = doc.pop("weights", None)
-    if weights is not None:
-        if "dl" in weights:
-            kwargs["weights_dl"] = tuple(weights["dl"])
-        if "ul" in weights:
-            kwargs["weights_ul"] = tuple(weights["ul"])
+    weights = _section(doc, "weights", ("dl", "ul"))
+    for key, value in weights.items():
+        kwargs[f"weights_{key}"] = _numbers(f"weights.{key}", value)
 
-    angles = doc.pop("angles", None)
-    if angles is not None:
-        amap = dict(_DEFAULT_ANGLES)
-        for key, value in angles.items():
-            if key not in LINK_LABELS:
-                raise ConfigError(f"unknown field 'angles.{key}'")
-            amap[key] = tuple(float(v) for v in value)
-        kwargs["angle_map"] = amap
+    angles = _section(doc, "angles", LINK_LABELS)
+    kwargs["angle_map"] = {**_DEFAULT_ANGLES, **{k: _numbers(f"angles.{k}", v, 2) for k, v in angles.items()}}
 
-    alloc = doc.pop("allocation", None)
-    if alloc is not None:
-        kwargs["allocation"] = PowerAllocation(
-            alpha=tuple(alloc["alpha"]), p_ul=tuple(alloc["p_ul"])
-        )
+    alloc = _section(doc, "allocation", ("alpha", "p_ul"))
+    if alloc:
+        alpha, p_ul = (_numbers(f"allocation.{k}", alloc.get(k)) for k in ("alpha", "p_ul"))
+        kwargs["allocation"] = PowerAllocation(alpha, p_ul)
 
     if doc:
         raise ConfigError(f"unknown section(s): {sorted(doc)}")

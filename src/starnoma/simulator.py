@@ -7,11 +7,10 @@ as (1/M) * log2(1 + SINR).  The SINRs are those of the role table
 once per block and group, and role_sinrs() combines them with the table's
 coefficients, so imperfect SIC enters exactly as in the closed forms.  The
 residual self-interference is drawn per trial as a CN(0, beta * P_b^lambda)
-scalar.
-
-Trials are split into fixed-size blocks with seeds derived via SeedSequence
-spawning, so a run is reproducible and block results could be computed in any
-order; execution here is serial.
+scalar.  simulate_groups() is the one block loop: the clusters here and the
+pairing baseline (comparison.simulate_pair_sums) differ only in its schedule
+of groups, time shares and layout.  Block seeds are spawned from one
+SeedSequence, so a run is reproducible; execution is serial.
 
 estimate_expectation() evaluates exactly the random quantity behind each
 closed-form expectation term, which is what makes the term-level oracle
@@ -59,6 +58,7 @@ __all__ = [
     "role_sinrs",
     "simulate",
     "simulate_clusters",
+    "simulate_groups",
     "estimate_expectation",
     "analytic_expectation",
     "EXPECTATION_KEYS",
@@ -120,15 +120,6 @@ def _blocks(trials: int, seed: int, block_size: int):
     nblocks = (trials + block_size - 1) // block_size
     for b, block_seed in enumerate(np.random.SeedSequence(seed).spawn(nblocks)):
         yield min(block_size, trials - b * block_size), np.random.default_rng(block_seed)
-
-
-def _sorted_drop(rng, B, count, radius, center):
-    """Points, anchor distances and the stable distance ordering for one group."""
-    pts = sample_disk(rng, B * count, radius, center=center).reshape(B, count, 2)
-    anchor = np.asarray(center, dtype=float)
-    dist = np.linalg.norm(pts - anchor, axis=-1)
-    order = np.argsort(dist, kind="stable", axis=-1)
-    return pts, dist, order
 
 
 @dataclass(frozen=True)
@@ -201,17 +192,67 @@ def role_sinrs(bound, gains) -> dict:
     return out
 
 
-def _cluster_geometry(cfg, drops, members):
-    """(position, BS distance, surface distance) of each cluster user from the shared drop."""
-    groups = dict(zip((("center", "DL"), ("center", "UL"), ("edge", "DL"), ("edge", "UL")), drops))
+def simulate_groups(cfg, state, schedule, shares, layout, trials, seed, block_size=_DEFAULT_BLOCK):
+    """The block loop: every NOMA group of a schedule off one network realization per trial.
+
+    schedule holds (users, bound) per group: its users in sampling order and
+    its role table bound to the group's variables (rates.bind).
+    shares maps "DL" and "UL" to the time-share divisor of that direction.
+    layout(rng, B) draws a block's positions and returns a function giving a
+    user's (position, BS distance, surface distance).  Each block draws the
+    layout, its BlockDraws, then each group's gains in schedule order.
+    Returns ([{role: accumulator} per group], {dl_sum, ul_sum and their stderrs}).
+    """
+    check_state_size(cfg, state.N)
+    links = build_links(cfg)
+    acc = [{role.name: _Accumulator() for role in bound} for _, bound in schedule]
+    acc_sum = {"DL": _Accumulator(), "UL": _Accumulator()}
+    for B, rng in _blocks(trials, seed, block_size):
+        geo = layout(rng, B)
+        block = BlockDraws.draw(cfg, state, links, rng, B)
+        tot = {"DL": np.zeros(B), "UL": np.zeros(B)}
+        for (users, bound), group_acc in zip(schedule, acc):
+            gains = sample_gains(bound, users, {u: geo(u) for u in users}, links, rng, block)
+            for name, sinr in role_sinrs(bound, gains).items():
+                r = np.log2(1.0 + sinr) / shares[name[:2]]
+                group_acc[name].add(r)
+                tot[name[:2]] += r
+        for d, total in tot.items():
+            acc_sum[d].add(total)
+    dl, ul = acc_sum["DL"], acc_sum["UL"]
+    return acc, {"dl_sum": dl.mean, "dl_sum_stderr": dl.stderr, "ul_sum": ul.mean, "ul_sum_stderr": ul.stderr}
+
+
+def _sorted_layout(cfg, freeze_layout):
+    """Cluster layout: each user class dropped and sorted by distance to its anchor
+    (BS or surface); with freeze_layout every block reuses the first trial."""
     sc = np.array([cfg.d_br, 0.0])
-    geo = {}
-    for u in members:
-        pts, dist, order = groups[(u.kind, u.direction)]
-        rows, idx = np.arange(pts.shape[0]), order[:, u.order - 1]
-        pos, dist = pts[rows, idx], dist[rows, idx]
-        geo[u] = (pos, dist, np.linalg.norm(pos - sc, axis=-1)) if u.kind == "center" else (pos, None, dist)
-    return geo
+    counts = {
+        ("center", "DL"): cfg.K_cd, ("center", "UL"): cfg.K_cu, ("edge", "DL"): cfg.K_ed, ("edge", "UL"): cfg.K_eu,
+    }
+    frozen = {}
+
+    def drop(rng, B, kind, count):
+        radius, anchor = (cfg.R, np.zeros(2)) if kind == "center" else (cfg.R_r, sc)
+        pts = sample_disk(rng, B * count, radius, center=anchor).reshape(B, count, 2)
+        dist = np.linalg.norm(pts - anchor, axis=-1)
+        return pts, dist, np.argsort(dist, kind="stable", axis=-1)
+
+    def layout(rng, B):
+        drops = frozen or {c: drop(rng, B, c[0], count) for c, count in counts.items()}
+        if freeze_layout:
+            frozen.update((c, tuple(a[:1] for a in arrays)) for c, arrays in drops.items())
+            drops = {c: tuple(np.repeat(a, B, axis=0) for a in arrays) for c, arrays in frozen.items()}
+
+        def geo(u):
+            pts, dist, order = drops[(u.kind, u.direction)]
+            rows, idx = np.arange(B), order[:, u.order - 1]
+            pos, dist = pts[rows, idx], dist[rows, idx]
+            return (pos, dist, np.linalg.norm(pos - sc, axis=-1)) if u.kind == "center" else (pos, None, dist)
+
+        return geo
+
+    return layout
 
 
 def simulate_clusters(
@@ -235,66 +276,19 @@ def simulate_clusters(
     clusters = sorted(int(j) for j in clusters)
     if isinstance(powers, PowerAllocation):
         powers = {j: powers for j in clusters}
-    check_state_size(cfg, state.N)
-    links = build_links(cfg)
-    tables = {}
-    for j in clusters:
-        roles = cluster_roles(cfg, j)
-        tables[j] = (cluster_members(cfg, j), roles, tuple(bind(r, power_vector(powers[j])) for r in roles))
-
-    acc = {(j, role): _Accumulator() for j in clusters for role in ROLES}
-    acc_sum = {"DL": _Accumulator(), "UL": _Accumulator()}
-    frozen = None
-    for B, rng in _blocks(trials, seed, block_size):
-        sc = (cfg.d_br, 0.0)
-        if frozen is None:
-            drops = (
-                _sorted_drop(rng, B, cfg.K_cd, cfg.R, (0.0, 0.0)),
-                _sorted_drop(rng, B, cfg.K_cu, cfg.R, (0.0, 0.0)),
-                _sorted_drop(rng, B, cfg.K_ed, cfg.R_r, sc),
-                _sorted_drop(rng, B, cfg.K_eu, cfg.R_r, sc),
-            )
-            if freeze_layout:
-                frozen = tuple(
-                    (np.repeat(p[:1], B, axis=0), np.repeat(d[:1], B, axis=0), np.repeat(o[:1], B, axis=0))
-                    for p, d, o in drops
-                )
-                drops = frozen
-        else:
-            drops = tuple((p[:B], d[:B], o[:B]) for p, d, o in frozen)
-
-        block = BlockDraws.draw(cfg, state, links, rng, B)
-
-        tot = {"DL": np.zeros(B), "UL": np.zeros(B)}
-        for j in clusters:
-            members, roles, bound = tables[j]
-            gains = sample_gains(roles, members, _cluster_geometry(cfg, drops, members), links, rng, block)
-            for role, sinr in role_sinrs(bound, gains).items():
-                r = np.log2(1.0 + sinr) / (cfg.M_d if role.startswith("DL") else cfg.M_u)
-                acc[(j, role)].add(r)
-                tot[role[:2]] += r
-        for d, total in tot.items():
-            acc_sum[d].add(total)
-
-    reports = {
-        j: RateReport(
-            rates={role: acc[(j, role)].mean for role in ROLES},
-            stderr={role: acc[(j, role)].stderr for role in ROLES},
-            method="simulated",
-            cluster=j,
-            trials=trials,
-            seed=seed,
-        )
+    schedule = [
+        (cluster_members(cfg, j), tuple(bind(r, power_vector(powers[j])) for r in cluster_roles(cfg, j)))
         for j in clusters
-    }
-    return reports, _sum_report(acc_sum)
-
-
-def _sum_report(acc: dict) -> dict:
-    return {
-        "dl_sum": acc["DL"].mean, "dl_sum_stderr": acc["DL"].stderr,
-        "ul_sum": acc["UL"].mean, "ul_sum_stderr": acc["UL"].stderr,
-    }
+    ]
+    acc, sums = simulate_groups(
+        cfg, state, schedule, {"DL": cfg.M_d, "UL": cfg.M_u},
+        _sorted_layout(cfg, freeze_layout), trials, seed, block_size,
+    )
+    reports = {}
+    for j, group_acc in zip(clusters, acc):
+        rates, stderr = ({role: getattr(group_acc[role], stat) for role in ROLES} for stat in ("mean", "stderr"))
+        reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
+    return reports, sums
 
 
 def simulate(plan: SimPlan) -> RateReport:

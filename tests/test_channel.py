@@ -73,7 +73,7 @@ class TestRician:
         link = RicianLink(kappa=0.0, los=np.ones(4, dtype=complex))
         draws = sample_rician(link, np.random.default_rng(2), trials=1_000_000)
         var = np.mean(np.abs(draws) ** 2, axis=0)
-        assert var == pytest.approx(np.ones(4), rel=1e-2)
+        assert var == pytest.approx(np.ones(4), rel=1e-2, abs=0)
 
     def test_mean_is_los_component(self):
         los = array_response(4, 0.5, 1.1, 0.05, 0.1)
@@ -114,7 +114,7 @@ class TestCascadedPowerMean:
         s = StarRisState.random(n, rng)
         a = RicianLink(kappa=0.0, los=array_response(n, 0.1, 1.0, 0.05, 0.1))
         b = RicianLink(kappa=0.0, los=array_response(n, -0.4, 0.8, 0.05, 0.1))
-        assert cascaded_power_mean(a, s, "t", b) == pytest.approx(np.sum(s.rho_t**2), rel=1e-12)
+        assert cascaded_power_mean(a, s, "t", b) == pytest.approx(np.sum(s.rho_t**2), rel=1e-12, abs=0)
 
     def test_zero_amplitudes(self):
         s = StarRisState(rho_t=np.zeros(4), rho_r=np.ones(4), phi_t=np.zeros(4), phi_r=np.zeros(4))
@@ -129,7 +129,7 @@ class TestCascadedPowerMean:
         a = RicianLink(kappa=0.0, los=array_response(n, 0.1, 1.0, 0.05, 0.1))
         b = RicianLink(kappa=0.0, los=array_response(n, 0.9, 1.4, 0.05, 0.1))
         assert cascaded_power_mean(a, s, "t", b) == pytest.approx(
-            cascaded_power_mean(a, shifted, "t", b), rel=1e-12
+            cascaded_power_mean(a, shifted, "t", b), rel=1e-12, abs=0
         )
 
     def test_against_mc(self, cfg, state):
@@ -156,7 +156,7 @@ class TestSelfReflection:
         link = RicianLink(kappa=1e14, los=array_response(n, 0.3, 1.1, 0.05, 0.1))
         c = s.coefficients("t")
         xi8 = np.abs(np.sum(np.conj(link.los) * c * link.los)) ** 2
-        assert self_reflection_power_mean(link, s, "t") == pytest.approx(xi8, rel=1e-9)
+        assert self_reflection_power_mean(link, s, "t") == pytest.approx(xi8, rel=1e-9, abs=0)
 
     def test_rayleigh_closed_form(self):
         n = 7
@@ -164,7 +164,7 @@ class TestSelfReflection:
         link = RicianLink(kappa=0.0, los=array_response(n, 0.3, 1.1, 0.05, 0.1))
         c = s.coefficients("t")
         want = 2 * np.sum(s.rho_t**2) + np.abs(np.sum(c)) ** 2 - np.sum(s.rho_t**2)
-        assert self_reflection_power_mean(link, s, "t") == pytest.approx(want, rel=1e-12)
+        assert self_reflection_power_mean(link, s, "t") == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_against_mc(self, cfg, state):
         # adjudicates the real-part convention of the LoS/scatter cross term

@@ -4,6 +4,7 @@ import pytest
 
 from starnoma.cli import main, validate_table
 from starnoma.config import baseline_config, dump_config
+from starnoma.rates import ROLES
 
 
 @pytest.fixture()
@@ -82,7 +83,7 @@ class TestCommands:
         cfg = baseline_config()
         inputs = build_rate_inputs(cfg, default_power_allocation(cfg), state)
         final = float(_rows(trace)[-1]["objective"])
-        assert weighted_sum_rate(inputs, model="ratio-of-means") == pytest.approx(final, rel=1e-12)
+        assert weighted_sum_rate(inputs, model="ratio-of-means") == pytest.approx(final, rel=1e-12, abs=0)
 
     def test_bad_config_path_fails_cleanly(self, tmp_path):
         assert main(["analytic", "--config", str(tmp_path / "missing.yaml")]) == 1
@@ -137,3 +138,40 @@ class TestSweep:
         ]) == 0
         validate_table(out)
         assert len(_rows(out)) == 24
+
+    def test_sic_ablation(self, cfg_path, tmp_path):
+        out = str(tmp_path / "sic.csv")
+        assert main([
+            "sweep", "--experiment", "sic-ablation", "--config", cfg_path,
+            "--grid", "10", "--out", out, "--trials", "500",
+        ]) == 0
+        validate_table(out)
+        rows = _rows(out)
+        assert len(rows) == 24  # 2 SIC factors x 6 roles x 2 methods x 1 grid point
+        assert {r["role"] for r in rows} == {f"{role}{tag}" for role in ROLES for tag in ("[xi=0]", "[xi=0.1]")}
+
+    def test_si_ablation(self, cfg_path, tmp_path):
+        out = str(tmp_path / "si.csv")
+        assert main([
+            "sweep", "--experiment", "si-ablation", "--config", cfg_path,
+            "--grid", "10", "--out", out, "--trials", "500",
+        ]) == 0
+        validate_table(out)
+        rows = _rows(out)
+        assert len(rows) == 24  # 2 SI levels x 6 roles x 2 methods x 1 grid point
+        tags = ("[beta=0.001,lambda=0.1]", "[beta=1,lambda=0.4]")
+        assert {r["role"] for r in rows} == {f"{role}{tag}" for role in ROLES for tag in tags}
+
+    def test_cluster_vs_pair(self, cfg_path, tmp_path):
+        out = str(tmp_path / "cvp.csv")
+        assert main([
+            "sweep", "--experiment", "cluster-vs-pair", "--config", cfg_path,
+            "--grid", "10", "30", "--out", out, "--trials", "500",
+        ]) == 0
+        validate_table(out)
+        rows = _rows(out)
+        assert len(rows) == 32  # 2 SIC factors x 4 sums x 2 methods x 2 grid points
+        sums = ("dl_sum_clustering", "ul_sum_clustering", "dl_sum_pairing", "ul_sum_pairing")
+        assert {r["role"] for r in rows} == {f"{s}[xi={xi}]" for s in sums for xi in ("0", "0.1")}
+        # only the pairing simulator reports a standard error
+        assert {r["role"] for r in rows if r["stderr"]} == {f"{s}[xi={xi}]" for s in sums[2:] for xi in ("0", "0.1")}

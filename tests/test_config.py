@@ -131,3 +131,42 @@ def test_uniform_clusters_flag(cfg):
 
 def test_config_equality_is_value_based(cfg):
     assert cfg == SystemConfig()
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("R", float("nan")),
+        ("P_b", float("inf")),
+        ("sigma2", float("nan")),
+        ("m", float("inf")),
+        ("beta_si", float("-inf")),
+        ("weights_ul", (1.0, float("nan"), 1.0)),
+        ("kappa_map", {"b,r": float("inf")}),
+        ("angle_map", {"r,u3d": (float("nan"), 1.0)}),
+    ],
+)
+def test_non_finite_values_rejected(field, value):
+    # NaN slips through every range check, so finiteness is checked on its own
+    cfg = baseline_config()
+    if isinstance(value, dict):
+        value = {**getattr(cfg, field), **value}
+    with pytest.raises(ConfigError, match=field):
+        dataclasses.replace(cfg, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "doc,match",
+    [
+        ("rician: [1, 2]\n", "'rician' must be a mapping"),
+        ("rician:\n  default: abc\n", "rician.default"),
+        ("allocation:\n  alpha: [0.1, 0.3, 0.6]\n", "allocation.p_ul"),
+        ("weights:\n  dl: 3\n", "weights.dl"),
+        ("weights: [1, 2]\n", "'weights' must be a mapping"),
+        ("weights:\n  up: [1, 1, 1]\n", "weights.up"),
+        ("angles:\n  b,r: [1.0]\n", "angles.b,r"),
+    ],
+)
+def test_malformed_sections_name_the_field(doc, match):
+    with pytest.raises(ConfigError, match=match):
+        load_config(io.StringIO(doc))

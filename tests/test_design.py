@@ -66,7 +66,7 @@ class TestPgam:
         state, trace = pgam_optimize(cfg, power, PgamSettings(max_iters=25), initial=start)
         assert all(b >= a for a, b in zip(trace, trace[1:]))
         inputs = build_rate_inputs(cfg, power, state)
-        assert weighted_sum_rate(inputs) == pytest.approx(trace[-1], rel=1e-12)
+        assert weighted_sum_rate(inputs) == pytest.approx(trace[-1], rel=1e-12, abs=0)
 
     def test_model_selects_the_objective(self, cfg, power):
         start = StarRisState.random(cfg.N, np.random.default_rng(3))
@@ -74,7 +74,7 @@ class TestPgam:
         for model in ("ratio-of-means", "exact-signal"):
             state, trace = pgam_optimize(cfg, power, PgamSettings(max_iters=3), initial=start, model=model)
             inputs = build_rate_inputs(cfg, power, state)
-            assert weighted_sum_rate(inputs, model=model) == pytest.approx(trace[-1], rel=1e-12)
+            assert weighted_sum_rate(inputs, model=model) == pytest.approx(trace[-1], rel=1e-12, abs=0)
             traces[model] = trace
         assert traces["exact-signal"][0] < traces["ratio-of-means"][0]
 
@@ -164,8 +164,8 @@ class TestMinPower:
         for seed in range(20):
             pw, got, residual = self._roundtrip(cfg, state, seed)
             assert residual <= 1e-6
-            assert got.alpha == pytest.approx(pw.alpha, rel=1e-9)
-            assert got.p_ul == pytest.approx(pw.p_ul, rel=1e-9)
+            assert got.alpha == pytest.approx(pw.alpha, rel=1e-9, abs=0)
+            assert got.p_ul == pytest.approx(pw.p_ul, rel=1e-9, abs=0)
 
     def test_single_target_inversion_oracle(self, cfg, state):
         # quiet system: only the DL edge user has a target; invert its rate 1-D
@@ -177,7 +177,7 @@ class TestMinPower:
         x3 = t.l_br * s.omega_u3d_br * t.x1_u3d
         g = 2 ** (quiet.M_d * target) - 1
         a3 = g * (0.2 * quiet.P_b * x3 + quiet.sigma2) / (quiet.P_b * x3)
-        assert a3 == pytest.approx(0.8, rel=1e-9)
+        assert a3 == pytest.approx(0.8, rel=1e-9, abs=0)
 
     def test_ceiling_violation_named(self, cfg, state, power):
         targets = rate_report(cfg, power, state).rates

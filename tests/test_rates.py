@@ -75,7 +75,7 @@ class TestTermBookkeeping:
         mean = acc / n
         t0 = expectation_terms(cfg)
         want = np.array([t0.x1_u1d, t0.x1_u2d, t0.x1_u3d, t0.x1_u3u, t0.chi_u1u, t0.chi_u2u])
-        assert mean == pytest.approx(want, rel=0.15)
+        assert mean == pytest.approx(want, rel=0.15, abs=0)
 
 
 class TestDownlinkRates:
@@ -98,7 +98,7 @@ class TestDownlinkRates:
         inputs = _inputs(quiet, pw, state)
         t = inputs.terms
         want = math.log2(1 + 0.3 * quiet.P_b * t.x1_u2d / quiet.sigma2) / quiet.M_d
-        assert dl_rate_mid(inputs) == pytest.approx(want, rel=1e-6)
+        assert dl_rate_mid(inputs) == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_edge_user_interference_ceiling(self, cfg, state, power):
         a = power.alpha
@@ -129,7 +129,7 @@ class TestUplinkRates:
         want = math.log2(
             1 + power.p_ul[2] * edge_gain / (quiet.P_b * t.l_br**2 * s.y3_raw + V + quiet.sigma2)
         ) / quiet.M_u
-        assert ul_rate_edge(inputs) == pytest.approx(want, rel=1e-12)
+        assert ul_rate_edge(inputs) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_high_self_interference_hurts_all_ul(self, cfg, state):
         for snr in (0, 10, 20, 30, 40, 50):
@@ -283,7 +283,7 @@ class TestAggregation:
     def test_unit_weights_match_report_sums(self, cfg, state, power):
         inputs = _inputs(cfg, power, state)
         report = rate_report(cfg, power, state)
-        assert weighted_sum_rate(inputs) == pytest.approx(report.dl_sum + report.ul_sum, rel=1e-12)
+        assert weighted_sum_rate(inputs) == pytest.approx(report.dl_sum + report.ul_sum, rel=1e-12, abs=0)
 
     def test_random_weights_match_recomputation(self, cfg, state, power):
         rng = np.random.default_rng(2)
@@ -291,7 +291,7 @@ class TestAggregation:
         report = rate_report(cfg, power, state)
         w = {r: float(rng.random()) for r in report.rates}
         want = sum(w[r] * report.rates[r] for r in report.rates)
-        assert weighted_sum_rate(inputs, w) == pytest.approx(want, rel=1e-12)
+        assert weighted_sum_rate(inputs, w) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_negative_weight_rejected(self, cfg, state, power):
         with pytest.raises(ValueError):
@@ -363,7 +363,7 @@ class TestExactSignal:
                  "UL1": ul_rate_strong, "UL2": ul_rate_mid, "UL3": ul_rate_edge}
         assert rep.rates == {role: fn(inputs) for role, fn in paper.items()}
         assert weighted_sum_rate(inputs, model="ratio-of-means") == pytest.approx(
-            rep.dl_sum + rep.ul_sum, rel=1e-12)
+            rep.dl_sum + rep.ul_sum, rel=1e-12, abs=0)
 
     def test_only_strong_roles_differ_and_jensen_orders_them(self, cfg, state, power):
         # both strong-user logs are concave in the direct-link gain, so the exact

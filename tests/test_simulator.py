@@ -43,7 +43,7 @@ class TestSimulate:
         large = simulate(_plan(cfg, power, state, trials=32_000, seed=2))
         for role in ("DL1", "UL1"):
             ratio = small.stderr[role] / large.stderr[role]
-            assert ratio == pytest.approx(2.0, rel=0.2)
+            assert ratio == pytest.approx(2.0, rel=0.2, abs=0)
 
     def test_vanishing_powers_give_vanishing_rates(self, cfg, state):
         pw = PowerAllocation((1e-30, 2e-30, 4e-30), (1e-30,) * 3)
@@ -72,9 +72,9 @@ class TestSimulate:
         reports, totals = simulate_clusters(cfg, power, state, trials=10_000, seed=4)
         assert set(reports) == {1, 2, 3}
         want_dl = sum(r.dl_sum for r in reports.values())
-        assert totals["dl_sum"] == pytest.approx(want_dl, rel=1e-12)
+        assert totals["dl_sum"] == pytest.approx(want_dl, rel=1e-12, abs=0)
         want_ul = sum(r.ul_sum for r in reports.values())
-        assert totals["ul_sum"] == pytest.approx(want_ul, rel=1e-12)
+        assert totals["ul_sum"] == pytest.approx(want_ul, rel=1e-12, abs=0)
 
     def test_state_size_checked_at_the_boundary(self, cfg, power):
         with pytest.raises(ValueError, match="N=11"):
@@ -114,8 +114,8 @@ class TestExpectationOracle:
         c = state.coefficients("t")
         xi8 = np.abs(np.sum(np.conj(links["b,r"].los) * c * links["b,r"].los)) ** 2
         mean, se = estimate_expectation("y3", sharp, state, trials=50_000, seed=1)
-        assert mean == pytest.approx(xi8, rel=1e-4)
-        assert analytic_expectation("y3", sharp, state) == pytest.approx(xi8, rel=1e-9)
+        assert mean == pytest.approx(xi8, rel=1e-4, abs=0)
+        assert analytic_expectation("y3", sharp, state) == pytest.approx(xi8, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("cluster", [1, 3])
     @pytest.mark.parametrize("key", LOG_MEAN_KEYS)

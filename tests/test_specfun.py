@@ -11,9 +11,9 @@ HYP_ORACLE = 2.9169395823506307691  # H({1.5, 1.85, 1.35}, {0.5, 7}, 0.8)
 
 class TestGamma:
     def test_known_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, rel=1e-12)
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-12)
+        assert gamma(1.0) == pytest.approx(1.0, rel=1e-12, abs=0)
+        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12, abs=0)
+        assert gamma(5.0) == pytest.approx(24.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
     def test_poles(self, x):
@@ -24,12 +24,12 @@ class TestGamma:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         for x in np.linspace(0.1, 50.0, 37):
-            assert gamma(float(x)) == pytest.approx(float(mp.gamma(x)), rel=1e-12)
+            assert gamma(float(x)) == pytest.approx(float(mp.gamma(x)), rel=1e-12, abs=0)
 
 
 class TestHyp:
     def test_exponential_identity(self):
-        assert hyp_pfq((1.0,), (1.0,), 0.7) == pytest.approx(math.e**0.7, rel=1e-12)
+        assert hyp_pfq((1.0,), (1.0,), 0.7) == pytest.approx(math.e**0.7, rel=1e-12, abs=0)
 
     def test_zero_argument(self):
         assert hyp_pfq((2.3, 4.5), (1.1,), 0.0) == 1.0
@@ -37,7 +37,7 @@ class TestHyp:
     def test_frozen_oracle_value(self):
         # geometric tail of the stop rule bounds the truncation near 5e-12;
         # the contract tolerance against the oracle is 1e-9 relative
-        assert hyp_pfq((1.5, 1.85, 1.35), (0.5, 7.0), 0.8) == pytest.approx(HYP_ORACLE, rel=1e-9)
+        assert hyp_pfq((1.5, 1.85, 1.35), (0.5, 7.0), 0.8) == pytest.approx(HYP_ORACLE, rel=1e-9, abs=0)
 
     def test_oracle_grid(self):
         # independent high-precision series oracle over the convergent grid
@@ -52,18 +52,18 @@ class TestHyp:
         ]
         for upper, lower, x in grid:
             want = float(mp.hyper(list(upper), list(lower), x))
-            assert hyp_pfq(upper, lower, x) == pytest.approx(want, rel=1e-9)
+            assert hyp_pfq(upper, lower, x) == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_upper_permutation_symmetry(self):
         a = hyp_pfq((1.5, 1.85, 1.35), (0.5, 7.0), 0.8)
         b = hyp_pfq((1.35, 1.5, 1.85), (7.0, 0.5), 0.8)
-        assert a == pytest.approx(b, rel=1e-13)
+        assert a == pytest.approx(b, rel=1e-13, abs=0)
 
     def test_terminating_series(self):
         # upper parameter -2 cuts the series into a polynomial: 1F1(-2;1;x)
         x = 3.0
         want = 1.0 - 2.0 * x + 0.5 * x * x
-        assert hyp_pfq((-2.0,), (1.0,), x) == pytest.approx(want, rel=1e-12)
+        assert hyp_pfq((-2.0,), (1.0,), x) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_divergent_argument_raises(self):
         with pytest.raises(SeriesConvergenceError):

@@ -203,6 +203,18 @@ def _cascaded_power_mean_coeffs(c: np.ndarray, link_out: RicianLink, link_in: Ri
     return wo * wi * los_gain + (wo * si + wi * so + so * si) * p
 
 
+def _cascaded_power_mean_grad(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> np.ndarray:
+    """Wirtinger gradient d/d conj(c) of _cascaded_power_mean_coeffs.
+
+    With a = los_out * los_in the term is wo*wi*|a^T c|^2 + (...)*|c|^2, a
+    real quadratic form in c.
+    """
+    a = link_out.los * link_in.los
+    wo, wi = link_out.los_weight, link_in.los_weight
+    so, si = link_out.scatter_weight, link_in.scatter_weight
+    return wo * wi * np.sum(a * c) * np.conj(a) + (wo * si + wi * so + so * si) * c
+
+
 def cascaded_power_mean(link_out: RicianLink, state: StarRisState, side: str, link_in: RicianLink) -> float:
     """Mean cascaded power through one surface face, for two independent links.
 
@@ -229,6 +241,18 @@ def _self_reflection_power_mean_coeffs(c: np.ndarray, link: RicianLink) -> float
         + v * v * (2.0 * p + (np.abs(sum_c) ** 2 - p))
         + 2.0 * u * v * float(np.real(zeta * np.conj(sum_c)))
     )
+
+
+def _self_reflection_power_mean_grad(c: np.ndarray, link: RicianLink) -> np.ndarray:
+    """Wirtinger gradient d/d conj(c) of _self_reflection_power_mean_coeffs.
+
+    With b = conj(los) * los, zeta = b^T c and sigma = 1^T c the term is
+    u^2 |zeta|^2 + 2uv |c|^2 + v^2 (|c|^2 + |sigma|^2) + 2uv Re(zeta conj(sigma)).
+    """
+    b = np.conj(link.los) * link.los
+    zeta, sum_c = np.sum(b * c), np.sum(c)
+    u, v = link.los_weight, link.scatter_weight
+    return u * u * zeta * np.conj(b) + 2.0 * u * v * c + v * v * (c + sum_c) + u * v * (zeta + sum_c * np.conj(b))
 
 
 def self_reflection_power_mean(link: RicianLink, state: StarRisState, side: str) -> float:

@@ -280,17 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--out", help="output CSV path (default stdout)")
+
+    # the sweeps fix their own states and rate cluster 1, so only these two take both
+    for name, help_, fn in (("analytic", "closed-form per-role rates", _cmd_analytic),
+                            ("simulate", "Monte-Carlo per-role rates", _cmd_simulate)):
+        p = sub.add_parser(name, help=help_)
+        common(p)
         p.add_argument("--state", default="random", choices=("random", "aligned", "uniform"),
                        help="surface state used for the evaluation")
         p.add_argument("--cluster", type=int, default=1)
-
-    p = sub.add_parser("analytic", help="closed-form per-role rates")
-    common(p)
-    p.set_defaults(fn=_cmd_analytic)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo per-role rates")
-    common(p)
-    p.set_defaults(fn=_cmd_simulate)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("cluster", help="print a clustering or pairing plan")
     p.add_argument("--config")

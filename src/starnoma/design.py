@@ -2,15 +2,20 @@
 and minimum-power allocation.
 
 The ascent treats the two phase vectors as unconstrained complex variables
-and the two amplitude vectors as real variables, takes finite-difference
-gradient steps on the weighted sum rate, and projects back onto the feasible
-sets after every step: entrywise unit modulus for phases, the per-element
-segment rho_t + rho_r = 1, rho >= 0 for amplitudes.  A halving line search
-keeps the best-seen objective monotone, which the convergence test relies on.
+and the two amplitude vectors as real variables, steps along the exact
+gradient of the weighted sum rate, and projects back onto the feasible sets
+after every step: entrywise unit modulus for phases, the per-element segment
+rho_t + rho_r = 1, rho >= 0 for amplitudes.  A halving line search keeps the
+best-seen objective monotone, which the convergence test relies on.
 
 Off the unit-modulus manifold the objective is evaluated through the combined
 element coefficients c = rho * theta (so the scatter power is sum |c|^2);
-on-manifold this coincides with the closed-form rates.
+on-manifold this coincides with the closed-form rates.  Every surface term is
+a real quadratic form in c, and every role rate a smooth function of the key
+means, so the gradient follows by the chain rule: role rates to key means
+(rates.role_log2_mean_grad), key means to surface terms (the role table's
+position factors), surface terms to c (rates.surface_gradients), and c to
+(theta, rho).
 """
 
 from __future__ import annotations
@@ -27,13 +32,19 @@ from .rates import (
     DEFAULT_MODEL,
     ROLES,
     RateInputs,
+    SurfaceTerms,
     bind,
     build_rate_inputs,
     cluster_table,
     expectation_terms,
     fading_log2_mean,
+    key_means,
+    model_rules,
     role_log2_mean,
+    role_log2_mean_grad,
+    role_weights,
     sinr_row,
+    surface_gradients,
     surface_terms,
     weighted_sum_rate,
 )
@@ -52,32 +63,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PgamSettings:
-    """Ascent controls: iteration cap, stop tolerance, and step sizes.
+    """Ascent controls: iteration cap, stop tolerance, step sizes, line search
+    and restarts.
 
-    Steps are measured after normalizing the gradient to unit norm, so
-    phase_step is roughly the complex-plane distance moved per iteration and
-    amplitude_step the corresponding amplitude movement.  The raw gradient
-    scale of this objective is set by the tiny through-surface terms and
-    varies by orders of magnitude across configs; normalizing keeps one set
-    of defaults usable everywhere.
+    Each step moves along the exact gradient, normalized to unit norm
+    separately for the phases and the amplitudes, so phase_step is roughly
+    the complex-plane distance moved per iteration and amplitude_step the
+    corresponding amplitude movement.  The raw gradient scale of this
+    objective is set by the tiny through-surface terms and varies by orders
+    of magnitude across configs; normalizing keeps one set of defaults usable
+    everywhere.  A step that does not raise the objective is shrunk by
+    step_decay up to max_backtracks times; the ascent stops when that fails
+    or a step gains less than tolerance.
     """
 
     max_iters: int = 80
     tolerance: float = 1e-10
     phase_step: float = 0.5
     amplitude_step: float = 0.2
-    step_decay: float = 0.5       # halving factor of the backtracking search
+    step_decay: float = 0.5       # shrink factor of the backtracking search
     max_backtracks: int = 30
-    fd_step: float = 1e-6
     restarts: int = 0             # extra random starting points
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.phase_step <= 0 or self.amplitude_step <= 0:
-            raise ValueError("step sizes must be positive")
+        for name in ("tolerance", "phase_step", "amplitude_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0 < self.step_decay < 1:
+            raise ValueError(f"step_decay must lie strictly between 0 and 1, got {self.step_decay!r}")
+        for name, least in (("max_iters", 1), ("max_backtracks", 1), ("restarts", 0)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 def project_phases(raw_t: np.ndarray, raw_r: np.ndarray):
@@ -117,6 +135,12 @@ class _Objective:
         self.table = cluster_table(cfg, power, self.terms)
         self.weights = weights
         self.model = model
+        # d(objective)/d(role log2-mean): the role's weight over its rate's prelog M
+        self.role_scale = {
+            role: w / (cfg.M_d if role.startswith("DL") else cfg.M_u)
+            for role, w in role_weights(cfg, weights).items()
+        }
+        self.rules = model_rules(self.table, model)
 
     def value(self, theta_t, theta_r, rho_t, rho_r) -> float:
         # the surface terms come straight from the (possibly infeasible) trial point
@@ -124,18 +148,29 @@ class _Objective:
         inputs = RateInputs(self.cfg, self.power, self.terms, surface, self.table)
         return weighted_sum_rate(inputs, self.weights, self.model)
 
+    def gradient(self, theta_t, theta_r, rho_t, rho_r):
+        """(g_theta_t, g_theta_r, g_rho_t, g_rho_r) of value at the same point.
 
-def _fd_gradient(fun, x: np.ndarray, h: float, complex_vars: bool) -> np.ndarray:
-    """Central finite differences, elementwise, over real or complex entries."""
-    g = np.zeros_like(x, dtype=complex if complex_vars else float)
-    steps = [1.0, 1j] if complex_vars else [1.0]
-    for direction in steps:
-        for i in range(x.size):
-            xp = x.copy(); xp[i] += h * direction
-            xm = x.copy(); xm[i] -= h * direction
-            d = (fun(xp) - fun(xm)) / (2.0 * h)
-            g[i] += d * direction
-    return g
+        A complex entry is d/dRe + j d/dIm, a real one the plain derivative.
+        With G = 2 df/d conj(c) on a face whose coefficients are c = rho * theta,
+        g_theta = rho * G and g_rho = Re(G * conj(theta)).
+        """
+        coeffs = (rho_t * theta_t, rho_r * theta_r)
+        means = key_means(self.table.parts, surface_terms(self.cfg, coeffs, self.links))
+        d_surface = dict.fromkeys(SurfaceTerms.__dataclass_fields__, 0.0)
+        for role in self.table.bound:
+            scale = self.role_scale[role.name]
+            for key, d in role_log2_mean_grad(role, means, self.rules).items():
+                factor, name = self.table.parts[key]
+                if name is not None:
+                    d_surface[name] += scale * d * factor
+        G = {"t": np.zeros(len(theta_t), dtype=complex), "r": np.zeros(len(theta_r), dtype=complex)}
+        for name, (side, grad) in surface_gradients(coeffs, self.links).items():
+            G[side] += 2.0 * d_surface[name] * grad
+        return (
+            rho_t * G["t"], rho_r * G["r"],
+            np.real(G["t"] * np.conj(theta_t)), np.real(G["r"] * np.conj(theta_r)),
+        )
 
 
 def pgam_optimize(
@@ -201,10 +236,7 @@ def _ascend(obj: _Objective, start: StarRisState, st: PgamSettings):
     nu, vartheta = st.phase_step, st.amplitude_step
 
     for _ in range(st.max_iters):
-        g_tt = _fd_gradient(lambda x: obj.value(x, theta_r, rho_t, rho_r), theta_t, st.fd_step, True)
-        g_tr = _fd_gradient(lambda x: obj.value(theta_t, x, rho_t, rho_r), theta_r, st.fd_step, True)
-        g_at = _fd_gradient(lambda x: obj.value(theta_t, theta_r, x, rho_r), rho_t, st.fd_step, False)
-        g_ar = _fd_gradient(lambda x: obj.value(theta_t, theta_r, rho_t, x), rho_r, st.fd_step, False)
+        g_tt, g_tr, g_at, g_ar = obj.gradient(theta_t, theta_r, rho_t, rho_r)
 
         g_phase = math.sqrt(np.sum(np.abs(g_tt) ** 2) + np.sum(np.abs(g_tr) ** 2))
         g_amp = math.sqrt(np.sum(g_at**2) + np.sum(g_ar**2))

@@ -57,7 +57,9 @@ from .channel import (
     StarRisState,
     build_links,
     _cascaded_power_mean_coeffs,
+    _cascaded_power_mean_grad,
     _self_reflection_power_mean_coeffs,
+    _self_reflection_power_mean_grad,
 )
 from .config import PowerAllocation, SystemConfig
 from .geometry import (
@@ -82,9 +84,11 @@ __all__ = [
     "noma_roles",
     "expectation_terms",
     "surface_terms",
+    "surface_gradients",
     "build_rate_inputs",
     "key_means",
     "role_log2_mean",
+    "role_log2_mean_grad",
     "role_rates",
     "sinr_row",
     "solve_sinr",
@@ -95,11 +99,14 @@ __all__ = [
     "ul_rate_mid",
     "ul_rate_edge",
     "fading_log2_mean",
+    "fading_log2_mean_dlog",
     "sic_log2_mean",
     "dl_strong_scales",
     "ul_strong_scale",
     "RATE_MODELS",
     "DEFAULT_MODEL",
+    "model_rules",
+    "role_weights",
     "weighted_sum_rate",
     "rate_report",
     "si_variance",
@@ -156,8 +163,8 @@ def cluster_orders(cfg: SystemConfig, cluster: int) -> dict:
 class Member(NamedTuple):
     """One user a role table refers to (or the BS, as the end of a cascade).
 
-    A plain tuple, so that gain keys hash fast: the optimizer looks them up
-    thousands of times per step.
+    A plain tuple, so that gain keys hash fast: every rate evaluation looks
+    them up many times.
     """
 
     kind: str        # "center", "edge", or "bs"
@@ -445,6 +452,18 @@ def surface_terms(cfg: SystemConfig, state, links: dict | None = None) -> Surfac
     return SurfaceTerms(**values)
 
 
+def surface_gradients(coeffs, links: dict) -> dict:
+    """Each SurfaceTerms field's face and its gradient d/d conj(c) at the element
+    coefficients (c_t, c_r), the same terms surface_terms evaluates."""
+    coeffs = dict(zip(("t", "r"), coeffs))
+    grads = {
+        name: (side, _cascaded_power_mean_grad(coeffs[side], links[out], links[inp]))
+        for name, (out, side, inp) in _OMEGA_PATHS.items()
+    }
+    grads["y3_raw"] = ("t", _self_reflection_power_mean_grad(coeffs["t"], links["b,r"]))
+    return grads
+
+
 @dataclass(frozen=True)
 class RateInputs:
     """Everything the analytic reader needs for one cluster, with terms precomputed."""
@@ -492,6 +511,20 @@ def fading_log2_mean(rule, scale):
     return (vals @ weights) / math.log(2.0)
 
 
+def fading_log2_mean_dlog(rule, scale: float) -> float:
+    """Derivative of fading_log2_mean with respect to ln(scale), i.e. scale times its slope.
+
+    At each node x = 1/(scale * g), and d/dscale e^x E1(x) = g (x - x^2 e^x E1(x)),
+    so scale times it is 1 - x e^x E1(x).  A zero scale gives zero: the mean
+    is flat in ln(scale) there.
+    """
+    if scale == 0.0:
+        return 0.0
+    gains, weights = rule
+    x = 1.0 / (scale * gains)
+    return float((1.0 - x * exp_e1(x)) @ weights) / math.log(2.0)
+
+
 def sic_log2_mean(rule, total: float, residual: float) -> float:
     """fading_log2_mean at scale total minus the same at scale residual.
 
@@ -510,11 +543,15 @@ def unit_gain_scales(role: Role, means: dict) -> tuple:
     log2(1 + SINR) is log2(1 + total * gain) - log2(1 + residual * gain),
     residual being the terms on the signal's own key, as in sic_log2_mean.
     """
-    key = role.signal.key
-    same = sum(t.coef for t in role.interference if t.key == key)
-    rest = sum(t.coef * means[t.key] for t in role.interference if t.key != key) + role.noise
+    same = sum(t.coef for t in role.interference if t.key == role.signal.key)
+    rest = _off_signal_denominator(role, means)
     residual = same / rest
     return residual + role.signal.coef / rest, residual
+
+
+def _off_signal_denominator(role: Role, means: dict) -> float:
+    """The interference on keys other than the signal's, at their means, plus the noise."""
+    return sum(t.coef * means[t.key] for t in role.interference if t.key != role.signal.key) + role.noise
 
 
 def role_log2_mean(role: Role, means: dict, rules: dict) -> float:
@@ -528,6 +565,35 @@ def role_log2_mean(role: Role, means: dict, rules: dict) -> float:
         return sic_log2_mean(rule, *unit_gain_scales(role, means))
     den = sum(t.coef * means[t.key] for t in role.interference) + role.noise
     return math.log2(1.0 + role.signal.coef * means[role.signal.key] / den)
+
+
+def role_log2_mean_grad(role: Role, means: dict, rules: dict) -> dict:
+    """Derivative of role_log2_mean with respect to each key mean the role reads.
+
+    Ratio of means: the rate is log2(D + S) - log2(D), with the signal S and
+    the denominator D linear in the means.  Exact signal: both unit-gain
+    scales are proportional to 1/rest, rest being linear in the means of the
+    keys off the signal's; the signal's own key is averaged by its rule and
+    reads no mean.
+    """
+    key = role.signal.key
+    grad = dict.fromkeys((key, *(t.key for t in role.interference)), 0.0)
+    rule = rules.get(key)
+    if rule is not None:
+        rest = _off_signal_denominator(role, means)
+        total, residual = unit_gain_scales(role, means)
+        d_rest = -(fading_log2_mean_dlog(rule, total) - fading_log2_mean_dlog(rule, residual)) / rest
+        for t in role.interference:
+            if t.key != key:
+                grad[t.key] += t.coef * d_rest
+        return grad
+    den = sum(t.coef * means[t.key] for t in role.interference) + role.noise
+    both = den + role.signal.coef * means[key]
+    ln2 = math.log(2.0)
+    grad[key] += role.signal.coef / (both * ln2)
+    for t in role.interference:
+        grad[t.key] += t.coef * (1.0 / both - 1.0 / den) / ln2
+    return grad
 
 
 def sinr_row(role: Role, means: dict, g: float) -> tuple:
@@ -549,11 +615,16 @@ RATE_MODELS = ("ratio-of-means", "exact-signal")
 DEFAULT_MODEL = "exact-signal"
 
 
-def role_rates(inputs: RateInputs, model: str = DEFAULT_MODEL) -> dict:
-    """Per-role rates (1/M) E log2(1 + SINR) of one cluster under the named model."""
+def model_rules(table: ClusterTable, model: str) -> dict:
+    """The path-loss rules the named model averages the signal over: the table's, or none."""
     if model not in RATE_MODELS:
         raise ValueError(f"unknown rate model {model!r}; choose one of {RATE_MODELS}")
-    rules = inputs.table.rules if model == "exact-signal" else {}
+    return table.rules if model == "exact-signal" else {}
+
+
+def role_rates(inputs: RateInputs, model: str = DEFAULT_MODEL) -> dict:
+    """Per-role rates (1/M) E log2(1 + SINR) of one cluster under the named model."""
+    rules = model_rules(inputs.table, model)
     means, cfg = inputs.means(), inputs.cfg
     return {
         role.name: role_log2_mean(role, means, rules) / (cfg.M_d if role.name.startswith("DL") else cfg.M_u)
@@ -591,9 +662,8 @@ def ul_strong_scale(inputs: RateInputs) -> float:
     return _strong_scales(inputs, "UL1")[0]
 
 
-def weighted_sum_rate(inputs: RateInputs, weights: dict | None = None, model: str = DEFAULT_MODEL) -> float:
-    """Priority-weighted sum of the six role rates of one cluster under the named model."""
-    cfg = inputs.cfg
+def role_weights(cfg: SystemConfig, weights: dict | None = None) -> dict:
+    """Each role's priority weight: the config's unless weights are given, a role they omit weighing 0."""
     if weights is None:
         weights = {
             **{f"DL{i+1}": w for i, w in enumerate(cfg.weights_dl)},
@@ -601,7 +671,13 @@ def weighted_sum_rate(inputs: RateInputs, weights: dict | None = None, model: st
         }
     if any(w < 0 for w in weights.values()):
         raise ValueError("weights must be nonnegative")
-    return sum(weights.get(role, 0.0) * rate for role, rate in role_rates(inputs, model).items())
+    return {role: weights.get(role, 0.0) for role in ROLES}
+
+
+def weighted_sum_rate(inputs: RateInputs, weights: dict | None = None, model: str = DEFAULT_MODEL) -> float:
+    """Priority-weighted sum of the six role rates of one cluster under the named model."""
+    weights = role_weights(inputs.cfg, weights)
+    return sum(weights[role] * rate for role, rate in role_rates(inputs, model).items())
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,11 @@ class TestSweep:
     def test_custom_sweep_needs_param(self, cfg_path):
         assert main(["sweep", "--experiment", "custom", "--config", cfg_path]) == 2
 
+    @pytest.mark.parametrize("option", [["--state", "uniform"], ["--cluster", "2"]])
+    def test_options_no_experiment_reads_are_rejected(self, cfg_path, option):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--experiment", "rates-vs-snr", "--config", cfg_path, *option])
+
     def test_rates_vs_n(self, cfg_path, tmp_path):
         out = str(tmp_path / "n.csv")
         assert main([

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from starnoma.channel import StarRisState, build_links
-from starnoma.config import PowerAllocation, baseline_config
+from starnoma.config import PowerAllocation, baseline_config, default_power_allocation
 from starnoma.design import (
     InfeasibleTargetsError,
+    _Objective,
     PgamSettings,
     aligned_state,
     min_power_allocation,
@@ -16,7 +17,14 @@ from starnoma.design import (
     project_phases,
     suboptimal_phases,
 )
-from starnoma.rates import build_rate_inputs, rate_report, weighted_sum_rate
+from starnoma.rates import (
+    SurfaceTerms,
+    build_rate_inputs,
+    rate_report,
+    surface_gradients,
+    surface_terms,
+    weighted_sum_rate,
+)
 
 
 class TestProjections:
@@ -98,10 +106,81 @@ class TestPgam:
             pgam_optimize(cfg, power, PgamSettings(max_iters=1), initial=StarRisState.uniform(cfg.N + 1))
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            PgamSettings(max_iters=0)
-        with pytest.raises(ValueError):
-            PgamSettings(tolerance=0.0)
+        for field, value in [
+            ("max_iters", 0),
+            ("tolerance", 0.0),
+            ("tolerance", math.nan),
+            ("phase_step", math.nan),
+            ("amplitude_step", math.inf),
+            ("step_decay", 0.0),
+            ("step_decay", 1.0),
+            ("max_backtracks", 0),
+            ("restarts", -1),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                PgamSettings(**{field: value})
+
+
+def _central_differences(fun, x: np.ndarray, h: float, complex_vars: bool) -> np.ndarray:
+    """Reference gradient: central differences, elementwise, over real or complex entries.
+
+    A complex entry gets d/dRe + j d/dIm, as the ascent's gradient does.
+    """
+    g = np.zeros_like(x, dtype=complex if complex_vars else float)
+    for direction in ([1.0, 1j] if complex_vars else [1.0]):
+        for i in range(x.size):
+            xp = x.copy(); xp[i] += h * direction
+            xm = x.copy(); xm[i] -= h * direction
+            g[i] += (fun(xp) - fun(xm)) / (2.0 * h) * direction
+    return g
+
+
+class TestGradient:
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_surface_terms(self, n):
+        # every term is quadratic in c, so central differences are exact up to rounding
+        c = baseline_config(N=n)
+        links = build_links(c)
+        rng = np.random.default_rng(n)
+        coeffs = tuple(rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)) for _ in "tr")
+        grads = surface_gradients(coeffs, links)
+        assert set(grads) == set(SurfaceTerms.__dataclass_fields__)
+        for name, (side, grad) in grads.items():
+            k = "tr".index(side)
+
+            def term(x):
+                trial = list(coeffs)
+                trial[k] = x
+                return getattr(surface_terms(c, tuple(trial), links), name)
+
+            # G = 2 d/d conj(c) is the d/dRe + j d/dIm the differences give
+            want = _central_differences(term, coeffs[k], 1e-3, True)
+            assert 2.0 * grad == pytest.approx(want, rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("n", [10, 64])
+    @pytest.mark.parametrize("model", ["ratio-of-means", "exact-signal"])
+    @pytest.mark.parametrize("snr", [10.0, 40.0])
+    @pytest.mark.parametrize("xi", [0.0, 0.1])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_objective(self, n, model, snr, xi, seed):
+        point = dataclasses.replace(baseline_config(N=n).with_snr(snr), xi_sic=xi)
+        obj = _Objective(point, default_power_allocation(point), model=model)
+        s = StarRisState.random(n, np.random.default_rng(seed))
+        x = [np.exp(1j * s.phi_t), np.exp(1j * s.phi_r), s.rho_t, s.rho_r]
+        want = []
+        for k in range(4):
+            def f(v, k=k):
+                trial = list(x)
+                trial[k] = v
+                return obj.value(*trial)
+
+            want.append(_central_differences(f, x[k], 1e-2, k < 2))
+        got, want = np.concatenate(obj.gradient(*x)), np.concatenate(want)
+        # the objective is a sum of log2(1 + SINR) whose surface-dependent part
+        # is tiny, so each value carries about 1e-16 of absolute rounding; at this
+        # step the differences are off by up to 1.0e-6 of the gradient's norm
+        # (smaller steps do worse), and elementwise by far more on small entries
+        assert np.linalg.norm(got - want) <= 2e-6 * np.linalg.norm(want)
 
 
 class TestSuboptimalPhases:

@@ -173,12 +173,22 @@ def build_links(cfg) -> dict[str, RicianLink]:
 def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int | None = None) -> np.ndarray:
     """Draw the link vector: sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I).
 
-    With trials set, returns a (trials, N) batch sharing the same LoS.
+    With trials set, returns a (trials, N) batch sharing the same LoS.  The
+    real and imaginary parts are filled in place, in the order of operations
+    of the complex formula (numpy divides a complex array by a real scalar
+    by multiplying each part by its reciprocal), so the draws are the same
+    to the bit.
     """
     n = link.los.size
     shape = (n,) if trials is None else (trials, n)
-    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return np.sqrt(link.los_weight) * link.los + np.sqrt(link.scatter_weight) * w
+    out = np.empty(shape, dtype=complex)
+    los = np.sqrt(link.los_weight) * link.los
+    for part, los_part in ((out.real, los.real), (out.imag, los.imag)):
+        part[...] = rng.standard_normal(shape)
+        part *= 1.0 / np.sqrt(2.0)
+        part *= np.sqrt(link.scatter_weight)
+        part += los_part
+    return out
 
 
 def cascade(g_out: np.ndarray, state: StarRisState, side: str, g_in: np.ndarray) -> complex | np.ndarray:

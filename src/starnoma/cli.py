@@ -37,7 +37,7 @@ from .config import SystemConfig, baseline_config, default_power_allocation, loa
 from .design import PgamSettings, aligned_state, default_initial_state, pgam_optimize
 from .geometry import sample_layout
 from .rates import ROLES, rate_report
-from .simulator import SimPlan, simulate, simulate_clusters
+from .simulator import SimPlan, draw_key, simulate, simulate_clusters
 
 CSV_COLUMNS = ("sweep_var", "value", "role", "method", "rate", "stderr", "seed")
 DEFAULT_SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
@@ -109,13 +109,22 @@ def validate_table(path: str) -> None:
 
 
 def _point_rows(points, seed, trials):
-    """Analytic and simulated rows of cluster 1 at every (sweep_var, value, cfg, state, tag) point."""
+    """Analytic and simulated rows of cluster 1 at every (sweep_var, value, cfg, state, tag) point.
+
+    Points that share a draw (simulator.draw_key) and a state are simulated
+    by one call; a geometry sweep falls back to one call per point.
+    """
+    shared = {}
+    for point in points:
+        shared.setdefault((draw_key(point[2]), id(point[3])), []).append(point)
     rows = []
-    for sweep_var, value, cfg, state, tag in points:
-        power = default_power_allocation(cfg)
-        ana = rate_report(cfg, power, state)
-        sim = simulate(SimPlan(cfg=cfg, power=power, state=state, trials=trials, seed=seed))
-        rows += _report_rows(ana, sweep_var, value, seed, tag) + _report_rows(sim, sweep_var, value, seed, tag)
+    for group in shared.values():
+        cfgs = [cfg for _, _, cfg, _, _ in group]
+        powers = [default_power_allocation(cfg) for cfg in cfgs]
+        sims = simulate_clusters(cfgs, powers, group[0][3], trials, seed, clusters=[1])
+        for (sweep_var, value, cfg, state, tag), power, (reports, _) in zip(group, powers, sims):
+            for report in (rate_report(cfg, power, state), reports[1]):
+                rows += _report_rows(report, sweep_var, value, seed, tag)
     return rows
 
 
@@ -148,27 +157,28 @@ def experiment_rates_vs_N(cfg, seed, trials, grid=DEFAULT_N_GRID):
 
 def experiment_cluster_vs_pair(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
     state = _pick_state(cfg, "random", seed)
+    cells = [(xi, snr) for xi in XIS for snr in grid]
+    points = [replace(cfg.with_snr(snr), xi_sic=xi) for xi, snr in cells]
+    cl_pow, pr_pow = [], []
+    for point in points:
+        dl_t, ul_t = reference_edge_targets(point, state)
+        cl_pow.append(cluster_power_policy(point, state, dl_t, ul_t))
+        pr_pow.append(pair_power_policy(point, state, dl_t, ul_t))
+    cl_sim = simulate_clusters(points, cl_pow, state, trials, seed)
+    pr_sim = simulate_pair_sums(points, pr_pow, state, trials, seed)
+
     rows = []
-    for xi in XIS:
-        for snr in grid:
-            point = replace(cfg.with_snr(snr), xi_sic=xi)
-            dl_t, ul_t = reference_edge_targets(point, state)
-            cl_pow = cluster_power_policy(point, state, dl_t, ul_t)
-            pr_pow = pair_power_policy(point, state, dl_t, ul_t)
-
-            analytic = [rate_report(point, cl_pow[j], state, cluster=j) for j in cl_pow]
-            simulated, _ = simulate_clusters(point, cl_pow, state, trials, seed)
-            pr_ana = dict(zip(("dl_sum", "ul_sum"), pair_rate_sums(point, pr_pow, state)))
-            pr_sim = simulate_pair_sums(point, pr_pow, state, trials, seed)
-
-            for d in ("dl", "ul"):
-                for scheme, method, rate, err in (
-                    ("clustering", "analytic", sum(getattr(r, f"{d}_sum") for r in analytic), ""),
-                    ("pairing", "analytic", pr_ana[f"{d}_sum"], ""),
-                    ("clustering", "simulated", sum(getattr(r, f"{d}_sum") for r in simulated.values()), ""),
-                    ("pairing", "simulated", pr_sim[f"{d}_sum"], pr_sim[f"{d}_sum_stderr"]),
-                ):
-                    rows.append(_row("snr_db", snr, f"{d}_sum_{scheme}[xi={xi:g}]", method, float(rate), err, seed))
+    for (xi, snr), point, cl, pr, (simulated, _), pr_s in zip(cells, points, cl_pow, pr_pow, cl_sim, pr_sim):
+        analytic = [rate_report(point, cl[j], state, cluster=j) for j in cl]
+        pr_ana = dict(zip(("dl_sum", "ul_sum"), pair_rate_sums(point, pr, state)))
+        for d in ("dl", "ul"):
+            for scheme, method, rate, err in (
+                ("clustering", "analytic", sum(getattr(r, f"{d}_sum") for r in analytic), ""),
+                ("pairing", "analytic", pr_ana[f"{d}_sum"], ""),
+                ("clustering", "simulated", sum(getattr(r, f"{d}_sum") for r in simulated.values()), ""),
+                ("pairing", "simulated", pr_s[f"{d}_sum"], pr_s[f"{d}_sum_stderr"]),
+            ):
+                rows.append(_row("snr_db", snr, f"{d}_sum_{scheme}[xi={xi:g}]", method, float(rate), err, seed))
     return rows
 
 

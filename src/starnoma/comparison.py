@@ -4,7 +4,8 @@ Rates the near-far pairing baseline (2-user groups) with the same role table
 as the 3-user clusters: each pair, and the lone median user's slot, is a
 NOMA group of rates.noma_roles, read by the same analytic reader and run
 through the cluster simulator's block loop (simulator.simulate_groups) with
-a layout of its own.  Also implements the shared power policy of the
+a layout of its own; a grid of points shares one draw there, as the
+clusters' does.  Also implements the shared power policy of the
 comparison experiment: spend whatever power the cell-edge users need to
 reach their target rates, hand the rest to the cell-center users.
 
@@ -48,7 +49,7 @@ from .rates import (
     surface_terms,
     table_keys,
 )
-from .simulator import simulate_groups
+from .simulator import as_points, simulate_groups
 
 __all__ = [
     "PairAllocation",
@@ -228,15 +229,30 @@ def simulate_pair_sums(
     seed: int,
     block_size: int = 1 << 14,
 ):
-    """Monte-Carlo DL and UL pairing sum rates with realized orderings."""
+    """Monte-Carlo DL and UL pairing sum rates with realized orderings.
+
+    For a grid, cfg is a list of configs (differing in
+    simulator.POINT_FIELDS only) and allocations a list of the same length:
+    every point reads the same draw, and the result is the list of what one
+    call per point returns.
+    """
+    points, one = as_points(cfg, allocations)
+    cfg = points[0][0]
     groups = pair_groups(cfg, simulated=True)
-    schedule = [
-        (dl + ul, tuple(bind(r, x) for r in noma_roles(cfg, dl, ul)))
-        for (dl, ul), x in zip(groups, _group_vectors(cfg, allocations, groups))
-    ]
+
+    def schedule(point, allocs):
+        return [
+            (dl + ul, tuple(bind(r, x) for r in noma_roles(point, dl, ul)))
+            for (dl, ul), x in zip(groups, _group_vectors(point, allocs, groups))
+        ]
+
     shares = {"DL": len(groups), "UL": len(groups)}
-    _, sums = simulate_groups(cfg, state, schedule, shares, _ranked_layout(cfg), trials, seed, block_size)
-    return sums
+    results = simulate_groups(
+        [(point, schedule(point, allocs)) for point, allocs in points], state, shares,
+        _ranked_layout(cfg), trials, seed, block_size,
+    )
+    sums = [point_sums for _, point_sums in results]
+    return sums[0] if one else sums
 
 
 # -- shared power policy ------------------------------------------------------

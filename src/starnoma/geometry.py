@@ -16,10 +16,17 @@ cross-checks; they only converge for sub-unit disk radii, so production-size
 cells always go through the integral.
 The (1+d) offset keeps the path loss finite at zero distance and is applied
 uniformly across analysis and simulation.
+
+The position terms depend on the geometry alone, so ordered_pathloss_mean,
+pair_pathloss_mean, outside_point_pathloss_mean and ordered_pathloss_rule
+are memoized on their (hashable) arguments: a sweep or a power policy that
+asks again for a term gets the first answer back.  The rule's arrays are
+read-only, so that no caller can change the cached copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,6 +135,7 @@ def ordered_pathloss_density(spec: OrderSpec, r) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+@functools.cache
 def ordered_pathloss_mean(spec: OrderSpec, m: float) -> float:
     """E[(1 + r_(k))^-m] by adaptive quadrature of the order-statistic density."""
     if m < 0:
@@ -142,16 +150,21 @@ def ordered_pathloss_mean(spec: OrderSpec, m: float) -> float:
     return value
 
 
+@functools.cache
 def ordered_pathloss_rule(spec: OrderSpec, m: float):
     """Fixed quadrature rule over the path loss (1 + r_(k))^-m of the k-th nearest user.
 
     Returns (gains, weights) with E[h((1 + r_(k))^-m)] ~= sum(weights * h(gains))
     for smooth h.  The Gauss-Legendre nodes map onto [0, radius], and the
     weights carry the order-statistic density and the Jacobian radius / 2.
+    Both arrays are read-only: they are the cached copy.
     """
     nodes, weights = gauss_legendre(_RULE_ORDER)
     r = 0.5 * spec.radius * (nodes + 1.0)
-    return (1.0 + r) ** (-m), 0.5 * spec.radius * weights * ordered_pathloss_density(spec, r)
+    rule = (1.0 + r) ** (-m), 0.5 * spec.radius * weights * ordered_pathloss_density(spec, r)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def ordered_pathloss_mean_series(spec: OrderSpec, m: float) -> float:
@@ -183,6 +196,7 @@ def pair_distance_density(d, R: float) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+@functools.cache
 def pair_pathloss_mean(R: float, m: float) -> float:
     """E[(1+d)^-m] for the distance d between two uniform points in a disk."""
     if R <= 0:
@@ -231,6 +245,7 @@ def outside_point_distance_density(r, R: float, r1: float) -> np.ndarray | float
     return out if out.ndim else float(out)
 
 
+@functools.cache
 def outside_point_pathloss_mean(R: float, r1: float, m: float, C: int = 32) -> float:
     """E[(1+d)^-m] to a uniform disk point from an external point, C-node quadrature.
 

@@ -12,6 +12,17 @@ pairing baseline (comparison.simulate_pair_sums) differ only in its schedule
 of groups, time shares and layout.  Block seeds are spawned from one
 SeedSequence, so a run is reproducible; execution is serial.
 
+The loop runs a whole grid of points at once.  A draw depends only on the
+geometry, N, the user counts, the Rician factors, the bearings, the surface
+state, the seed, the trial count and the block size; SNR, the SIC and SI
+impairments, the powers and the noise reach the simulator only through the
+bound role coefficients and the SI scale (POINT_FIELDS).  So every point of
+a grid reads the same draw of each block: the layout, the block's shared
+draws and each group's gains are drawn once, then every point evaluates its
+own SINRs from them, with the arithmetic and the accumulation order of a
+one-point run.  A points call therefore returns, bit for bit, what one call
+per point returns.  Points that differ in a field of the draw are rejected.
+
 estimate_expectation() evaluates exactly the random quantity behind each
 closed-form expectation term, which is what makes the term-level oracle
 checks agree to within Monte-Carlo error (no log, no ratio approximation).
@@ -23,7 +34,7 @@ averaged over their position and fading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +70,9 @@ __all__ = [
     "simulate",
     "simulate_clusters",
     "simulate_groups",
+    "as_points",
+    "draw_key",
+    "POINT_FIELDS",
     "estimate_expectation",
     "analytic_expectation",
     "EXPECTATION_KEYS",
@@ -124,8 +138,9 @@ def _blocks(trials: int, seed: int, block_size: int):
 
 @dataclass(frozen=True)
 class BlockDraws:
-    """What one block of trials shares across its groups: the BS-surface
-    vector, the BS's own signal off the surface and the residual SI."""
+    """What one block of trials shares across its groups and points: the
+    BS-surface vector, the BS's own signal off the surface and the unit
+    residual SI |CN(0, 1)|^2, which each point scales by its si_variance."""
 
     g_br: np.ndarray
     bounce: np.ndarray
@@ -137,7 +152,7 @@ class BlockDraws:
     @classmethod
     def draw(cls, cfg, state, links, rng, B):
         g_br = sample_rician(links["b,r"], rng, trials=B)
-        si = si_variance(cfg) * np.abs(_draw_cn(rng, B)) ** 2
+        si = np.abs(_draw_cn(rng, B)) ** 2
         c = {side: state.coefficients(side) for side in ("t", "r")}
         l_br = pathloss(cfg.d_br, cfg.m)
         bounce = l_br * l_br * np.abs(np.sum(np.abs(g_br) ** 2 * c["t"], axis=-1)) ** 2
@@ -154,7 +169,8 @@ def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
     """One per-trial array for every gain key of a role table.
 
     geo maps each user to its (position, BS distance, surface distance)
-    arrays.  The Rayleigh scalars of the direct and cross keys are drawn
+    arrays.  The ("si",) gain is the block's unit draw, before any point's
+    SI scale.  The Rayleigh scalars of the direct and cross keys are drawn
     first, as one block, then one fading vector per user that a cascade
     reaches, in the order of members.
     """
@@ -192,35 +208,91 @@ def role_sinrs(bound, gains) -> dict:
     return out
 
 
-def simulate_groups(cfg, state, schedule, shares, layout, trials, seed, block_size=_DEFAULT_BLOCK):
-    """The block loop: every NOMA group of a schedule off one network realization per trial.
+# SystemConfig fields that may differ between the points of one draw: they reach
+# the simulator only through the bound role coefficients and the SI scale
+POINT_FIELDS = frozenset({"xi_sic", "beta_si", "lambda_si", "sigma2", "P_b", "p_um", "weights_dl", "weights_ul",
+                          "allocation"})
 
-    schedule holds (users, bound) per group: its users in sampling order and
-    its role table bound to the group's variables (rates.bind).
-    shares maps "DL" and "UL" to the time-share divisor of that direction.
-    layout(rng, B) draws a block's positions and returns a function giving a
-    user's (position, BS distance, surface distance).  Each block draws the
-    layout, its BlockDraws, then each group's gains in schedule order.
-    Returns ([{role: accumulator} per group], {dl_sum, ul_sum and their stderrs}).
+
+def draw_key(cfg: SystemConfig) -> tuple:
+    """The (field, value) pairs of every config field that fixes a draw, hashable:
+    points with equal keys (and one surface state) can share one draw."""
+    key = []
+    for f in fields(cfg):
+        if f.name not in POINT_FIELDS:
+            value = getattr(cfg, f.name)
+            key.append((f.name, tuple(sorted(value.items())) if isinstance(value, dict) else value))
+    return tuple(key)
+
+
+def _shared_draw(cfgs) -> SystemConfig:
+    """The first config, once every other one is known to fix the same draw."""
+    key = draw_key(cfgs[0])
+    for cfg in cfgs[1:]:
+        for (name, want), (_, got) in zip(key, draw_key(cfg)):
+            if got != want:
+                raise ValueError(f"points cannot share a draw: they differ in {name} ({want!r} vs {got!r})")
+    return cfgs[0]
+
+
+def simulate_groups(points, state, shares, layout, trials, seed, block_size=_DEFAULT_BLOCK):
+    """The block loop: every NOMA group of a schedule, at every point of a grid,
+    off one network realization per trial.
+
+    points holds (cfg, schedule) per point, the configs differing in
+    POINT_FIELDS only; a schedule holds (users, bound) per group: its users
+    in sampling order, the same at every point, and its role table bound to
+    the point's variables (rates.bind).  shares maps "DL" and "UL" to the
+    time-share divisor of that direction.  layout(rng, B) draws a block's
+    positions and returns a function giving a user's (position, BS distance,
+    surface distance).  Each block draws the layout, its BlockDraws, then
+    each group's gains in schedule order; every point evaluates its SINRs
+    from them.  Returns one ([{role: accumulator} per group], {dl_sum,
+    ul_sum and their stderrs}) per point.
     """
+    cfg = _shared_draw([c for c, _ in points])
     check_state_size(cfg, state.N)
     links = build_links(cfg)
-    acc = [{role.name: _Accumulator() for role in bound} for _, bound in schedule]
-    acc_sum = {"DL": _Accumulator(), "UL": _Accumulator()}
+    first = points[0][1]
+    si_scales = [si_variance(c) for c, _ in points]
+    acc = [[{role.name: _Accumulator() for role in bound} for _, bound in schedule] for _, schedule in points]
+    acc_sum = [{"DL": _Accumulator(), "UL": _Accumulator()} for _ in points]
     for B, rng in _blocks(trials, seed, block_size):
         geo = layout(rng, B)
         block = BlockDraws.draw(cfg, state, links, rng, B)
-        tot = {"DL": np.zeros(B), "UL": np.zeros(B)}
-        for (users, bound), group_acc in zip(schedule, acc):
+        si = [scale * block.si for scale in si_scales]
+        tot = [{"DL": np.zeros(B), "UL": np.zeros(B)} for _ in points]
+        for g, (users, bound) in enumerate(first):
             gains = sample_gains(bound, users, {u: geo(u) for u in users}, links, rng, block)
-            for name, sinr in role_sinrs(bound, gains).items():
-                r = np.log2(1.0 + sinr) / shares[name[:2]]
-                group_acc[name].add(r)
-                tot[name[:2]] += r
-        for d, total in tot.items():
-            acc_sum[d].add(total)
-    dl, ul = acc_sum["DL"], acc_sum["UL"]
-    return acc, {"dl_sum": dl.mean, "dl_sum_stderr": dl.stderr, "ul_sum": ul.mean, "ul_sum_stderr": ul.stderr}
+            for (_, schedule), point_si, point_acc, point_tot in zip(points, si, acc, tot):
+                gains[("si",)] = point_si
+                for name, sinr in role_sinrs(schedule[g][1], gains).items():
+                    r = np.log2(1.0 + sinr) / shares[name[:2]]
+                    point_acc[g][name].add(r)
+                    point_tot[name[:2]] += r
+        for point_tot, point_sum in zip(tot, acc_sum):
+            for d, total in point_tot.items():
+                point_sum[d].add(total)
+    out = []
+    for point_acc, point_sum in zip(acc, acc_sum):
+        dl, ul = point_sum["DL"], point_sum["UL"]
+        out.append((point_acc, {"dl_sum": dl.mean, "dl_sum_stderr": dl.stderr,
+                                "ul_sum": ul.mean, "ul_sum_stderr": ul.stderr}))
+    return out
+
+
+def as_points(cfg, setting) -> tuple:
+    """([(cfg, setting) per point], one): a simulator's config and power arguments as points.
+
+    cfg is one SystemConfig with setting its powers (one is then True), or a
+    sequence of configs with setting a sequence of the same length.
+    """
+    if isinstance(cfg, SystemConfig):
+        return [(cfg, setting)], True
+    cfg, setting = list(cfg), list(setting)
+    if not cfg or len(cfg) != len(setting):
+        raise ValueError(f"points need one setting per config, got {len(cfg)} configs and {len(setting)} settings")
+    return list(zip(cfg, setting)), False
 
 
 def _sorted_layout(cfg, freeze_layout):
@@ -270,25 +342,38 @@ def simulate_clusters(
     powers may be a single PowerAllocation or a {cluster: PowerAllocation}
     map.  Returns ({cluster: RateReport}, totals) where totals carries the
     per-trial network sums over all simulated clusters.
+
+    For a grid, cfg is a list of configs (differing in POINT_FIELDS only) and
+    powers a list of the same length: every point reads the same draw, and
+    the result is the list of what one call per point returns.
     """
+    points, one = as_points(cfg, powers)
+    cfg = points[0][0]
     if clusters is None:
         clusters = list(range(1, min(cfg.M_d, cfg.M_u) + 1))
     clusters = sorted(int(j) for j in clusters)
-    if isinstance(powers, PowerAllocation):
-        powers = {j: powers for j in clusters}
-    schedule = [
-        (cluster_members(cfg, j), tuple(bind(r, power_vector(powers[j])) for r in cluster_roles(cfg, j)))
-        for j in clusters
-    ]
-    acc, sums = simulate_groups(
-        cfg, state, schedule, {"DL": cfg.M_d, "UL": cfg.M_u},
+    members = [cluster_members(cfg, j) for j in clusters]
+
+    def schedule(point, power):
+        if isinstance(power, PowerAllocation):
+            power = {j: power for j in clusters}
+        return [
+            (users, tuple(bind(r, power_vector(power[j])) for r in cluster_roles(point, j)))
+            for j, users in zip(clusters, members)
+        ]
+
+    results = simulate_groups(
+        [(point, schedule(point, power)) for point, power in points], state, {"DL": cfg.M_d, "UL": cfg.M_u},
         _sorted_layout(cfg, freeze_layout), trials, seed, block_size,
     )
-    reports = {}
-    for j, group_acc in zip(clusters, acc):
-        rates, stderr = ({role: getattr(group_acc[role], stat) for role in ROLES} for stat in ("mean", "stderr"))
-        reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
-    return reports, sums
+    out = []
+    for acc, sums in results:
+        reports = {}
+        for j, group_acc in zip(clusters, acc):
+            rates, stderr = ({role: getattr(group_acc[role], stat) for role in ROLES} for stat in ("mean", "stderr"))
+            reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
+        out.append((reports, sums))
+    return out[0] if one else out
 
 
 def simulate(plan: SimPlan) -> RateReport:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,35 @@ class TestRician:
         draws = sample_rician(link, np.random.default_rng(3), trials=400_000)
         want = np.sqrt(3.0 / 4.0) * los
         assert np.max(np.abs(draws.mean(axis=0) - want)) < 5e-3
+
+
+def _complex_formula(link, rng, trials=None):
+    """The sampler as the complex expression it computes, kept as the oracle."""
+    n = link.los.size
+    shape = (n,) if trials is None else (trials, n)
+    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return np.sqrt(link.los_weight) * link.los + np.sqrt(link.scatter_weight) * w
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("kappa", [None, 0.0, 1e6])
+    @pytest.mark.parametrize("trials", [None, 1_000])
+    def test_bit_identical_to_complex_formula(self, cfg, kappa, trials):
+        if kappa is not None:
+            cfg = dataclasses.replace(cfg, kappa_map=dict.fromkeys(cfg.kappa_map, kappa))
+        for label, link in build_links(cfg).items():
+            got = sample_rician(link, np.random.default_rng(11), trials=trials)
+            want = _complex_formula(link, np.random.default_rng(11), trials=trials)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), label
+
+    def test_stream_position_matches(self, cfg):
+        # the sampler consumes exactly the normals of the formula, real part first
+        link = build_links(cfg)["r,u3d"]
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        sample_rician(link, a, trials=7)
+        _complex_formula(link, b, trials=7)
+        assert a.random() == b.random()
 
 
 class TestCascade:

@@ -1,10 +1,15 @@
 import csv
+import dataclasses
 
+import numpy as np
 import pytest
 
-from starnoma.cli import main, validate_table
-from starnoma.config import baseline_config, dump_config
+from starnoma.channel import StarRisState
+from starnoma.cli import DEFAULT_N_GRID, DEFAULT_SNR_GRID, N_SWEEP_SNR_DB, XIS, main, validate_table
+from starnoma.config import baseline_config, default_power_allocation, dump_config
+from starnoma.design import aligned_state
 from starnoma.rates import ROLES
+from starnoma.simulator import SimPlan, simulate
 
 
 @pytest.fixture()
@@ -180,3 +185,41 @@ class TestSweep:
         assert {r["role"] for r in rows} == {f"{s}[xi={xi}]" for s in sums for xi in ("0", "0.1")}
         # only the pairing simulator reports a standard error
         assert {r["role"] for r in rows if r["stderr"]} == {f"{s}[xi={xi}]" for s in sums[2:] for xi in ("0", "0.1")}
+
+
+def _sweep_points(experiment, seed):
+    """(sweep_var, value, cfg, state, role tag) of every point of a named sweep, built by hand."""
+    cfg = baseline_config()
+    state = StarRisState.random(cfg.N, np.random.default_rng(seed))
+    if experiment == "rates-vs-snr":
+        return [("snr_db", snr, cfg.with_snr(snr), state, "") for snr in DEFAULT_SNR_GRID]
+    if experiment == "sic-ablation":
+        return [
+            ("snr_db", snr, dataclasses.replace(cfg.with_snr(snr), xi_sic=xi), state, f"[xi={xi:g}]")
+            for xi in XIS for snr in DEFAULT_SNR_GRID
+        ]
+    points = [dataclasses.replace(cfg.with_snr(N_SWEEP_SNR_DB), N=n) for n in DEFAULT_N_GRID]
+    return [("N", p.N, p, aligned_state(p), "") for p in points]
+
+
+class TestSharedDrawRows:
+    @pytest.mark.parametrize("experiment", ["rates-vs-snr", "sic-ablation", "rates-vs-N"])
+    def test_simulated_rows_match_per_point_calls(self, cfg_path, tmp_path, experiment):
+        # a sweep simulates its grid from one draw; every simulated cell must be
+        # the one a separate simulate call per point writes
+        out = str(tmp_path / "sweep.csv")
+        assert main([
+            "sweep", "--experiment", experiment, "--config", cfg_path,
+            "--trials", "1500", "--seed", "3", "--out", out,
+        ]) == 0
+        got = {
+            (r["sweep_var"], r["value"], r["role"]): (r["rate"], r["stderr"])
+            for r in _rows(out) if r["method"] == "simulated"
+        }
+        want = {}
+        for var, value, point, state, tag in _sweep_points(experiment, seed=3):
+            plan = SimPlan(cfg=point, power=default_power_allocation(point), state=state, trials=1500, seed=3)
+            report = simulate(plan)
+            for role in ROLES:
+                want[(var, str(value), role + tag)] = (repr(report.rates[role]), repr(report.stderr[role]))
+        assert got == want

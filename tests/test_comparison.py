@@ -112,6 +112,31 @@ class TestPairRates:
         b = simulate_pair_sums(point, allocs, state, trials=8_000, seed=3)
         assert a == b
 
+    # 20,000 trials end in a partial block at both sizes
+    @pytest.mark.parametrize("block_size", [1 << 12, 1 << 14])
+    def test_points_call_equals_per_point_calls(self, cfg, state, block_size):
+        points = [
+            cfg.with_snr(10.0),
+            dataclasses.replace(cfg.with_snr(30.0), xi_sic=0.0),
+            dataclasses.replace(cfg.with_snr(30.0), beta_si=1.0, lambda_si=0.4),
+            dataclasses.replace(cfg.with_snr(50.0), xi_sic=0.3),
+        ]
+        allocations = [
+            [PairAllocation((a, 1.0 - a), (f * p.p_um, p.p_um)) for a in (0.1, 0.2, 0.3, 0.4)]
+            for p, f in zip(points, (1.0, 0.5, 0.25, 0.1))
+        ]
+        got = simulate_pair_sums(points, allocations, state, 20_000, 6, block_size=block_size)
+        assert len(got) == len(points)
+        for point, allocs, sums in zip(points, allocations, got):
+            assert sums == simulate_pair_sums(point, allocs, state, 20_000, 6, block_size=block_size)
+
+    @pytest.mark.parametrize("field", ["N", "R", "kappa_map"])
+    def test_points_that_differ_in_the_draw_are_rejected(self, cfg, state, field):
+        value = {"N": 16, "R": 40.0, "kappa_map": {**cfg.kappa_map, "r,u3u": 0.0}}[field]
+        allocs = [PairAllocation((0.3, 0.7), (1.0, 1.0))] * 4
+        with pytest.raises(ValueError, match=f"differ in {field} "):
+            simulate_pair_sums([cfg, dataclasses.replace(cfg, **{field: value})], [allocs, allocs], state, 100, 0)
+
     def test_wrong_allocation_count(self, cfg, state):
         with pytest.raises(ValueError):
             pair_rate_sums(cfg, [PairAllocation((0.3, 0.7), (1.0, 1.0))], state)

@@ -285,3 +285,20 @@ class TestMinPower:
     def test_missing_role_rejected(self, cfg, state):
         with pytest.raises(ValueError):
             min_power_allocation({"DL1": 0.1}, cfg, state)
+
+    def test_repeat_call_redoes_no_quadrature(self, cfg, state, power):
+        # the position terms depend on the geometry alone: a second call at the
+        # same geometry reads every one of them from the memo
+        from starnoma.geometry import (
+            ordered_pathloss_mean,
+            ordered_pathloss_rule,
+            outside_point_pathloss_mean,
+            pair_pathloss_mean,
+        )
+
+        targets = rate_report(cfg, power, state).rates
+        min_power_allocation(targets, cfg, state)
+        memos = (ordered_pathloss_mean, ordered_pathloss_rule, outside_point_pathloss_mean, pair_pathloss_mean)
+        misses = [f.cache_info().misses for f in memos]
+        min_power_allocation(targets, cfg, state)
+        assert [f.cache_info().misses for f in memos] == misses

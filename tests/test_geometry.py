@@ -8,6 +8,7 @@ from starnoma.geometry import (
     ordered_pathloss_density,
     ordered_pathloss_mean,
     ordered_pathloss_mean_series,
+    ordered_pathloss_rule,
     outside_point_distance_density,
     outside_point_pathloss_mean,
     outside_point_pathloss_mean_quad,
@@ -190,3 +191,43 @@ def test_order_sandwich_property():
     last = ordered_pathloss_mean(OrderSpec(K, K, R), m)
     unordered = ordered_pathloss_mean(OrderSpec(1, 1, R), m)
     assert first >= unordered >= last
+
+
+class TestMemo:
+    def test_rule_arrays_are_read_only(self):
+        gains, weights = ordered_pathloss_rule(OrderSpec(1, 6, 50.0), 2.7)
+        for a in (gains, weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        again = ordered_pathloss_rule(OrderSpec(1, 6, 50.0), 2.7)
+        assert again[0] is gains and again[1] is weights
+
+    def test_bad_arguments_raise_after_a_cached_call(self):
+        spec = OrderSpec(2, 6, 50.0)
+        ordered_pathloss_mean(spec, 2.7)
+        pair_pathloss_mean(50.0, 2.7)
+        with pytest.raises(ValueError):
+            ordered_pathloss_mean(spec, -1.0)
+        with pytest.raises(ValueError):
+            pair_pathloss_mean(50.0, -1.0)
+        with pytest.raises(ValueError):
+            pair_pathloss_mean(-50.0, 2.7)
+        with pytest.raises(ValueError):
+            ordered_pathloss_rule(OrderSpec(7, 6, 50.0), 2.7)
+        with pytest.raises(ValueError):
+            ordered_pathloss_mean(OrderSpec(1, 6, -50.0), 2.7)
+        outside_point_pathloss_mean(50.0, 30.0, 2.7)
+        with pytest.raises(ValueError):
+            outside_point_pathloss_mean(50.0, 30.0, -1.0)
+
+    @pytest.mark.parametrize("k,K,R", [(1, 6, 50.0), (3, 3, 30.0), (5, 6, 50.0)])
+    def test_cached_value_equals_the_computation(self, k, K, R):
+        spec = OrderSpec(k, K, R)
+        ordered_pathloss_mean(spec, 2.7)
+        assert ordered_pathloss_mean(spec, 2.7) == ordered_pathloss_mean.__wrapped__(spec, 2.7)
+        pair_pathloss_mean(R, 2.7)
+        assert pair_pathloss_mean(R, 2.7) == pair_pathloss_mean.__wrapped__(R, 2.7)
+        outside_point_pathloss_mean(R, 30.0, 2.7)
+        assert outside_point_pathloss_mean(R, 30.0, 2.7) == outside_point_pathloss_mean.__wrapped__(R, 30.0, 2.7)
+        for got, want in zip(ordered_pathloss_rule(spec, 2.7), ordered_pathloss_rule.__wrapped__(spec, 2.7)):
+            assert np.array_equal(got, want)

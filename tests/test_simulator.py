@@ -85,6 +85,60 @@ class TestSimulate:
             SimPlan(cfg=cfg, power=power, state=state, trials=0)
 
 
+def _grid(cfg):
+    """Points that differ in every field a shared draw may vary."""
+    return [
+        cfg.with_snr(10.0),
+        dataclasses.replace(cfg.with_snr(30.0), xi_sic=0.0),
+        dataclasses.replace(cfg.with_snr(30.0), beta_si=1.0, lambda_si=0.4),
+        dataclasses.replace(cfg.with_snr(50.0), xi_sic=0.3, sigma2=2.0),
+    ]
+
+
+def _grid_powers(points):
+    splits = ((0.1, 0.3, 0.6), (0.05, 0.25, 0.7), (0.15, 0.3, 0.55), (0.1, 0.2, 0.7))
+    return [
+        PowerAllocation(alpha, tuple(f * p.p_um for f in (0.3, 0.6, 1.0)))
+        for alpha, p in zip(splits, points)
+    ]
+
+
+class TestSharedDraw:
+    # 20,000 trials end in a partial block at both sizes
+    @pytest.mark.parametrize("block_size", [1 << 12, 1 << 14])
+    def test_points_call_equals_per_point_calls(self, cfg, state, block_size):
+        points = _grid(cfg)
+        powers = _grid_powers(points)
+        got = simulate_clusters(points, powers, state, 20_000, 3, block_size=block_size)
+        assert len(got) == len(points)
+        for point, power, (reports, sums) in zip(points, powers, got):
+            want_reports, want_sums = simulate_clusters(point, power, state, 20_000, 3, block_size=block_size)
+            assert sums == want_sums
+            for j, report in reports.items():
+                assert report.rates == want_reports[j].rates
+                assert report.stderr == want_reports[j].stderr
+
+    def test_cluster_power_maps_and_frozen_layout(self, cfg, state):
+        points = _grid(cfg)[:2]
+        powers = [dict(zip((1, 2, 3), _grid_powers(_grid(cfg))[:3])), _grid_powers(points)[1]]
+        got = simulate_clusters(points, powers, state, 3_000, 8, clusters=[3, 1], freeze_layout=True)
+        for point, power, (reports, sums) in zip(points, powers, got):
+            want = simulate_clusters(point, power, state, 3_000, 8, clusters=[3, 1], freeze_layout=True)
+            assert sums == want[1]
+            assert {j: r.rates for j, r in reports.items()} == {j: r.rates for j, r in want[0].items()}
+
+    @pytest.mark.parametrize("field", ["N", "R", "kappa_map"])
+    def test_points_that_differ_in_the_draw_are_rejected(self, cfg, power, state, field):
+        value = {"N": 16, "R": 40.0, "kappa_map": {**cfg.kappa_map, "b,r": 5.0}}[field]
+        other = dataclasses.replace(cfg, **{field: value})
+        with pytest.raises(ValueError, match=f"differ in {field} "):
+            simulate_clusters([cfg, other], [power, power], state, 100, 0)
+
+    def test_points_need_one_power_each(self, cfg, power, state):
+        with pytest.raises(ValueError, match="one setting per config"):
+            simulate_clusters([cfg, cfg], [power], state, 100, 0)
+
+
 class TestExpectationOracle:
     def test_keys_cover_all_terms(self):
         assert len(EXPECTATION_KEYS) == 19

@@ -23,6 +23,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; importing it here keeps that cost out of the first command
 
 from .channel import StarRisState
 from .clustering import cluster_users, pair_users

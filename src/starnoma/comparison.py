@@ -40,6 +40,7 @@ from .rates import (
     bind,
     build_rate_inputs,
     key_means,
+    mean_signal_and_denominator,
     noma_roles,
     pathloss,
     position_parts,
@@ -262,15 +263,26 @@ def _clamp(x, lo, hi):
     return min(max(x, lo), hi)
 
 
-def _best_split(objective, lo=0.02, hi=0.48, points=47):
-    """Deterministic 1-D grid-and-refine maximizer over the split fraction."""
+def _best_split(roles: dict, means: dict, x_at, lo=0.02, hi=0.48, points=47):
+    """Deterministic 1-D grid-and-refine maximizer over the split fraction f.
+
+    The objective is the ratio-of-means sum rate of the group's two
+    strongest DL users at variables x_at(f).  Those are affine in f, and so
+    is every bound coefficient, so each role's mean signal and denominator
+    are bound at f = 0 and f = 1 once and interpolated over the grids.
+    """
+    ends = [
+        np.array([mean_signal_and_denominator(bind(roles[name], x_at(f)), means) for f in (0.0, 1.0)])
+        for name in ("DL1", "DL2")
+    ]
+
+    def objective(f):
+        return sum(np.log1p((s0 + f * (s1 - s0)) / (d0 + f * (d1 - d0))) for (s0, d0), (s1, d1) in ends)
+
     grid = np.linspace(lo, hi, points)
-    vals = [objective(t) for t in grid]
-    i = int(np.argmax(vals))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, points - 1)]
-    fine = np.linspace(a, b, 41)
-    vals = [objective(t) for t in fine]
-    return float(fine[int(np.argmax(vals))])
+    i = int(np.argmax(objective(grid)))
+    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], 41)
+    return float(fine[int(np.argmax(objective(fine)))])
 
 
 # reference NOMA split used to derive achievable default edge targets
@@ -302,11 +314,6 @@ def _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets):
         ref if t is None else dict(t) if isinstance(t, dict) else dict.fromkeys(clusters, float(t))
         for t, ref in zip(given, reference)
     )
-
-
-def _center_sum(roles: dict, x, means: dict) -> float:
-    """Ratio-of-means sum rate of a group's two strongest DL users at x."""
-    return sum(role_log2_mean(bind(roles[name], x), means, {}) for name in ("DL1", "DL2"))
 
 
 def cluster_power_policy(
@@ -343,7 +350,7 @@ def cluster_power_policy(
         a3 = _clamp(a3, 0.45, 0.95)
         rest = 1.0 - a3
 
-        frac = _best_split(lambda f: _center_sum(roles, (f * rest, rest - f * rest, a3, p1, p2, p3, 1.0), means))
+        frac = _best_split(roles, means, lambda f: (f * rest, rest - f * rest, a3, p1, p2, p3, 1.0))
         out[j] = PowerAllocation(alpha=(frac * rest, (1 - frac) * rest, a3), p_ul=(p1, p2, p3))
     return out
 
@@ -384,6 +391,6 @@ def pair_power_policy(
             a_w = solve_sinr(roles["DL2"], means, g_dl, (1, 0, p_s, p_w), (-1, 1, 0, 0))
             a_w = _clamp(a_w, 0.55, 0.95)
         else:
-            a_w = 1.0 - _best_split(lambda f: _center_sum(roles, (f, 1.0 - f, p_s, p_w, 1.0), means))
+            a_w = 1.0 - _best_split(roles, means, lambda f: (f, 1.0 - f, p_s, p_w, 1.0))
         out.append(PairAllocation(alpha=(1.0 - a_w, a_w), p=(p_s, p_w)))
     return out

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .channel import StarRisState, build_links
 from .config import PowerAllocation, SystemConfig
@@ -327,8 +326,58 @@ class InfeasibleTargetsError(RuntimeError):
         super().__init__(f"targets infeasible, binding constraint: {binding}" + (f" ({detail})" if detail else ""))
 
 
-# brentq stops at its default relative tolerance, 4 ulp, rather than at an absolute one
-_ROOT_OPTS = dict(xtol=1e-300)
+# the root solver stops at a relative tolerance of 4 ulp; the absolute one
+# only keeps the stop test meaningful at x = 0
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_XTOL = 1e-300
+_ROOT_MAX_ITERS = 100
+
+
+def _find_root(f, a: float, b: float) -> float:
+    """A root of f inside the bracket [a, b] by Brent's method.
+
+    Each step tries inverse quadratic (or secant) interpolation through the
+    last three points and falls back to bisection whenever the trial step is
+    not short enough; the bracket [x, blk] always holds a sign change.  The
+    solver stops once half the bracket is within 2 ulp of the estimate x.
+    """
+    x_pre, x = a, b
+    f_pre, fx = f(x_pre), f(x)
+    if f_pre == 0.0:
+        return x_pre
+    if fx == 0.0:
+        return x
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, fx):
+        raise ValueError(f"f({a!r}) and f({b!r}) have the same sign; [a, b] brackets no root")
+    blk = f_blk = step_pre = step = 0.0
+    for _ in range(_ROOT_MAX_ITERS):
+        if f_pre != 0.0 and fx != 0.0 and math.copysign(1.0, f_pre) != math.copysign(1.0, fx):
+            blk, f_blk = x_pre, f_pre
+            step_pre = step = x - x_pre
+        if abs(f_blk) < abs(fx):   # keep the best estimate in x
+            x_pre, x, blk = x, blk, x
+            f_pre, fx, f_blk = fx, f_blk, fx
+        tol = 0.5 * (_ROOT_XTOL + _ROOT_RTOL * abs(x))
+        half = 0.5 * (blk - x)
+        if fx == 0.0 or abs(half) < tol:
+            return x
+        bisect = True
+        if abs(step_pre) > tol and abs(fx) < abs(f_pre):
+            if x_pre == blk:   # secant
+                trial = -fx * (x - x_pre) / (fx - f_pre)
+            else:              # inverse quadratic interpolation
+                d_pre = (f_pre - fx) / (x_pre - x)
+                d_blk = (f_blk - fx) / (blk - x)
+                trial = -fx * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(half) - tol):
+                step_pre, step = step, trial
+                bisect = False
+        if bisect:
+            step_pre = step = half
+        x_pre, f_pre = x, fx
+        x += step if abs(step) > tol else math.copysign(tol, half)
+        fx = f(x)
+    raise RuntimeError(f"no root within {_ROOT_MAX_ITERS} steps in [{a!r}, {b!r}]")
 
 
 def _invert_fading_log2_mean(rule, level: float) -> float:
@@ -339,7 +388,7 @@ def _invert_fading_log2_mean(rule, level: float) -> float:
     hi = (2.0**level - 1.0) / float(np.dot(weights, gains))
     while fading_log2_mean(rule, hi) < level:
         hi *= 2.0
-    return optimize.brentq(lambda x: fading_log2_mean(rule, x) - level, 0.0, hi, **_ROOT_OPTS)
+    return _find_root(lambda x: fading_log2_mean(rule, x) - level, 0.0, hi)
 
 
 def min_power_allocation(
@@ -423,7 +472,7 @@ def min_power_allocation(
     a1_max = (1.0 - v2 - v3) / (1.0 + u2 + u3)
     if a1_max <= 0 or dl1_excess(a1_max) < 0:
         raise InfeasibleTargetsError("dl-power-budget", "the DL1 target needs sum(alpha) > 1")
-    a1 = optimize.brentq(dl1_excess, 0.0, a1_max, **_ROOT_OPTS)
+    a1 = _find_root(dl1_excess, 0.0, a1_max)
     a2, a3 = u2 * a1 + v2, u3 * a1 + v3
     check_positive((a1,), names[:1])
     if not (a1 < a2 < a3):

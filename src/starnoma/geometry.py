@@ -7,13 +7,15 @@ Three distance laws drive every closed-form rate term:
 * the distance between two independent uniform points in one disk,
 * the distance from a fixed point outside a disk to a uniform point inside it.
 
-Each expectation E[(1+d)^-m] is evaluated by adaptive quadrature of the exact
-density (authoritative).  Averages of other functions of an ordered user's
-path loss, which change from call to call, go through a fixed Gauss-Legendre
-rule on the same density instead (ordered_pathloss_rule).  Series forms
-built from the generalized hypergeometric function are provided as
-cross-checks; they only converge for sub-unit disk radii, so production-size
-cells always go through the integral.
+Each expectation E[(1+d)^-m] is the sum weights @ gains of a fixed rule over
+its law: a 64-node Gauss-Legendre rule on the order-statistic density
+(ordered_pathloss_rule), which also averages other functions of an ordered
+user's path loss; a 128-node rule on the pair density, whose
+(2R - d)^(3/2) edge needs the extra nodes; and a C-node rule on the
+outside-point density.  The tests compare each rule with adaptive
+quadrature of the exact density.  Series forms built from the generalized
+hypergeometric function are provided as cross-checks; they only converge
+for sub-unit disk radii.
 The (1+d) offset keeps the path loss finite at zero distance and is applied
 uniformly across analysis and simulation.
 
@@ -31,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .specfun import gauss_legendre, gamma, hyp_pfq
 
@@ -48,16 +49,21 @@ __all__ = [
     "pair_pathloss_mean_series",
     "pair_distance_density",
     "outside_point_pathloss_mean",
-    "outside_point_pathloss_mean_quad",
     "outside_point_distance_density",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=300)
-# Nodes of ordered_pathloss_rule.  On the 50 m baseline disk they match
-# adaptive quadrature of the strong users' rate integrands to 3e-15 relative
-# at 0-50 dB; the integrands are analytic on [0, R], their nearest
-# singularity about 1 m off the inner end.
-_RULE_ORDER = 64
+# The Gauss-Legendre rules on [-1, 1] that the position rules map onto their
+# laws.  Computing one takes milliseconds, far longer than mapping it, so
+# both are made once, at import.
+# ordered_pathloss_rule: on the 50 m baseline disk 64 nodes match adaptive
+# quadrature of the strong users' rate integrands to 3e-15 relative at
+# 0-50 dB; the integrands are analytic on [0, R], their nearest singularity
+# about 1 m off the inner end.
+_ORDER_NODES = gauss_legendre(64)
+# pair_pathloss_mean: the pair density vanishes like (2R - d)^(3/2) at its
+# outer end, which slows the rule down: 64 nodes leave 3e-9 relative, 128
+# leave 1.3e-12 on 30-50 m disks.
+_PAIR_NODES = gauss_legendre(128)
 
 
 @dataclass(frozen=True)
@@ -137,17 +143,13 @@ def ordered_pathloss_density(spec: OrderSpec, r) -> np.ndarray | float:
 
 @functools.cache
 def ordered_pathloss_mean(spec: OrderSpec, m: float) -> float:
-    """E[(1 + r_(k))^-m] by adaptive quadrature of the order-statistic density."""
+    """E[(1 + r_(k))^-m], the sum of ordered_pathloss_rule's weighted gains."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if m == 0:
         return 1.0
-
-    def integrand(r):
-        return (1.0 + r) ** (-m) * ordered_pathloss_density(spec, r)
-
-    value, _ = integrate.quad(integrand, 0.0, spec.radius, **_QUAD_OPTS)
-    return value
+    gains, weights = ordered_pathloss_rule(spec, m)
+    return float(weights @ gains)
 
 
 @functools.cache
@@ -159,7 +161,7 @@ def ordered_pathloss_rule(spec: OrderSpec, m: float):
     weights carry the order-statistic density and the Jacobian radius / 2.
     Both arrays are read-only: they are the cached copy.
     """
-    nodes, weights = gauss_legendre(_RULE_ORDER)
+    nodes, weights = _ORDER_NODES
     r = 0.5 * spec.radius * (nodes + 1.0)
     rule = (1.0 + r) ** (-m), 0.5 * spec.radius * weights * ordered_pathloss_density(spec, r)
     for a in rule:
@@ -198,26 +200,27 @@ def pair_distance_density(d, R: float) -> np.ndarray | float:
 
 @functools.cache
 def pair_pathloss_mean(R: float, m: float) -> float:
-    """E[(1+d)^-m] for the distance d between two uniform points in a disk."""
+    """E[(1+d)^-m] for the distance d between two uniform points in a disk.
+
+    A Gauss-Legendre rule mapped onto [0, 2R], its weights carrying the pair
+    density and the Jacobian R.
+    """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if m == 0:
         return 1.0
-
-    def integrand(d):
-        return (1.0 + d) ** (-m) * pair_distance_density(d, R)
-
-    value, _ = integrate.quad(integrand, 0.0, 2.0 * R, **_QUAD_OPTS)
-    return value
+    nodes, weights = _PAIR_NODES
+    d = R * (nodes + 1.0)
+    return float((R * weights * pair_distance_density(d, R)) @ (1.0 + d) ** (-m))
 
 
 def pair_pathloss_mean_series(R: float, m: float) -> float:
     """Hypergeometric form of the pair expectation; converges for 2R < 1.
 
     Singular at m = 1 and m = 2 through the (m-1)(m-2) prefactor; the
-    quadrature path has no such restriction.
+    rule has no such restriction.
     """
     x = 4.0 * R * R
     poly = (2.0 - 3.0 * m + m * m) * R * R
@@ -263,15 +266,3 @@ def outside_point_pathloss_mean(R: float, r1: float, m: float, C: int = 32) -> f
     r = r1 + R * (nodes + 1.0)
     vals = (1.0 + r) ** (-m) * outside_point_distance_density(r, R, r1)
     return float(np.sum(weights * vals) * R)
-
-
-def outside_point_pathloss_mean_quad(R: float, r1: float, m: float) -> float:
-    """Adaptive-quadrature cross-check of outside_point_pathloss_mean."""
-    if r1 <= 0:
-        raise ValueError(f"clearance r1 must be positive, got {r1}")
-
-    def integrand(r):
-        return (1.0 + r) ** (-m) * outside_point_distance_density(r, R, r1)
-
-    value, _ = integrate.quad(integrand, r1, r1 + 2.0 * R, **_QUAD_OPTS)
-    return value

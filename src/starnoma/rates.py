@@ -87,6 +87,7 @@ __all__ = [
     "surface_gradients",
     "build_rate_inputs",
     "key_means",
+    "mean_signal_and_denominator",
     "role_log2_mean",
     "role_log2_mean_grad",
     "role_rates",
@@ -406,7 +407,7 @@ def cluster_table(cfg: SystemConfig, power: PowerAllocation, t: ExpectationTerms
 
 
 def expectation_terms(cfg: SystemConfig, cluster: int = 1) -> ExpectationTerms:
-    """Evaluate the position terms of cluster j by adaptive quadrature."""
+    """The position terms of cluster j, each the weighted sum of a fixed rule over its law."""
     k = cluster_orders(cfg, cluster)
     u1d = OrderSpec(k["k_cd1"], cfg.K_cd, cfg.R)
     u1u = OrderSpec(k["k_cu1"], cfg.K_cu, cfg.R)
@@ -554,17 +555,24 @@ def _off_signal_denominator(role: Role, means: dict) -> float:
     return sum(t.coef * means[t.key] for t in role.interference if t.key != role.signal.key) + role.noise
 
 
+def mean_signal_and_denominator(role: Role, means: dict) -> tuple:
+    """(S, D): a bound role's signal and its interference plus noise, every key at its mean."""
+    den = sum(t.coef * means[t.key] for t in role.interference) + role.noise
+    return role.signal.coef * means[role.signal.key], den
+
+
 def role_log2_mean(role: Role, means: dict, rules: dict) -> float:
     """E log2(1 + SINR) of one bound role.
 
     A signal key found in rules is averaged exactly (exact-signal model);
-    any other role takes the log of the ratio of means.
+    any other role takes the log of the ratio of means, as log1p so that an
+    SINR far below 1 keeps its digits.
     """
     rule = rules.get(role.signal.key)
     if rule is not None:
         return sic_log2_mean(rule, *unit_gain_scales(role, means))
-    den = sum(t.coef * means[t.key] for t in role.interference) + role.noise
-    return math.log2(1.0 + role.signal.coef * means[role.signal.key] / den)
+    signal, den = mean_signal_and_denominator(role, means)
+    return math.log1p(signal / den) / math.log(2.0)
 
 
 def role_log2_mean_grad(role: Role, means: dict, rules: dict) -> dict:
@@ -587,8 +595,8 @@ def role_log2_mean_grad(role: Role, means: dict, rules: dict) -> dict:
             if t.key != key:
                 grad[t.key] += t.coef * d_rest
         return grad
-    den = sum(t.coef * means[t.key] for t in role.interference) + role.noise
-    both = den + role.signal.coef * means[key]
+    signal, den = mean_signal_and_denominator(role, means)
+    both = den + signal
     ln2 = math.log(2.0)
     grad[key] += role.signal.coef / (both * ln2)
     for t in role.interference:

@@ -1,18 +1,34 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from starnoma.comparison import (
     PairAllocation,
+    _best_split,
+    _pair_tables,
     cluster_power_policy,
     pair_power_policy,
     pair_rate_sums,
     pair_slots,
     pair_structure,
+    pair_groups,
     reference_edge_targets,
     simulate_pair_sums,
 )
-from starnoma.rates import rate_report
+from starnoma.config import PowerAllocation
+from starnoma.rates import Role, Term, bind, build_rate_inputs, rate_report, role_log2_mean
+
+
+def _best_split_by_binding(roles, means, x_at, lo=0.02, hi=0.48, points=47):
+    """The oracle: bind both roles afresh at every grid point, as the policies once did."""
+    def objective(f):
+        return sum(role_log2_mean(bind(roles[name], x_at(f)), means, {}) for name in ("DL1", "DL2"))
+
+    grid = np.linspace(lo, hi, points)
+    i = int(np.argmax([objective(f) for f in grid]))
+    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], 41)
+    return float(fine[int(np.argmax([objective(f) for f in fine]))])
 
 
 class TestPairStructure:
@@ -72,6 +88,33 @@ class TestPolicies:
         point = cfg.with_snr(20)
         alloc = cluster_power_policy(point, state, 1e-6, 1e-6)
         assert set(alloc) == {1, 2, 3}
+
+    @pytest.mark.parametrize("xi", [0.0, 0.1])
+    @pytest.mark.parametrize("snr", [0, 20, 40])
+    def test_interpolated_split_matches_binding_every_point(self, cfg, state, snr, xi):
+        point = dataclasses.replace(cfg.with_snr(snr), xi_sic=xi)
+        cases = []
+        for j in (1, 2, 3):
+            inputs = build_rate_inputs(point, PowerAllocation((0.1, 0.3, 0.6), (point.p_um,) * 3), state, cluster=j)
+            roles = {r.name: r for r in inputs.table.roles}
+            cases.append((roles, inputs.means(), lambda f: (0.4 * f, 0.4 - 0.4 * f, 0.6, 1.0, 1.0, 0.5, 1.0)))
+        tables, _ = _pair_tables(point, pair_groups(point), state)
+        for roles, means in tables[:4]:
+            cases.append(({r.name: r for r in roles}, means, lambda f: (f, 1.0 - f, 1.0, 0.5, 1.0)))
+        for roles, means, x_at in cases:
+            assert _best_split(roles, means, x_at) == _best_split_by_binding(roles, means, x_at)
+
+    def test_interpolated_split_finds_an_interior_optimum(self):
+        # log2(1 + 2f) + log2(1 + (1 - f)) peaks where 2 / (1 + 2f) = 1 / (2 - f), at f = 3/4
+        roles = {
+            "DL1": Role("DL1", Term((1.0, 0.0, 0.0), ("a",)), (), 1.0),
+            "DL2": Role("DL2", Term((0.0, 1.0, 0.0), ("b",)), (), 1.0),
+        }
+        means = {("a",): 2.0, ("b",): 1.0}
+        x_at = lambda f: (f, 1.0 - f, 1.0)
+        got = _best_split(roles, means, x_at, 0.02, 0.98)
+        assert got == _best_split_by_binding(roles, means, x_at, 0.02, 0.98)
+        assert got == pytest.approx(0.75, abs=1e-3)
 
     def test_pair_allocation_validation(self):
         with pytest.raises(ValueError):

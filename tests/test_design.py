@@ -9,6 +9,8 @@ from starnoma.config import PowerAllocation, baseline_config, default_power_allo
 from starnoma.design import (
     InfeasibleTargetsError,
     _Objective,
+    _find_root,
+    _invert_fading_log2_mean,
     PgamSettings,
     aligned_state,
     min_power_allocation,
@@ -17,9 +19,11 @@ from starnoma.design import (
     project_phases,
     suboptimal_phases,
 )
+from starnoma.geometry import OrderSpec, ordered_pathloss_rule
 from starnoma.rates import (
     SurfaceTerms,
     build_rate_inputs,
+    fading_log2_mean,
     rate_report,
     surface_gradients,
     surface_terms,
@@ -220,6 +224,34 @@ class TestSuboptimalPhases:
     def test_non_square_rejected(self, cfg):
         with pytest.raises(ValueError, match="square"):
             suboptimal_phases(cfg)  # baseline N=10
+
+
+class TestRootSolver:
+    @pytest.mark.parametrize("level", np.logspace(-6, math.log10(5.0), 13))
+    def test_fading_inversion_matches_brentq(self, cfg, level):
+        optimize = pytest.importorskip("scipy.optimize")
+        rule = ordered_pathloss_rule(OrderSpec(1, cfg.K_cu, cfg.R), cfg.m)
+        got = _invert_fading_log2_mean(rule, level)
+        hi = 1.0
+        while fading_log2_mean(rule, hi) < level:
+            hi *= 2.0
+        want = optimize.brentq(lambda x: fading_log2_mean(rule, x) - level, 0.0, hi, xtol=1e-300)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+        assert fading_log2_mean(rule, got) == pytest.approx(level, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("f,a,b,root", [
+        (lambda x: x**3 - 2.0, 0.0, 3.0, 2.0 ** (1.0 / 3.0)),
+        (math.cos, 0.0, 3.0, math.pi / 2.0),
+        (lambda x: math.exp(x) - 1e5, -5.0, 20.0, math.log(1e5)),
+        (lambda x: x - 1e-10, 0.0, 1.0, 1e-10),
+        (lambda x: x, -1.0, 0.0, 0.0),
+    ])
+    def test_known_roots(self, f, a, b, root):
+        assert _find_root(f, a, b) == pytest.approx(root, rel=4e-16, abs=0)
+
+    def test_bracket_without_sign_change_rejected(self):
+        with pytest.raises(ValueError, match="brackets no root"):
+            _find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestMinPower:

@@ -11,12 +11,33 @@ from starnoma.geometry import (
     ordered_pathloss_rule,
     outside_point_distance_density,
     outside_point_pathloss_mean,
-    outside_point_pathloss_mean_quad,
     pair_distance_density,
     pair_pathloss_mean,
     pair_pathloss_mean_series,
     sample_layout,
 )
+
+# The oracle: adaptive quadrature of each exact density, tighter than the rules it checks.
+_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+
+
+def ordered_pathloss_mean_quad(spec, m):
+    value, _ = integrate.quad(
+        lambda r: (1.0 + r) ** (-m) * ordered_pathloss_density(spec, r), 0.0, spec.radius, **_QUAD_OPTS
+    )
+    return value
+
+
+def pair_pathloss_mean_quad(R, m):
+    value, _ = integrate.quad(lambda d: (1.0 + d) ** (-m) * pair_distance_density(d, R), 0.0, 2.0 * R, **_QUAD_OPTS)
+    return value
+
+
+def outside_point_pathloss_mean_quad(R, r1, m):
+    value, _ = integrate.quad(
+        lambda r: (1.0 + r) ** (-m) * outside_point_distance_density(r, R, r1), r1, r1 + 2.0 * R, **_QUAD_OPTS
+    )
+    return value
 
 
 class TestSampling:
@@ -107,6 +128,14 @@ class TestOrderedMean:
         vals = [ordered_pathloss_mean(OrderSpec(k, K, R), 2.7) for k in range(1, K + 1)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("m", [2.0, 2.7, 3.5])
+    @pytest.mark.parametrize("R", [30.0, 50.0])
+    @pytest.mark.parametrize("K", [3, 6, 12])
+    def test_rule_matches_adaptive_quadrature(self, K, R, m):
+        for k in range(1, K + 1):
+            spec = OrderSpec(k, K, R)
+            assert ordered_pathloss_mean(spec, m) == pytest.approx(ordered_pathloss_mean_quad(spec, m), rel=1e-11, abs=0)
+
     @pytest.mark.parametrize("k,K,R,m", [(1, 1, 0.8, 2.7), (1, 3, 0.9, 2.7), (2, 3, 0.5, 3.5), (3, 6, 0.95, 2.0)])
     def test_series_matches_quadrature_where_convergent(self, k, K, R, m):
         spec = OrderSpec(k, K, R)
@@ -134,6 +163,11 @@ class TestPairMean:
         w = (1.0 + d) ** (-2.7)
         se = w.std(ddof=1) / np.sqrt(n)
         assert abs(value - w.mean()) < 3 * se
+
+    @pytest.mark.parametrize("m", [2.0, 2.7, 3.5])
+    @pytest.mark.parametrize("R", [30.0, 50.0])
+    def test_rule_matches_adaptive_quadrature(self, R, m):
+        assert pair_pathloss_mean(R, m) == pytest.approx(pair_pathloss_mean_quad(R, m), rel=1e-11, abs=0)
 
     @pytest.mark.parametrize("R,m", [(0.4, 2.7), (0.25, 3.5), (0.45, 2.2)])
     def test_series_matches_quadrature_where_convergent(self, R, m):

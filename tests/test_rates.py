@@ -18,6 +18,8 @@ from starnoma.geometry import (
 from starnoma.rates import (
     RATE_MODELS,
     RateReport,
+    Role,
+    Term,
     build_rate_inputs,
     cluster_members,
     cluster_orders,
@@ -30,6 +32,7 @@ from starnoma.rates import (
     fading_log2_mean,
     noma_roles,
     rate_report,
+    role_log2_mean,
     table_keys,
     ul_rate_edge,
     ul_rate_mid,
@@ -39,6 +42,11 @@ from starnoma.rates import (
 )
 from starnoma.specfun import exp_e1
 from starnoma.design import aligned_state
+
+
+def _log2_1p(x):
+    """log2(1 + x) without rounding 1 + x: the hand oracles' SINRs reach 1e-6."""
+    return math.log1p(x) / math.log(2.0)
 
 
 def _inputs(cfg, power, state, cluster=1):
@@ -97,7 +105,7 @@ class TestDownlinkRates:
         pw = PowerAllocation((1e-12, 0.3, 0.6), (1e-12, 1e-12, 1e-12))
         inputs = _inputs(quiet, pw, state)
         t = inputs.terms
-        want = math.log2(1 + 0.3 * quiet.P_b * t.x1_u2d / quiet.sigma2) / quiet.M_d
+        want = _log2_1p(0.3 * quiet.P_b * t.x1_u2d / quiet.sigma2) / quiet.M_d
         assert dl_rate_mid(inputs) == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_edge_user_interference_ceiling(self, cfg, state, power):
@@ -126,8 +134,8 @@ class TestUplinkRates:
         t, s = inputs.terms, inputs.surface
         edge_gain = s.omega_br_u3u * t.l_br * t.x1_u3u
         V = quiet.beta_si * quiet.P_b**quiet.lambda_si
-        want = math.log2(
-            1 + power.p_ul[2] * edge_gain / (quiet.P_b * t.l_br**2 * s.y3_raw + V + quiet.sigma2)
+        want = _log2_1p(
+            power.p_ul[2] * edge_gain / (quiet.P_b * t.l_br**2 * s.y3_raw + V + quiet.sigma2)
         ) / quiet.M_u
         assert ul_rate_edge(inputs) == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -165,7 +173,7 @@ class TestWiringOracles:
         b1 = p[0] * w1 + p[1] * w2
         num = a[2] * cfg.P_b * S
         den = (a[0] + a[1]) * cfg.P_b * S + b1 * x_e * q + p[2] * w3 * x_e * x_eu + cfg.sigma2
-        hand = math.log2(1 + num / den) / cfg.M_d
+        hand = _log2_1p(num / den) / cfg.M_d
         assert dl_rate_edge(_inputs(cfg, power, state)) == pytest.approx(hand, rel=1e-14, abs=0)
 
     def test_ul_strong_assembly(self, cfg, state, power):
@@ -187,7 +195,7 @@ class TestWiringOracles:
         V = cfg.beta_si * cfg.P_b**cfg.lambda_si
         num = p[0] * chi1
         den = p[1] * chi2 + p[2] * w_e * l_br * x_eu + cfg.P_b * l_br**2 * bounce + V + cfg.sigma2
-        hand = math.log2(1 + num / den) / cfg.M_u
+        hand = _log2_1p(num / den) / cfg.M_u
         assert ul_rate_strong(_inputs(cfg, power, state)) == pytest.approx(hand, rel=1e-14, abs=0)
 
 
@@ -225,8 +233,8 @@ class TestWiringOracles:
         den1 = xi * P * (a[1] + a[2]) * t["x1"] + ul_center + p[2] * t["w1"] * t["x_eu"] * t["q"] + cfg.sigma2
         den2 = P * t["x2"] * (xi * a[2] + a[0]) + ul_center + p[2] * t["w2"] * t["x_eu"] * t["q"] + cfg.sigma2
         inputs = _inputs(cfg, power, state)
-        hand1 = math.log2(1 + a[0] * P * t["x1"] / den1) / cfg.M_d
-        hand2 = math.log2(1 + a[1] * P * t["x2"] / den2) / cfg.M_d
+        hand1 = _log2_1p(a[0] * P * t["x1"] / den1) / cfg.M_d
+        hand2 = _log2_1p(a[1] * P * t["x2"] / den2) / cfg.M_d
         assert dl_rate_strong(inputs) == pytest.approx(hand1, rel=1e-14, abs=0)
         assert dl_rate_mid(inputs) == pytest.approx(hand2, rel=1e-14, abs=0)
 
@@ -238,8 +246,8 @@ class TestWiringOracles:
         floor = cfg.P_b * t["l_br"] ** 2 * t["bounce"] + t["V"] + cfg.sigma2
         edge = t["w_e"] * t["l_br"] * t["x_eu"]
         inputs = _inputs(cfg, power, state)
-        hand2 = math.log2(1 + p[1] * t["x2"] / (xi * p[0] * t["x1"] + p[2] * edge + floor)) / cfg.M_u
-        hand3 = math.log2(1 + p[2] * edge / (xi * (p[0] * t["x1"] + p[1] * t["x2"]) + floor)) / cfg.M_u
+        hand2 = _log2_1p(p[1] * t["x2"] / (xi * p[0] * t["x1"] + p[2] * edge + floor)) / cfg.M_u
+        hand3 = _log2_1p(p[2] * edge / (xi * (p[0] * t["x1"] + p[1] * t["x2"]) + floor)) / cfg.M_u
         assert ul_rate_mid(inputs) == pytest.approx(hand2, rel=1e-14, abs=0)
         assert ul_rate_edge(inputs) == pytest.approx(hand3, rel=1e-14, abs=0)
 
@@ -346,7 +354,7 @@ class TestExactSignal:
         for k, K in orders:
             spec = OrderSpec(k, K, cfg.R)
             rule = ordered_pathloss_rule(spec, cfg.m)
-            # the adaptive mean itself is converged to about 1e-11
+            # the mean is the rule's weighted sum of gains
             assert float(np.dot(*rule)) == pytest.approx(ordered_pathloss_mean(spec, cfg.m), rel=1e-10, abs=0)
             for scale in scales:
                 def integrand(r):
@@ -385,6 +393,12 @@ class TestExactSignal:
         total, residual = dl_strong_scales(inputs)
         want = (exp_e1(1.0 / (total * gain)) - exp_e1(1.0 / (residual * gain))) / math.log(2) / cfg.M_d
         assert rate_report(cfg, power, state, terms=t).rates["DL1"] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_tiny_ratio_of_means_sinr_keeps_its_digits(self):
+        # 1 + 1e-9 rounds away the low digits of the SINR; log1p keeps them
+        role = Role("DL2", Term(1e-9, ("si",)), (), 1.0)
+        got = role_log2_mean(role, {("si",): 1.0}, {})
+        assert got == pytest.approx(math.log1p(1e-9) / math.log(2.0), rel=1e-15, abs=0)
 
     def test_unknown_model_rejected(self, cfg, state, power):
         assert RATE_MODELS == ("ratio-of-means", "exact-signal")

@@ -112,7 +112,10 @@ class TestExpE1:
         # spans both branches and the range where the plain product overflows
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        x = np.concatenate([np.logspace(-3, 6, 400), [599.999, 600.0, 705.0, 709.0, 710.0]])
+        x = np.concatenate([
+            np.logspace(-3, 6, 400), [599.999, 600.0, 705.0, 709.0, 710.0],
+            np.logspace(-6, -3, 100), [1.05e-4, 0.999999, 1.0, 1.000001],
+        ])
         got = exp_e1(x)
         for xi, g in zip(x, got):
             want = float(mp.exp(mp.mpf(xi)) * mp.e1(mp.mpf(xi)))

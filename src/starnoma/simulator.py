@@ -9,8 +9,16 @@ coefficients, so imperfect SIC enters exactly as in the closed forms.  The
 residual self-interference is drawn per trial as a CN(0, beta * P_b^lambda)
 scalar.  simulate_groups() is the one block loop: the clusters here and the
 pairing baseline (comparison.simulate_pair_sums) differ only in its schedule
-of groups, time shares and layout.  Block seeds are spawned from one
-SeedSequence, so a run is reproducible; execution is serial.
+of groups, time shares and layout.
+
+Block seeds are spawned from one SeedSequence, so a block's draws depend on
+the seed, the trial count and the block size alone.  The blocks run on one
+thread per core this process may use (numpy's generators and array
+arithmetic release the interpreter lock), each returning only its moments
+(n, sum r, sum r^2) per point, group and role and of each point's DL and UL
+totals; these are merged in block order, the float additions of a serial
+loop, so the bytes of a run do not depend on the core count.  Each block in
+flight holds about 21 MB at N = 10 and the default 16,384 trials per block.
 
 The loop runs a whole grid of points at once.  A draw depends only on the
 geometry, N, the user counts, the Rician factors, the bearings, the surface
@@ -34,6 +42,8 @@ averaged over their position and fading.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -92,7 +102,6 @@ class SimPlan:
     trials: int = 200_000
     seed: int = 0
     cluster: int = 1
-    freeze_layout: bool = False   # reuse the first drawn layout (channel-only averaging)
     block_size: int = _DEFAULT_BLOCK
 
     def __post_init__(self):
@@ -100,22 +109,38 @@ class SimPlan:
             raise ValueError("trials must be >= 1")
 
 
-def _draw_cn(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _draw_power(rng: np.random.Generator, shape) -> np.ndarray:
+    """|CN(0, 1)|^2 draws, filled in place with the bits of
+    np.abs((x + 1j * y) / np.sqrt(2.0)) ** 2 (as channel.sample_rician)."""
+    z = np.empty(shape, dtype=complex)
+    for part in (z.real, z.imag):
+        part[...] = rng.standard_normal(shape)
+        part *= 1.0 / np.sqrt(2.0)
+    power = np.abs(z)
+    return np.square(power, out=power)
+
+
+def _moments(values: np.ndarray) -> tuple:
+    """(n, sum, sum of squares) of per-trial values."""
+    return values.size, float(np.sum(values)), float(np.sum(values * values))
 
 
 class _Accumulator:
-    """Streaming mean/stderr over per-trial values."""
+    """Streaming mean/stderr, merged from per-block moments."""
 
     def __init__(self):
         self.n = 0
         self.s = 0.0
         self.s2 = 0.0
 
+    def merge(self, moments: tuple):
+        n, s, s2 = moments
+        self.n += n
+        self.s += s
+        self.s2 += s2
+
     def add(self, values: np.ndarray):
-        self.n += values.size
-        self.s += float(np.sum(values))
-        self.s2 += float(np.sum(values * values))
+        self.merge(_moments(values))
 
     @property
     def mean(self) -> float:
@@ -136,6 +161,47 @@ def _blocks(trials: int, seed: int, block_size: int):
         yield min(block_size, trials - b * block_size), np.random.default_rng(block_seed)
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_blocks(run, blocks) -> list:
+    """[run(B, rng) for each block], in block order, on one thread per core.
+
+    The calling thread takes blocks 0, w, 2w, ... of w workers and thread i
+    blocks i, i + w, ...; each writes only its own slots.  An exception in
+    any block stops the others at their next block and is raised here once
+    every thread has ended.
+    """
+    blocks = list(blocks)
+    workers = min(_cores(), len(blocks))
+    results = [None] * len(blocks)
+    errors = []
+
+    def work(first):
+        try:
+            for i in range(first, len(blocks), workers):
+                if errors:
+                    return
+                results[i] = run(*blocks[i])
+        except BaseException as exc:   # re-raised in the calling thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 @dataclass(frozen=True)
 class BlockDraws:
     """What one block of trials shares across its groups and points: the
@@ -152,7 +218,7 @@ class BlockDraws:
     @classmethod
     def draw(cls, cfg, state, links, rng, B):
         g_br = sample_rician(links["b,r"], rng, trials=B)
-        si = np.abs(_draw_cn(rng, B)) ** 2
+        si = _draw_power(rng, B)
         c = {side: state.coefficients(side) for side in ("t", "r")}
         l_br = pathloss(cfg.d_br, cfg.m)
         bounce = l_br * l_br * np.abs(np.sum(np.abs(g_br) ** 2 * c["t"], axis=-1)) ** 2
@@ -165,6 +231,13 @@ def _scalar_rank(key) -> int:
     return 1 if key[0] == "cross" else 0 if key[1].direction == "DL" else 2
 
 
+def _cascade_power(g_out, c, g_in) -> np.ndarray:
+    """|sum_n g_out[n] c[n] g_in[n]|^2 per trial, with one (trials, N) temporary."""
+    t = g_out * c
+    t *= g_in
+    return np.abs(np.sum(t, axis=-1)) ** 2
+
+
 def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
     """One per-trial array for every gain key of a role table.
 
@@ -172,14 +245,14 @@ def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
     arrays.  The ("si",) gain is the block's unit draw, before any point's
     SI scale.  The Rayleigh scalars of the direct and cross keys are drawn
     first, as one block, then one fading vector per user that a cascade
-    reaches, in the order of members.
+    reaches, in the order of members.  A cascade is evaluated as soon as
+    both its vectors are drawn, and a vector is dropped after its last
+    cascade, so few (trials, N) vectors are alive at once.
     """
     keys = table_keys(roles)
+    B = len(block.si)
     scalar = sorted((k for k in keys if k[0] in ("direct", "cross")), key=_scalar_rank)
-    h = np.abs(_draw_cn(rng, (len(block.si), len(scalar)))) ** 2
-    reached = {end for k in keys if k[0] == "cascade" for end in k[2:]}
-    vec = {u: sample_rician(links[u.link], rng, trials=len(block.si)) for u in members if u in reached}
-    vec[BS] = block.g_br
+    h = _draw_power(rng, (B, len(scalar)))
 
     def surface_loss(u):
         return block.l_br if u.kind == "bs" else pathloss(geo[u][2], block.m)
@@ -191,11 +264,18 @@ def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
         else:
             loss = pathloss(np.linalg.norm(geo[key[1]][0] - geo[key[2]][0], axis=-1), block.m)
         gains[key] = loss * h[:, col]
-    for key in keys:
-        if key[0] == "cascade":
+    del h
+    pending = [k for k in keys if k[0] == "cascade"]
+    vec = {BS: block.g_br}
+    for u in members:
+        if any(u in k[2:] for k in pending):
+            vec[u] = sample_rician(links[u.link], rng, trials=B)
+        for key in [k for k in pending if k[2] in vec and k[3] in vec]:
+            pending.remove(key)
             _, side, out, inp = key
-            casc = np.abs(np.sum(vec[out] * block.coeffs[side] * vec[inp], axis=-1)) ** 2
-            gains[key] = surface_loss(out) * surface_loss(inp) * casc
+            gains[key] = surface_loss(out) * surface_loss(inp) * _cascade_power(vec[out], block.coeffs[side], vec[inp])
+        for v in [v for v in vec if v != BS and not any(v in k[2:] for k in pending)]:
+            del vec[v]
     return gains
 
 
@@ -243,36 +323,46 @@ def simulate_groups(points, state, shares, layout, trials, seed, block_size=_DEF
     POINT_FIELDS only; a schedule holds (users, bound) per group: its users
     in sampling order, the same at every point, and its role table bound to
     the point's variables (rates.bind).  shares maps "DL" and "UL" to the
-    time-share divisor of that direction.  layout(rng, B) draws a block's
-    positions and returns a function giving a user's (position, BS distance,
-    surface distance).  Each block draws the layout, its BlockDraws, then
-    each group's gains in schedule order; every point evaluates its SINRs
-    from them.  Returns one ([{role: accumulator} per group], {dl_sum,
-    ul_sum and their stderrs}) per point.
+    time-share divisor of that direction.  layout(rng, B, users) draws a
+    block's positions and returns {user: (position, BS distance, surface
+    distance)} for the given users.  Each block draws the layout, its
+    BlockDraws, then each group's gains in schedule order; every point
+    evaluates its SINRs from them.  The blocks run concurrently (_map_blocks)
+    and their moments merge in block order.  Returns one ([{role:
+    accumulator} per group], {dl_sum, ul_sum and their stderrs}) per point.
     """
     cfg = _shared_draw([c for c, _ in points])
     check_state_size(cfg, state.N)
     links = build_links(cfg)
     first = points[0][1]
+    users = [u for group_users, _ in first for u in group_users]
     si_scales = [si_variance(c) for c, _ in points]
-    acc = [[{role.name: _Accumulator() for role in bound} for _, bound in schedule] for _, schedule in points]
-    acc_sum = [{"DL": _Accumulator(), "UL": _Accumulator()} for _ in points]
-    for B, rng in _blocks(trials, seed, block_size):
-        geo = layout(rng, B)
+
+    def run_block(B, rng):
+        """Moments of one block: ([{role: moments} per group], {direction: moments}) per point."""
+        geo = layout(rng, B, users)
         block = BlockDraws.draw(cfg, state, links, rng, B)
         si = [scale * block.si for scale in si_scales]
-        tot = [{"DL": np.zeros(B), "UL": np.zeros(B)} for _ in points]
-        for g, (users, bound) in enumerate(first):
-            gains = sample_gains(bound, users, {u: geo(u) for u in users}, links, rng, block)
-            for (_, schedule), point_si, point_acc, point_tot in zip(points, si, acc, tot):
+        out = [([{} for _ in first], {"DL": np.zeros(B), "UL": np.zeros(B)}) for _ in points]
+        for g, (group_users, bound) in enumerate(first):
+            gains = sample_gains(bound, group_users, geo, links, rng, block)
+            for (_, schedule), point_si, (moments, tot) in zip(points, si, out):
                 gains[("si",)] = point_si
                 for name, sinr in role_sinrs(schedule[g][1], gains).items():
                     r = np.log2(1.0 + sinr) / shares[name[:2]]
-                    point_acc[g][name].add(r)
-                    point_tot[name[:2]] += r
-        for point_tot, point_sum in zip(tot, acc_sum):
-            for d, total in point_tot.items():
-                point_sum[d].add(total)
+                    moments[g][name] = _moments(r)
+                    tot[name[:2]] += r
+        return [(moments, {d: _moments(total) for d, total in tot.items()}) for moments, tot in out]
+
+    acc = [[{role.name: _Accumulator() for role in bound} for _, bound in schedule] for _, schedule in points]
+    acc_sum = [{"DL": _Accumulator(), "UL": _Accumulator()} for _ in points]
+    for block in _map_blocks(run_block, _blocks(trials, seed, block_size)):
+        for (moments, sums), point_acc, point_sum in zip(block, acc, acc_sum):
+            for group_moments, group_acc in zip(moments, point_acc):
+                for name, m in group_moments.items():
+                    group_acc[name].merge(m)
+            for d, m in sums.items():
+                point_sum[d].merge(m)
     out = []
     for point_acc, point_sum in zip(acc, acc_sum):
         dl, ul = point_sum["DL"], point_sum["UL"]
@@ -295,33 +385,26 @@ def as_points(cfg, setting) -> tuple:
     return list(zip(cfg, setting)), False
 
 
-def _sorted_layout(cfg, freeze_layout):
+def _sorted_layout(cfg):
     """Cluster layout: each user class dropped and sorted by distance to its anchor
-    (BS or surface); with freeze_layout every block reuses the first trial."""
+    (BS or surface).  A class's drop is freed once its users are resolved."""
     sc = np.array([cfg.d_br, 0.0])
     counts = {
         ("center", "DL"): cfg.K_cd, ("center", "UL"): cfg.K_cu, ("edge", "DL"): cfg.K_ed, ("edge", "UL"): cfg.K_eu,
     }
-    frozen = {}
 
-    def drop(rng, B, kind, count):
-        radius, anchor = (cfg.R, np.zeros(2)) if kind == "center" else (cfg.R_r, sc)
-        pts = sample_disk(rng, B * count, radius, center=anchor).reshape(B, count, 2)
-        dist = np.linalg.norm(pts - anchor, axis=-1)
-        return pts, dist, np.argsort(dist, kind="stable", axis=-1)
-
-    def layout(rng, B):
-        drops = frozen or {c: drop(rng, B, c[0], count) for c, count in counts.items()}
-        if freeze_layout:
-            frozen.update((c, tuple(a[:1] for a in arrays)) for c, arrays in drops.items())
-            drops = {c: tuple(np.repeat(a, B, axis=0) for a in arrays) for c, arrays in frozen.items()}
-
-        def geo(u):
-            pts, dist, order = drops[(u.kind, u.direction)]
-            rows, idx = np.arange(B), order[:, u.order - 1]
-            pos, dist = pts[rows, idx], dist[rows, idx]
-            return (pos, dist, np.linalg.norm(pos - sc, axis=-1)) if u.kind == "center" else (pos, None, dist)
-
+    def layout(rng, B, users):
+        rows, geo = np.arange(B), {}
+        for (kind, direction), count in counts.items():
+            radius, anchor = (cfg.R, np.zeros(2)) if kind == "center" else (cfg.R_r, sc)
+            pts = sample_disk(rng, B * count, radius, center=anchor).reshape(B, count, 2)
+            dist = np.linalg.norm(pts - anchor, axis=-1)
+            order = np.argsort(dist, kind="stable", axis=-1)
+            for u in users:
+                if (u.kind, u.direction) == (kind, direction):
+                    idx = order[:, u.order - 1]
+                    pos, d = pts[rows, idx], dist[rows, idx]
+                    geo[u] = (pos, d, np.linalg.norm(pos - sc, axis=-1)) if kind == "center" else (pos, None, d)
         return geo
 
     return layout
@@ -334,7 +417,6 @@ def simulate_clusters(
     trials: int,
     seed: int,
     clusters=None,
-    freeze_layout: bool = False,
     block_size: int = _DEFAULT_BLOCK,
 ):
     """Simulate the requested clusters off one shared network realization per trial.
@@ -364,7 +446,7 @@ def simulate_clusters(
 
     results = simulate_groups(
         [(point, schedule(point, power)) for point, power in points], state, {"DL": cfg.M_d, "UL": cfg.M_u},
-        _sorted_layout(cfg, freeze_layout), trials, seed, block_size,
+        _sorted_layout(cfg), trials, seed, block_size,
     )
     out = []
     for acc, sums in results:
@@ -380,8 +462,7 @@ def simulate(plan: SimPlan) -> RateReport:
     """Monte-Carlo rate report for one cluster of the plan's config."""
     reports, _ = simulate_clusters(
         plan.cfg, plan.power, plan.state, plan.trials, plan.seed,
-        clusters=[plan.cluster], freeze_layout=plan.freeze_layout,
-        block_size=plan.block_size,
+        clusters=[plan.cluster], block_size=plan.block_size,
     )
     return reports[plan.cluster]
 
@@ -467,11 +548,11 @@ def estimate_expectation(
             g = sample_rician(links["b,r"], rng, trials=B)
             vals = np.abs(np.sum(np.abs(g) ** 2 * state.coefficients("t"), axis=-1)) ** 2
         elif key == "log_u1d":
-            gain = _ordered_draw(rng, B, k["k_cd1"], cfg.K_cd, cfg.R, cfg.m) * np.abs(_draw_cn(rng, B)) ** 2
+            gain = _ordered_draw(rng, B, k["k_cd1"], cfg.K_cd, cfg.R, cfg.m) * _draw_power(rng, B)
             total, residual = dl_strong_scales(inputs)
             vals = np.log2(1.0 + total * gain) - np.log2(1.0 + residual * gain)
         elif key == "log_u1u":
-            gain = _ordered_draw(rng, B, k["k_cu1"], cfg.K_cu, cfg.R, cfg.m) * np.abs(_draw_cn(rng, B)) ** 2
+            gain = _ordered_draw(rng, B, k["k_cu1"], cfg.K_cu, cfg.R, cfg.m) * _draw_power(rng, B)
             vals = np.log2(1.0 + ul_strong_scale(inputs) * gain)
         acc.add(np.asarray(vals, dtype=float))
     return acc.mean, acc.stderr

@@ -1,4 +1,5 @@
-"""The runtime path needs numpy and pyyaml only: every CLI command runs with scipy unimportable.
+"""The runtime path needs numpy and pyyaml only: every CLI command runs with scipy unimportable,
+and importing the CLI loads neither concurrent.futures nor logging.
 
 The check runs in a fresh interpreter whose import system refuses every
 scipy module, as if scipy were not installed.
@@ -33,6 +34,9 @@ SCRIPT = textwrap.dedent("""
 
     import starnoma.cli
     assert loaded_scipy() == [], loaded_scipy()
+    # the simulator's block threads use plain threading: these cost set-up time
+    assert "concurrent.futures" not in sys.modules
+    assert "logging" not in sys.modules
 
     assert starnoma.cli.main(["sweep", "--experiment", "cluster-vs-pair", "--trials", "500", "--seed", "1",
                               "--out", f"{out}/sweep.csv"]) == 0

@@ -1,9 +1,14 @@
 import dataclasses
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from starnoma import simulator
 from starnoma.channel import StarRisState, build_links
+from starnoma.comparison import pair_power_policy, simulate_pair_sums
 from starnoma.config import PowerAllocation
 from starnoma.simulator import (
     EXPECTATION_KEYS,
@@ -64,10 +69,6 @@ class TestSimulate:
                     )
             prev = rep
 
-    def test_freeze_layout_reuses_positions(self, cfg, power, state):
-        rep = simulate(_plan(cfg, power, state, trials=6_000, freeze_layout=True))
-        assert all(v >= 0 for v in rep.rates.values())
-
     def test_all_clusters_share_realizations(self, cfg, power, state):
         reports, totals = simulate_clusters(cfg, power, state, trials=10_000, seed=4)
         assert set(reports) == {1, 2, 3}
@@ -118,12 +119,12 @@ class TestSharedDraw:
                 assert report.rates == want_reports[j].rates
                 assert report.stderr == want_reports[j].stderr
 
-    def test_cluster_power_maps_and_frozen_layout(self, cfg, state):
+    def test_cluster_power_maps_and_cluster_subset(self, cfg, state):
         points = _grid(cfg)[:2]
         powers = [dict(zip((1, 2, 3), _grid_powers(_grid(cfg))[:3])), _grid_powers(points)[1]]
-        got = simulate_clusters(points, powers, state, 3_000, 8, clusters=[3, 1], freeze_layout=True)
+        got = simulate_clusters(points, powers, state, 3_000, 8, clusters=[3, 1])
         for point, power, (reports, sums) in zip(points, powers, got):
-            want = simulate_clusters(point, power, state, 3_000, 8, clusters=[3, 1], freeze_layout=True)
+            want = simulate_clusters(point, power, state, 3_000, 8, clusters=[3, 1])
             assert sums == want[1]
             assert {j: r.rates for j, r in reports.items()} == {j: r.rates for j, r in want[0].items()}
 
@@ -137,6 +138,74 @@ class TestSharedDraw:
     def test_points_need_one_power_each(self, cfg, power, state):
         with pytest.raises(ValueError, match="one setting per config"):
             simulate_clusters([cfg, cfg], [power], state, 100, 0)
+
+
+class BlockFailure(RuntimeError):
+    pass
+
+
+class TestBlockPool:
+    # 20,000 trials in blocks of 4,096: five blocks, the last one partial
+    TRIALS, BLOCK = 20_000, 1 << 12
+
+    def _clusters(self, cfg, state):
+        points = _grid(cfg)
+        return simulate_clusters(points, _grid_powers(points), state, self.TRIALS, 3, block_size=self.BLOCK)
+
+    def _pairs(self, cfg, state):
+        points = _grid(cfg)
+        allocations = [pair_power_policy(p, state) for p in points]
+        return simulate_pair_sums(points, allocations, state, self.TRIALS, 6, block_size=self.BLOCK)
+
+    def test_worker_count_changes_no_bit(self, cfg, state, monkeypatch):
+        got = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)   # switch threads as often as possible
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(simulator, "_cores", lambda: workers)
+                got[workers] = self._clusters(cfg, state), self._pairs(cfg, state)
+        finally:
+            sys.setswitchinterval(interval)
+        (clusters, pairs) = got[1]
+        for workers in (2, 3):
+            assert got[workers][1] == pairs
+            for (reports, sums), (want_reports, want_sums) in zip(got[workers][0], clusters):
+                assert sums == want_sums
+                assert {j: (r.rates, r.stderr) for j, r in reports.items()} == {
+                    j: (r.rates, r.stderr) for j, r in want_reports.items()
+                }
+
+    @pytest.mark.parametrize("failing", [TRIALS % BLOCK, BLOCK], ids=["last-block", "every-full-block"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_block_exception_reaches_the_caller(self, cfg, power, state, monkeypatch, failing, workers):
+        sample_gains = simulator.sample_gains
+
+        def fail(roles, members, geo, links, rng, block):
+            if len(block.si) == failing:
+                raise BlockFailure("block failed")
+            return sample_gains(roles, members, geo, links, rng, block)
+
+        monkeypatch.setattr(simulator, "_cores", lambda: workers)
+        monkeypatch.setattr(simulator, "sample_gains", fail)
+        before = threading.active_count()
+        with pytest.raises(BlockFailure):
+            simulate_clusters(cfg, power, state, self.TRIALS, 3, block_size=self.BLOCK)
+        assert threading.active_count() == before
+
+    def test_one_block_working_set(self, cfg, power, state, monkeypatch):
+        # one default-size block of cluster 1 at N = 10: the layout's drops are
+        # freed before the fading draws, and cascades are formed as their
+        # vectors arrive (about 21.8e6 bytes; 37.4e6 with every array held)
+        monkeypatch.setattr(simulator, "_cores", lambda: 1)
+        simulate_clusters(cfg, power, state, 100, 0, clusters=[1])
+        tracemalloc.start()
+        try:
+            simulate_clusters(cfg, power, state, 1 << 14, 0, clusters=[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6
 
 
 class TestExpectationOracle:

@@ -12,7 +12,8 @@ its law: a 64-node Gauss-Legendre rule on the order-statistic density
 (ordered_pathloss_rule), which also averages other functions of an ordered
 user's path loss; a 128-node rule on the pair density, whose
 (2R - d)^(3/2) edge needs the extra nodes; and a C-node rule on the
-outside-point density.  The tests compare each rule with adaptive
+outside-point density, mapped by r = r1 + R(1 - cos t) so that its
+square-root edges do not slow it down.  The tests compare each rule with adaptive
 quadrature of the exact density.  Series forms built from the generalized
 hypergeometric function are provided as cross-checks; they only converge
 for sub-unit disk radii.
@@ -252,9 +253,12 @@ def outside_point_distance_density(r, R: float, r1: float) -> np.ndarray | float
 def outside_point_pathloss_mean(R: float, r1: float, m: float, C: int = 32) -> float:
     """E[(1+d)^-m] to a uniform disk point from an external point, C-node quadrature.
 
-    The Gauss-Legendre rule is applied after the affine map
-    r = r1 + R*(node + 1) from [-1, 1] onto [r1, r1 + 2R], with the matching
-    Jacobian R folded into the weights.
+    The density has square-root edges at both ends of [r1, r1 + 2R], where a
+    rule on r itself converges only like C^-3 (4e-5 relative at C = 32 on
+    the baseline).  So the Gauss-Legendre rule is applied in t on [0, pi]
+    under r = r1 + R*(1 - cos t), whose Jacobian R*sin(t) cancels both
+    edges: the integrand is smooth in t, and 32 nodes agree with adaptive
+    quadrature to about 1e-15 on 30-50 m disks.
     """
     if r1 <= 0:
         raise ValueError(f"clearance r1 must be positive, got {r1}")
@@ -263,6 +267,7 @@ def outside_point_pathloss_mean(R: float, r1: float, m: float, C: int = 32) -> f
     if m == 0:
         return 1.0
     nodes, weights = gauss_legendre(C)
-    r = r1 + R * (nodes + 1.0)
-    vals = (1.0 + r) ** (-m) * outside_point_distance_density(r, R, r1)
-    return float(np.sum(weights * vals) * R)
+    t = 0.5 * np.pi * (nodes + 1.0)
+    r = r1 + R * (1.0 - np.cos(t))
+    vals = (1.0 + r) ** (-m) * outside_point_distance_density(r, R, r1) * np.sin(t)
+    return float(np.sum(weights * vals) * (0.5 * np.pi * R))

@@ -203,15 +203,22 @@ class TestOutsidePointMean:
         assert abs(value - w.mean()) < 3 * se
 
     def test_quadrature_matches_adaptive_and_converges(self):
-        # the arccos density has endpoint derivative singularities, so the
-        # fixed rule converges polynomially; check agreement and convergence
+        # the cosine map cancels the density's square-root edges, so the rule
+        # converges spectrally (1e-5, 5e-11, 1e-15 at 8, 16, 32 nodes); past 32
+        # nodes both sides sit at the oracle's own rounding
         truth = outside_point_pathloss_mean_quad(50.0, 30.0, 2.7)
         errs = [
             abs(outside_point_pathloss_mean(50.0, 30.0, 2.7, C=C) - truth) / truth
-            for C in (8, 32, 128)
+            for C in (8, 16, 32)
         ]
         assert errs[0] > errs[1] > errs[2]
-        assert errs[1] < 1e-4
+        assert errs[2] < 1e-11
+
+    @pytest.mark.parametrize("m", [2.0, 2.7, 3.5])
+    @pytest.mark.parametrize("R", [30.0, 50.0])
+    def test_rule_matches_adaptive_quadrature(self, cfg, R, m):
+        want = outside_point_pathloss_mean_quad(R, cfg.r1, m)
+        assert outside_point_pathloss_mean(R, cfg.r1, m) == pytest.approx(want, rel=1e-11, abs=0)
 
     def test_invalid_clearance(self):
         with pytest.raises(ValueError):

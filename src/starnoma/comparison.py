@@ -209,10 +209,10 @@ def _ranked_layout(cfg: SystemConfig):
     def layout(rng, B, users):
         rows, geo = np.arange(B), {}
         for d, (Kc, Ke) in counts.items():
-            center = sample_disk(rng, B * Kc, cfg.R).reshape(B, Kc, 2)
-            edge = sample_disk(rng, B * Ke, cfg.R_r, center=sc).reshape(B, Ke, 2)
-            pts = np.concatenate([center, edge], axis=1)
-            del center, edge
+            pts = np.concatenate([
+                sample_disk(rng, B * Kc, cfg.R).reshape(B, Kc, 2),
+                sample_disk(rng, B * Ke, cfg.R_r, center=sc).reshape(B, Ke, 2),
+            ], axis=1)
             order = np.argsort(np.linalg.norm(pts, axis=-1), kind="stable", axis=-1)
             for u in users:
                 if u.direction == d:

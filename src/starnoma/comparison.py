@@ -201,22 +201,23 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
 def _ranked_layout(cfg: SystemConfig):
     """Pairing layout: each direction's center and edge users ranked jointly by BS distance.
 
-    A direction's drop is freed once its users are resolved.
+    The drops are freed once the users are resolved.
     """
     sc = np.array([cfg.d_br, 0.0])
     counts = {"DL": (cfg.K_cd, cfg.K_ed), "UL": (cfg.K_cu, cfg.K_eu)}
 
     def layout(rng, B, users):
-        rows, geo = np.arange(B), {}
+        rows, geo, ranked = np.arange(B), {}, {}
         for d, (Kc, Ke) in counts.items():
             pts = np.concatenate([
                 sample_disk(rng, B * Kc, cfg.R).reshape(B, Kc, 2),
                 sample_disk(rng, B * Ke, cfg.R_r, center=sc).reshape(B, Ke, 2),
             ], axis=1)
-            order = np.argsort(np.linalg.norm(pts, axis=-1), kind="stable", axis=-1)
+            ranked[d] = pts, np.argsort(np.linalg.norm(pts, axis=-1), kind="stable", axis=-1)
+        for d, (pts, order) in ranked.items():
             for u in users:
                 if u.direction == d:
-                    rank = u.order if u.kind == "center" else Kc + u.order
+                    rank = u.order if u.kind == "center" else counts[d][0] + u.order
                     pos = pts[rows, order[:, rank - 1]]
                     geo[u] = pos, np.linalg.norm(pos, axis=-1), np.linalg.norm(pos - sc, axis=-1)
         return geo

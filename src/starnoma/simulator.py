@@ -387,19 +387,20 @@ def as_points(cfg, setting) -> tuple:
 
 def _sorted_layout(cfg):
     """Cluster layout: each user class dropped and sorted by distance to its anchor
-    (BS or surface).  A class's drop is freed once its users are resolved."""
+    (BS or surface).  The drops are freed once the users are resolved."""
     sc = np.array([cfg.d_br, 0.0])
     counts = {
         ("center", "DL"): cfg.K_cd, ("center", "UL"): cfg.K_cu, ("edge", "DL"): cfg.K_ed, ("edge", "UL"): cfg.K_eu,
     }
 
     def layout(rng, B, users):
-        rows, geo = np.arange(B), {}
+        rows, geo, drops = np.arange(B), {}, {}
         for (kind, direction), count in counts.items():
             radius, anchor = (cfg.R, np.zeros(2)) if kind == "center" else (cfg.R_r, sc)
             pts = sample_disk(rng, B * count, radius, center=anchor).reshape(B, count, 2)
             dist = np.linalg.norm(pts - anchor, axis=-1)
-            order = np.argsort(dist, kind="stable", axis=-1)
+            drops[kind, direction] = pts, dist, np.argsort(dist, kind="stable", axis=-1)
+        for (kind, direction), (pts, dist, order) in drops.items():
             for u in users:
                 if (u.kind, u.direction) == (kind, direction):
                     idx = order[:, u.order - 1]

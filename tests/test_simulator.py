@@ -167,7 +167,7 @@ class TestBlockPool:
                 got[workers] = self._clusters(cfg, state), self._pairs(cfg, state)
         finally:
             sys.setswitchinterval(interval)
-        (clusters, pairs) = got[1]
+        clusters, pairs = got[1]
         for workers in (2, 3):
             assert got[workers][1] == pairs
             for (reports, sums), (want_reports, want_sums) in zip(got[workers][0], clusters):

@@ -23,11 +23,7 @@ from .channel import (
     RicianLink,
     StarRisState,
     build_links,
-    cascade,
-    cascaded_power_mean,
     sample_rician,
-    self_reflection_power_mean,
-    steering_vector,
 )
 from .clustering import ClusterPlan, cluster_users, pair_users
 from .rates import (

@@ -24,13 +24,14 @@ import numpy as np
 __all__ = [
     "StarRisState",
     "RicianLink",
-    "steering_vector",
+    "element_grid",
     "array_response",
     "build_links",
     "sample_rician",
-    "cascade",
     "cascaded_power_mean",
+    "cascaded_power_mean_grad",
     "self_reflection_power_mean",
+    "self_reflection_power_mean_grad",
     "ARRIVAL_LINKS",
 ]
 
@@ -102,13 +103,11 @@ class StarRisState:
         )
 
 
-def array_response(N: int, azimuth: float, elevation: float, spacing: float, wavelength: float) -> np.ndarray:
-    """Planar-array response for an N-element surface laid out on a grid.
+def element_grid(N: int) -> tuple:
+    """(column, row) of each of N surface elements on a grid of s = ceil(sqrt(N)) columns.
 
-    Element n sits at column c_n = (n-1) mod s and row f_n = floor((n-1)/s)
-    with s = ceil(sqrt(N)); a perfect square N gives the usual s x s grid and
-    any other N truncates the last row.  Entry n is
-    exp(j*2*pi*(spacing/wavelength)*(c_n*sin(az)*sin(el) + f_n*cos(el))).
+    Element n sits at column n mod s and row floor(n/s): a perfect square N
+    fills the usual s x s grid, and any other N leaves the last row short.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -116,23 +115,21 @@ def array_response(N: int, azimuth: float, elevation: float, spacing: float, wav
     if s * s != N:
         s = s + 1
     n = np.arange(N)
-    cols = n % s
-    rows = n // s
+    return n % s, n // s
+
+
+def array_response(N: int, azimuth: float, elevation: float, spacing: float, wavelength: float) -> np.ndarray:
+    """Planar-array response of an N-element surface laid out on element_grid(N).
+
+    Entry n is exp(j*2*pi*(spacing/wavelength)*(c_n*sin(az)*sin(el) + f_n*cos(el)))
+    for element n at column c_n and row f_n.
+    """
+    cols, rows = element_grid(N)
     phase = (
         2.0 * np.pi * (spacing / wavelength)
         * (cols * np.sin(azimuth) * np.sin(elevation) + rows * np.cos(elevation))
     )
     return np.exp(1j * phase)
-
-
-def steering_vector(N: int, azimuth: float, elevation: float, spacing: float, wavelength: float) -> np.ndarray:
-    """Square planar-array steering vector; N must be a perfect square."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
-    s = math.isqrt(N)
-    if s * s != N:
-        raise ValueError(f"N={N} is not a perfect square")
-    return array_response(N, azimuth, elevation, spacing, wavelength)
 
 
 @dataclass(frozen=True)
@@ -191,21 +188,14 @@ def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int | None
     return out
 
 
-def cascade(g_out: np.ndarray, state: StarRisState, side: str, g_in: np.ndarray) -> complex | np.ndarray:
-    """Cascaded scalar channel sum_n g_out[n] * rho_n e^{j phi_n} * g_in[n].
+def cascaded_power_mean(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> float:
+    """Mean cascaded power E|g_out diag(c) g_in|^2 through one surface face with
+    element coefficients c, for two independent Rician links.
 
-    Inputs may be batched with shape (..., N); the element axis is reduced.
+    Splitting each Rician vector into LoS and scatter parts and dropping the
+    zero-mean cross terms leaves one deterministic LoS term and three scatter
+    terms, each proportional to sum_n |c_n|^2.
     """
-    g_out = np.asarray(g_out)
-    g_in = np.asarray(g_in)
-    if g_out.shape[-1] != state.N or g_in.shape[-1] != state.N:
-        raise ValueError("vector length mismatch against state N")
-    out = np.sum(g_out * state.coefficients(side) * g_in, axis=-1)
-    return complex(out) if out.ndim == 0 else out
-
-
-def _cascaded_power_mean_coeffs(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> float:
-    """E|g_out diag(c) g_in|^2 for independent Rician vectors and coefficients c."""
     los_gain = np.abs(np.sum(link_out.los * c * link_in.los)) ** 2
     p = float(np.sum(np.abs(c) ** 2))
     wo, wi = link_out.los_weight, link_in.los_weight
@@ -213,8 +203,8 @@ def _cascaded_power_mean_coeffs(c: np.ndarray, link_out: RicianLink, link_in: Ri
     return wo * wi * los_gain + (wo * si + wi * so + so * si) * p
 
 
-def _cascaded_power_mean_grad(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> np.ndarray:
-    """Wirtinger gradient d/d conj(c) of _cascaded_power_mean_coeffs.
+def cascaded_power_mean_grad(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> np.ndarray:
+    """Wirtinger gradient d/d conj(c) of cascaded_power_mean.
 
     With a = los_out * los_in the term is wo*wi*|a^T c|^2 + (...)*|c|^2, a
     real quadratic form in c.
@@ -225,18 +215,14 @@ def _cascaded_power_mean_grad(c: np.ndarray, link_out: RicianLink, link_in: Rici
     return wo * wi * np.sum(a * c) * np.conj(a) + (wo * si + wi * so + so * si) * c
 
 
-def cascaded_power_mean(link_out: RicianLink, state: StarRisState, side: str, link_in: RicianLink) -> float:
-    """Mean cascaded power through one surface face, for two independent links.
+def self_reflection_power_mean(c: np.ndarray, link: RicianLink) -> float:
+    """Mean power E|g^H diag(c) g|^2 of the surface bounce of a node's own signal,
+    the same Rician vector g hitting both sides.
 
-    Splitting each Rician vector into LoS and scatter parts and dropping the
-    zero-mean cross terms leaves one deterministic LoS term and three scatter
-    terms, each proportional to sum_n rho_n^2.
+    Unlike the two-link cascade, the identical vector on both sides correlates
+    the scatter contributions, which brings in the element coherence term
+    |sum_n c_n|^2.
     """
-    return _cascaded_power_mean_coeffs(state.coefficients(side), link_out, link_in)
-
-
-def _self_reflection_power_mean_coeffs(c: np.ndarray, link: RicianLink) -> float:
-    """E|g^H diag(c) g|^2 when the same Rician vector hits both sides."""
     zeta = np.sum(np.conj(link.los) * c * link.los)
     xi8 = np.abs(zeta) ** 2
     p = float(np.sum(np.abs(c) ** 2))
@@ -253,8 +239,8 @@ def _self_reflection_power_mean_coeffs(c: np.ndarray, link: RicianLink) -> float
     )
 
 
-def _self_reflection_power_mean_grad(c: np.ndarray, link: RicianLink) -> np.ndarray:
-    """Wirtinger gradient d/d conj(c) of _self_reflection_power_mean_coeffs.
+def self_reflection_power_mean_grad(c: np.ndarray, link: RicianLink) -> np.ndarray:
+    """Wirtinger gradient d/d conj(c) of self_reflection_power_mean.
 
     With b = conj(los) * los, zeta = b^T c and sigma = 1^T c the term is
     u^2 |zeta|^2 + 2uv |c|^2 + v^2 (|c|^2 + |sigma|^2) + 2uv Re(zeta conj(sigma)).
@@ -263,13 +249,3 @@ def _self_reflection_power_mean_grad(c: np.ndarray, link: RicianLink) -> np.ndar
     zeta, sum_c = np.sum(b * c), np.sum(c)
     u, v = link.los_weight, link.scatter_weight
     return u * u * zeta * np.conj(b) + 2.0 * u * v * c + v * v * (c + sum_c) + u * v * (zeta + sum_c * np.conj(b))
-
-
-def self_reflection_power_mean(link: RicianLink, state: StarRisState, side: str) -> float:
-    """Mean power of the surface bounce of a node's own signal, E|g^H diag(c) g|^2.
-
-    Unlike the two-link cascade, the identical vector on both sides correlates
-    the scatter contributions, which brings in the element coherence term
-    |sum_n rho_n e^{j phi_n}|^2.
-    """
-    return _self_reflection_power_mean_coeffs(state.coefficients(side), link)

@@ -20,7 +20,7 @@ import argparse
 import csv
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; importing it here keeps that cost out of the first command
@@ -152,7 +152,7 @@ def experiment_si_ablation(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
 
 
 def experiment_rates_vs_N(cfg, seed, trials, grid=DEFAULT_N_GRID):
-    configs = [replace(cfg.with_snr(N_SWEEP_SNR_DB), N=int(n)) for n in grid]
+    configs = [replace(cfg.with_snr(N_SWEEP_SNR_DB), N=n) for n in grid]
     return _point_rows([("N", c.N, c, aligned_state(c), "") for c in configs], seed, trials)
 
 
@@ -184,8 +184,13 @@ def experiment_cluster_vs_pair(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
 
 
 def experiment_custom(cfg, seed, trials, param, values):
+    """Rows at every value of one scalar numeric config field; a count field
+    (config.COUNT_FIELDS) takes integral values only, which the config checks."""
+    numeric = [f.name for f in fields(cfg) if isinstance(getattr(cfg, f.name), (int, float))]
+    if param not in numeric:
+        raise ValueError(f"--param {param!r} is not a scalar numeric config field; choose one of {numeric}")
     state = _pick_state(cfg, "random", seed)
-    points = [(param, v, replace(cfg, **{param: type(getattr(cfg, param))(v)}), state, "") for v in values]
+    points = [(param, v, replace(cfg, **{param: float(v)}), state, "") for v in values]
     return _point_rows(points, seed, trials)
 
 

@@ -26,24 +26,16 @@ import numpy as np
 
 from .channel import StarRisState
 from .config import PowerAllocation, SystemConfig
-from .geometry import (
-    OrderSpec,
-    ordered_pathloss_mean,
-    ordered_pathloss_rule,
-    outside_point_pathloss_mean,
-    pair_pathloss_mean,
-    sample_disk,
-)
+from .geometry import sample_disk
 from .rates import (
     Member,
-    Positions,
     bind,
     build_rate_inputs,
     key_means,
     mean_signal_and_denominator,
     noma_roles,
-    pathloss,
     position_parts,
+    positions,
     rate_report,
     role_log2_mean,
     solve_sinr,
@@ -149,33 +141,13 @@ def _group_vectors(cfg: SystemConfig, allocations, groups) -> list:
 
 
 def _pair_tables(cfg: SystemConfig, groups, state: StarRisState):
-    """Role table and key means of every group, plus the exact-signal rules.
-
-    Each center strong member's direct link carries its path-loss rule, so
-    it is rated like a cluster's strong users.
-    """
-    bs, edge, rules = {}, {}, {}
-    for dl, ul in groups:
-        for users in (dl, ul):
-            for i, u in enumerate(users):
-                dl_side = u.direction == "DL"
-                if u.kind == "center":
-                    spec = OrderSpec(u.order, cfg.K_cd if dl_side else cfg.K_cu, cfg.R)
-                    bs[u] = ordered_pathloss_mean(spec, cfg.m)
-                    if i == 0 and len(users) == 2:   # a pair's strong user, not the lone slot
-                        rules[("direct", u)] = ordered_pathloss_rule(spec, cfg.m)
-                else:
-                    spec = OrderSpec(u.order, cfg.K_ed if dl_side else cfg.K_eu, cfg.R_r)
-                    edge[u] = ordered_pathloss_mean(spec, cfg.m)
-    pos = Positions(
-        bs=bs, edge=edge, rules=rules,
-        y1=pair_pathloss_mean(cfg.R, cfg.m),
-        q_center=outside_point_pathloss_mean(cfg.R, cfg.r1, cfg.m),
-        l_br=float(pathloss(cfg.d_br, cfg.m)),
-    )
+    """Role table and key means of every group, plus the exact-signal rules
+    (rates.positions: each pair's center strong member is rated like a
+    cluster's strong users)."""
+    pos = positions(cfg, groups)
     surf = surface_terms(cfg, state)
     tables = [noma_roles(cfg, dl, ul) for dl, ul in groups]
-    return [(roles, key_means(position_parts(table_keys(roles), pos, cfg), surf)) for roles in tables], rules
+    return [(roles, key_means(position_parts(table_keys(roles), pos, cfg), surf)) for roles in tables], pos.rules
 
 
 def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):

@@ -22,6 +22,7 @@ __all__ = [
     "SystemConfig",
     "PowerAllocation",
     "LINK_LABELS",
+    "COUNT_FIELDS",
     "load_config",
     "dump_config",
     "baseline_config",
@@ -30,6 +31,9 @@ __all__ = [
 
 # Channel labels: base station <-> surface, then surface <-> each cluster role.
 LINK_LABELS = ("b,r", "r,u1d", "r,u2d", "r,u3d", "r,u1u", "r,u2u", "r,u3u")
+
+# The integer fields: element, user and cluster counts.
+COUNT_FIELDS = ("N", "K_cd", "K_cu", "K_ed", "K_eu", "K_d1", "K_d2", "K_u1", "K_u2", "M_d", "M_u")
 
 # Default line-of-sight bearings (azimuth, elevation) seen from the surface.
 # The BS lies in the -x direction (azimuth pi); center users scatter around
@@ -130,6 +134,11 @@ class SystemConfig:
     allocation: PowerAllocation | None = None
 
     def __post_init__(self):
+        for name in COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "weights_dl", tuple(float(w) for w in self.weights_dl))
         object.__setattr__(self, "weights_ul", tuple(float(w) for w in self.weights_ul))
         object.__setattr__(self, "kappa_map", dict(self.kappa_map))
@@ -158,7 +167,7 @@ class SystemConfig:
             raise ConfigError(f"N must be at least 1, got {self.N}")
         if self.carrier_wavelength <= 0 or self.element_spacing <= 0:
             raise ConfigError("carrier_wavelength and element_spacing must be positive")
-        for name in ("K_cd", "K_cu", "K_ed", "K_eu", "K_d1", "K_d2", "K_u1", "K_u2", "M_d", "M_u"):
+        for name in COUNT_FIELDS[1:]:   # the user and cluster counts; N is checked above
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if self.K_d1 + self.K_d2 != self.K_cd:

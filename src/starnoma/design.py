@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StarRisState, build_links
+from .channel import StarRisState, build_links, element_grid
 from .config import PowerAllocation, SystemConfig
 from .rates import (
     DEFAULT_MODEL,
@@ -35,7 +35,6 @@ from .rates import (
     bind,
     build_rate_inputs,
     cluster_table,
-    expectation_terms,
     fading_log2_mean,
     key_means,
     model_rules,
@@ -128,10 +127,8 @@ class _Objective:
 
     def __init__(self, cfg, power, weights=None, cluster=1, model=DEFAULT_MODEL):
         self.cfg = cfg
-        self.power = power
         self.links = build_links(cfg)
-        self.terms = expectation_terms(cfg, cluster)
-        self.table = cluster_table(cfg, power, self.terms)
+        self.table = cluster_table(cfg, power, cluster)
         self.weights = weights
         self.model = model
         # d(objective)/d(role log2-mean): the role's weight over its rate's prelog M
@@ -144,8 +141,7 @@ class _Objective:
     def value(self, theta_t, theta_r, rho_t, rho_r) -> float:
         # the surface terms come straight from the (possibly infeasible) trial point
         surface = surface_terms(self.cfg, (rho_t * theta_t, rho_r * theta_r), self.links)
-        inputs = RateInputs(self.cfg, self.power, self.terms, surface, self.table)
-        return weighted_sum_rate(inputs, self.weights, self.model)
+        return weighted_sum_rate(RateInputs(self.cfg, self.table, surface), self.weights, self.model)
 
     def gradient(self, theta_t, theta_r, rho_t, rho_r):
         """(g_theta_t, g_theta_r, g_rho_t, g_rho_r) of value at the same point.
@@ -282,18 +278,15 @@ def _ascend(obj: _Objective, start: StarRisState, st: PgamSettings):
 def suboptimal_phases(cfg: SystemConfig):
     """Phases that cohere the BS-surface-edge-user paths, per surface face.
 
-    For a square array the per-element phase -2*pi*(spacing/wavelength) *
+    For element n at column c_n and row f_n of the surface grid
+    (channel.element_grid, any N), the phase -2*pi*(spacing/wavelength) *
     (c_n*nu + f_n*ell) cancels the geometric phase of the cascade toward the
     targeted edge user: the transmission face targets the UL edge user, the
     reflection face the DL edge user.  nu and ell are the azimuth/elevation
     direction differences between the BS-surface link and the surface-user
     link.
     """
-    s = math.isqrt(cfg.N)
-    if s * s != cfg.N:
-        raise ValueError(f"N={cfg.N} is not a perfect square")
-    n = np.arange(cfg.N)
-    cols, rows = n % s, n // s
+    cols, rows = element_grid(cfg.N)
     ratio = cfg.element_spacing / cfg.carrier_wavelength
     az_b, el_b = cfg.angle_map["b,r"]
     out = {}

@@ -14,10 +14,8 @@ user's path loss; a 128-node rule on the pair density, whose
 (2R - d)^(3/2) edge needs the extra nodes; and a C-node rule on the
 outside-point density, mapped by r = r1 + R(1 - cos t) so that its
 square-root edges do not slow it down.  The tests compare each rule with adaptive
-quadrature of the exact density.  Series forms built from the generalized
-hypergeometric function are provided as cross-checks; they only converge
-for sub-unit disk radii.
-The (1+d) offset keeps the path loss finite at zero distance and is applied
+quadrature of the exact density, and with hypergeometric series forms where
+those converge (sub-unit disk radii).  The (1+d) offset keeps the path loss finite at zero distance and is applied
 uniformly across analysis and simulation.
 
 The position terms depend on the geometry alone, so ordered_pathloss_mean,
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gauss_legendre, gamma, hyp_pfq
+from .specfun import gauss_legendre
 
 __all__ = [
     "OrderSpec",
@@ -44,10 +42,8 @@ __all__ = [
     "sample_disk",
     "ordered_pathloss_density",
     "ordered_pathloss_mean",
-    "ordered_pathloss_mean_series",
     "ordered_pathloss_rule",
     "pair_pathloss_mean",
-    "pair_pathloss_mean_series",
     "pair_distance_density",
     "outside_point_pathloss_mean",
     "outside_point_distance_density",
@@ -170,24 +166,6 @@ def ordered_pathloss_rule(spec: OrderSpec, m: float):
     return rule
 
 
-def ordered_pathloss_mean_series(spec: OrderSpec, m: float) -> float:
-    """Series form of the same expectation; converges only for radius < 1.
-
-    Derived by substituting t = (r/R)^2 and expanding (1 + R sqrt(t))^-m
-    binomially, which turns the even/odd powers into two 3F2-type sums:
-
-        F1 - m*R * [K! G(k+1/2) / ((k-1)! G(K+3/2))] * F2
-
-    with F1 = H({k,(1+m)/2,m/2}, {1/2,1+K}, R^2) and
-    F2 = H({k+1/2,(1+m)/2,(2+m)/2}, {3/2,3/2+K}, R^2).
-    """
-    k, K, R = spec.k, spec.K, spec.radius
-    f1 = hyp_pfq((k, (1 + m) / 2, m / 2), (0.5, 1 + K), R * R)
-    coeff = math.factorial(K) * gamma(k + 0.5) / (math.factorial(k - 1) * gamma(K + 1.5))
-    f2 = hyp_pfq((k + 0.5, (1 + m) / 2, (2 + m) / 2), (1.5, 1.5 + K), R * R)
-    return f1 - m * R * coeff * f2
-
-
 # -- two uniform points in one disk ----------------------------------------
 
 
@@ -215,22 +193,6 @@ def pair_pathloss_mean(R: float, m: float) -> float:
     nodes, weights = _PAIR_NODES
     d = R * (nodes + 1.0)
     return float((R * weights * pair_distance_density(d, R)) @ (1.0 + d) ** (-m))
-
-
-def pair_pathloss_mean_series(R: float, m: float) -> float:
-    """Hypergeometric form of the pair expectation; converges for 2R < 1.
-
-    Singular at m = 1 and m = 2 through the (m-1)(m-2) prefactor; the
-    rule has no such restriction.
-    """
-    x = 4.0 * R * R
-    poly = (2.0 - 3.0 * m + m * m) * R * R
-    t1 = 2.0 / poly
-    t2 = 2.0 * hyp_pfq((0.5, m / 2 - 1.0, m / 2 - 0.5), (-0.5, 1.0), x) / poly
-    t3 = hyp_pfq((1.5, 0.5 + m / 2, m / 2), (0.5, 3.0), x)
-    t4 = 64.0 * m * R * hyp_pfq((2.0, 0.5 + m / 2, 1.0 + m / 2), (1.5, 3.5), x) / (15.0 * np.pi)
-    t5 = 64.0 * m * R * hyp_pfq((2.0, 0.5 + m / 2, 1.0 + m / 2), (2.5, 2.5), x) / (9.0 * np.pi)
-    return t1 - t2 - t3 + t4 - t5
 
 
 # -- fixed point outside the disk -------------------------------------------

@@ -28,15 +28,17 @@ Two models evaluate a rate (1/M) E log2(1 + SINR), selected by name:
   loss, so the log of the ratio of means overestimates it by up to 2.5x at
   30-40 dB.
 
-Expectation terms split into two groups:
+A key's mean is a position factor times, for the keys through the surface,
+a surface term:
 
-* position terms (x / y / chi families, and the strong users' path-loss
-  rules) depend only on the config and the cluster index, via disk order
-  statistics and the two-point distance laws;
+* position terms depend only on the config and on which users a group
+  holds: positions() gives each user's ordered path-loss mean to its anchor
+  (BS or surface), the path-loss rule of each group's center strong member,
+  and the shared pair and outside-point laws;
 * surface terms (omega / y3 families) depend on the surface state through the
   element coefficients rho * exp(j*phi).
 
-Both groups are computed once and cached in RateInputs, since the optimizer
+A ClusterTable settles the position factors once, since the optimizer
 re-evaluates the rates many times while only the surface terms move.
 
 Role indices inside cluster j: the DL cluster pairs the j-th nearest users of
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +58,10 @@ import numpy as np
 from .channel import (
     StarRisState,
     build_links,
-    _cascaded_power_mean_coeffs,
-    _cascaded_power_mean_grad,
-    _self_reflection_power_mean_coeffs,
-    _self_reflection_power_mean_grad,
+    cascaded_power_mean,
+    cascaded_power_mean_grad,
+    self_reflection_power_mean,
+    self_reflection_power_mean_grad,
 )
 from .config import PowerAllocation, SystemConfig
 from .geometry import (
@@ -72,7 +74,7 @@ from .geometry import (
 from .specfun import exp_e1
 
 __all__ = [
-    "ExpectationTerms",
+    "Positions",
     "SurfaceTerms",
     "RateInputs",
     "RateReport",
@@ -82,7 +84,10 @@ __all__ = [
     "cluster_orders",
     "cluster_roles",
     "noma_roles",
+    "order_spec",
+    "positions",
     "expectation_terms",
+    "cluster_table",
     "surface_terms",
     "surface_gradients",
     "build_rate_inputs",
@@ -102,8 +107,7 @@ __all__ = [
     "fading_log2_mean",
     "fading_log2_mean_dlog",
     "sic_log2_mean",
-    "dl_strong_scales",
-    "ul_strong_scale",
+    "unit_gain_scales",
     "RATE_MODELS",
     "DEFAULT_MODEL",
     "model_rules",
@@ -288,44 +292,6 @@ def power_vector(power: PowerAllocation) -> tuple:
 
 
 @dataclass(frozen=True)
-class ExpectationTerms:
-    """Position-only expectation terms of one cluster (state independent)."""
-
-    x1_u1d: float    # BS path loss of the DL strong user (order k_cd1 of K_cd)
-    x1_u2d: float    # BS path loss of the DL mid user (order k_cd2 of K_cd)
-    x1_u3d: float    # surface path loss of the DL edge user (order k_ed3 of K_ed)
-    x1_u3u: float    # surface path loss of the UL edge user (order k_eu3 of K_eu)
-    chi_u1u: float   # BS path loss of the UL strong user (order k_cu1 of K_cu)
-    chi_u2u: float   # BS path loss of the UL mid user (order k_cu2 of K_cu)
-    y1: float        # center-user pair distance law
-    q_center: float  # surface-to-center-user outside-point law
-    l_br: float      # BS-to-surface path loss (deterministic)
-    # (gains, weights) quadrature rules over the path loss of the strong users
-    # (geometry.ordered_pathloss_rule), for the exact-signal model
-    rule_u1d: tuple = field(compare=False, repr=False)
-    rule_u1u: tuple = field(compare=False, repr=False)
-    cluster: int
-
-    def __post_init__(self):
-        for name in ("x1_u1d", "x1_u2d", "x1_u3d", "x1_u3u", "chi_u1u", "chi_u2u", "y1", "q_center", "l_br"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"expectation term {name} must be nonnegative")
-
-    # products of two position terms, as the paper's closed forms name them
-    @property
-    def y2_u1d(self) -> float:
-        return self.x1_u3u * self.q_center
-
-    @property
-    def y1_u3d(self) -> float:
-        return self.x1_u3d * self.q_center
-
-    @property
-    def y2_u3d(self) -> float:
-        return self.x1_u3d * self.x1_u3u
-
-
-@dataclass(frozen=True)
 class SurfaceTerms:
     """State-dependent mean cascaded powers (omega family) and the self bounce."""
 
@@ -347,8 +313,7 @@ class SurfaceTerms:
 class Positions(NamedTuple):
     """Mean path losses of a role table's users: the position half of each key's mean."""
 
-    bs: dict          # center user -> mean path loss to the BS
-    edge: dict        # edge user -> mean path loss to the surface
+    loss: dict        # user -> mean path loss to its anchor: the BS (center) or the surface (edge)
     rules: dict       # signal key averaged exactly (exact-signal) -> its path-loss rule
     y1: float         # center-user pair distance law
     q_center: float   # surface-to-center-user outside-point law
@@ -357,7 +322,40 @@ class Positions(NamedTuple):
     def at_surface(self, m: Member) -> float:
         if m.kind == "bs":
             return self.l_br
-        return self.q_center if m.kind == "center" else self.edge[m]
+        return self.q_center if m.kind == "center" else self.loss[m]
+
+
+# the config field counting each user class: (kind, direction) -> population
+_POPULATION = {("center", "DL"): "K_cd", ("center", "UL"): "K_cu", ("edge", "DL"): "K_ed", ("edge", "UL"): "K_eu"}
+
+
+def order_spec(cfg: SystemConfig, u: Member) -> OrderSpec:
+    """The order statistic of a user's distance to its anchor: the BS for a
+    center user, in the disk of radius R; the surface for an edge user, in R_r."""
+    return OrderSpec(u.order, getattr(cfg, _POPULATION[u.kind, u.direction]), cfg.R if u.kind == "center" else cfg.R_r)
+
+
+def positions(cfg: SystemConfig, groups) -> Positions:
+    """The Positions of the users of NOMA groups (dl users, ul users), listed strong first.
+
+    Every user gets the mean of its ordered path loss.  The center strong
+    member of a group with a partner (a cluster's DL1 and UL1, a pair's
+    strong member, not the lone median slot) also gets its path-loss rule:
+    its signal is the one the exact-signal model averages exactly.
+    """
+    loss, rules = {}, {}
+    for users in (users for group in groups for users in group):
+        for i, u in enumerate(users):
+            spec = order_spec(cfg, u)
+            loss[u] = ordered_pathloss_mean(spec, cfg.m)
+            if u.kind == "center" and i == 0 and len(users) > 1:
+                rules[("direct", u)] = ordered_pathloss_rule(spec, cfg.m)
+    return Positions(
+        loss, rules,
+        y1=pair_pathloss_mean(cfg.R, cfg.m),
+        q_center=outside_point_pathloss_mean(cfg.R, cfg.r1, cfg.m),
+        l_br=float(pathloss(cfg.d_br, cfg.m)),
+    )
 
 
 def position_parts(keys, pos: Positions, cfg: SystemConfig) -> dict:
@@ -365,7 +363,7 @@ def position_parts(keys, pos: Positions, cfg: SystemConfig) -> dict:
     parts = {}
     for key in keys:
         if key[0] == "direct":
-            parts[key] = (pos.bs[key[1]], None)
+            parts[key] = (pos.loss[key[1]], None)
         elif key[0] == "cross":
             parts[key] = (pos.y1, None)
         elif key[0] == "cascade":
@@ -390,41 +388,21 @@ class ClusterTable(NamedTuple):
     bound: tuple    # the same roles at the allocation's variables
     parts: dict     # key -> position_parts entry
     rules: dict     # signal key -> path-loss rule, for the exact-signal model
+    cluster: int
 
 
-def cluster_table(cfg: SystemConfig, power: PowerAllocation, t: ExpectationTerms) -> ClusterTable:
-    """The cluster's table, its position terms keyed by its users."""
-    u1d, u2d, u3d, u1u, u2u, u3u = members = cluster_members(cfg, t.cluster)
-    pos = Positions(
-        bs={u1d: t.x1_u1d, u2d: t.x1_u2d, u1u: t.chi_u1u, u2u: t.chi_u2u},
-        edge={u3d: t.x1_u3d, u3u: t.x1_u3u},
-        rules={("direct", u1d): t.rule_u1d, ("direct", u1u): t.rule_u1u},
-        y1=t.y1, q_center=t.q_center, l_br=t.l_br,
-    )
-    roles = noma_roles(cfg, members[:3], members[3:])
+def expectation_terms(cfg: SystemConfig, cluster: int = 1) -> Positions:
+    """The position terms of cluster j: the Positions of its users."""
+    members = cluster_members(cfg, cluster)
+    return positions(cfg, [(members[:3], members[3:])])
+
+
+def cluster_table(cfg: SystemConfig, power: PowerAllocation, cluster: int = 1) -> ClusterTable:
+    """Cluster j's role table, bound to the allocation, its position terms keyed by its users."""
+    pos = expectation_terms(cfg, cluster)
+    roles = cluster_roles(cfg, cluster)
     bound = tuple(bind(r, power_vector(power)) for r in roles)
-    return ClusterTable(roles, bound, position_parts(table_keys(roles), pos, cfg), pos.rules)
-
-
-def expectation_terms(cfg: SystemConfig, cluster: int = 1) -> ExpectationTerms:
-    """The position terms of cluster j, each the weighted sum of a fixed rule over its law."""
-    k = cluster_orders(cfg, cluster)
-    u1d = OrderSpec(k["k_cd1"], cfg.K_cd, cfg.R)
-    u1u = OrderSpec(k["k_cu1"], cfg.K_cu, cfg.R)
-    return ExpectationTerms(
-        x1_u1d=ordered_pathloss_mean(u1d, cfg.m),
-        x1_u2d=ordered_pathloss_mean(OrderSpec(k["k_cd2"], cfg.K_cd, cfg.R), cfg.m),
-        x1_u3d=ordered_pathloss_mean(OrderSpec(k["k_ed3"], cfg.K_ed, cfg.R_r), cfg.m),
-        x1_u3u=ordered_pathloss_mean(OrderSpec(k["k_eu3"], cfg.K_eu, cfg.R_r), cfg.m),
-        chi_u1u=ordered_pathloss_mean(u1u, cfg.m),
-        chi_u2u=ordered_pathloss_mean(OrderSpec(k["k_cu2"], cfg.K_cu, cfg.R), cfg.m),
-        y1=pair_pathloss_mean(cfg.R, cfg.m),
-        q_center=outside_point_pathloss_mean(cfg.R, cfg.r1, cfg.m),
-        l_br=float(pathloss(cfg.d_br, cfg.m)),
-        rule_u1d=ordered_pathloss_rule(u1d, cfg.m),
-        rule_u1u=ordered_pathloss_rule(u1u, cfg.m),
-        cluster=int(cluster),
-    )
+    return ClusterTable(roles, bound, position_parts(table_keys(roles), pos, cfg), pos.rules, int(cluster))
 
 
 def check_state_size(cfg: SystemConfig, n: int) -> None:
@@ -446,10 +424,10 @@ def surface_terms(cfg: SystemConfig, state, links: dict | None = None) -> Surfac
     links = links or build_links(cfg)
     coeffs = dict(zip(("t", "r"), state))
     values = {
-        name: _cascaded_power_mean_coeffs(coeffs[side], links[out], links[inp])
+        name: cascaded_power_mean(coeffs[side], links[out], links[inp])
         for name, (out, side, inp) in _OMEGA_PATHS.items()
     }
-    values["y3_raw"] = _self_reflection_power_mean_coeffs(coeffs["t"], links["b,r"])
+    values["y3_raw"] = self_reflection_power_mean(coeffs["t"], links["b,r"])
     return SurfaceTerms(**values)
 
 
@@ -458,30 +436,24 @@ def surface_gradients(coeffs, links: dict) -> dict:
     coefficients (c_t, c_r), the same terms surface_terms evaluates."""
     coeffs = dict(zip(("t", "r"), coeffs))
     grads = {
-        name: (side, _cascaded_power_mean_grad(coeffs[side], links[out], links[inp]))
+        name: (side, cascaded_power_mean_grad(coeffs[side], links[out], links[inp]))
         for name, (out, side, inp) in _OMEGA_PATHS.items()
     }
-    grads["y3_raw"] = ("t", _self_reflection_power_mean_grad(coeffs["t"], links["b,r"]))
+    grads["y3_raw"] = ("t", self_reflection_power_mean_grad(coeffs["t"], links["b,r"]))
     return grads
 
 
 @dataclass(frozen=True)
 class RateInputs:
-    """Everything the analytic reader needs for one cluster, with terms precomputed."""
+    """Everything the analytic reader needs for one cluster: its table and its surface terms."""
 
     cfg: SystemConfig
-    power: PowerAllocation
-    terms: ExpectationTerms
+    table: ClusterTable
     surface: SurfaceTerms
-    table: ClusterTable = None   # derived from cfg, power and terms when omitted
-
-    def __post_init__(self):
-        if self.table is None:
-            object.__setattr__(self, "table", cluster_table(self.cfg, self.power, self.terms))
 
     @property
     def cluster(self) -> int:
-        return self.terms.cluster
+        return self.table.cluster
 
     def means(self) -> dict:
         return key_means(self.table.parts, self.surface)
@@ -492,11 +464,9 @@ def build_rate_inputs(
     power: PowerAllocation,
     state: StarRisState,
     cluster: int = 1,
-    terms: ExpectationTerms | None = None,
     links: dict | None = None,
 ) -> RateInputs:
-    terms = terms if terms is not None else expectation_terms(cfg, cluster)
-    return RateInputs(cfg=cfg, power=power, terms=terms, surface=surface_terms(cfg, state, links))
+    return RateInputs(cfg, cluster_table(cfg, power, cluster), surface_terms(cfg, state, links))
 
 
 def fading_log2_mean(rule, scale):
@@ -640,11 +610,6 @@ def role_rates(inputs: RateInputs, model: str = DEFAULT_MODEL) -> dict:
     }
 
 
-def _strong_scales(inputs: RateInputs, name: str) -> tuple:
-    role = next(role for role in inputs.table.bound if role.name == name)
-    return unit_gain_scales(role, inputs.means())
-
-
 def _paper_view(name: str):
     def view(inputs: RateInputs) -> float:
         return role_rates(inputs, "ratio-of-means")[name]
@@ -658,16 +623,6 @@ dl_rate_edge = _paper_view("DL3")     # served through the surface, decodes noth
 ul_rate_strong = _paper_view("UL1")   # decoded first at the BS, all partners at full power
 ul_rate_mid = _paper_view("UL2")      # the strong user's signal cancelled up to the SIC residual
 ul_rate_edge = _paper_view("UL3")     # decoded last, only SIC residuals of the center users remain
-
-
-def dl_strong_scales(inputs: RateInputs) -> tuple:
-    """DL strong user's (total, residual) SINR scales per unit direct-link gain."""
-    return _strong_scales(inputs, "DL1")
-
-
-def ul_strong_scale(inputs: RateInputs) -> float:
-    """UL strong user's SINR per unit direct-link gain, interference at its mean."""
-    return _strong_scales(inputs, "UL1")[0]
 
 
 def role_weights(cfg: SystemConfig, weights: dict | None = None) -> dict:
@@ -725,50 +680,9 @@ def rate_report(
     power: PowerAllocation,
     state: StarRisState,
     cluster: int = 1,
-    terms: ExpectationTerms | None = None,
     links: dict | None = None,
     model: str = DEFAULT_MODEL,
 ) -> RateReport:
     """Analytic per-role rates of one cluster under the named model (see module docstring)."""
-    inputs = build_rate_inputs(cfg, power, state, cluster, terms=terms, links=links)
+    inputs = build_rate_inputs(cfg, power, state, cluster, links=links)
     return RateReport(rates=role_rates(inputs, model), method="analytic", cluster=inputs.cluster)
-
-
-def conditional_terms(cfg: SystemConfig, layout, cluster: int = 1) -> ExpectationTerms:
-    """Position terms of one concrete layout instead of their statistical means.
-
-    Used to cross-check the simulator: averaging these over many layouts must
-    reproduce expectation_terms.  Pair and outside-point factors are taken
-    between the cluster's own members; the strong users' path-loss rules hold
-    their one realized gain.
-    """
-    k = cluster_orders(cfg, cluster)
-    m = cfg.m
-
-    d_dl = np.sort(layout.bs_distances("dl_center"))
-    d_ul = np.sort(layout.bs_distances("ul_center"))
-    e_dl = np.sort(layout.surface_distances("dl_edge"))
-    e_ul = np.sort(layout.surface_distances("ul_edge"))
-
-    order_dl = np.argsort(layout.bs_distances("dl_center"), kind="stable")
-    order_ul = np.argsort(layout.bs_distances("ul_center"), kind="stable")
-    p_u1d = layout.dl_center[order_dl[k["k_cd1"] - 1]]
-    p_u1u = layout.ul_center[order_ul[k["k_cu1"] - 1]]
-    p_u2u = layout.ul_center[order_ul[k["k_cu2"] - 1]]
-    pair_d = 0.5 * (np.linalg.norm(p_u1d - p_u1u) + np.linalg.norm(p_u1d - p_u2u))
-    q_d = np.linalg.norm(p_u1d - layout.surface_center)
-
-    return ExpectationTerms(
-        x1_u1d=float(pathloss(d_dl[k["k_cd1"] - 1], m)),
-        x1_u2d=float(pathloss(d_dl[k["k_cd2"] - 1], m)),
-        x1_u3d=float(pathloss(e_dl[k["k_ed3"] - 1], m)),
-        x1_u3u=float(pathloss(e_ul[k["k_eu3"] - 1], m)),
-        chi_u1u=float(pathloss(d_ul[k["k_cu1"] - 1], m)),
-        chi_u2u=float(pathloss(d_ul[k["k_cu2"] - 1], m)),
-        y1=float(pathloss(pair_d, m)),
-        q_center=float(pathloss(q_d, m)),
-        l_br=float(pathloss(cfg.d_br, m)),
-        rule_u1d=(pathloss(d_dl[k["k_cd1"] - 1:k["k_cd1"]], m), np.ones(1)),
-        rule_u1u=(pathloss(d_ul[k["k_cu1"] - 1:k["k_cu1"]], m), np.ones(1)),
-        cluster=int(cluster),
-    )

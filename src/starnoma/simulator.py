@@ -60,17 +60,16 @@ from .rates import (
     build_rate_inputs,
     check_state_size,
     cluster_members,
-    cluster_orders,
     cluster_roles,
-    dl_strong_scales,
     expectation_terms,
+    order_spec,
     pathloss,
     power_vector,
     role_rates,
     si_variance,
     surface_terms,
     table_keys,
-    ul_strong_scale,
+    unit_gain_scales,
 )
 
 __all__ = [
@@ -331,6 +330,9 @@ def simulate_groups(points, state, shares, layout, trials, seed, block_size=_DEF
     and their moments merge in block order.  Returns one ([{role:
     accumulator} per group], {dl_sum, ul_sum and their stderrs}) per point.
     """
+    for name, value in (("trials", trials), ("block_size", block_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     cfg = _shared_draw([c for c, _ in points])
     check_state_size(cfg, state.N)
     links = build_links(cfg)
@@ -481,17 +483,17 @@ EXPECTATION_KEYS = (
 # power allocation, interference at its mean: M times the exact-signal rate
 LOG_MEAN_KEYS = ("log_u1d", "log_u1u")
 
-_ORDER_KEY = {
-    "x1_u1d": ("k_cd1", "K_cd", "R"),
-    "x1_u2d": ("k_cd2", "K_cd", "R"),
-    "x1_u3d": ("k_ed3", "K_ed", "R_r"),
-    "x1_u3u": ("k_eu3", "K_eu", "R_r"),
-    "chi_u1u": ("k_cu1", "K_cu", "R"),
-    "chi_u2u": ("k_cu2", "K_cu", "R"),
+# the cluster members (by index in rates.cluster_members) behind each position
+# key: one member's own ordered path loss, or the product of two members'
+# path losses to the surface
+_POSITION_KEYS = {
+    "x1_u1d": (0,), "x1_u2d": (1,), "x1_u3d": (2,), "chi_u1u": (3,), "chi_u2u": (4,), "x1_u3u": (5,),
+    "y2_u1d": (5, 0), "y1_u3d": (2, 0), "y2_u3d": (2, 5),
 }
 
-def _ordered_draw(rng, B, k, K, radius, m):
-    r = np.sort(radius * np.sqrt(rng.random((B, K))), axis=1)[:, k - 1]
+
+def _ordered_draw(rng, B, spec, m):
+    r = np.sort(spec.radius * np.sqrt(rng.random((B, spec.K))), axis=1)[:, spec.k - 1]
     return pathloss(r, m)
 
 
@@ -517,29 +519,33 @@ def estimate_expectation(
     """
     if key not in EXPECTATION_KEYS + LOG_MEAN_KEYS:
         raise KeyError(f"unknown expectation key {key!r}")
-    k = cluster_orders(cfg, cluster)
+    members = cluster_members(cfg, cluster)
     links = build_links(cfg)
     if key in LOG_MEAN_KEYS:
         inputs = build_rate_inputs(cfg, default_power_allocation(cfg), state, cluster)
+        role = inputs.table.bound[0 if key == "log_u1d" else 3]   # DL1 or UL1
+        total, residual = unit_gain_scales(role, inputs.means())
+        strong = order_spec(cfg, role.signal.key[1])
+
+    def member_draw(rng, B, u, at_surface):
+        """A member's path loss to its anchor, or, at_surface, to the surface."""
+        if at_surface and u.kind == "center":
+            return _outside_draw(rng, B, cfg)
+        return _ordered_draw(rng, B, order_spec(cfg, u), cfg.m)
+
     acc = _Accumulator()
     for B, rng in _blocks(trials, seed, block_size):
-        if key in _ORDER_KEY:
-            kname, Kname, Rname = _ORDER_KEY[key]
-            vals = _ordered_draw(rng, B, k[kname], getattr(cfg, Kname), getattr(cfg, Rname), cfg.m)
+        if key in _POSITION_KEYS:
+            users = [members[i] for i in _POSITION_KEYS[key]]
+            vals = member_draw(rng, B, users[0], len(users) > 1)
+            for u in users[1:]:
+                vals = vals * member_draw(rng, B, u, True)
         elif key == "y1":
             p1 = sample_disk(rng, B, cfg.R)
             p2 = sample_disk(rng, B, cfg.R)
             vals = pathloss(np.linalg.norm(p1 - p2, axis=-1), cfg.m)
         elif key == "q_center":
             vals = _outside_draw(rng, B, cfg)
-        elif key == "y2_u1d":
-            vals = _ordered_draw(rng, B, k["k_eu3"], cfg.K_eu, cfg.R_r, cfg.m) * _outside_draw(rng, B, cfg)
-        elif key == "y1_u3d":
-            vals = _ordered_draw(rng, B, k["k_ed3"], cfg.K_ed, cfg.R_r, cfg.m) * _outside_draw(rng, B, cfg)
-        elif key == "y2_u3d":
-            vals = _ordered_draw(rng, B, k["k_ed3"], cfg.K_ed, cfg.R_r, cfg.m) * _ordered_draw(
-                rng, B, k["k_eu3"], cfg.K_eu, cfg.R_r, cfg.m
-            )
         elif key in _OMEGA_PATHS:
             out_lbl, side, in_lbl = _OMEGA_PATHS[key]
             go = sample_rician(links[out_lbl], rng, trials=B)
@@ -548,13 +554,9 @@ def estimate_expectation(
         elif key == "y3":
             g = sample_rician(links["b,r"], rng, trials=B)
             vals = np.abs(np.sum(np.abs(g) ** 2 * state.coefficients("t"), axis=-1)) ** 2
-        elif key == "log_u1d":
-            gain = _ordered_draw(rng, B, k["k_cd1"], cfg.K_cd, cfg.R, cfg.m) * _draw_power(rng, B)
-            total, residual = dl_strong_scales(inputs)
+        else:   # a strong user's log-mean, its SIC residual (none for UL1) on its own gain
+            gain = _ordered_draw(rng, B, strong, cfg.m) * _draw_power(rng, B)
             vals = np.log2(1.0 + total * gain) - np.log2(1.0 + residual * gain)
-        elif key == "log_u1u":
-            gain = _ordered_draw(rng, B, k["k_cu1"], cfg.K_cu, cfg.R, cfg.m) * _draw_power(rng, B)
-            vals = np.log2(1.0 + ul_strong_scale(inputs) * gain)
         acc.add(np.asarray(vals, dtype=float))
     return acc.mean, acc.stderr
 
@@ -566,9 +568,12 @@ def analytic_expectation(key: str, cfg: SystemConfig, state: StarRisState, clust
     if key in LOG_MEAN_KEYS:
         rates = role_rates(build_rate_inputs(cfg, default_power_allocation(cfg), state, cluster))
         return cfg.M_d * rates["DL1"] if key == "log_u1d" else cfg.M_u * rates["UL1"]
-    t = expectation_terms(cfg, cluster)
-    if key in _ORDER_KEY or key in ("y1", "q_center", "y2_u1d", "y1_u3d", "y2_u3d"):
-        return getattr(t, key)
+    pos = expectation_terms(cfg, cluster)
+    if key in ("y1", "q_center"):
+        return getattr(pos, key)
+    if key in _POSITION_KEYS:
+        users = [cluster_members(cfg, cluster)[i] for i in _POSITION_KEYS[key]]
+        return pos.loss[users[0]] if len(users) == 1 else math.prod(pos.at_surface(u) for u in users)
     s = surface_terms(cfg, state)
     if key == "y3":
         return s.y3_raw

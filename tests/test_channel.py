@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,37 @@ from starnoma.channel import (
     StarRisState,
     array_response,
     build_links,
-    cascade,
     cascaded_power_mean,
+    element_grid,
     sample_rician,
     self_reflection_power_mean,
-    steering_vector,
 )
+
+
+def steering_vector(N, azimuth, elevation, spacing, wavelength):
+    """Oracle: the square planar-array steering vector as a Kronecker product.
+
+    Rows f = 0..s-1 carry exp(j k f cos(el)) and columns c = 0..s-1 carry
+    exp(j k c sin(az) sin(el)), with k = 2 pi spacing / wavelength; element
+    n = f s + c.  N must be a perfect square s^2.
+    """
+    if wavelength <= 0:
+        raise ValueError("wavelength must be positive")
+    s = math.isqrt(N)
+    if s * s != N:
+        raise ValueError(f"N={N} is not a perfect square")
+    k = 2.0 * np.pi * spacing / wavelength
+    idx = np.arange(s)
+    return np.kron(np.exp(1j * k * idx * np.cos(elevation)), np.exp(1j * k * idx * np.sin(azimuth) * np.sin(elevation)))
+
+
+def cascade(g_out, state, side, g_in):
+    """Oracle: the cascaded scalar channel sum_n g_out[n] * rho_n e^{j phi_n} * g_in[n]."""
+    g_out, g_in = np.asarray(g_out), np.asarray(g_in)
+    if g_out.shape[-1] != state.N or g_in.shape[-1] != state.N:
+        raise ValueError("vector length mismatch against state N")
+    out = np.sum(g_out * state.coefficients(side) * g_in, axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 class TestState:
@@ -58,6 +84,18 @@ class TestSteering:
         v = array_response(10, 0.4, 1.0, 0.05, 0.1)
         assert v.shape == (10,)
         assert np.allclose(np.abs(v), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 64])
+    def test_square_response_is_the_steering_vector(self, n):
+        got = array_response(n, 0.3, 1.2, 0.05, 0.1)
+        assert got == pytest.approx(steering_vector(n, 0.3, 1.2, 0.05, 0.1), rel=0, abs=1e-12)
+
+    def test_element_grid_fills_rows_of_ceil_sqrt_columns(self):
+        cols, rows = element_grid(10)   # 4 columns: rows of 4, 4 and 2
+        assert cols.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
+        assert rows.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+        with pytest.raises(ValueError, match="positive"):
+            element_grid(0)
 
 
 class TestRician:
@@ -145,12 +183,12 @@ class TestCascadedPowerMean:
         s = StarRisState.random(n, rng)
         a = RicianLink(kappa=0.0, los=array_response(n, 0.1, 1.0, 0.05, 0.1))
         b = RicianLink(kappa=0.0, los=array_response(n, -0.4, 0.8, 0.05, 0.1))
-        assert cascaded_power_mean(a, s, "t", b) == pytest.approx(np.sum(s.rho_t**2), rel=1e-12, abs=0)
+        assert cascaded_power_mean(s.coefficients("t"), a, b) == pytest.approx(np.sum(s.rho_t**2), rel=1e-12, abs=0)
 
     def test_zero_amplitudes(self):
         s = StarRisState(rho_t=np.zeros(4), rho_r=np.ones(4), phi_t=np.zeros(4), phi_r=np.zeros(4))
         a = RicianLink(kappa=2.0, los=array_response(4, 0.1, 1.0, 0.05, 0.1))
-        assert cascaded_power_mean(a, s, "t", a) == 0.0
+        assert cascaded_power_mean(s.coefficients("t"), a, a) == 0.0
 
     def test_scatter_invariant_under_common_phase_shift(self):
         n = 5
@@ -159,18 +197,18 @@ class TestCascadedPowerMean:
         shifted = StarRisState(rho_t=s.rho_t, rho_r=s.rho_r, phi_t=s.phi_t + 1.3, phi_r=s.phi_r)
         a = RicianLink(kappa=0.0, los=array_response(n, 0.1, 1.0, 0.05, 0.1))
         b = RicianLink(kappa=0.0, los=array_response(n, 0.9, 1.4, 0.05, 0.1))
-        assert cascaded_power_mean(a, s, "t", b) == pytest.approx(
-            cascaded_power_mean(a, shifted, "t", b), rel=1e-12, abs=0
+        assert cascaded_power_mean(s.coefficients("t"), a, b) == pytest.approx(
+            cascaded_power_mean(shifted.coefficients("t"), a, b), rel=1e-12, abs=0
         )
 
     def test_against_mc(self, cfg, state):
         links = build_links(cfg)
         out, inp = links["r,u1d"], links["r,u3u"]
-        want = cascaded_power_mean(out, state, "t", inp)
+        want = cascaded_power_mean(state.coefficients("t"), out, inp)
         rng = np.random.default_rng(11)
         go = sample_rician(out, rng, trials=1_000_000)
         gi = sample_rician(inp, rng, trials=1_000_000)
-        q = np.abs(np.sum(go * state.coefficients("t") * gi, axis=1)) ** 2
+        q = np.abs(cascade(go, state, "t", gi)) ** 2
         se = q.std(ddof=1) / np.sqrt(q.size)
         assert abs(want - q.mean()) < 3 * se
 
@@ -179,7 +217,7 @@ class TestSelfReflection:
     def test_zero_amplitudes(self):
         s = StarRisState(rho_t=np.zeros(4), rho_r=np.ones(4), phi_t=np.zeros(4), phi_r=np.zeros(4))
         link = RicianLink(kappa=3.0, los=array_response(4, 0.1, 1.0, 0.05, 0.1))
-        assert self_reflection_power_mean(link, s, "t") == 0.0
+        assert self_reflection_power_mean(s.coefficients("t"), link) == 0.0
 
     def test_infinite_kappa_is_los_gain(self):
         n = 9
@@ -187,7 +225,7 @@ class TestSelfReflection:
         link = RicianLink(kappa=1e14, los=array_response(n, 0.3, 1.1, 0.05, 0.1))
         c = s.coefficients("t")
         xi8 = np.abs(np.sum(np.conj(link.los) * c * link.los)) ** 2
-        assert self_reflection_power_mean(link, s, "t") == pytest.approx(xi8, rel=1e-9, abs=0)
+        assert self_reflection_power_mean(s.coefficients("t"), link) == pytest.approx(xi8, rel=1e-9, abs=0)
 
     def test_rayleigh_closed_form(self):
         n = 7
@@ -195,13 +233,13 @@ class TestSelfReflection:
         link = RicianLink(kappa=0.0, los=array_response(n, 0.3, 1.1, 0.05, 0.1))
         c = s.coefficients("t")
         want = 2 * np.sum(s.rho_t**2) + np.abs(np.sum(c)) ** 2 - np.sum(s.rho_t**2)
-        assert self_reflection_power_mean(link, s, "t") == pytest.approx(want, rel=1e-12, abs=0)
+        assert self_reflection_power_mean(s.coefficients("t"), link) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_against_mc(self, cfg, state):
         # adjudicates the real-part convention of the LoS/scatter cross term
         links = build_links(cfg)
         link = links["b,r"]
-        want = self_reflection_power_mean(link, state, "t")
+        want = self_reflection_power_mean(state.coefficients("t"), link)
         rng = np.random.default_rng(13)
         g = sample_rician(link, rng, trials=1_000_000)
         q = np.abs(np.sum(np.abs(g) ** 2 * state.coefficients("t"), axis=1)) ** 2

@@ -8,7 +8,7 @@ from starnoma.channel import StarRisState
 from starnoma.cli import DEFAULT_N_GRID, DEFAULT_SNR_GRID, N_SWEEP_SNR_DB, XIS, main, validate_table
 from starnoma.config import baseline_config, default_power_allocation, dump_config
 from starnoma.design import aligned_state
-from starnoma.rates import ROLES
+from starnoma.rates import ROLES, rate_report
 from starnoma.simulator import SimPlan, simulate
 
 
@@ -93,9 +93,14 @@ class TestCommands:
     def test_bad_config_path_fails_cleanly(self, tmp_path):
         assert main(["analytic", "--config", str(tmp_path / "missing.yaml")]) == 1
 
-    def test_aligned_state_requires_square_array(self, cfg_path):
-        # baseline N=10 cannot form a square grid; clean diagnostic expected
-        assert main(["analytic", "--config", cfg_path, "--state", "aligned"]) == 1
+    def test_aligned_state_works_for_any_N(self, cfg_path, tmp_path):
+        # baseline N=10 fills no square grid; the aligned state lays it out in rows of 4, 4 and 2
+        out = str(tmp_path / "a.csv")
+        for command in (["analytic"], ["simulate", "--trials", "500"]):
+            assert main([*command, "--config", cfg_path, "--state", "aligned", "--out", out]) == 0
+            assert len(_rows(out)) == 6
+        assert main(["optimize", "--config", cfg_path, "--state", "aligned", "--iters", "1", "--out", out]) == 0
+        assert len(_rows(out)) == 10
 
     def test_simulate_other_cluster(self, cfg_path, tmp_path):
         out = str(tmp_path / "c2.csv")
@@ -134,6 +139,31 @@ class TestSweep:
 
     def test_custom_sweep_needs_param(self, cfg_path):
         assert main(["sweep", "--experiment", "custom", "--config", cfg_path]) == 2
+
+    def test_custom_sweep_of_a_count_field(self, cfg_path, tmp_path, capsys):
+        # an integral value reaches K_ed as an integer; 2.5 is rejected, not truncated to 2
+        out = str(tmp_path / "k.csv")
+        args = ["sweep", "--experiment", "custom", "--param", "K_ed", "--config", cfg_path, "--trials", "200"]
+        assert main([*args, "--grid", "2", "--out", out]) == 0
+        cfg = baseline_config(K_ed=2)
+        want = rate_report(cfg, default_power_allocation(cfg), StarRisState.random(cfg.N, np.random.default_rng(0)))
+        rows = [r for r in _rows(out) if r["method"] == "analytic"]
+        assert {r["value"] for r in rows} == {"2.0"}
+        assert {r["role"]: float(r["rate"]) for r in rows} == want.rates
+        capsys.readouterr()
+        assert main([*args, "--grid", "2.5"]) == 1
+        assert "K_ed must be an integer, got 2.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param", ["weights_dl", "allocation", "angle_map", "nope"])
+    def test_custom_sweep_rejects_a_non_scalar_param(self, cfg_path, capsys, param):
+        assert main(["sweep", "--experiment", "custom", "--param", param, "--grid", "1", "--config", cfg_path]) == 1
+        assert f"--param {param!r} is not a scalar numeric config field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_rejected(self, cfg_path, capsys, trials):
+        args = ["sweep", "--experiment", "rates-vs-snr", "--config", cfg_path, "--grid", "10", "--trials", trials]
+        assert main(args) == 1
+        assert "trials must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", [["--state", "uniform"], ["--cluster", "2"]])
     def test_options_no_experiment_reads_are_rejected(self, cfg_path, option):

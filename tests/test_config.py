@@ -170,3 +170,29 @@ def test_non_finite_values_rejected(field, value):
 def test_malformed_sections_name_the_field(doc, match):
     with pytest.raises(ConfigError, match=match):
         load_config(io.StringIO(doc))
+
+
+@pytest.mark.parametrize(
+    "doc,field",
+    [
+        ("surface:\n  N: 10.5\n", "N"),
+        ("surface:\n  N: true\n", "N"),
+        ("users:\n  K_ed: 2.5\n", "K_ed"),
+        ("clusters:\n  M_u: false\n", "M_u"),
+        ("surface:\n  N: .nan\n", "N"),
+        ("users:\n  K_cd: six\n", "K_cd"),
+    ],
+)
+def test_counts_must_be_integers(doc, field):
+    # a fractional or boolean count would otherwise fail deep inside numpy or math.factorial
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        load_config(io.StringIO(doc))
+
+
+def test_integral_counts_are_stored_as_int():
+    cfg = load_config(io.StringIO("surface:\n  N: 16.0\nusers:\n  K_ed: 3.0\n"))
+    assert type(cfg.N) is int and cfg.N == 16
+    assert type(cfg.K_ed) is int and cfg.K_ed == 3
+    assert type(dataclasses.replace(cfg, M_d=3.0).M_d) is int
+    with pytest.raises(ConfigError, match="N must be an integer"):
+        dataclasses.replace(cfg, N=True)

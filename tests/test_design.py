@@ -23,6 +23,8 @@ from starnoma.geometry import OrderSpec, ordered_pathloss_rule
 from starnoma.rates import (
     SurfaceTerms,
     build_rate_inputs,
+    cluster_members,
+    expectation_terms,
     fading_log2_mean,
     rate_report,
     surface_gradients,
@@ -221,9 +223,16 @@ class TestSuboptimalPhases:
             best = max(best, xi)
         assert best <= c.N * c.N + 1e-9
 
-    def test_non_square_rejected(self, cfg):
-        with pytest.raises(ValueError, match="square"):
-            suboptimal_phases(cfg)  # baseline N=10
+    def test_any_n_aligns_targeted_cascades(self, cfg):
+        # baseline N=10 fills no square grid (rows of 4, 4 and 2); the phases
+        # still cancel each element's geometric phase, so the LoS terms add up
+        assert cfg.N == 10
+        links = build_links(cfg)
+        for rho_t in (0.5, 0.3):
+            st = aligned_state(cfg, rho_t=rho_t)
+            for side, rho, target in (("t", rho_t, "r,u3u"), ("r", 1.0 - rho_t, "r,u3d")):
+                los_sum = np.sum(links["b,r"].los * st.coefficients(side) * links[target].los)
+                assert abs(los_sum) == pytest.approx(cfg.N * rho, rel=1e-12, abs=0)
 
 
 class TestRootSolver:
@@ -283,9 +292,8 @@ class TestMinPower:
         quiet = dataclasses.replace(cfg, xi_sic=0.0)
         pw = PowerAllocation((0.05, 0.15, 0.8), (1e-12,) * 3)
         target = rate_report(quiet, pw, state).rates["DL3"]
-        inputs = build_rate_inputs(quiet, pw, state)
-        t, s = inputs.terms, inputs.surface
-        x3 = t.l_br * s.omega_u3d_br * t.x1_u3d
+        pos, s = expectation_terms(quiet), build_rate_inputs(quiet, pw, state).surface
+        x3 = pos.l_br * s.omega_u3d_br * pos.loss[cluster_members(quiet)[2]]
         g = 2 ** (quiet.M_d * target) - 1
         a3 = g * (0.2 * quiet.P_b * x3 + quiet.sigma2) / (quiet.P_b * x3)
         assert a3 == pytest.approx(0.8, rel=1e-9, abs=0)

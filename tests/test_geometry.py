@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -7,15 +9,14 @@ from starnoma.geometry import (
     sample_disk,
     ordered_pathloss_density,
     ordered_pathloss_mean,
-    ordered_pathloss_mean_series,
     ordered_pathloss_rule,
     outside_point_distance_density,
     outside_point_pathloss_mean,
     pair_distance_density,
     pair_pathloss_mean,
-    pair_pathloss_mean_series,
     sample_layout,
 )
+from starnoma.specfun import gamma, hyp_pfq
 
 # The oracle: adaptive quadrature of each exact density, tighter than the rules it checks.
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-13, limit=500)
@@ -38,6 +39,44 @@ def outside_point_pathloss_mean_quad(R, r1, m):
         lambda r: (1.0 + r) ** (-m) * outside_point_distance_density(r, R, r1), r1, r1 + 2.0 * R, **_QUAD_OPTS
     )
     return value
+
+
+# A second oracle: series forms of two expectations, built from the generalized
+# hypergeometric function; they converge only for sub-unit disk radii.
+
+
+def ordered_pathloss_mean_series(spec, m):
+    """Series form of E[(1 + r_(k))^-m]; converges only for radius < 1.
+
+    Derived by substituting t = (r/R)^2 and expanding (1 + R sqrt(t))^-m
+    binomially, which turns the even/odd powers into two 3F2-type sums:
+
+        F1 - m*R * [K! G(k+1/2) / ((k-1)! G(K+3/2))] * F2
+
+    with F1 = H({k,(1+m)/2,m/2}, {1/2,1+K}, R^2) and
+    F2 = H({k+1/2,(1+m)/2,(2+m)/2}, {3/2,3/2+K}, R^2).
+    """
+    k, K, R = spec.k, spec.K, spec.radius
+    f1 = hyp_pfq((k, (1 + m) / 2, m / 2), (0.5, 1 + K), R * R)
+    coeff = math.factorial(K) * gamma(k + 0.5) / (math.factorial(k - 1) * gamma(K + 1.5))
+    f2 = hyp_pfq((k + 0.5, (1 + m) / 2, (2 + m) / 2), (1.5, 1.5 + K), R * R)
+    return f1 - m * R * coeff * f2
+
+
+def pair_pathloss_mean_series(R, m):
+    """Hypergeometric form of the pair expectation; converges for 2R < 1.
+
+    Singular at m = 1 and m = 2 through the (m-1)(m-2) prefactor; the
+    rule has no such restriction.
+    """
+    x = 4.0 * R * R
+    poly = (2.0 - 3.0 * m + m * m) * R * R
+    t1 = 2.0 / poly
+    t2 = 2.0 * hyp_pfq((0.5, m / 2 - 1.0, m / 2 - 0.5), (-0.5, 1.0), x) / poly
+    t3 = hyp_pfq((1.5, 0.5 + m / 2, m / 2), (0.5, 3.0), x)
+    t4 = 64.0 * m * R * hyp_pfq((2.0, 0.5 + m / 2, 1.0 + m / 2), (1.5, 3.5), x) / (15.0 * np.pi)
+    t5 = 64.0 * m * R * hyp_pfq((2.0, 0.5 + m / 2, 1.0 + m / 2), (2.5, 2.5), x) / (9.0 * np.pi)
+    return t1 - t2 - t3 + t4 - t5
 
 
 class TestSampling:

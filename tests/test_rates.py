@@ -7,7 +7,7 @@ from scipy import integrate
 
 from starnoma.channel import StarRisState
 from starnoma.config import PowerAllocation, default_power_allocation
-from starnoma.comparison import pair_structure
+from starnoma.comparison import pair_groups, pair_structure
 from starnoma.geometry import (
     OrderSpec,
     ordered_pathloss_density,
@@ -20,24 +20,27 @@ from starnoma.rates import (
     RateReport,
     Role,
     Term,
+    Positions,
     build_rate_inputs,
     cluster_members,
     cluster_orders,
-    conditional_terms,
     dl_rate_edge,
     dl_rate_mid,
     dl_rate_strong,
-    dl_strong_scales,
     expectation_terms,
     fading_log2_mean,
     noma_roles,
+    pathloss,
+    position_parts,
+    positions,
     rate_report,
     role_log2_mean,
+    role_rates,
     table_keys,
     ul_rate_edge,
     ul_rate_mid,
     ul_rate_strong,
-    ul_strong_scale,
+    unit_gain_scales,
     weighted_sum_rate,
 )
 from starnoma.specfun import exp_e1
@@ -53,6 +56,38 @@ def _inputs(cfg, power, state, cluster=1):
     return build_rate_inputs(cfg, power, state, cluster)
 
 
+def conditional_terms(cfg, layout, cluster=1) -> Positions:
+    """Oracle: the Positions of cluster j in one concrete layout instead of their means.
+
+    Averaging these over many layouts must reproduce rates.positions.  Pair
+    and outside-point factors are taken between the cluster's own members;
+    the strong users' path-loss rules hold their one realized gain.
+    """
+    k = cluster_orders(cfg, cluster)
+    u1d, u2d, u3d, u1u, u2u, u3u = cluster_members(cfg, cluster)
+    order_dl = np.argsort(layout.bs_distances("dl_center"), kind="stable")
+    order_ul = np.argsort(layout.bs_distances("ul_center"), kind="stable")
+    d_dl, d_ul = np.sort(layout.bs_distances("dl_center")), np.sort(layout.bs_distances("ul_center"))
+    e_dl, e_ul = np.sort(layout.surface_distances("dl_edge")), np.sort(layout.surface_distances("ul_edge"))
+    p_u1d = layout.dl_center[order_dl[k["k_cd1"] - 1]]
+    p_u1u = layout.ul_center[order_ul[k["k_cu1"] - 1]]
+    p_u2u = layout.ul_center[order_ul[k["k_cu2"] - 1]]
+    pair_d = 0.5 * (np.linalg.norm(p_u1d - p_u1u) + np.linalg.norm(p_u1d - p_u2u))
+
+    def loss(d):
+        return float(pathloss(d, cfg.m))
+
+    return Positions(
+        loss={u1d: loss(d_dl[k["k_cd1"] - 1]), u2d: loss(d_dl[k["k_cd2"] - 1]), u3d: loss(e_dl[k["k_ed3"] - 1]),
+              u1u: loss(d_ul[k["k_cu1"] - 1]), u2u: loss(d_ul[k["k_cu2"] - 1]), u3u: loss(e_ul[k["k_eu3"] - 1])},
+        rules={("direct", u): (pathloss(d[k[name] - 1:k[name]], cfg.m), np.ones(1))
+               for u, d, name in ((u1d, d_dl, "k_cd1"), (u1u, d_ul, "k_cu1"))},
+        y1=loss(pair_d),
+        q_center=loss(np.linalg.norm(p_u1d - layout.surface_center)),
+        l_br=loss(cfg.d_br),
+    )
+
+
 class TestTermBookkeeping:
     def test_orders_for_first_cluster(self, cfg):
         k = cluster_orders(cfg, 1)
@@ -66,23 +101,42 @@ class TestTermBookkeeping:
         with pytest.raises(ValueError):
             cluster_orders(cfg, 4)
 
-    def test_terms_nonnegative_and_cached_products(self, cfg):
-        t = expectation_terms(cfg)
-        assert t.y2_u1d == pytest.approx(t.x1_u3u * t.q_center)
-        assert t.y1_u3d == pytest.approx(t.x1_u3d * t.q_center)
-        assert t.y2_u3d == pytest.approx(t.x1_u3d * t.x1_u3u)
+    def test_positions_keyed_by_member(self, cfg):
+        for cluster in (1, 3):
+            k = cluster_orders(cfg, cluster)
+            u1d, u2d, u3d, u1u, u2u, u3u = cluster_members(cfg, cluster)
+            pos = expectation_terms(cfg, cluster)
+            hand = {
+                u1d: (k["k_cd1"], cfg.K_cd, cfg.R), u2d: (k["k_cd2"], cfg.K_cd, cfg.R),
+                u3d: (k["k_ed3"], cfg.K_ed, cfg.R_r), u1u: (k["k_cu1"], cfg.K_cu, cfg.R),
+                u2u: (k["k_cu2"], cfg.K_cu, cfg.R), u3u: (k["k_eu3"], cfg.K_eu, cfg.R_r),
+            }
+            assert pos.loss == {u: ordered_pathloss_mean(OrderSpec(*spec), cfg.m) for u, spec in hand.items()}
+            assert set(pos.rules) == {("direct", u1d), ("direct", u1u)}
+            assert pos.rules[("direct", u1u)] is ordered_pathloss_rule(OrderSpec(*hand[u1u]), cfg.m)
+            assert pos.l_br == pytest.approx((1.0 + cfg.d_br) ** (-cfg.m), rel=1e-15, abs=0)
+            assert min(pos.loss.values()) > 0 and pos.y1 > 0 and pos.q_center > 0
+
+    def test_pair_positions_rule_only_partnered_center_strong_members(self, cfg):
+        groups = pair_groups(cfg)
+        pos = positions(cfg, groups)
+        assert set(pos.loss) == {u for dl, ul in groups for u in dl + ul}
+        want = {("direct", users[0]) for group in groups for users in group
+                if len(users) == 2 and users[0].kind == "center"}
+        assert len(groups[-1][0]) == 1 and want and set(pos.rules) == want
 
     def test_conditional_terms_average_to_statistical(self, cfg):
         rng = np.random.default_rng(0)
+        members = cluster_members(cfg)
         acc = None
         n = 4000
         for _ in range(n):
             t = conditional_terms(cfg, sample_layout(cfg, rng))
-            vec = np.array([t.x1_u1d, t.x1_u2d, t.x1_u3d, t.x1_u3u, t.chi_u1u, t.chi_u2u])
+            vec = np.array([t.loss[u] for u in members])
             acc = vec if acc is None else acc + vec
         mean = acc / n
         t0 = expectation_terms(cfg)
-        want = np.array([t0.x1_u1d, t0.x1_u2d, t0.x1_u3d, t0.x1_u3u, t0.chi_u1u, t0.chi_u2u])
+        want = np.array([t0.loss[u] for u in members])
         assert mean == pytest.approx(want, rel=0.15, abs=0)
 
 
@@ -104,8 +158,8 @@ class TestDownlinkRates:
         quiet = dataclasses.replace(cfg, xi_sic=0.0)
         pw = PowerAllocation((1e-12, 0.3, 0.6), (1e-12, 1e-12, 1e-12))
         inputs = _inputs(quiet, pw, state)
-        t = inputs.terms
-        want = _log2_1p(0.3 * quiet.P_b * t.x1_u2d / quiet.sigma2) / quiet.M_d
+        x2 = ordered_pathloss_mean(OrderSpec(4, quiet.K_cd, quiet.R), quiet.m)   # first of the second group
+        want = _log2_1p(0.3 * quiet.P_b * x2 / quiet.sigma2) / quiet.M_d
         assert dl_rate_mid(inputs) == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_edge_user_interference_ceiling(self, cfg, state, power):
@@ -131,11 +185,11 @@ class TestUplinkRates:
     def test_perfect_sic_edge_denominator(self, cfg, state, power):
         quiet = dataclasses.replace(cfg, xi_sic=0.0)
         inputs = _inputs(quiet, power, state)
-        t, s = inputs.terms, inputs.surface
-        edge_gain = s.omega_br_u3u * t.l_br * t.x1_u3u
+        pos, s = expectation_terms(quiet), inputs.surface
+        edge_gain = s.omega_br_u3u * pos.l_br * pos.loss[cluster_members(quiet)[5]]
         V = quiet.beta_si * quiet.P_b**quiet.lambda_si
         want = _log2_1p(
-            power.p_ul[2] * edge_gain / (quiet.P_b * t.l_br**2 * s.y3_raw + V + quiet.sigma2)
+            power.p_ul[2] * edge_gain / (quiet.P_b * pos.l_br**2 * s.y3_raw + V + quiet.sigma2)
         ) / quiet.M_u
         assert ul_rate_edge(inputs) == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -164,10 +218,10 @@ class TestWiringOracles:
         x_eu = ordered_pathloss_mean(OrderSpec(1, 3, cfg.R_r), cfg.m)  # nearest of 3
         q = outside_point_pathloss_mean(cfg.R, cfg.r1, cfg.m)
         l_br = (1 + cfg.d_br) ** (-cfg.m)
-        w_br = cascaded_power_mean(links["r,u3d"], state, "r", links["b,r"])
-        w1 = cascaded_power_mean(links["r,u3d"], state, "r", links["r,u1u"])
-        w2 = cascaded_power_mean(links["r,u3d"], state, "r", links["r,u2u"])
-        w3 = cascaded_power_mean(links["r,u3d"], state, "r", links["r,u3u"])
+        w_br = cascaded_power_mean(state.coefficients("r"), links["r,u3d"], links["b,r"])
+        w1 = cascaded_power_mean(state.coefficients("r"), links["r,u3d"], links["r,u1u"])
+        w2 = cascaded_power_mean(state.coefficients("r"), links["r,u3d"], links["r,u2u"])
+        w3 = cascaded_power_mean(state.coefficients("r"), links["r,u3d"], links["r,u3u"])
         a, p = power.alpha, power.p_ul
         S = l_br * w_br * x_e
         b1 = p[0] * w1 + p[1] * w2
@@ -189,8 +243,8 @@ class TestWiringOracles:
         chi2 = ordered_pathloss_mean(OrderSpec(4, 6, cfg.R), cfg.m)
         x_eu = ordered_pathloss_mean(OrderSpec(1, 3, cfg.R_r), cfg.m)
         l_br = (1 + cfg.d_br) ** (-cfg.m)
-        w_e = cascaded_power_mean(links["b,r"], state, "t", links["r,u3u"])
-        bounce = self_reflection_power_mean(links["b,r"], state, "t")
+        w_e = cascaded_power_mean(state.coefficients("t"), links["b,r"], links["r,u3u"])
+        bounce = self_reflection_power_mean(state.coefficients("t"), links["b,r"])
         p = power.p_ul
         V = cfg.beta_si * cfg.P_b**cfg.lambda_si
         num = p[0] * chi1
@@ -217,10 +271,10 @@ class TestWiringOracles:
             y1=pair_pathloss_mean(cfg.R, cfg.m),
             q=outside_point_pathloss_mean(cfg.R, cfg.r1, cfg.m),
             l_br=(1 + cfg.d_br) ** (-cfg.m),
-            w1=cascaded_power_mean(links["r,u1d"], state, "t", links["r,u3u"]),
-            w2=cascaded_power_mean(links["r,u2d"], state, "t", links["r,u3u"]),
-            w_e=cascaded_power_mean(links["b,r"], state, "t", links["r,u3u"]),
-            bounce=self_reflection_power_mean(links["b,r"], state, "t"),
+            w1=cascaded_power_mean(state.coefficients("t"), links["r,u1d"], links["r,u3u"]),
+            w2=cascaded_power_mean(state.coefficients("t"), links["r,u2d"], links["r,u3u"]),
+            w_e=cascaded_power_mean(state.coefficients("t"), links["b,r"], links["r,u3u"]),
+            bounce=self_reflection_power_mean(state.coefficients("t"), links["b,r"]),
             V=cfg.beta_si * cfg.P_b**cfg.lambda_si,
         )
 
@@ -350,7 +404,8 @@ class TestExactSignal:
         for snr in (10, 20, 30, 40):
             point = cfg.with_snr(snr)
             inputs = _inputs(point, default_power_allocation(point), state)
-            scales += [*dl_strong_scales(inputs), ul_strong_scale(inputs)]
+            dl1, ul1 = inputs.table.bound[0], inputs.table.bound[3]
+            scales += [*unit_gain_scales(dl1, inputs.means()), unit_gain_scales(ul1, inputs.means())[0]]
         for k, K in orders:
             spec = OrderSpec(k, K, cfg.R)
             rule = ordered_pathloss_rule(spec, cfg.m)
@@ -388,11 +443,13 @@ class TestExactSignal:
     def test_conditional_rule_is_the_realized_gain(self, cfg, state, power):
         # with a one-node rule the exact-signal rate is the fading average of one layout
         t = conditional_terms(cfg, sample_layout(cfg, np.random.default_rng(5)))
-        inputs = build_rate_inputs(cfg, power, state, terms=t)
-        gain = t.x1_u1d
-        total, residual = dl_strong_scales(inputs)
+        inputs = _inputs(cfg, power, state)
+        table = inputs.table._replace(parts=position_parts(table_keys(inputs.table.roles), t, cfg), rules=t.rules)
+        inputs = dataclasses.replace(inputs, table=table)
+        gain = t.loss[cluster_members(cfg)[0]]
+        total, residual = unit_gain_scales(table.bound[0], inputs.means())
         want = (exp_e1(1.0 / (total * gain)) - exp_e1(1.0 / (residual * gain))) / math.log(2) / cfg.M_d
-        assert rate_report(cfg, power, state, terms=t).rates["DL1"] == pytest.approx(want, rel=1e-12, abs=0)
+        assert role_rates(inputs)["DL1"] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_tiny_ratio_of_means_sinr_keeps_its_digits(self):
         # 1 + 1e-9 rounds away the low digits of the SINR; log1p keeps them

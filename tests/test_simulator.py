@@ -85,6 +85,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SimPlan(cfg=cfg, power=power, state=state, trials=0)
 
+    @pytest.mark.parametrize("name,trials,block_size", [("trials", 0, 16), ("trials", -5, 16), ("block_size", 10, 0)])
+    def test_block_loop_rejects_nonpositive_counts(self, cfg, power, state, name, trials, block_size):
+        # both simulators run the one block loop, which names the bad argument
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            simulate_clusters(cfg, power, state, trials, 0, block_size=block_size)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            simulate_pair_sums(cfg, pair_power_policy(cfg, state), state, trials, 0, block_size=block_size)
+
 
 def _grid(cfg):
     """Points that differ in every field a shared draw may vary."""

@@ -189,9 +189,10 @@ def experiment_custom(cfg, seed, trials, param, values):
     numeric = [f.name for f in fields(cfg) if isinstance(getattr(cfg, f.name), (int, float))]
     if param not in numeric:
         raise ValueError(f"--param {param!r} is not a scalar numeric config field; choose one of {numeric}")
-    state = _pick_state(cfg, "random", seed)
-    points = [(param, v, replace(cfg, **{param: float(v)}), state, "") for v in values]
-    return _point_rows(points, seed, trials)
+    configs = [replace(cfg, **{param: float(v)}) for v in values]
+    # one random state per element count, so that points of one N share it (and a draw)
+    states = {c.N: _pick_state(c, "random", seed) for c in configs}
+    return _point_rows([(param, v, c, states[c.N], "") for v, c in zip(values, configs)], seed, trials)
 
 
 # the grid sweeps: experiment -> (rows function, default grid)

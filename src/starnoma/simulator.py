@@ -1,8 +1,8 @@
 """Monte-Carlo ground truth for the closed-form rate analysis.
 
-Each trial drops fresh user positions, sorts and clusters them, draws every
-fading realization, and evaluates the exact per-role SINRs; rates accumulate
-as (1/M) * log2(1 + SINR).  The SINRs are those of the role table
+Each trial drops the users the rates read at their distance ranks, draws
+their fading, and evaluates the exact per-role SINRs; rates accumulate as
+(1/M) * log2(1 + SINR).  The SINRs are those of the role table
 (rates.noma_roles): sample_gains() draws one per-trial array per gain key,
 once per block and group, and role_sinrs() combines them with the table's
 coefficients, so imperfect SIC enters exactly as in the closed forms.  The
@@ -11,6 +11,15 @@ scalar.  simulate_groups() is the one block loop: the clusters here and the
 pairing baseline (comparison.simulate_pair_sums) differ only in its schedule
 of groups, time shares and layout.
 
+A block draws only what its rates read, each in its exact law.  The cluster
+layout draws each user class at the sorted ranks asked for, from gamma
+increments (_ranked_radii), not a whole sorted drop.  A leaf, a user whose
+fading vector a single cascade key reaches, is never drawn as a vector: its
+cascade is drawn given the other side's vector, as one complex Gaussian
+scalar per trial (_leaf_cascade_power).  Cascades between two hubs (users
+whose vectors several keys read, and the BS) multiply full vectors, which
+keeps their correlation through the shared hub.
+
 Block seeds are spawned from one SeedSequence, so a block's draws depend on
 the seed, the trial count and the block size alone.  The blocks run on one
 thread per core this process may use (numpy's generators and array
@@ -18,7 +27,7 @@ arithmetic release the interpreter lock), each returning only its moments
 (n, sum r, sum r^2) per point, group and role and of each point's DL and UL
 totals; these are merged in block order, the float additions of a serial
 loop, so the bytes of a run do not depend on the core count.  Each block in
-flight holds about 21 MB at N = 10 and the default 16,384 trials per block.
+flight holds about 16.5 MB at N = 10 and the default 16,384 trials per block.
 
 The loop runs a whole grid of points at once.  A draw depends only on the
 geometry, N, the user counts, the Rician factors, the bearings, the surface
@@ -44,11 +53,12 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import StarRisState, build_links, sample_rician
+from .channel import RicianLink, StarRisState, build_links, sample_rician
 from .config import PowerAllocation, SystemConfig, default_power_allocation
 from .geometry import sample_disk
 from .rates import (
@@ -237,6 +247,54 @@ def _cascade_power(g_out, c, g_in) -> np.ndarray:
     return np.abs(np.sum(t, axis=-1)) ** 2
 
 
+def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng) -> np.ndarray:
+    """|sum_n g_hub[n] c[n] g_leaf[n]|^2 per trial, for a Rician leaf vector g_leaf
+    that no other gain reads.
+
+    The leaf's scatter entries are iid CN(0, 1) and independent of g_hub, so
+    given g_hub the sum is a * (g_hub @ (c * los)) plus a CN(0, s^2 * ||c * g_hub||^2)
+    scatter part, a = sqrt(k/(k+1)) and s = sqrt(1/(k+1)): one CN(0, 1)
+    scalar per trial stands in for the leaf's N entries.  The norm
+    sum_n |g_hub[n]|^2 |c[n]|^2 is one einsum over the real and imaginary
+    parts, so no (trials, N) temporary is made.
+    """
+    parts = g_hub.view(float)
+    spread = np.einsum("bk,bk,k->b", parts, parts, np.repeat(np.abs(c) ** 2, 2))
+    spread *= 0.5 * leaf.scatter_weight
+    t = rng.standard_normal((len(g_hub), 2)).view(complex)[:, 0]
+    t *= np.sqrt(spread, out=spread)
+    t += g_hub @ (np.sqrt(leaf.los_weight) * c * leaf.los)
+    power = np.abs(t)
+    return np.square(power, out=power)
+
+
+def _leaves(cascades) -> dict:
+    """{cascade key: its leaf} for every key that alone reaches one of its users' vectors.
+
+    The leaf of a key is the user whose fading vector no other cascade key of
+    the table reaches (the in side where both are).  The BS is never a leaf:
+    its vector g_br also feeds the bounce and every group.
+    """
+    reach = Counter(u for key in cascades for u in key[2:])
+    leaves = {}
+    for key in cascades:
+        for u in (key[3], key[2]):
+            if u != BS and reach[u] == 1:
+                leaves[key] = u
+                break
+    return leaves
+
+
+def _cascade_draw(key, leaf, vec, coeffs, links, rng) -> np.ndarray:
+    """Cascade power of one key before path loss: the product of both users' drawn
+    vectors, or, for a key with a leaf, the leaf drawn given the other side
+    (vec holds every vector the key reads)."""
+    _, side, out, inp = key
+    if leaf is None:
+        return _cascade_power(vec[out], coeffs[side], vec[inp])
+    return _leaf_cascade_power(vec[inp if leaf == out else out], coeffs[side], links[leaf.link], rng)
+
+
 def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
     """One per-trial array for every gain key of a role table.
 
@@ -244,8 +302,9 @@ def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
     arrays.  The ("si",) gain is the block's unit draw, before any point's
     SI scale.  The Rayleigh scalars of the direct and cross keys are drawn
     first, as one block, then one fading vector per user that a cascade
-    reaches, in the order of members.  A cascade is evaluated as soon as
-    both its vectors are drawn, and a vector is dropped after its last
+    reaches other than as its leaf (_leaves), in the order of members.  A
+    cascade is evaluated as soon as the vectors it reads are drawn, a leaf
+    cascade drawing its leaf there, and a vector is dropped after its last
     cascade, so few (trials, N) vectors are alive at once.
     """
     keys = table_keys(roles)
@@ -265,15 +324,17 @@ def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
         gains[key] = loss * h[:, col]
     del h
     pending = [k for k in keys if k[0] == "cascade"]
+    leaves = _leaves(pending)
+    reads = {k: [u for u in k[2:] if u != leaves.get(k)] for k in pending}   # the vectors each key reads
     vec = {BS: block.g_br}
     for u in members:
-        if any(u in k[2:] for k in pending):
+        if any(u in reads[k] for k in pending):
             vec[u] = sample_rician(links[u.link], rng, trials=B)
-        for key in [k for k in pending if k[2] in vec and k[3] in vec]:
+        for key in [k for k in pending if all(v in vec for v in reads[k])]:
             pending.remove(key)
-            _, side, out, inp = key
-            gains[key] = surface_loss(out) * surface_loss(inp) * _cascade_power(vec[out], block.coeffs[side], vec[inp])
-        for v in [v for v in vec if v != BS and not any(v in k[2:] for k in pending)]:
+            power = _cascade_draw(key, leaves.get(key), vec, block.coeffs, links, rng)
+            gains[key] = surface_loss(key[2]) * surface_loss(key[3]) * power
+        for v in [v for v in vec if v != BS and not any(v in reads[k] for k in pending)]:
             del vec[v]
     return gains
 
@@ -387,27 +448,46 @@ def as_points(cfg, setting) -> tuple:
     return list(zip(cfg, setting)), False
 
 
+def _ranked_radii(rng, B, ranks, K, radius) -> np.ndarray:
+    """(B, len(ranks)) distances to the center of the given sorted ranks (1 = nearest,
+    increasing) among K points dropped uniformly in a disk, one row per trial.
+
+    A point's squared distance over radius^2 is uniform, and K sorted
+    uniforms are the partial sums S_k / S_{K+1} of K + 1 unit exponentials
+    (Renyi's representation).  So one gamma increment per gap between the
+    ranks asked for, the last one up to K + 1, gives their distances directly.
+    """
+    gaps = np.diff(ranks, prepend=0, append=K + 1)
+    s = np.cumsum(rng.standard_gamma(gaps, size=(B, len(gaps))), axis=1)
+    return radius * np.sqrt(s[:, :-1] / s[:, -1:])
+
+
 def _sorted_layout(cfg):
-    """Cluster layout: each user class dropped and sorted by distance to its anchor
-    (BS or surface).  The drops are freed once the users are resolved."""
+    """Cluster layout: the users of each class at their distance ranks from its
+    anchor (BS or surface), drawn only at the ranks asked for (_ranked_radii),
+    each at a uniform bearing."""
     sc = np.array([cfg.d_br, 0.0])
-    counts = {
-        ("center", "DL"): cfg.K_cd, ("center", "UL"): cfg.K_cu, ("edge", "DL"): cfg.K_ed, ("edge", "UL"): cfg.K_eu,
+    classes = {
+        ("center", "DL"): (cfg.K_cd, cfg.R), ("center", "UL"): (cfg.K_cu, cfg.R),
+        ("edge", "DL"): (cfg.K_ed, cfg.R_r), ("edge", "UL"): (cfg.K_eu, cfg.R_r),
     }
 
     def layout(rng, B, users):
-        rows, geo, drops = np.arange(B), {}, {}
-        for (kind, direction), count in counts.items():
-            radius, anchor = (cfg.R, np.zeros(2)) if kind == "center" else (cfg.R_r, sc)
-            pts = sample_disk(rng, B * count, radius, center=anchor).reshape(B, count, 2)
-            dist = np.linalg.norm(pts - anchor, axis=-1)
-            drops[kind, direction] = pts, dist, np.argsort(dist, kind="stable", axis=-1)
-        for (kind, direction), (pts, dist, order) in drops.items():
-            for u in users:
-                if (u.kind, u.direction) == (kind, direction):
-                    idx = order[:, u.order - 1]
-                    pos, d = pts[rows, idx], dist[rows, idx]
-                    geo[u] = (pos, d, np.linalg.norm(pos - sc, axis=-1)) if kind == "center" else (pos, None, d)
+        geo = {}
+        for (kind, direction), (K, radius) in classes.items():
+            wanted = [u for u in users if (u.kind, u.direction) == (kind, direction)]
+            ranks = sorted({u.order for u in wanted})
+            if not ranks:
+                continue
+            r = _ranked_radii(rng, B, ranks, K, radius)
+            theta = rng.uniform(0.0, 2.0 * np.pi, r.shape)
+            pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+            for u in wanted:
+                i = ranks.index(u.order)
+                if kind == "center":
+                    geo[u] = pts[:, i], r[:, i], np.linalg.norm(pts[:, i] - sc, axis=-1)
+                else:
+                    geo[u] = pts[:, i] + sc, None, r[:, i]
         return geo
 
     return layout
@@ -493,8 +573,7 @@ _POSITION_KEYS = {
 
 
 def _ordered_draw(rng, B, spec, m):
-    r = np.sort(spec.radius * np.sqrt(rng.random((B, spec.K))), axis=1)[:, spec.k - 1]
-    return pathloss(r, m)
+    return pathloss(_ranked_radii(rng, B, [spec.k], spec.K, spec.radius)[:, 0], m)
 
 
 def _outside_draw(rng, B, cfg):
@@ -526,6 +605,11 @@ def estimate_expectation(
         role = inputs.table.bound[0 if key == "log_u1d" else 3]   # DL1 or UL1
         total, residual = unit_gain_scales(role, inputs.means())
         strong = order_spec(cfg, role.signal.key[1])
+    if key in _OMEGA_PATHS:   # the cluster table's key of this path, drawn as the simulator draws it
+        cascades = [k for k in table_keys(cluster_roles(cfg, cluster)) if k[0] == "cascade"]
+        cascade = next(k for k in cascades if (k[2].link, k[1], k[3].link) == _OMEGA_PATHS[key])
+        leaf = _leaves(cascades).get(cascade)
+        coeffs = {side: state.coefficients(side) for side in ("t", "r")}
 
     def member_draw(rng, B, u, at_surface):
         """A member's path loss to its anchor, or, at_surface, to the surface."""
@@ -547,10 +631,8 @@ def estimate_expectation(
         elif key == "q_center":
             vals = _outside_draw(rng, B, cfg)
         elif key in _OMEGA_PATHS:
-            out_lbl, side, in_lbl = _OMEGA_PATHS[key]
-            go = sample_rician(links[out_lbl], rng, trials=B)
-            gi = sample_rician(links[in_lbl], rng, trials=B)
-            vals = np.abs(np.sum(go * state.coefficients(side) * gi, axis=-1)) ** 2
+            vec = {u: sample_rician(links[u.link], rng, trials=B) for u in cascade[2:] if u != leaf}
+            vals = _cascade_draw(cascade, leaf, vec, coeffs, links, rng)
         elif key == "y3":
             g = sample_rician(links["b,r"], rng, trials=B)
             vals = np.abs(np.sum(np.abs(g) ** 2 * state.coefficients("t"), axis=-1)) ** 2

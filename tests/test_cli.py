@@ -154,6 +154,24 @@ class TestSweep:
         assert main([*args, "--grid", "2.5"]) == 1
         assert "K_ed must be an integer, got 2.5" in capsys.readouterr().err
 
+    def test_custom_sweep_of_the_element_count(self, cfg_path, tmp_path):
+        # every point draws the random state of its own N from the run's seed
+        out = str(tmp_path / "n.csv")
+        args = ["sweep", "--experiment", "custom", "--param", "N", "--grid", "9", "16",
+                "--config", cfg_path, "--trials", "200", "--seed", "3", "--out", out]
+        assert main(args) == 0
+        validate_table(out)
+        rows = _rows(out)
+        assert {(r["value"], r["method"]) for r in rows} == {
+            (v, m) for v in ("9.0", "16.0") for m in ("analytic", "simulated")
+        }
+        for n in (9, 16):
+            cfg = baseline_config(N=n)
+            state = StarRisState.random(n, np.random.default_rng(3))
+            want = rate_report(cfg, default_power_allocation(cfg), state).rates
+            got = {r["role"]: float(r["rate"]) for r in rows if r["value"] == f"{n}.0" and r["method"] == "analytic"}
+            assert got == want
+
     @pytest.mark.parametrize("param", ["weights_dl", "allocation", "angle_map", "nope"])
     def test_custom_sweep_rejects_a_non_scalar_param(self, cfg_path, capsys, param):
         assert main(["sweep", "--experiment", "custom", "--param", param, "--grid", "1", "--config", cfg_path]) == 1

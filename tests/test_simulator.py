@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from starnoma import simulator
-from starnoma.channel import StarRisState, build_links
-from starnoma.comparison import pair_power_policy, simulate_pair_sums
+from starnoma.channel import StarRisState, build_links, cascaded_power_mean, sample_rician
+from starnoma.comparison import pair_groups, pair_power_policy, simulate_pair_sums
 from starnoma.config import PowerAllocation
+from starnoma.rates import BS, cluster_members, cluster_roles, noma_roles, table_keys
 from starnoma.simulator import (
     EXPECTATION_KEYS,
     LOG_MEAN_KEYS,
@@ -202,9 +204,9 @@ class TestBlockPool:
         assert threading.active_count() == before
 
     def test_one_block_working_set(self, cfg, power, state, monkeypatch):
-        # one default-size block of cluster 1 at N = 10: the layout's drops are
-        # freed before the fading draws, and cascades are formed as their
-        # vectors arrive (about 21.8e6 bytes; 37.4e6 with every array held)
+        # one default-size block of cluster 1 at N = 10: the layout draws only
+        # the ranks it keeps, cascades are formed as their vectors arrive, and
+        # a leaf's vector is never drawn (about 16.5e6 bytes)
         monkeypatch.setattr(simulator, "_cores", lambda: 1)
         simulate_clusters(cfg, power, state, 100, 0, clusters=[1])
         tracemalloc.start()
@@ -213,7 +215,149 @@ class TestBlockPool:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24e6
+        assert peak <= 19e6
+
+
+def _full_cascade(g_hub, c, leaf_link, rng):
+    """The leaf cascade with the leaf's whole Rician vector drawn: the law to match."""
+    return simulator._cascade_power(g_hub, c, sample_rician(leaf_link, rng, trials=len(g_hub)))
+
+
+def _agree(a, b, z=5.0):
+    """Two independent samples' means agree within z joint standard errors."""
+    se = np.hypot(np.std(a) / np.sqrt(a.size), np.std(b) / np.sqrt(b.size))
+    return abs(np.mean(a) - np.mean(b)) <= z * se
+
+
+class TestLeafCascades:
+    """A leaf vector is drawn only through its one cascade, conditioned on the other side."""
+
+    def _cascade(self, cfg, state, n, hub, leaf, side):
+        point = dataclasses.replace(cfg, N=n)
+        links = build_links(point)
+        st = state if n == cfg.N else StarRisState.random(n, np.random.default_rng(n))
+        return links[hub], links[leaf], st.coefficients(side)
+
+    @pytest.mark.parametrize("n", [4, 10, 64])
+    def test_single_leaf_cascade_matches_full_draw(self, cfg, state, n):
+        hub, leaf, c = self._cascade(cfg, state, n, "r,u3d", "r,u1u", "r")
+        rng = np.random.default_rng(2024 + n)
+        B = 40_000
+        cond = simulator._leaf_cascade_power(sample_rician(hub, rng, trials=B), c, leaf, rng)
+        full = _full_cascade(sample_rician(hub, rng, trials=B), c, leaf, rng)
+        assert _agree(cond, full)
+        assert _agree(cond**2, full**2)
+        assert stats.ks_2samp(cond, full).pvalue > 1e-3
+        # and the mean is the closed-form omega
+        want = cascaded_power_mean(c, hub, leaf)
+        assert abs(np.mean(cond) - want) <= 5 * np.std(cond) / np.sqrt(B)
+
+    @pytest.mark.parametrize("n", [4, 10])
+    def test_leaf_on_the_bs_side(self, cfg, state, n):
+        # a leaf whose cascade's other side is the BS-surface vector g_br
+        hub, leaf, c = self._cascade(cfg, state, n, "b,r", "r,u3u", "t")
+        rng = np.random.default_rng(7 + n)
+        cond = simulator._leaf_cascade_power(sample_rician(hub, rng, trials=40_000), c, leaf, rng)
+        full = _full_cascade(sample_rician(hub, rng, trials=40_000), c, leaf, rng)
+        assert _agree(cond, full)
+        assert stats.ks_2samp(cond, full).pvalue > 1e-3
+
+    def test_cluster_leaves_come_from_the_table(self, cfg):
+        members = cluster_members(cfg, 2)
+        u1d, u2d, u3d, u1u, u2u, u3u = members
+        cascades = [k for k in table_keys(cluster_roles(cfg, 2)) if k[0] == "cascade"]
+        assert simulator._leaves(cascades) == {
+            ("cascade", "t", u1d, u3u): u1d, ("cascade", "t", u2d, u3u): u2d,
+            ("cascade", "r", u3d, u1u): u1u, ("cascade", "r", u3d, u2u): u2u,
+        }
+
+    def test_pairing_leaves_come_from_the_table(self, cfg):
+        for dl, ul in pair_groups(cfg, simulated=True):
+            cascades = [k for k in table_keys(noma_roles(cfg, dl, ul)) if k[0] == "cascade"]
+            leaves = simulator._leaves(cascades)
+            for key, leaf in leaves.items():
+                assert leaf != BS and leaf in key[2:]
+                assert sum(leaf in k[2:] for k in cascades) == 1
+            # every member a single cascade reaches is a leaf of it
+            reached = [u for u in dl + ul if sum(u in k[2:] for k in cascades) == 1]
+            assert sorted(leaves.values()) == sorted(reached)
+
+    def test_leaves_sharing_a_hub_keep_their_joint_law(self, cfg, state):
+        # (r,u3d,u1u) and (r,u3d,u2u) correlate through u3d's vector; the
+        # simulator's gains must keep that covariance, and the hub-hub keys theirs
+        members = cluster_members(cfg, 1)
+        u1d, u2d, u3d, u1u, u2u, u3u = members
+        links = build_links(cfg)
+        B = 60_000
+        rng = np.random.default_rng(31)
+        at_anchor = (np.zeros((B, 2)), np.zeros(B), np.zeros(B))   # unit path loss everywhere
+        block = simulator.BlockDraws.draw(cfg, state, links, rng, B)
+        block = dataclasses.replace(block, l_br=1.0)
+        geo = dict.fromkeys(members, at_anchor)
+        gains = simulator.sample_gains(cluster_roles(cfg, 1), members, geo, links, rng, block)
+        pairs = [
+            (("cascade", "r", u3d, u1u), ("cascade", "r", u3d, u2u)),
+            (("cascade", "t", u1d, u3u), ("cascade", "t", u2d, u3u)),
+            (("cascade", "r", u3d, BS), ("cascade", "r", u3d, u3u)),
+            (("cascade", "t", BS, u3u), ("cascade", "r", u3d, u3u)),
+        ]
+        full_rng = np.random.default_rng(32)
+        vec = {u: sample_rician(links[u.link], full_rng, trials=B) for u in (BS, *members)}
+        c = {side: state.coefficients(side) for side in ("t", "r")}
+        for a, b in pairs:
+            full = [simulator._cascade_power(vec[k[2]], c[k[1]], vec[k[3]]) for k in (a, b)]
+            drawn = [gains[a], gains[b]]
+            prods = [(x - x.mean()) * (y - y.mean()) for x, y in (drawn, full)]
+            assert _agree(*prods), (a, b)
+            assert np.mean(prods[1]) > 5 * np.std(prods[1]) / np.sqrt(B)   # a real correlation
+            for x, y in zip(drawn, full):
+                assert _agree(x, y)
+
+
+class TestRankedLayout:
+    @pytest.mark.parametrize("k,K", [(1, 1), (1, 6), (4, 6), (6, 6), (3, 3)])
+    def test_rank_matches_sorted_full_draw(self, k, K):
+        rng = np.random.default_rng(100 * k + K)
+        B, R = 40_000, 50.0
+        direct = simulator._ranked_radii(rng, B, [k], K, R)[:, 0]
+        sorted_full = np.sort(R * np.sqrt(rng.random((B, K))), axis=1)[:, k - 1]
+        assert stats.ks_2samp(direct, sorted_full).pvalue > 1e-3
+        assert np.all((0.0 <= direct) & (direct <= R))
+
+    def test_ranks_drawn_together_keep_their_joint_law(self):
+        rng = np.random.default_rng(12)
+        B, R, ranks = 40_000, 30.0, [1, 4, 6]
+        direct = simulator._ranked_radii(rng, B, ranks, 6, R)
+        full = np.sort(R * np.sqrt(rng.random((B, 6))), axis=1)[:, [k - 1 for k in ranks]]
+        assert np.all(np.diff(direct, axis=1) >= 0)
+        for i in range(len(ranks)):
+            assert stats.ks_2samp(direct[:, i], full[:, i]).pvalue > 1e-3
+        gap_direct, gap_full = direct[:, 2] - direct[:, 0], full[:, 2] - full[:, 0]
+        assert stats.ks_2samp(gap_direct, gap_full).pvalue > 1e-3
+
+    def test_layout_returns_exactly_the_users_asked_for(self, cfg):
+        layout = simulator._sorted_layout(cfg)
+        sc = np.array([cfg.d_br, 0.0])
+        for users in (list(cluster_members(cfg, 1)), list(cluster_members(cfg, 3))[2:5],
+                      [u for j in (1, 2, 3) for u in cluster_members(cfg, j)]):
+            geo = layout(np.random.default_rng(0), 500, users)
+            assert set(geo) == set(users)
+            for u, (pos, d_bs, d_s) in geo.items():
+                assert pos.shape == (500, 2)
+                if u.kind == "center":
+                    np.testing.assert_allclose(d_bs, np.linalg.norm(pos, axis=-1), rtol=1e-12)
+                    np.testing.assert_allclose(d_s, np.linalg.norm(pos - sc, axis=-1), rtol=1e-12)
+                    assert np.all(d_bs <= cfg.R)
+                else:
+                    assert d_bs is None
+                    np.testing.assert_allclose(d_s, np.linalg.norm(pos - sc, axis=-1), rtol=1e-12, atol=1e-12)
+                    assert np.all(d_s <= cfg.R_r)
+            # a nearer rank of one class is never farther than a farther one
+            for u in users:
+                for v in users:
+                    if (u.kind, u.direction) == (v.kind, v.direction) and u.order < v.order:
+                        d = 1 if u.kind == "center" else 2
+                        assert np.all(geo[u][d] <= geo[v][d])
 
 
 class TestExpectationOracle:

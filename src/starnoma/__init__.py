@@ -12,12 +12,10 @@ from .config import (
 from .specfun import HypParams, SeriesConvergenceError, gamma, gauss_legendre, hyp_pfq
 from .geometry import (
     OrderSpec,
-    UserLayout,
     ordered_pathloss_density,
     ordered_pathloss_mean,
     outside_point_pathloss_mean,
     pair_pathloss_mean,
-    sample_layout,
 )
 from .channel import (
     RicianLink,
@@ -25,7 +23,6 @@ from .channel import (
     build_links,
     sample_rician,
 )
-from .clustering import ClusterPlan, cluster_users, pair_users
 from .rates import (
     RateInputs,
     RateReport,

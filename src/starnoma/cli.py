@@ -4,7 +4,9 @@ Subcommands wire the library into reproducible CSV tables:
 
 * analytic   -- closed-form per-role rates of one cluster (exact-signal model)
 * simulate   -- Monte-Carlo per-role rates with standard errors
-* cluster    -- print a clustering or pairing plan for one seeded drop
+* cluster    -- print the users of every clustering or pairing group the
+                rates rate, resolved on one seeded drop of the
+                scheme's simulator layout
 * optimize   -- run the projected-gradient surface design on the paper's
                 ratio-of-means sum rate
 * sweep      -- the named figure experiments (rates-vs-snr, sic-ablation,
@@ -26,19 +28,19 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; importing it here keeps that cost out of the first command
 
 from .channel import StarRisState
-from .clustering import cluster_users, pair_users
 from .comparison import (
     cluster_power_policy,
+    pair_groups,
     pair_power_policy,
     pair_rate_sums,
+    ranked_layout,
     reference_edge_targets,
     simulate_pair_sums,
 )
 from .config import SystemConfig, baseline_config, default_power_allocation, load_config
-from .design import PgamSettings, aligned_state, default_initial_state, pgam_optimize
-from .geometry import sample_layout
-from .rates import ROLES, rate_report
-from .simulator import SimPlan, draw_key, simulate, simulate_clusters
+from .design import PgamSettings, aligned_state, pgam_optimize
+from .rates import ROLES, cluster_members, noma_roles, rate_report
+from .simulator import SimPlan, draw_key, simulate, simulate_clusters, sorted_layout
 
 CSV_COLUMNS = ("sweep_var", "value", "role", "method", "rate", "stderr", "seed")
 DEFAULT_SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
@@ -234,31 +236,37 @@ def _cmd_simulate(args):
 
 
 def _cmd_cluster(args):
+    """One row per user of every group the scheme's rates rate: its group, NOMA
+    role, id ({dl|ul}_{c|e}{rank}) and the distance its rank is taken over."""
     cfg = _load(args)
-    if args.scheme == "cluster" and not cfg.uniform_clusters():
-        print(
-            "error: user counts do not form uniform 3-member clusters "
-            "(need K_d1 = K_d2 = K_ed = M_d and the UL analogue)",
-            file=sys.stderr,
-        )
-        return 2
-    layout = sample_layout(cfg, np.random.default_rng(args.seed))
-    build = cluster_users if args.scheme == "cluster" else pair_users
-    plan = build(layout, cfg, args.mode)
+    if args.scheme == "cluster":
+        if not cfg.uniform_clusters():
+            print(
+                "error: user counts do not form uniform 3-member clusters "
+                "(need K_d1 = K_d2 = K_ed = M_d and the UL analogue)",
+                file=sys.stderr,
+            )
+            return 2
+        clusters = (cluster_members(cfg, j) for j in range(1, min(cfg.M_d, cfg.M_u) + 1))
+        groups, layout = [(m[:3], m[3:]) for m in clusters], sorted_layout(cfg)
+    else:
+        groups, layout = pair_groups(cfg, simulated=True), ranked_layout(cfg)
+    geo = layout(np.random.default_rng(args.seed), 1, [u for dl, ul in groups for u in (*dl, *ul)])
     with _csv_out(args.out) as writer:
-        writer.writerow(["cluster", "user", "role", "distance"])
-        for c in plan.clusters:
-            for member in c.members:
-                writer.writerow([c.index, member.user_id, member.role, repr(member.distance)])
+        writer.writerow(["group", "role", "user", "distance"])
+        for g, (dl, ul) in enumerate(groups, 1):
+            for role, u in zip(noma_roles(cfg, dl, ul), (*dl, *ul)):
+                _, d_bs, d_surface = geo[u]
+                distance = d_surface if d_bs is None else d_bs
+                writer.writerow([g, role.name, f"{u.direction.lower()}_{u.kind[0]}{u.order}", repr(float(distance[0]))])
     return 0
 
 
 def _cmd_optimize(args):
     cfg = _load(args)
     settings = PgamSettings(max_iters=args.iters, restarts=args.restarts)
-    initial = default_initial_state(cfg) if args.state == "default" else _pick_state(cfg, args.state, args.seed)
     state, trace = pgam_optimize(
-        cfg, default_power_allocation(cfg), settings, initial=initial,
+        cfg, default_power_allocation(cfg), settings, initial=_pick_state(cfg, args.state, args.seed),
         rng=np.random.default_rng(args.seed), model="ratio-of-means",
     )
     with _csv_out(args.out) as writer:
@@ -308,10 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cluster", type=int, default=1)
         p.set_defaults(fn=fn)
 
-    p = sub.add_parser("cluster", help="print a clustering or pairing plan")
+    p = sub.add_parser("cluster", help="print the users of every clustering or pairing group")
     p.add_argument("--config")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", default="DL", choices=("DL", "UL"))
     p.add_argument("--scheme", default="cluster", choices=("cluster", "pair"))
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_cluster)
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=60)
     p.add_argument("--restarts", type=int, default=0)
-    p.add_argument("--state", default="default", choices=("default", "random", "aligned", "uniform"))
+    p.add_argument("--state", default="aligned", choices=("random", "aligned", "uniform"))
     p.add_argument("--out")
     p.add_argument("--trace", help="objective trace CSV path")
     p.set_defaults(fn=_cmd_optimize)

@@ -49,6 +49,7 @@ __all__ = [
     "pair_structure",
     "pair_slots",
     "pair_groups",
+    "ranked_layout",
     "pair_rate_sums",
     "simulate_pair_sums",
     "reference_edge_targets",
@@ -170,7 +171,7 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     return sums["DL"], sums["UL"]
 
 
-def _ranked_layout(cfg: SystemConfig):
+def ranked_layout(cfg: SystemConfig):
     """Pairing layout: each direction's center and edge users ranked jointly by BS distance.
 
     The drops are freed once the users are resolved.
@@ -225,7 +226,7 @@ def simulate_pair_sums(
     shares = {"DL": len(groups), "UL": len(groups)}
     results = simulate_groups(
         [(point, schedule(point, allocs)) for point, allocs in points], state, shares,
-        _ranked_layout(cfg), trials, seed, block_size,
+        ranked_layout(cfg), trials, seed, block_size,
     )
     sums = [point_sums for _, point_sums in results]
     return sums[0] if one else sums

@@ -181,9 +181,11 @@ def pgam_optimize(
     """Maximize the weighted sum rate over surface phases and amplitudes.
 
     Returns (best_state, trace): the best feasible iterate seen and the
-    non-decreasing per-iteration objective sequence.  When restarts are
-    requested, additional random feasible starting points are attacked with
-    the same loop and the overall best is kept (the trace is the winner's).
+    non-decreasing per-iteration objective sequence.  initial=None starts
+    from aligned_state(cfg), the aligned phases at an even split, for any N.
+    When restarts are requested, additional random feasible starting points
+    are attacked with the same loop and the overall best is kept (the trace
+    is the winner's).
 
     model names the rate model of the objective (rates.RATE_MODELS).  The
     default matches rate_report; "ratio-of-means" poses the paper's surface
@@ -191,9 +193,7 @@ def pgam_optimize(
     """
     settings = settings or PgamSettings()
     obj = _Objective(cfg, power, weights, cluster, model)
-    if initial is None:
-        initial = default_initial_state(cfg)
-    starts = [initial]
+    starts = [aligned_state(cfg) if initial is None else initial]
     if settings.restarts:
         rng = rng or np.random.default_rng(0)
         starts += [StarRisState.random(cfg.N, rng) for _ in range(settings.restarts)]
@@ -204,14 +204,6 @@ def pgam_optimize(
         if best_trace is None or trace[-1] > best_trace[-1]:
             best_state, best_trace = state, trace
     return best_state, best_trace
-
-
-def default_initial_state(cfg: SystemConfig) -> StarRisState:
-    """Aligned phases at an even split when the array is square, else flat."""
-    s = math.isqrt(cfg.N)
-    if s * s == cfg.N:
-        return aligned_state(cfg)
-    return StarRisState.uniform(cfg.N)
 
 
 def _ascend(obj: _Objective, start: StarRisState, st: PgamSettings):

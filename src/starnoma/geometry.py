@@ -1,4 +1,9 @@
-"""User placement and expected path loss over disk geometries.
+"""Expected path loss over disk geometries, and uniform points in a disk.
+
+sample_disk drops uniform points in a disk; the pairing simulator's layout
+(comparison.ranked_layout) places its users with it.  The cluster simulator
+draws its users at their ranks instead (simulator.sorted_layout), and both
+layouts are what `starnoma cluster` resolves its groups on.
 
 Three distance laws drive every closed-form rate term:
 
@@ -37,8 +42,6 @@ from .specfun import gauss_legendre
 
 __all__ = [
     "OrderSpec",
-    "UserLayout",
-    "sample_layout",
     "sample_disk",
     "ordered_pathloss_density",
     "ordered_pathloss_mean",
@@ -78,46 +81,12 @@ class OrderSpec:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
 
-@dataclass(frozen=True)
-class UserLayout:
-    """One drop of user positions, stored as 2-D points.
-
-    Center users live in the disk of radius R around the BS (origin); edge
-    users live in the disk of radius R_r around the surface center.  Distances
-    to both anchor nodes are precomputed.
-    """
-
-    dl_center: np.ndarray   # (K_cd, 2)
-    ul_center: np.ndarray   # (K_cu, 2)
-    dl_edge: np.ndarray     # (K_ed, 2)
-    ul_edge: np.ndarray     # (K_eu, 2)
-    surface_center: np.ndarray  # (2,)
-
-    def bs_distances(self, group: str) -> np.ndarray:
-        return np.linalg.norm(getattr(self, group), axis=-1)
-
-    def surface_distances(self, group: str) -> np.ndarray:
-        return np.linalg.norm(getattr(self, group) - self.surface_center, axis=-1)
-
-
 def sample_disk(rng: np.random.Generator, n: int, radius: float, center=(0.0, 0.0)) -> np.ndarray:
     """n points uniform over a disk, via inverse-CDF radius r = R*sqrt(u)."""
     r = radius * np.sqrt(rng.random(n))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
     pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
     return pts + np.asarray(center, dtype=float)
-
-
-def sample_layout(cfg, rng: np.random.Generator) -> UserLayout:
-    """Draw one uniform placement of all users described by the config."""
-    sc = np.array([cfg.d_br, 0.0])
-    return UserLayout(
-        dl_center=sample_disk(rng, cfg.K_cd, cfg.R),
-        ul_center=sample_disk(rng, cfg.K_cu, cfg.R),
-        dl_edge=sample_disk(rng, cfg.K_ed, cfg.R_r, center=sc),
-        ul_edge=sample_disk(rng, cfg.K_eu, cfg.R_r, center=sc),
-        surface_center=sc,
-    )
 
 
 # -- order statistics on a disk -------------------------------------------

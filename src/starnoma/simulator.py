@@ -89,6 +89,7 @@ __all__ = [
     "simulate",
     "simulate_clusters",
     "simulate_groups",
+    "sorted_layout",
     "as_points",
     "draw_key",
     "POINT_FIELDS",
@@ -462,7 +463,7 @@ def _ranked_radii(rng, B, ranks, K, radius) -> np.ndarray:
     return radius * np.sqrt(s[:, :-1] / s[:, -1:])
 
 
-def _sorted_layout(cfg):
+def sorted_layout(cfg):
     """Cluster layout: the users of each class at their distance ranks from its
     anchor (BS or surface), drawn only at the ranks asked for (_ranked_radii),
     each at a uniform bearing."""
@@ -529,7 +530,7 @@ def simulate_clusters(
 
     results = simulate_groups(
         [(point, schedule(point, power)) for point, power in points], state, {"DL": cfg.M_d, "UL": cfg.M_u},
-        _sorted_layout(cfg), trials, seed, block_size,
+        sorted_layout(cfg), trials, seed, block_size,
     )
     out = []
     for acc, sums in results:

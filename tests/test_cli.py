@@ -45,8 +45,9 @@ class TestCommands:
         out = str(tmp_path / "c.csv")
         assert main(["cluster", "--config", cfg_path, "--out", out]) == 0
         rows = _rows(out)
-        assert len(rows) == 9
-        assert {r["role"] for r in rows} == {"G1", "G2", "G3"}
+        assert list(rows[0]) == ["group", "role", "user", "distance"]
+        assert len(rows) == 18  # 3 clusters x 6 roles
+        assert {r["role"] for r in rows} == set(ROLES)
 
     def test_cluster_rejects_nonuniform_counts(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -56,7 +57,9 @@ class TestCommands:
     def test_pair_plan(self, cfg_path, tmp_path):
         out = str(tmp_path / "p.csv")
         assert main(["cluster", "--config", cfg_path, "--scheme", "pair", "--out", out]) == 0
-        assert len(_rows(out)) == 8  # 4 pairs from 9 users
+        rows = _rows(out)
+        assert len(rows) == 18  # 4 pairs and the lone median slot, per direction
+        assert [r["role"] for r in rows if r["group"] == "5"] == ["DL1", "UL1"]
 
     def test_optimize(self, cfg_path, tmp_path):
         out = str(tmp_path / "state.csv")

@@ -1,115 +1,159 @@
-import numpy as np
+"""The clustering and pairing plans that `starnoma cluster` prints.
+
+A plan is the groups the rates rate (rates.cluster_members and
+comparison.pair_groups), resolved on one drop of the scheme's simulator
+layout, so every check here reads the printed rows.
+"""
+
+import csv
+
 import pytest
 
-from starnoma.clustering import cluster_users, pair_users
-from starnoma.config import baseline_config
-from starnoma.geometry import UserLayout, sample_layout
+from starnoma.cli import main
+from starnoma.config import baseline_config, dump_config
+from starnoma.rates import ROLES
 
 
-def _layout(cfg, seed=0):
-    return sample_layout(cfg, np.random.default_rng(seed))
+@pytest.fixture()
+def plan(capsys, tmp_path):
+    """Rows and bytes of a plan printed to stdout, of the baseline unless a config is given."""
+
+    def run(*args, cfg=None):
+        argv = ["cluster", *args]
+        if cfg is not None:
+            path = tmp_path / "cfg.yaml"
+            dump_config(cfg, str(path))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        return list(csv.DictReader(text.splitlines())), text
+
+    return run
+
+
+def _all_users(cfg):
+    counts = {"dl_c": cfg.K_cd, "dl_e": cfg.K_ed, "ul_c": cfg.K_cu, "ul_e": cfg.K_eu}
+    return sorted(f"{cls}{k}" for cls, K in counts.items() for k in range(1, K + 1))
+
+
+def _distances(rows, role):
+    return [float(r["distance"]) for r in rows if r["role"] == role]
+
+
+def _group(rows, g):
+    return {r["role"]: r for r in rows if r["group"] == str(g)}
 
 
 class TestClusterUsers:
-    def test_baseline_forms_three_triples(self, cfg):
-        plan = cluster_users(_layout(cfg), cfg, "DL")
-        assert plan.M == 3
-        assert all(len(c.members) == 3 for c in plan.clusters)
-        plan.validate_partition([f"dl_c{i}" for i in range(6)] + [f"dl_e{i}" for i in range(3)])
+    def test_baseline_forms_three_triples(self, plan, cfg):
+        rows, _ = plan()
+        assert [r["group"] for r in rows] == [str(g) for g in (1, 2, 3) for _ in ROLES]
+        assert [r["role"] for r in rows] == list(ROLES) * 3
+        assert sorted(r["user"] for r in rows) == _all_users(cfg)
 
-    def test_partition_property(self, cfg):
-        for mode in ("DL", "UL"):
-            plan = cluster_users(_layout(cfg, 3), cfg, mode)
-            ids = plan.user_ids()
-            assert len(ids) == len(set(ids)) == 9
+    def test_partition_property(self, plan, cfg):
+        # every user of each class appears exactly once, in DL and UL alike
+        for seed in range(5):
+            rows, _ = plan("--seed", str(seed))
+            assert sorted(r["user"] for r in rows) == _all_users(cfg)
 
-    def test_dl_weakest_edge_in_first_cluster(self, cfg):
-        layout = _layout(cfg, 5)
-        plan = cluster_users(layout, cfg, "DL")
-        edge_d = layout.surface_distances("dl_edge")
-        first_edge = [m for m in plan.clusters[0].members if m.role == "G3"][0]
-        assert first_edge.distance == pytest.approx(edge_d.max())
+    def test_dl_weakest_edge_in_first_cluster(self, plan, cfg):
+        rows, _ = plan("--seed", "5")
+        edge = _distances(rows, "DL3")
+        assert edge[0] == max(edge) and edge == sorted(edge, reverse=True)
+        assert _group(rows, 1)["DL3"]["user"] == f"dl_e{cfg.K_ed}"
 
-    def test_ul_strongest_edge_in_first_cluster(self, cfg):
-        layout = _layout(cfg, 5)
-        plan = cluster_users(layout, cfg, "UL")
-        edge_d = layout.surface_distances("ul_edge")
-        first_edge = [m for m in plan.clusters[0].members if m.role == "G3"][0]
-        assert first_edge.distance == pytest.approx(edge_d.min())
+    def test_ul_strongest_edge_in_first_cluster(self, plan):
+        rows, _ = plan("--seed", "5")
+        edge = _distances(rows, "UL3")
+        assert edge[0] == min(edge) and edge == sorted(edge)
+        assert _group(rows, 1)["UL3"]["user"] == "ul_e1"
 
-    def test_group_ordering_within_cluster(self, cfg):
-        plan = cluster_users(_layout(cfg, 11), cfg, "DL")
-        for c in plan.clusters:
-            roles = {m.role: m.distance for m in c.members}
-            assert roles["G1"] < roles["G2"]
+    def test_group_ordering_within_cluster(self, plan):
+        # G1 is nearer the BS than G2 in every cluster
+        for seed in range(5):
+            rows, _ = plan("--seed", str(seed))
+            for d in ("DL", "UL"):
+                assert all(a < b for a, b in zip(_distances(rows, f"{d}1"), _distances(rows, f"{d}2")))
 
-    def test_permutation_invariance(self, cfg):
-        layout = _layout(cfg, 9)
-        perm = np.random.default_rng(1).permutation(cfg.K_cd)
-        shuffled = UserLayout(
-            dl_center=layout.dl_center[perm],
-            ul_center=layout.ul_center,
-            dl_edge=layout.dl_edge,
-            ul_edge=layout.ul_edge,
-            surface_center=layout.surface_center,
-        )
-        a = cluster_users(layout, cfg, "DL")
-        b = cluster_users(shuffled, cfg, "DL")
-        # same distances in the same slots, ids renumbered by the permutation
-        for ca, cb in zip(a.clusters, b.clusters):
-            assert [m.distance for m in ca.members] == pytest.approx(
-                [m.distance for m in cb.members]
-            )
+    def test_permutation_invariance(self, plan):
+        # ids are distance ranks, so no order of the drop can reach the plan
+        for seed in range(5):
+            rows, _ = plan("--seed", str(seed))
+            for cls in ("dl_c", "dl_e", "ul_c", "ul_e"):
+                ranked = sorted((int(r["user"][len(cls):]), float(r["distance"])) for r in rows
+                                if r["user"].startswith(cls))
+                distances = [d for _, d in ranked]
+                assert distances == sorted(distances)
 
-    def test_leftovers_join_last_cluster(self):
-        cfg = baseline_config(K_ed=4)  # one extra DL edge user
-        plan = cluster_users(_layout(cfg, 2), cfg, "DL")
-        assert plan.M == 3
-        assert len(plan.clusters[-1].members) == 4
-        plan.validate_partition([f"dl_c{i}" for i in range(6)] + [f"dl_e{i}" for i in range(4)])
+    def test_distances_stay_in_their_disks(self, plan, cfg):
+        # center users are ranked by BS distance, edge users by surface distance
+        for seed in range(5):
+            rows, _ = plan("--seed", str(seed))
+            center = [float(r["distance"]) for r in rows if "_c" in r["user"]]
+            edge = [float(r["distance"]) for r in rows if "_e" in r["user"]]
+            assert len(center) == cfg.K_cd + cfg.K_cu and all(0 <= x <= cfg.R for x in center)
+            assert len(edge) == cfg.K_ed + cfg.K_eu and all(0 <= x <= cfg.R_r for x in edge)
 
-    def test_empty_group_rejected(self, cfg):
-        empty = UserLayout(
-            dl_center=np.zeros((0, 2)),
-            ul_center=np.zeros((6, 2)),
-            dl_edge=np.zeros((3, 2)),
-            ul_edge=np.zeros((3, 2)),
-            surface_center=np.array([80.0, 0.0]),
-        )
-        with pytest.raises(ValueError):
-            cluster_users(empty, cfg, "DL")
+    def test_empty_group_rejected(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        dump_config(baseline_config(K_cd=0, K_d1=0, K_d2=0), str(path))
+        assert main(["cluster", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("scheme", ["cluster", "pair"])
+    def test_same_seed_same_bytes(self, plan, scheme):
+        _, a = plan("--scheme", scheme, "--seed", "7")
+        _, b = plan("--scheme", scheme, "--seed", "7")
+        _, c = plan("--scheme", scheme, "--seed", "8")
+        assert a == b != c
 
 
 class TestPairUsers:
-    def test_ten_users_make_five_pairs(self):
-        cfg = baseline_config(K_cd=6, K_d1=3, K_d2=3, K_ed=4)
-        plan = pair_users(_layout(cfg, 0), cfg, "DL")
-        assert plan.M == 5
-        assert all(len(c.members) == 2 for c in plan.clusters)
+    def test_ten_users_make_five_pairs(self, plan):
+        cfg = baseline_config(K_cd=6, K_d1=3, K_d2=3, K_ed=4, K_eu=4)
+        rows, _ = plan("--scheme", "pair", cfg=cfg)
+        assert [r["group"] for r in rows] == [str(g) for g in range(1, 6) for _ in range(4)]
+        assert all(list(_group(rows, g)) == ["DL1", "DL2", "UL1", "UL2"] for g in range(1, 6))
+        assert sorted(r["user"] for r in rows) == _all_users(cfg)
 
-    def test_two_users_one_pair(self):
-        cfg = baseline_config(K_cd=1, K_d1=1, K_d2=0, K_ed=1, M_d=1)
-        plan = pair_users(_layout(cfg, 0), cfg, "DL")
-        assert plan.M == 1
-        assert len(plan.clusters[0].members) == 2
+    def test_two_users_one_pair(self, plan):
+        cfg = baseline_config(K_cd=1, K_d1=1, K_d2=0, K_ed=1, M_d=1, K_cu=1, K_u1=1, K_u2=0, K_eu=1, M_u=1)
+        rows, _ = plan("--scheme", "pair", cfg=cfg)
+        assert [(r["group"], r["role"], r["user"]) for r in rows] == [
+            ("1", "DL1", "dl_c1"), ("1", "DL2", "dl_e1"), ("1", "UL1", "ul_c1"), ("1", "UL2", "ul_e1"),
+        ]
 
-    def test_nearest_paired_with_farthest(self, cfg):
-        layout = _layout(cfg, 4)
-        plan = pair_users(layout, cfg, "UL")
-        d = np.concatenate([
-            layout.bs_distances("ul_center"), layout.bs_distances("ul_edge")
-        ])
-        first = plan.clusters[0]
-        assert first.members[0].distance == pytest.approx(d.min())
-        assert first.members[1].distance == pytest.approx(d.max())
+    def test_nearest_paired_with_farthest(self, plan):
+        for seed in range(5):
+            rows, _ = plan("--scheme", "pair", "--seed", str(seed))
+            first = _group(rows, 1)
+            for d in ("DL", "UL"):
+                direction = [float(r["distance"]) for r in rows if r["role"].startswith(d)]
+                assert float(first[f"{d}1"]["distance"]) == min(direction)
+                assert float(first[f"{d}2"]["distance"]) == max(direction)
 
-    def test_odd_count_drops_median(self, cfg):
-        # 9 users per direction -> 4 pairs, the median-rank user is unserved
-        plan = pair_users(_layout(cfg, 6), cfg, "DL")
-        assert plan.M == 4
-        assert len(plan.user_ids()) == 8
+    def test_odd_count_serves_median_alone(self, plan, cfg):
+        # 9 users per direction: 4 pairs, then the median (rank 5 of 9, the 5th
+        # nearest center user) in a slot of its own
+        rows, _ = plan("--scheme", "pair", "--seed", "6")
+        assert len(rows) == 18
+        lone = _group(rows, 5)
+        assert [(role, r["user"]) for role, r in lone.items()] == [("DL1", "dl_c5"), ("UL1", "ul_c5")]
+        for d in ("DL", "UL"):
+            direction = sorted(float(r["distance"]) for r in rows if r["role"].startswith(d))
+            assert float(lone[f"{d}1"]["distance"]) == direction[4]
 
-    def test_fewer_than_two_rejected(self):
-        cfg = baseline_config(K_cd=1, K_d1=1, K_d2=0, K_ed=0, K_eu=0, M_d=1)
-        with pytest.raises(ValueError):
-            pair_users(_layout(cfg, 0), cfg, "DL")
+    def test_distances_stay_in_their_disks(self, plan, cfg):
+        # both classes are ranked jointly by BS distance
+        for seed in range(5):
+            rows, _ = plan("--scheme", "pair", "--seed", str(seed))
+            assert all(float(r["distance"]) <= cfg.R for r in rows if "_c" in r["user"])
+            assert all(cfg.d_br - cfg.R_r <= float(r["distance"]) <= cfg.d_br + cfg.R_r
+                       for r in rows if "_e" in r["user"])
+
+    def test_fewer_than_two_rejected(self, tmp_path, capsys):
+        # one DL user makes no pair, while the UL users make three: no common schedule
+        path = tmp_path / "one.yaml"
+        dump_config(baseline_config(K_cd=1, K_d1=1, K_d2=0, K_ed=0, K_eu=0, M_d=1), str(path))
+        assert main(["cluster", "--config", str(path), "--scheme", "pair"]) == 1
+        assert "same pair count" in capsys.readouterr().err

@@ -107,6 +107,15 @@ class TestPgam:
         _, trace = pgam_optimize(cfg, power, PgamSettings(max_iters=80), initial=StarRisState.random(cfg.N, np.random.default_rng(0)))
         assert trace[-1] >= best_random
 
+    def test_default_start_is_aligned_and_not_worse_than_flat(self, cfg, power):
+        # the baseline N = 10 is not square; the flat start is still climbing at the cap
+        settings = PgamSettings(max_iters=60)
+        _, default = pgam_optimize(cfg, power, settings, model="ratio-of-means")
+        _, flat = pgam_optimize(cfg, power, settings, initial=StarRisState.uniform(cfg.N), model="ratio-of-means")
+        aligned = weighted_sum_rate(build_rate_inputs(cfg, power, aligned_state(cfg)), model="ratio-of-means")
+        assert default[0] == pytest.approx(aligned, rel=1e-12)
+        assert default[-1] >= flat[-1]
+
     def test_initial_state_size_checked(self, cfg, power):
         with pytest.raises(ValueError, match="N=11"):
             pgam_optimize(cfg, power, PgamSettings(max_iters=1), initial=StarRisState.uniform(cfg.N + 1))

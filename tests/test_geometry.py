@@ -14,7 +14,6 @@ from starnoma.geometry import (
     outside_point_pathloss_mean,
     pair_distance_density,
     pair_pathloss_mean,
-    sample_layout,
 )
 from starnoma.specfun import gamma, hyp_pfq
 
@@ -81,19 +80,17 @@ def pair_pathloss_mean_series(R, m):
 
 class TestSampling:
     def test_counts_and_containment(self, cfg):
-        layout = sample_layout(cfg, np.random.default_rng(0))
-        assert layout.dl_center.shape == (cfg.K_cd, 2)
-        assert layout.ul_center.shape == (cfg.K_cu, 2)
-        assert layout.dl_edge.shape == (cfg.K_ed, 2)
-        assert np.all(layout.bs_distances("dl_center") <= cfg.R)
-        assert np.all(layout.surface_distances("dl_edge") <= cfg.R_r)
-        assert np.all(layout.surface_distances("ul_edge") <= cfg.R_r)
+        rng = np.random.default_rng(0)
+        center = sample_disk(rng, cfg.K_cd, cfg.R)
+        edge = sample_disk(rng, cfg.K_ed, cfg.R_r, center=(cfg.d_br, 0.0))
+        assert center.shape == (cfg.K_cd, 2) and edge.shape == (cfg.K_ed, 2)
+        assert np.all(np.linalg.norm(center, axis=-1) <= cfg.R)
+        assert np.all(np.linalg.norm(edge - [cfg.d_br, 0.0], axis=-1) <= cfg.R_r)
 
     def test_same_seed_same_layout(self, cfg):
-        a = sample_layout(cfg, np.random.default_rng(7))
-        b = sample_layout(cfg, np.random.default_rng(7))
-        assert np.array_equal(a.dl_center, b.dl_center)
-        assert np.array_equal(a.ul_edge, b.ul_edge)
+        a = sample_disk(np.random.default_rng(7), cfg.K_eu, cfg.R_r, center=(cfg.d_br, 0.0))
+        b = sample_disk(np.random.default_rng(7), cfg.K_eu, cfg.R_r, center=(cfg.d_br, 0.0))
+        assert np.array_equal(a, b)
 
     def test_mean_radius(self, cfg):
         # E[r] = int r * 2r/R^2 dr = 2R/3, checked on 1e6 draws of the sampler

@@ -13,7 +13,6 @@ from starnoma.geometry import (
     ordered_pathloss_density,
     ordered_pathloss_mean,
     ordered_pathloss_rule,
-    sample_layout,
 )
 from starnoma.rates import (
     RATE_MODELS,
@@ -43,6 +42,7 @@ from starnoma.rates import (
     unit_gain_scales,
     weighted_sum_rate,
 )
+from starnoma.simulator import sorted_layout
 from starnoma.specfun import exp_e1
 from starnoma.design import aligned_state
 
@@ -56,36 +56,34 @@ def _inputs(cfg, power, state, cluster=1):
     return build_rate_inputs(cfg, power, state, cluster)
 
 
-def conditional_terms(cfg, layout, cluster=1) -> Positions:
-    """Oracle: the Positions of cluster j in one concrete layout instead of their means.
+def conditional_terms(cfg, geo, cluster=1) -> Positions:
+    """Oracle: the Positions of cluster j at one drop instead of their means.
 
-    Averaging these over many layouts must reproduce rates.positions.  Pair
-    and outside-point factors are taken between the cluster's own members;
-    the strong users' path-loss rules hold their one realized gain.
+    geo is the {user: (position, BS distance, surface distance)} of one trial
+    that simulator.sorted_layout returns at B = 1; averaging these over many
+    drops must reproduce rates.positions.  Pair and outside-point factors are
+    taken between the cluster's own members; the strong users' path-loss
+    rules hold their one realized gain.
     """
-    k = cluster_orders(cfg, cluster)
-    u1d, u2d, u3d, u1u, u2u, u3u = cluster_members(cfg, cluster)
-    order_dl = np.argsort(layout.bs_distances("dl_center"), kind="stable")
-    order_ul = np.argsort(layout.bs_distances("ul_center"), kind="stable")
-    d_dl, d_ul = np.sort(layout.bs_distances("dl_center")), np.sort(layout.bs_distances("ul_center"))
-    e_dl, e_ul = np.sort(layout.surface_distances("dl_edge")), np.sort(layout.surface_distances("ul_edge"))
-    p_u1d = layout.dl_center[order_dl[k["k_cd1"] - 1]]
-    p_u1u = layout.ul_center[order_ul[k["k_cu1"] - 1]]
-    p_u2u = layout.ul_center[order_ul[k["k_cu2"] - 1]]
-    pair_d = 0.5 * (np.linalg.norm(p_u1d - p_u1u) + np.linalg.norm(p_u1d - p_u2u))
+    u1d, u2d, u3d, u1u, u2u, u3u = members = cluster_members(cfg, cluster)
 
     def loss(d):
         return float(pathloss(d, cfg.m))
 
+    pos = {u: geo[u][0][0] for u in (u1d, u1u, u2u)}
+    pair_d = 0.5 * (np.linalg.norm(pos[u1d] - pos[u1u]) + np.linalg.norm(pos[u1d] - pos[u2u]))
     return Positions(
-        loss={u1d: loss(d_dl[k["k_cd1"] - 1]), u2d: loss(d_dl[k["k_cd2"] - 1]), u3d: loss(e_dl[k["k_ed3"] - 1]),
-              u1u: loss(d_ul[k["k_cu1"] - 1]), u2u: loss(d_ul[k["k_cu2"] - 1]), u3u: loss(e_ul[k["k_eu3"] - 1])},
-        rules={("direct", u): (pathloss(d[k[name] - 1:k[name]], cfg.m), np.ones(1))
-               for u, d, name in ((u1d, d_dl, "k_cd1"), (u1u, d_ul, "k_cu1"))},
+        loss={u: loss(geo[u][1 if u.kind == "center" else 2][0]) for u in members},
+        rules={("direct", u): (pathloss(geo[u][1], cfg.m), np.ones(1)) for u in (u1d, u1u)},
         y1=loss(pair_d),
-        q_center=loss(np.linalg.norm(p_u1d - layout.surface_center)),
+        q_center=loss(geo[u1d][2][0]),
         l_br=loss(cfg.d_br),
     )
+
+
+def _drop(cfg, rng, cluster=1):
+    """One trial of the cluster layout, resolved for cluster j's members."""
+    return sorted_layout(cfg)(rng, 1, cluster_members(cfg, cluster))
 
 
 class TestTermBookkeeping:
@@ -131,7 +129,7 @@ class TestTermBookkeeping:
         acc = None
         n = 4000
         for _ in range(n):
-            t = conditional_terms(cfg, sample_layout(cfg, rng))
+            t = conditional_terms(cfg, _drop(cfg, rng))
             vec = np.array([t.loss[u] for u in members])
             acc = vec if acc is None else acc + vec
         mean = acc / n
@@ -442,7 +440,7 @@ class TestExactSignal:
 
     def test_conditional_rule_is_the_realized_gain(self, cfg, state, power):
         # with a one-node rule the exact-signal rate is the fading average of one layout
-        t = conditional_terms(cfg, sample_layout(cfg, np.random.default_rng(5)))
+        t = conditional_terms(cfg, _drop(cfg, np.random.default_rng(5)))
         inputs = _inputs(cfg, power, state)
         table = inputs.table._replace(parts=position_parts(table_keys(inputs.table.roles), t, cfg), rules=t.rules)
         inputs = dataclasses.replace(inputs, table=table)

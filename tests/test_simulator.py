@@ -336,7 +336,7 @@ class TestRankedLayout:
         assert stats.ks_2samp(gap_direct, gap_full).pvalue > 1e-3
 
     def test_layout_returns_exactly_the_users_asked_for(self, cfg):
-        layout = simulator._sorted_layout(cfg)
+        layout = simulator.sorted_layout(cfg)
         sc = np.array([cfg.d_br, 0.0])
         for users in (list(cluster_members(cfg, 1)), list(cluster_members(cfg, 3))[2:5],
                       [u for j in (1, 2, 3) for u in cluster_members(cfg, j)]):

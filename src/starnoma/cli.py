@@ -39,7 +39,7 @@ from .comparison import (
 )
 from .config import SystemConfig, baseline_config, default_power_allocation, load_config
 from .design import PgamSettings, aligned_state, pgam_optimize
-from .rates import ROLES, cluster_members, noma_roles, rate_report
+from .rates import ROLES, cluster_group, noma_roles, rate_report
 from .simulator import SimPlan, draw_key, simulate, simulate_clusters, sorted_layout
 
 CSV_COLUMNS = ("sweep_var", "value", "role", "method", "rate", "stderr", "seed")
@@ -247,8 +247,8 @@ def _cmd_cluster(args):
                 file=sys.stderr,
             )
             return 2
-        clusters = (cluster_members(cfg, j) for j in range(1, min(cfg.M_d, cfg.M_u) + 1))
-        groups, layout = [(m[:3], m[3:]) for m in clusters], sorted_layout(cfg)
+        groups = [cluster_group(cfg, j) for j in range(1, min(cfg.M_d, cfg.M_u) + 1)]
+        layout = sorted_layout(cfg)
     else:
         groups, layout = pair_groups(cfg, simulated=True), ranked_layout(cfg)
     geo = layout(np.random.default_rng(args.seed), 1, [u for dl, ul in groups for u in (*dl, *ul)])

@@ -2,12 +2,17 @@
 
 Rates the near-far pairing baseline (2-user groups) with the same role table
 as the 3-user clusters: each pair, and the lone median user's slot, is a
-NOMA group of rates.noma_roles, read by the same analytic reader and run
-through the cluster simulator's block loop (simulator.simulate_groups) with
-a layout of its own; a grid of points shares one draw there, as the
-clusters' does.  Also implements the shared power policy of the
-comparison experiment: spend whatever power the cell-edge users need to
-reach their target rates, hand the rest to the cell-center users.
+NOMA group of rates.noma_roles, its table built by rates.group_tables, read
+by the same analytic reader and run through the cluster simulator's block
+loop (simulator.simulate_groups) with a layout of its own; a grid of points
+shares one draw there, as the clusters' does.
+
+Also implements the power policy of the comparison experiment, one body
+(_group_powers) for clusters and pairs alike: spend whatever power the
+cell-edge users need to reach their target rates, and split the rest over
+the cell-center users at the best ratio-of-means sum rate, in closed form
+(_center_split).  cluster_power_policy and pair_power_policy only choose
+the groups, the time shares and the DL edge floor.
 
 Pairing order approximations mirror the cluster analysis: center users are
 ranked by BS distance (exact), edge users by surface distance standing in for
@@ -20,6 +25,8 @@ member the r,u2d / r,u2u bearing; both choices are made in _pair_member.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +37,13 @@ from .geometry import sample_disk
 from .rates import (
     Member,
     bind,
-    build_rate_inputs,
-    key_means,
+    cluster_group,
+    group_tables,
     mean_signal_and_denominator,
     noma_roles,
-    position_parts,
-    positions,
     rate_report,
     role_log2_mean,
     solve_sinr,
-    surface_terms,
-    table_keys,
 )
 from .simulator import as_points, simulate_groups
 
@@ -141,16 +144,6 @@ def _group_vectors(cfg: SystemConfig, allocations, groups) -> list:
     return xs + [(1.0, cfg.p_um, 1.0)] * (len(groups) - len(xs))
 
 
-def _pair_tables(cfg: SystemConfig, groups, state: StarRisState):
-    """Role table and key means of every group, plus the exact-signal rules
-    (rates.positions: each pair's center strong member is rated like a
-    cluster's strong users)."""
-    pos = positions(cfg, groups)
-    surf = surface_terms(cfg, state)
-    tables = [noma_roles(cfg, dl, ul) for dl, ul in groups]
-    return [(roles, key_means(position_parts(table_keys(roles), pos, cfg), surf)) for roles in tables], pos.rules
-
-
 def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     """Analytic DL and UL sum rates of the pairing baseline.
 
@@ -163,7 +156,7 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     """
     groups = pair_groups(cfg)
     xs = _group_vectors(cfg, allocations, groups)
-    tables, rules = _pair_tables(cfg, groups, state)
+    tables, rules = group_tables(cfg, groups, state)
     sums = {"DL": 0.0, "UL": 0.0}
     for (roles, means), x in zip(tables, xs):
         for role in roles:
@@ -239,26 +232,27 @@ def _clamp(x, lo, hi):
     return min(max(x, lo), hi)
 
 
-def _best_split(roles: dict, means: dict, x_at, lo=0.02, hi=0.48, points=47):
-    """Deterministic 1-D grid-and-refine maximizer over the split fraction f.
+def _center_split(roles, means: dict, x_at, lo: float = 0.02, hi: float = 0.48) -> float:
+    """The f in [lo, hi] with the best ratio-of-means sum rate of two roles bound at x_at(f).
 
-    The objective is the ratio-of-means sum rate of the group's two
-    strongest DL users at variables x_at(f).  Those are affine in f, and so
-    is every bound coefficient, so each role's mean signal and denominator
-    are bound at f = 0 and f = 1 once and interpolated over the grids.
+    f is the strong member's share of the center DL budget, below half by
+    default to keep the NOMA ordering.
+
+    x_at is affine in f, so each role's mean signal S and denominator D are
+    too, and d/df ln(1 + S/D) = k / ((D + S) D) with k = S'D - S D' constant:
+    the stationary points are the roots of the quadratic k1 (D2 + S2) D2 +
+    k2 (D1 + S1) D1 (the cubic of the four log terms loses its leading
+    term).  The objective is compared at lo, hi and the real roots between.
     """
-    ends = [
-        np.array([mean_signal_and_denominator(bind(roles[name], x_at(f)), means) for f in (0.0, 1.0)])
-        for name in ("DL1", "DL2")
-    ]
-
-    def objective(f):
-        return sum(np.log1p((s0 + f * (s1 - s0)) / (d0 + f * (d1 - d0))) for (s0, d0), (s1, d1) in ends)
-
-    grid = np.linspace(lo, hi, points)
-    i = int(np.argmax(objective(grid)))
-    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], 41)
-    return float(fine[int(np.argmax(objective(fine)))])
+    lines, polys = [], []   # each role's (S, S', D, D'); its k and (D + S) D, ascending in f
+    for role in roles:
+        (s, d), (s1, d1) = (mean_signal_and_denominator(bind(role, x_at(f)), means) for f in (0.0, 1.0))
+        ds, dd = s1 - s, d1 - d
+        lines.append((s, ds, d, dd))
+        polys.append((ds * d - s * dd, np.array([(s + d) * d, (s + d) * dd + (ds + dd) * d, (ds + dd) * dd])))
+    (k1, q1), (k2, q2) = polys
+    roots = [float(r.real) for r in np.roots((k1 * q2 + k2 * q1)[::-1]) if r.imag == 0 and lo < r.real < hi]
+    return max([lo, hi, *roots], key=lambda f: sum(math.log1p((s + f * ds) / (d + f * dd)) for s, ds, d, dd in lines))
 
 
 # reference NOMA split used to derive achievable default edge targets
@@ -282,91 +276,88 @@ def reference_edge_targets(cfg: SystemConfig, state: StarRisState):
 
 
 def _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets):
-    """DL and UL edge target maps: a scalar holds for every cluster, None takes the reference rates."""
-    given = (dl_edge_targets, ul_edge_targets)
-    reference = reference_edge_targets(cfg, state) if None in given else given
+    """DL and UL edge target maps: a scalar holds for every cluster, None takes the reference rates.
+
+    A target that is not a finite nonnegative number, or an empty map, is rejected, naming its argument.
+    """
+    given = {"dl_edge_targets": dl_edge_targets, "ul_edge_targets": ul_edge_targets}
+    reference = reference_edge_targets(cfg, state) if None in given.values() else (None, None)
     clusters = range(1, min(cfg.M_d, cfg.M_u) + 1)
-    return tuple(
-        ref if t is None else dict(t) if isinstance(t, dict) else dict.fromkeys(clusters, float(t))
-        for t, ref in zip(given, reference)
-    )
+    out = []
+    for (name, t), ref in zip(given.items(), reference):
+        if t is None:
+            out.append(ref)
+            continue
+        values = list(t.values()) if isinstance(t, dict) else [t]
+        if not values or not all(isinstance(v, numbers.Real) and 0 <= v < math.inf for v in values):
+            raise ValueError(f"{name} must be a finite nonnegative rate or a nonempty map of them, got {t!r}")
+        out.append(dict(t) if isinstance(t, dict) else dict.fromkeys(clusters, float(t)))
+    return tuple(out)
 
 
-def cluster_power_policy(
-    cfg: SystemConfig,
-    state: StarRisState,
-    dl_edge_targets=None,
-    ul_edge_targets=None,
-) -> dict:
-    """Per-cluster allocations: edge users get what their targets need.
+def _group_powers(cfg, state, groups, shares, dl_floor, dl_edge_targets, ul_edge_targets) -> list:
+    """(alpha, p) of every NOMA group (dl users, ul users), strong first: the one power policy.
 
-    Targets may be a scalar, a {cluster: rate} map, or None for the
-    reference-derived defaults.  Center UL users transmit at the cap; the UL
-    edge power and the DL edge coefficient are solved in closed form from
-    their target rates (each SINR is linear in the power being solved) and
-    clamped to the feasible box; the remaining DL budget splits over the
-    center users for the best ratio-of-means sum rate, which preserves the
-    NOMA ordering as long as alpha3 >= 0.45 (enforced by the clamp).
+    Center UL users send at the cap.  A weakest member that is an edge user
+    gets the power its target needs at a 1/shares[direction] time share
+    (each SINR is linear in that power), clamped to [1e-9 p_um, p_um] (UL)
+    or [dl_floor, 0.95] (DL).  Its target is that of its cluster, DL
+    K_ed + 1 - order and UL order, or the smallest one if no cluster holds
+    it.  The center DL members share the rest, two of them by _center_split.
     """
     dl_t, ul_t = _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets)
+    tables, _ = group_tables(cfg, groups, state)
 
-    out = {}
-    for j in range(1, min(cfg.M_d, cfg.M_u) + 1):
-        inputs = build_rate_inputs(cfg, PowerAllocation(_REFERENCE_ALPHA, (cfg.p_um,) * 3), state, cluster=j)
-        roles, means = {r.name: r for r in inputs.table.roles}, inputs.means()
-        p1 = p2 = cfg.p_um
-
-        g_ul = 2.0 ** (cfg.M_u * ul_t[j]) - 1.0
-        p3 = solve_sinr(roles["UL3"], means, g_ul, (0, 0, 0, p1, p2, 0), (0, 0, 0, 0, 0, 1))
-        p3 = _clamp(p3, 1e-9 * cfg.p_um, cfg.p_um)
-
-        # the center users share 1 - alpha3, and only their sum enters DL3
-        g_dl = 2.0 ** (cfg.M_d * dl_t[j]) - 1.0
-        a3 = solve_sinr(roles["DL3"], means, g_dl, (1, 0, 0, p1, p2, p3), (-1, 0, 1, 0, 0, 0))
-        a3 = _clamp(a3, 0.45, 0.95)
-        rest = 1.0 - a3
-
-        frac = _best_split(roles, means, lambda f: (f * rest, rest - f * rest, a3, p1, p2, p3, 1.0))
-        out[j] = PowerAllocation(alpha=(frac * rest, (1 - frac) * rest, a3), p_ul=(p1, p2, p3))
-    return out
-
-
-def pair_power_policy(
-    cfg: SystemConfig,
-    state: StarRisState,
-    dl_edge_targets=None,
-    ul_edge_targets=None,
-) -> list:
-    """Per-pair allocations under the same edge-target policy.
-
-    Pair j carries the same edge user as cluster j, so its targets reuse the
-    cluster-indexed map; pairs without an edge member split the full DL
-    budget for the best ratio-of-means sum rate, with both UL users at the cap.
-    Known mismatch, kept until the benchmark's reference band is recaptured:
-    targets are inverted at a 1/len(pairs) share (1/4 at baseline), but the
-    pairing rates give all 5 slots 1/5 each, so edge users get 4/5 of them.
-    """
-    dl_t, ul_t = _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets)
-    groups = pair_groups(cfg)
-    tables, _ = _pair_tables(cfg, groups, state)
-    M = len(pair_structure(cfg.K_cd, cfg.K_ed))
+    def gain(targets, cluster, share):
+        return 2.0 ** (share * targets.get(cluster, min(targets.values()))) - 1.0
 
     out = []
-    for j in range(M):
-        (dl, ul), (roles, means) = groups[j], tables[j]
+    for (dl, ul), (roles, means) in zip(groups, tables):
         roles = {r.name: r for r in roles}
-        p_s = p_w = cfg.p_um
-        if ul[1].kind == "edge":
-            # the UL cluster indexed by this user's surface order serves it too
-            g_ul = 2.0 ** (M * ul_t.get(ul[1].order, min(ul_t.values()))) - 1.0
-            p_w = solve_sinr(roles["UL2"], means, g_ul, (0, 0, p_s, 0), (0, 0, 0, 1))
-            p_w = _clamp(p_w, 1e-9 * cfg.p_um, cfg.p_um)
-
-        if dl[1].kind == "edge":
-            g_dl = 2.0 ** (M * dl_t.get(j + 1, min(dl_t.values()))) - 1.0
-            a_w = solve_sinr(roles["DL2"], means, g_dl, (1, 0, p_s, p_w), (-1, 1, 0, 0))
-            a_w = _clamp(a_w, 0.55, 0.95)
-        else:
-            a_w = 1.0 - _best_split(roles, means, lambda f: (f, 1.0 - f, p_s, p_w, 1.0))
-        out.append(PairAllocation(alpha=(1.0 - a_w, a_w), p=(p_s, p_w)))
+        nd, nu = len(dl), len(ul)
+        p = [cfg.p_um] * nu
+        if ul[-1].kind == "edge":
+            v0, dv = (0.0,) * nd + (*p[:-1], 0.0), (0.0,) * (nd + nu - 1) + (1.0,)
+            p[-1] = solve_sinr(roles[f"UL{nu}"], means, gain(ul_t, ul[-1].order, shares["UL"]), v0, dv)
+            p[-1] = _clamp(p[-1], 1e-9 * cfg.p_um, cfg.p_um)
+        edge, rest = (), 1.0
+        if dl[-1].kind == "edge":
+            # the edge coefficient comes out of the strong member's, and only the center sum enters its SINR
+            v0, dv = (1.0,) + (0.0,) * (nd - 1) + tuple(p), (-1.0,) + (0.0,) * (nd - 2) + (1.0,) + (0.0,) * nu
+            a = solve_sinr(roles[f"DL{nd}"], means, gain(dl_t, cfg.K_ed + 1 - dl[-1].order, shares["DL"]), v0, dv)
+            edge = (_clamp(a, dl_floor, 0.95),)
+            rest = 1.0 - edge[0]
+        center = (rest,)
+        if nd - len(edge) == 2:
+            f = _center_split((roles["DL1"], roles["DL2"]), means, lambda f: (f * rest, rest - f * rest, *edge, *p, 1.0))
+            center = (f * rest, (1 - f) * rest)
+        out.append(((*center, *edge), tuple(p)))
     return out
+
+
+def cluster_power_policy(cfg: SystemConfig, state: StarRisState, dl_edge_targets=None, ul_edge_targets=None) -> dict:
+    """{cluster: PowerAllocation} of the shared policy (_group_powers).
+
+    Targets may be a scalar, a {cluster: rate} map, or None for the
+    reference-derived defaults.  Each direction's share is its cluster
+    count, and the DL edge floor alpha3 >= 0.45 keeps the NOMA ordering.
+    """
+    clusters = range(1, min(cfg.M_d, cfg.M_u) + 1)
+    groups = [cluster_group(cfg, j) for j in clusters]
+    powers = _group_powers(cfg, state, groups, {"DL": cfg.M_d, "UL": cfg.M_u}, 0.45, dl_edge_targets, ul_edge_targets)
+    return {j: PowerAllocation(alpha, p) for j, (alpha, p) in zip(clusters, powers)}
+
+
+def pair_power_policy(cfg: SystemConfig, state: StarRisState, dl_edge_targets=None, ul_edge_targets=None) -> list:
+    """[PairAllocation] of the shared policy (_group_powers), targets as for clusters.
+
+    Pair j carries the same edge user as cluster j; a pair without one
+    splits the full DL budget.  Known mismatch, kept until the benchmark's
+    reference band is recaptured: the targets are inverted at a
+    1/len(pairs) share (1/4 at baseline), but the pairing rates give all
+    len(pair_groups(cfg)) = 5 slots 1/5, so edge users get 4/5 of them.
+    """
+    pairs = pair_groups(cfg)[: len(pair_structure(cfg.K_cd, cfg.K_ed))]
+    share = len(pairs)   # the known mismatch, the one constant its fix changes
+    powers = _group_powers(cfg, state, pairs, {"DL": share, "UL": share}, 0.55, dl_edge_targets, ul_edge_targets)
+    return [PairAllocation(alpha, p) for alpha, p in powers]

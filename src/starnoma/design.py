@@ -33,9 +33,10 @@ from .rates import (
     RateInputs,
     SurfaceTerms,
     bind,
-    build_rate_inputs,
+    cluster_group,
     cluster_table,
     fading_log2_mean,
+    group_tables,
     key_means,
     model_rules,
     role_log2_mean,
@@ -413,9 +414,8 @@ def min_power_allocation(
             f"required SINR {g['DL1']:.4g} >= 1/(2*xi) = {1.0 / (2.0 * cfg.xi_sic):.4g}",
         )
 
-    inputs = build_rate_inputs(cfg, PowerAllocation((0.1, 0.3, 0.6), (cfg.p_um,) * 3), state, cluster)
-    roles = {r.name: r for r in inputs.table.roles}
-    means, rules = inputs.means(), inputs.table.rules
+    [(roles, means)], rules = group_tables(cfg, [cluster_group(cfg, cluster)], state)
+    roles = {r.name: r for r in roles}
     names = ("alpha1", "alpha2", "alpha3", "p_u1u", "p_u2u", "p_u3u")
 
     def solve(A, b):

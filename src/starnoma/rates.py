@@ -82,12 +82,14 @@ __all__ = [
     "Term",
     "Role",
     "cluster_orders",
+    "cluster_group",
     "cluster_roles",
     "noma_roles",
     "order_spec",
     "positions",
     "expectation_terms",
     "cluster_table",
+    "group_tables",
     "surface_terms",
     "surface_gradients",
     "build_rate_inputs",
@@ -260,10 +262,15 @@ def cluster_members(cfg: SystemConfig, cluster: int = 1) -> tuple:
     )
 
 
+def cluster_group(cfg: SystemConfig, cluster: int = 1) -> tuple:
+    """Cluster j as a NOMA group (dl users, ul users), strong first."""
+    members = cluster_members(cfg, cluster)
+    return members[:3], members[3:]
+
+
 def cluster_roles(cfg: SystemConfig, cluster: int = 1) -> tuple:
     """The six roles DL1..DL3, UL1..UL3 of cluster j."""
-    members = cluster_members(cfg, cluster)
-    return noma_roles(cfg, members[:3], members[3:])
+    return noma_roles(cfg, *cluster_group(cfg, cluster))
 
 
 def table_keys(roles) -> tuple:
@@ -393,8 +400,7 @@ class ClusterTable(NamedTuple):
 
 def expectation_terms(cfg: SystemConfig, cluster: int = 1) -> Positions:
     """The position terms of cluster j: the Positions of its users."""
-    members = cluster_members(cfg, cluster)
-    return positions(cfg, [(members[:3], members[3:])])
+    return positions(cfg, [cluster_group(cfg, cluster)])
 
 
 def cluster_table(cfg: SystemConfig, power: PowerAllocation, cluster: int = 1) -> ClusterTable:
@@ -441,6 +447,13 @@ def surface_gradients(coeffs, links: dict) -> dict:
     }
     grads["y3_raw"] = ("t", self_reflection_power_mean_grad(coeffs["t"], links["b,r"]))
     return grads
+
+
+def group_tables(cfg: SystemConfig, groups, state) -> tuple:
+    """([(roles, key means)] of NOMA groups (dl users, ul users), their exact-signal rules)."""
+    pos, surf = positions(cfg, groups), surface_terms(cfg, state)
+    tables = [noma_roles(cfg, dl, ul) for dl, ul in groups]
+    return [(roles, key_means(position_parts(table_keys(roles), pos, cfg), surf)) for roles in tables], pos.rules
 
 
 @dataclass(frozen=True)
@@ -668,11 +681,6 @@ class RateReport:
     @property
     def ul_sum(self) -> float:
         return self.rates["UL1"] + self.rates["UL2"] + self.rates["UL3"]
-
-    def weighted_sum(self, weights_dl, weights_ul) -> float:
-        return sum(w * self.rates[f"DL{i+1}"] for i, w in enumerate(weights_dl)) + sum(
-            w * self.rates[f"UL{i+1}"] for i, w in enumerate(weights_ul)
-        )
 
 
 def rate_report(

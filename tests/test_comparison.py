@@ -1,12 +1,14 @@
 import dataclasses
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from starnoma.comparison import (
     PairAllocation,
-    _best_split,
-    _pair_tables,
+    _center_split,
     cluster_power_policy,
     pair_power_policy,
     pair_rate_sums,
@@ -16,19 +18,31 @@ from starnoma.comparison import (
     reference_edge_targets,
     simulate_pair_sums,
 )
-from starnoma.config import PowerAllocation
-from starnoma.rates import Role, Term, bind, build_rate_inputs, rate_report, role_log2_mean
+from starnoma.rates import Role, Term, bind, cluster_group, group_tables, rate_report, role_log2_mean
+
+PINS = Path(__file__).with_name("policy_pins.json")
 
 
-def _best_split_by_binding(roles, means, x_at, lo=0.02, hi=0.48, points=47):
-    """The oracle: bind both roles afresh at every grid point, as the policies once did."""
-    def objective(f):
-        return sum(role_log2_mean(bind(roles[name], x_at(f)), means, {}) for name in ("DL1", "DL2"))
+def _split_objective(roles, means, x_at, f):
+    """The oracle: the two roles' ratio-of-means sum rate, bound afresh at x_at(f)."""
+    return sum(role_log2_mean(bind(role, x_at(f)), means, {}) for role in roles)
 
-    grid = np.linspace(lo, hi, points)
-    i = int(np.argmax([objective(f) for f in grid]))
-    fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, points - 1)], 41)
-    return float(fine[int(np.argmax([objective(f) for f in fine]))])
+
+def _assert_no_grid_point_beats(roles, means, x_at, lo, hi):
+    got = _center_split(roles, means, x_at, lo, hi)
+    assert lo <= got <= hi
+    best = max(_split_objective(roles, means, x_at, f) for f in np.linspace(lo, hi, 10_001))
+    assert _split_objective(roles, means, x_at, got) >= best - 1e-12 * abs(best)
+    return got
+
+
+def _baseline_split_cases(cfg, state):
+    """(roles, means, x_at) of the policies' splits on the baseline cluster and center-only pair tables."""
+    clusters = [cluster_group(cfg, j) for j in (1, 2, 3)]
+    tables, _ = group_tables(cfg, clusters + pair_groups(cfg)[:4], state)
+    cases = [(roles[:2], means, lambda f: (0.4 * f, 0.4 - 0.4 * f, 0.6, 1.0, 1.0, 0.5, 1.0))
+             for roles, means in tables[:3]]
+    return cases + [(roles[:2], means, lambda f: (f, 1.0 - f, 1.0, 0.5, 1.0)) for roles, means in tables[3:]]
 
 
 class TestPairStructure:
@@ -91,30 +105,62 @@ class TestPolicies:
 
     @pytest.mark.parametrize("xi", [0.0, 0.1])
     @pytest.mark.parametrize("snr", [0, 20, 40])
-    def test_interpolated_split_matches_binding_every_point(self, cfg, state, snr, xi):
+    def test_center_split_beats_a_fine_grid_on_baseline_tables(self, cfg, state, snr, xi):
         point = dataclasses.replace(cfg.with_snr(snr), xi_sic=xi)
-        cases = []
-        for j in (1, 2, 3):
-            inputs = build_rate_inputs(point, PowerAllocation((0.1, 0.3, 0.6), (point.p_um,) * 3), state, cluster=j)
-            roles = {r.name: r for r in inputs.table.roles}
-            cases.append((roles, inputs.means(), lambda f: (0.4 * f, 0.4 - 0.4 * f, 0.6, 1.0, 1.0, 0.5, 1.0)))
-        tables, _ = _pair_tables(point, pair_groups(point), state)
-        for roles, means in tables[:4]:
-            cases.append(({r.name: r for r in roles}, means, lambda f: (f, 1.0 - f, 1.0, 0.5, 1.0)))
-        for roles, means, x_at in cases:
-            assert _best_split(roles, means, x_at) == _best_split_by_binding(roles, means, x_at)
+        for roles, means, x_at in _baseline_split_cases(point, state):
+            _assert_no_grid_point_beats(roles, means, x_at, 0.02, 0.48)   # the policies' range
 
-    def test_interpolated_split_finds_an_interior_optimum(self):
+    def test_center_split_beats_a_fine_grid_on_random_tables(self):
+        # over x = (f, 1 - f, 1): each role's signal on its own share, interference on
+        # any variable, signal means over six decades and interference three below
+        rng = np.random.default_rng(13)
+
+        def coef(*cols):
+            c = np.zeros(3)
+            c[list(cols)] = rng.uniform(0.0, 1.0, len(cols))
+            return tuple(c)
+
+        interior = 0
+        for _ in range(40):
+            roles = tuple(
+                Role(name, Term(coef(i), (f"s{i}",)), (Term(coef(1 - i, 2), (f"i{i}",)), Term(coef(0, 1, 2), ("c",))),
+                     float(rng.uniform(0.01, 1.0)))
+                for i, name in enumerate(("DL1", "DL2"))
+            )
+            means = {(k,): float(10.0 ** rng.uniform(-3, 3)) for k in ("s0", "s1")}
+            means.update({(k,): float(10.0 ** rng.uniform(-6, 0)) for k in ("i0", "i1", "c")})
+            got = _assert_no_grid_point_beats(roles, means, lambda f: (f, 1.0 - f, 1.0), 0.02, 0.98)
+            interior += 0.02 < got < 0.98
+        assert interior >= 3   # the roots are exercised, not only the ends
+
+    def test_center_split_finds_an_interior_optimum(self):
         # log2(1 + 2f) + log2(1 + (1 - f)) peaks where 2 / (1 + 2f) = 1 / (2 - f), at f = 3/4
-        roles = {
-            "DL1": Role("DL1", Term((1.0, 0.0, 0.0), ("a",)), (), 1.0),
-            "DL2": Role("DL2", Term((0.0, 1.0, 0.0), ("b",)), (), 1.0),
-        }
+        roles = (
+            Role("DL1", Term((1.0, 0.0, 0.0), ("a",)), (), 1.0),
+            Role("DL2", Term((0.0, 1.0, 0.0), ("b",)), (), 1.0),
+        )
         means = {("a",): 2.0, ("b",): 1.0}
-        x_at = lambda f: (f, 1.0 - f, 1.0)
-        got = _best_split(roles, means, x_at, 0.02, 0.98)
-        assert got == _best_split_by_binding(roles, means, x_at, 0.02, 0.98)
-        assert got == pytest.approx(0.75, abs=1e-3)
+        got = _center_split(roles, means, lambda f: (f, 1.0 - f, 1.0), 0.02, 0.98)
+        assert got == pytest.approx(0.75, rel=0, abs=1e-12)
+
+    def test_policies_pinned_at_the_sweep_points(self, cfg, state):
+        # the cluster-vs-pair points on the seed-1 random state, as float.hex; the pair
+        # allocations move, and are re-pinned, once the pair targets use the schedule's share
+        for pin in json.loads(PINS.read_text()):
+            point = dataclasses.replace(cfg.with_snr(pin["snr_db"]), xi_sic=pin["xi_sic"])
+            cluster = cluster_power_policy(point, state)
+            got = {
+                "cluster": [[[x.hex() for x in a.alpha], [x.hex() for x in a.p_ul]] for _, a in sorted(cluster.items())],
+                "pair": [[[x.hex() for x in a.alpha], [x.hex() for x in a.p]] for a in pair_power_policy(point, state)],
+            }
+            assert got == {"cluster": pin["cluster"], "pair": pin["pair"]}, (pin["xi_sic"], pin["snr_db"])
+
+    @pytest.mark.parametrize("policy", [cluster_power_policy, pair_power_policy])
+    @pytest.mark.parametrize("name", ["dl_edge_targets", "ul_edge_targets"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, {1: 1e-6, 2: math.nan, 3: 1e-6}, {1: -1.0}, {}, "0.1"])
+    def test_bad_edge_targets_rejected_by_name(self, cfg, state, policy, name, bad):
+        with pytest.raises(ValueError, match=name):
+            policy(cfg.with_snr(20), state, **{name: bad})
 
     def test_pair_allocation_validation(self):
         with pytest.raises(ValueError):

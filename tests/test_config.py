@@ -80,7 +80,7 @@ def test_invariant_violations_name_the_field(field, value, match):
 @pytest.mark.parametrize("field", ["weights_dl", "weights_ul"])
 @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 1.0, 1.0, 1.0)])
 def test_weights_need_one_entry_per_role(field, weights):
-    # a short tuple would weight the missing role 0; a long one would fail only in RateReport.weighted_sum
+    # a short tuple would weight the missing role 0; a long one would have its extra entries ignored
     with pytest.raises(ConfigError, match=field):
         dataclasses.replace(baseline_config(), **{field: weights})
 

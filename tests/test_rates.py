@@ -29,6 +29,7 @@ from starnoma.rates import (
     expectation_terms,
     fading_log2_mean,
     noma_roles,
+    order_spec,
     pathloss,
     position_parts,
     positions,
@@ -124,18 +125,24 @@ class TestTermBookkeeping:
         assert len(groups[-1][0]) == 1 and want and set(pos.rules) == want
 
     def test_conditional_terms_average_to_statistical(self, cfg):
+        # each loss lies in (0, 1], so its drop average is normal to within a z-score of
+        # 4.5 (6.8e-6 two-sided per member); the neighbouring rank's mean sits 8-150
+        # standard errors away at seeds 0-7, so the bound rejects it
         rng = np.random.default_rng(0)
         members = cluster_members(cfg)
-        acc = None
-        n = 4000
-        for _ in range(n):
-            t = conditional_terms(cfg, _drop(cfg, rng))
-            vec = np.array([t.loss[u] for u in members])
-            acc = vec if acc is None else acc + vec
-        mean = acc / n
+        drops = np.array([[conditional_terms(cfg, _drop(cfg, rng)).loss[u] for u in members] for _ in range(4000)])
+        mean, stderr = drops.mean(axis=0), drops.std(axis=0, ddof=1) / math.sqrt(len(drops))
         t0 = expectation_terms(cfg)
         want = np.array([t0.loss[u] for u in members])
-        assert mean == pytest.approx(want, rel=0.15, abs=0)
+        assert np.all(np.abs(mean - want) < 4.5 * stderr)
+
+        def neighbour(u):
+            spec = order_spec(cfg, u)
+            k = spec.k + 1 if spec.k < spec.K else spec.k - 1
+            return ordered_pathloss_mean(OrderSpec(k, spec.K, spec.radius), cfg.m)
+
+        wrong = np.array([neighbour(u) for u in members])
+        assert np.all(np.abs(mean - wrong) > 4.5 * stderr)
 
 
 class TestDownlinkRates:
@@ -306,7 +313,8 @@ class TestWiringOracles:
 
 class TestRoleTable:
     def test_every_key_has_a_mean_and_a_sampler(self, cfg, state):
-        from starnoma.comparison import _pair_tables, pair_groups
+        from starnoma.comparison import pair_groups
+        from starnoma.rates import group_tables
         from starnoma.simulator import BlockDraws, sample_gains
         from starnoma.channel import build_links
 
@@ -322,7 +330,7 @@ class TestRoleTable:
             inputs = _inputs(cfg, default_power_allocation(cfg), state, cluster=j)
             keys = set(table_keys(inputs.table.roles))
             assert keys == set(inputs.means()) == sampled(inputs.table.roles, cluster_members(cfg, j))
-        tables, _ = _pair_tables(cfg, pair_groups(cfg), state)
+        tables, _ = group_tables(cfg, pair_groups(cfg), state)
         for roles, means in tables:
             assert set(table_keys(roles)) == set(means)
         for dl, ul in pair_groups(cfg, simulated=True):

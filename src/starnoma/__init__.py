@@ -27,14 +27,8 @@ from .rates import (
     RateInputs,
     RateReport,
     build_rate_inputs,
-    dl_rate_edge,
-    dl_rate_mid,
-    dl_rate_strong,
     expectation_terms,
     rate_report,
-    ul_rate_edge,
-    ul_rate_mid,
-    ul_rate_strong,
     weighted_sum_rate,
 )
 from .simulator import SimPlan, estimate_expectation, simulate, simulate_clusters

@@ -55,6 +55,9 @@ class StarRisState:
     def __post_init__(self):
         for name in ("rho_t", "rho_r", "phi_t", "phi_r"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            # every comparison with NaN is false, so the range checks below would pass it
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must hold finite numbers only")
         n = self.rho_t.shape
         if not (self.rho_r.shape == self.phi_t.shape == self.phi_r.shape == n):
             raise ValueError("state arrays must share one length N")

@@ -250,7 +250,7 @@ def _cmd_cluster(args):
         groups = [cluster_group(cfg, j) for j in range(1, min(cfg.M_d, cfg.M_u) + 1)]
         layout = sorted_layout(cfg)
     else:
-        groups, layout = pair_groups(cfg, simulated=True), ranked_layout(cfg)
+        groups, layout = pair_groups(cfg), ranked_layout(cfg)
     geo = layout(np.random.default_rng(args.seed), 1, [u for dl, ul in groups for u in (*dl, *ul)])
     with _csv_out(args.out) as writer:
         writer.writerow(["group", "role", "user", "distance"])

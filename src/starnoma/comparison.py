@@ -16,18 +16,15 @@ the groups, the time shares and the DL edge floor.
 
 Pairing order approximations mirror the cluster analysis: center users are
 ranked by BS distance (exact), edge users by surface distance standing in for
-their BS ranking.  The analytic pairing reuses class-level line-of-sight
-bearings: every center user has the r,u1d / r,u1u bearing and every edge
-user the r,u3d / r,u3u bearing of its direction.  The simulated pairing
-ranks by realized BS distance directly and gives a pair's weak center
-member the r,u2d / r,u2u bearing; both choices are made in _pair_member.
+their BS ranking; the simulated pairing ranks by realized BS distance.  Both
+hold only while every center user is nearer the BS than every edge user,
+which pair_groups requires of the geometry.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +34,18 @@ from .geometry import sample_disk
 from .rates import (
     Member,
     bind,
+    bind_power,
     cluster_group,
     group_tables,
     mean_signal_and_denominator,
-    noma_roles,
     rate_report,
-    role_log2_mean,
+    read_rates,
     solve_sinr,
+    surface_terms,
 )
 from .simulator import as_points, simulate_groups
 
 __all__ = [
-    "PairAllocation",
     "pair_structure",
     "pair_slots",
     "pair_groups",
@@ -59,21 +56,6 @@ __all__ = [
     "cluster_power_policy",
     "pair_power_policy",
 ]
-
-
-@dataclass(frozen=True)
-class PairAllocation:
-    """Power split of one 2-user group: (strong, weak) DL coefficients and UL powers."""
-
-    alpha: tuple   # (a_s, a_w), a_s < a_w, a_s + a_w <= 1
-    p: tuple       # (p_s, p_w) watts
-
-    def __post_init__(self):
-        a_s, a_w = self.alpha
-        if not (0 < a_s < a_w) or a_s + a_w > 1.0 + 1e-12:
-            raise ValueError(f"invalid pair DL split {self.alpha}")
-        if any(q <= 0 for q in self.p):
-            raise ValueError("pair UL powers must be positive")
 
 
 def pair_structure(K_center: int, K_edge: int):
@@ -111,24 +93,32 @@ def pair_slots(K_center: int, K_edge: int):
     return pairs, leftover
 
 
-def _pair_member(kind: str, order: int, direction: str, weak_bearing: bool = False) -> Member:
-    """A pair user; weak_bearing gives a center user the mid users' bearing."""
-    index = 3 if kind == "edge" else 2 if weak_bearing else 1
+def _pair_member(kind: str, order: int, direction: str, weak: bool = False) -> Member:
+    """A pair user with its line-of-sight bearing: an edge user has the edge
+    users' (r,u3d / r,u3u), a weak center member the mid users' (r,u2d /
+    r,u2u), and any other center user the strong users' (r,u1d / r,u1u)."""
+    index = 3 if kind == "edge" else 2 if weak else 1
     return Member(kind, direction, order, f"r,u{index}{direction[0].lower()}")
 
 
-def pair_groups(cfg: SystemConfig, simulated: bool = False) -> list:
+def pair_groups(cfg: SystemConfig) -> list:
     """The pairing schedule as NOMA groups (dl users, ul users), strong first.
 
-    The lone median users' slot, if any, comes last.  simulated selects the
-    simulator's bearings (see the module docstring).
+    The lone median users' slot, if any, comes last.  The ranks assume every
+    center user nearer the BS than every edge user, so the disks must not
+    overlap: d_br - R_r >= R.
     """
+    if cfg.d_br - cfg.R_r < cfg.R:
+        raise ValueError(
+            f"the pairing needs the edge disk outside the center disk: d_br - R_r = {cfg.d_br - cfg.R_r:g} "
+            f"must be at least R = {cfg.R:g} (d_br = {cfg.d_br:g}, R_r = {cfg.R_r:g})"
+        )
     pairs_dl, lone_dl = pair_slots(cfg.K_cd, cfg.K_ed)
     pairs_ul, lone_ul = pair_slots(cfg.K_cu, cfg.K_eu)
     if len(pairs_dl) != len(pairs_ul):
         raise ValueError("same pair count per direction required")
     groups = [
-        tuple([_pair_member(*s, d), _pair_member(*w, d, simulated)] for (s, w), d in ((dl, "DL"), (ul, "UL")))
+        tuple([_pair_member(*s, d), _pair_member(*w, d, weak=True)] for (s, w), d in ((dl, "DL"), (ul, "UL")))
         for dl, ul in zip(pairs_dl, pairs_ul)
     ]
     if lone_dl is not None:
@@ -136,18 +126,17 @@ def pair_groups(cfg: SystemConfig, simulated: bool = False) -> list:
     return groups
 
 
-def _group_vectors(cfg: SystemConfig, allocations, groups) -> list:
-    """Variables (alpha..., p..., 1) of every group; the lone slot sends at full power."""
+def _slot_powers(cfg: SystemConfig, allocations, groups) -> list:
+    """The allocation of every slot: one given per pair, then the lone slot's at full power."""
     if len(allocations) != len(pair_structure(cfg.K_cd, cfg.K_ed)):
         raise ValueError("one allocation per pair required")
-    xs = [(*a.alpha, *a.p, 1.0) for a in allocations]
-    return xs + [(1.0, cfg.p_um, 1.0)] * (len(groups) - len(xs))
+    return [*allocations] + [PowerAllocation((1.0,), (cfg.p_um,))] * (len(groups) - len(allocations))
 
 
 def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     """Analytic DL and UL sum rates of the pairing baseline.
 
-    allocations is one PairAllocation per pair (applied to both directions).
+    allocations is one PowerAllocation per pair (applied to both directions).
     Returns (dl_sum, ul_sum) over all slots, each carrying a 1/n_slots time
     share; with an odd user count the last slot holds the lone median user at
     full power.  As in rate_report's default (exact-signal) model, a strong
@@ -155,12 +144,12 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     exactly over its direct-link signal, its interference held at the mean.
     """
     groups = pair_groups(cfg)
-    xs = _group_vectors(cfg, allocations, groups)
-    tables, rules = group_tables(cfg, groups, state)
+    powers = _slot_powers(cfg, allocations, groups)
+    surface, shares = surface_terms(cfg, state), {"DL": len(groups), "UL": len(groups)}
     sums = {"DL": 0.0, "UL": 0.0}
-    for (roles, means), x in zip(tables, xs):
-        for role in roles:
-            sums[role.name[:2]] += role_log2_mean(bind(role, x), means, rules) / len(groups)
+    for table, power in zip(group_tables(cfg, groups), powers):
+        for name, rate in read_rates(bind_power(table.roles, power), table.means(surface), table.rules, shares).items():
+            sums[name[:2]] += rate
     return sums["DL"], sums["UL"]
 
 
@@ -208,17 +197,10 @@ def simulate_pair_sums(
     """
     points, one = as_points(cfg, allocations)
     cfg = points[0][0]
-    groups = pair_groups(cfg, simulated=True)
-
-    def schedule(point, allocs):
-        return [
-            (dl + ul, tuple(bind(r, x) for r in noma_roles(point, dl, ul)))
-            for (dl, ul), x in zip(groups, _group_vectors(point, allocs, groups))
-        ]
-
+    groups = pair_groups(cfg)
     shares = {"DL": len(groups), "UL": len(groups)}
     results = simulate_groups(
-        [(point, schedule(point, allocs)) for point, allocs in points], state, shares,
+        [(point, _slot_powers(point, allocs, groups)) for point, allocs in points], groups, state, shares,
         ranked_layout(cfg), trials, seed, block_size,
     )
     sums = [point_sums for _, point_sums in results]
@@ -296,7 +278,7 @@ def _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets):
 
 
 def _group_powers(cfg, state, groups, shares, dl_floor, dl_edge_targets, ul_edge_targets) -> list:
-    """(alpha, p) of every NOMA group (dl users, ul users), strong first: the one power policy.
+    """The PowerAllocation of every NOMA group (dl users, ul users), strong first: the one power policy.
 
     Center UL users send at the cap.  A weakest member that is an edge user
     gets the power its target needs at a 1/shares[direction] time share
@@ -306,14 +288,14 @@ def _group_powers(cfg, state, groups, shares, dl_floor, dl_edge_targets, ul_edge
     it.  The center DL members share the rest, two of them by _center_split.
     """
     dl_t, ul_t = _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets)
-    tables, _ = group_tables(cfg, groups, state)
+    surface = surface_terms(cfg, state)
 
     def gain(targets, cluster, share):
         return 2.0 ** (share * targets.get(cluster, min(targets.values()))) - 1.0
 
     out = []
-    for (dl, ul), (roles, means) in zip(groups, tables):
-        roles = {r.name: r for r in roles}
+    for (dl, ul), table in zip(groups, group_tables(cfg, groups)):
+        roles, means = {r.name: r for r in table.roles}, table.means(surface)
         nd, nu = len(dl), len(ul)
         p = [cfg.p_um] * nu
         if ul[-1].kind == "edge":
@@ -331,7 +313,7 @@ def _group_powers(cfg, state, groups, shares, dl_floor, dl_edge_targets, ul_edge
         if nd - len(edge) == 2:
             f = _center_split((roles["DL1"], roles["DL2"]), means, lambda f: (f * rest, rest - f * rest, *edge, *p, 1.0))
             center = (f * rest, (1 - f) * rest)
-        out.append(((*center, *edge), tuple(p)))
+        out.append(PowerAllocation((*center, *edge), p))
     return out
 
 
@@ -345,11 +327,11 @@ def cluster_power_policy(cfg: SystemConfig, state: StarRisState, dl_edge_targets
     clusters = range(1, min(cfg.M_d, cfg.M_u) + 1)
     groups = [cluster_group(cfg, j) for j in clusters]
     powers = _group_powers(cfg, state, groups, {"DL": cfg.M_d, "UL": cfg.M_u}, 0.45, dl_edge_targets, ul_edge_targets)
-    return {j: PowerAllocation(alpha, p) for j, (alpha, p) in zip(clusters, powers)}
+    return dict(zip(clusters, powers))
 
 
 def pair_power_policy(cfg: SystemConfig, state: StarRisState, dl_edge_targets=None, ul_edge_targets=None) -> list:
-    """[PairAllocation] of the shared policy (_group_powers), targets as for clusters.
+    """[PowerAllocation] of the shared policy (_group_powers), one per pair, targets as for clusters.
 
     Pair j carries the same edge user as cluster j; a pair without one
     splits the full DL budget.  Known mismatch, kept until the benchmark's
@@ -359,5 +341,4 @@ def pair_power_policy(cfg: SystemConfig, state: StarRisState, dl_edge_targets=No
     """
     pairs = pair_groups(cfg)[: len(pair_structure(cfg.K_cd, cfg.K_ed))]
     share = len(pairs)   # the known mismatch, the one constant its fix changes
-    powers = _group_powers(cfg, state, pairs, {"DL": share, "UL": share}, 0.55, dl_edge_targets, ul_edge_targets)
-    return [PairAllocation(alpha, p) for alpha, p in powers]
+    return _group_powers(cfg, state, pairs, {"DL": share, "UL": share}, 0.55, dl_edge_targets, ul_edge_targets)

@@ -56,11 +56,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Downlink power split and uplink transmit powers for one cluster.
+    """Downlink power split and uplink transmit powers of one NOMA group.
 
-    alpha holds the three DL coefficients (strong, mid, edge user); NOMA
-    requires alpha1 < alpha2 < alpha3 and their sum at most 1.  p_ul holds the
-    three UL powers in watts.
+    alpha holds the DL coefficients, strong user first; NOMA requires them
+    positive, strictly increasing and summing to at most 1.  p_ul holds one
+    finite positive UL power in watts per UL member.  A config's allocation
+    is a cluster's, with 3 entries each.
     """
 
     alpha: tuple
@@ -69,15 +70,17 @@ class PowerAllocation:
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         object.__setattr__(self, "p_ul", tuple(float(p) for p in self.p_ul))
-        if len(self.alpha) != 3 or len(self.p_ul) != 3:
-            raise ConfigError("allocation: alpha and p_ul must each have 3 entries")
-        a1, a2, a3 = self.alpha
-        if not (a1 < a2 < a3):
-            raise ConfigError(f"allocation.alpha: ordering alpha1 < alpha2 < alpha3 violated: {self.alpha}")
-        if a1 + a2 + a3 > 1.0 + 1e-9:
-            raise ConfigError(f"allocation.alpha: sum {a1 + a2 + a3:.6f} exceeds 1")
-        if a1 <= 0:
+        if not self.alpha or not self.p_ul:
+            raise ConfigError("allocation: alpha and p_ul must each have at least 1 entry")
+        if not all(a < b for a, b in zip(self.alpha, self.alpha[1:])):
+            raise ConfigError(f"allocation.alpha: ordering alpha1 < alpha2 < ... violated: {self.alpha}")
+        if sum(self.alpha) > 1.0 + 1e-9:
+            raise ConfigError(f"allocation.alpha: sum {sum(self.alpha):.6f} exceeds 1")
+        if not self.alpha[0] > 0:
             raise ConfigError("allocation.alpha: coefficients must be positive")
+        # every comparison with NaN is false, so a NaN power fails this test
+        if not all(0 < p < math.inf for p in self.p_ul):
+            raise ConfigError(f"allocation.p_ul: powers must be finite and positive, got {self.p_ul}")
 
     def validate_budget(self, p_um: float) -> None:
         for i, p in enumerate(self.p_ul):
@@ -200,6 +203,8 @@ class SystemConfig:
         if any(w < 0 for w in self.weights_dl + self.weights_ul):
             raise ConfigError("weights must be nonnegative")
         if self.allocation is not None:
+            if len(self.allocation.alpha) != 3 or len(self.allocation.p_ul) != 3:
+                raise ConfigError("allocation: alpha and p_ul must each have 3 entries")
             self.allocation.validate_budget(self.p_um)
 
     # -- convenience -----------------------------------------------------

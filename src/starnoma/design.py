@@ -33,11 +33,10 @@ from .rates import (
     RateInputs,
     SurfaceTerms,
     bind,
+    bind_power,
     cluster_group,
-    cluster_table,
     fading_log2_mean,
     group_tables,
-    key_means,
     model_rules,
     role_log2_mean,
     role_log2_mean_grad,
@@ -129,7 +128,8 @@ class _Objective:
     def __init__(self, cfg, power, weights=None, cluster=1, model=DEFAULT_MODEL):
         self.cfg = cfg
         self.links = build_links(cfg)
-        self.table = cluster_table(cfg, power, cluster)
+        self.table = group_tables(cfg, [cluster_group(cfg, cluster)])[0]
+        self.bound = bind_power(self.table.roles, power)
         self.weights = weights
         self.model = model
         # d(objective)/d(role log2-mean): the role's weight over its rate's prelog M
@@ -142,7 +142,7 @@ class _Objective:
     def value(self, theta_t, theta_r, rho_t, rho_r) -> float:
         # the surface terms come straight from the (possibly infeasible) trial point
         surface = surface_terms(self.cfg, (rho_t * theta_t, rho_r * theta_r), self.links)
-        return weighted_sum_rate(RateInputs(self.cfg, self.table, surface), self.weights, self.model)
+        return weighted_sum_rate(RateInputs(self.cfg, self.table, self.bound, surface), self.weights, self.model)
 
     def gradient(self, theta_t, theta_r, rho_t, rho_r):
         """(g_theta_t, g_theta_r, g_rho_t, g_rho_r) of value at the same point.
@@ -152,9 +152,9 @@ class _Objective:
         g_theta = rho * G and g_rho = Re(G * conj(theta)).
         """
         coeffs = (rho_t * theta_t, rho_r * theta_r)
-        means = key_means(self.table.parts, surface_terms(self.cfg, coeffs, self.links))
+        means = self.table.means(surface_terms(self.cfg, coeffs, self.links))
         d_surface = dict.fromkeys(SurfaceTerms.__dataclass_fields__, 0.0)
-        for role in self.table.bound:
+        for role in self.bound:
             scale = self.role_scale[role.name]
             for key, d in role_log2_mean_grad(role, means, self.rules).items():
                 factor, name = self.table.parts[key]
@@ -414,8 +414,9 @@ def min_power_allocation(
             f"required SINR {g['DL1']:.4g} >= 1/(2*xi) = {1.0 / (2.0 * cfg.xi_sic):.4g}",
         )
 
-    [(roles, means)], rules = group_tables(cfg, [cluster_group(cfg, cluster)], state)
-    roles = {r.name: r for r in roles}
+    [table] = group_tables(cfg, [cluster_group(cfg, cluster)])
+    means, rules = table.means(surface_terms(cfg, state)), table.rules
+    roles = {r.name: r for r in table.roles}
     names = ("alpha1", "alpha2", "alpha3", "p_u1u", "p_u2u", "p_u3u")
 
     def solve(A, b):

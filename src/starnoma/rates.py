@@ -9,7 +9,7 @@ linearly, with P_b and xi_sic inside it, and the key names one random gain:
 ("direct", u) a center user's BS link, ("cross", rx, tx) a DL-center/UL-center
 link, ("cascade", side, out, in) a path through one surface face, ("bounce",)
 the BS's own signal off the surface, ("si",) the residual self-interference.
-Three readers use the table: key_means() and role_log2_mean() here (the
+Three readers use the table: GroupTable.means() and role_log2_mean() here (the
 closed forms), simulator.sample_gains() (per-trial draws), and sinr_row()
 (the linear rows of min-power allocation and the power policies).
 
@@ -38,8 +38,10 @@ a surface term:
 * surface terms (omega / y3 families) depend on the surface state through the
   element coefficients rho * exp(j*phi).
 
-A ClusterTable settles the position factors once, since the optimizer
-re-evaluates the rates many times while only the surface terms move.
+group_tables() builds the GroupTable of every NOMA group from one
+positions() call: its roles, each key's position factor and the signal rules
+of the exact-signal model.  Only the surface terms are left to settle, since
+the optimizer re-evaluates the rates many times while only they move.
 
 Role indices inside cluster j: the DL cluster pairs the j-th nearest users of
 both center groups with the (K_ed+1-j)-th nearest (i.e. j-th farthest) edge
@@ -88,24 +90,19 @@ __all__ = [
     "order_spec",
     "positions",
     "expectation_terms",
-    "cluster_table",
+    "GroupTable",
     "group_tables",
     "surface_terms",
     "surface_gradients",
     "build_rate_inputs",
-    "key_means",
+    "bind_power",
     "mean_signal_and_denominator",
     "role_log2_mean",
     "role_log2_mean_grad",
+    "read_rates",
     "role_rates",
     "sinr_row",
     "solve_sinr",
-    "dl_rate_strong",
-    "dl_rate_mid",
-    "dl_rate_edge",
-    "ul_rate_strong",
-    "ul_rate_mid",
-    "ul_rate_edge",
     "fading_log2_mean",
     "fading_log2_mean_dlog",
     "sic_log2_mean",
@@ -290,9 +287,10 @@ def bind(role: Role, x) -> Role:
     )
 
 
-def power_vector(power: PowerAllocation) -> tuple:
-    """A cluster's variables x = (alpha1, alpha2, alpha3, p1, p2, p3, 1)."""
-    return (*power.alpha, *power.p_ul, 1.0)
+def bind_power(roles, power: PowerAllocation) -> tuple:
+    """A group's roles bound to its allocation's variables x = (alpha..., p..., 1)."""
+    x = (*power.alpha, *power.p_ul, 1.0)
+    return tuple(bind(r, x) for r in roles)
 
 
 # -- analytic reader ------------------------------------------------------------
@@ -383,19 +381,16 @@ def position_parts(keys, pos: Positions, cfg: SystemConfig) -> dict:
     return parts
 
 
-def key_means(parts: dict, surface: SurfaceTerms) -> dict:
-    """Expectation of every gain key: its position factor times its surface term."""
-    return {key: f if name is None else getattr(surface, name) * f for key, (f, name) in parts.items()}
+class GroupTable(NamedTuple):
+    """A NOMA group's role table with everything but the surface state settled."""
 
-
-class ClusterTable(NamedTuple):
-    """A cluster's role table with everything but the surface state settled."""
-
-    roles: tuple    # the six roles, coefficients over the variables
-    bound: tuple    # the same roles at the allocation's variables
+    roles: tuple    # its roles, coefficients over the group's variables
     parts: dict     # key -> position_parts entry
     rules: dict     # signal key -> path-loss rule, for the exact-signal model
-    cluster: int
+
+    def means(self, surface: SurfaceTerms) -> dict:
+        """Expectation of every gain key: its position factor times its surface term."""
+        return {key: f if name is None else getattr(surface, name) * f for key, (f, name) in self.parts.items()}
 
 
 def expectation_terms(cfg: SystemConfig, cluster: int = 1) -> Positions:
@@ -403,12 +398,14 @@ def expectation_terms(cfg: SystemConfig, cluster: int = 1) -> Positions:
     return positions(cfg, [cluster_group(cfg, cluster)])
 
 
-def cluster_table(cfg: SystemConfig, power: PowerAllocation, cluster: int = 1) -> ClusterTable:
-    """Cluster j's role table, bound to the allocation, its position terms keyed by its users."""
-    pos = expectation_terms(cfg, cluster)
-    roles = cluster_roles(cfg, cluster)
-    bound = tuple(bind(r, power_vector(power)) for r in roles)
-    return ClusterTable(roles, bound, position_parts(table_keys(roles), pos, cfg), pos.rules, int(cluster))
+def group_tables(cfg: SystemConfig, groups) -> list:
+    """The GroupTable of every NOMA group (dl users, ul users), from one positions() call."""
+    pos = positions(cfg, groups)
+    tables = []
+    for dl, ul in groups:
+        roles = noma_roles(cfg, dl, ul)
+        tables.append(GroupTable(roles, position_parts(table_keys(roles), pos, cfg), pos.rules))
+    return tables
 
 
 def check_state_size(cfg: SystemConfig, n: int) -> None:
@@ -449,37 +446,23 @@ def surface_gradients(coeffs, links: dict) -> dict:
     return grads
 
 
-def group_tables(cfg: SystemConfig, groups, state) -> tuple:
-    """([(roles, key means)] of NOMA groups (dl users, ul users), their exact-signal rules)."""
-    pos, surf = positions(cfg, groups), surface_terms(cfg, state)
-    tables = [noma_roles(cfg, dl, ul) for dl, ul in groups]
-    return [(roles, key_means(position_parts(table_keys(roles), pos, cfg), surf)) for roles in tables], pos.rules
-
-
 @dataclass(frozen=True)
 class RateInputs:
-    """Everything the analytic reader needs for one cluster: its table and its surface terms."""
+    """Everything the analytic reader needs for one cluster: its table, the table's roles
+    bound to the allocation, and its surface terms."""
 
     cfg: SystemConfig
-    table: ClusterTable
+    table: GroupTable
+    bound: tuple      # the table's roles at the allocation's variables
     surface: SurfaceTerms
 
-    @property
-    def cluster(self) -> int:
-        return self.table.cluster
-
     def means(self) -> dict:
-        return key_means(self.table.parts, self.surface)
+        return self.table.means(self.surface)
 
 
-def build_rate_inputs(
-    cfg: SystemConfig,
-    power: PowerAllocation,
-    state: StarRisState,
-    cluster: int = 1,
-    links: dict | None = None,
-) -> RateInputs:
-    return RateInputs(cfg, cluster_table(cfg, power, cluster), surface_terms(cfg, state, links))
+def build_rate_inputs(cfg: SystemConfig, power: PowerAllocation, state: StarRisState, cluster: int = 1) -> RateInputs:
+    table = group_tables(cfg, [cluster_group(cfg, cluster)])[0]
+    return RateInputs(cfg, table, bind_power(table.roles, power), surface_terms(cfg, state))
 
 
 def fading_log2_mean(rule, scale):
@@ -606,36 +589,22 @@ RATE_MODELS = ("ratio-of-means", "exact-signal")
 DEFAULT_MODEL = "exact-signal"
 
 
-def model_rules(table: ClusterTable, model: str) -> dict:
+def model_rules(table: GroupTable, model: str) -> dict:
     """The path-loss rules the named model averages the signal over: the table's, or none."""
     if model not in RATE_MODELS:
         raise ValueError(f"unknown rate model {model!r}; choose one of {RATE_MODELS}")
     return table.rules if model == "exact-signal" else {}
 
 
+def read_rates(bound, means: dict, rules: dict, shares: dict) -> dict:
+    """Each bound role's rate: its E log2(1 + SINR) over its direction's time-share divisor."""
+    return {role.name: role_log2_mean(role, means, rules) / shares[role.name[:2]] for role in bound}
+
+
 def role_rates(inputs: RateInputs, model: str = DEFAULT_MODEL) -> dict:
     """Per-role rates (1/M) E log2(1 + SINR) of one cluster under the named model."""
-    rules = model_rules(inputs.table, model)
-    means, cfg = inputs.means(), inputs.cfg
-    return {
-        role.name: role_log2_mean(role, means, rules) / (cfg.M_d if role.name.startswith("DL") else cfg.M_u)
-        for role in inputs.table.bound
-    }
-
-
-def _paper_view(name: str):
-    def view(inputs: RateInputs) -> float:
-        return role_rates(inputs, "ratio-of-means")[name]
-    return view
-
-
-# the paper's closed form of each cluster role, one view onto the table each
-dl_rate_strong = _paper_view("DL1")   # decodes both partners first, leaks a residual xi of their power
-dl_rate_mid = _paper_view("DL2")      # cancels only the edge signal, the strong user's stays
-dl_rate_edge = _paper_view("DL3")     # served through the surface, decodes nothing
-ul_rate_strong = _paper_view("UL1")   # decoded first at the BS, all partners at full power
-ul_rate_mid = _paper_view("UL2")      # the strong user's signal cancelled up to the SIC residual
-ul_rate_edge = _paper_view("UL3")     # decoded last, only SIC residuals of the center users remain
+    cfg = inputs.cfg
+    return read_rates(inputs.bound, inputs.means(), model_rules(inputs.table, model), {"DL": cfg.M_d, "UL": cfg.M_u})
 
 
 def role_weights(cfg: SystemConfig, weights: dict | None = None) -> dict:
@@ -671,8 +640,9 @@ class RateReport:
         missing = set(ROLES) - set(self.rates)
         if missing:
             raise ValueError(f"report missing roles: {sorted(missing)}")
-        if any(v < 0 for v in self.rates.values()):
-            raise ValueError("rates must be nonnegative")
+        for role, v in self.rates.items():
+            if not 0 <= v < math.inf:   # NaN fails this test too
+                raise ValueError(f"rate of {role} must be finite and nonnegative, got {v}")
 
     @property
     def dl_sum(self) -> float:
@@ -688,9 +658,8 @@ def rate_report(
     power: PowerAllocation,
     state: StarRisState,
     cluster: int = 1,
-    links: dict | None = None,
     model: str = DEFAULT_MODEL,
 ) -> RateReport:
     """Analytic per-role rates of one cluster under the named model (see module docstring)."""
-    inputs = build_rate_inputs(cfg, power, state, cluster, links=links)
-    return RateReport(rates=role_rates(inputs, model), method="analytic", cluster=inputs.cluster)
+    inputs = build_rate_inputs(cfg, power, state, cluster)
+    return RateReport(rates=role_rates(inputs, model), method="analytic", cluster=int(cluster))

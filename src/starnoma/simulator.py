@@ -66,15 +66,16 @@ from .rates import (
     RateReport,
     ROLES,
     _OMEGA_PATHS,
-    bind,
+    bind_power,
     build_rate_inputs,
     check_state_size,
+    cluster_group,
     cluster_members,
     cluster_roles,
     expectation_terms,
+    noma_roles,
     order_spec,
     pathloss,
-    power_vector,
     role_rates,
     si_variance,
     surface_terms,
@@ -376,21 +377,22 @@ def _shared_draw(cfgs) -> SystemConfig:
     return cfgs[0]
 
 
-def simulate_groups(points, state, shares, layout, trials, seed, block_size=_DEFAULT_BLOCK):
+def simulate_groups(points, groups, state, shares, layout, trials, seed, block_size=_DEFAULT_BLOCK):
     """The block loop: every NOMA group of a schedule, at every point of a grid,
     off one network realization per trial.
 
-    points holds (cfg, schedule) per point, the configs differing in
-    POINT_FIELDS only; a schedule holds (users, bound) per group: its users
-    in sampling order, the same at every point, and its role table bound to
-    the point's variables (rates.bind).  shares maps "DL" and "UL" to the
-    time-share divisor of that direction.  layout(rng, B, users) draws a
-    block's positions and returns {user: (position, BS distance, surface
-    distance)} for the given users.  Each block draws the layout, its
-    BlockDraws, then each group's gains in schedule order; every point
-    evaluates its SINRs from them.  The blocks run concurrently (_map_blocks)
-    and their moments merge in block order.  Returns one ([{role:
-    accumulator} per group], {dl_sum, ul_sum and their stderrs}) per point.
+    groups lists the schedule's NOMA groups (dl users, ul users), strong
+    first; points holds (cfg, [PowerAllocation per group]) per point, the
+    configs differing in POINT_FIELDS only.  Each point rates every group's
+    role table bound to its allocation (rates.bind_power).  shares maps "DL"
+    and "UL" to the time-share divisor of that direction.  layout(rng, B,
+    users) draws a block's positions and returns {user: (position, BS
+    distance, surface distance)} for the given users.  Each block draws the
+    layout, its BlockDraws, then each group's gains in schedule order, its
+    users sampled DL first; every point evaluates its SINRs from them.  The
+    blocks run concurrently (_map_blocks) and their moments merge in block
+    order.  Returns one ([{role: accumulator} per group], {dl_sum, ul_sum and
+    their stderrs}) per point.
     """
     for name, value in (("trials", trials), ("block_size", block_size)):
         if value < 1:
@@ -398,8 +400,12 @@ def simulate_groups(points, state, shares, layout, trials, seed, block_size=_DEF
     cfg = _shared_draw([c for c, _ in points])
     check_state_size(cfg, state.N)
     links = build_links(cfg)
-    first = points[0][1]
-    users = [u for group_users, _ in first for u in group_users]
+    schedules = [
+        [bind_power(noma_roles(point, dl, ul), power) for (dl, ul), power in zip(groups, powers)]
+        for point, powers in points
+    ]
+    members = [(*dl, *ul) for dl, ul in groups]
+    users = [u for group_users in members for u in group_users]
     si_scales = [si_variance(c) for c, _ in points]
 
     def run_block(B, rng):
@@ -407,18 +413,18 @@ def simulate_groups(points, state, shares, layout, trials, seed, block_size=_DEF
         geo = layout(rng, B, users)
         block = BlockDraws.draw(cfg, state, links, rng, B)
         si = [scale * block.si for scale in si_scales]
-        out = [([{} for _ in first], {"DL": np.zeros(B), "UL": np.zeros(B)}) for _ in points]
-        for g, (group_users, bound) in enumerate(first):
-            gains = sample_gains(bound, group_users, geo, links, rng, block)
-            for (_, schedule), point_si, (moments, tot) in zip(points, si, out):
+        out = [([{} for _ in groups], {"DL": np.zeros(B), "UL": np.zeros(B)}) for _ in points]
+        for g, group_users in enumerate(members):
+            gains = sample_gains(schedules[0][g], group_users, geo, links, rng, block)
+            for schedule, point_si, (moments, tot) in zip(schedules, si, out):
                 gains[("si",)] = point_si
-                for name, sinr in role_sinrs(schedule[g][1], gains).items():
+                for name, sinr in role_sinrs(schedule[g], gains).items():
                     r = np.log2(1.0 + sinr) / shares[name[:2]]
                     moments[g][name] = _moments(r)
                     tot[name[:2]] += r
         return [(moments, {d: _moments(total) for d, total in tot.items()}) for moments, tot in out]
 
-    acc = [[{role.name: _Accumulator() for role in bound} for _, bound in schedule] for _, schedule in points]
+    acc = [[{role.name: _Accumulator() for role in bound} for bound in schedule] for schedule in schedules]
     acc_sum = [{"DL": _Accumulator(), "UL": _Accumulator()} for _ in points]
     for block in _map_blocks(run_block, _blocks(trials, seed, block_size)):
         for (moments, sums), point_acc, point_sum in zip(block, acc, acc_sum):
@@ -518,19 +524,13 @@ def simulate_clusters(
     if clusters is None:
         clusters = list(range(1, min(cfg.M_d, cfg.M_u) + 1))
     clusters = sorted(int(j) for j in clusters)
-    members = [cluster_members(cfg, j) for j in clusters]
 
-    def schedule(point, power):
-        if isinstance(power, PowerAllocation):
-            power = {j: power for j in clusters}
-        return [
-            (users, tuple(bind(r, power_vector(power[j])) for r in cluster_roles(point, j)))
-            for j, users in zip(clusters, members)
-        ]
+    def allocations(power):
+        return [power if isinstance(power, PowerAllocation) else power[j] for j in clusters]
 
     results = simulate_groups(
-        [(point, schedule(point, power)) for point, power in points], state, {"DL": cfg.M_d, "UL": cfg.M_u},
-        sorted_layout(cfg), trials, seed, block_size,
+        [(point, allocations(power)) for point, power in points], [cluster_group(cfg, j) for j in clusters], state,
+        {"DL": cfg.M_d, "UL": cfg.M_u}, sorted_layout(cfg), trials, seed, block_size,
     )
     out = []
     for acc, sums in results:
@@ -603,7 +603,7 @@ def estimate_expectation(
     links = build_links(cfg)
     if key in LOG_MEAN_KEYS:
         inputs = build_rate_inputs(cfg, default_power_allocation(cfg), state, cluster)
-        role = inputs.table.bound[0 if key == "log_u1d" else 3]   # DL1 or UL1
+        role = inputs.bound[0 if key == "log_u1d" else 3]   # DL1 or UL1
         total, residual = unit_gain_scales(role, inputs.means())
         strong = order_spec(cfg, role.signal.key[1])
     if key in _OMEGA_PATHS:   # the cluster table's key of this path, drawn as the simulator draws it

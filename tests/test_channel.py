@@ -57,6 +57,15 @@ class TestState:
         assert 0 <= s.phi_r[0] < 2 * np.pi
         assert s.phi_t[0] == pytest.approx(7.0 - 2 * np.pi)
 
+    @pytest.mark.parametrize("field", ["rho_t", "rho_r", "phi_t", "phi_r"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected_by_name(self, field, bad):
+        # NaN passes every range check, and a non-finite state turns the rates NaN
+        arrays = {"rho_t": [0.5, 0.5], "rho_r": [0.5, 0.5], "phi_t": [0.0, 1.0], "phi_r": [0.0, 1.0]}
+        arrays[field][0] = bad
+        with pytest.raises(ValueError, match=f"{field} must hold finite numbers"):
+            StarRisState(**arrays)
+
     def test_random_state_feasible(self):
         s = StarRisState.random(64, np.random.default_rng(0))
         assert np.allclose(s.rho_t + s.rho_r, 1.0)

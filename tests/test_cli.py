@@ -61,6 +61,15 @@ class TestCommands:
         assert len(rows) == 18  # 4 pairs and the lone median slot, per direction
         assert [r["role"] for r in rows if r["group"] == "5"] == ["DL1", "UL1"]
 
+    def test_pairing_rejects_overlapping_disks(self, tmp_path, capsys):
+        path = str(tmp_path / "near.yaml")
+        dump_config(baseline_config(d_br=60.0), path)
+        for command in (["cluster", "--scheme", "pair"], ["sweep", "--experiment", "cluster-vs-pair", "--trials", "100"]):
+            capsys.readouterr()
+            assert main([*command, "--config", path]) == 1
+            assert "d_br - R_r = 30 must be at least R = 50" in capsys.readouterr().err
+        assert main(["cluster", "--config", path, "--out", str(tmp_path / "c.csv")]) == 0   # the clusters still run
+
     def test_optimize(self, cfg_path, tmp_path):
         out = str(tmp_path / "state.csv")
         trace = str(tmp_path / "trace.csv")

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from starnoma import comparison
 from starnoma.comparison import (
-    PairAllocation,
     _center_split,
     cluster_power_policy,
     pair_power_policy,
@@ -18,9 +18,12 @@ from starnoma.comparison import (
     reference_edge_targets,
     simulate_pair_sums,
 )
-from starnoma.rates import Role, Term, bind, cluster_group, group_tables, rate_report, role_log2_mean
+from starnoma.config import PowerAllocation, baseline_config
+from starnoma.rates import Role, Term, bind, cluster_group, group_tables, rate_report, role_log2_mean, surface_terms
 
 PINS = Path(__file__).with_name("policy_pins.json")
+ANALYTIC_PINS = Path(__file__).with_name("analytic_pins.json")
+OVERLAP = r"d_br - R_r = 30 must be at least R = 50 \(d_br = 60, R_r = 30\)"
 
 
 def _split_objective(roles, means, x_at, f):
@@ -39,7 +42,8 @@ def _assert_no_grid_point_beats(roles, means, x_at, lo, hi):
 def _baseline_split_cases(cfg, state):
     """(roles, means, x_at) of the policies' splits on the baseline cluster and center-only pair tables."""
     clusters = [cluster_group(cfg, j) for j in (1, 2, 3)]
-    tables, _ = group_tables(cfg, clusters + pair_groups(cfg)[:4], state)
+    surface = surface_terms(cfg, state)
+    tables = [(t.roles, t.means(surface)) for t in group_tables(cfg, clusters + pair_groups(cfg)[:4])]
     cases = [(roles[:2], means, lambda f: (0.4 * f, 0.4 - 0.4 * f, 0.6, 1.0, 1.0, 0.5, 1.0))
              for roles, means in tables[:3]]
     return cases + [(roles[:2], means, lambda f: (f, 1.0 - f, 1.0, 0.5, 1.0)) for roles, means in tables[3:]]
@@ -96,7 +100,7 @@ class TestPolicies:
             for pa in allocs:
                 assert 0 < pa.alpha[0] < pa.alpha[1]
                 assert sum(pa.alpha) <= 1 + 1e-12
-                assert all(0 < p <= point.p_um for p in pa.p)
+                assert all(0 < p <= point.p_um for p in pa.p_ul)
 
     def test_explicit_scalar_targets_accepted(self, cfg, state):
         point = cfg.with_snr(20)
@@ -151,7 +155,7 @@ class TestPolicies:
             cluster = cluster_power_policy(point, state)
             got = {
                 "cluster": [[[x.hex() for x in a.alpha], [x.hex() for x in a.p_ul]] for _, a in sorted(cluster.items())],
-                "pair": [[[x.hex() for x in a.alpha], [x.hex() for x in a.p]] for a in pair_power_policy(point, state)],
+                "pair": [[[x.hex() for x in a.alpha], [x.hex() for x in a.p_ul]] for a in pair_power_policy(point, state)],
             }
             assert got == {"cluster": pin["cluster"], "pair": pin["pair"]}, (pin["xi_sic"], pin["snr_db"])
 
@@ -164,9 +168,9 @@ class TestPolicies:
 
     def test_pair_allocation_validation(self):
         with pytest.raises(ValueError):
-            PairAllocation(alpha=(0.7, 0.3), p=(1.0, 1.0))
+            PowerAllocation(alpha=(0.7, 0.3), p_ul=(1.0, 1.0))
         with pytest.raises(ValueError):
-            PairAllocation(alpha=(0.3, 0.7), p=(0.0, 1.0))
+            PowerAllocation(alpha=(0.3, 0.7), p_ul=(0.0, 1.0))
 
 
 class TestPairRates:
@@ -211,7 +215,7 @@ class TestPairRates:
             dataclasses.replace(cfg.with_snr(50.0), xi_sic=0.3),
         ]
         allocations = [
-            [PairAllocation((a, 1.0 - a), (f * p.p_um, p.p_um)) for a in (0.1, 0.2, 0.3, 0.4)]
+            [PowerAllocation((a, 1.0 - a), (f * p.p_um, p.p_um)) for a in (0.1, 0.2, 0.3, 0.4)]
             for p, f in zip(points, (1.0, 0.5, 0.25, 0.1))
         ]
         got = simulate_pair_sums(points, allocations, state, 20_000, 6, block_size=block_size)
@@ -222,10 +226,65 @@ class TestPairRates:
     @pytest.mark.parametrize("field", ["N", "R", "kappa_map"])
     def test_points_that_differ_in_the_draw_are_rejected(self, cfg, state, field):
         value = {"N": 16, "R": 40.0, "kappa_map": {**cfg.kappa_map, "r,u3u": 0.0}}[field]
-        allocs = [PairAllocation((0.3, 0.7), (1.0, 1.0))] * 4
+        allocs = [PowerAllocation((0.3, 0.7), (1.0, 1.0))] * 4
         with pytest.raises(ValueError, match=f"differ in {field} "):
             simulate_pair_sums([cfg, dataclasses.replace(cfg, **{field: value})], [allocs, allocs], state, 100, 0)
 
+    def test_sums_pinned_at_the_sweep_points(self, cfg, state):
+        # the cluster-vs-pair points on the seed-1 random state at the pinned policy, as float.hex
+        for pin in json.loads(ANALYTIC_PINS.read_text())["pair_rate_sums"]:
+            point = dataclasses.replace(cfg.with_snr(pin["snr_db"]), xi_sic=pin["xi_sic"])
+            dl, ul = pair_rate_sums(point, pair_power_policy(point, state), state)
+            assert (dl.hex(), ul.hex()) == (pin["dl_sum"], pin["ul_sum"]), (pin["xi_sic"], pin["snr_db"])
+
     def test_wrong_allocation_count(self, cfg, state):
         with pytest.raises(ValueError):
-            pair_rate_sums(cfg, [PairAllocation((0.3, 0.7), (1.0, 1.0))], state)
+            pair_rate_sums(cfg, [PowerAllocation((0.3, 0.7), (1.0, 1.0))], state)
+
+
+class TestPairingGeometry:
+    """The pairing ranks every center user before every edge user, so the disks must not overlap."""
+
+    def test_overlapping_disks_rejected_by_name(self, cfg, state):
+        # at d_br = 60 the DL rank-1 edge slot (overall rank 7 of 9) holds a center-disk point in 40 % of drops
+        near = dataclasses.replace(cfg, d_br=60.0)
+        allocs = [PowerAllocation((0.3, 0.7), (1.0, 1.0))] * 4
+        with pytest.raises(ValueError, match=OVERLAP):
+            pair_groups(near)
+        with pytest.raises(ValueError, match=OVERLAP):
+            pair_rate_sums(near, allocs, state)
+        with pytest.raises(ValueError, match=OVERLAP):
+            simulate_pair_sums(near, allocs, state, trials=100, seed=0)
+
+
+class TestBearingRule:
+    # K_cu = 8, K_eu = 1: the UL pairs are (c1, e1), (c2, c8), (c3, c7), (c4, c6), so the
+    # weak UL members of pairs 2 and 3 are center users under a DL edge member
+    ASYMMETRIC = dict(K_cu=8, K_eu=1, K_u1=4, K_u2=4, M_d=1, M_u=1)
+
+    def test_weak_center_members_carry_the_mid_bearing(self):
+        groups = pair_groups(baseline_config(**self.ASYMMETRIC))
+        assert [(ul[1].kind, ul[1].order, ul[1].link) for _, ul in groups[1:3]] == [
+            ("center", 8, "r,u2u"), ("center", 7, "r,u2u")]
+        for dl, ul in groups:
+            for users in (dl, ul):
+                for i, u in enumerate(users):
+                    index = 3 if u.kind == "edge" else 2 if i == 1 else 1
+                    assert u.link == f"r,u{index}{u.direction[0].lower()}"
+
+    def test_analytic_and_simulated_pairing_read_the_same_groups(self, state, monkeypatch):
+        cfg = baseline_config(**self.ASYMMETRIC).with_snr(20.0)
+        groups = pair_groups(cfg)
+        tables = group_tables(cfg, groups)
+        for (dl, ul), table in zip(groups[1:3], tables[1:3]):
+            # the DL edge member hears the weak UL member through the mid users' surface term
+            assert table.parts[("cascade", "r", dl[1], ul[1])][1] == "omega_u3d_u2u"
+        allocs = pair_power_policy(cfg, state)
+        seen = []
+        real_tables, real_simulate = comparison.group_tables, comparison.simulate_groups
+        monkeypatch.setattr(comparison, "group_tables", lambda c, g: seen.append(g) or real_tables(c, g))
+        monkeypatch.setattr(
+            comparison, "simulate_groups", lambda points, g, *a, **k: seen.append(g) or real_simulate(points, g, *a, **k))
+        pair_rate_sums(cfg, allocs, state)
+        simulate_pair_sums(cfg, allocs, state, trials=200, seed=1)
+        assert seen == [groups, groups]

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import math
 
 import pytest
 
@@ -122,6 +123,37 @@ def test_default_power_allocation(cfg):
 def test_allocation_budget_check():
     with pytest.raises(ConfigError, match="p_ul"):
         PowerAllocation((0.1, 0.3, 0.6), (1.0, 1.0, 200.0)).validate_budget(100.0)
+
+
+@pytest.mark.parametrize("alpha", [(0.1, 0.3, 0.6), (0.3, 0.7), (1.0,)], ids=["cluster", "pair", "lone-slot"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_allocation_rejects_a_bad_power_by_name(alpha, bad):
+    # a NaN or inf UL power turns every rate NaN, and a negative one UL1's
+    p_ul = [1.0] * len(alpha)
+    p_ul[-1] = bad
+    with pytest.raises(ConfigError, match=r"allocation\.p_ul"):
+        PowerAllocation(alpha, p_ul)
+
+
+@pytest.mark.parametrize(
+    "alpha,match",
+    [((0.5, 0.6), "sum"), ((0.0, 0.5), "positive"), ((math.nan,), "positive"), ((), "entry")],
+)
+def test_allocation_split_checked_for_any_group_size(alpha, match):
+    with pytest.raises(ConfigError, match=match):
+        PowerAllocation(alpha, (1.0,) * max(len(alpha), 1))
+
+
+def test_allocation_holds_any_group_size():
+    assert PowerAllocation((0.3, 0.7), (1.0, 2.0)).p_ul == (1.0, 2.0)
+    assert PowerAllocation((1.0,), (5,)).alpha == (1.0,)
+
+
+def test_config_allocation_needs_three_entries():
+    with pytest.raises(ConfigError, match="must each have 3 entries"):
+        baseline_config(allocation=PowerAllocation((0.3, 0.7), (1.0, 1.0)))
+    with pytest.raises(ConfigError, match="must each have 3 entries"):
+        load_config(io.StringIO("allocation:\n  alpha: [0.3, 0.7]\n  p_ul: [1.0, 1.0]\n"))
 
 
 def test_uniform_clusters_flag(cfg):

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +25,6 @@ from starnoma.rates import (
     build_rate_inputs,
     cluster_members,
     cluster_orders,
-    dl_rate_edge,
-    dl_rate_mid,
-    dl_rate_strong,
     expectation_terms,
     fading_log2_mean,
     noma_roles,
@@ -37,15 +36,14 @@ from starnoma.rates import (
     role_log2_mean,
     role_rates,
     table_keys,
-    ul_rate_edge,
-    ul_rate_mid,
-    ul_rate_strong,
     unit_gain_scales,
     weighted_sum_rate,
 )
 from starnoma.simulator import sorted_layout
 from starnoma.specfun import exp_e1
 from starnoma.design import aligned_state
+
+PINS = Path(__file__).with_name("analytic_pins.json")
 
 
 def _log2_1p(x):
@@ -55,6 +53,11 @@ def _log2_1p(x):
 
 def _inputs(cfg, power, state, cluster=1):
     return build_rate_inputs(cfg, power, state, cluster)
+
+
+def _paper(inputs, role):
+    """The paper's closed form of one cluster role: its ratio-of-means rate."""
+    return role_rates(inputs, "ratio-of-means")[role]
 
 
 def conditional_terms(cfg, geo, cluster=1) -> Positions:
@@ -150,14 +153,14 @@ class TestDownlinkRates:
         # alpha ordering requires a1 > 0, so probe the limit with a tiny value
         pw = PowerAllocation((1e-15, 0.3, 0.6), (cfg.p_um,) * 3)
         inputs = _inputs(cfg, pw, state)
-        assert dl_rate_strong(inputs) == pytest.approx(0.0, abs=1e-12)
+        assert _paper(inputs, "DL1") == pytest.approx(0.0, abs=1e-12)
 
     def test_strong_user_sic_ceiling(self, cfg, state, power):
         a = power.alpha
         ceiling = math.log2(1 + a[0] / (cfg.xi_sic * (a[1] + a[2]))) / cfg.M_d
         for snr in (10, 30, 50, 80):
             inputs = _inputs(cfg.with_snr(snr), power, state)
-            assert dl_rate_strong(inputs) <= ceiling + 1e-12
+            assert _paper(inputs, "DL1") <= ceiling + 1e-12
 
     def test_mid_user_reduces_to_single_user_form(self, cfg, state):
         quiet = dataclasses.replace(cfg, xi_sic=0.0)
@@ -165,27 +168,27 @@ class TestDownlinkRates:
         inputs = _inputs(quiet, pw, state)
         x2 = ordered_pathloss_mean(OrderSpec(4, quiet.K_cd, quiet.R), quiet.m)   # first of the second group
         want = _log2_1p(0.3 * quiet.P_b * x2 / quiet.sigma2) / quiet.M_d
-        assert dl_rate_mid(inputs) == pytest.approx(want, rel=1e-6, abs=0)
+        assert _paper(inputs, "DL2") == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_edge_user_interference_ceiling(self, cfg, state, power):
         a = power.alpha
         for snr in (20, 40, 60):
             inputs = _inputs(cfg.with_snr(snr), power, state)
             bound = math.log2(1 + a[2] / (a[0] + a[1])) / cfg.M_d
-            assert dl_rate_edge(inputs) < bound
+            assert _paper(inputs, "DL3") < bound
 
     def test_edge_rate_grows_with_elements_under_alignment(self, cfg, power):
         rates = []
         for n in (4, 16, 36, 64):
             c = dataclasses.replace(cfg, N=n)
-            rates.append(dl_rate_edge(_inputs(c, power, aligned_state(c))))
+            rates.append(_paper(_inputs(c, power, aligned_state(c)), "DL3"))
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
 class TestUplinkRates:
     def test_zero_power_zero_rate(self, cfg, state):
         pw = PowerAllocation((0.1, 0.3, 0.6), (1e-30, cfg.p_um, cfg.p_um))
-        assert ul_rate_strong(_inputs(cfg, pw, state)) == pytest.approx(0.0, abs=1e-9)
+        assert _paper(_inputs(cfg, pw, state), "UL1") == pytest.approx(0.0, abs=1e-9)
 
     def test_perfect_sic_edge_denominator(self, cfg, state, power):
         quiet = dataclasses.replace(cfg, xi_sic=0.0)
@@ -196,15 +199,15 @@ class TestUplinkRates:
         want = _log2_1p(
             power.p_ul[2] * edge_gain / (quiet.P_b * pos.l_br**2 * s.y3_raw + V + quiet.sigma2)
         ) / quiet.M_u
-        assert ul_rate_edge(inputs) == pytest.approx(want, rel=1e-12, abs=0)
+        assert _paper(inputs, "UL3") == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_high_self_interference_hurts_all_ul(self, cfg, state):
         for snr in (0, 10, 20, 30, 40, 50):
             base_cfg = cfg.with_snr(snr)
             loud_cfg = dataclasses.replace(base_cfg, beta_si=1.0, lambda_si=0.4)
             pw = PowerAllocation((0.1, 0.3, 0.6), (base_cfg.p_um,) * 3)
-            for fn in (ul_rate_strong, ul_rate_mid, ul_rate_edge):
-                assert fn(_inputs(loud_cfg, pw, state)) < fn(_inputs(base_cfg, pw, state))
+            for role in ("UL1", "UL2", "UL3"):
+                assert _paper(_inputs(loud_cfg, pw, state), role) < _paper(_inputs(base_cfg, pw, state), role)
 
 
 class TestWiringOracles:
@@ -233,7 +236,7 @@ class TestWiringOracles:
         num = a[2] * cfg.P_b * S
         den = (a[0] + a[1]) * cfg.P_b * S + b1 * x_e * q + p[2] * w3 * x_e * x_eu + cfg.sigma2
         hand = _log2_1p(num / den) / cfg.M_d
-        assert dl_rate_edge(_inputs(cfg, power, state)) == pytest.approx(hand, rel=1e-14, abs=0)
+        assert _paper(_inputs(cfg, power, state), "DL3") == pytest.approx(hand, rel=1e-14, abs=0)
 
     def test_ul_strong_assembly(self, cfg, state, power):
         from starnoma.channel import (
@@ -255,7 +258,7 @@ class TestWiringOracles:
         num = p[0] * chi1
         den = p[1] * chi2 + p[2] * w_e * l_br * x_eu + cfg.P_b * l_br**2 * bounce + V + cfg.sigma2
         hand = _log2_1p(num / den) / cfg.M_u
-        assert ul_rate_strong(_inputs(cfg, power, state)) == pytest.approx(hand, rel=1e-14, abs=0)
+        assert _paper(_inputs(cfg, power, state), "UL1") == pytest.approx(hand, rel=1e-14, abs=0)
 
 
     @staticmethod
@@ -294,8 +297,8 @@ class TestWiringOracles:
         inputs = _inputs(cfg, power, state)
         hand1 = _log2_1p(a[0] * P * t["x1"] / den1) / cfg.M_d
         hand2 = _log2_1p(a[1] * P * t["x2"] / den2) / cfg.M_d
-        assert dl_rate_strong(inputs) == pytest.approx(hand1, rel=1e-14, abs=0)
-        assert dl_rate_mid(inputs) == pytest.approx(hand2, rel=1e-14, abs=0)
+        assert _paper(inputs, "DL1") == pytest.approx(hand1, rel=1e-14, abs=0)
+        assert _paper(inputs, "DL2") == pytest.approx(hand2, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("xi", [0.0, 0.1])
     def test_ul_mid_and_edge_assembly(self, cfg, state, power, xi):
@@ -307,14 +310,14 @@ class TestWiringOracles:
         inputs = _inputs(cfg, power, state)
         hand2 = _log2_1p(p[1] * t["x2"] / (xi * p[0] * t["x1"] + p[2] * edge + floor)) / cfg.M_u
         hand3 = _log2_1p(p[2] * edge / (xi * (p[0] * t["x1"] + p[1] * t["x2"]) + floor)) / cfg.M_u
-        assert ul_rate_mid(inputs) == pytest.approx(hand2, rel=1e-14, abs=0)
-        assert ul_rate_edge(inputs) == pytest.approx(hand3, rel=1e-14, abs=0)
+        assert _paper(inputs, "UL2") == pytest.approx(hand2, rel=1e-14, abs=0)
+        assert _paper(inputs, "UL3") == pytest.approx(hand3, rel=1e-14, abs=0)
 
 
 class TestRoleTable:
     def test_every_key_has_a_mean_and_a_sampler(self, cfg, state):
         from starnoma.comparison import pair_groups
-        from starnoma.rates import group_tables
+        from starnoma.rates import group_tables, surface_terms
         from starnoma.simulator import BlockDraws, sample_gains
         from starnoma.channel import build_links
 
@@ -330,10 +333,10 @@ class TestRoleTable:
             inputs = _inputs(cfg, default_power_allocation(cfg), state, cluster=j)
             keys = set(table_keys(inputs.table.roles))
             assert keys == set(inputs.means()) == sampled(inputs.table.roles, cluster_members(cfg, j))
-        tables, _ = group_tables(cfg, pair_groups(cfg), state)
-        for roles, means in tables:
-            assert set(table_keys(roles)) == set(means)
-        for dl, ul in pair_groups(cfg, simulated=True):
+        surface = surface_terms(cfg, state)
+        for table in group_tables(cfg, pair_groups(cfg)):
+            assert set(table_keys(table.roles)) == set(table.means(surface))
+        for dl, ul in pair_groups(cfg):
             roles = noma_roles(cfg, dl, ul)
             assert set(table_keys(roles)) == sampled(roles, dl + ul)
 
@@ -375,6 +378,21 @@ class TestAggregation:
         with pytest.raises(ValueError):
             RateReport(rates={"DL1": 1.0}, method="analytic", cluster=1)
 
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
+    def test_report_rejects_a_bad_rate_by_role(self, bad):
+        # NaN passes a `v < 0` check
+        rates = {**dict.fromkeys(("DL1", "DL2", "DL3", "UL1", "UL2", "UL3"), 0.1), "UL2": bad}
+        with pytest.raises(ValueError, match="rate of UL2"):
+            RateReport(rates=rates, method="analytic", cluster=1)
+
+    def test_rate_reports_pinned(self, cfg, state):
+        # clusters 1-3, both models, the default SNRs, at the default allocation and the
+        # seed-1 random state, as float.hex: a refactor that moves any digit fails here
+        for pin in json.loads(PINS.read_text())["rate_report"]:
+            point = cfg.with_snr(pin["snr_db"])
+            report = rate_report(point, default_power_allocation(point), state, cluster=pin["cluster"], model=pin["model"])
+            assert {r: v.hex() for r, v in report.rates.items()} == pin["rates"], (pin["model"], pin["snr_db"], pin["cluster"])
+
     def test_sic_error_monotonicity(self, cfg, state, power):
         # DL1, UL2, UL3 never gain from a worse SIC residual
         snr_cfg = cfg.with_snr(40)
@@ -410,7 +428,7 @@ class TestExactSignal:
         for snr in (10, 20, 30, 40):
             point = cfg.with_snr(snr)
             inputs = _inputs(point, default_power_allocation(point), state)
-            dl1, ul1 = inputs.table.bound[0], inputs.table.bound[3]
+            dl1, ul1 = inputs.bound[0], inputs.bound[3]
             scales += [*unit_gain_scales(dl1, inputs.means()), unit_gain_scales(ul1, inputs.means())[0]]
         for k, K in orders:
             spec = OrderSpec(k, K, cfg.R)
@@ -428,9 +446,7 @@ class TestExactSignal:
     def test_ratio_of_means_model_is_the_paper_formulas(self, cfg, state, power):
         inputs = _inputs(cfg, power, state)
         rep = rate_report(cfg, power, state, model="ratio-of-means")
-        paper = {"DL1": dl_rate_strong, "DL2": dl_rate_mid, "DL3": dl_rate_edge,
-                 "UL1": ul_rate_strong, "UL2": ul_rate_mid, "UL3": ul_rate_edge}
-        assert rep.rates == {role: fn(inputs) for role, fn in paper.items()}
+        assert rep.rates == {role: _paper(inputs, role) for role in ("DL1", "DL2", "DL3", "UL1", "UL2", "UL3")}
         assert weighted_sum_rate(inputs, model="ratio-of-means") == pytest.approx(
             rep.dl_sum + rep.ul_sum, rel=1e-12, abs=0)
 
@@ -453,7 +469,7 @@ class TestExactSignal:
         table = inputs.table._replace(parts=position_parts(table_keys(inputs.table.roles), t, cfg), rules=t.rules)
         inputs = dataclasses.replace(inputs, table=table)
         gain = t.loss[cluster_members(cfg)[0]]
-        total, residual = unit_gain_scales(table.bound[0], inputs.means())
+        total, residual = unit_gain_scales(inputs.bound[0], inputs.means())
         want = (exp_e1(1.0 / (total * gain)) - exp_e1(1.0 / (residual * gain))) / math.log(2) / cfg.M_d
         assert role_rates(inputs)["DL1"] == pytest.approx(want, rel=1e-12, abs=0)
 

@@ -272,7 +272,7 @@ class TestLeafCascades:
         }
 
     def test_pairing_leaves_come_from_the_table(self, cfg):
-        for dl, ul in pair_groups(cfg, simulated=True):
+        for dl, ul in pair_groups(cfg):
             cascades = [k for k in table_keys(noma_roles(cfg, dl, ul)) if k[0] == "cascade"]
             leaves = simulator._leaves(cascades)
             for key, leaf in leaves.items():

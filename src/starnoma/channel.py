@@ -28,6 +28,7 @@ __all__ = [
     "array_response",
     "build_links",
     "sample_rician",
+    "complex_normal",
     "cascaded_power_mean",
     "cascaded_power_mean_grad",
     "self_reflection_power_mean",
@@ -170,25 +171,46 @@ def build_links(cfg) -> dict[str, RicianLink]:
     return links
 
 
+# rows of standard normals drawn per call into complex_normal's reused buffer
+_FILL_ROWS = 1 << 12
+
+
+def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=None) -> np.ndarray:
+    """scale * (x + 1j*y) / sqrt(2) + shift, x and y iid N(0, 1), of the given shape.
+
+    shift (optional) broadcasts over the last axis.  The real parts take the
+    first prod(shape) standard normals of rng and the imaginary parts the
+    next, each in C order, as two whole-shape draws would.  They are drawn
+    _FILL_ROWS rows of the last axis at a time into one buffer and combined
+    there in the order of operations of the complex formula (numpy divides a
+    complex array by a real scalar by multiplying each part by its
+    reciprocal), so the values are the formula's to the bit and no float
+    array of the whole shape is made besides the output.
+    """
+    out = np.empty(shape, dtype=complex)
+    rows = out.reshape(-1, out.shape[-1])
+    buf = np.empty((min(_FILL_ROWS, len(rows)), rows.shape[1]))
+    shifts = (None, None) if shift is None else (shift.real, shift.imag)
+    for part, part_shift in zip((rows.real, rows.imag), shifts):
+        for start in range(0, len(rows), _FILL_ROWS):
+            chunk = buf[: len(rows) - start]
+            rng.standard_normal(out=chunk)
+            chunk *= 1.0 / np.sqrt(2.0)
+            chunk *= scale
+            if part_shift is not None:
+                chunk += part_shift
+            part[start: start + len(chunk)] = chunk
+    return out
+
+
 def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int | None = None) -> np.ndarray:
     """Draw the link vector: sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I).
 
     With trials set, returns a (trials, N) batch sharing the same LoS.  The
-    real and imaginary parts are filled in place, in the order of operations
-    of the complex formula (numpy divides a complex array by a real scalar
-    by multiplying each part by its reciprocal), so the draws are the same
-    to the bit.
+    draw is complex_normal's, so it is the complex formula's to the bit.
     """
-    n = link.los.size
-    shape = (n,) if trials is None else (trials, n)
-    out = np.empty(shape, dtype=complex)
-    los = np.sqrt(link.los_weight) * link.los
-    for part, los_part in ((out.real, los.real), (out.imag, los.imag)):
-        part[...] = rng.standard_normal(shape)
-        part *= 1.0 / np.sqrt(2.0)
-        part *= np.sqrt(link.scatter_weight)
-        part += los_part
-    return out
+    shape = (link.los.size,) if trials is None else (trials, link.los.size)
+    return complex_normal(rng, shape, np.sqrt(link.scatter_weight), np.sqrt(link.los_weight) * link.los)
 
 
 def cascaded_power_mean(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> float:

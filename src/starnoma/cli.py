@@ -33,14 +33,14 @@ from .comparison import (
     pair_groups,
     pair_power_policy,
     pair_rate_sums,
+    pair_schedule,
     ranked_layout,
     reference_edge_targets,
-    simulate_pair_sums,
 )
 from .config import SystemConfig, baseline_config, default_power_allocation, load_config
 from .design import PgamSettings, aligned_state, pgam_optimize
 from .rates import ROLES, cluster_group, noma_roles, rate_report
-from .simulator import SimPlan, draw_key, simulate, simulate_clusters, sorted_layout
+from .simulator import SimPlan, cluster_schedule, draw_key, simulate, simulate_groups, sorted_layout
 
 CSV_COLUMNS = ("sweep_var", "value", "role", "method", "rate", "stderr", "seed")
 DEFAULT_SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
@@ -114,18 +114,22 @@ def validate_table(path: str) -> None:
 def _point_rows(points, seed, trials):
     """Analytic and simulated rows of cluster 1 at every (sweep_var, value, cfg, state, tag) point.
 
-    Points that share a draw (simulator.draw_key) and a state are simulated
-    by one call; a geometry sweep falls back to one call per point.
+    Points that share a draw (simulator.draw_key) and a state form one
+    schedule; a geometry sweep makes one schedule per point.  All schedules
+    run in one block queue.
     """
     shared = {}
     for point in points:
         shared.setdefault((draw_key(point[2]), id(point[3])), []).append(point)
+    draws = list(shared.values())
+    powers = [[default_power_allocation(cfg) for _, _, cfg, _, _ in draw] for draw in draws]
+    schedules = [
+        cluster_schedule([cfg for _, _, cfg, _, _ in draw], draw_powers, draw[0][3], clusters=[1])
+        for draw, draw_powers in zip(draws, powers)
+    ]
     rows = []
-    for group in shared.values():
-        cfgs = [cfg for _, _, cfg, _, _ in group]
-        powers = [default_power_allocation(cfg) for cfg in cfgs]
-        sims = simulate_clusters(cfgs, powers, group[0][3], trials, seed, clusters=[1])
-        for (sweep_var, value, cfg, state, tag), power, (reports, _) in zip(group, powers, sims):
+    for draw, draw_powers, sims in zip(draws, powers, simulate_groups(schedules, trials, seed)):
+        for (sweep_var, value, cfg, state, tag), power, (reports, _) in zip(draw, draw_powers, sims):
             for report in (rate_report(cfg, power, state), reports[1]):
                 rows += _report_rows(report, sweep_var, value, seed, tag)
     return rows
@@ -167,8 +171,8 @@ def experiment_cluster_vs_pair(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
         dl_t, ul_t = reference_edge_targets(point, state)
         cl_pow.append(cluster_power_policy(point, state, dl_t, ul_t))
         pr_pow.append(pair_power_policy(point, state, dl_t, ul_t))
-    cl_sim = simulate_clusters(points, cl_pow, state, trials, seed)
-    pr_sim = simulate_pair_sums(points, pr_pow, state, trials, seed)
+    cl_sim, pr_sim = simulate_groups(
+        [cluster_schedule(points, cl_pow, state), pair_schedule(points, pr_pow, state)], trials, seed)
 
     rows = []
     for (xi, snr), point, cl, pr, (simulated, _), pr_s in zip(cells, points, cl_pow, pr_pow, cl_sim, pr_sim):
@@ -251,7 +255,8 @@ def _cmd_cluster(args):
         layout = sorted_layout(cfg)
     else:
         groups, layout = pair_groups(cfg), ranked_layout(cfg)
-    geo = layout(np.random.default_rng(args.seed), 1, [u for dl, ul in groups for u in (*dl, *ul)])
+    users = [u for dl, ul in groups for u in (*dl, *ul)]
+    geo = layout(np.random.default_rng(args.seed), 1, users)(users)
     with _csv_out(args.out) as writer:
         writer.writerow(["group", "role", "user", "distance"])
         for g, (dl, ul) in enumerate(groups, 1):
@@ -296,13 +301,24 @@ def _cmd_sweep(args):
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds only from nonnegative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="starnoma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, trials_default=200_000):
         p.add_argument("--config", help="YAML config path (defaults to the baseline)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--out", help="output CSV path (default stdout)")
 
@@ -318,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="print the users of every clustering or pairing group")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--scheme", default="cluster", choices=("cluster", "pair"))
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_cluster)
@@ -331,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "analytic rate tables use the exact-signal model instead.",
     )
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--iters", type=int, default=60)
     p.add_argument("--restarts", type=int, default=0)
     p.add_argument("--state", default="aligned", choices=("random", "aligned", "uniform"))

@@ -43,13 +43,14 @@ from .rates import (
     solve_sinr,
     surface_terms,
 )
-from .simulator import as_points, simulate_groups
+from .simulator import Schedule, as_points, simulate_groups
 
 __all__ = [
     "pair_structure",
     "pair_slots",
     "pair_groups",
     "ranked_layout",
+    "pair_schedule",
     "pair_rate_sums",
     "simulate_pair_sums",
     "reference_edge_targets",
@@ -156,28 +157,56 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
 def ranked_layout(cfg: SystemConfig):
     """Pairing layout: each direction's center and edge users ranked jointly by BS distance.
 
-    The drops are freed once the users are resolved.
+    Each direction's drop is reduced to its users' positions, and freed,
+    before the next is drawn; a group's distances are formed when it is
+    resolved.  An edge user's position is not handed out (only center users
+    have cross keys), but its BS distance is, as `starnoma cluster` prints it.
     """
     sc = np.array([cfg.d_br, 0.0])
     counts = {"DL": (cfg.K_cd, cfg.K_ed), "UL": (cfg.K_cu, cfg.K_eu)}
 
     def layout(rng, B, users):
-        rows, geo, ranked = np.arange(B), {}, {}
+        rows, pos = np.arange(B), {}
         for d, (Kc, Ke) in counts.items():
             pts = np.concatenate([
                 sample_disk(rng, B * Kc, cfg.R).reshape(B, Kc, 2),
                 sample_disk(rng, B * Ke, cfg.R_r, center=sc).reshape(B, Ke, 2),
             ], axis=1)
-            ranked[d] = pts, np.argsort(np.linalg.norm(pts, axis=-1), kind="stable", axis=-1)
-        for d, (pts, order) in ranked.items():
+            order = np.argsort(np.linalg.norm(pts, axis=-1), kind="stable", axis=-1)
             for u in users:
                 if u.direction == d:
-                    rank = u.order if u.kind == "center" else counts[d][0] + u.order
-                    pos = pts[rows, order[:, rank - 1]]
-                    geo[u] = pos, np.linalg.norm(pos, axis=-1), np.linalg.norm(pos - sc, axis=-1)
-        return geo
+                    rank = u.order if u.kind == "center" else Kc + u.order
+                    pos[u] = pts[rows, order[:, rank - 1]]
+
+        def resolve(group):
+            return {
+                u: (pos[u] if u.kind == "center" else None, np.linalg.norm(pos[u], axis=-1),
+                    np.linalg.norm(pos[u] - sc, axis=-1))
+                for u in group
+            }
+
+        return resolve
 
     return layout
+
+
+def pair_schedule(cfg, allocations, state: StarRisState) -> Schedule:
+    """The pairing's request to the block loop; its result is simulate_pair_sums'.
+
+    Arguments as simulate_pair_sums takes them.
+    """
+    points, one = as_points(cfg, allocations)
+    cfg = points[0][0]
+    groups = pair_groups(cfg)
+
+    def read(results, trials, seed):
+        sums = [point_sums for _, point_sums in results]
+        return sums[0] if one else sums
+
+    return Schedule(
+        [(point, _slot_powers(point, allocs, groups)) for point, allocs in points], groups,
+        {"DL": len(groups), "UL": len(groups)}, ranked_layout(cfg), state, read,
+    )
 
 
 def simulate_pair_sums(
@@ -195,16 +224,7 @@ def simulate_pair_sums(
     every point reads the same draw, and the result is the list of what one
     call per point returns.
     """
-    points, one = as_points(cfg, allocations)
-    cfg = points[0][0]
-    groups = pair_groups(cfg)
-    shares = {"DL": len(groups), "UL": len(groups)}
-    results = simulate_groups(
-        [(point, _slot_powers(point, allocs, groups)) for point, allocs in points], groups, state, shares,
-        ranked_layout(cfg), trials, seed, block_size,
-    )
-    sums = [point_sums for _, point_sums in results]
-    return sums[0] if one else sums
+    return simulate_groups([pair_schedule(cfg, allocations, state)], trials, seed, block_size)[0]
 
 
 # -- shared power policy ------------------------------------------------------

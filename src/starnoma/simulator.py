@@ -8,8 +8,9 @@ once per block and group, and role_sinrs() combines them with the table's
 coefficients, so imperfect SIC enters exactly as in the closed forms.  The
 residual self-interference is drawn per trial as a CN(0, beta * P_b^lambda)
 scalar.  simulate_groups() is the one block loop: the clusters here and the
-pairing baseline (comparison.simulate_pair_sums) differ only in its schedule
-of groups, time shares and layout.
+pairing baseline (comparison.simulate_pair_sums) differ only in their
+Schedule of groups, time shares and layout, and one call takes any number of
+schedules.
 
 A block draws only what its rates read, each in its exact law.  The cluster
 layout draws each user class at the sorted ranks asked for, from gamma
@@ -20,14 +21,26 @@ scalar per trial (_leaf_cascade_power).  Cascades between two hubs (users
 whose vectors several keys read, and the BS) multiply full vectors, which
 keeps their correlation through the shared hub.
 
-Block seeds are spawned from one SeedSequence, so a block's draws depend on
-the seed, the trial count and the block size alone.  The blocks run on one
-thread per core this process may use (numpy's generators and array
-arithmetic release the interpreter lock), each returning only its moments
-(n, sum r, sum r^2) per point, group and role and of each point's DL and UL
-totals; these are merged in block order, the float additions of a serial
-loop, so the bytes of a run do not depend on the core count.  Each block in
-flight holds about 16.5 MB at N = 10 and the default 16,384 trials per block.
+Each schedule's block seeds are spawned from one SeedSequence, so a block's
+draws depend on the seed, the trial count and the block size alone, and not
+on the other schedules of the call.  The blocks of all schedules form one
+queue, served by one thread per core this process may use (numpy's
+generators and array arithmetic release the interpreter lock): a core that
+ends a block takes the next one, whichever schedule it belongs to, so a
+short last block of one schedule does not leave a core idle while another
+schedule waits.  Each block returns only its moments (n, sum r, sum r^2) per
+point, group and role and of each point's DL and UL totals; each schedule's
+are merged in block order, the float additions of a serial loop, so the
+bytes of a run do not depend on the core count or the queue.
+
+A block holds only what the next step reads: a group's distances are formed
+when the group is drawn and its gains dropped before the next group's, a
+point's SI scale is applied where it is read, complex Gaussian draws fill
+the output a few thousand rows at a time (channel.complex_normal), and a
+cascade between two hubs is summed over row chunks.  At N = 10 and the
+default 16,384 trials per block, the traced peak of one block is 13.8 MB for
+cluster 1 at one point, and 20.8 MB (clusters) and 19.6 MB (pairing) for the
+12 points of the cluster-versus-pairing sweep.
 
 The loop runs a whole grid of points at once.  A draw depends only on the
 geometry, N, the user counts, the Rician factors, the bearings, the surface
@@ -54,11 +67,13 @@ import math
 import os
 import threading
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import RicianLink, StarRisState, build_links, sample_rician
+from .channel import RicianLink, StarRisState, build_links, complex_normal, sample_rician
 from .config import PowerAllocation, SystemConfig, default_power_allocation
 from .geometry import sample_disk
 from .rates import (
@@ -90,6 +105,8 @@ __all__ = [
     "simulate",
     "simulate_clusters",
     "simulate_groups",
+    "Schedule",
+    "cluster_schedule",
     "sorted_layout",
     "as_points",
     "draw_key",
@@ -101,6 +118,7 @@ __all__ = [
 ]
 
 _DEFAULT_BLOCK = 1 << 14
+_CHUNK_ROWS = 1 << 12   # trials per step of a row-chunked (trials, N) product
 
 
 @dataclass(frozen=True)
@@ -121,13 +139,9 @@ class SimPlan:
 
 
 def _draw_power(rng: np.random.Generator, shape) -> np.ndarray:
-    """|CN(0, 1)|^2 draws, filled in place with the bits of
-    np.abs((x + 1j * y) / np.sqrt(2.0)) ** 2 (as channel.sample_rician)."""
-    z = np.empty(shape, dtype=complex)
-    for part in (z.real, z.imag):
-        part[...] = rng.standard_normal(shape)
-        part *= 1.0 / np.sqrt(2.0)
-    power = np.abs(z)
+    """|CN(0, 1)|^2 draws, with the bits of np.abs((x + 1j * y) / np.sqrt(2.0)) ** 2
+    (channel.complex_normal's fill, as channel.sample_rician)."""
+    power = np.abs(complex_normal(rng, shape))
     return np.square(power, out=power)
 
 
@@ -180,32 +194,36 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(run, blocks) -> list:
-    """[run(B, rng) for each block], in block order, on one thread per core.
+def _map_blocks(jobs) -> list:
+    """[run(B, rng) for run, B, rng in jobs], in job order, on one thread per core.
 
-    The calling thread takes blocks 0, w, 2w, ... of w workers and thread i
-    blocks i, i + w, ...; each writes only its own slots.  An exception in
-    any block stops the others at their next block and is raised here once
-    every thread has ended.
+    Every thread, the calling one included, takes the next job off one shared
+    index until none is left, so a core that ends a short block starts the
+    next job at once, whichever schedule it belongs to; each writes only its
+    own slot.  An exception in any job stops the others before their next job
+    and is raised here once every thread has ended.
     """
-    blocks = list(blocks)
-    workers = min(_cores(), len(blocks))
-    results = [None] * len(blocks)
+    workers = min(_cores(), len(jobs))
+    results = [None] * len(jobs)
     errors = []
+    queue, lock = iter(range(len(jobs))), threading.Lock()
 
-    def work(first):
+    def work():
         try:
-            for i in range(first, len(blocks), workers):
-                if errors:
+            while not errors:
+                with lock:
+                    i = next(queue, None)
+                if i is None:
                     return
-                results[i] = run(*blocks[i])
+                run, B, rng = jobs[i]
+                results[i] = run(B, rng)
         except BaseException as exc:   # re-raised in the calling thread below
             errors.append(exc)
 
-    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(1, workers)]
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(1, workers)]
     for t in threads:
         t.start()
-    work(0)
+    work()
     for t in threads:
         t.join()
     if errors:
@@ -243,10 +261,16 @@ def _scalar_rank(key) -> int:
 
 
 def _cascade_power(g_out, c, g_in) -> np.ndarray:
-    """|sum_n g_out[n] c[n] g_in[n]|^2 per trial, with one (trials, N) temporary."""
-    t = g_out * c
-    t *= g_in
-    return np.abs(np.sum(t, axis=-1)) ** 2
+    """|sum_n g_out[n] c[n] g_in[n]|^2 per trial, _CHUNK_ROWS trials at a time,
+    so the products need no (trials, N) temporary."""
+    out = np.empty(len(g_out))
+    t = np.empty((min(_CHUNK_ROWS, len(g_out)), g_out.shape[1]), dtype=complex)
+    for start in range(0, len(g_out), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        chunk = np.multiply(g_out[rows], c, out=t[: len(out) - start])
+        chunk *= g_in[rows]
+        out[rows] = np.abs(np.sum(chunk, axis=-1)) ** 2
+    return out
 
 
 def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng) -> np.ndarray:
@@ -377,30 +401,36 @@ def _shared_draw(cfgs) -> SystemConfig:
     return cfgs[0]
 
 
-def simulate_groups(points, groups, state, shares, layout, trials, seed, block_size=_DEFAULT_BLOCK):
-    """The block loop: every NOMA group of a schedule, at every point of a grid,
-    off one network realization per trial.
+class Schedule(NamedTuple):
+    """One simulator's request to the block loop (simulate_groups).
 
-    groups lists the schedule's NOMA groups (dl users, ul users), strong
-    first; points holds (cfg, [PowerAllocation per group]) per point, the
-    configs differing in POINT_FIELDS only.  Each point rates every group's
-    role table bound to its allocation (rates.bind_power).  shares maps "DL"
-    and "UL" to the time-share divisor of that direction.  layout(rng, B,
-    users) draws a block's positions and returns {user: (position, BS
-    distance, surface distance)} for the given users.  Each block draws the
-    layout, its BlockDraws, then each group's gains in schedule order, its
-    users sampled DL first; every point evaluates its SINRs from them.  The
-    blocks run concurrently (_map_blocks) and their moments merge in block
-    order.  Returns one ([{role: accumulator} per group], {dl_sum, ul_sum and
-    their stderrs}) per point.
+    points holds (cfg, [PowerAllocation per group]) per point, the configs
+    differing in POINT_FIELDS only; groups lists the NOMA groups (dl users,
+    ul users), strong first; shares maps "DL" and "UL" to the time-share
+    divisor of that direction; layout(rng, B, users) draws a block's
+    positions of the given users and returns resolve(group), which gives
+    {user: (position, BS distance, surface distance)} for a group's users, an
+    entry None where no gain key reads it; state is the surface state.
+    read(results, trials, seed) turns the loop's results into the
+    simulator's own.
     """
-    for name, value in (("trials", trials), ("block_size", block_size)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+    points: list
+    groups: list
+    shares: dict
+    layout: Callable
+    state: StarRisState
+    read: Callable
+
+
+def _schedule_run(schedule: Schedule):
+    """(run, merge) of a schedule: run(B, rng) is one block's moments and merge
+    folds the blocks' moments, in the order given, into the loop's results."""
+    points, groups, shares = schedule.points, schedule.groups, schedule.shares
     cfg = _shared_draw([c for c, _ in points])
-    check_state_size(cfg, state.N)
+    check_state_size(cfg, schedule.state.N)
     links = build_links(cfg)
-    schedules = [
+    bound = [
         [bind_power(noma_roles(point, dl, ul), power) for (dl, ul), power in zip(groups, powers)]
         for point, powers in points
     ]
@@ -408,37 +438,65 @@ def simulate_groups(points, groups, state, shares, layout, trials, seed, block_s
     users = [u for group_users in members for u in group_users]
     si_scales = [si_variance(c) for c, _ in points]
 
-    def run_block(B, rng):
+    def run(B, rng):
         """Moments of one block: ([{role: moments} per group], {direction: moments}) per point."""
-        geo = layout(rng, B, users)
-        block = BlockDraws.draw(cfg, state, links, rng, B)
-        si = [scale * block.si for scale in si_scales]
+        resolve = schedule.layout(rng, B, users)
+        block = BlockDraws.draw(cfg, schedule.state, links, rng, B)
         out = [([{} for _ in groups], {"DL": np.zeros(B), "UL": np.zeros(B)}) for _ in points]
         for g, group_users in enumerate(members):
-            gains = sample_gains(schedules[0][g], group_users, geo, links, rng, block)
-            for schedule, point_si, (moments, tot) in zip(schedules, si, out):
-                gains[("si",)] = point_si
-                for name, sinr in role_sinrs(schedule[g], gains).items():
+            gains = sample_gains(bound[0][g], group_users, resolve(group_users), links, rng, block)
+            for point_bound, si_scale, (moments, tot) in zip(bound, si_scales, out):
+                gains[("si",)] = si_scale * block.si
+                for name, sinr in role_sinrs(point_bound[g], gains).items():
                     r = np.log2(1.0 + sinr) / shares[name[:2]]
                     moments[g][name] = _moments(r)
                     tot[name[:2]] += r
+            del gains   # before the next group's draw
         return [(moments, {d: _moments(total) for d, total in tot.items()}) for moments, tot in out]
 
-    acc = [[{role.name: _Accumulator() for role in bound} for bound in schedule] for schedule in schedules]
-    acc_sum = [{"DL": _Accumulator(), "UL": _Accumulator()} for _ in points]
-    for block in _map_blocks(run_block, _blocks(trials, seed, block_size)):
-        for (moments, sums), point_acc, point_sum in zip(block, acc, acc_sum):
-            for group_moments, group_acc in zip(moments, point_acc):
-                for name, m in group_moments.items():
-                    group_acc[name].merge(m)
-            for d, m in sums.items():
-                point_sum[d].merge(m)
-    out = []
-    for point_acc, point_sum in zip(acc, acc_sum):
-        dl, ul = point_sum["DL"], point_sum["UL"]
-        out.append((point_acc, {"dl_sum": dl.mean, "dl_sum_stderr": dl.stderr,
-                                "ul_sum": ul.mean, "ul_sum_stderr": ul.stderr}))
-    return out
+    def merge(blocks):
+        acc = [[{role.name: _Accumulator() for role in group} for group in point_bound] for point_bound in bound]
+        acc_sum = [{"DL": _Accumulator(), "UL": _Accumulator()} for _ in points]
+        for block in blocks:
+            for (moments, sums), point_acc, point_sum in zip(block, acc, acc_sum):
+                for group_moments, group_acc in zip(moments, point_acc):
+                    for name, m in group_moments.items():
+                        group_acc[name].merge(m)
+                for d, m in sums.items():
+                    point_sum[d].merge(m)
+        out = []
+        for point_acc, point_sum in zip(acc, acc_sum):
+            dl, ul = point_sum["DL"], point_sum["UL"]
+            out.append((point_acc, {"dl_sum": dl.mean, "dl_sum_stderr": dl.stderr,
+                                    "ul_sum": ul.mean, "ul_sum_stderr": ul.stderr}))
+        return out
+
+    return run, merge
+
+
+def simulate_groups(schedules, trials, seed, block_size=_DEFAULT_BLOCK) -> list:
+    """The block loop: every schedule's NOMA groups, at every point of its grid,
+    off one network realization per trial and schedule; one result per schedule.
+
+    Each schedule (Schedule) is seeded as a lone call would be: its blocks'
+    generators are spawned from SeedSequence(seed), so its results do not
+    depend on the other schedules.  Each point rates every group's role
+    table bound to its allocation (rates.bind_power).  A block draws the
+    layout, its BlockDraws, then each group's gains in schedule order, its
+    users sampled DL first; every point evaluates its SINRs from them.  The
+    blocks of all schedules form one queue (_map_blocks), and each
+    schedule's moments merge in block order.  The loop's results are one
+    ([{role: accumulator} per group], {dl_sum, ul_sum and their stderrs}) per
+    point; each schedule's read turns them into its result.
+    """
+    for name, value in (("trials", trials), ("block_size", block_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    runs = [_schedule_run(schedule) for schedule in schedules]
+    done = _map_blocks([(run, *block) for run, _ in runs for block in _blocks(trials, seed, block_size)])
+    n = -(-trials // block_size)   # blocks per schedule
+    return [schedule.read(merge(done[i * n: (i + 1) * n]), trials, seed)
+            for i, (schedule, (_, merge)) in enumerate(zip(schedules, runs))]
 
 
 def as_points(cfg, setting) -> tuple:
@@ -472,7 +530,9 @@ def _ranked_radii(rng, B, ranks, K, radius) -> np.ndarray:
 def sorted_layout(cfg):
     """Cluster layout: the users of each class at their distance ranks from its
     anchor (BS or surface), drawn only at the ranks asked for (_ranked_radii),
-    each at a uniform bearing."""
+    each at a uniform bearing.  An edge user keeps only its surface distance,
+    as no gain key of a cluster reads its position or BS distance, and a
+    center user's surface distance is formed when its group is resolved."""
     sc = np.array([cfg.d_br, 0.0])
     classes = {
         ("center", "DL"): (cfg.K_cd, cfg.R), ("center", "UL"): (cfg.K_cu, cfg.R),
@@ -480,24 +540,66 @@ def sorted_layout(cfg):
     }
 
     def layout(rng, B, users):
-        geo = {}
+        drawn = {}   # center user: (position, BS distance); edge user: surface distance
         for (kind, direction), (K, radius) in classes.items():
             wanted = [u for u in users if (u.kind, u.direction) == (kind, direction)]
             ranks = sorted({u.order for u in wanted})
             if not ranks:
                 continue
             r = _ranked_radii(rng, B, ranks, K, radius)
-            theta = rng.uniform(0.0, 2.0 * np.pi, r.shape)
+            theta = rng.uniform(0.0, 2.0 * np.pi, r.shape)   # drawn for every class, to keep the stream
+            if kind == "edge":
+                for u in wanted:
+                    drawn[u] = r[:, ranks.index(u.order)]
+                continue
             pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
             for u in wanted:
                 i = ranks.index(u.order)
-                if kind == "center":
-                    geo[u] = pts[:, i], r[:, i], np.linalg.norm(pts[:, i] - sc, axis=-1)
+                drawn[u] = pts[:, i], r[:, i]
+
+        def resolve(group):
+            geo = {}
+            for u in group:
+                if u.kind == "edge":
+                    geo[u] = None, None, drawn[u]
                 else:
-                    geo[u] = pts[:, i] + sc, None, r[:, i]
-        return geo
+                    pos, d_bs = drawn[u]
+                    geo[u] = pos, d_bs, np.linalg.norm(pos - sc, axis=-1)
+            return geo
+
+        return resolve
 
     return layout
+
+
+def cluster_schedule(cfg, powers, state: StarRisState, clusters=None) -> Schedule:
+    """The clusters' request to the block loop; its result is simulate_clusters'.
+
+    Arguments as simulate_clusters takes them.
+    """
+    points, one = as_points(cfg, powers)
+    cfg = points[0][0]
+    if clusters is None:
+        clusters = list(range(1, min(cfg.M_d, cfg.M_u) + 1))
+    clusters = sorted(int(j) for j in clusters)
+
+    def allocations(power):
+        return [power if isinstance(power, PowerAllocation) else power[j] for j in clusters]
+
+    def read(results, trials, seed):
+        out = []
+        for acc, sums in results:
+            reports = {}
+            for j, group_acc in zip(clusters, acc):
+                rates, stderr = ({role: getattr(group_acc[role], stat) for role in ROLES} for stat in ("mean", "stderr"))
+                reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
+            out.append((reports, sums))
+        return out[0] if one else out
+
+    return Schedule(
+        [(point, allocations(power)) for point, power in points], [cluster_group(cfg, j) for j in clusters],
+        {"DL": cfg.M_d, "UL": cfg.M_u}, sorted_layout(cfg), state, read,
+    )
 
 
 def simulate_clusters(
@@ -519,27 +621,7 @@ def simulate_clusters(
     powers a list of the same length: every point reads the same draw, and
     the result is the list of what one call per point returns.
     """
-    points, one = as_points(cfg, powers)
-    cfg = points[0][0]
-    if clusters is None:
-        clusters = list(range(1, min(cfg.M_d, cfg.M_u) + 1))
-    clusters = sorted(int(j) for j in clusters)
-
-    def allocations(power):
-        return [power if isinstance(power, PowerAllocation) else power[j] for j in clusters]
-
-    results = simulate_groups(
-        [(point, allocations(power)) for point, power in points], [cluster_group(cfg, j) for j in clusters], state,
-        {"DL": cfg.M_d, "UL": cfg.M_u}, sorted_layout(cfg), trials, seed, block_size,
-    )
-    out = []
-    for acc, sums in results:
-        reports = {}
-        for j, group_acc in zip(clusters, acc):
-            rates, stderr = ({role: getattr(group_acc[role], stat) for role in ROLES} for stat in ("mean", "stderr"))
-            reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
-        out.append((reports, sums))
-    return out[0] if one else out
+    return simulate_groups([cluster_schedule(cfg, powers, state, clusters)], trials, seed, block_size)[0]
 
 
 def simulate(plan: SimPlan) -> RateReport:

@@ -152,6 +152,25 @@ class TestSamplerOracle:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), label
 
+    @pytest.mark.parametrize("trials", [1, 4_095, 4_097, 16_384, None])
+    def test_chunked_fill_keeps_the_whole_shape_bits(self, cfg, trials):
+        # complex_normal draws 4,096 rows at a time; the whole-shape fill it replaced is the oracle
+        def whole_shape(link, rng):
+            shape = link.los.shape if trials is None else (trials, link.los.size)
+            out, los = np.empty(shape, dtype=complex), np.sqrt(link.los_weight) * link.los
+            for part, los_part in ((out.real, los.real), (out.imag, los.imag)):
+                part[...] = rng.standard_normal(shape)
+                part *= 1.0 / np.sqrt(2.0)
+                part *= np.sqrt(link.scatter_weight)
+                part += los_part
+            return out
+
+        for n in (cfg.N, 64):
+            link = build_links(dataclasses.replace(cfg, N=n))["r,u3d"]
+            a, b = np.random.default_rng(9), np.random.default_rng(9)
+            assert sample_rician(link, a, trials=trials).tobytes() == whole_shape(link, b).tobytes()
+            assert a.random() == b.random()
+
     def test_stream_position_matches(self, cfg):
         # the sampler consumes exactly the normals of the formula, real part first
         link = build_links(cfg)["r,u3d"]

@@ -195,6 +195,10 @@ class TestSweep:
         assert main(args) == 1
         assert "trials must be >= 1" in capsys.readouterr().err
 
+    def test_non_finite_snr_rejected_by_name(self, cfg_path, capsys):
+        assert main(["sweep", "--experiment", "rates-vs-snr", "--config", cfg_path, "--grid", "nan"]) == 1
+        assert "snr_db must be a finite number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", [["--state", "uniform"], ["--cluster", "2"]])
     def test_options_no_experiment_reads_are_rejected(self, cfg_path, option):
         with pytest.raises(SystemExit):
@@ -283,3 +287,18 @@ class TestSharedDrawRows:
             for role in ROLES:
                 want[(var, str(value), role + tag)] = (repr(report.rates[role]), repr(report.stderr[role]))
         assert got == want
+
+
+class TestSeedOption:
+    """numpy seeds only from nonnegative integers, so every subcommand rejects any other --seed by name."""
+
+    @pytest.mark.parametrize("command", [
+        ["analytic"], ["simulate", "--trials", "10"], ["cluster"], ["optimize", "--iters", "1"],
+        ["sweep", "--experiment", "rates-vs-snr", "--grid", "10", "--trials", "10"],
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("seed", ["-1", "-3", "1.5", "x"])
+    def test_bad_seed_rejected_by_name(self, cfg_path, capsys, command, seed):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", cfg_path, "--seed", seed])
+        assert exc.value.code == 2
+        assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err

@@ -284,7 +284,7 @@ class TestBearingRule:
         real_tables, real_simulate = comparison.group_tables, comparison.simulate_groups
         monkeypatch.setattr(comparison, "group_tables", lambda c, g: seen.append(g) or real_tables(c, g))
         monkeypatch.setattr(
-            comparison, "simulate_groups", lambda points, g, *a, **k: seen.append(g) or real_simulate(points, g, *a, **k))
+            comparison, "simulate_groups", lambda s, *a, **k: seen.append(s[0].groups) or real_simulate(s, *a, **k))
         pair_rate_sums(cfg, allocs, state)
         simulate_pair_sums(cfg, allocs, state, trials=200, seed=1)
         assert seen == [groups, groups]

@@ -113,6 +113,12 @@ def test_with_snr():
     assert cfg.snr_db == pytest.approx(40.0)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+def test_with_snr_rejects_a_non_finite_snr_by_name(snr_db):
+    with pytest.raises(ConfigError, match="snr_db must be a finite number"):
+        baseline_config().with_snr(snr_db)
+
+
 def test_default_power_allocation(cfg):
     pw = default_power_allocation(cfg)
     assert pw.alpha[0] < pw.alpha[1] < pw.alpha[2]

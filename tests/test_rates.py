@@ -64,7 +64,7 @@ def conditional_terms(cfg, geo, cluster=1) -> Positions:
     """Oracle: the Positions of cluster j at one drop instead of their means.
 
     geo is the {user: (position, BS distance, surface distance)} of one trial
-    that simulator.sorted_layout returns at B = 1; averaging these over many
+    that simulator.sorted_layout resolves at B = 1; averaging these over many
     drops must reproduce rates.positions.  Pair and outside-point factors are
     taken between the cluster's own members; the strong users' path-loss
     rules hold their one realized gain.
@@ -87,7 +87,8 @@ def conditional_terms(cfg, geo, cluster=1) -> Positions:
 
 def _drop(cfg, rng, cluster=1):
     """One trial of the cluster layout, resolved for cluster j's members."""
-    return sorted_layout(cfg)(rng, 1, cluster_members(cfg, cluster))
+    members = cluster_members(cfg, cluster)
+    return sorted_layout(cfg)(rng, 1, members)(members)
 
 
 class TestTermBookkeeping:

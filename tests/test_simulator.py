@@ -9,7 +9,8 @@ from scipy import stats
 
 from starnoma import simulator
 from starnoma.channel import StarRisState, build_links, cascaded_power_mean, sample_rician
-from starnoma.comparison import pair_groups, pair_power_policy, simulate_pair_sums
+from starnoma.cli import DEFAULT_SNR_GRID, XIS
+from starnoma.comparison import cluster_power_policy, pair_groups, pair_power_policy, pair_schedule, simulate_pair_sums
 from starnoma.config import PowerAllocation
 from starnoma.rates import BS, cluster_members, cluster_roles, noma_roles, table_keys
 from starnoma.simulator import (
@@ -167,6 +168,24 @@ class TestBlockPool:
         allocations = [pair_power_policy(p, state) for p in points]
         return simulate_pair_sums(points, allocations, state, self.TRIALS, 6, block_size=self.BLOCK)
 
+    def _schedules(self, cfg, state):
+        """The clusters' and the pairing's schedules of _clusters and _pairs, at one seed."""
+        points = _grid(cfg)
+        allocations = [pair_power_policy(p, state) for p in points]
+        return [simulator.cluster_schedule(points, _grid_powers(points), state),
+                pair_schedule(points, allocations, state)]
+
+    def _shared_queue(self, cfg, state):
+        """Both schedules in one block queue, and each alone, at seed 6."""
+        together = simulator.simulate_groups(self._schedules(cfg, state), self.TRIALS, 6, self.BLOCK)
+        alone = [simulator.simulate_groups([s], self.TRIALS, 6, self.BLOCK)[0] for s in self._schedules(cfg, state)]
+        return together, alone
+
+    @staticmethod
+    def _plain(clusters):
+        """simulate_clusters' grid result with the reports as (rates, stderr), comparable by ==."""
+        return [({j: (r.rates, r.stderr) for j, r in reports.items()}, sums) for reports, sums in clusters]
+
     def test_worker_count_changes_no_bit(self, cfg, state, monkeypatch):
         got = {}
         interval = sys.getswitchinterval()
@@ -174,17 +193,19 @@ class TestBlockPool:
             sys.setswitchinterval(1e-6)   # switch threads as often as possible
             for workers in (1, 2, 3):
                 monkeypatch.setattr(simulator, "_cores", lambda: workers)
-                got[workers] = self._clusters(cfg, state), self._pairs(cfg, state)
+                got[workers] = self._clusters(cfg, state), self._pairs(cfg, state), self._shared_queue(cfg, state)
         finally:
             sys.setswitchinterval(interval)
-        clusters, pairs = got[1]
-        for workers in (2, 3):
+        clusters, pairs, _ = got[1]
+        for workers in (1, 2, 3):
             assert got[workers][1] == pairs
-            for (reports, sums), (want_reports, want_sums) in zip(got[workers][0], clusters):
-                assert sums == want_sums
-                assert {j: (r.rates, r.stderr) for j, r in reports.items()} == {
-                    j: (r.rates, r.stderr) for j, r in want_reports.items()
-                }
+            assert self._plain(got[workers][0]) == self._plain(clusters)
+            # one queue holding both schedules returns what a call per schedule returns
+            (shared_clusters, shared_pairs), (alone_clusters, alone_pairs) = got[workers][2]
+            assert shared_pairs == alone_pairs
+            assert self._plain(shared_clusters) == self._plain(alone_clusters)
+            assert shared_pairs == got[1][2][0][1]
+            assert self._plain(shared_clusters) == self._plain(got[1][2][0][0])
 
     @pytest.mark.parametrize("failing", [TRIALS % BLOCK, BLOCK], ids=["last-block", "every-full-block"])
     @pytest.mark.parametrize("workers", [1, 3])
@@ -203,10 +224,30 @@ class TestBlockPool:
             simulate_clusters(cfg, power, state, self.TRIALS, 3, block_size=self.BLOCK)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_schedules_exception_reaches_the_caller_once(self, cfg, state, monkeypatch, workers):
+        # a pair has 4 members and a cluster 6: only the pairing's blocks fail
+        sample_gains, calls = simulator.sample_gains, []
+
+        def fail(roles, members, geo, links, rng, block):
+            calls.append(len(members))
+            if len(members) == 4:
+                raise BlockFailure("pairing block failed")
+            return sample_gains(roles, members, geo, links, rng, block)
+
+        monkeypatch.setattr(simulator, "_cores", lambda: workers)
+        monkeypatch.setattr(simulator, "sample_gains", fail)
+        before = threading.active_count()
+        with pytest.raises(BlockFailure) as exc:
+            simulator.simulate_groups(self._schedules(cfg, state), self.TRIALS, 3, self.BLOCK)
+        assert str(exc.value) == "pairing block failed"
+        assert threading.active_count() == before
+        assert calls.count(4) <= workers   # each thread stops at its next job after a failure
+
     def test_one_block_working_set(self, cfg, power, state, monkeypatch):
         # one default-size block of cluster 1 at N = 10: the layout draws only
         # the ranks it keeps, cascades are formed as their vectors arrive, and
-        # a leaf's vector is never drawn (about 16.5e6 bytes)
+        # a leaf's vector is never drawn (about 13.8e6 bytes)
         monkeypatch.setattr(simulator, "_cores", lambda: 1)
         simulate_clusters(cfg, power, state, 100, 0, clusters=[1])
         tracemalloc.start()
@@ -216,6 +257,54 @@ class TestBlockPool:
         finally:
             tracemalloc.stop()
         assert peak <= 19e6
+
+    @staticmethod
+    def _cluster_vs_pair(cfg, state):
+        """The 12 points of `sweep --experiment cluster-vs-pair` with both power policies' allocations."""
+        points = [dataclasses.replace(cfg.with_snr(snr), xi_sic=xi) for xi in XIS for snr in DEFAULT_SNR_GRID]
+        return points, [cluster_power_policy(p, state) for p in points], [pair_power_policy(p, state) for p in points]
+
+    @pytest.mark.parametrize("scheme", ["clusters", "pairing"])
+    def test_full_block_working_set_of_the_comparison(self, cfg, state, monkeypatch, scheme):
+        # both schemes' blocks share one queue, so on 2 cores a full block of each is in
+        # flight at once: each must stay near the old size of one (29.1e6 and 28.0e6
+        # bytes before the trims, 20.8e6 and 19.6e6 after)
+        points, cl, pr = self._cluster_vs_pair(cfg, state)
+        run = {"clusters": lambda B: simulate_clusters(points, cl, state, B, 0),
+               "pairing": lambda B: simulate_pair_sums(points, pr, state, B, 0)}[scheme]
+        monkeypatch.setattr(simulator, "_cores", lambda: 1)
+        run(100)
+        tracemalloc.start()
+        try:
+            run(1 << 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21 * 2**20
+
+
+class TestDraws:
+    @pytest.mark.parametrize("B", [1, 4_095, 4_097, 16_384])
+    @pytest.mark.parametrize("k", [None, 8])
+    def test_draw_power_keeps_the_whole_shape_bits(self, B, k):
+        # the whole-shape fill that channel.complex_normal's chunked fill replaced is the oracle
+        shape = (B,) if k is None else (B, k)
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        z = np.empty(shape, dtype=complex)
+        for part in (z.real, z.imag):
+            part[...] = b.standard_normal(shape)
+            part *= 1.0 / np.sqrt(2.0)
+        want = np.abs(z) ** 2
+        assert simulator._draw_power(a, shape).tobytes() == want.tobytes()
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("B", [1, 4_097, 16_384])
+    def test_chunked_cascade_keeps_the_whole_product_bits(self, cfg, state, B):
+        links, rng = build_links(cfg), np.random.default_rng(5)
+        g_out, g_in = (sample_rician(links[label], rng, trials=B) for label in ("r,u3d", "r,u3u"))
+        c = state.coefficients("r")
+        want = np.abs(np.sum(g_out * c * g_in, axis=-1)) ** 2
+        assert simulator._cascade_power(g_out, c, g_in).tobytes() == want.tobytes()
 
 
 def _full_cascade(g_hub, c, leaf_link, rng):
@@ -340,17 +429,17 @@ class TestRankedLayout:
         sc = np.array([cfg.d_br, 0.0])
         for users in (list(cluster_members(cfg, 1)), list(cluster_members(cfg, 3))[2:5],
                       [u for j in (1, 2, 3) for u in cluster_members(cfg, j)]):
-            geo = layout(np.random.default_rng(0), 500, users)
+            geo = layout(np.random.default_rng(0), 500, users)(users)
             assert set(geo) == set(users)
             for u, (pos, d_bs, d_s) in geo.items():
-                assert pos.shape == (500, 2)
+                assert d_s.shape == (500,)
                 if u.kind == "center":
+                    assert pos.shape == (500, 2)
                     np.testing.assert_allclose(d_bs, np.linalg.norm(pos, axis=-1), rtol=1e-12)
                     np.testing.assert_allclose(d_s, np.linalg.norm(pos - sc, axis=-1), rtol=1e-12)
                     assert np.all(d_bs <= cfg.R)
-                else:
-                    assert d_bs is None
-                    np.testing.assert_allclose(d_s, np.linalg.norm(pos - sc, axis=-1), rtol=1e-12, atol=1e-12)
+                else:   # no gain key reads an edge user's position or BS distance
+                    assert pos is None and d_bs is None
                     assert np.all(d_s <= cfg.R_r)
             # a nearer rank of one class is never farther than a farther one
             for u in users:

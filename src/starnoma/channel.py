@@ -75,23 +75,19 @@ class StarRisState:
     def N(self) -> int:
         return self.rho_t.size
 
-    def amplitudes(self, side: str) -> np.ndarray:
-        return self.rho_t if side == "t" else self.rho_r
-
-    def phases(self, side: str) -> np.ndarray:
-        return self.phi_t if side == "t" else self.phi_r
-
     def coefficients(self, side: str) -> np.ndarray:
         """Complex element responses rho * exp(j*phi) of one face."""
         if side not in ("t", "r"):
             raise ValueError(f"side must be 't' or 'r', got {side!r}")
-        return self.amplitudes(side) * np.exp(1j * self.phases(side))
+        if side == "t":
+            return self.rho_t * np.exp(1j * self.phi_t)
+        return self.rho_r * np.exp(1j * self.phi_r)
 
     @classmethod
-    def uniform(cls, N: int, rho_t: float = 0.5) -> "StarRisState":
+    def uniform(cls, N: int) -> "StarRisState":
         return cls(
-            rho_t=np.full(N, rho_t),
-            rho_r=np.full(N, 1.0 - rho_t),
+            rho_t=np.full(N, 0.5),
+            rho_r=np.full(N, 0.5),
             phi_t=np.zeros(N),
             phi_r=np.zeros(N),
         )
@@ -142,7 +138,6 @@ class RicianLink:
 
     kappa: float
     los: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "los", np.asarray(self.los, dtype=complex))
@@ -167,7 +162,7 @@ def build_links(cfg) -> dict[str, RicianLink]:
         resp = array_response(cfg.N, az, el, cfg.element_spacing, cfg.carrier_wavelength)
         if label not in ARRIVAL_LINKS:
             resp = np.conj(resp)
-        links[label] = RicianLink(kappa=cfg.kappa_map[label], los=resp, label=label)
+        links[label] = RicianLink(kappa=cfg.kappa_map[label], los=resp)
     return links
 
 
@@ -203,13 +198,12 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=No
     return out
 
 
-def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int | None = None) -> np.ndarray:
-    """Draw the link vector: sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I).
-
-    With trials set, returns a (trials, N) batch sharing the same LoS.  The
-    draw is complex_normal's, so it is the complex formula's to the bit.
+def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Draw trials link vectors sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I), as a
+    (trials, N) batch sharing the same LoS.  The draw is complex_normal's, so
+    it is the complex formula's to the bit.
     """
-    shape = (link.los.size,) if trials is None else (trials, link.los.size)
+    shape = (trials, link.los.size)
     return complex_normal(rng, shape, np.sqrt(link.scatter_weight), np.sqrt(link.los_weight) * link.los)
 
 

@@ -316,17 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="starnoma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=200_000):
+    def common(p, trials=None):
         p.add_argument("--config", help="YAML config path (defaults to the baseline)")
         p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--trials", type=int, default=trials_default)
+        if trials is not None:
+            p.add_argument("--trials", type=int, default=trials)
         p.add_argument("--out", help="output CSV path (default stdout)")
 
     # the sweeps fix their own states and rate cluster 1, so only these two take both
-    for name, help_, fn in (("analytic", "closed-form per-role rates", _cmd_analytic),
-                            ("simulate", "Monte-Carlo per-role rates", _cmd_simulate)):
+    for name, help_, fn, trials in (("analytic", "closed-form per-role rates", _cmd_analytic, None),
+                                    ("simulate", "Monte-Carlo per-role rates", _cmd_simulate, 200_000)):
         p = sub.add_parser(name, help=help_)
-        common(p)
+        common(p, trials)
         p.add_argument("--state", default="random", choices=("random", "aligned", "uniform"),
                        help="surface state used for the evaluation")
         p.add_argument("--cluster", type=int, default=1)
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("sweep", help="named figure experiments")
-    common(p, trials_default=100_000)
+    common(p, trials=100_000)
     p.add_argument("--experiment", required=True, choices=EXPERIMENTS)
     p.add_argument("--grid", type=float, nargs="*", help="sweep grid values")
     p.add_argument("--param", help="config field for the custom sweep")

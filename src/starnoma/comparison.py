@@ -43,11 +43,9 @@ from .rates import (
     solve_sinr,
     surface_terms,
 )
-from .simulator import Schedule, as_points, simulate_groups
+from .simulator import _DEFAULT_BLOCK, Schedule, as_points, simulate_groups
 
 __all__ = [
-    "pair_structure",
-    "pair_slots",
     "pair_groups",
     "ranked_layout",
     "pair_schedule",
@@ -59,77 +57,48 @@ __all__ = [
 ]
 
 
-def pair_structure(K_center: int, K_edge: int):
-    """Near-far pair memberships by overall distance rank.
-
-    Edge users sit beyond the center disk, so overall ranks 1..K_center are
-    center users and the rest edge users (ties have measure zero).  Rank q
-    maps to ("center", q) or ("edge", q - K_center); the order index of an
-    edge member counts from the nearest edge user.  Odd totals leave the
-    median rank unpaired.
-    """
-    K = K_center + K_edge
-    pairs = []
-    for j in range(1, K // 2 + 1):
-        q = K + 1 - j
-        strong = ("center", j) if j <= K_center else ("edge", j - K_center)
-        weak = ("center", q) if q <= K_center else ("edge", q - K_center)
-        pairs.append((strong, weak))
-    return pairs
-
-
-def pair_slots(K_center: int, K_edge: int):
-    """Pairing schedule: the pairs plus, for odd totals, a lone median slot.
-
-    The leftover median user cannot join a NOMA pair, so it gets a slot of
-    its own at full power; with 6+3 users per direction this yields 5 groups
-    sharing the frame (4 pairs and one singleton).
-    """
-    K = K_center + K_edge
-    pairs = pair_structure(K_center, K_edge)
-    leftover = None
-    if K % 2 == 1:
-        q = K // 2 + 1
-        leftover = ("center", q) if q <= K_center else ("edge", q - K_center)
-    return pairs, leftover
-
-
-def _pair_member(kind: str, order: int, direction: str, weak: bool = False) -> Member:
-    """A pair user with its line-of-sight bearing: an edge user has the edge
-    users' (r,u3d / r,u3u), a weak center member the mid users' (r,u2d /
-    r,u2u), and any other center user the strong users' (r,u1d / r,u1u)."""
-    index = 3 if kind == "edge" else 2 if weak else 1
-    return Member(kind, direction, order, f"r,u{index}{direction[0].lower()}")
-
-
 def pair_groups(cfg: SystemConfig) -> list:
     """The pairing schedule as NOMA groups (dl users, ul users), strong first.
 
-    The lone median users' slot, if any, comes last.  The ranks assume every
-    center user nearer the BS than every edge user, so the disks must not
-    overlap: d_br - R_r >= R.
+    Pair j holds the users of BS-distance ranks j and K + 1 - j of each
+    direction's K users; ranks 1..K_center are center users, the rest edge
+    users ordered from the nearest.  An odd K leaves the median user a lone
+    slot, last.  Both directions share the schedule, so their totals must be
+    equal.  Bearings: an edge user has the edge users' (r,u3d / r,u3u), a
+    weak center member the mid users' (r,u2d / r,u2u), any other center user
+    the strong users' (r,u1d / r,u1u).  The ranks assume every center user
+    nearer the BS than every edge user, so the disks must not overlap:
+    d_br - R_r >= R.
     """
     if cfg.d_br - cfg.R_r < cfg.R:
         raise ValueError(
             f"the pairing needs the edge disk outside the center disk: d_br - R_r = {cfg.d_br - cfg.R_r:g} "
             f"must be at least R = {cfg.R:g} (d_br = {cfg.d_br:g}, R_r = {cfg.R_r:g})"
         )
-    pairs_dl, lone_dl = pair_slots(cfg.K_cd, cfg.K_ed)
-    pairs_ul, lone_ul = pair_slots(cfg.K_cu, cfg.K_eu)
-    if len(pairs_dl) != len(pairs_ul):
-        raise ValueError("same pair count per direction required")
+    K = cfg.K_cd + cfg.K_ed
+    if cfg.K_cu + cfg.K_eu != K:
+        raise ValueError(
+            f"same pair count per direction required, and a lone median slot in both or neither: K_cd + K_ed = "
+            f"{cfg.K_cd} + {cfg.K_ed} = {K} but K_cu + K_eu = {cfg.K_cu} + {cfg.K_eu} = {cfg.K_cu + cfg.K_eu}"
+        )
+    centers = {"DL": cfg.K_cd, "UL": cfg.K_cu}
+
+    def member(direction, q, weak=False):
+        kind, order = ("center", q) if q <= centers[direction] else ("edge", q - centers[direction])
+        index = 3 if kind == "edge" else 2 if weak else 1
+        return Member(kind, direction, order, f"r,u{index}{direction[0].lower()}")
+
     groups = [
-        tuple([_pair_member(*s, d), _pair_member(*w, d, weak=True)] for (s, w), d in ((dl, "DL"), (ul, "UL")))
-        for dl, ul in zip(pairs_dl, pairs_ul)
+        tuple([member(d, j), member(d, K + 1 - j, weak=True)] for d in ("DL", "UL")) for j in range(1, K // 2 + 1)
     ]
-    if lone_dl is not None:
-        groups.append(([_pair_member(*lone_dl, "DL")], [_pair_member(*lone_ul, "UL")]))
+    if K % 2 == 1:
+        groups.append(tuple([member(d, K // 2 + 1)] for d in ("DL", "UL")))
     return groups
 
 
 def _slot_powers(cfg: SystemConfig, allocations, groups) -> list:
     """The allocation of every slot: one given per pair, then the lone slot's at full power."""
-    if len(allocations) != len(pair_structure(cfg.K_cd, cfg.K_ed)):
+    if len(allocations) != sum(len(dl) == 2 for dl, _ in groups):
         raise ValueError("one allocation per pair required")
     return [*allocations] + [PowerAllocation((1.0,), (cfg.p_um,))] * (len(groups) - len(allocations))
 
@@ -190,18 +159,16 @@ def ranked_layout(cfg: SystemConfig):
     return layout
 
 
-def pair_schedule(cfg, allocations, state: StarRisState) -> Schedule:
-    """The pairing's request to the block loop; its result is simulate_pair_sums'.
-
-    Arguments as simulate_pair_sums takes them.
-    """
-    points, one = as_points(cfg, allocations)
+def pair_schedule(cfgs, allocations, state: StarRisState) -> Schedule:
+    """The pairing's request to the block loop at every point of cfgs, all off one draw,
+    as simulator.cluster_schedule; allocations gives each point's list, and the
+    result is a list of what simulate_pair_sums returns, one per point."""
+    points = as_points(cfgs, allocations)
     cfg = points[0][0]
     groups = pair_groups(cfg)
 
     def read(results, trials, seed):
-        sums = [point_sums for _, point_sums in results]
-        return sums[0] if one else sums
+        return [point_sums for _, point_sums in results]
 
     return Schedule(
         [(point, _slot_powers(point, allocs, groups)) for point, allocs in points], groups,
@@ -215,23 +182,25 @@ def simulate_pair_sums(
     state: StarRisState,
     trials: int,
     seed: int,
-    block_size: int = 1 << 14,
+    block_size: int = _DEFAULT_BLOCK,
 ):
     """Monte-Carlo DL and UL pairing sum rates with realized orderings.
 
-    For a grid, cfg is a list of configs (differing in
-    simulator.POINT_FIELDS only) and allocations a list of the same length:
-    every point reads the same draw, and the result is the list of what one
-    call per point returns.
+    allocations is one PowerAllocation per pair.  Returns {dl_sum, ul_sum}
+    and their standard errors.
     """
-    return simulate_groups([pair_schedule(cfg, allocations, state)], trials, seed, block_size)[0]
+    return simulate_groups([pair_schedule([cfg], [allocations], state)], trials, seed, block_size)[0][0]
 
 
 # -- shared power policy ------------------------------------------------------
 
 
-def _clamp(x, lo, hi):
-    return min(max(x, lo), hi)
+def _edge_power(role, means: dict, g: float, v0, dv, lo: float, hi: float) -> float:
+    """The step at which the edge role's SINR reaches g (rates.solve_sinr), clamped to [lo, hi];
+    with a zero signal mean (a dark surface face), lo for a zero target and hi for a positive one."""
+    if means[role.signal.key] == 0.0:
+        return lo if g == 0.0 else hi
+    return min(max(solve_sinr(role, means, g, v0, dv), lo), hi)
 
 
 def _center_split(roles, means: dict, x_at, lo: float = 0.02, hi: float = 0.48) -> float:
@@ -320,14 +289,14 @@ def _group_powers(cfg, state, groups, shares, dl_floor, dl_edge_targets, ul_edge
         p = [cfg.p_um] * nu
         if ul[-1].kind == "edge":
             v0, dv = (0.0,) * nd + (*p[:-1], 0.0), (0.0,) * (nd + nu - 1) + (1.0,)
-            p[-1] = solve_sinr(roles[f"UL{nu}"], means, gain(ul_t, ul[-1].order, shares["UL"]), v0, dv)
-            p[-1] = _clamp(p[-1], 1e-9 * cfg.p_um, cfg.p_um)
+            g = gain(ul_t, ul[-1].order, shares["UL"])
+            p[-1] = _edge_power(roles[f"UL{nu}"], means, g, v0, dv, 1e-9 * cfg.p_um, cfg.p_um)
         edge, rest = (), 1.0
         if dl[-1].kind == "edge":
             # the edge coefficient comes out of the strong member's, and only the center sum enters its SINR
             v0, dv = (1.0,) + (0.0,) * (nd - 1) + tuple(p), (-1.0,) + (0.0,) * (nd - 2) + (1.0,) + (0.0,) * nu
-            a = solve_sinr(roles[f"DL{nd}"], means, gain(dl_t, cfg.K_ed + 1 - dl[-1].order, shares["DL"]), v0, dv)
-            edge = (_clamp(a, dl_floor, 0.95),)
+            g = gain(dl_t, cfg.K_ed + 1 - dl[-1].order, shares["DL"])
+            edge = (_edge_power(roles[f"DL{nd}"], means, g, v0, dv, dl_floor, 0.95),)
             rest = 1.0 - edge[0]
         center = (rest,)
         if nd - len(edge) == 2:
@@ -359,6 +328,6 @@ def pair_power_policy(cfg: SystemConfig, state: StarRisState, dl_edge_targets=No
     1/len(pairs) share (1/4 at baseline), but the pairing rates give all
     len(pair_groups(cfg)) = 5 slots 1/5, so edge users get 4/5 of them.
     """
-    pairs = pair_groups(cfg)[: len(pair_structure(cfg.K_cd, cfg.K_ed))]
+    pairs = [group for group in pair_groups(cfg) if len(group[0]) == 2]
     share = len(pairs)   # the known mismatch, the one constant its fix changes
     return _group_powers(cfg, state, pairs, {"DL": share, "UL": share}, 0.55, dl_edge_targets, ul_edge_targets)

@@ -218,12 +218,12 @@ class SystemConfig:
     def snr_db(self) -> float:
         return 10.0 * math.log10(self.P_b / self.sigma2)
 
-    def with_snr(self, snr_db: float, ul_fraction: float = 0.1) -> "SystemConfig":
-        """Copy with P_b set from a transmit SNR (dB) and p_um = ul_fraction * P_b."""
+    def with_snr(self, snr_db: float) -> "SystemConfig":
+        """Copy with P_b set from a transmit SNR (dB) and p_um = 0.1 * P_b."""
         if not math.isfinite(snr_db):
             raise ConfigError(f"snr_db must be a finite number, got {snr_db}")
         P_b = self.sigma2 * 10.0 ** (snr_db / 10.0)
-        return replace(self, P_b=P_b, p_um=ul_fraction * P_b, allocation=self.allocation)
+        return replace(self, P_b=P_b, p_um=0.1 * P_b, allocation=self.allocation)
 
     def uniform_clusters(self) -> bool:
         """True when the counts form uniform 3-member DL and UL clusters."""

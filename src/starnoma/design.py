@@ -59,38 +59,31 @@ __all__ = [
 ]
 
 
+# Ascent controls.  Each step moves along the exact gradient, normalized to
+# unit norm separately for the phases and the amplitudes, so _PHASE_STEP is
+# roughly the complex-plane distance moved per iteration and _AMPLITUDE_STEP
+# the corresponding amplitude movement.  The raw gradient scale of this
+# objective is set by the tiny through-surface terms and varies by orders of
+# magnitude across configs; normalizing keeps one set of values usable
+# everywhere.  A step that does not raise the objective is shrunk by
+# _STEP_DECAY up to _MAX_BACKTRACKS times; the ascent stops when that fails
+# or a step gains less than _TOLERANCE.
+_TOLERANCE = 1e-10
+_PHASE_STEP = 0.5
+_AMPLITUDE_STEP = 0.2
+_STEP_DECAY = 0.5
+_MAX_BACKTRACKS = 30
+
+
 @dataclass(frozen=True)
 class PgamSettings:
-    """Ascent controls: iteration cap, stop tolerance, step sizes, line search
-    and restarts.
-
-    Each step moves along the exact gradient, normalized to unit norm
-    separately for the phases and the amplitudes, so phase_step is roughly
-    the complex-plane distance moved per iteration and amplitude_step the
-    corresponding amplitude movement.  The raw gradient scale of this
-    objective is set by the tiny through-surface terms and varies by orders
-    of magnitude across configs; normalizing keeps one set of defaults usable
-    everywhere.  A step that does not raise the objective is shrunk by
-    step_decay up to max_backtracks times; the ascent stops when that fails
-    or a step gains less than tolerance.
-    """
+    """Ascent controls a run may set: the iteration cap and the number of restarts."""
 
     max_iters: int = 80
-    tolerance: float = 1e-10
-    phase_step: float = 0.5
-    amplitude_step: float = 0.2
-    step_decay: float = 0.5       # shrink factor of the backtracking search
-    max_backtracks: int = 30
     restarts: int = 0             # extra random starting points
 
     def __post_init__(self):
-        for name in ("tolerance", "phase_step", "amplitude_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not 0 < self.step_decay < 1:
-            raise ValueError(f"step_decay must lie strictly between 0 and 1, got {self.step_decay!r}")
-        for name, least in (("max_iters", 1), ("max_backtracks", 1), ("restarts", 0)):
+        for name, least in (("max_iters", 1), ("restarts", 0)):
             value = getattr(self, name)
             if not value >= least:
                 raise ValueError(f"{name} must be >= {least}, got {value!r}")
@@ -125,24 +118,23 @@ def project_amplitudes(raw_t: np.ndarray, raw_r: np.ndarray):
 class _Objective:
     """Weighted sum rate as a smooth function of (theta_t, theta_r, rho_t, rho_r)."""
 
-    def __init__(self, cfg, power, weights=None, cluster=1, model=DEFAULT_MODEL):
+    def __init__(self, cfg, power, cluster=1, model=DEFAULT_MODEL):
         self.cfg = cfg
         self.links = build_links(cfg)
         self.table = group_tables(cfg, [cluster_group(cfg, cluster)])[0]
         self.bound = bind_power(self.table.roles, power)
-        self.weights = weights
         self.model = model
         # d(objective)/d(role log2-mean): the role's weight over its rate's prelog M
         self.role_scale = {
             role: w / (cfg.M_d if role.startswith("DL") else cfg.M_u)
-            for role, w in role_weights(cfg, weights).items()
+            for role, w in role_weights(cfg).items()
         }
         self.rules = model_rules(self.table, model)
 
     def value(self, theta_t, theta_r, rho_t, rho_r) -> float:
         # the surface terms come straight from the (possibly infeasible) trial point
         surface = surface_terms(self.cfg, (rho_t * theta_t, rho_r * theta_r), self.links)
-        return weighted_sum_rate(RateInputs(self.cfg, self.table, self.bound, surface), self.weights, self.model)
+        return weighted_sum_rate(RateInputs(self.cfg, self.table, self.bound, surface), self.model)
 
     def gradient(self, theta_t, theta_r, rho_t, rho_r):
         """(g_theta_t, g_theta_r, g_rho_t, g_rho_r) of value at the same point.
@@ -174,12 +166,12 @@ def pgam_optimize(
     power: PowerAllocation,
     settings: PgamSettings | None = None,
     initial: StarRisState | None = None,
-    weights: dict | None = None,
     cluster: int = 1,
     rng: np.random.Generator | None = None,
     model: str = DEFAULT_MODEL,
 ):
-    """Maximize the weighted sum rate over surface phases and amplitudes.
+    """Maximize the weighted sum rate over surface phases and amplitudes, each
+    role weighted by the config's weights_dl and weights_ul.
 
     Returns (best_state, trace): the best feasible iterate seen and the
     non-decreasing per-iteration objective sequence.  initial=None starts
@@ -193,7 +185,7 @@ def pgam_optimize(
     design on its closed-form sum rate, which `starnoma optimize` reproduces.
     """
     settings = settings or PgamSettings()
-    obj = _Objective(cfg, power, weights, cluster, model)
+    obj = _Objective(cfg, power, cluster, model)
     starts = [aligned_state(cfg) if initial is None else initial]
     if settings.restarts:
         rng = rng or np.random.default_rng(0)
@@ -201,13 +193,13 @@ def pgam_optimize(
 
     best_state, best_trace = None, None
     for start in starts:
-        state, trace = _ascend(obj, start, settings)
+        state, trace = _ascend(obj, start, settings.max_iters)
         if best_trace is None or trace[-1] > best_trace[-1]:
             best_state, best_trace = state, trace
     return best_state, best_trace
 
 
-def _ascend(obj: _Objective, start: StarRisState, st: PgamSettings):
+def _ascend(obj: _Objective, start: StarRisState, max_iters: int):
     theta_t = np.exp(1j * start.phi_t)
     theta_r = np.exp(1j * start.phi_r)
     rho_t, rho_r = start.rho_t.copy(), start.rho_r.copy()
@@ -221,9 +213,9 @@ def _ascend(obj: _Objective, start: StarRisState, st: PgamSettings):
     theta_t, theta_r = np.exp(1j * pt), np.exp(1j * pr)
     rho_t, rho_r = qt, qr
     trace = [f_cur]
-    nu, vartheta = st.phase_step, st.amplitude_step
+    nu, vartheta = _PHASE_STEP, _AMPLITUDE_STEP
 
-    for _ in range(st.max_iters):
+    for _ in range(max_iters):
         g_tt, g_tr, g_at, g_ar = obj.gradient(theta_t, theta_r, rho_t, rho_r)
 
         g_phase = math.sqrt(np.sum(np.abs(g_tt) ** 2) + np.sum(np.abs(g_tr) ** 2))
@@ -238,7 +230,7 @@ def _ascend(obj: _Objective, start: StarRisState, st: PgamSettings):
 
         improved = False
         step_p, step_a = nu, vartheta
-        for _ in range(st.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             f_new, proj = feasible_value(
                 theta_t + step_p * d_tt,
                 theta_r + step_p * d_tr,
@@ -248,8 +240,8 @@ def _ascend(obj: _Objective, start: StarRisState, st: PgamSettings):
             if f_new > f_cur:
                 improved = True
                 break
-            step_p *= st.step_decay
-            step_a *= st.step_decay
+            step_p *= _STEP_DECAY
+            step_a *= _STEP_DECAY
         if not improved:
             trace.append(f_cur)
             break
@@ -258,7 +250,7 @@ def _ascend(obj: _Objective, start: StarRisState, st: PgamSettings):
         rho_t, rho_r = qt, qr
         gain, f_cur = f_new - f_cur, f_new
         trace.append(f_cur)
-        if gain < st.tolerance:
+        if gain < _TOLERANCE:
             break
 
     state = StarRisState(rho_t=qt, rho_r=qr, phi_t=pt, phi_r=pr)

@@ -83,7 +83,6 @@ __all__ = [
     "Member",
     "Term",
     "Role",
-    "cluster_orders",
     "cluster_group",
     "cluster_roles",
     "noma_roles",
@@ -139,26 +138,6 @@ def pathloss(d, m: float):
 def si_variance(cfg: SystemConfig) -> float:
     """Residual self-interference variance beta * P_b^lambda."""
     return cfg.beta_si * cfg.P_b**cfg.lambda_si
-
-
-def cluster_orders(cfg: SystemConfig, cluster: int) -> dict:
-    """Order indices of the six roles inside cluster j (1-based)."""
-    j = int(cluster)
-    if not 1 <= j <= min(cfg.M_d, cfg.M_u):
-        raise ValueError(f"cluster index {j} outside 1..{min(cfg.M_d, cfg.M_u)}")
-    orders = {
-        "k_cd1": j,
-        "k_cd2": cfg.K_d1 + j,
-        "k_ed3": cfg.K_ed + 1 - j,
-        "k_cu1": j,
-        "k_cu2": cfg.K_u1 + j,
-        "k_eu3": j,
-    }
-    if orders["k_cd2"] > cfg.K_cd or orders["k_cu2"] > cfg.K_cu:
-        raise ValueError("cluster index exceeds the group-2 population")
-    if orders["k_ed3"] < 1 or orders["k_eu3"] > cfg.K_eu:
-        raise ValueError("cluster index exceeds the edge population")
-    return orders
 
 
 # -- the role table -----------------------------------------------------------
@@ -247,15 +226,21 @@ def noma_roles(cfg: SystemConfig, dl, ul) -> tuple:
 
 
 def cluster_members(cfg: SystemConfig, cluster: int = 1) -> tuple:
-    """The users of cluster j: DL strong, mid, edge, then UL strong, mid, edge."""
-    k = cluster_orders(cfg, cluster)
+    """The users of cluster j (1-based): DL strong, mid, edge, then UL strong, mid, edge."""
+    j = int(cluster)
+    if not 1 <= j <= min(cfg.M_d, cfg.M_u):
+        raise ValueError(f"cluster index {j} outside 1..{min(cfg.M_d, cfg.M_u)}")
+    if cfg.K_d1 + j > cfg.K_cd or cfg.K_u1 + j > cfg.K_cu:
+        raise ValueError("cluster index exceeds the group-2 population")
+    if cfg.K_ed + 1 - j < 1 or j > cfg.K_eu:
+        raise ValueError("cluster index exceeds the edge population")
     return (
-        Member("center", "DL", k["k_cd1"], "r,u1d"),
-        Member("center", "DL", k["k_cd2"], "r,u2d"),
-        Member("edge", "DL", k["k_ed3"], "r,u3d"),
-        Member("center", "UL", k["k_cu1"], "r,u1u"),
-        Member("center", "UL", k["k_cu2"], "r,u2u"),
-        Member("edge", "UL", k["k_eu3"], "r,u3u"),
+        Member("center", "DL", j, "r,u1d"),
+        Member("center", "DL", cfg.K_d1 + j, "r,u2d"),
+        Member("edge", "DL", cfg.K_ed + 1 - j, "r,u3d"),
+        Member("center", "UL", j, "r,u1u"),
+        Member("center", "UL", cfg.K_u1 + j, "r,u2u"),
+        Member("edge", "UL", j, "r,u3u"),
     )
 
 
@@ -522,7 +507,8 @@ def _off_signal_denominator(role: Role, means: dict) -> float:
 
 
 def mean_signal_and_denominator(role: Role, means: dict) -> tuple:
-    """(S, D): a bound role's signal and its interference plus noise, every key at its mean."""
+    """(S, D): a bound role's signal and its interference plus noise, every key at
+    its value in means: its mean, or its per-trial gains (simulator.role_sinrs)."""
     den = sum(t.coef * means[t.key] for t in role.interference) + role.noise
     return role.signal.coef * means[role.signal.key], den
 
@@ -607,21 +593,14 @@ def role_rates(inputs: RateInputs, model: str = DEFAULT_MODEL) -> dict:
     return read_rates(inputs.bound, inputs.means(), model_rules(inputs.table, model), {"DL": cfg.M_d, "UL": cfg.M_u})
 
 
-def role_weights(cfg: SystemConfig, weights: dict | None = None) -> dict:
-    """Each role's priority weight: the config's unless weights are given, a role they omit weighing 0."""
-    if weights is None:
-        weights = {
-            **{f"DL{i+1}": w for i, w in enumerate(cfg.weights_dl)},
-            **{f"UL{i+1}": w for i, w in enumerate(cfg.weights_ul)},
-        }
-    if any(w < 0 for w in weights.values()):
-        raise ValueError("weights must be nonnegative")
-    return {role: weights.get(role, 0.0) for role in ROLES}
+def role_weights(cfg: SystemConfig) -> dict:
+    """Each role's priority weight, from the config's weights_dl and weights_ul."""
+    return dict(zip(ROLES, cfg.weights_dl + cfg.weights_ul))
 
 
-def weighted_sum_rate(inputs: RateInputs, weights: dict | None = None, model: str = DEFAULT_MODEL) -> float:
+def weighted_sum_rate(inputs: RateInputs, model: str = DEFAULT_MODEL) -> float:
     """Priority-weighted sum of the six role rates of one cluster under the named model."""
-    weights = role_weights(inputs.cfg, weights)
+    weights = role_weights(inputs.cfg)
     return sum(weights[role] * rate for role, rate in role_rates(inputs, model).items())
 
 

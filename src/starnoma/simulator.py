@@ -42,7 +42,9 @@ default 16,384 trials per block, the traced peak of one block is 13.8 MB for
 cluster 1 at one point, and 20.8 MB (clusters) and 19.6 MB (pairing) for the
 12 points of the cluster-versus-pairing sweep.
 
-The loop runs a whole grid of points at once.  A draw depends only on the
+A schedule holds a whole grid of points (cluster_schedule, and
+comparison.pair_schedule for the pairing; simulate_clusters and
+comparison.simulate_pair_sums run one point).  A draw depends only on the
 geometry, N, the user counts, the Rician factors, the bearings, the surface
 state, the seed, the trial count and the block size; SNR, the SIC and SI
 impairments, the powers and the noise reach the simulator only through the
@@ -50,8 +52,9 @@ bound role coefficients and the SI scale (POINT_FIELDS).  So every point of
 a grid reads the same draw of each block: the layout, the block's shared
 draws and each group's gains are drawn once, then every point evaluates its
 own SINRs from them, with the arithmetic and the accumulation order of a
-one-point run.  A points call therefore returns, bit for bit, what one call
-per point returns.  Points that differ in a field of the draw are rejected.
+one-point run.  A schedule of points therefore returns, bit for bit, what
+one call per point returns.  Points that differ in a field of the draw are
+rejected.
 
 estimate_expectation() evaluates exactly the random quantity behind each
 closed-form expectation term, which is what makes the term-level oracle
@@ -88,6 +91,7 @@ from .rates import (
     cluster_members,
     cluster_roles,
     expectation_terms,
+    mean_signal_and_denominator,
     noma_roles,
     order_spec,
     pathloss,
@@ -369,8 +373,8 @@ def role_sinrs(bound, gains) -> dict:
     """Per-trial SINR of every bound role (rates.bind), from sampled gains."""
     out = {}
     for role in bound:
-        den = sum(t.coef * gains[t.key] for t in role.interference) + role.noise
-        out[role.name] = role.signal.coef * gains[role.signal.key] / den
+        signal, den = mean_signal_and_denominator(role, gains)
+        out[role.name] = signal / den
     return out
 
 
@@ -499,18 +503,12 @@ def simulate_groups(schedules, trials, seed, block_size=_DEFAULT_BLOCK) -> list:
             for i, (schedule, (_, merge)) in enumerate(zip(schedules, runs))]
 
 
-def as_points(cfg, setting) -> tuple:
-    """([(cfg, setting) per point], one): a simulator's config and power arguments as points.
-
-    cfg is one SystemConfig with setting its powers (one is then True), or a
-    sequence of configs with setting a sequence of the same length.
-    """
-    if isinstance(cfg, SystemConfig):
-        return [(cfg, setting)], True
-    cfg, setting = list(cfg), list(setting)
-    if not cfg or len(cfg) != len(setting):
-        raise ValueError(f"points need one setting per config, got {len(cfg)} configs and {len(setting)} settings")
-    return list(zip(cfg, setting)), False
+def as_points(cfgs, settings) -> list:
+    """[(cfg, setting) per point]: a schedule's configs paired with their power settings, one each."""
+    cfgs, settings = list(cfgs), list(settings)
+    if not cfgs or len(cfgs) != len(settings):
+        raise ValueError(f"points need one setting per config, got {len(cfgs)} configs and {len(settings)} settings")
+    return list(zip(cfgs, settings))
 
 
 def _ranked_radii(rng, B, ranks, K, radius) -> np.ndarray:
@@ -572,12 +570,14 @@ def sorted_layout(cfg):
     return layout
 
 
-def cluster_schedule(cfg, powers, state: StarRisState, clusters=None) -> Schedule:
-    """The clusters' request to the block loop; its result is simulate_clusters'.
+def cluster_schedule(cfgs, powers, state: StarRisState, clusters=None) -> Schedule:
+    """The clusters' request to the block loop at every point of cfgs, all off one draw.
 
-    Arguments as simulate_clusters takes them.
+    The configs differ in POINT_FIELDS only, and powers gives each point's
+    powers as simulate_clusters takes them.  The result is a list of what
+    simulate_clusters returns, one per point.
     """
-    points, one = as_points(cfg, powers)
+    points = as_points(cfgs, powers)
     cfg = points[0][0]
     if clusters is None:
         clusters = list(range(1, min(cfg.M_d, cfg.M_u) + 1))
@@ -594,7 +594,7 @@ def cluster_schedule(cfg, powers, state: StarRisState, clusters=None) -> Schedul
                 rates, stderr = ({role: getattr(group_acc[role], stat) for role in ROLES} for stat in ("mean", "stderr"))
                 reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
             out.append((reports, sums))
-        return out[0] if one else out
+        return out
 
     return Schedule(
         [(point, allocations(power)) for point, power in points], [cluster_group(cfg, j) for j in clusters],
@@ -616,12 +616,8 @@ def simulate_clusters(
     powers may be a single PowerAllocation or a {cluster: PowerAllocation}
     map.  Returns ({cluster: RateReport}, totals) where totals carries the
     per-trial network sums over all simulated clusters.
-
-    For a grid, cfg is a list of configs (differing in POINT_FIELDS only) and
-    powers a list of the same length: every point reads the same draw, and
-    the result is the list of what one call per point returns.
     """
-    return simulate_groups([cluster_schedule(cfg, powers, state, clusters)], trials, seed, block_size)[0]
+    return simulate_groups([cluster_schedule([cfg], [powers], state, clusters)], trials, seed, block_size)[0][0]
 
 
 def simulate(plan: SimPlan) -> RateReport:

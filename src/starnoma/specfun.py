@@ -16,7 +16,6 @@ loudly instead of returning a misleading partial sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,6 @@ import numpy.polynomial.laguerre
 import numpy.polynomial.legendre
 
 __all__ = [
-    "HypParams",
     "SeriesConvergenceError",
     "gamma",
     "hyp_pfq",
@@ -52,63 +50,37 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-@dataclass(frozen=True)
-class HypParams:
-    """Parameter set of a generalized hypergeometric series.
+def hyp_pfq(upper: Sequence[float], lower: Sequence[float], x: float, rtol: float = SERIES_RTOL) -> float:
+    """Term-wise sum of the generalized hypergeometric series H(upper, lower, x).
 
-    upper/lower are the numerator/denominator parameter lists, argument is the
-    (real) evaluation point.  Lower parameters must avoid non-positive
-    integers, where every term past some index divides by zero.
+    Lower parameters must avoid non-positive integers, where every term past
+    some index divides by zero.  The sum stops once the running term stays
+    below rtol * |partial sum| for three consecutive terms; a terminating
+    series (non-positive integer upper parameter) returns its finite sum
+    exactly.
     """
-
-    upper: tuple = field(default=())
-    lower: tuple = field(default=())
-    argument: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(float(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(float(b) for b in self.lower))
-        for b in self.lower:
-            if _is_nonpositive_integer(b):
-                raise ValueError(f"lower parameter {b} is a pole of the series")
-
-
-def hyp_pfq(
-    upper: Sequence[float] | HypParams,
-    lower: Sequence[float] | None = None,
-    x: float | None = None,
-    rtol: float = SERIES_RTOL,
-    max_terms: int = MAX_TERMS,
-) -> float:
-    """Term-wise sum of the generalized hypergeometric series.
-
-    Accepts either an HypParams record or (upper, lower, x) directly.  The sum
-    stops once the running term stays below rtol * |partial sum| for three
-    consecutive terms; a terminating series (non-positive integer upper
-    parameter) returns its finite sum exactly.
-    """
-    if isinstance(upper, HypParams):
-        p = upper
-    else:
-        p = HypParams(tuple(upper), tuple(lower), float(x))
+    upper, lower, x = tuple(float(a) for a in upper), tuple(float(b) for b in lower), float(x)
+    for b in lower:
+        if _is_nonpositive_integer(b):
+            raise ValueError(f"lower parameter {b} is a pole of the series")
 
     total = 0.0
     term = 1.0
     quiet = 0
-    for n in range(max_terms):
+    for n in range(MAX_TERMS):
         total += term
         ratio = 1.0
-        for a in p.upper:
+        for a in upper:
             ratio *= a + n
         if ratio == 0.0:  # terminating series: next and all later terms vanish
             return total
-        for b in p.lower:
+        for b in lower:
             ratio /= b + n
-        term = term * ratio * p.argument / (n + 1)
+        term = term * ratio * x / (n + 1)
         if not math.isfinite(term):
             raise SeriesConvergenceError(
                 f"series terms overflowed at n={n} "
-                f"(upper={p.upper}, lower={p.lower}, x={p.argument}); "
+                f"(upper={upper}, lower={lower}, x={x}); "
                 "the argument is outside the term-wise convergence region"
             )
         if abs(term) <= rtol * abs(total):
@@ -118,8 +90,8 @@ def hyp_pfq(
         else:
             quiet = 0
     raise SeriesConvergenceError(
-        f"series did not settle within {max_terms} terms "
-        f"(upper={p.upper}, lower={p.lower}, x={p.argument}); "
+        f"series did not settle within {MAX_TERMS} terms "
+        f"(upper={upper}, lower={lower}, x={x}); "
         "the argument is likely outside the term-wise convergence region"
     )
 

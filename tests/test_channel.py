@@ -115,7 +115,7 @@ class TestRician:
     def test_infinite_kappa_limit(self):
         los = array_response(9, 0.2, 0.9, 0.05, 0.1)
         link = RicianLink(kappa=1e12, los=los)
-        draw = sample_rician(link, np.random.default_rng(0))
+        draw = sample_rician(link, np.random.default_rng(0), trials=1)[0]
         assert draw == pytest.approx(los, abs=1e-5)
 
     def test_rayleigh_variance(self):
@@ -132,17 +132,16 @@ class TestRician:
         assert np.max(np.abs(draws.mean(axis=0) - want)) < 5e-3
 
 
-def _complex_formula(link, rng, trials=None):
+def _complex_formula(link, rng, trials):
     """The sampler as the complex expression it computes, kept as the oracle."""
-    n = link.los.size
-    shape = (n,) if trials is None else (trials, n)
+    shape = (trials, link.los.size)
     w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     return np.sqrt(link.los_weight) * link.los + np.sqrt(link.scatter_weight) * w
 
 
 class TestSamplerOracle:
     @pytest.mark.parametrize("kappa", [None, 0.0, 1e6])
-    @pytest.mark.parametrize("trials", [None, 1_000])
+    @pytest.mark.parametrize("trials", [1, 1_000])
     def test_bit_identical_to_complex_formula(self, cfg, kappa, trials):
         if kappa is not None:
             cfg = dataclasses.replace(cfg, kappa_map=dict.fromkeys(cfg.kappa_map, kappa))
@@ -152,11 +151,11 @@ class TestSamplerOracle:
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), label
 
-    @pytest.mark.parametrize("trials", [1, 4_095, 4_097, 16_384, None])
+    @pytest.mark.parametrize("trials", [1, 4_095, 4_097, 16_384])
     def test_chunked_fill_keeps_the_whole_shape_bits(self, cfg, trials):
         # complex_normal draws 4,096 rows at a time; the whole-shape fill it replaced is the oracle
         def whole_shape(link, rng):
-            shape = link.los.shape if trials is None else (trials, link.los.size)
+            shape = (trials, link.los.size)
             out, los = np.empty(shape, dtype=complex), np.sqrt(link.los_weight) * link.los
             for part, los_part in ((out.real, los.real), (out.imag, los.imag)):
                 part[...] = rng.standard_normal(shape)

@@ -302,3 +302,14 @@ class TestSeedOption:
             main([*command, "--config", cfg_path, "--seed", seed])
         assert exc.value.code == 2
         assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err
+
+
+class TestTrialsOption:
+    """Only the simulating commands take --trials; the others reject it by name rather than ignore it."""
+
+    @pytest.mark.parametrize("command", [["analytic"], ["cluster"], ["optimize", "--iters", "1"]], ids=lambda c: c[0])
+    def test_trials_rejected_where_nothing_is_simulated(self, cfg_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--config", cfg_path, "--trials", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trials 5" in capsys.readouterr().err

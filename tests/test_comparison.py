@@ -12,14 +12,16 @@ from starnoma.comparison import (
     cluster_power_policy,
     pair_power_policy,
     pair_rate_sums,
-    pair_slots,
-    pair_structure,
     pair_groups,
+    pair_schedule,
     reference_edge_targets,
     simulate_pair_sums,
 )
+from starnoma.channel import StarRisState
 from starnoma.config import PowerAllocation, baseline_config
+from starnoma.design import aligned_state
 from starnoma.rates import Role, Term, bind, cluster_group, group_tables, rate_report, role_log2_mean, surface_terms
+from starnoma.simulator import simulate_groups
 
 PINS = Path(__file__).with_name("policy_pins.json")
 ANALYTIC_PINS = Path(__file__).with_name("analytic_pins.json")
@@ -49,27 +51,45 @@ def _baseline_split_cases(cfg, state):
     return cases + [(roles[:2], means, lambda f: (f, 1.0 - f, 1.0, 0.5, 1.0)) for roles, means in tables[3:]]
 
 
+def _ranks(users):
+    """(kind, order) of each user of one direction of a group."""
+    return tuple((u.kind, u.order) for u in users)
+
+
 class TestPairStructure:
-    def test_baseline_nine_users(self):
-        pairs = pair_structure(6, 3)
-        assert len(pairs) == 4
-        assert pairs[0] == (("center", 1), ("edge", 3))
-        assert pairs[2] == (("center", 3), ("edge", 1))
-        assert pairs[3] == (("center", 4), ("center", 6))
+    def test_baseline_nine_users(self, cfg):
+        groups = pair_groups(cfg)
+        for d in (0, 1):   # both directions hold 6 center and 3 edge users
+            pairs = [_ranks(group[d]) for group in groups[:4]]
+            assert pairs[0] == (("center", 1), ("edge", 3))
+            assert pairs[2] == (("center", 3), ("edge", 1))
+            assert pairs[3] == (("center", 4), ("center", 6))
 
     def test_even_count(self):
-        pairs = pair_structure(6, 4)
-        assert len(pairs) == 5
-        assert pairs[4] == (("center", 5), ("center", 6))
+        groups = pair_groups(baseline_config(K_ed=4, K_eu=4))
+        assert len(groups) == 5
+        assert _ranks(groups[4][0]) == _ranks(groups[4][1]) == (("center", 5), ("center", 6))
 
-    def test_odd_count_leaves_median_slot(self):
-        pairs, leftover = pair_slots(6, 3)
-        assert len(pairs) == 4
-        assert leftover == ("center", 5)
+    def test_odd_count_leaves_median_slot(self, cfg):
+        groups = pair_groups(cfg)
+        assert len(groups) == 5 and all(len(dl) == len(ul) == 2 for dl, ul in groups[:4])
+        assert _ranks(groups[4][0]) == _ranks(groups[4][1]) == (("center", 5),)
 
     def test_even_count_has_no_leftover(self):
-        _, leftover = pair_slots(6, 4)
-        assert leftover is None
+        assert all(len(dl) == len(ul) == 2 for dl, ul in pair_groups(baseline_config(K_ed=4, K_eu=4)))
+
+    # 8 DL and 9 UL users would leave the UL median user in no group, and
+    # 9 DL and 8 UL users the lone DL slot without a UL partner
+    @pytest.mark.parametrize("counts,totals", [
+        (dict(K_ed=2), r"K_cd \+ K_ed = 6 \+ 2 = 8 but K_cu \+ K_eu = 6 \+ 3 = 9"),
+        (dict(K_eu=2), r"K_cd \+ K_ed = 6 \+ 3 = 9 but K_cu \+ K_eu = 6 \+ 2 = 8"),
+    ], ids=["dl-even", "ul-even"])
+    def test_totals_of_different_parity_rejected_by_count(self, state, counts, totals):
+        cfg = baseline_config(M_d=2, M_u=2, **counts)
+        with pytest.raises(ValueError, match=totals):
+            pair_groups(cfg)
+        with pytest.raises(ValueError, match=totals):
+            pair_rate_sums(cfg, [PowerAllocation((0.3, 0.7), (1.0, 1.0))] * 4, state)
 
 
 class TestPolicies:
@@ -173,6 +193,34 @@ class TestPolicies:
             PowerAllocation(alpha=(0.3, 0.7), p_ul=(0.0, 1.0))
 
 
+class TestOneFaceStates:
+    """rho_t = 1 (or 0) on every element leaves one face dark, and its edge user with a zero signal mean."""
+
+    @pytest.mark.parametrize("rho_t,dark", [(1.0, "DL"), (0.0, "UL")], ids=["reflection-dark", "transmission-dark"])
+    @pytest.mark.parametrize("target", [None, 1e-3], ids=["reference", "scalar"])
+    @pytest.mark.parametrize("scheme", ["cluster", "pair"])
+    def test_dark_edge_user_takes_an_end_of_its_clamp(self, cfg, rho_t, dark, target, scheme):
+        # a zero target (the reference rate on a dark face) takes the lower end, a positive one the
+        # cap, and no policy divides 0 by 0 (a RuntimeWarning, an error under the test settings)
+        point = cfg.with_snr(30)
+        aligned = aligned_state(point)
+        state = StarRisState(np.full(cfg.N, rho_t), np.full(cfg.N, 1.0 - rho_t), aligned.phi_t, aligned.phi_r)
+        if scheme == "cluster":
+            groups = [cluster_group(point, j) for j in (1, 2, 3)]
+            allocs, dl_floor = list(cluster_power_policy(point, state, target, target).values()), 0.45
+        else:
+            groups = pair_groups(point)[:4]
+            allocs, dl_floor = pair_power_policy(point, state, target, target), 0.55
+        ends = {"DL": (dl_floor, 0.95), "UL": (1e-9 * point.p_um, point.p_um)}[dark]
+        want = ends[0] if target is None else ends[1]
+        edges = 0
+        for (dl, ul), alloc in zip(groups, allocs):
+            if (dl if dark == "DL" else ul)[-1].kind == "edge":
+                edges += 1
+                assert (alloc.alpha if dark == "DL" else alloc.p_ul)[-1] == want
+        assert edges == 3
+
+
 class TestPairRates:
     def test_analytic_sums_positive(self, cfg, state):
         point = cfg.with_snr(30)
@@ -218,7 +266,7 @@ class TestPairRates:
             [PowerAllocation((a, 1.0 - a), (f * p.p_um, p.p_um)) for a in (0.1, 0.2, 0.3, 0.4)]
             for p, f in zip(points, (1.0, 0.5, 0.25, 0.1))
         ]
-        got = simulate_pair_sums(points, allocations, state, 20_000, 6, block_size=block_size)
+        [got] = simulate_groups([pair_schedule(points, allocations, state)], 20_000, 6, block_size)
         assert len(got) == len(points)
         for point, allocs, sums in zip(points, allocations, got):
             assert sums == simulate_pair_sums(point, allocs, state, 20_000, 6, block_size=block_size)
@@ -228,7 +276,8 @@ class TestPairRates:
         value = {"N": 16, "R": 40.0, "kappa_map": {**cfg.kappa_map, "r,u3u": 0.0}}[field]
         allocs = [PowerAllocation((0.3, 0.7), (1.0, 1.0))] * 4
         with pytest.raises(ValueError, match=f"differ in {field} "):
-            simulate_pair_sums([cfg, dataclasses.replace(cfg, **{field: value})], [allocs, allocs], state, 100, 0)
+            simulate_groups([pair_schedule([cfg, dataclasses.replace(cfg, **{field: value})], [allocs, allocs], state)],
+                            100, 0)
 
     def test_sums_pinned_at_the_sweep_points(self, cfg, state):
         # the cluster-vs-pair points on the seed-1 random state at the pinned policy, as float.hex

@@ -8,8 +8,8 @@ import pytest
 from scipy import integrate
 
 from starnoma.channel import StarRisState
-from starnoma.config import PowerAllocation, default_power_allocation
-from starnoma.comparison import pair_groups, pair_structure
+from starnoma.config import ConfigError, PowerAllocation, default_power_allocation
+from starnoma.comparison import pair_groups
 from starnoma.geometry import (
     OrderSpec,
     ordered_pathloss_density,
@@ -24,7 +24,6 @@ from starnoma.rates import (
     Positions,
     build_rate_inputs,
     cluster_members,
-    cluster_orders,
     expectation_terms,
     fading_log2_mean,
     noma_roles,
@@ -91,28 +90,42 @@ def _drop(cfg, rng, cluster=1):
     return sorted_layout(cfg)(rng, 1, members)(members)
 
 
+def _orders(cfg, cluster):
+    """The distance rank of each member of cluster j, DL strong, mid, edge, then UL."""
+    return tuple(u.order for u in cluster_members(cfg, cluster))
+
+
 class TestTermBookkeeping:
     def test_orders_for_first_cluster(self, cfg):
-        k = cluster_orders(cfg, 1)
-        assert k == {"k_cd1": 1, "k_cd2": 4, "k_ed3": 3, "k_cu1": 1, "k_cu2": 4, "k_eu3": 1}
+        assert _orders(cfg, 1) == (1, 4, 3, 1, 4, 1)
+        assert [(u.kind, u.direction) for u in cluster_members(cfg, 1)] == [
+            ("center", "DL"), ("center", "DL"), ("edge", "DL"), ("center", "UL"), ("center", "UL"), ("edge", "UL")]
 
     def test_orders_for_last_cluster(self, cfg):
-        k = cluster_orders(cfg, 3)
-        assert k["k_cd2"] == 6 and k["k_ed3"] == 1 and k["k_eu3"] == 3
+        k = _orders(cfg, 3)
+        assert k[1] == 6 and k[2] == 1 and k[5] == 3
 
     def test_bad_cluster_rejected(self, cfg):
-        with pytest.raises(ValueError):
-            cluster_orders(cfg, 4)
+        for cluster, counts, message in [
+            (4, {}, "cluster index 4 outside 1..3"),
+            (0, {}, "cluster index 0 outside 1..3"),
+            (3, dict(K_d1=4, K_d2=2), "group-2 population"),
+            (3, dict(K_u1=4, K_u2=2), "group-2 population"),
+            (3, dict(K_ed=2), "edge population"),
+            (3, dict(K_eu=2), "edge population"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                cluster_members(dataclasses.replace(cfg, **counts), cluster)
 
     def test_positions_keyed_by_member(self, cfg):
         for cluster in (1, 3):
-            k = cluster_orders(cfg, cluster)
+            k = _orders(cfg, cluster)
             u1d, u2d, u3d, u1u, u2u, u3u = cluster_members(cfg, cluster)
             pos = expectation_terms(cfg, cluster)
             hand = {
-                u1d: (k["k_cd1"], cfg.K_cd, cfg.R), u2d: (k["k_cd2"], cfg.K_cd, cfg.R),
-                u3d: (k["k_ed3"], cfg.K_ed, cfg.R_r), u1u: (k["k_cu1"], cfg.K_cu, cfg.R),
-                u2u: (k["k_cu2"], cfg.K_cu, cfg.R), u3u: (k["k_eu3"], cfg.K_eu, cfg.R_r),
+                u1d: (k[0], cfg.K_cd, cfg.R), u2d: (k[1], cfg.K_cd, cfg.R),
+                u3d: (k[2], cfg.K_ed, cfg.R_r), u1u: (k[3], cfg.K_cu, cfg.R),
+                u2u: (k[4], cfg.K_cu, cfg.R), u3u: (k[5], cfg.K_eu, cfg.R_r),
             }
             assert pos.loss == {u: ordered_pathloss_mean(OrderSpec(*spec), cfg.m) for u, spec in hand.items()}
             assert set(pos.rules) == {("direct", u1d), ("direct", u1u)}
@@ -348,9 +361,8 @@ class TestRoleTable:
 
 class TestAggregation:
     def test_zero_weights(self, cfg, state, power):
-        inputs = _inputs(cfg, power, state)
-        weights = {r: 0.0 for r in ("DL1", "DL2", "DL3", "UL1", "UL2", "UL3")}
-        assert weighted_sum_rate(inputs, weights) == 0.0
+        zero = dataclasses.replace(cfg, weights_dl=(0.0,) * 3, weights_ul=(0.0,) * 3)
+        assert weighted_sum_rate(_inputs(zero, power, state)) == 0.0
 
     def test_unit_weights_match_report_sums(self, cfg, state, power):
         inputs = _inputs(cfg, power, state)
@@ -359,15 +371,17 @@ class TestAggregation:
 
     def test_random_weights_match_recomputation(self, cfg, state, power):
         rng = np.random.default_rng(2)
-        inputs = _inputs(cfg, power, state)
         report = rate_report(cfg, power, state)
         w = {r: float(rng.random()) for r in report.rates}
+        dl, ul = (tuple(w[f"{d}{i}"] for i in (1, 2, 3)) for d in ("DL", "UL"))
+        weighted = dataclasses.replace(cfg, weights_dl=dl, weights_ul=ul)
         want = sum(w[r] * report.rates[r] for r in report.rates)
-        assert weighted_sum_rate(inputs, w) == pytest.approx(want, rel=1e-12, abs=0)
+        assert weighted_sum_rate(_inputs(weighted, power, state)) == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_negative_weight_rejected(self, cfg, state, power):
-        with pytest.raises(ValueError):
-            weighted_sum_rate(_inputs(cfg, power, state), {"DL1": -1.0})
+    def test_negative_weight_rejected(self, cfg):
+        # the weights come from the config only, which rejects a negative one where it enters
+        with pytest.raises(ConfigError, match="weights must be nonnegative"):
+            dataclasses.replace(cfg, weights_dl=(-1.0, 1.0, 1.0))
 
     def test_rates_finite_and_nonnegative(self, cfg, state, power):
         for snr in (0, 20, 40):
@@ -410,14 +424,12 @@ def _strong_orders(cfg):
     """Every (order, K) of a strong user that the clusters and the pairs rate exactly."""
     orders = set()
     for j in range(1, min(cfg.M_d, cfg.M_u) + 1):
-        k = cluster_orders(cfg, j)
-        orders |= {(k["k_cd1"], cfg.K_cd), (k["k_cu1"], cfg.K_cu)}
-    for (kind, order), _ in pair_structure(cfg.K_cd, cfg.K_ed):
-        if kind == "center":
-            orders.add((order, cfg.K_cd))
-    for (kind, order), _ in pair_structure(cfg.K_cu, cfg.K_eu):
-        if kind == "center":
-            orders.add((order, cfg.K_cu))
+        members = cluster_members(cfg, j)
+        orders |= {(members[0].order, cfg.K_cd), (members[3].order, cfg.K_cu)}
+    for dl, ul in pair_groups(cfg):
+        for strong, K in ((dl[0], cfg.K_cd), (ul[0], cfg.K_cu)):
+            if len(dl) == 2 and strong.kind == "center":
+                orders.add((strong.order, K))
     return sorted(orders)
 
 

@@ -18,9 +18,11 @@ from starnoma.simulator import (
     LOG_MEAN_KEYS,
     SimPlan,
     analytic_expectation,
+    cluster_schedule,
     estimate_expectation,
     simulate,
     simulate_clusters,
+    simulate_groups,
 )
 
 
@@ -107,6 +109,16 @@ def _grid(cfg):
     ]
 
 
+def _cluster_grid(points, powers, state, trials, seed, clusters=None, block_size=1 << 14):
+    """simulate_clusters' result at every point of a grid, off one shared draw."""
+    return simulate_groups([cluster_schedule(points, powers, state, clusters)], trials, seed, block_size)[0]
+
+
+def _pair_grid(points, allocations, state, trials, seed, block_size=1 << 14):
+    """simulate_pair_sums' result at every point of a grid, off one shared draw."""
+    return simulate_groups([pair_schedule(points, allocations, state)], trials, seed, block_size)[0]
+
+
 def _grid_powers(points):
     splits = ((0.1, 0.3, 0.6), (0.05, 0.25, 0.7), (0.15, 0.3, 0.55), (0.1, 0.2, 0.7))
     return [
@@ -121,7 +133,7 @@ class TestSharedDraw:
     def test_points_call_equals_per_point_calls(self, cfg, state, block_size):
         points = _grid(cfg)
         powers = _grid_powers(points)
-        got = simulate_clusters(points, powers, state, 20_000, 3, block_size=block_size)
+        got = _cluster_grid(points, powers, state, 20_000, 3, block_size=block_size)
         assert len(got) == len(points)
         for point, power, (reports, sums) in zip(points, powers, got):
             want_reports, want_sums = simulate_clusters(point, power, state, 20_000, 3, block_size=block_size)
@@ -133,7 +145,7 @@ class TestSharedDraw:
     def test_cluster_power_maps_and_cluster_subset(self, cfg, state):
         points = _grid(cfg)[:2]
         powers = [dict(zip((1, 2, 3), _grid_powers(_grid(cfg))[:3])), _grid_powers(points)[1]]
-        got = simulate_clusters(points, powers, state, 3_000, 8, clusters=[3, 1])
+        got = _cluster_grid(points, powers, state, 3_000, 8, clusters=[3, 1])
         for point, power, (reports, sums) in zip(points, powers, got):
             want = simulate_clusters(point, power, state, 3_000, 8, clusters=[3, 1])
             assert sums == want[1]
@@ -144,11 +156,11 @@ class TestSharedDraw:
         value = {"N": 16, "R": 40.0, "kappa_map": {**cfg.kappa_map, "b,r": 5.0}}[field]
         other = dataclasses.replace(cfg, **{field: value})
         with pytest.raises(ValueError, match=f"differ in {field} "):
-            simulate_clusters([cfg, other], [power, power], state, 100, 0)
+            _cluster_grid([cfg, other], [power, power], state, 100, 0)
 
     def test_points_need_one_power_each(self, cfg, power, state):
         with pytest.raises(ValueError, match="one setting per config"):
-            simulate_clusters([cfg, cfg], [power], state, 100, 0)
+            _cluster_grid([cfg, cfg], [power], state, 100, 0)
 
 
 class BlockFailure(RuntimeError):
@@ -161,19 +173,18 @@ class TestBlockPool:
 
     def _clusters(self, cfg, state):
         points = _grid(cfg)
-        return simulate_clusters(points, _grid_powers(points), state, self.TRIALS, 3, block_size=self.BLOCK)
+        return _cluster_grid(points, _grid_powers(points), state, self.TRIALS, 3, block_size=self.BLOCK)
 
     def _pairs(self, cfg, state):
         points = _grid(cfg)
         allocations = [pair_power_policy(p, state) for p in points]
-        return simulate_pair_sums(points, allocations, state, self.TRIALS, 6, block_size=self.BLOCK)
+        return _pair_grid(points, allocations, state, self.TRIALS, 6, block_size=self.BLOCK)
 
     def _schedules(self, cfg, state):
         """The clusters' and the pairing's schedules of _clusters and _pairs, at one seed."""
         points = _grid(cfg)
         allocations = [pair_power_policy(p, state) for p in points]
-        return [simulator.cluster_schedule(points, _grid_powers(points), state),
-                pair_schedule(points, allocations, state)]
+        return [cluster_schedule(points, _grid_powers(points), state), pair_schedule(points, allocations, state)]
 
     def _shared_queue(self, cfg, state):
         """Both schedules in one block queue, and each alone, at seed 6."""
@@ -183,7 +194,7 @@ class TestBlockPool:
 
     @staticmethod
     def _plain(clusters):
-        """simulate_clusters' grid result with the reports as (rates, stderr), comparable by ==."""
+        """A cluster grid result with the reports as (rates, stderr), comparable by ==."""
         return [({j: (r.rates, r.stderr) for j, r in reports.items()}, sums) for reports, sums in clusters]
 
     def test_worker_count_changes_no_bit(self, cfg, state, monkeypatch):
@@ -270,8 +281,8 @@ class TestBlockPool:
         # flight at once: each must stay near the old size of one (29.1e6 and 28.0e6
         # bytes before the trims, 20.8e6 and 19.6e6 after)
         points, cl, pr = self._cluster_vs_pair(cfg, state)
-        run = {"clusters": lambda B: simulate_clusters(points, cl, state, B, 0),
-               "pairing": lambda B: simulate_pair_sums(points, pr, state, B, 0)}[scheme]
+        run = {"clusters": lambda B: _cluster_grid(points, cl, state, B, 0),
+               "pairing": lambda B: _pair_grid(points, pr, state, B, 0)}[scheme]
         monkeypatch.setattr(simulator, "_cores", lambda: 1)
         run(100)
         tracemalloc.start()

@@ -17,7 +17,9 @@ exactly on both faces.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +29,8 @@ __all__ = [
     "element_grid",
     "array_response",
     "build_links",
+    "link_key",
+    "cached_links",
     "sample_rician",
     "complex_normal",
     "cascaded_power_mean",
@@ -164,6 +168,44 @@ def build_links(cfg) -> dict[str, RicianLink]:
             resp = np.conj(resp)
         links[label] = RicianLink(kappa=cfg.kappa_map[label], los=resp)
     return links
+
+
+def link_key(cfg) -> tuple:
+    """Every config field build_links reads, hashable: configs with equal keys have equal links."""
+    return (
+        cfg.N, cfg.element_spacing, cfg.carrier_wavelength,
+        tuple(sorted(cfg.angle_map.items())), tuple(sorted(cfg.kappa_map.items())),
+    )
+
+
+# entries held by cached_links and rates.cached_surface_terms: a sweep reads one
+# per geometry (and surface state), so the oldest, another sweep's, go first
+_MEMO_SIZE = 32
+_LINKS: dict = {}
+
+
+def _memo(memo: dict, key, make):
+    """memo[key], made by make() if missing; the oldest entry goes once _MEMO_SIZE are held."""
+    value = memo.get(key)
+    if value is None:
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        value = memo[key] = make()
+    return value
+
+
+def cached_links(cfg) -> Mapping[str, RicianLink]:
+    """build_links(cfg), built once per link_key: every point of a sweep over SNR,
+    powers or impairments reads the same links.  The map and the LoS arrays
+    are read-only, so that no caller can change the cached copy."""
+
+    def make():
+        links = build_links(cfg)
+        for link in links.values():
+            link.los.flags.writeable = False
+        return MappingProxyType(links)
+
+    return _memo(_LINKS, link_key(cfg), make)
 
 
 # rows of standard normals drawn per call into complex_normal's reused buffer

@@ -18,7 +18,11 @@ Pairing order approximations mirror the cluster analysis: center users are
 ranked by BS distance (exact), edge users by surface distance standing in for
 their BS ranking; the simulated pairing ranks by realized BS distance.  Both
 hold only while every center user is nearer the BS than every edge user,
-which pair_groups requires of the geometry.
+which pair_groups requires of the geometry.  The same requirement makes the
+simulated layout exact class by class (ranked_layout): the joint BS-distance
+ranks of a direction are its center users' ranks, then its edge users', so
+the center users are drawn at their ranks as the clusters' are, and only the
+few edge users are sorted.
 """
 
 from __future__ import annotations
@@ -30,20 +34,26 @@ import numpy as np
 
 from .channel import StarRisState
 from .config import PowerAllocation, SystemConfig
-from .geometry import sample_disk
 from .rates import (
     Member,
     bind,
     bind_power,
+    cached_surface_terms,
     cluster_group,
     group_tables,
     mean_signal_and_denominator,
     rate_report,
     read_rates,
     solve_sinr,
-    surface_terms,
 )
-from .simulator import _DEFAULT_BLOCK, Schedule, as_points, simulate_groups
+from .simulator import (
+    _DEFAULT_BLOCK,
+    Schedule,
+    _center_geometry,
+    _ranked_bearings,
+    as_points,
+    simulate_groups,
+)
 
 __all__ = [
     "pair_groups",
@@ -115,7 +125,7 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     """
     groups = pair_groups(cfg)
     powers = _slot_powers(cfg, allocations, groups)
-    surface, shares = surface_terms(cfg, state), {"DL": len(groups), "UL": len(groups)}
+    surface, shares = cached_surface_terms(cfg, state), {"DL": len(groups), "UL": len(groups)}
     sums = {"DL": 0.0, "UL": 0.0}
     for table, power in zip(group_tables(cfg, groups), powers):
         for name, rate in read_rates(bind_power(table.roles, power), table.means(surface), table.rules, shares).items():
@@ -124,35 +134,55 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
 
 
 def ranked_layout(cfg: SystemConfig):
-    """Pairing layout: each direction's center and edge users ranked jointly by BS distance.
+    """Pairing layout: each direction's users ranked by BS distance, one class at a time.
 
-    Each direction's drop is reduced to its users' positions, and freed,
-    before the next is drawn; a group's distances are formed when it is
-    resolved.  An edge user's position is not handed out (only center users
-    have cross keys), but its BS distance is, as `starnoma cluster` prints it.
+    pair_groups requires d_br - R_r >= R, so every center user is nearer the
+    BS than every edge user, and the joint BS-distance ranks 1..K_center are
+    the center users' own ranks, the rest the edge users' in order.  So the
+    center users are drawn at the ranks asked for, as the clusters' are
+    (simulator._ranked_bearings), and only the K_edge edge users of a
+    direction are drawn whole and sorted: at surface distance r and bearing
+    t, an edge user's squared BS distance is d_br^2 + r^2 + 2 d_br r cos t.
+    A center user's position and surface distance are formed when its group
+    is resolved.  An edge user's position is not handed out (only center
+    users have cross keys), but its BS distance is, as `starnoma cluster`
+    prints it.
     """
-    sc = np.array([cfg.d_br, 0.0])
     counts = {"DL": (cfg.K_cd, cfg.K_ed), "UL": (cfg.K_cu, cfg.K_eu)}
 
     def layout(rng, B, users):
-        rows, pos = np.arange(B), {}
+        drawn = {}   # center user: (BS distance, bearing); edge user: (BS distance, surface distance)
         for d, (Kc, Ke) in counts.items():
-            pts = np.concatenate([
-                sample_disk(rng, B * Kc, cfg.R).reshape(B, Kc, 2),
-                sample_disk(rng, B * Ke, cfg.R_r, center=sc).reshape(B, Ke, 2),
-            ], axis=1)
-            order = np.argsort(np.linalg.norm(pts, axis=-1), kind="stable", axis=-1)
-            for u in users:
-                if u.direction == d:
-                    rank = u.order if u.kind == "center" else Kc + u.order
-                    pos[u] = pts[rows, order[:, rank - 1]]
+            wanted = [u for u in users if u.direction == d]
+            ranks = sorted({u.order for u in wanted if u.kind == "center"})
+            if ranks:
+                r, theta = _ranked_bearings(rng, B, ranks, Kc, cfg.R)
+                for u in wanted:
+                    if u.kind == "center":
+                        i = ranks.index(u.order)
+                        drawn[u] = r[:, i], theta[:, i]
+            if any(u.kind == "edge" for u in wanted):
+                r = cfg.R_r * np.sqrt(rng.random((B, Ke)))
+                d2 = np.cos(rng.uniform(0.0, 2.0 * np.pi, (B, Ke)))
+                d2 *= 2.0 * cfg.d_br
+                d2 += r
+                d2 *= r
+                d2 += cfg.d_br**2
+                order = np.argsort(d2, kind="stable", axis=-1)
+                rows = np.arange(B)
+                for u in wanted:
+                    if u.kind == "edge":
+                        col = order[:, u.order - 1]
+                        drawn[u] = np.sqrt(d2[rows, col]), r[rows, col]
 
         def resolve(group):
-            return {
-                u: (pos[u] if u.kind == "center" else None, np.linalg.norm(pos[u], axis=-1),
-                    np.linalg.norm(pos[u] - sc, axis=-1))
-                for u in group
-            }
+            geo = {}
+            for u in group:
+                if u.kind == "edge":
+                    geo[u] = (None, *drawn[u])
+                else:
+                    geo[u] = _center_geometry(*drawn[u], cfg.d_br)
+            return geo
 
         return resolve
 
@@ -277,7 +307,7 @@ def _group_powers(cfg, state, groups, shares, dl_floor, dl_edge_targets, ul_edge
     it.  The center DL members share the rest, two of them by _center_split.
     """
     dl_t, ul_t = _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets)
-    surface = surface_terms(cfg, state)
+    surface = cached_surface_terms(cfg, state)
 
     def gain(targets, cluster, share):
         return 2.0 ** (share * targets.get(cluster, min(targets.values()))) - 1.0

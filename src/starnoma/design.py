@@ -34,6 +34,7 @@ from .rates import (
     SurfaceTerms,
     bind,
     bind_power,
+    cached_surface_terms,
     cluster_group,
     fading_log2_mean,
     group_tables,
@@ -369,6 +370,10 @@ def _invert_fading_log2_mean(rule, level: float) -> float:
     return _find_root(lambda x: fading_log2_mean(rule, x) - level, 0.0, hi)
 
 
+# the surface face of each cascade side, by name
+_FACES = {"t": "transmission", "r": "reflection"}
+
+
 def min_power_allocation(
     targets: dict,
     cfg: SystemConfig,
@@ -386,10 +391,13 @@ def min_power_allocation(
     With p known, the DL2 and DL3 rows give alpha2 and alpha3 as affine
     functions of alpha1, and the DL1 rate, increasing in alpha1, leaves a
     1-D root inside the DL budget sum(alpha) <= 1.  The solution is checked
-    against positivity, the NOMA ordering, and the per-user cap p_um.
-    Targets beyond the imperfect-SIC ceiling of the DL strong user are
-    rejected up front: in every fading state its SINR is below
-    alpha1/(xi*(alpha2+alpha3)) < 1/(2*xi) for any ordered split.
+    against positivity, the NOMA ordering, and the per-user cap p_um.  A
+    role whose signal crosses a dark face (all amplitudes 0 on it, so its
+    signal mean is 0: DL3 at rho_t = 1, UL3 at rho_t = 0) is rejected
+    before either solve, by role and face.  Targets beyond the imperfect-SIC
+    ceiling of the DL strong user are rejected up front: in every fading
+    state its SINR is below alpha1/(xi*(alpha2+alpha3)) < 1/(2*xi) for any
+    ordered split.
     """
     missing = set(ROLES) - set(targets)
     if missing:
@@ -407,9 +415,18 @@ def min_power_allocation(
         )
 
     [table] = group_tables(cfg, [cluster_group(cfg, cluster)])
-    means, rules = table.means(surface_terms(cfg, state)), table.rules
+    means, rules = table.means(cached_surface_terms(cfg, state)), table.rules
     roles = {r.name: r for r in table.roles}
     names = ("alpha1", "alpha2", "alpha3", "p_u1u", "p_u2u", "p_u3u")
+    # a role whose signal crosses a dark face (every element's amplitude 0 there) has a zero
+    # signal mean, so no power meets its target and its row leaves the linear system singular
+    for role in table.roles:
+        kind, side, *_ = role.signal.key
+        if kind == "cascade" and means[role.signal.key] == 0.0:
+            raise InfeasibleTargetsError(
+                f"dark-face:{role.name}",
+                f"{role.name}'s signal goes through the {_FACES[side]} face, whose amplitudes are all 0",
+            )
 
     def solve(A, b):
         try:

@@ -41,7 +41,9 @@ a surface term:
 group_tables() builds the GroupTable of every NOMA group from one
 positions() call: its roles, each key's position factor and the signal rules
 of the exact-signal model.  Only the surface terms are left to settle, since
-the optimizer re-evaluates the rates many times while only they move.
+the optimizer re-evaluates the rates many times while only they move; for a
+fixed surface state, cached_surface_terms() settles them once per (links,
+state), however many points and readers of a sweep ask.
 
 Role indices inside cluster j: the DL cluster pairs the j-th nearest users of
 both center groups with the (K_ed+1-j)-th nearest (i.e. j-th farthest) edge
@@ -59,9 +61,11 @@ import numpy as np
 
 from .channel import (
     StarRisState,
-    build_links,
+    _memo,
+    cached_links,
     cascaded_power_mean,
     cascaded_power_mean_grad,
+    link_key,
     self_reflection_power_mean,
     self_reflection_power_mean_grad,
 )
@@ -92,6 +96,7 @@ __all__ = [
     "GroupTable",
     "group_tables",
     "surface_terms",
+    "cached_surface_terms",
     "surface_gradients",
     "build_rate_inputs",
     "bind_power",
@@ -399,17 +404,18 @@ def check_state_size(cfg: SystemConfig, n: int) -> None:
         raise ValueError(f"surface state has N={n} elements but the config has N={cfg.N}")
 
 
-def surface_terms(cfg: SystemConfig, state, links: dict | None = None) -> SurfaceTerms:
+def surface_terms(cfg: SystemConfig, state, links=None) -> SurfaceTerms:
     """Evaluate the omega family and the self-bounce power for one state.
 
     state is a StarRisState, or the pair (c_t, c_r) of its element
     coefficients rho * exp(j*phi), which is how the optimizer passes its
-    trial points off the unit-modulus set.
+    trial points off the unit-modulus set.  links is the config's link map
+    (channel.build_links), the cached one (channel.cached_links) if omitted.
     """
     if isinstance(state, StarRisState):
         state = (state.coefficients("t"), state.coefficients("r"))
     check_state_size(cfg, len(state[0]))
-    links = links or build_links(cfg)
+    links = links or cached_links(cfg)
     coeffs = dict(zip(("t", "r"), state))
     values = {
         name: cascaded_power_mean(coeffs[side], links[out], links[inp])
@@ -417,6 +423,24 @@ def surface_terms(cfg: SystemConfig, state, links: dict | None = None) -> Surfac
     }
     values["y3_raw"] = self_reflection_power_mean(coeffs["t"], links["b,r"])
     return SurfaceTerms(**values)
+
+
+_SURFACE: dict = {}
+
+
+def cached_surface_terms(cfg: SystemConfig, state: StarRisState) -> SurfaceTerms:
+    """surface_terms of a surface state, evaluated once per (links, state).
+
+    The key holds every input the terms read: the config's link fields
+    (channel.link_key) and both faces' element coefficients, by value.  Every
+    point of a sweep over SNR, powers or impairments, and every reader of one
+    point (the power policies, the rate reports, the pairing sums), shares
+    the one evaluation.  The optimizer's trial coefficients go to
+    surface_terms directly.
+    """
+    coeffs = (state.coefficients("t"), state.coefficients("r"))
+    key = (link_key(cfg), coeffs[0].tobytes(), coeffs[1].tobytes())
+    return _memo(_SURFACE, key, lambda: surface_terms(cfg, coeffs, cached_links(cfg)))
 
 
 def surface_gradients(coeffs, links: dict) -> dict:
@@ -447,7 +471,7 @@ class RateInputs:
 
 def build_rate_inputs(cfg: SystemConfig, power: PowerAllocation, state: StarRisState, cluster: int = 1) -> RateInputs:
     table = group_tables(cfg, [cluster_group(cfg, cluster)])[0]
-    return RateInputs(cfg, table, bind_power(table.roles, power), surface_terms(cfg, state))
+    return RateInputs(cfg, table, bind_power(table.roles, power), cached_surface_terms(cfg, state))
 
 
 def fading_log2_mean(rule, scale):
@@ -507,8 +531,7 @@ def _off_signal_denominator(role: Role, means: dict) -> float:
 
 
 def mean_signal_and_denominator(role: Role, means: dict) -> tuple:
-    """(S, D): a bound role's signal and its interference plus noise, every key at
-    its value in means: its mean, or its per-trial gains (simulator.role_sinrs)."""
+    """(S, D): a bound role's mean signal and its mean interference plus noise."""
     den = sum(t.coef * means[t.key] for t in role.interference) + role.noise
     return role.signal.coef * means[role.signal.key], den
 

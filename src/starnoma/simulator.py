@@ -1,10 +1,10 @@
 """Monte-Carlo ground truth for the closed-form rate analysis.
 
 Each trial drops the users the rates read at their distance ranks, draws
-their fading, and evaluates the exact per-role SINRs; rates accumulate as
+their fading, and evaluates the exact per-role SINRs; rates are the means of
 (1/M) * log2(1 + SINR).  The SINRs are those of the role table
 (rates.noma_roles): sample_gains() draws one per-trial array per gain key,
-once per block and group, and role_sinrs() combines them with the table's
+once per block and group, and _role_log1p() combines them with the table's
 coefficients, so imperfect SIC enters exactly as in the closed forms.  The
 residual self-interference is drawn per trial as a CN(0, beta * P_b^lambda)
 scalar.  simulate_groups() is the one block loop: the clusters here and the
@@ -12,14 +12,30 @@ pairing baseline (comparison.simulate_pair_sums) differ only in their
 Schedule of groups, time shares and layout, and one call takes any number of
 schedules.
 
-A block draws only what its rates read, each in its exact law.  The cluster
-layout draws each user class at the sorted ranks asked for, from gamma
-increments (_ranked_radii), not a whole sorted drop.  A leaf, a user whose
-fading vector a single cascade key reaches, is never drawn as a vector: its
-cascade is drawn given the other side's vector, as one complex Gaussian
-scalar per trial (_leaf_cascade_power).  Cascades between two hubs (users
-whose vectors several keys read, and the BS) multiply full vectors, which
-keeps their correlation through the shared hub.
+A block draws only what its rates read, each in its exact law, and forms
+only the coordinates, losses and products a gain key reads:
+
+* a Rayleigh power |h|^2 (the direct and cross links, the unit SI) is a
+  unit exponential, as the squared modulus of a CN(0, 1) scalar is, and is
+  drawn as one (_draw_power): one value, not two normals;
+* the cluster layout draws each user class at the sorted ranks asked for,
+  from gamma increments (_ranked_radii), not a whole sorted drop; a center
+  user gets a uniform bearing, an edge user none, as no key reads it; the
+  pairing layout draws its center users the same way
+  (comparison.ranked_layout);
+* a position is a (trials, 2) array whose x and y columns are each
+  contiguous, and a distance is sqrt(dx*dx + dy*dy) of them;
+* a leaf, a user whose fading vector a single cascade key reaches, is never
+  drawn as a vector: its cascade is drawn given the other side's vector, as
+  one complex Gaussian scalar per trial (_leaf_cascade_power); cascades
+  between two hubs (users whose vectors several keys read, and the BS)
+  multiply full vectors, which keeps their correlation through the shared
+  hub;
+* a user's surface path loss is formed once per group, and a hub's spread
+  sum_n |g[n]|^2 |c[n]|^2 once per face, however many keys read them;
+* each point's SINRs are evaluated into a few per-group buffers, the log
+  as ln(1 + SINR), and the 1/(ln 2 * M) of each direction is applied once,
+  to the merged moments (_Accumulator.scale), not once per trial.
 
 Each schedule's block seeds are spawned from one SeedSequence, so a block's
 draws depend on the seed, the trial count and the block size alone, and not
@@ -33,14 +49,18 @@ point, group and role and of each point's DL and UL totals; each schedule's
 are merged in block order, the float additions of a serial loop, so the
 bytes of a run do not depend on the core count or the queue.
 
-A block holds only what the next step reads: a group's distances are formed
-when the group is drawn and its gains dropped before the next group's, a
-point's SI scale is applied where it is read, complex Gaussian draws fill
-the output a few thousand rows at a time (channel.complex_normal), and a
-cascade between two hubs is summed over row chunks.  At N = 10 and the
-default 16,384 trials per block, the traced peak of one block is 13.8 MB for
-cluster 1 at one point, and 20.8 MB (clusters) and 19.6 MB (pairing) for the
-12 points of the cluster-versus-pairing sweep.
+A block holds only what the next step reads.  A center user keeps its radius
+and bearing until its group is resolved, and the group's positions and
+distances are formed then.  A group's gains are dropped before the next
+group's draw, a hub's vector after its last cascade, a spread after the
+leaves of its step, which come after that step's hub-hub products, and a
+surface loss after its one use.  A point's SI scale is applied where it is
+read, into a buffer made after the group's draw.  Complex Gaussian draws
+fill the output a few thousand rows at a time (channel.complex_normal), and
+a cascade between two hubs is summed over row chunks.  At N = 10 and the
+default 16,384 trials per block, the traced peak of one block is 13.8 MB
+for cluster 1 at one point, and 19.6 MB (clusters) and 18.8 MB (pairing)
+for the 12 points of the cluster-versus-pairing sweep.
 
 A schedule holds a whole grid of points (cluster_schedule, and
 comparison.pair_schedule for the pairing; simulate_clusters and
@@ -76,7 +96,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import RicianLink, StarRisState, build_links, complex_normal, sample_rician
+from .channel import RicianLink, StarRisState, cached_links, sample_rician
 from .config import PowerAllocation, SystemConfig, default_power_allocation
 from .geometry import sample_disk
 from .rates import (
@@ -86,18 +106,17 @@ from .rates import (
     _OMEGA_PATHS,
     bind_power,
     build_rate_inputs,
+    cached_surface_terms,
     check_state_size,
     cluster_group,
     cluster_members,
     cluster_roles,
     expectation_terms,
-    mean_signal_and_denominator,
     noma_roles,
     order_spec,
     pathloss,
     role_rates,
     si_variance,
-    surface_terms,
     table_keys,
     unit_gain_scales,
 )
@@ -105,7 +124,6 @@ from .rates import (
 __all__ = [
     "SimPlan",
     "sample_gains",
-    "role_sinrs",
     "simulate",
     "simulate_clusters",
     "simulate_groups",
@@ -143,24 +161,27 @@ class SimPlan:
 
 
 def _draw_power(rng: np.random.Generator, shape) -> np.ndarray:
-    """|CN(0, 1)|^2 draws, with the bits of np.abs((x + 1j * y) / np.sqrt(2.0)) ** 2
-    (channel.complex_normal's fill, as channel.sample_rician)."""
-    power = np.abs(complex_normal(rng, shape))
-    return np.square(power, out=power)
+    """|CN(0, 1)|^2 draws.  The squared modulus of a unit complex Gaussian is a
+    unit exponential, so it is drawn as one: one value per draw, not two normals."""
+    return rng.standard_exponential(shape)
 
 
-def _moments(values: np.ndarray) -> tuple:
-    """(n, sum, sum of squares) of per-trial values."""
-    return values.size, float(np.sum(values)), float(np.sum(values * values))
+def _moments(values: np.ndarray, scratch: np.ndarray | None = None) -> tuple:
+    """(n, sum, sum of squares) of per-trial values; scratch, if given, takes the squares."""
+    squares = np.multiply(values, values, out=scratch)
+    return values.size, float(np.sum(values)), float(np.sum(squares))
 
 
 class _Accumulator:
-    """Streaming mean/stderr, merged from per-block moments."""
+    """Streaming mean/stderr of scale times per-trial values, merged from
+    per-block moments of the values themselves, so that a constant factor is
+    applied once per result, not once per trial."""
 
-    def __init__(self):
+    def __init__(self, scale: float = 1.0):
         self.n = 0
         self.s = 0.0
         self.s2 = 0.0
+        self.scale = scale
 
     def merge(self, moments: tuple):
         n, s, s2 = moments
@@ -173,14 +194,15 @@ class _Accumulator:
 
     @property
     def mean(self) -> float:
-        return self.s / self.n
+        return self.scale * self.s / self.n
 
     @property
     def stderr(self) -> float:
         if self.n < 2:
             return float("nan")
-        var = max(self.s2 / self.n - self.mean**2, 0.0) * self.n / (self.n - 1)
-        return math.sqrt(var / self.n)
+        raw = self.s / self.n
+        var = max(self.s2 / self.n - raw**2, 0.0) * self.n / (self.n - 1)
+        return self.scale * math.sqrt(var / self.n)
 
 
 def _blocks(trials: int, seed: int, block_size: int):
@@ -254,14 +276,30 @@ class BlockDraws:
         si = _draw_power(rng, B)
         c = {side: state.coefficients(side) for side in ("t", "r")}
         l_br = pathloss(cfg.d_br, cfg.m)
-        bounce = l_br * l_br * np.abs(np.sum(np.abs(g_br) ** 2 * c["t"], axis=-1)) ** 2
+        # |sum_n |g[n]|^2 c[n]|^2, its real and imaginary sums each one einsum over g's parts
+        parts = g_br.view(float)
+        re, im = (np.einsum("bk,bk,k->b", parts, parts, np.repeat(part, 2)) for part in (c["t"].real, c["t"].imag))
+        bounce = np.square(re, out=re)
+        bounce += np.square(im, out=im)
+        bounce *= l_br * l_br
         return cls(g_br, bounce, si, c, l_br, cfg.m)
 
 
 def _scalar_rank(key) -> int:
-    # the Rayleigh scalars of a group are one block, in this column order: DL direct
+    # the Rayleigh scalars of a group are one block, in this row order: DL direct
     # links, cross links, UL direct links (the order fixes every seed's numbers)
     return 1 if key[0] == "cross" else 0 if key[1].direction == "DL" else 2
+
+
+def _distance(pu, pv) -> np.ndarray:
+    """Per-trial distance between (trials, 2) position arrays, from their x and y
+    columns; pv may be one (1, 2) point."""
+    d = np.subtract(pu[:, 0], pv[:, 0])
+    d *= d
+    dy = np.subtract(pu[:, 1], pv[:, 1])
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
 
 
 def _cascade_power(g_out, c, g_in) -> np.ndarray:
@@ -277,25 +315,31 @@ def _cascade_power(g_out, c, g_in) -> np.ndarray:
     return out
 
 
-def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng) -> np.ndarray:
+def _spread(g_hub, c) -> np.ndarray:
+    """sum_n |g_hub[n]|^2 |c[n]|^2 per trial: one einsum over the real and
+    imaginary parts, so no (trials, N) temporary is made."""
+    parts = g_hub.view(float)
+    return np.einsum("bk,bk,k->b", parts, parts, np.repeat(np.abs(c) ** 2, 2))
+
+
+def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None) -> np.ndarray:
     """|sum_n g_hub[n] c[n] g_leaf[n]|^2 per trial, for a Rician leaf vector g_leaf
     that no other gain reads.
 
     The leaf's scatter entries are iid CN(0, 1) and independent of g_hub, so
     given g_hub the sum is a * (g_hub @ (c * los)) plus a CN(0, s^2 * ||c * g_hub||^2)
     scatter part, a = sqrt(k/(k+1)) and s = sqrt(1/(k+1)): one CN(0, 1)
-    scalar per trial stands in for the leaf's N entries.  The norm
-    sum_n |g_hub[n]|^2 |c[n]|^2 is one einsum over the real and imaginary
-    parts, so no (trials, N) temporary is made.
+    scalar per trial stands in for the leaf's N entries.  spread is the hub's
+    _spread on this face, if already formed; it is read, not changed.
     """
-    parts = g_hub.view(float)
-    spread = np.einsum("bk,bk,k->b", parts, parts, np.repeat(np.abs(c) ** 2, 2))
-    spread *= 0.5 * leaf.scatter_weight
+    if spread is None:
+        spread = _spread(g_hub, c)
     t = rng.standard_normal((len(g_hub), 2)).view(complex)[:, 0]
-    t *= np.sqrt(spread, out=spread)
+    t *= np.sqrt(spread * (0.5 * leaf.scatter_weight))
     t += g_hub @ (np.sqrt(leaf.los_weight) * c * leaf.los)
-    power = np.abs(t)
-    return np.square(power, out=power)
+    power = np.square(t.real)
+    power += np.square(t.imag)
+    return power
 
 
 def _leaves(cascades) -> dict:
@@ -315,67 +359,85 @@ def _leaves(cascades) -> dict:
     return leaves
 
 
-def _cascade_draw(key, leaf, vec, coeffs, links, rng) -> np.ndarray:
+def _cascade_draw(key, leaf, vec, coeffs, links, rng, spreads=None) -> np.ndarray:
     """Cascade power of one key before path loss: the product of both users' drawn
     vectors, or, for a key with a leaf, the leaf drawn given the other side
-    (vec holds every vector the key reads)."""
+    (vec holds every vector the key reads).  spreads, if given, keeps each
+    (hub, face)'s _spread for the next leaf of the same hub and face."""
     _, side, out, inp = key
     if leaf is None:
         return _cascade_power(vec[out], coeffs[side], vec[inp])
-    return _leaf_cascade_power(vec[inp if leaf == out else out], coeffs[side], links[leaf.link], rng)
+    hub = inp if leaf == out else out
+    spread = None
+    if spreads is not None:
+        spread = spreads.get((hub, side))
+        if spread is None:
+            spread = spreads[hub, side] = _spread(vec[hub], coeffs[side])
+    return _leaf_cascade_power(vec[hub], coeffs[side], links[leaf.link], rng, spread)
 
 
 def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
     """One per-trial array for every gain key of a role table.
 
     geo maps each user to its (position, BS distance, surface distance)
-    arrays.  The ("si",) gain is the block's unit draw, before any point's
-    SI scale.  The Rayleigh scalars of the direct and cross keys are drawn
-    first, as one block, then one fading vector per user that a cascade
-    reaches other than as its leaf (_leaves), in the order of members.  A
-    cascade is evaluated as soon as the vectors it reads are drawn, a leaf
-    cascade drawing its leaf there, and a vector is dropped after its last
-    cascade, so few (trials, N) vectors are alive at once.
+    arrays, a position being a (trials, 2) array of x and y columns.  The
+    ("si",) gain is the block's unit draw, before any point's SI scale.  The
+    Rayleigh powers of the direct and cross keys are drawn first, as one
+    block of unit exponentials, then one fading vector per user that a
+    cascade reaches other than as its leaf (_leaves), in the order of
+    members.  A cascade is evaluated as soon as the vectors it reads are
+    drawn, a leaf cascade drawing its leaf there, with its hub's spread
+    formed once per face for all of the hub's leaves; a vector is dropped
+    after its last cascade, so few (trials, N) vectors are alive at once.
+    Each user's surface path loss is formed once, after the last vector is
+    dropped, and multiplies every cascade that reaches the user.
     """
     keys = table_keys(roles)
     B = len(block.si)
     scalar = sorted((k for k in keys if k[0] in ("direct", "cross")), key=_scalar_rank)
-    h = _draw_power(rng, (B, len(scalar)))
-
-    def surface_loss(u):
-        return block.l_br if u.kind == "bs" else pathloss(geo[u][2], block.m)
-
     gains = {("bounce",): block.bounce, ("si",): block.si}
-    for col, key in enumerate(scalar):
-        if key[0] == "direct":
-            loss = pathloss(geo[key[1]][1], block.m)
-        else:
-            loss = pathloss(np.linalg.norm(geo[key[1]][0] - geo[key[2]][0], axis=-1), block.m)
-        gains[key] = loss * h[:, col]
-    del h
-    pending = [k for k in keys if k[0] == "cascade"]
-    leaves = _leaves(pending)
-    reads = {k: [u for u in k[2:] if u != leaves.get(k)] for k in pending}   # the vectors each key reads
-    vec = {BS: block.g_br}
+    for gain, key in zip(_draw_power(rng, (len(scalar), B)), scalar):
+        d = geo[key[1]][1] if key[0] == "direct" else _distance(geo[key[1]][0], geo[key[2]][0])
+        gain *= pathloss(d, block.m)
+        gains[key] = gain
+    cascades = [k for k in keys if k[0] == "cascade"]
+    leaves = _leaves(cascades)
+    reads = {k: [u for u in k[2:] if u != leaves.get(k)] for k in cascades}   # the vectors each key reads
+    pending, vec = list(cascades), {BS: block.g_br}
     for u in members:
         if any(u in reads[k] for k in pending):
             vec[u] = sample_rician(links[u.link], rng, trials=B)
-        for key in [k for k in pending if all(v in vec for v in reads[k])]:
+        # every leaf of a hub is ready once the hub is drawn, so a spread lives one step, and
+        # the step's leaves go last, so the spread is not alive during a hub-hub product
+        spreads = {}
+        for key in sorted((k for k in pending if all(v in vec for v in reads[k])), key=lambda k: k in leaves):
             pending.remove(key)
-            power = _cascade_draw(key, leaves.get(key), vec, block.coeffs, links, rng)
-            gains[key] = surface_loss(key[2]) * surface_loss(key[3]) * power
+            gains[key] = _cascade_draw(key, leaves.get(key), vec, block.coeffs, links, rng, spreads)
         for v in [v for v in vec if v != BS and not any(v in reads[k] for k in pending)]:
             del vec[v]
+    # the surface path losses last, once the vectors are gone: one per user, for all of its keys
+    for u in dict.fromkeys(v for k in cascades for v in k[2:]):
+        loss = block.l_br if u == BS else pathloss(geo[u][2], block.m)
+        for key in cascades:
+            if u in key[2:]:
+                gains[key] *= loss
     return gains
 
 
-def role_sinrs(bound, gains) -> dict:
-    """Per-trial SINR of every bound role (rates.bind), from sampled gains."""
-    out = {}
-    for role in bound:
-        signal, den = mean_signal_and_denominator(role, gains)
-        out[role.name] = signal / den
-    return out
+def _role_log1p(role, gains, out, den, term) -> np.ndarray:
+    """ln(1 + SINR) per trial of one bound role, into out; den and term are scratch.
+
+    The denominator adds the noise and every term of nonzero coefficient (a
+    zero one adds +0.0, which changes no bit), so a point without SIC error
+    skips its residual terms.
+    """
+    den.fill(role.noise)
+    for t in role.interference:
+        if t.coef != 0.0:
+            den += np.multiply(gains[t.key], t.coef, out=term)
+    np.multiply(gains[role.signal.key], role.signal.coef, out=out)
+    out /= den
+    return np.log1p(out, out=out)
 
 
 # SystemConfig fields that may differ between the points of one draw: they reach
@@ -433,7 +495,7 @@ def _schedule_run(schedule: Schedule):
     points, groups, shares = schedule.points, schedule.groups, schedule.shares
     cfg = _shared_draw([c for c, _ in points])
     check_state_size(cfg, schedule.state.N)
-    links = build_links(cfg)
+    links = cached_links(cfg)
     bound = [
         [bind_power(noma_roles(point, dl, ul), power) for (dl, ul), power in zip(groups, powers)]
         for point, powers in points
@@ -443,24 +505,30 @@ def _schedule_run(schedule: Schedule):
     si_scales = [si_variance(c) for c, _ in points]
 
     def run(B, rng):
-        """Moments of one block: ([{role: moments} per group], {direction: moments}) per point."""
+        """Raw moments of one block: ([{role: moments} per group], {direction: moments}) per
+        point, of ln(1 + SINR) before the 1/(ln 2 * share) that merge applies."""
         resolve = schedule.layout(rng, B, users)
         block = BlockDraws.draw(cfg, schedule.state, links, rng, B)
-        out = [([{} for _ in groups], {"DL": np.zeros(B), "UL": np.zeros(B)}) for _ in points]
+        moments = [[{} for _ in groups] for _ in points]
+        totals = [{"DL": np.zeros(B), "UL": np.zeros(B)} for _ in points]
         for g, group_users in enumerate(members):
             gains = sample_gains(bound[0][g], group_users, resolve(group_users), links, rng, block)
-            for point_bound, si_scale, (moments, tot) in zip(bound, si_scales, out):
-                gains[("si",)] = si_scale * block.si
-                for name, sinr in role_sinrs(point_bound[g], gains).items():
-                    r = np.log2(1.0 + sinr) / shares[name[:2]]
-                    moments[g][name] = _moments(r)
-                    tot[name[:2]] += r
-            del gains   # before the next group's draw
-        return [(moments, {d: _moments(total) for d, total in tot.items()}) for moments, tot in out]
+            si, out, den, term = (np.empty(B) for _ in range(4))   # scratch, made after the draw's peak
+            gains[("si",)] = si
+            for point_bound, si_scale, point_moments, tot in zip(bound, si_scales, moments, totals):
+                np.multiply(block.si, si_scale, out=si)
+                for role in point_bound[g]:
+                    r = _role_log1p(role, gains, out, den, term)
+                    point_moments[g][role.name] = _moments(r, term)
+                    tot[role.name[:2]] += r
+            del gains, si, out, den, term   # before the next group's draw
+        return [(m, {d: _moments(total) for d, total in tot.items()}) for m, tot in zip(moments, totals)]
 
     def merge(blocks):
-        acc = [[{role.name: _Accumulator() for role in group} for group in point_bound] for point_bound in bound]
-        acc_sum = [{"DL": _Accumulator(), "UL": _Accumulator()} for _ in points]
+        scale = {d: 1.0 / (math.log(2.0) * share) for d, share in shares.items()}
+        acc = [[{role.name: _Accumulator(scale[role.name[:2]]) for role in group} for group in point_bound]
+               for point_bound in bound]
+        acc_sum = [{d: _Accumulator(scale[d]) for d in ("DL", "UL")} for _ in points]
         for block in blocks:
             for (moments, sums), point_acc, point_sum in zip(block, acc, acc_sum):
                 for group_moments, group_acc in zip(moments, point_acc):
@@ -519,41 +587,60 @@ def _ranked_radii(rng, B, ranks, K, radius) -> np.ndarray:
     uniforms are the partial sums S_k / S_{K+1} of K + 1 unit exponentials
     (Renyi's representation).  So one gamma increment per gap between the
     ranks asked for, the last one up to K + 1, gives their distances directly.
+    The result is the transpose of a C-ordered (len(ranks), B) array, so each
+    rank's column is contiguous.
     """
     gaps = np.diff(ranks, prepend=0, append=K + 1)
-    s = np.cumsum(rng.standard_gamma(gaps, size=(B, len(gaps))), axis=1)
-    return radius * np.sqrt(s[:, :-1] / s[:, -1:])
+    s = np.cumsum(rng.standard_gamma(gaps[:, None], size=(len(gaps), B)), axis=0)
+    return (radius * np.sqrt(s[:-1] / s[-1])).T
+
+
+def _ranked_bearings(rng, B, ranks, K, radius):
+    """(radii, bearings) of the given distance ranks among K points dropped
+    uniformly in a disk: the radii a _ranked_radii draw, each at a uniform
+    bearing; both (B, len(ranks)), with contiguous columns."""
+    return _ranked_radii(rng, B, ranks, K, radius), rng.uniform(0.0, 2.0 * np.pi, (len(ranks), B)).T
+
+
+def _center_geometry(r, theta, d_br: float) -> tuple:
+    """(position, BS distance, surface distance) of a center user at radii r and
+    bearings theta about the BS, the surface at (d_br, 0); the position is a
+    (trials, 2) array whose x and y columns are each contiguous."""
+    xy = np.empty((2, len(r)))
+    np.multiply(r, np.cos(theta, out=xy[0]), out=xy[0])
+    np.multiply(r, np.sin(theta, out=xy[1]), out=xy[1])
+    return xy.T, r, _distance(xy.T, np.array([[d_br, 0.0]]))
 
 
 def sorted_layout(cfg):
     """Cluster layout: the users of each class at their distance ranks from its
     anchor (BS or surface), drawn only at the ranks asked for (_ranked_radii),
-    each at a uniform bearing.  An edge user keeps only its surface distance,
-    as no gain key of a cluster reads its position or BS distance, and a
-    center user's surface distance is formed when its group is resolved."""
-    sc = np.array([cfg.d_br, 0.0])
+    a center user at a uniform bearing (_ranked_bearings).  An edge user
+    keeps only its surface distance, as no gain key of a cluster reads its
+    position, bearing or BS distance; a center user keeps its radius and
+    bearing, and its position and surface distance are formed when its group
+    is resolved."""
     classes = {
         ("center", "DL"): (cfg.K_cd, cfg.R), ("center", "UL"): (cfg.K_cu, cfg.R),
         ("edge", "DL"): (cfg.K_ed, cfg.R_r), ("edge", "UL"): (cfg.K_eu, cfg.R_r),
     }
 
     def layout(rng, B, users):
-        drawn = {}   # center user: (position, BS distance); edge user: surface distance
+        drawn = {}   # center user: (BS distance, bearing); edge user: surface distance
         for (kind, direction), (K, radius) in classes.items():
             wanted = [u for u in users if (u.kind, u.direction) == (kind, direction)]
             ranks = sorted({u.order for u in wanted})
             if not ranks:
                 continue
-            r = _ranked_radii(rng, B, ranks, K, radius)
-            theta = rng.uniform(0.0, 2.0 * np.pi, r.shape)   # drawn for every class, to keep the stream
             if kind == "edge":
+                r = _ranked_radii(rng, B, ranks, K, radius)
                 for u in wanted:
                     drawn[u] = r[:, ranks.index(u.order)]
                 continue
-            pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+            r, theta = _ranked_bearings(rng, B, ranks, K, radius)
             for u in wanted:
                 i = ranks.index(u.order)
-                drawn[u] = pts[:, i], r[:, i]
+                drawn[u] = r[:, i], theta[:, i]
 
         def resolve(group):
             geo = {}
@@ -561,8 +648,7 @@ def sorted_layout(cfg):
                 if u.kind == "edge":
                     geo[u] = None, None, drawn[u]
                 else:
-                    pos, d_bs = drawn[u]
-                    geo[u] = pos, d_bs, np.linalg.norm(pos - sc, axis=-1)
+                    geo[u] = _center_geometry(*drawn[u], cfg.d_br)
             return geo
 
         return resolve
@@ -678,7 +764,7 @@ def estimate_expectation(
     if key not in EXPECTATION_KEYS + LOG_MEAN_KEYS:
         raise KeyError(f"unknown expectation key {key!r}")
     members = cluster_members(cfg, cluster)
-    links = build_links(cfg)
+    links = cached_links(cfg)
     if key in LOG_MEAN_KEYS:
         inputs = build_rate_inputs(cfg, default_power_allocation(cfg), state, cluster)
         role = inputs.bound[0 if key == "log_u1d" else 3]   # DL1 or UL1
@@ -735,7 +821,7 @@ def analytic_expectation(key: str, cfg: SystemConfig, state: StarRisState, clust
     if key in _POSITION_KEYS:
         users = [cluster_members(cfg, cluster)[i] for i in _POSITION_KEYS[key]]
         return pos.loss[users[0]] if len(users) == 1 else math.prod(pos.at_surface(u) for u in users)
-    s = surface_terms(cfg, state)
+    s = cached_surface_terms(cfg, state)
     if key == "y3":
         return s.y3_raw
     return getattr(s, key)

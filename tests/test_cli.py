@@ -1,11 +1,13 @@
 import csv
 import dataclasses
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from starnoma.channel import StarRisState
-from starnoma.cli import DEFAULT_N_GRID, DEFAULT_SNR_GRID, N_SWEEP_SNR_DB, XIS, main, validate_table
+from starnoma.cli import DEFAULT_N_GRID, DEFAULT_SNR_GRID, N_SWEEP_SNR_DB, SWEEPS, XIS, main, validate_table
 from starnoma.config import baseline_config, default_power_allocation, dump_config
 from starnoma.design import aligned_state
 from starnoma.rates import ROLES, rate_report
@@ -313,3 +315,41 @@ class TestTrialsOption:
             main([*command, "--config", cfg_path, "--trials", "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
+
+
+class TestSettledOncePerSweep:
+    """The analytic phase reads each geometry's links and each (geometry, state)'s surface terms
+    from one evaluation, however many points and readers a sweep has."""
+
+    @staticmethod
+    def _count(monkeypatch, name, key):
+        """Count the calls of channel/rates function `name` under every binding a starnoma module holds,
+        by key(args); the memos start empty, so each call is a real evaluation."""
+        from starnoma import channel, rates
+
+        monkeypatch.setattr(channel, "_LINKS", {})
+        monkeypatch.setattr(rates, "_SURFACE", {})
+        original = getattr(channel if name == "build_links" else rates, name)
+        calls = Counter()
+
+        def counted(*args, **kwargs):
+            calls[key(*args)] += 1
+            return original(*args, **kwargs)
+
+        for module in [m for n, m in sys.modules.items() if n == "starnoma" or n.startswith("starnoma.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("experiment,geometries", [("cluster-vs-pair", 1), ("rates-vs-N", len(DEFAULT_N_GRID))])
+    def test_links_and_surface_terms_once(self, monkeypatch, experiment, geometries):
+        from starnoma.channel import link_key
+
+        links = self._count(monkeypatch, "build_links", link_key)
+        surface = self._count(monkeypatch, "surface_terms",
+                              lambda cfg, state, *rest: (link_key(cfg), np.asarray(state).tobytes()))
+        run, grid = SWEEPS[experiment]
+        run(baseline_config(), 1, 200, grid)
+        assert len(links) == geometries and set(links.values()) == {1}
+        # one state per geometry (rates-vs-N aligns each N's surface)
+        assert len(surface) == geometries and set(surface.values()) == {1}

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from starnoma import comparison
 from starnoma.comparison import (
@@ -14,12 +15,14 @@ from starnoma.comparison import (
     pair_rate_sums,
     pair_groups,
     pair_schedule,
+    ranked_layout,
     reference_edge_targets,
     simulate_pair_sums,
 )
 from starnoma.channel import StarRisState
 from starnoma.config import PowerAllocation, baseline_config
 from starnoma.design import aligned_state
+from starnoma.geometry import sample_disk
 from starnoma.rates import Role, Term, bind, cluster_group, group_tables, rate_report, role_log2_mean, surface_terms
 from starnoma.simulator import simulate_groups
 
@@ -304,6 +307,65 @@ class TestPairingGeometry:
             pair_rate_sums(near, allocs, state)
         with pytest.raises(ValueError, match=OVERLAP):
             simulate_pair_sums(near, allocs, state, trials=100, seed=0)
+
+
+def joint_sort_layout(cfg):
+    """Oracle: the pairing layout drawn whole, each direction's center and edge users
+    dropped in their disks and ranked jointly by BS distance, with the layout's
+    resolve() result for a group."""
+    sc = np.array([cfg.d_br, 0.0])
+    counts = {"DL": (cfg.K_cd, cfg.K_ed), "UL": (cfg.K_cu, cfg.K_eu)}
+
+    def layout(rng, B, users):
+        rows, pos = np.arange(B), {}
+        for d, (Kc, Ke) in counts.items():
+            pts = np.concatenate([
+                sample_disk(rng, B * Kc, cfg.R).reshape(B, Kc, 2),
+                sample_disk(rng, B * Ke, cfg.R_r, center=sc).reshape(B, Ke, 2),
+            ], axis=1)
+            order = np.argsort(np.linalg.norm(pts, axis=-1), kind="stable", axis=-1)
+            for u in users:
+                if u.direction == d:
+                    pos[u] = pts[rows, order[:, u.order - 1 + (0 if u.kind == "center" else Kc)]]
+
+        def resolve(group):
+            return {u: (pos[u] if u.kind == "center" else None, np.linalg.norm(pos[u], axis=-1),
+                        np.linalg.norm(pos[u] - sc, axis=-1)) for u in group}
+
+        return resolve
+
+    return layout
+
+
+class TestPairingLayout:
+    """The pairing draws its center and edge users class by class; the joint sort of a whole drop is the law."""
+
+    DROPS = 100_000
+
+    @pytest.mark.parametrize("geometry", [{}, dict(R=40.0, R_r=25.0, d_br=65.0), dict(d_br=110.0)],
+                             ids=["baseline-touching", "other-touching", "apart"])
+    def test_every_rank_matches_the_joint_sort(self, geometry):
+        # the baseline and "other" disks touch (d_br - R_r == R exactly), the last ones are 30 m apart
+        cfg = baseline_config(**geometry)
+        users = [u for dl, ul in pair_groups(cfg) for u in (*dl, *ul)]
+        got = ranked_layout(cfg)(np.random.default_rng(41), self.DROPS, users)(users)
+        want = joint_sort_layout(cfg)(np.random.default_rng(42), self.DROPS, users)(users)
+        for u in users:
+            (pos, d_bs, d_s), (want_pos, want_bs, want_s) = got[u], want[u]
+            samples = [(d_bs, want_bs), (d_s, want_s)]
+            if u.kind == "center":
+                samples += [(pos[:, 0], want_pos[:, 0]), (pos[:, 1], want_pos[:, 1])]
+                np.testing.assert_allclose(np.hypot(pos[:, 0], pos[:, 1]), d_bs, rtol=1e-12)
+                np.testing.assert_allclose(np.hypot(pos[:, 0] - cfg.d_br, pos[:, 1]), d_s, rtol=1e-12)
+            else:
+                assert pos is None
+            for a, b in samples:
+                assert stats.ks_2samp(a, b).pvalue > 1e-3, u
+        # in every drop each direction's BS-distance ranks ascend across the classes
+        for d, K in (("DL", cfg.K_cd + cfg.K_ed), ("UL", cfg.K_cu + cfg.K_eu)):
+            ranked = sorted((u for u in users if u.direction == d),
+                            key=lambda u: u.order + (0 if u.kind == "center" else K))
+            assert np.all(np.diff([got[u][1] for u in ranked], axis=0) >= 0)
 
 
 class TestBearingRule:

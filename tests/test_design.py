@@ -319,6 +319,19 @@ class TestMinPower:
             min_power_allocation({r: 0.0 for r in ("DL1", "DL2", "DL3", "UL1", "UL2", "UL3")}, cfg, state)
         assert err.value.binding == "degenerate"
 
+    @pytest.mark.parametrize("rho_t,role,face", [(1.0, "DL3", "reflection"), (0.0, "UL3", "transmission")],
+                             ids=["reflection-dark", "transmission-dark"])
+    def test_dark_face_named(self, cfg, rho_t, role, face):
+        # one face dark on every element: its edge role's signal mean is 0, which made both
+        # linear solves singular; it is now rejected first, by role and face
+        point = cfg.with_snr(30)
+        aligned = aligned_state(point)
+        targets = rate_report(point, default_power_allocation(point), aligned).rates
+        dark = StarRisState(np.full(cfg.N, rho_t), np.full(cfg.N, 1.0 - rho_t), aligned.phi_t, aligned.phi_r)
+        with pytest.raises(InfeasibleTargetsError, match=f"{role}'s signal goes through the {face} face") as err:
+            min_power_allocation(targets, point, dark)
+        assert err.value.binding == f"dark-face:{role}"
+
     def test_state_size_checked(self, cfg, state, power):
         targets = rate_report(cfg, power, state).rates
         with pytest.raises(ValueError, match="N=11"):

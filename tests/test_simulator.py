@@ -298,16 +298,24 @@ class TestDraws:
     @pytest.mark.parametrize("B", [1, 4_095, 4_097, 16_384])
     @pytest.mark.parametrize("k", [None, 8])
     def test_draw_power_keeps_the_whole_shape_bits(self, B, k):
-        # the whole-shape fill that channel.complex_normal's chunked fill replaced is the oracle
+        # one whole-shape unit-exponential draw: the same values, and the stream left where it leaves it
         shape = (B,) if k is None else (B, k)
         a, b = np.random.default_rng(21), np.random.default_rng(21)
-        z = np.empty(shape, dtype=complex)
-        for part in (z.real, z.imag):
-            part[...] = b.standard_normal(shape)
-            part *= 1.0 / np.sqrt(2.0)
-        want = np.abs(z) ** 2
-        assert simulator._draw_power(a, shape).tobytes() == want.tobytes()
+        assert simulator._draw_power(a, shape).tobytes() == b.standard_exponential(shape).tobytes()
         assert a.random() == b.random()
+
+    @pytest.mark.parametrize("shape", [(131_072,), (16_384, 8)], ids=["trials", "trials-by-keys"])
+    def test_draw_power_is_unit_exponential(self, shape):
+        # |x + jy|^2 / 2 of two independent standard normals is Exp(1): mean 1, variance 1
+        x = simulator._draw_power(np.random.default_rng(21), shape).ravel()
+        assert x.size >= 100_000 and np.all(x >= 0.0)
+        assert stats.kstest(x, "expon").pvalue > 1e-3
+        se = 1.0 / np.sqrt(x.size)   # the standard error of the mean at unit variance
+        assert abs(np.mean(x) - 1.0) < 4 * se
+        assert abs(np.var(x) - 1.0) < 4 * np.sqrt(8.0) * se   # Var of (x - 1)^2 is 9 - 1 = 8
+        # and the modulus law it stands for: the squared modulus of a unit complex normal
+        z = np.random.default_rng(22).standard_normal((x.size, 2)) / np.sqrt(2.0)
+        assert stats.ks_2samp(x, np.sum(z * z, axis=1)).pvalue > 1e-3
 
     @pytest.mark.parametrize("B", [1, 4_097, 16_384])
     def test_chunked_cascade_keeps_the_whole_product_bits(self, cfg, state, B):

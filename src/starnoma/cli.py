@@ -288,6 +288,10 @@ def _cmd_optimize(args):
 
 
 def _cmd_sweep(args):
+    if args.param and args.experiment != "custom":
+        print(f"error: --param applies to the custom sweep only; {args.experiment} sweeps its own variable",
+              file=sys.stderr)
+        return 2
     cfg = _load(args)
     if args.experiment != "custom":
         run, default_grid = SWEEPS[args.experiment]
@@ -334,10 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("cluster", help="print the users of every clustering or pairing group")
-    p.add_argument("--config")
-    p.add_argument("--seed", type=_seed, default=0)
+    common(p)
     p.add_argument("--scheme", default="cluster", choices=("cluster", "pair"))
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_cluster)
 
     p = sub.add_parser(
@@ -347,19 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "(ratio-of-means) weighted sum rate, so the design reproduces the paper's; "
                     "analytic rate tables use the exact-signal model instead.",
     )
-    p.add_argument("--config")
-    p.add_argument("--seed", type=_seed, default=0)
+    common(p)
     p.add_argument("--iters", type=int, default=60)
     p.add_argument("--restarts", type=int, default=0)
     p.add_argument("--state", default="aligned", choices=("random", "aligned", "uniform"))
-    p.add_argument("--out")
     p.add_argument("--trace", help="objective trace CSV path")
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("sweep", help="named figure experiments")
     common(p, trials=100_000)
     p.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    p.add_argument("--grid", type=float, nargs="*", help="sweep grid values")
+    p.add_argument("--grid", type=float, nargs="+", help="sweep grid values")
     p.add_argument("--param", help="config field for the custom sweep")
     p.set_defaults(fn=_cmd_sweep)
     return parser

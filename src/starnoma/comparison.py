@@ -49,9 +49,8 @@ from .rates import (
 from .simulator import (
     _DEFAULT_BLOCK,
     Schedule,
-    _center_geometry,
-    _ranked_bearings,
     as_points,
+    class_layout,
     simulate_groups,
 )
 
@@ -134,59 +133,31 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
 
 
 def ranked_layout(cfg: SystemConfig):
-    """Pairing layout: each direction's users ranked by BS distance, one class at a time.
+    """Pairing layout (simulator.class_layout): each direction's users ranked by
+    BS distance, its center class first.
 
     pair_groups requires d_br - R_r >= R, so every center user is nearer the
     BS than every edge user, and the joint BS-distance ranks 1..K_center are
     the center users' own ranks, the rest the edge users' in order.  So the
-    center users are drawn at the ranks asked for, as the clusters' are
-    (simulator._ranked_bearings), and only the K_edge edge users of a
-    direction are drawn whole and sorted: at surface distance r and bearing
-    t, an edge user's squared BS distance is d_br^2 + r^2 + 2 d_br r cos t.
-    A center user's position and surface distance are formed when its group
-    is resolved.  An edge user's position is not handed out (only center
-    users have cross keys), but its BS distance is, as `starnoma cluster`
-    prints it.
+    center users are drawn at the ranks asked for, as the clusters' are, and
+    only the K_edge edge users of a direction are drawn whole and sorted: at
+    surface distance r and bearing t, an edge user's squared BS distance is
+    d_br^2 + r^2 + 2 d_br r cos t.  An edge user's position is not handed
+    out (only center users have cross keys), but its BS distance is, as
+    `starnoma cluster` prints it.
     """
-    counts = {"DL": (cfg.K_cd, cfg.K_ed), "UL": (cfg.K_cu, cfg.K_eu)}
+    def edge(rng, B, ranks, K):
+        r = cfg.R_r * np.sqrt(rng.random((B, K)))
+        d2 = np.cos(rng.uniform(0.0, 2.0 * np.pi, (B, K)))
+        d2 *= 2.0 * cfg.d_br
+        d2 += r
+        d2 *= r
+        d2 += cfg.d_br**2
+        rows = np.arange(B)[:, None]
+        cols = np.argsort(d2, kind="stable", axis=-1)[:, np.subtract(ranks, 1)]
+        return np.sqrt(d2[rows, cols]), r[rows, cols]
 
-    def layout(rng, B, users):
-        drawn = {}   # center user: (BS distance, bearing); edge user: (BS distance, surface distance)
-        for d, (Kc, Ke) in counts.items():
-            wanted = [u for u in users if u.direction == d]
-            ranks = sorted({u.order for u in wanted if u.kind == "center"})
-            if ranks:
-                r, theta = _ranked_bearings(rng, B, ranks, Kc, cfg.R)
-                for u in wanted:
-                    if u.kind == "center":
-                        i = ranks.index(u.order)
-                        drawn[u] = r[:, i], theta[:, i]
-            if any(u.kind == "edge" for u in wanted):
-                r = cfg.R_r * np.sqrt(rng.random((B, Ke)))
-                d2 = np.cos(rng.uniform(0.0, 2.0 * np.pi, (B, Ke)))
-                d2 *= 2.0 * cfg.d_br
-                d2 += r
-                d2 *= r
-                d2 += cfg.d_br**2
-                order = np.argsort(d2, kind="stable", axis=-1)
-                rows = np.arange(B)
-                for u in wanted:
-                    if u.kind == "edge":
-                        col = order[:, u.order - 1]
-                        drawn[u] = np.sqrt(d2[rows, col]), r[rows, col]
-
-        def resolve(group):
-            geo = {}
-            for u in group:
-                if u.kind == "edge":
-                    geo[u] = (None, *drawn[u])
-                else:
-                    geo[u] = _center_geometry(*drawn[u], cfg.d_br)
-            return geo
-
-        return resolve
-
-    return layout
+    return class_layout(cfg, [("center", "DL"), ("edge", "DL"), ("center", "UL"), ("edge", "UL")], edge)
 
 
 def pair_schedule(cfgs, allocations, state: StarRisState) -> Schedule:

@@ -289,19 +289,20 @@ def _numbers(name: str, value, count: int | None = None) -> tuple:
     return tuple(_number(name, v) for v in value)
 
 
-def load_config(source: str | IO[str]) -> SystemConfig:
-    """Parse a YAML config document (path, text, or stream) into a SystemConfig.
+def load_config(source: str | os.PathLike | IO[str]) -> SystemConfig:
+    """Parse a YAML config document, from a file path or a stream, into a SystemConfig.
 
-    Unknown sections or fields are rejected so typos cannot silently fall back
-    to defaults.
+    A path that cannot be read is rejected by name.  Unknown sections or
+    fields are rejected so typos cannot silently fall back to defaults.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        text = str(source)
-        if "\n" not in text and os.path.isfile(text):
-            with open(text, "r", encoding="utf-8") as fh:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {os.fspath(source)!r}: {exc.strerror}") from exc
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -1,9 +1,9 @@
 """Expected path loss over disk geometries, and uniform points in a disk.
 
-sample_disk drops uniform points in a disk; the pairing simulator's layout
-(comparison.ranked_layout) places its users with it.  The cluster simulator
-draws its users at their ranks instead (simulator.sorted_layout), and both
-layouts are what `starnoma cluster` resolves its groups on.
+sample_disk drops uniform points in a disk; only the term oracle
+(simulator.estimate_expectation) uses it.  Both simulators draw their users
+class by class at their distance ranks instead (simulator.class_layout), and
+their layouts are what `starnoma cluster` resolves its groups on.
 
 Three distance laws drive every closed-form rate term:
 

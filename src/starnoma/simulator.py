@@ -18,11 +18,13 @@ only the coordinates, losses and products a gain key reads:
 * a Rayleigh power |h|^2 (the direct and cross links, the unit SI) is a
   unit exponential, as the squared modulus of a CN(0, 1) scalar is, and is
   drawn as one (_draw_power): one value, not two normals;
-* the cluster layout draws each user class at the sorted ranks asked for,
-  from gamma increments (_ranked_radii), not a whole sorted drop; a center
-  user gets a uniform bearing, an edge user none, as no key reads it; the
-  pairing layout draws its center users the same way
-  (comparison.ranked_layout);
+* both layouts are one class-by-class draw (class_layout): a center class
+  is drawn at the sorted ranks asked for, from gamma increments
+  (_ranked_radii), not a whole sorted drop, each user at a uniform
+  bearing; the schemes differ only in their class order and edge rule, the
+  clusters' edge users drawn at their surface-distance ranks without a
+  bearing, as no key reads it (sorted_layout), the pairing's drawn whole
+  and sorted by BS distance (comparison.ranked_layout);
 * a position is a (trials, 2) array whose x and y columns are each
   contiguous, and a distance is sqrt(dx*dx + dy*dy) of them;
 * a leaf, a user whose fading vector a single cascade key reaches, is never
@@ -35,7 +37,7 @@ only the coordinates, losses and products a gain key reads:
   sum_n |g[n]|^2 |c[n]|^2 once per face, however many keys read them;
 * each point's SINRs are evaluated into a few per-group buffers, the log
   as ln(1 + SINR), and the 1/(ln 2 * M) of each direction is applied once,
-  to the merged moments (_Accumulator.scale), not once per trial.
+  to the merged moments (_estimate), not once per trial.
 
 Each schedule's block seeds are spawned from one SeedSequence, so a block's
 draws depend on the seed, the trial count and the block size alone, and not
@@ -44,10 +46,13 @@ queue, served by one thread per core this process may use (numpy's
 generators and array arithmetic release the interpreter lock): a core that
 ends a block takes the next one, whichever schedule it belongs to, so a
 short last block of one schedule does not leave a core idle while another
-schedule waits.  Each block returns only its moments (n, sum r, sum r^2) per
-point, group and role and of each point's DL and UL totals; each schedule's
-are merged in block order, the float additions of a serial loop, so the
-bytes of a run do not depend on the core count or the queue.
+schedule waits.  Each block returns only its moments: one (points, cells, 3)
+array of (n, sum r, sum r^2), a cell per group and role and one for each
+point's DL and UL totals.  Each schedule's are merged in block order
+(_merge), the float additions of a serial loop, so the bytes of a run do
+not depend on the core count or the queue; _estimate turns a merged cell
+into its (mean, stderr).  The term oracle runs its blocks on the same queue
+and merges them the same way.
 
 A block holds only what the next step reads.  A center user keeps its radius
 and bearing until its group is resolved, and the group's positions and
@@ -129,6 +134,7 @@ __all__ = [
     "simulate_groups",
     "Schedule",
     "cluster_schedule",
+    "class_layout",
     "sorted_layout",
     "as_points",
     "draw_key",
@@ -169,44 +175,36 @@ def _draw_power(rng: np.random.Generator, shape) -> np.ndarray:
 def _moments(values: np.ndarray, scratch: np.ndarray | None = None) -> tuple:
     """(n, sum, sum of squares) of per-trial values; scratch, if given, takes the squares."""
     squares = np.multiply(values, values, out=scratch)
-    return values.size, float(np.sum(values)), float(np.sum(squares))
+    return values.size, np.sum(values), np.sum(squares)
 
 
-class _Accumulator:
-    """Streaming mean/stderr of scale times per-trial values, merged from
-    per-block moments of the values themselves, so that a constant factor is
-    applied once per result, not once per trial."""
+def _merge(blocks) -> np.ndarray:
+    """The sum of the blocks' moment arrays, added in block order: the float
+    additions of a serial loop, whatever served the blocks."""
+    total = np.zeros_like(blocks[0])
+    for moments in blocks:
+        total += moments
+    return total
 
-    def __init__(self, scale: float = 1.0):
-        self.n = 0
-        self.s = 0.0
-        self.s2 = 0.0
-        self.scale = scale
 
-    def merge(self, moments: tuple):
-        n, s, s2 = moments
-        self.n += n
-        self.s += s
-        self.s2 += s2
-
-    def add(self, values: np.ndarray):
-        self.merge(_moments(values))
-
-    @property
-    def mean(self) -> float:
-        return self.scale * self.s / self.n
-
-    @property
-    def stderr(self) -> float:
-        if self.n < 2:
-            return float("nan")
-        raw = self.s / self.n
-        var = max(self.s2 / self.n - raw**2, 0.0) * self.n / (self.n - 1)
-        return self.scale * math.sqrt(var / self.n)
+def _estimate(moments, scale: float = 1.0) -> tuple:
+    """(mean, stderr) of scale times per-trial values, from their merged
+    (n, sum, sum of squares), so that a constant factor is applied once per
+    result, not once per trial."""
+    n, s, s2 = moments.tolist()
+    mean = scale * s / n
+    if n < 2:
+        return mean, float("nan")
+    raw = s / n
+    var = max(s2 / n - raw**2, 0.0) * n / (n - 1)
+    return mean, scale * math.sqrt(var / n)
 
 
 def _blocks(trials: int, seed: int, block_size: int):
     """(size, generator) of each block; the seeds are spawned from one SeedSequence."""
+    for name, value in (("trials", trials), ("block_size", block_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     nblocks = (trials + block_size - 1) // block_size
     for b, block_seed in enumerate(np.random.SeedSequence(seed).spawn(nblocks)):
         yield min(block_size, trials - b * block_size), np.random.default_rng(block_seed)
@@ -490,8 +488,14 @@ class Schedule(NamedTuple):
 
 
 def _schedule_run(schedule: Schedule):
-    """(run, merge) of a schedule: run(B, rng) is one block's moments and merge
-    folds the blocks' moments, in the order given, into the loop's results."""
+    """(run, estimate) of a schedule: run(B, rng) is one block's moments, and
+    estimate turns the merged moments into the loop's results.
+
+    The moments are one (points, cells, 3) array of (n, sum, sum of squares)
+    of ln(1 + SINR), before the 1/(ln 2 * share) that estimate applies: one
+    cell per role of each group, in schedule order, then each point's DL and
+    UL totals.
+    """
     points, groups, shares = schedule.points, schedule.groups, schedule.shares
     cfg = _shared_draw([c for c, _ in points])
     check_state_size(cfg, schedule.state.N)
@@ -503,47 +507,43 @@ def _schedule_run(schedule: Schedule):
     members = [(*dl, *ul) for dl, ul in groups]
     users = [u for group_users in members for u in group_users]
     si_scales = [si_variance(c) for c, _ in points]
+    names = [[role.name for role in group] for group in bound[0]]
+    scale = {d: 1.0 / (math.log(2.0) * share) for d, share in shares.items()}
+    scales = [scale[name[:2]] for group in names for name in group] + [scale["DL"], scale["UL"]]
 
     def run(B, rng):
-        """Raw moments of one block: ([{role: moments} per group], {direction: moments}) per
-        point, of ln(1 + SINR) before the 1/(ln 2 * share) that merge applies."""
         resolve = schedule.layout(rng, B, users)
         block = BlockDraws.draw(cfg, schedule.state, links, rng, B)
-        moments = [[{} for _ in groups] for _ in points]
-        totals = [{"DL": np.zeros(B), "UL": np.zeros(B)} for _ in points]
+        moments = np.empty((len(points), len(scales), 3))
+        totals = np.zeros((len(points), 2, B))   # each point's DL and UL sums
+        cell = 0
         for g, group_users in enumerate(members):
             gains = sample_gains(bound[0][g], group_users, resolve(group_users), links, rng, block)
             si, out, den, term = (np.empty(B) for _ in range(4))   # scratch, made after the draw's peak
             gains[("si",)] = si
             for point_bound, si_scale, point_moments, tot in zip(bound, si_scales, moments, totals):
                 np.multiply(block.si, si_scale, out=si)
-                for role in point_bound[g]:
+                for c, role in enumerate(point_bound[g], cell):
                     r = _role_log1p(role, gains, out, den, term)
-                    point_moments[g][role.name] = _moments(r, term)
-                    tot[role.name[:2]] += r
+                    point_moments[c] = _moments(r, term)
+                    tot[("DL", "UL").index(role.name[:2])] += r
+            cell += len(names[g])
             del gains, si, out, den, term   # before the next group's draw
-        return [(m, {d: _moments(total) for d, total in tot.items()}) for m, tot in zip(moments, totals)]
+        for point_moments, tot in zip(moments, totals):
+            point_moments[cell:] = [_moments(total) for total in tot]
+        return moments
 
-    def merge(blocks):
-        scale = {d: 1.0 / (math.log(2.0) * share) for d, share in shares.items()}
-        acc = [[{role.name: _Accumulator(scale[role.name[:2]]) for role in group} for group in point_bound]
-               for point_bound in bound]
-        acc_sum = [{d: _Accumulator(scale[d]) for d in ("DL", "UL")} for _ in points]
-        for block in blocks:
-            for (moments, sums), point_acc, point_sum in zip(block, acc, acc_sum):
-                for group_moments, group_acc in zip(moments, point_acc):
-                    for name, m in group_moments.items():
-                        group_acc[name].merge(m)
-                for d, m in sums.items():
-                    point_sum[d].merge(m)
+    def estimate(moments):
+        """([{role: (mean, stderr)} per group], {dl_sum, ul_sum and their stderrs}) per point."""
         out = []
-        for point_acc, point_sum in zip(acc, acc_sum):
-            dl, ul = point_sum["DL"], point_sum["UL"]
-            out.append((point_acc, {"dl_sum": dl.mean, "dl_sum_stderr": dl.stderr,
-                                    "ul_sum": ul.mean, "ul_sum_stderr": ul.stderr}))
+        for point_moments in moments:
+            cells = iter([_estimate(m, s) for m, s in zip(point_moments, scales)])
+            rates = [{name: next(cells) for name in group} for group in names]
+            (dl, dl_err), (ul, ul_err) = cells
+            out.append((rates, {"dl_sum": dl, "dl_sum_stderr": dl_err, "ul_sum": ul, "ul_sum_stderr": ul_err}))
         return out
 
-    return run, merge
+    return run, estimate
 
 
 def simulate_groups(schedules, trials, seed, block_size=_DEFAULT_BLOCK) -> list:
@@ -557,18 +557,15 @@ def simulate_groups(schedules, trials, seed, block_size=_DEFAULT_BLOCK) -> list:
     layout, its BlockDraws, then each group's gains in schedule order, its
     users sampled DL first; every point evaluates its SINRs from them.  The
     blocks of all schedules form one queue (_map_blocks), and each
-    schedule's moments merge in block order.  The loop's results are one
-    ([{role: accumulator} per group], {dl_sum, ul_sum and their stderrs}) per
-    point; each schedule's read turns them into its result.
+    schedule's moments merge in block order (_merge).  The loop's results are
+    one ([{role: (mean, stderr)} per group], {dl_sum, ul_sum and their
+    stderrs}) per point; each schedule's read turns them into its result.
     """
-    for name, value in (("trials", trials), ("block_size", block_size)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
     runs = [_schedule_run(schedule) for schedule in schedules]
     done = _map_blocks([(run, *block) for run, _ in runs for block in _blocks(trials, seed, block_size)])
     n = -(-trials // block_size)   # blocks per schedule
-    return [schedule.read(merge(done[i * n: (i + 1) * n]), trials, seed)
-            for i, (schedule, (_, merge)) in enumerate(zip(schedules, runs))]
+    return [schedule.read(estimate(_merge(done[i * n: (i + 1) * n])), trials, seed)
+            for i, (schedule, (_, estimate)) in enumerate(zip(schedules, runs))]
 
 
 def as_points(cfgs, settings) -> list:
@@ -595,13 +592,6 @@ def _ranked_radii(rng, B, ranks, K, radius) -> np.ndarray:
     return (radius * np.sqrt(s[:-1] / s[-1])).T
 
 
-def _ranked_bearings(rng, B, ranks, K, radius):
-    """(radii, bearings) of the given distance ranks among K points dropped
-    uniformly in a disk: the radii a _ranked_radii draw, each at a uniform
-    bearing; both (B, len(ranks)), with contiguous columns."""
-    return _ranked_radii(rng, B, ranks, K, radius), rng.uniform(0.0, 2.0 * np.pi, (len(ranks), B)).T
-
-
 def _center_geometry(r, theta, d_br: float) -> tuple:
     """(position, BS distance, surface distance) of a center user at radii r and
     bearings theta about the BS, the surface at (d_br, 0); the position is a
@@ -612,48 +602,56 @@ def _center_geometry(r, theta, d_br: float) -> tuple:
     return xy.T, r, _distance(xy.T, np.array([[d_br, 0.0]]))
 
 
-def sorted_layout(cfg):
-    """Cluster layout: the users of each class at their distance ranks from its
-    anchor (BS or surface), drawn only at the ranks asked for (_ranked_radii),
-    a center user at a uniform bearing (_ranked_bearings).  An edge user
-    keeps only its surface distance, as no gain key of a cluster reads its
-    position, bearing or BS distance; a center user keeps its radius and
-    bearing, and its position and surface distance are formed when its group
-    is resolved."""
-    classes = {
-        ("center", "DL"): (cfg.K_cd, cfg.R), ("center", "UL"): (cfg.K_cu, cfg.R),
-        ("edge", "DL"): (cfg.K_ed, cfg.R_r), ("edge", "UL"): (cfg.K_eu, cfg.R_r),
-    }
+def class_layout(cfg, order, edge):
+    """A layout (Schedule.layout) that draws the users one class at a time.
+
+    order lists the (kind, direction) classes in the order they are drawn,
+    which fixes the draw stream; a class no user asks for draws nothing.  A
+    center class is drawn only at the distance ranks asked for
+    (_ranked_radii), each at a uniform bearing; it keeps its radius and
+    bearing until its group is resolved, when its position and surface
+    distance are formed.  edge(rng, B, ranks, K) draws an edge class's K
+    users at the given ranks as (BS distance, surface distance), each a
+    (B, len(ranks)) array or the first None where no caller reads it.
+    """
+    counts = {("center", "DL"): cfg.K_cd, ("center", "UL"): cfg.K_cu,
+              ("edge", "DL"): cfg.K_ed, ("edge", "UL"): cfg.K_eu}
 
     def layout(rng, B, users):
-        drawn = {}   # center user: (BS distance, bearing); edge user: surface distance
-        for (kind, direction), (K, radius) in classes.items():
+        drawn = {}   # center user: (BS distance, bearing); edge user: (BS distance, surface distance)
+        for kind, direction in order:
             wanted = [u for u in users if (u.kind, u.direction) == (kind, direction)]
+            if not wanted:
+                continue
             ranks = sorted({u.order for u in wanted})
-            if not ranks:
-                continue
-            if kind == "edge":
-                r = _ranked_radii(rng, B, ranks, K, radius)
-                for u in wanted:
-                    drawn[u] = r[:, ranks.index(u.order)]
-                continue
-            r, theta = _ranked_bearings(rng, B, ranks, K, radius)
+            K = counts[kind, direction]
+            if kind == "center":
+                columns = _ranked_radii(rng, B, ranks, K, cfg.R), rng.uniform(0.0, 2.0 * np.pi, (len(ranks), B)).T
+            else:
+                columns = edge(rng, B, ranks, K)
             for u in wanted:
                 i = ranks.index(u.order)
-                drawn[u] = r[:, i], theta[:, i]
+                drawn[u] = tuple(None if c is None else c[:, i] for c in columns)
 
         def resolve(group):
-            geo = {}
-            for u in group:
-                if u.kind == "edge":
-                    geo[u] = None, None, drawn[u]
-                else:
-                    geo[u] = _center_geometry(*drawn[u], cfg.d_br)
-            return geo
+            return {u: _center_geometry(*drawn[u], cfg.d_br) if u.kind == "center" else (None, *drawn[u])
+                    for u in group}
 
         return resolve
 
     return layout
+
+
+def sorted_layout(cfg):
+    """Cluster layout (class_layout): the users of each class at their distance
+    ranks from its anchor, the center classes first.  An edge user is drawn
+    at its surface-distance rank (_ranked_radii) and keeps only that
+    distance, as no gain key of a cluster reads its position, bearing or BS
+    distance."""
+    def edge(rng, B, ranks, K):
+        return None, _ranked_radii(rng, B, ranks, K, cfg.R_r)
+
+    return class_layout(cfg, [("center", "DL"), ("center", "UL"), ("edge", "DL"), ("edge", "UL")], edge)
 
 
 def cluster_schedule(cfgs, powers, state: StarRisState, clusters=None) -> Schedule:
@@ -674,10 +672,10 @@ def cluster_schedule(cfgs, powers, state: StarRisState, clusters=None) -> Schedu
 
     def read(results, trials, seed):
         out = []
-        for acc, sums in results:
+        for groups, sums in results:
             reports = {}
-            for j, group_acc in zip(clusters, acc):
-                rates, stderr = ({role: getattr(group_acc[role], stat) for role in ROLES} for stat in ("mean", "stderr"))
+            for j, group in zip(clusters, groups):
+                rates, stderr = ({role: group[role][i] for role in ROLES} for i in (0, 1))
                 reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
             out.append((reports, sums))
         return out
@@ -782,8 +780,8 @@ def estimate_expectation(
             return _outside_draw(rng, B, cfg)
         return _ordered_draw(rng, B, order_spec(cfg, u), cfg.m)
 
-    acc = _Accumulator()
-    for B, rng in _blocks(trials, seed, block_size):
+    def draw(B, rng):
+        """One block's moments of the key's random quantity."""
         if key in _POSITION_KEYS:
             users = [members[i] for i in _POSITION_KEYS[key]]
             vals = member_draw(rng, B, users[0], len(users) > 1)
@@ -804,8 +802,9 @@ def estimate_expectation(
         else:   # a strong user's log-mean, its SIC residual (none for UL1) on its own gain
             gain = _ordered_draw(rng, B, strong, cfg.m) * _draw_power(rng, B)
             vals = np.log2(1.0 + total * gain) - np.log2(1.0 + residual * gain)
-        acc.add(np.asarray(vals, dtype=float))
-    return acc.mean, acc.stderr
+        return np.array(_moments(np.asarray(vals, dtype=float)))
+
+    return _estimate(_merge(_map_blocks([(draw, *block) for block in _blocks(trials, seed, block_size)])))
 
 
 def analytic_expectation(key: str, cfg: SystemConfig, state: StarRisState, cluster: int = 1) -> float:

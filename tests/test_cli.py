@@ -291,6 +291,30 @@ class TestSharedDrawRows:
         assert got == want
 
 
+class TestInputsAreNeverIgnored:
+    """An input a command cannot use is rejected by name, not dropped or replaced by a default."""
+
+    @pytest.mark.parametrize("command", [["analytic"], ["sweep", "--experiment", "rates-vs-snr", "--trials", "10"]],
+                             ids=lambda c: c[0])
+    def test_missing_config_path_is_named(self, tmp_path, capsys, command):
+        path = str(tmp_path / "nope.yaml")
+        assert main([*command, "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read config file '{path}'" in err
+        assert "mapping" not in err
+
+    def test_param_rejected_outside_the_custom_sweep(self, cfg_path, capsys):
+        args = ["sweep", "--experiment", "rates-vs-snr", "--param", "N", "--grid", "10", "--trials", "10"]
+        assert main([*args, "--config", cfg_path]) == 2
+        assert "--param applies to the custom sweep only" in capsys.readouterr().err
+
+    def test_empty_grid_rejected(self, cfg_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--experiment", "rates-vs-snr", "--grid", "--trials", "10", "--config", cfg_path])
+        assert exc.value.code == 2
+        assert "argument --grid: expected at least one argument" in capsys.readouterr().err
+
+
 class TestSeedOption:
     """numpy seeds only from nonnegative integers, so every subcommand rejects any other --seed by name."""
 

@@ -103,7 +103,16 @@ def test_round_trip_identity(tmp_path):
 
 def test_round_trip_with_allocation():
     cfg = baseline_config(allocation=PowerAllocation((0.1, 0.3, 0.6), (10.0, 10.0, 5.0)))
-    assert load_config(dump_config(cfg)) == cfg
+    assert load_config(io.StringIO(dump_config(cfg))) == cfg
+
+
+def test_missing_config_path_is_named(tmp_path):
+    # a path is read as a path: a missing one is not mistaken for a YAML document
+    path = tmp_path / "nope.yaml"
+    with pytest.raises(ConfigError, match=f"cannot read config file '{path}'"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match="nope.yaml"):
+        load_config(path)
 
 
 def test_with_snr():

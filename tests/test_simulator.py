@@ -92,11 +92,13 @@ class TestSimulate:
 
     @pytest.mark.parametrize("name,trials,block_size", [("trials", 0, 16), ("trials", -5, 16), ("block_size", 10, 0)])
     def test_block_loop_rejects_nonpositive_counts(self, cfg, power, state, name, trials, block_size):
-        # both simulators run the one block loop, which names the bad argument
+        # both simulators and the term oracle split their trials in one place, which names the bad argument
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             simulate_clusters(cfg, power, state, trials, 0, block_size=block_size)
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             simulate_pair_sums(cfg, pair_power_policy(cfg, state), state, trials, 0, block_size=block_size)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            estimate_expectation("y1", cfg, state, trials, 0, block_size=block_size)
 
 
 def _grid(cfg):
@@ -254,6 +256,37 @@ class TestBlockPool:
         assert str(exc.value) == "pairing block failed"
         assert threading.active_count() == before
         assert calls.count(4) <= workers   # each thread stops at its next job after a failure
+
+    @pytest.mark.parametrize("key", ["x1_u1d", "y1", "omega_u3d_u3u", "log_u1d"])
+    def test_oracle_worker_count_changes_no_bit(self, cfg, state, monkeypatch, key):
+        # the term oracle's blocks run on the same queue and merge in block order
+        got = {}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 3):
+                monkeypatch.setattr(simulator, "_cores", lambda: workers)
+                got[workers] = estimate_expectation(key, cfg, state, self.TRIALS, 2, block_size=self.BLOCK)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [v.hex() for v in got[3]] == [v.hex() for v in got[1]]
+
+    @pytest.mark.parametrize("failing", [TRIALS % BLOCK, BLOCK], ids=["last-block", "every-full-block"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_oracle_block_exception_reaches_the_caller(self, cfg, state, monkeypatch, failing, workers):
+        sample_rician = simulator.sample_rician
+
+        def fail(link, rng, trials):
+            if trials == failing:
+                raise BlockFailure("block failed")
+            return sample_rician(link, rng, trials)
+
+        monkeypatch.setattr(simulator, "_cores", lambda: workers)
+        monkeypatch.setattr(simulator, "sample_rician", fail)
+        before = threading.active_count()
+        with pytest.raises(BlockFailure):
+            estimate_expectation("y3", cfg, state, self.TRIALS, 2, block_size=self.BLOCK)
+        assert threading.active_count() == before
 
     def test_one_block_working_set(self, cfg, power, state, monkeypatch):
         # one default-size block of cluster 1 at N = 10: the layout draws only

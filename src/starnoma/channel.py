@@ -208,28 +208,40 @@ def cached_links(cfg) -> Mapping[str, RicianLink]:
     return _memo(_LINKS, link_key(cfg), make)
 
 
-# rows of standard normals drawn per call into complex_normal's reused buffer
+# rows of standard normals drawn per call into complex_normal's fill buffer, if none is given
 _FILL_ROWS = 1 << 12
 
 
-def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=None) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=None, out=None, buf=None) -> np.ndarray:
     """scale * (x + 1j*y) / sqrt(2) + shift, x and y iid N(0, 1), of the given shape.
 
     shift (optional) broadcasts over the last axis.  The real parts take the
     first prod(shape) standard normals of rng and the imaginary parts the
     next, each in C order, as two whole-shape draws would.  They are drawn
-    _FILL_ROWS rows of the last axis at a time into one buffer and combined
-    there in the order of operations of the complex formula (numpy divides a
-    complex array by a real scalar by multiplying each part by its
-    reciprocal), so the values are the formula's to the bit and no float
-    array of the whole shape is made besides the output.
+    into a float fill buffer, len(buf) rows of the last axis at a time, and
+    combined there in the order of operations of the complex formula (numpy
+    divides a complex array by a real scalar by multiplying each part by its
+    reciprocal), so the values are the formula's to the bit, whatever the
+    buffer's length, and no float array of the whole shape is made besides
+    the output.
+
+    out, if given, receives the draw: a C-contiguous complex array of the
+    shape.  buf, if given, is the fill buffer: a C-contiguous float array of
+    shape (rows, shape[-1]).  Otherwise both are made here, the buffer with
+    _FILL_ROWS rows.  The simulator's block loop passes both from its
+    worker's arena (simulator._Arena), which holds the memory of every block
+    the worker runs in one simulate_groups call and is released when the
+    call's last block on that worker ends: after the worker's first block a
+    draw allocates nothing.
     """
-    out = np.empty(shape, dtype=complex)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
     rows = out.reshape(-1, out.shape[-1])
-    buf = np.empty((min(_FILL_ROWS, len(rows)), rows.shape[1]))
+    if buf is None:
+        buf = np.empty((min(_FILL_ROWS, len(rows)), rows.shape[1]))
     shifts = (None, None) if shift is None else (shift.real, shift.imag)
     for part, part_shift in zip((rows.real, rows.imag), shifts):
-        for start in range(0, len(rows), _FILL_ROWS):
+        for start in range(0, len(rows), len(buf)):
             chunk = buf[: len(rows) - start]
             rng.standard_normal(out=chunk)
             chunk *= 1.0 / np.sqrt(2.0)
@@ -240,13 +252,13 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=No
     return out
 
 
-def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int) -> np.ndarray:
+def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int, out=None, buf=None) -> np.ndarray:
     """Draw trials link vectors sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I), as a
     (trials, N) batch sharing the same LoS.  The draw is complex_normal's, so
-    it is the complex formula's to the bit.
+    it is the complex formula's to the bit; out and buf are complex_normal's.
     """
     shape = (trials, link.los.size)
-    return complex_normal(rng, shape, np.sqrt(link.scatter_weight), np.sqrt(link.los_weight) * link.los)
+    return complex_normal(rng, shape, np.sqrt(link.scatter_weight), np.sqrt(link.los_weight) * link.los, out, buf)
 
 
 def cascaded_power_mean(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> float:

@@ -42,11 +42,11 @@ from .rates import (
     cluster_group,
     group_tables,
     mean_signal_and_denominator,
-    rate_report,
     read_rates,
     solve_sinr,
 )
 from .simulator import (
+    _CHUNK_ROWS,
     _DEFAULT_BLOCK,
     Schedule,
     as_points,
@@ -144,18 +144,29 @@ def ranked_layout(cfg: SystemConfig):
     surface distance r and bearing t, an edge user's squared BS distance is
     d_br^2 + r^2 + 2 d_br r cos t.  An edge user's position is not handed
     out (only center users have cross keys), but its BS distance is, as
-    `starnoma cluster` prints it.
+    `starnoma cluster` prints it.  The draws and the ranked columns are
+    taken from the layout call's arena; the bearings t are
+    rng.uniform(0, 2 pi)'s values, drawn as 2 pi times rng.random().
     """
-    def edge(rng, B, ranks, K):
-        r = cfg.R_r * np.sqrt(rng.random((B, K)))
-        d2 = np.cos(rng.uniform(0.0, 2.0 * np.pi, (B, K)))
+    def edge(rng, B, ranks, K, arena):
+        r = rng.random(out=arena.empty((B, K)))
+        r = np.sqrt(r, out=r)
+        r *= cfg.R_r
+        d2 = rng.random(out=arena.empty((B, K)))
+        d2 *= 2.0 * np.pi
+        d2 = np.cos(d2, out=d2)
         d2 *= 2.0 * cfg.d_br
         d2 += r
         d2 *= r
         d2 += cfg.d_br**2
-        rows = np.arange(B)[:, None]
-        cols = np.argsort(d2, kind="stable", axis=-1)[:, np.subtract(ranks, 1)]
-        return np.sqrt(d2[rows, cols]), r[rows, cols]
+        d_bs, surface = arena.empty((B, len(ranks))), arena.empty((B, len(ranks)))
+        cols = np.subtract(ranks, 1)
+        for start in range(0, B, _CHUNK_ROWS):   # the sort's index arrays, a chunk of trials at a time
+            rows = slice(start, start + _CHUNK_ROWS)
+            ranked = np.argsort(d2[rows], kind="stable", axis=-1)[:, cols]
+            d_bs[rows] = np.take_along_axis(d2[rows], ranked, axis=-1)
+            surface[rows] = np.take_along_axis(r[rows], ranked, axis=-1)
+        return np.sqrt(d_bs, out=d_bs), surface
 
     return class_layout(cfg, [("center", "DL"), ("edge", "DL"), ("center", "UL"), ("edge", "UL")], edge)
 
@@ -240,9 +251,13 @@ def reference_edge_targets(cfg: SystemConfig, state: StarRisState):
     time share.
     """
     reference = PowerAllocation(_REFERENCE_ALPHA, (cfg.p_um,) * 3)
+    clusters = range(1, min(cfg.M_d, cfg.M_u) + 1)
+    surface = cached_surface_terms(cfg, state)
     dl, ul = {}, {}
-    for j in range(1, min(cfg.M_d, cfg.M_u) + 1):
-        rates = rate_report(cfg, reference, state, cluster=j).rates
+    for j, table in zip(clusters, group_tables(cfg, [cluster_group(cfg, j) for j in clusters])):
+        # only the two edge roles, read as rate_report reads them
+        edge = bind_power([role for role in table.roles if role.name in ("DL3", "UL3")], reference)
+        rates = read_rates(edge, table.means(surface), table.rules, {"DL": cfg.M_d, "UL": cfg.M_u})
         dl[j], ul[j] = rates["DL3"], rates["UL3"]
     return dl, ul
 

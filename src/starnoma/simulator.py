@@ -55,17 +55,31 @@ into its (mean, stderr).  The term oracle runs its blocks on the same queue
 and merges them the same way.
 
 A block holds only what the next step reads.  A center user keeps its radius
-and bearing until its group is resolved, and the group's positions and
-distances are formed then.  A group's gains are dropped before the next
-group's draw, a hub's vector after its last cascade, a spread after the
-leaves of its step, which come after that step's hub-hub products, and a
-surface loss after its one use.  A point's SI scale is applied where it is
-read, into a buffer made after the group's draw.  Complex Gaussian draws
-fill the output a few thousand rows at a time (channel.complex_normal), and
-a cascade between two hubs is summed over row chunks.  At N = 10 and the
-default 16,384 trials per block, the traced peak of one block is 13.8 MB
-for cluster 1 at one point, and 19.6 MB (clusters) and 18.8 MB (pairing)
-for the 12 points of the cluster-versus-pairing sweep.
+and bearing until its group is resolved, when its position and distances
+are formed and its bearing is dropped; a group's positions and BS distances
+are dropped once its direct and cross gains are formed.  A group's gains
+are dropped before the next group's draw, a hub's vector after its last
+cascade, a spread after the leaves of its step, which come after that
+step's hub-hub products, and a surface loss after its one use.  A point's
+SI scale is applied where it is read, into a buffer taken after the group's
+draw.  Complex Gaussian draws fill the output a few thousand rows at a time
+(channel.complex_normal), and a cascade between two hubs is summed over row
+chunks.
+
+Every array of a block (the layout's columns, the shared draws, the
+Rayleigh block, the fading vectors and their fill buffer, the cascades and
+their chunks, the path losses, the per-group scratch and the totals) is
+taken from its worker's _Arena and written in place.  Each worker thread has
+one arena for the length of a simulate_groups call: memory a block drops
+goes back to it and serves the block's next arrays, the worker's first
+block sizes it, and every later block, the queue serving the largest
+first, runs in that memory without allocating or page-faulting it in
+again.  The arena is released when the worker's last block of the call
+ends; only each block's moments array is new.  At N = 10 and the default
+16,384 trials per block, the traced peak of one block is 12.2 MB for
+cluster 1 at one point, and 19.7 MB (clusters) and 18.7 MB (pairing) for
+the 12 points of the cluster-versus-pairing sweep, arena included; a later
+block adds under 1 MiB to it.
 
 A schedule holds a whole grid of points (cluster_schedule, and
 comparison.pair_schedule for the pairing; simulate_clusters and
@@ -94,9 +108,11 @@ from __future__ import annotations
 import math
 import os
 import threading
+import weakref
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -147,6 +163,8 @@ __all__ = [
 
 _DEFAULT_BLOCK = 1 << 14
 _CHUNK_ROWS = 1 << 12   # trials per step of a row-chunked (trials, N) product
+_SLAB = 1 << 20         # bytes of an arena slab that several arrays share
+_ALIGN = 64             # bytes: every arena array starts on a cache line, as aligned as malloc's or more
 
 
 @dataclass(frozen=True)
@@ -166,16 +184,73 @@ class SimPlan:
             raise ValueError("trials must be >= 1")
 
 
-def _draw_power(rng: np.random.Generator, shape) -> np.ndarray:
+class _Arena:
+    """One worker's block memory for the length of one simulate_groups call.
+
+    The arena holds byte slabs of _SLAB bytes, or of one array's size if that
+    is larger, and a list of their free extents.  empty(shape, dtype) hands
+    out a C-contiguous array of the shape in the smallest free extent that
+    holds it (best fit), and makes a new slab only if none does.  The extent
+    is free again once no array views it any more (a finalizer on the array
+    that owns the extent queues it, and the next request merges it with its
+    free neighbours), so the block's arrays go back to the arena as the block
+    drops them, as they would go back to the heap, and memory freed by one
+    kind of array serves the next kind.  A later block asks for the same
+    arrays in the same order, each of the same size or smaller, and finds
+    room for them in the slabs the worker's first block made, in memory
+    already paged in: its arrays are written in place (out=), and it makes
+    no slab.  The slabs are released with the arena, when the worker has run
+    its last block of the call.
+    """
+
+    def __init__(self):
+        self._slabs = []      # memoryviews of the byte slabs
+        self._gaps = []       # free extents [slab index, start, end]
+        self._released = []   # extents whose arrays have died, not yet merged into the gaps
+
+    def empty(self, shape, dtype=float) -> np.ndarray:
+        """An uninitialized array of the shape, as np.empty makes it, in the arena's memory."""
+        while self._released:
+            self._free(*self._released.pop())
+        shape = shape if isinstance(shape, tuple) else (shape,)
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        size = max(-(-nbytes // _ALIGN) * _ALIGN, _ALIGN)
+        gap = min((g for g in self._gaps if g[2] - g[1] >= size), key=lambda g: g[2] - g[1], default=None)
+        if gap is None:
+            self._slabs.append(memoryview(np.empty(max(size, _SLAB), np.uint8)))
+            gap = [len(self._slabs) - 1, 0, len(self._slabs[-1])]
+            self._gaps.append(gap)
+        k, start = gap[0], gap[1]
+        gap[1] += size
+        if gap[1] == gap[2]:
+            self._gaps.remove(gap)
+        owner = np.frombuffer(self._slabs[k][start:start + size], np.uint8)
+        weakref.finalize(owner, self._released.append, (k, start, start + size))
+        return owner[:nbytes].view(dtype).reshape(shape)
+
+    def _free(self, k, start, end):
+        """Return an extent of slab k to the free extents, merged with its free neighbours."""
+        for gap in [g for g in self._gaps if g[0] == k and (g[2] == start or g[1] == end)]:
+            self._gaps.remove(gap)
+            start, end = min(start, gap[1]), max(end, gap[2])
+        self._gaps.append([k, start, end])
+
+
+# the allocator of a call made outside the block loop: every array is new
+_HEAP = SimpleNamespace(empty=np.empty)
+
+
+def _draw_power(rng: np.random.Generator, shape, arena=_HEAP) -> np.ndarray:
     """|CN(0, 1)|^2 draws.  The squared modulus of a unit complex Gaussian is a
     unit exponential, so it is drawn as one: one value per draw, not two normals."""
-    return rng.standard_exponential(shape)
+    return rng.standard_exponential(out=arena.empty(shape))
 
 
 def _moments(values: np.ndarray, scratch: np.ndarray | None = None) -> tuple:
     """(n, sum, sum of squares) of per-trial values; scratch, if given, takes the squares."""
     squares = np.multiply(values, values, out=scratch)
-    return values.size, np.sum(values), np.sum(squares)
+    return values.size, np.add.reduce(values), np.add.reduce(squares)
 
 
 def _merge(blocks) -> np.ndarray:
@@ -218,21 +293,26 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(jobs) -> list:
-    """[run(B, rng) for run, B, rng in jobs], in job order, on one thread per core.
+def _map_blocks(jobs, sizes=None) -> list:
+    """[run(B, rng, arena) for run, B, rng in jobs], in job order, on one thread per core.
 
     Every thread, the calling one included, takes the next job off one shared
-    index until none is left, so a core that ends a short block starts the
+    queue until none is left, so a core that ends a short block starts the
     next job at once, whichever schedule it belongs to; each writes only its
-    own slot.  An exception in any job stops the others before their next job
-    and is raised here once every thread has ended.
+    own slot.  The queue holds the jobs largest first, by sizes (each job's
+    trial count if not given), ties in job order, and each thread runs its
+    jobs in one _Arena: its first job sizes the arena, and every later one
+    fits in it.  An exception in any job stops the others before their next
+    job and is raised here once every thread has ended.
     """
     workers = min(_cores(), len(jobs))
     results = [None] * len(jobs)
     errors = []
-    queue, lock = iter(range(len(jobs))), threading.Lock()
+    sizes = [B for _, B, _ in jobs] if sizes is None else sizes
+    queue, lock = iter(sorted(range(len(jobs)), key=lambda i: -sizes[i])), threading.Lock()
 
     def work():
+        arena = _Arena()
         try:
             while not errors:
                 with lock:
@@ -240,7 +320,7 @@ def _map_blocks(jobs) -> list:
                 if i is None:
                     return
                 run, B, rng = jobs[i]
-                results[i] = run(B, rng)
+                results[i] = run(B, rng, arena)
         except BaseException as exc:   # re-raised in the calling thread below
             errors.append(exc)
 
@@ -255,11 +335,19 @@ def _map_blocks(jobs) -> list:
     return results
 
 
+def _rician(link: RicianLink, rng, B: int, arena) -> np.ndarray:
+    """sample_rician of B trials, the vector and its fill buffer taken from the arena;
+    the buffer is the size of _cascade_power's chunk, so the two share memory."""
+    N = link.los.size
+    return sample_rician(link, rng, B, out=arena.empty((B, N), complex), buf=arena.empty((2 * min(_CHUNK_ROWS, B), N)))
+
+
 @dataclass(frozen=True)
 class BlockDraws:
     """What one block of trials shares across its groups and points: the
     BS-surface vector, the BS's own signal off the surface and the unit
-    residual SI |CN(0, 1)|^2, which each point scales by its si_variance."""
+    residual SI |CN(0, 1)|^2, which each point scales by its si_variance,
+    and the arena that every array of the block is taken from."""
 
     g_br: np.ndarray
     bounce: np.ndarray
@@ -267,20 +355,22 @@ class BlockDraws:
     coeffs: dict      # face -> element coefficients rho * exp(j*phi)
     l_br: float
     m: float
+    arena: object     # an _Arena in the block loop; _HEAP makes every array new
 
     @classmethod
-    def draw(cls, cfg, state, links, rng, B):
-        g_br = sample_rician(links["b,r"], rng, trials=B)
-        si = _draw_power(rng, B)
+    def draw(cls, cfg, state, links, rng, B, arena=_HEAP):
+        g_br = _rician(links["b,r"], rng, B, arena)
+        si = _draw_power(rng, B, arena)
         c = {side: state.coefficients(side) for side in ("t", "r")}
         l_br = pathloss(cfg.d_br, cfg.m)
         # |sum_n |g[n]|^2 c[n]|^2, its real and imaginary sums each one einsum over g's parts
         parts = g_br.view(float)
-        re, im = (np.einsum("bk,bk,k->b", parts, parts, np.repeat(part, 2)) for part in (c["t"].real, c["t"].imag))
+        re, im = (np.einsum("bk,bk,k->b", parts, parts, np.repeat(part, 2), out=arena.empty(B))
+                  for part in (c["t"].real, c["t"].imag))
         bounce = np.square(re, out=re)
         bounce += np.square(im, out=im)
         bounce *= l_br * l_br
-        return cls(g_br, bounce, si, c, l_br, cfg.m)
+        return cls(g_br, bounce, si, c, l_br, cfg.m, arena)
 
 
 def _scalar_rank(key) -> int:
@@ -289,54 +379,60 @@ def _scalar_rank(key) -> int:
     return 1 if key[0] == "cross" else 0 if key[1].direction == "DL" else 2
 
 
-def _distance(pu, pv) -> np.ndarray:
+def _distance(pu, pv, arena=_HEAP) -> np.ndarray:
     """Per-trial distance between (trials, 2) position arrays, from their x and y
     columns; pv may be one (1, 2) point."""
-    d = np.subtract(pu[:, 0], pv[:, 0])
+    d = np.subtract(pu[:, 0], pv[:, 0], out=arena.empty(len(pu)))
     d *= d
-    dy = np.subtract(pu[:, 1], pv[:, 1])
+    dy = np.subtract(pu[:, 1], pv[:, 1], out=arena.empty(len(pu)))
     dy *= dy
     d += dy
     return np.sqrt(d, out=d)
 
 
-def _cascade_power(g_out, c, g_in) -> np.ndarray:
+def _cascade_power(g_out, c, g_in, arena=_HEAP) -> np.ndarray:
     """|sum_n g_out[n] c[n] g_in[n]|^2 per trial, _CHUNK_ROWS trials at a time,
     so the products need no (trials, N) temporary."""
-    out = np.empty(len(g_out))
-    t = np.empty((min(_CHUNK_ROWS, len(g_out)), g_out.shape[1]), dtype=complex)
-    for start in range(0, len(g_out), _CHUNK_ROWS):
+    B = len(g_out)
+    out = arena.empty(B)
+    t = arena.empty((min(_CHUNK_ROWS, B), g_out.shape[1]), complex)
+    sums = arena.empty(len(t), complex)
+    for start in range(0, B, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        chunk = np.multiply(g_out[rows], c, out=t[: len(out) - start])
+        chunk = np.multiply(g_out[rows], c, out=t[: B - start])
         chunk *= g_in[rows]
-        out[rows] = np.abs(np.sum(chunk, axis=-1)) ** 2
-    return out
+        np.abs(np.add.reduce(chunk, axis=-1, out=sums[: len(chunk)]), out=out[rows])
+    return np.square(out, out=out)
 
 
-def _spread(g_hub, c) -> np.ndarray:
+def _spread(g_hub, c, arena=_HEAP) -> np.ndarray:
     """sum_n |g_hub[n]|^2 |c[n]|^2 per trial: one einsum over the real and
     imaginary parts, so no (trials, N) temporary is made."""
     parts = g_hub.view(float)
-    return np.einsum("bk,bk,k->b", parts, parts, np.repeat(np.abs(c) ** 2, 2))
+    return np.einsum("bk,bk,k->b", parts, parts, np.repeat(np.abs(c) ** 2, 2), out=arena.empty(len(g_hub)))
 
 
-def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None) -> np.ndarray:
+def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None, arena=_HEAP) -> np.ndarray:
     """|sum_n g_hub[n] c[n] g_leaf[n]|^2 per trial, for a Rician leaf vector g_leaf
     that no other gain reads.
 
     The leaf's scatter entries are iid CN(0, 1) and independent of g_hub, so
     given g_hub the sum is a * (g_hub @ (c * los)) plus a CN(0, s^2 * ||c * g_hub||^2)
     scatter part, a = sqrt(k/(k+1)) and s = sqrt(1/(k+1)): one CN(0, 1)
-    scalar per trial stands in for the leaf's N entries.  spread is the hub's
+    scalar per trial stands in for the leaf's N entries, its real and
+    imaginary parts two consecutive standard normals.  spread is the hub's
     _spread on this face, if already formed; it is read, not changed.
     """
+    B = len(g_hub)
     if spread is None:
-        spread = _spread(g_hub, c)
-    t = rng.standard_normal((len(g_hub), 2)).view(complex)[:, 0]
-    t *= np.sqrt(spread * (0.5 * leaf.scatter_weight))
-    t += g_hub @ (np.sqrt(leaf.los_weight) * c * leaf.los)
-    power = np.square(t.real)
-    power += np.square(t.imag)
+        spread = _spread(g_hub, c, arena)
+    t = arena.empty(B, complex)
+    rng.standard_normal(out=t.view(float))
+    scale = np.multiply(spread, 0.5 * leaf.scatter_weight, out=arena.empty(B))
+    t *= np.sqrt(scale, out=scale)
+    t += np.matmul(g_hub, np.sqrt(leaf.los_weight) * c * leaf.los, out=arena.empty(B, complex))
+    power = np.square(t.real, out=arena.empty(B))
+    power += np.square(t.imag, out=scale)
     return power
 
 
@@ -357,21 +453,21 @@ def _leaves(cascades) -> dict:
     return leaves
 
 
-def _cascade_draw(key, leaf, vec, coeffs, links, rng, spreads=None) -> np.ndarray:
+def _cascade_draw(key, leaf, vec, coeffs, links, rng, spreads=None, arena=_HEAP) -> np.ndarray:
     """Cascade power of one key before path loss: the product of both users' drawn
     vectors, or, for a key with a leaf, the leaf drawn given the other side
     (vec holds every vector the key reads).  spreads, if given, keeps each
     (hub, face)'s _spread for the next leaf of the same hub and face."""
     _, side, out, inp = key
     if leaf is None:
-        return _cascade_power(vec[out], coeffs[side], vec[inp])
+        return _cascade_power(vec[out], coeffs[side], vec[inp], arena)
     hub = inp if leaf == out else out
     spread = None
     if spreads is not None:
         spread = spreads.get((hub, side))
         if spread is None:
-            spread = spreads[hub, side] = _spread(vec[hub], coeffs[side])
-    return _leaf_cascade_power(vec[hub], coeffs[side], links[leaf.link], rng, spread)
+            spread = spreads[hub, side] = _spread(vec[hub], coeffs[side], arena)
+    return _leaf_cascade_power(vec[hub], coeffs[side], links[leaf.link], rng, spread, arena)
 
 
 def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
@@ -381,41 +477,46 @@ def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
     arrays, a position being a (trials, 2) array of x and y columns.  The
     ("si",) gain is the block's unit draw, before any point's SI scale.  The
     Rayleigh powers of the direct and cross keys are drawn first, as one
-    block of unit exponentials, then one fading vector per user that a
-    cascade reaches other than as its leaf (_leaves), in the order of
-    members.  A cascade is evaluated as soon as the vectors it reads are
-    drawn, a leaf cascade drawing its leaf there, with its hub's spread
-    formed once per face for all of the hub's leaves; a vector is dropped
-    after its last cascade, so few (trials, N) vectors are alive at once.
-    Each user's surface path loss is formed once, after the last vector is
-    dropped, and multiplies every cascade that reaches the user.
+    block of unit exponentials; then only the surface distances of geo are
+    kept.  Then one fading vector is drawn per user that a cascade reaches
+    other than as its leaf (_leaves), in the order of members.  A cascade is
+    evaluated as soon as the vectors it reads are drawn, a leaf cascade
+    drawing its leaf there, with its hub's spread formed once per face for
+    all of the hub's leaves; a vector is dropped after its last cascade, so
+    few (trials, N) vectors are alive at once.  Each user's surface path
+    loss is formed once, after the last vector is dropped, and multiplies
+    every cascade that reaches the user.
     """
     keys = table_keys(roles)
-    B = len(block.si)
+    B, arena = len(block.si), block.arena
     scalar = sorted((k for k in keys if k[0] in ("direct", "cross")), key=_scalar_rank)
     gains = {("bounce",): block.bounce, ("si",): block.si}
-    for gain, key in zip(_draw_power(rng, (len(scalar), B)), scalar):
-        d = geo[key[1]][1] if key[0] == "direct" else _distance(geo[key[1]][0], geo[key[2]][0])
-        gain *= pathloss(d, block.m)
+    for gain, key in zip(_draw_power(rng, (len(scalar), B), arena), scalar):
+        d = geo[key[1]][1] if key[0] == "direct" else _distance(geo[key[1]][0], geo[key[2]][0], arena)
+        gain *= pathloss(d, block.m, out=arena.empty(B))
         gains[key] = gain
+        del d
+    # positions and BS distances are read no more: a caller that hands geo over frees them here
+    surface = {u: at[2] for u, at in geo.items()}
+    del geo
     cascades = [k for k in keys if k[0] == "cascade"]
     leaves = _leaves(cascades)
     reads = {k: [u for u in k[2:] if u != leaves.get(k)] for k in cascades}   # the vectors each key reads
     pending, vec = list(cascades), {BS: block.g_br}
     for u in members:
         if any(u in reads[k] for k in pending):
-            vec[u] = sample_rician(links[u.link], rng, trials=B)
+            vec[u] = _rician(links[u.link], rng, B, arena)
         # every leaf of a hub is ready once the hub is drawn, so a spread lives one step, and
         # the step's leaves go last, so the spread is not alive during a hub-hub product
         spreads = {}
         for key in sorted((k for k in pending if all(v in vec for v in reads[k])), key=lambda k: k in leaves):
             pending.remove(key)
-            gains[key] = _cascade_draw(key, leaves.get(key), vec, block.coeffs, links, rng, spreads)
+            gains[key] = _cascade_draw(key, leaves.get(key), vec, block.coeffs, links, rng, spreads, arena)
         for v in [v for v in vec if v != BS and not any(v in reads[k] for k in pending)]:
             del vec[v]
     # the surface path losses last, once the vectors are gone: one per user, for all of its keys
     for u in dict.fromkeys(v for k in cascades for v in k[2:]):
-        loss = block.l_br if u == BS else pathloss(geo[u][2], block.m)
+        loss = block.l_br if u == BS else pathloss(surface[u], block.m, out=arena.empty(B))
         for key in cascades:
             if u in key[2:]:
                 gains[key] *= loss
@@ -471,10 +572,11 @@ class Schedule(NamedTuple):
     points holds (cfg, [PowerAllocation per group]) per point, the configs
     differing in POINT_FIELDS only; groups lists the NOMA groups (dl users,
     ul users), strong first; shares maps "DL" and "UL" to the time-share
-    divisor of that direction; layout(rng, B, users) draws a block's
-    positions of the given users and returns resolve(group), which gives
-    {user: (position, BS distance, surface distance)} for a group's users, an
-    entry None where no gain key reads it; state is the surface state.
+    divisor of that direction; layout(rng, B, users, arena) draws a block's
+    positions of the given users in the arena and returns resolve(group),
+    which gives {user: (position, BS distance, surface distance)} for a
+    group's users, once per group, an entry None where no gain key reads it;
+    state is the surface state.
     read(results, trials, seed) turns the loop's results into the
     simulator's own.
     """
@@ -488,8 +590,9 @@ class Schedule(NamedTuple):
 
 
 def _schedule_run(schedule: Schedule):
-    """(run, estimate) of a schedule: run(B, rng) is one block's moments, and
-    estimate turns the merged moments into the loop's results.
+    """(run, estimate) of a schedule: run(B, rng, arena) is one block's moments,
+    every other array of the block taken from the arena, and estimate turns
+    the merged moments into the loop's results.
 
     The moments are one (points, cells, 3) array of (n, sum, sum of squares)
     of ln(1 + SINR), before the 1/(ln 2 * share) that estimate applies: one
@@ -511,15 +614,16 @@ def _schedule_run(schedule: Schedule):
     scale = {d: 1.0 / (math.log(2.0) * share) for d, share in shares.items()}
     scales = [scale[name[:2]] for group in names for name in group] + [scale["DL"], scale["UL"]]
 
-    def run(B, rng):
-        resolve = schedule.layout(rng, B, users)
-        block = BlockDraws.draw(cfg, schedule.state, links, rng, B)
+    def run(B, rng, arena):
+        resolve = schedule.layout(rng, B, users, arena)
+        block = BlockDraws.draw(cfg, schedule.state, links, rng, B, arena)
         moments = np.empty((len(points), len(scales), 3))
-        totals = np.zeros((len(points), 2, B))   # each point's DL and UL sums
+        totals = arena.empty((len(points), 2, B))   # each point's DL and UL sums
+        totals.fill(0.0)
         cell = 0
         for g, group_users in enumerate(members):
             gains = sample_gains(bound[0][g], group_users, resolve(group_users), links, rng, block)
-            si, out, den, term = (np.empty(B) for _ in range(4))   # scratch, made after the draw's peak
+            si, out, den, term = (arena.empty(B) for _ in range(4))   # scratch, taken after the draw's peak
             gains[("si",)] = si
             for point_bound, si_scale, point_moments, tot in zip(bound, si_scales, moments, totals):
                 np.multiply(block.si, si_scale, out=si)
@@ -529,8 +633,9 @@ def _schedule_run(schedule: Schedule):
                     tot[("DL", "UL").index(role.name[:2])] += r
             cell += len(names[g])
             del gains, si, out, den, term   # before the next group's draw
+        squares = arena.empty(B)
         for point_moments, tot in zip(moments, totals):
-            point_moments[cell:] = [_moments(total) for total in tot]
+            point_moments[cell:] = [_moments(total, squares) for total in tot]
         return moments
 
     def estimate(moments):
@@ -556,14 +661,18 @@ def simulate_groups(schedules, trials, seed, block_size=_DEFAULT_BLOCK) -> list:
     table bound to its allocation (rates.bind_power).  A block draws the
     layout, its BlockDraws, then each group's gains in schedule order, its
     users sampled DL first; every point evaluates its SINRs from them.  The
-    blocks of all schedules form one queue (_map_blocks), and each
-    schedule's moments merge in block order (_merge).  The loop's results are
+    blocks of all schedules form one queue (_map_blocks), the largest
+    (trials times N) first, each worker running its blocks in one _Arena,
+    and each schedule's moments merge in block order (_merge), whatever
+    order they ran in.  The loop's results are
     one ([{role: (mean, stderr)} per group], {dl_sum, ul_sum and their
     stderrs}) per point; each schedule's read turns them into its result.
     """
     runs = [_schedule_run(schedule) for schedule in schedules]
-    done = _map_blocks([(run, *block) for run, _ in runs for block in _blocks(trials, seed, block_size)])
+    jobs = [(run, B, rng) for run, _ in runs for B, rng in _blocks(trials, seed, block_size)]
     n = -(-trials // block_size)   # blocks per schedule
+    # a block's working set grows with its trials times the surface size N
+    done = _map_blocks(jobs, [B * schedules[i // n].state.N for i, (_, B, _) in enumerate(jobs)])
     return [schedule.read(estimate(_merge(done[i * n: (i + 1) * n])), trials, seed)
             for i, (schedule, (_, estimate)) in enumerate(zip(schedules, runs))]
 
@@ -576,30 +685,48 @@ def as_points(cfgs, settings) -> list:
     return list(zip(cfgs, settings))
 
 
-def _ranked_radii(rng, B, ranks, K, radius) -> np.ndarray:
+def _ranked_radii(rng, B, ranks, K, radius, arena=_HEAP) -> np.ndarray:
     """(B, len(ranks)) distances to the center of the given sorted ranks (1 = nearest,
     increasing) among K points dropped uniformly in a disk, one row per trial.
 
     A point's squared distance over radius^2 is uniform, and K sorted
     uniforms are the partial sums S_k / S_{K+1} of K + 1 unit exponentials
     (Renyi's representation).  So one gamma increment per gap between the
-    ranks asked for, the last one up to K + 1, gives their distances directly.
-    The result is the transpose of a C-ordered (len(ranks), B) array, so each
-    rank's column is contiguous.
+    ranks asked for, the last one up to K + 1, gives their distances directly:
+    each gap's B increments are one draw of its scalar shape, and the partial
+    sums are formed by adding each row to the next, in place.  The result is
+    the transpose of a C-ordered (len(ranks), B) array, so each rank's column
+    is contiguous.
     """
     gaps = np.diff(ranks, prepend=0, append=K + 1)
-    s = np.cumsum(rng.standard_gamma(gaps[:, None], size=(len(gaps), B)), axis=0)
-    return (radius * np.sqrt(s[:-1] / s[-1])).T
+    s = arena.empty((len(ranks), B))   # S_k at the ranks, then the distances
+    total = arena.empty(B)             # S_{K+1}
+    for row, gap in zip((*s, total), gaps):
+        rng.standard_gamma(gap, out=row)
+    for before, row in zip(s, (*s[1:], total)):
+        row += before
+    s /= total
+    s = np.sqrt(s, out=s)
+    s *= radius
+    return s.T
 
 
-def _center_geometry(r, theta, d_br: float) -> tuple:
+def _bearings(rng, n: int, B: int, arena) -> np.ndarray:
+    """(B, n) uniform bearings in [0, 2 pi), the transpose of a C-ordered (n, B) array:
+    the values and the stream of rng.uniform(0, 2 pi, (n, B))."""
+    theta = rng.random(out=arena.empty((n, B)))
+    theta *= 2.0 * np.pi
+    return theta.T
+
+
+def _center_geometry(r, theta, d_br: float, arena=_HEAP) -> tuple:
     """(position, BS distance, surface distance) of a center user at radii r and
     bearings theta about the BS, the surface at (d_br, 0); the position is a
     (trials, 2) array whose x and y columns are each contiguous."""
-    xy = np.empty((2, len(r)))
+    xy = arena.empty((2, len(r)))
     np.multiply(r, np.cos(theta, out=xy[0]), out=xy[0])
     np.multiply(r, np.sin(theta, out=xy[1]), out=xy[1])
-    return xy.T, r, _distance(xy.T, np.array([[d_br, 0.0]]))
+    return xy.T, r, _distance(xy.T, np.array([[d_br, 0.0]]), arena)
 
 
 def class_layout(cfg, order, edge):
@@ -610,14 +737,15 @@ def class_layout(cfg, order, edge):
     center class is drawn only at the distance ranks asked for
     (_ranked_radii), each at a uniform bearing; it keeps its radius and
     bearing until its group is resolved, when its position and surface
-    distance are formed.  edge(rng, B, ranks, K) draws an edge class's K
-    users at the given ranks as (BS distance, surface distance), each a
-    (B, len(ranks)) array or the first None where no caller reads it.
+    distance are formed.  edge(rng, B, ranks, K, arena) draws an edge
+    class's K users at the given ranks as (BS distance, surface distance),
+    each a (B, len(ranks)) array or the first None where no caller reads
+    it.  Every array is taken from the layout call's arena.
     """
     counts = {("center", "DL"): cfg.K_cd, ("center", "UL"): cfg.K_cu,
               ("edge", "DL"): cfg.K_ed, ("edge", "UL"): cfg.K_eu}
 
-    def layout(rng, B, users):
+    def layout(rng, B, users, arena=_HEAP):
         drawn = {}   # center user: (BS distance, bearing); edge user: (BS distance, surface distance)
         for kind, direction in order:
             wanted = [u for u in users if (u.kind, u.direction) == (kind, direction)]
@@ -626,15 +754,16 @@ def class_layout(cfg, order, edge):
             ranks = sorted({u.order for u in wanted})
             K = counts[kind, direction]
             if kind == "center":
-                columns = _ranked_radii(rng, B, ranks, K, cfg.R), rng.uniform(0.0, 2.0 * np.pi, (len(ranks), B)).T
+                columns = _ranked_radii(rng, B, ranks, K, cfg.R, arena), _bearings(rng, len(ranks), B, arena)
             else:
-                columns = edge(rng, B, ranks, K)
+                columns = edge(rng, B, ranks, K, arena)
             for u in wanted:
                 i = ranks.index(u.order)
                 drawn[u] = tuple(None if c is None else c[:, i] for c in columns)
 
         def resolve(group):
-            return {u: _center_geometry(*drawn[u], cfg.d_br) if u.kind == "center" else (None, *drawn[u])
+            # a center user's bearing is read here only, so it is dropped here
+            return {u: _center_geometry(*drawn.pop(u), cfg.d_br, arena) if u.kind == "center" else (None, *drawn[u])
                     for u in group}
 
         return resolve
@@ -648,8 +777,8 @@ def sorted_layout(cfg):
     at its surface-distance rank (_ranked_radii) and keeps only that
     distance, as no gain key of a cluster reads its position, bearing or BS
     distance."""
-    def edge(rng, B, ranks, K):
-        return None, _ranked_radii(rng, B, ranks, K, cfg.R_r)
+    def edge(rng, B, ranks, K, arena):
+        return None, _ranked_radii(rng, B, ranks, K, cfg.R_r, arena)
 
     return class_layout(cfg, [("center", "DL"), ("center", "UL"), ("edge", "DL"), ("edge", "UL")], edge)
 
@@ -735,8 +864,8 @@ _POSITION_KEYS = {
 }
 
 
-def _ordered_draw(rng, B, spec, m):
-    return pathloss(_ranked_radii(rng, B, [spec.k], spec.K, spec.radius)[:, 0], m)
+def _ordered_draw(rng, B, spec, m, arena):
+    return pathloss(_ranked_radii(rng, B, [spec.k], spec.K, spec.radius, arena)[:, 0], m)
 
 
 def _outside_draw(rng, B, cfg):
@@ -774,19 +903,19 @@ def estimate_expectation(
         leaf = _leaves(cascades).get(cascade)
         coeffs = {side: state.coefficients(side) for side in ("t", "r")}
 
-    def member_draw(rng, B, u, at_surface):
+    def member_draw(rng, B, u, at_surface, arena):
         """A member's path loss to its anchor, or, at_surface, to the surface."""
         if at_surface and u.kind == "center":
             return _outside_draw(rng, B, cfg)
-        return _ordered_draw(rng, B, order_spec(cfg, u), cfg.m)
+        return _ordered_draw(rng, B, order_spec(cfg, u), cfg.m, arena)
 
-    def draw(B, rng):
+    def draw(B, rng, arena):
         """One block's moments of the key's random quantity."""
         if key in _POSITION_KEYS:
             users = [members[i] for i in _POSITION_KEYS[key]]
-            vals = member_draw(rng, B, users[0], len(users) > 1)
+            vals = member_draw(rng, B, users[0], len(users) > 1, arena)
             for u in users[1:]:
-                vals = vals * member_draw(rng, B, u, True)
+                vals = vals * member_draw(rng, B, u, True, arena)
         elif key == "y1":
             p1 = sample_disk(rng, B, cfg.R)
             p2 = sample_disk(rng, B, cfg.R)
@@ -795,12 +924,12 @@ def estimate_expectation(
             vals = _outside_draw(rng, B, cfg)
         elif key in _OMEGA_PATHS:
             vec = {u: sample_rician(links[u.link], rng, trials=B) for u in cascade[2:] if u != leaf}
-            vals = _cascade_draw(cascade, leaf, vec, coeffs, links, rng)
+            vals = _cascade_draw(cascade, leaf, vec, coeffs, links, rng, arena=arena)
         elif key == "y3":
             g = sample_rician(links["b,r"], rng, trials=B)
             vals = np.abs(np.sum(np.abs(g) ** 2 * state.coefficients("t"), axis=-1)) ** 2
         else:   # a strong user's log-mean, its SIC residual (none for UL1) on its own gain
-            gain = _ordered_draw(rng, B, strong, cfg.m) * _draw_power(rng, B)
+            gain = _ordered_draw(rng, B, strong, cfg.m, arena) * _draw_power(rng, B, arena)
             vals = np.log2(1.0 + total * gain) - np.log2(1.0 + residual * gain)
         return np.array(_moments(np.asarray(vals, dtype=float)))
 

@@ -2,9 +2,11 @@
 
 simulated_pins.json holds, as hex floats, what the cluster simulator, the
 pairing simulator and the term oracle return at small trial counts that end
-in a partial block, and the text of the `starnoma cluster` tables.  A change
-that must keep every simulated byte keeps these values; a change that moves
-the draw stream on purpose recaptures them with
+in a partial block, and the text of the `starnoma cluster` tables.  Each
+pin is checked on one worker thread, whose later blocks, the partial one
+included, run in the first block's memory, and on two.  A change that must
+keep every simulated byte keeps these values; a change that moves the draw
+stream on purpose recaptures them with
 
     PYTHONPATH=src python tests/test_simulated_pins.py > tests/simulated_pins.json
 """
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from starnoma import StarRisState, baseline_config, default_power_allocation
+from starnoma import StarRisState, baseline_config, default_power_allocation, simulator
 from starnoma.cli import main
 from starnoma.comparison import pair_power_policy, simulate_pair_sums
 from starnoma.simulator import estimate_expectation, simulate_clusters
@@ -31,6 +33,7 @@ TRIALS, BLOCK = 5_000, 2_048   # three blocks, the last one partial
 # self-reflection and a strong user's log-mean
 ORACLE_KEYS = ("x1_u1d", "y2_u1d", "y1", "q_center", "omega_u1d_u3u", "omega_u3d_u3u", "y3", "log_u1d")
 SCHEMES = ("cluster", "pair")
+WORKERS = (1, 2)   # worker threads of the block loop; neither may move a bit
 
 
 def _setup():
@@ -80,22 +83,35 @@ def pins():
     return json.loads(PINS.read_text())
 
 
-def test_cluster_simulator_pins(pins):
-    assert clusters_pin() == pins["clusters"]
+@pytest.fixture
+def on_each_worker_count(monkeypatch):
+    """pin(*args) once per worker count of WORKERS: {workers: result}."""
+    def run(pin, *args):
+        got = {}
+        for workers in WORKERS:
+            monkeypatch.setattr(simulator, "_cores", lambda: workers)
+            got[workers] = pin(*args)
+        return got
+
+    return run
 
 
-def test_pairing_simulator_pins(pins):
-    assert pairs_pin() == pins["pairs"]
+def test_cluster_simulator_pins(pins, on_each_worker_count):
+    assert on_each_worker_count(clusters_pin) == dict.fromkeys(WORKERS, pins["clusters"])
+
+
+def test_pairing_simulator_pins(pins, on_each_worker_count):
+    assert on_each_worker_count(pairs_pin) == dict.fromkeys(WORKERS, pins["pairs"])
 
 
 @pytest.mark.parametrize("key", ORACLE_KEYS)
-def test_term_oracle_pins(pins, key):
-    assert oracle_pin(key) == pins["oracle"][key]
+def test_term_oracle_pins(pins, on_each_worker_count, key):
+    assert on_each_worker_count(oracle_pin, key) == dict.fromkeys(WORKERS, pins["oracle"][key])
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_cluster_table_pins(pins, scheme):
-    assert table_pin(scheme) == pins["tables"][scheme]
+def test_cluster_table_pins(pins, on_each_worker_count, scheme):
+    assert on_each_worker_count(table_pin, scheme) == dict.fromkeys(WORKERS, pins["tables"][scheme])
 
 
 if __name__ == "__main__":

@@ -208,57 +208,42 @@ def cached_links(cfg) -> Mapping[str, RicianLink]:
     return _memo(_LINKS, link_key(cfg), make)
 
 
-# rows of standard normals drawn per call into complex_normal's fill buffer, if none is given
-_FILL_ROWS = 1 << 12
+def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=None, out=None) -> np.ndarray:
+    """scale / sqrt(2) * (x + 1j*y) + shift, x and y iid N(0, 1), of the given shape.
 
+    shift (optional) broadcasts over the last axis.  The standard normals are
+    drawn straight into the output's float view, so a value's real and
+    imaginary parts are two consecutive normals of rng, the values in C
+    order; the scale and the shift are then applied in place, and no array
+    besides the output is made.  The values are those of the complex formula
+    written with z = rng.standard_normal((*shape, 2)), x = z[..., 0] and
+    y = z[..., 1], to the bit.
 
-def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=None, out=None, buf=None) -> np.ndarray:
-    """scale * (x + 1j*y) / sqrt(2) + shift, x and y iid N(0, 1), of the given shape.
-
-    shift (optional) broadcasts over the last axis.  The real parts take the
-    first prod(shape) standard normals of rng and the imaginary parts the
-    next, each in C order, as two whole-shape draws would.  They are drawn
-    into a float fill buffer, len(buf) rows of the last axis at a time, and
-    combined there in the order of operations of the complex formula (numpy
-    divides a complex array by a real scalar by multiplying each part by its
-    reciprocal), so the values are the formula's to the bit, whatever the
-    buffer's length, and no float array of the whole shape is made besides
-    the output.
-
-    out, if given, receives the draw: a C-contiguous complex array of the
-    shape.  buf, if given, is the fill buffer: a C-contiguous float array of
-    shape (rows, shape[-1]).  Otherwise both are made here, the buffer with
-    _FILL_ROWS rows.  The simulator's block loop passes both from its
-    worker's arena (simulator._Arena), which holds the memory of every block
-    the worker runs in one simulate_groups call and is released when the
-    call's last block on that worker ends: after the worker's first block a
-    draw allocates nothing.
+    out, if given, receives the draw: a C-contiguous complex128 array of the
+    shape, or a ValueError is raised.  The simulator's block loop passes one
+    from its worker's arena (simulator._Arena), so that after the worker's
+    first block a draw allocates nothing.
     """
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
     if out is None:
         out = np.empty(shape, dtype=complex)
-    rows = out.reshape(-1, out.shape[-1])
-    if buf is None:
-        buf = np.empty((min(_FILL_ROWS, len(rows)), rows.shape[1]))
-    shifts = (None, None) if shift is None else (shift.real, shift.imag)
-    for part, part_shift in zip((rows.real, rows.imag), shifts):
-        for start in range(0, len(rows), len(buf)):
-            chunk = buf[: len(rows) - start]
-            rng.standard_normal(out=chunk)
-            chunk *= 1.0 / np.sqrt(2.0)
-            chunk *= scale
-            if part_shift is not None:
-                chunk += part_shift
-            part[start: start + len(chunk)] = chunk
+    elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}, got a {out.dtype} "
+                         f"array of shape {out.shape} (C-contiguous: {out.flags.c_contiguous})")
+    rng.standard_normal(out=out.view(float))
+    out *= scale / np.sqrt(2.0)
+    if shift is not None:
+        out += shift
     return out
 
 
-def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int, out=None, buf=None) -> np.ndarray:
+def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int, out=None) -> np.ndarray:
     """Draw trials link vectors sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I), as a
-    (trials, N) batch sharing the same LoS.  The draw is complex_normal's, so
-    it is the complex formula's to the bit; out and buf are complex_normal's.
+    (trials, N) batch sharing the same LoS.  complex_normal draws it, into
+    out if given, so it is the complex formula's to the bit.
     """
     shape = (trials, link.los.size)
-    return complex_normal(rng, shape, np.sqrt(link.scatter_weight), np.sqrt(link.los_weight) * link.los, out, buf)
+    return complex_normal(rng, shape, np.sqrt(link.scatter_weight), np.sqrt(link.los_weight) * link.los, out)
 
 
 def cascaded_power_mean(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> float:

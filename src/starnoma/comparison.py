@@ -46,7 +46,6 @@ from .rates import (
     solve_sinr,
 )
 from .simulator import (
-    _CHUNK_ROWS,
     _DEFAULT_BLOCK,
     Schedule,
     as_points,
@@ -132,6 +131,9 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     return sums["DL"], sums["UL"]
 
 
+_CHUNK_ROWS = 1 << 12   # trials per step of ranked_layout's sort
+
+
 def ranked_layout(cfg: SystemConfig):
     """Pairing layout (simulator.class_layout): each direction's users ranked by
     BS distance, its center class first.
@@ -144,9 +146,10 @@ def ranked_layout(cfg: SystemConfig):
     surface distance r and bearing t, an edge user's squared BS distance is
     d_br^2 + r^2 + 2 d_br r cos t.  An edge user's position is not handed
     out (only center users have cross keys), but its BS distance is, as
-    `starnoma cluster` prints it.  The draws and the ranked columns are
-    taken from the layout call's arena; the bearings t are
-    rng.uniform(0, 2 pi)'s values, drawn as 2 pi times rng.random().
+    `starnoma cluster` prints it.  The draws and the ranked rows, one
+    (ranks, B) array each, are taken from the layout call's arena; the
+    bearings t are rng.uniform(0, 2 pi)'s values, drawn as 2 pi times
+    rng.random().
     """
     def edge(rng, B, ranks, K, arena):
         r = rng.random(out=arena.empty((B, K)))
@@ -159,13 +162,13 @@ def ranked_layout(cfg: SystemConfig):
         d2 += r
         d2 *= r
         d2 += cfg.d_br**2
-        d_bs, surface = arena.empty((B, len(ranks))), arena.empty((B, len(ranks)))
+        d_bs, surface = arena.empty((len(ranks), B)), arena.empty((len(ranks), B))
         cols = np.subtract(ranks, 1)
         for start in range(0, B, _CHUNK_ROWS):   # the sort's index arrays, a chunk of trials at a time
             rows = slice(start, start + _CHUNK_ROWS)
             ranked = np.argsort(d2[rows], kind="stable", axis=-1)[:, cols]
-            d_bs[rows] = np.take_along_axis(d2[rows], ranked, axis=-1)
-            surface[rows] = np.take_along_axis(r[rows], ranked, axis=-1)
+            d_bs[:, rows] = np.take_along_axis(d2[rows], ranked, axis=-1).T
+            surface[:, rows] = np.take_along_axis(r[rows], ranked, axis=-1).T
         return np.sqrt(d_bs, out=d_bs), surface
 
     return class_layout(cfg, [("center", "DL"), ("edge", "DL"), ("center", "UL"), ("edge", "UL")], edge)

@@ -39,47 +39,47 @@ only the coordinates, losses and products a gain key reads:
   as ln(1 + SINR), and the 1/(ln 2 * M) of each direction is applied once,
   to the merged moments (_estimate), not once per trial.
 
-Each schedule's block seeds are spawned from one SeedSequence, so a block's
-draws depend on the seed, the trial count and the block size alone, and not
-on the other schedules of the call.  The blocks of all schedules form one
-queue, served by one thread per core this process may use (numpy's
+Each block draws from its own SFC64 generator, numpy's fastest bit generator
+for these draws, its seed spawned from one SeedSequence per schedule, so a
+block's draws depend on the seed, the trial count and the block size alone,
+and not on the other schedules of the call.  The blocks of all schedules
+form one queue, served by one thread per core this process may use (numpy's
 generators and array arithmetic release the interpreter lock): a core that
 ends a block takes the next one, whichever schedule it belongs to, so a
 short last block of one schedule does not leave a core idle while another
 schedule waits.  Each block returns only its moments: one (points, cells, 3)
 array of (n, sum r, sum r^2), a cell per group and role and one for each
 point's DL and UL totals.  Each schedule's are merged in block order
-(_merge), the float additions of a serial loop, so the bytes of a run do
-not depend on the core count or the queue; _estimate turns a merged cell
-into its (mean, stderr).  The term oracle runs its blocks on the same queue
-and merges them the same way.
+(_merge), the float additions of a serial loop, so the bytes of a run do not
+depend on the core count or the queue; _estimate turns a merged cell into
+its (mean, stderr).  The term oracle runs its blocks on the same queue and
+merges them the same way.
 
 A block holds only what the next step reads.  A center user keeps its radius
-and bearing until its group is resolved, when its position and distances
-are formed and its bearing is dropped; a group's positions and BS distances
-are dropped once its direct and cross gains are formed.  A group's gains
-are dropped before the next group's draw, a hub's vector after its last
-cascade, a spread after the leaves of its step, which come after that
-step's hub-hub products, and a surface loss after its one use.  A point's
-SI scale is applied where it is read, into a buffer taken after the group's
-draw.  Complex Gaussian draws fill the output a few thousand rows at a time
-(channel.complex_normal), and a cascade between two hubs is summed over row
-chunks.
+and bearing, each a row of its own, until its group is resolved, when its
+position and distances are formed and its bearing is dropped; a group's
+positions and BS distances are dropped once its direct and cross gains are
+formed.  A group's gains are dropped before the next group's draw, a hub's
+vector after its last cascade, a spread after the leaves of its step, which
+come after that step's hub-hub products, and a surface loss after its one
+use.  A point's SI scale is applied where it is read, into a buffer taken
+after the group's draw.  Complex Gaussian draws are written straight into
+their output (channel.complex_normal), and a cascade between two hubs is
+one einsum into a complex vector per trial.
 
-Every array of a block (the layout's columns, the shared draws, the
-Rayleigh block, the fading vectors and their fill buffer, the cascades and
-their chunks, the path losses, the per-group scratch and the totals) is
-taken from its worker's _Arena and written in place.  Each worker thread has
-one arena for the length of a simulate_groups call: memory a block drops
-goes back to it and serves the block's next arrays, the worker's first
-block sizes it, and every later block, the queue serving the largest
-first, runs in that memory without allocating or page-faulting it in
-again.  The arena is released when the worker's last block of the call
-ends; only each block's moments array is new.  At N = 10 and the default
-16,384 trials per block, the traced peak of one block is 12.2 MB for
-cluster 1 at one point, and 19.7 MB (clusters) and 18.7 MB (pairing) for
-the 12 points of the cluster-versus-pairing sweep, arena included; a later
-block adds under 1 MiB to it.
+Every array of a block (the layout's rows, the shared draws, the Rayleigh
+block, the fading vectors, the cascade sums, the path losses, the per-group
+scratch and the totals) is taken from its worker's _Arena and written in
+place.  Each worker thread has one arena for the length of a simulate_groups
+call: memory a block drops goes back to it and serves the block's next
+arrays, the worker's first block sizes it, and every later block, the queue
+serving the largest first, runs in that memory without allocating or
+page-faulting it in again.  The arena is released when the worker's last
+block of the call ends; only each block's moments array is new.  At N = 10
+and the default 16,384 trials per block, the traced peak of one block is
+12.2 MB for cluster 1 at one point, and 18.7 MB for each scheme (clusters
+and pairing) at the 12 points of the cluster-versus-pairing sweep, arena
+included; a later block adds under 1 MiB to it.
 
 A schedule holds a whole grid of points (cluster_schedule, and
 comparison.pair_schedule for the pairing; simulate_clusters and
@@ -162,7 +162,6 @@ __all__ = [
 ]
 
 _DEFAULT_BLOCK = 1 << 14
-_CHUNK_ROWS = 1 << 12   # trials per step of a row-chunked (trials, N) product
 _SLAB = 1 << 20         # bytes of an arena slab that several arrays share
 _ALIGN = 64             # bytes: every arena array starts on a cache line, as aligned as malloc's or more
 
@@ -276,13 +275,13 @@ def _estimate(moments, scale: float = 1.0) -> tuple:
 
 
 def _blocks(trials: int, seed: int, block_size: int):
-    """(size, generator) of each block; the seeds are spawned from one SeedSequence."""
+    """(size, generator) of each block: an SFC64 stream, its seed spawned from one SeedSequence."""
     for name, value in (("trials", trials), ("block_size", block_size)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
     nblocks = (trials + block_size - 1) // block_size
     for b, block_seed in enumerate(np.random.SeedSequence(seed).spawn(nblocks)):
-        yield min(block_size, trials - b * block_size), np.random.default_rng(block_seed)
+        yield min(block_size, trials - b * block_size), np.random.Generator(np.random.SFC64(block_seed))
 
 
 def _cores() -> int:
@@ -336,10 +335,8 @@ def _map_blocks(jobs, sizes=None) -> list:
 
 
 def _rician(link: RicianLink, rng, B: int, arena) -> np.ndarray:
-    """sample_rician of B trials, the vector and its fill buffer taken from the arena;
-    the buffer is the size of _cascade_power's chunk, so the two share memory."""
-    N = link.los.size
-    return sample_rician(link, rng, B, out=arena.empty((B, N), complex), buf=arena.empty((2 * min(_CHUNK_ROWS, B), N)))
+    """sample_rician of B trials, drawn into a vector taken from the arena."""
+    return sample_rician(link, rng, B, out=arena.empty((B, link.los.size), complex))
 
 
 @dataclass(frozen=True)
@@ -391,18 +388,11 @@ def _distance(pu, pv, arena=_HEAP) -> np.ndarray:
 
 
 def _cascade_power(g_out, c, g_in, arena=_HEAP) -> np.ndarray:
-    """|sum_n g_out[n] c[n] g_in[n]|^2 per trial, _CHUNK_ROWS trials at a time,
-    so the products need no (trials, N) temporary."""
-    B = len(g_out)
-    out = arena.empty(B)
-    t = arena.empty((min(_CHUNK_ROWS, B), g_out.shape[1]), complex)
-    sums = arena.empty(len(t), complex)
-    for start in range(0, B, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        chunk = np.multiply(g_out[rows], c, out=t[: B - start])
-        chunk *= g_in[rows]
-        np.abs(np.add.reduce(chunk, axis=-1, out=sums[: len(chunk)]), out=out[rows])
-    return np.square(out, out=out)
+    """|sum_n g_out[n] c[n] g_in[n]|^2 per trial: the sums are one einsum, so the
+    products need no (trials, N) temporary, and the power is re^2 + im^2."""
+    s = np.einsum("bk,k,bk->b", g_out, c, g_in, out=arena.empty(len(g_out), complex)).view(float)
+    s = np.square(s, out=s)
+    return np.add(s[0::2], s[1::2], out=arena.empty(len(g_out)))
 
 
 def _spread(g_hub, c, arena=_HEAP) -> np.ndarray:
@@ -685,38 +675,39 @@ def as_points(cfgs, settings) -> list:
     return list(zip(cfgs, settings))
 
 
-def _ranked_radii(rng, B, ranks, K, radius, arena=_HEAP) -> np.ndarray:
-    """(B, len(ranks)) distances to the center of the given sorted ranks (1 = nearest,
-    increasing) among K points dropped uniformly in a disk, one row per trial.
+def _ranked_radii(rng, B, ranks, K, radius, arena=_HEAP) -> list:
+    """Distances to the center of the given sorted ranks (1 = nearest, increasing)
+    among K points dropped uniformly in a disk: one length-B row per rank.
 
     A point's squared distance over radius^2 is uniform, and K sorted
     uniforms are the partial sums S_k / S_{K+1} of K + 1 unit exponentials
     (Renyi's representation).  So one gamma increment per gap between the
     ranks asked for, the last one up to K + 1, gives their distances directly:
     each gap's B increments are one draw of its scalar shape, and the partial
-    sums are formed by adding each row to the next, in place.  The result is
-    the transpose of a C-ordered (len(ranks), B) array, so each rank's column
-    is contiguous.
+    sums are formed by adding each row to the next, in place.  Each rank's
+    row is its own arena array, so it is freed with the last view of it.
     """
     gaps = np.diff(ranks, prepend=0, append=K + 1)
-    s = arena.empty((len(ranks), B))   # S_k at the ranks, then the distances
-    total = arena.empty(B)             # S_{K+1}
-    for row, gap in zip((*s, total), gaps):
+    rows = [arena.empty(B) for _ in ranks]   # S_k at the ranks, then the distances
+    total = arena.empty(B)                   # S_{K+1}
+    for row, gap in zip((*rows, total), gaps):
         rng.standard_gamma(gap, out=row)
-    for before, row in zip(s, (*s[1:], total)):
+    for before, row in zip(rows, (*rows[1:], total)):
         row += before
-    s /= total
-    s = np.sqrt(s, out=s)
-    s *= radius
-    return s.T
+    for row in rows:
+        row /= total
+        np.sqrt(row, out=row)
+        row *= radius
+    return rows
 
 
-def _bearings(rng, n: int, B: int, arena) -> np.ndarray:
-    """(B, n) uniform bearings in [0, 2 pi), the transpose of a C-ordered (n, B) array:
-    the values and the stream of rng.uniform(0, 2 pi, (n, B))."""
-    theta = rng.random(out=arena.empty((n, B)))
-    theta *= 2.0 * np.pi
-    return theta.T
+def _bearings(rng, n: int, B: int, arena) -> list:
+    """n rows of B uniform bearings in [0, 2 pi), each its own arena array: the
+    values and the stream of rng.uniform(0, 2 pi, (n, B))."""
+    rows = [rng.random(out=arena.empty(B)) for _ in range(n)]
+    for theta in rows:
+        theta *= 2.0 * np.pi
+    return rows
 
 
 def _center_geometry(r, theta, d_br: float, arena=_HEAP) -> tuple:
@@ -739,8 +730,10 @@ def class_layout(cfg, order, edge):
     bearing until its group is resolved, when its position and surface
     distance are formed.  edge(rng, B, ranks, K, arena) draws an edge
     class's K users at the given ranks as (BS distance, surface distance),
-    each a (B, len(ranks)) array or the first None where no caller reads
-    it.  Every array is taken from the layout call's arena.
+    each a sequence of one length-B row per rank, or the first None where no
+    caller reads it.  Every array is taken from the layout call's arena; a
+    center user's radius and bearing are rows of their own, so they are
+    freed with the user's group, not with its class's last group.
     """
     counts = {("center", "DL"): cfg.K_cd, ("center", "UL"): cfg.K_cu,
               ("edge", "DL"): cfg.K_ed, ("edge", "UL"): cfg.K_eu}
@@ -754,12 +747,12 @@ def class_layout(cfg, order, edge):
             ranks = sorted({u.order for u in wanted})
             K = counts[kind, direction]
             if kind == "center":
-                columns = _ranked_radii(rng, B, ranks, K, cfg.R, arena), _bearings(rng, len(ranks), B, arena)
+                rows = _ranked_radii(rng, B, ranks, K, cfg.R, arena), _bearings(rng, len(ranks), B, arena)
             else:
-                columns = edge(rng, B, ranks, K, arena)
+                rows = edge(rng, B, ranks, K, arena)
             for u in wanted:
                 i = ranks.index(u.order)
-                drawn[u] = tuple(None if c is None else c[:, i] for c in columns)
+                drawn[u] = tuple(None if r is None else r[i] for r in rows)
 
         def resolve(group):
             # a center user's bearing is read here only, so it is dropped here
@@ -865,7 +858,7 @@ _POSITION_KEYS = {
 
 
 def _ordered_draw(rng, B, spec, m, arena):
-    return pathloss(_ranked_radii(rng, B, [spec.k], spec.K, spec.radius, arena)[:, 0], m)
+    return pathloss(_ranked_radii(rng, B, [spec.k], spec.K, spec.radius, arena)[0], m)
 
 
 def _outside_draw(rng, B, cfg):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from starnoma.channel import (
     RicianLink,
@@ -10,6 +11,7 @@ from starnoma.channel import (
     array_response,
     build_links,
     cascaded_power_mean,
+    complex_normal,
     element_grid,
     sample_rician,
     self_reflection_power_mean,
@@ -133,10 +135,11 @@ class TestRician:
 
 
 def _complex_formula(link, rng, trials):
-    """The sampler as the complex expression it computes, kept as the oracle."""
-    shape = (trials, link.los.size)
-    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return np.sqrt(link.los_weight) * link.los + np.sqrt(link.scatter_weight) * w
+    """The sampler as the complex expression it computes, kept as the oracle:
+    each value's real and imaginary parts are two consecutive normals of rng."""
+    z = rng.standard_normal((trials, link.los.size, 2))
+    w = z[..., 0] + 1j * z[..., 1]
+    return np.sqrt(link.los_weight) * link.los + np.sqrt(link.scatter_weight) / np.sqrt(2.0) * w
 
 
 class TestSamplerOracle:
@@ -152,31 +155,70 @@ class TestSamplerOracle:
             assert got.tobytes() == want.tobytes(), label
 
     @pytest.mark.parametrize("trials", [1, 4_095, 4_097, 16_384])
-    def test_chunked_fill_keeps_the_whole_shape_bits(self, cfg, trials):
-        # complex_normal draws 4,096 rows at a time; the whole-shape fill it replaced is the oracle
-        def whole_shape(link, rng):
-            shape = (trials, link.los.size)
-            out, los = np.empty(shape, dtype=complex), np.sqrt(link.los_weight) * link.los
-            for part, los_part in ((out.real, los.real), (out.imag, los.imag)):
-                part[...] = rng.standard_normal(shape)
-                part *= 1.0 / np.sqrt(2.0)
-                part *= np.sqrt(link.scatter_weight)
-                part += los_part
-            return out
-
+    def test_bit_identical_at_block_sizes(self, cfg, trials):
+        # the simulator's block sizes and surface sizes, on the SFC64 stream its blocks draw from
         for n in (cfg.N, 64):
             link = build_links(dataclasses.replace(cfg, N=n))["r,u3d"]
-            a, b = np.random.default_rng(9), np.random.default_rng(9)
-            assert sample_rician(link, a, trials=trials).tobytes() == whole_shape(link, b).tobytes()
+            a, b = (np.random.Generator(np.random.SFC64(9)) for _ in range(2))
+            assert sample_rician(link, a, trials=trials).tobytes() == _complex_formula(link, b, trials).tobytes()
             assert a.random() == b.random()
 
     def test_stream_position_matches(self, cfg):
-        # the sampler consumes exactly the normals of the formula, real part first
+        # the sampler consumes exactly the normals of the formula, two per value
         link = build_links(cfg)["r,u3d"]
         a, b = np.random.default_rng(4), np.random.default_rng(4)
         sample_rician(link, a, trials=7)
         _complex_formula(link, b, trials=7)
         assert a.random() == b.random()
+
+
+class TestComplexNormal:
+    SCALE, SHIFT = 1.7, np.array([0.0, 0.5 - 2.0j, -1.0 + 0.25j, 3.0j])
+
+    def _standardized(self, n):
+        """n // 4 rows of 4 draws from an SFC64 stream, shift removed and scaled to unit parts."""
+        z = complex_normal(np.random.Generator(np.random.SFC64(17)), (n // 4, 4), self.SCALE, self.SHIFT)
+        return ((z - self.SHIFT) / (self.SCALE / np.sqrt(2.0))).ravel()
+
+    def test_parts_are_normal_about_the_shift(self):
+        # each part of scale / sqrt(2) * (x + jy) + shift is N(shift part, scale^2 / 2)
+        w = self._standardized(100_000)
+        for part in (w.real, w.imag):
+            assert stats.kstest(part, "norm").pvalue > 1e-3
+
+    def test_parts_and_neighbours_are_uncorrelated(self):
+        # the parts are consecutive normals of one stream, and so are neighbouring values
+        w = self._standardized(100_000)
+        n = w.size - 1
+        for x, y in ((w.real, w.imag), (w.real[:-1], w.real[1:]), (w.imag[:-1], w.imag[1:]), (w.imag[:-1], w.real[1:])):
+            assert abs(np.corrcoef(x[:n], y[:n])[0, 1]) < 4.0 / np.sqrt(n)
+
+
+class TestOutArgument:
+    """complex_normal and sample_rician draw into out only if it is what they would make."""
+
+    WRONG = {
+        "shape": lambda: np.empty((5, 3), complex),
+        "dtype": lambda: np.empty((4, 3), np.complex64),
+        "contiguity": lambda: np.empty((3, 4), complex).T,
+    }
+
+    @staticmethod
+    def _draws(out):
+        link = RicianLink(kappa=3.0, los=array_response(3, 0.2, 0.9, 0.05, 0.1))
+        rng = np.random.default_rng(6)
+        return (lambda: complex_normal(rng, (4, 3), out=out)), (lambda: sample_rician(link, rng, 4, out=out))
+
+    @pytest.mark.parametrize("case", list(WRONG))
+    def test_wrong_out_is_rejected(self, case):
+        for draw in self._draws(self.WRONG[case]()):
+            with pytest.raises(ValueError, match="^out must be a C-contiguous complex128 array of shape \\(4, 3\\)"):
+                draw()
+
+    def test_right_out_receives_the_draw(self):
+        out = np.empty((4, 3), complex)
+        for draw in self._draws(out):
+            assert draw() is out
 
 
 class TestCascade:

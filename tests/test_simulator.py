@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import sys
 import threading
@@ -198,6 +199,32 @@ class TestBlockPool:
     def _plain(clusters):
         """A cluster grid result with the reports as (rates, stderr), comparable by ==."""
         return [({j: (r.rates, r.stderr) for j, r in reports.items()}, sums) for reports, sums in clusters]
+
+    def test_each_block_draws_from_its_own_sfc64_stream(self, cfg, power, state, monkeypatch):
+        schedule_run, firsts = simulator._schedule_run, []
+
+        def recorded(schedule):
+            block_run, estimate = schedule_run(schedule)
+
+            def block(B, rng, arena):
+                assert type(rng.bit_generator) is np.random.SFC64
+                firsts.append(copy.deepcopy(rng).random())   # the block's first draw, its stream untouched
+                return block_run(B, rng, arena)
+
+            return block, estimate
+
+        monkeypatch.setattr(simulator, "_schedule_run", recorded)
+        simulate_clusters(cfg, power, state, self.TRIALS, 3, block_size=self.BLOCK)
+        assert len(firsts) == 5 and len(set(firsts)) == 5
+
+    def test_a_schedule_alone_returns_what_it_returns_beside_another(self, cfg, power, state):
+        # the other schedule comes first and, at N = 16, its blocks are served first
+        big = dataclasses.replace(cfg, N=16)
+        other = cluster_schedule([big], [power], StarRisState.random(16, np.random.default_rng(16)))
+        mine = cluster_schedule([cfg], [power], state)
+        alone = simulate_groups([mine], self.TRIALS, 5, self.BLOCK)[0]
+        beside = simulate_groups([other, mine], self.TRIALS, 5, self.BLOCK)[1]
+        assert self._plain(beside) == self._plain(alone)
 
     def test_worker_count_changes_no_bit(self, cfg, state, monkeypatch):
         got = {}
@@ -418,7 +445,8 @@ class TestDraws:
         g_out, g_in = (sample_rician(links[label], rng, trials=B) for label in ("r,u3d", "r,u3u"))
         c = state.coefficients("r")
         want = np.abs(np.sum(g_out * c * g_in, axis=-1)) ** 2
-        assert simulator._cascade_power(g_out, c, g_in).tobytes() == want.tobytes()
+        # one einsum sums the products in another order than np.sum, so the match is to rounding
+        np.testing.assert_allclose(simulator._cascade_power(g_out, c, g_in), want, rtol=1e-12, atol=0)
 
 
 def _full_cascade(g_hub, c, leaf_link, rng):
@@ -522,7 +550,7 @@ class TestRankedLayout:
     def test_rank_matches_sorted_full_draw(self, k, K):
         rng = np.random.default_rng(100 * k + K)
         B, R = 40_000, 50.0
-        direct = simulator._ranked_radii(rng, B, [k], K, R)[:, 0]
+        direct = simulator._ranked_radii(rng, B, [k], K, R)[0]
         sorted_full = np.sort(R * np.sqrt(rng.random((B, K))), axis=1)[:, k - 1]
         assert stats.ks_2samp(direct, sorted_full).pvalue > 1e-3
         assert np.all((0.0 <= direct) & (direct <= R))
@@ -530,7 +558,7 @@ class TestRankedLayout:
     def test_ranks_drawn_together_keep_their_joint_law(self):
         rng = np.random.default_rng(12)
         B, R, ranks = 40_000, 30.0, [1, 4, 6]
-        direct = simulator._ranked_radii(rng, B, ranks, 6, R)
+        direct = np.column_stack(simulator._ranked_radii(rng, B, ranks, 6, R))
         full = np.sort(R * np.sqrt(rng.random((B, 6))), axis=1)[:, [k - 1 for k in ranks]]
         assert np.all(np.diff(direct, axis=1) >= 0)
         for i in range(len(ranks)):

@@ -275,11 +275,29 @@ def _section(doc: dict, section: str, keys) -> dict:
     return block
 
 
-def _number(name: str, value) -> float:
+def _number(name: str, value, integer: bool = False) -> float:
+    """A YAML number as a float, or an integral one where integer is set.
+
+    A boolean or a string is rejected by name: YAML reads true as a
+    boolean, and float() would take it as 1.0.
+    """
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        hint = ""
+        if isinstance(value, str) and "e" in value.lower():
+            try:
+                float(value)
+                hint = " (YAML reads an exponent as a number only after a dot and with a sign, as in 1.0e-3)"
+            except ValueError:
+                pass
+        raise ConfigError(f"{name} must be {kind}, got {value!r}{hint}")
     try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a finite number, got an integer too large for a float") from None
+    if integer and not number.is_integer():
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return number
 
 
 def _numbers(name: str, value, count: int | None = None) -> tuple:
@@ -314,7 +332,8 @@ def load_config(source: str | os.PathLike | IO[str]) -> SystemConfig:
 
     kwargs = {}
     for section, keys in _SCHEMA.items():
-        kwargs.update(_section(doc, section, keys))
+        for key, value in _section(doc, section, keys).items():
+            kwargs[key] = _number(f"{section}.{key}", value, key in COUNT_FIELDS)
 
     rician = _section(doc, "rician", ("default", *LINK_LABELS))
     default = _number("rician.default", rician.get("default", 3.0))

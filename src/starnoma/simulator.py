@@ -3,14 +3,14 @@
 Each trial drops the users the rates read at their distance ranks, draws
 their fading, and evaluates the exact per-role SINRs; rates are the means of
 (1/M) * log2(1 + SINR).  The SINRs are those of the role table
-(rates.noma_roles): sample_gains() draws one per-trial array per gain key,
-once per block and group, and _role_log1p() combines them with the table's
-coefficients, so imperfect SIC enters exactly as in the closed forms.  The
-residual self-interference is drawn per trial as a CN(0, beta * P_b^lambda)
-scalar.  simulate_groups() is the one block loop: the clusters here and the
-pairing baseline (comparison.simulate_pair_sums) differ only in their
-Schedule of groups, time shares and layout, and one call takes any number of
-schedules.
+(rates.noma_roles): sample_gains() draws one row of a (keys, trials) matrix
+per gain key, once per block and group, and the stacked pass (_stack_tiles)
+combines the rows with the table's coefficients, so imperfect SIC enters
+exactly as in the closed forms.  The residual self-interference is drawn per
+trial as a CN(0, beta * P_b^lambda) scalar.  simulate_groups() is the one
+block loop: the clusters here and the pairing baseline
+(comparison.simulate_pair_sums) differ only in their Schedule of groups,
+time shares and layout, and one call takes any number of schedules.
 
 A block draws only what its rates read, each in its exact law, and forms
 only the coordinates, losses and products a gain key reads:
@@ -35,9 +35,9 @@ only the coordinates, losses and products a gain key reads:
   hub;
 * a user's surface path loss is formed once per group, and a hub's spread
   sum_n |g[n]|^2 |c[n]|^2 once per face, however many keys read them;
-* each point's SINRs are evaluated into a few per-group buffers, the log
-  as ln(1 + SINR), and the 1/(ln 2 * M) of each direction is applied once,
-  to the merged moments (_estimate), not once per trial.
+* the SINRs are evaluated for all points at once (the stacked pass below),
+  the log as ln(1 + SINR), and the 1/(ln 2 * M) of each direction is
+  applied once, to the merged moments (_estimate), not once per trial.
 
 Each block draws from its own SFC64 generator, numpy's fastest bit generator
 for these draws, its seed spawned from one SeedSequence per schedule, so a
@@ -62,24 +62,23 @@ positions and BS distances are dropped once its direct and cross gains are
 formed.  A group's gains are dropped before the next group's draw, a hub's
 vector after its last cascade, a spread after the leaves of its step, which
 come after that step's hub-hub products, and a surface loss after its one
-use.  A point's SI scale is applied where it is read, into a buffer taken
-after the group's draw.  Complex Gaussian draws are written straight into
-their output (channel.complex_normal), and a cascade between two hubs is
-one einsum into a complex vector per trial.
+use.  Complex Gaussian draws are written straight into their output
+(channel.complex_normal), and a cascade between two hubs is one einsum into
+a complex vector per trial.
 
-Every array of a block (the layout's rows, the shared draws, the Rayleigh
-block, the fading vectors, the cascade sums, the path losses, the per-group
-scratch and the totals) is taken from its worker's _Arena and written in
-place.  Each worker thread has one arena for the length of a simulate_groups
-call: memory a block drops goes back to it and serves the block's next
-arrays, the worker's first block sizes it, and every later block, the queue
-serving the largest first, runs in that memory without allocating or
-page-faulting it in again.  The arena is released when the worker's last
-block of the call ends; only each block's moments array is new.  At N = 10
-and the default 16,384 trials per block, the traced peak of one block is
-12.2 MB for cluster 1 at one point, and 18.7 MB for each scheme (clusters
-and pairing) at the 12 points of the cluster-versus-pairing sweep, arena
-included; a later block adds under 1 MiB to it.
+Every array of a block (the layout's rows, the shared draws, the fading
+vectors, the gain matrices, the path losses, the tile scratch and the
+totals) is taken from its worker's _Arena and written in place.  Each worker
+thread has one arena for the length of a simulate_groups call: memory a
+block drops goes back to it and serves the block's next arrays, the worker's
+first block sizes it, and every later block, the queue serving the largest
+first, runs in that memory without allocating or page-faulting it in again.
+The arena is released when the worker's last block of the call ends; only
+each block's moments array is new.  At N = 10 and the default 16,384 trials
+per block, the traced peak of one block is 13.5 MB for cluster 1 at one
+point, and 19.9 MB (clusters) and 19.0 MB (pairing) at the 12 points of the
+cluster-versus-pairing sweep, arena included; a later block adds under 1 MiB
+to it.
 
 A schedule holds a whole grid of points (cluster_schedule, and
 comparison.pair_schedule for the pairing; simulate_clusters and
@@ -90,10 +89,40 @@ impairments, the powers and the noise reach the simulator only through the
 bound role coefficients and the SI scale (POINT_FIELDS).  So every point of
 a grid reads the same draw of each block: the layout, the block's shared
 draws and each group's gains are drawn once, then every point evaluates its
-own SINRs from them, with the arithmetic and the accumulation order of a
-one-point run.  A schedule of points therefore returns, bit for bit, what
-one call per point returns.  Points that differ in a field of the draw are
+own SINRs from them.  Points that differ in a field of the draw are
 rejected.
+
+The plan of a schedule is made once (_schedule_run), not once per block.
+For each group it holds the GainPlan (the gain keys in row order, the
+members' turns, the path losses) and a Stack for each direction's run of
+roles: each point's (roles, keys) block of denominator coefficients, the SI
+scale folded into the unit SI's column, the noise into the column of a row
+of ones (NOISE) and 0 wherever a point's role has no such term, each row
+over the role's signal coefficient, and the roles' signal rows.  A block
+draws each group's (keys, trials) gain matrix once and then, for each stack
+and each tile of at most _TILE (4,096) trials:
+
+1. the denominators of all roles and points, noise included, are one
+   np.matmul, each point's coefficient block times the tile's gain rows;
+2. each role's signal row is divided by its denominators, one broadcast
+   divide per role, and np.log1p is applied in place;
+3. each row's sum and sum of squares (a dot product, so no square is
+   stored) is added into the (points, cells, 3) moments, and the rows into
+   each point's DL or UL totals.
+
+The tile bounds the scratch at points * roles * 4,096 floats, whatever the
+block size.  The denominators and the sums of squares are BLAS sums, so
+their rounding, and with it the last bits of every simulated value and
+standard error, depends on the BLAS build and the CPU it dispatches to; one
+and two BLAS threads give the same bytes.  A zero coefficient enters the sum
+as 0 * gain = +0.0, which moves no bit of a BLAS sum, so the points of a
+stack may differ in which terms they have (a point without SIC error has no
+residual terms) and still share one product.  The matmul is batched over the
+points: numpy hands BLAS one product per point, each of the same shape
+whatever the other points, so a schedule of points returns, bit for bit,
+what one call per point returns.  One product of all points' rows at once
+would not: a BLAS computes a row differently with the number of rows beside
+it.
 
 estimate_expectation() evaluates exactly the random quantity behind each
 closed-form expectation term, which is what makes the term-level oracle
@@ -112,6 +141,7 @@ import weakref
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from itertools import groupby
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -144,6 +174,8 @@ from .rates import (
 
 __all__ = [
     "SimPlan",
+    "GainPlan",
+    "gain_plan",
     "sample_gains",
     "simulate",
     "simulate_clusters",
@@ -162,6 +194,9 @@ __all__ = [
 ]
 
 _DEFAULT_BLOCK = 1 << 14
+# the gain key of a row of ones in a group's gain matrix: its coefficient in a role's denominator is the noise
+NOISE = ("noise",)
+_TILE = 1 << 12         # trials per step of the stacked SINR pass, which bounds its scratch
 _SLAB = 1 << 20         # bytes of an arena slab that several arrays share
 _ALIGN = 64             # bytes: every arena array starts on a cache line, as aligned as malloc's or more
 
@@ -246,10 +281,13 @@ def _draw_power(rng: np.random.Generator, shape, arena=_HEAP) -> np.ndarray:
     return rng.standard_exponential(out=arena.empty(shape))
 
 
-def _moments(values: np.ndarray, scratch: np.ndarray | None = None) -> tuple:
-    """(n, sum, sum of squares) of per-trial values; scratch, if given, takes the squares."""
-    squares = np.multiply(values, values, out=scratch)
-    return values.size, np.add.reduce(values), np.add.reduce(squares)
+def _add_moments(moments, values) -> None:
+    """Add the (n, sum, sum of squares) of each row of values (..., n) into
+    moments (..., 3); the sums of squares are dot products, so no square is
+    stored."""
+    moments[..., 0] += values.shape[-1]
+    moments[..., 1] += np.add.reduce(values, axis=-1)
+    moments[..., 2] += np.vecdot(values, values)
 
 
 def _merge(blocks) -> np.ndarray:
@@ -387,12 +425,13 @@ def _distance(pu, pv, arena=_HEAP) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def _cascade_power(g_out, c, g_in, arena=_HEAP) -> np.ndarray:
-    """|sum_n g_out[n] c[n] g_in[n]|^2 per trial: the sums are one einsum, so the
-    products need no (trials, N) temporary, and the power is re^2 + im^2."""
+def _cascade_power(g_out, c, g_in, arena=_HEAP, out=None) -> np.ndarray:
+    """|sum_n g_out[n] c[n] g_in[n]|^2 per trial, into out if given: the sums are
+    one einsum, so the products need no (trials, N) temporary, and the power is
+    re^2 + im^2."""
     s = np.einsum("bk,k,bk->b", g_out, c, g_in, out=arena.empty(len(g_out), complex)).view(float)
     s = np.square(s, out=s)
-    return np.add(s[0::2], s[1::2], out=arena.empty(len(g_out)))
+    return np.add(s[0::2], s[1::2], out=arena.empty(len(g_out)) if out is None else out)
 
 
 def _spread(g_hub, c, arena=_HEAP) -> np.ndarray:
@@ -402,9 +441,9 @@ def _spread(g_hub, c, arena=_HEAP) -> np.ndarray:
     return np.einsum("bk,bk,k->b", parts, parts, np.repeat(np.abs(c) ** 2, 2), out=arena.empty(len(g_hub)))
 
 
-def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None, arena=_HEAP) -> np.ndarray:
-    """|sum_n g_hub[n] c[n] g_leaf[n]|^2 per trial, for a Rician leaf vector g_leaf
-    that no other gain reads.
+def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None, arena=_HEAP, out=None) -> np.ndarray:
+    """|sum_n g_hub[n] c[n] g_leaf[n]|^2 per trial, into out if given, for a Rician
+    leaf vector g_leaf that no other gain reads.
 
     The leaf's scatter entries are iid CN(0, 1) and independent of g_hub, so
     given g_hub the sum is a * (g_hub @ (c * los)) plus a CN(0, s^2 * ||c * g_hub||^2)
@@ -421,7 +460,7 @@ def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None, arena=_HEA
     scale = np.multiply(spread, 0.5 * leaf.scatter_weight, out=arena.empty(B))
     t *= np.sqrt(scale, out=scale)
     t += np.matmul(g_hub, np.sqrt(leaf.los_weight) * c * leaf.los, out=arena.empty(B, complex))
-    power = np.square(t.real, out=arena.empty(B))
+    power = np.square(t.real, out=arena.empty(B) if out is None else out)
     power += np.square(t.imag, out=scale)
     return power
 
@@ -443,90 +482,204 @@ def _leaves(cascades) -> dict:
     return leaves
 
 
-def _cascade_draw(key, leaf, vec, coeffs, links, rng, spreads=None, arena=_HEAP) -> np.ndarray:
-    """Cascade power of one key before path loss: the product of both users' drawn
-    vectors, or, for a key with a leaf, the leaf drawn given the other side
-    (vec holds every vector the key reads).  spreads, if given, keeps each
-    (hub, face)'s _spread for the next leaf of the same hub and face."""
-    _, side, out, inp = key
+def _cascade_draw(key, leaf, vec, coeffs, links, rng, spreads=None, arena=_HEAP, out=None) -> np.ndarray:
+    """Cascade power of one key before path loss, into out if given: the product
+    of both users' drawn vectors, or, for a key with a leaf, the leaf drawn
+    given the other side (vec holds every vector the key reads).  spreads, if
+    given, keeps each (hub, face)'s _spread for the next leaf of the same hub
+    and face."""
+    _, side, u_out, u_in = key
     if leaf is None:
-        return _cascade_power(vec[out], coeffs[side], vec[inp], arena)
-    hub = inp if leaf == out else out
+        return _cascade_power(vec[u_out], coeffs[side], vec[u_in], arena, out)
+    hub = u_in if leaf == u_out else u_out
     spread = None
     if spreads is not None:
         spread = spreads.get((hub, side))
         if spread is None:
             spread = spreads[hub, side] = _spread(vec[hub], coeffs[side], arena)
-    return _leaf_cascade_power(vec[hub], coeffs[side], links[leaf.link], rng, spread, arena)
+    return _leaf_cascade_power(vec[hub], coeffs[side], links[leaf.link], rng, spread, arena, out)
 
 
-def sample_gains(roles, members, geo, links, rng, block: BlockDraws) -> dict:
-    """One per-trial array for every gain key of a role table.
+class _Step(NamedTuple):
+    """One member's turn in a group's draw: its fading vector if a cascade reads
+    it, then the (row, key, leaf) cascades that are ready, then the vectors
+    that no later cascade reads."""
 
-    geo maps each user to its (position, BS distance, surface distance)
-    arrays, a position being a (trials, 2) array of x and y columns.  The
-    ("si",) gain is the block's unit draw, before any point's SI scale.  The
-    Rayleigh powers of the direct and cross keys are drawn first, as one
-    block of unit exponentials; then only the surface distances of geo are
-    kept.  Then one fading vector is drawn per user that a cascade reaches
-    other than as its leaf (_leaves), in the order of members.  A cascade is
-    evaluated as soon as the vectors it reads are drawn, a leaf cascade
-    drawing its leaf there, with its hub's spread formed once per face for
-    all of the hub's leaves; a vector is dropped after its last cascade, so
-    few (trials, N) vectors are alive at once.  Each user's surface path
-    loss is formed once, after the last vector is dropped, and multiplies
-    every cascade that reaches the user.
+    user: object
+    draw: bool
+    cascades: tuple
+    drop: tuple
+
+
+class GainPlan(NamedTuple):
+    """How sample_gains draws one group's gains: the schedule's bookkeeping,
+    made once (gain_plan), not once per block.
+
+    keys lists the gain keys in the rows of the group's (keys, trials)
+    matrix: the Rayleigh keys in the order of their one block of draws
+    (scalars of them), a row of ones (NOISE), whose coefficient is the
+    noise, then the cascades in the order they are evaluated, then the
+    bounce and the unit SI, which are copied in.  steps gives each
+    member's turn (_Step), losses each user's surface path loss with the
+    cascade rows it multiplies.
+    """
+
+    members: tuple
+    keys: tuple
+    scalars: int
+    steps: tuple
+    losses: tuple
+
+
+def gain_plan(roles, members) -> GainPlan:
+    """The GainPlan of a role table whose users are drawn in the order of members.
+
+    A fading vector is drawn for each member that a cascade reaches other
+    than as its leaf (_leaves).  A cascade is evaluated as soon as the
+    vectors it reads are drawn, the step's leaves after its hub-hub products,
+    so that a hub's spread is not alive during one; a vector is dropped
+    after its last cascade.
     """
     keys = table_keys(roles)
-    B, arena = len(block.si), block.arena
     scalar = sorted((k for k in keys if k[0] in ("direct", "cross")), key=_scalar_rank)
-    gains = {("bounce",): block.bounce, ("si",): block.si}
-    for gain, key in zip(_draw_power(rng, (len(scalar), B), arena), scalar):
+    cascades = [k for k in keys if k[0] == "cascade"]
+    leaves = _leaves(cascades)
+    reads = {k: [u for u in k[2:] if u != leaves.get(k)] for k in cascades}   # the vectors each key reads
+    order, steps, pending, drawn = [], [], list(cascades), {BS}
+    for u in members:
+        draw = any(u in reads[k] for k in pending)
+        if draw:
+            drawn.add(u)
+        ready = sorted((k for k in pending if all(v in drawn for v in reads[k])), key=lambda k: k in leaves)
+        pending = [k for k in pending if k not in ready]
+        drop = tuple(v for v in members if v in drawn and not any(v in reads[k] for k in pending))
+        drawn.difference_update(drop)
+        steps.append((u, draw, ready, drop))
+        order += ready
+    rows = {k: i for i, k in enumerate((*scalar, NOISE, *order))}
+    shared = tuple(k for k in keys if k[0] in ("bounce", "si"))
+    return GainPlan(
+        tuple(members), (*scalar, NOISE, *order, *shared), len(scalar),
+        tuple(_Step(u, draw, tuple((rows[k], k, leaves.get(k)) for k in ready), drop)
+              for u, draw, ready, drop in steps),
+        tuple((u, tuple(rows[k] for k in cascades if u in k[2:])) for u in dict.fromkeys(v for k in cascades for v in k[2:])),
+    )
+
+
+def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarray:
+    """The group's (keys, trials) gain matrix, one row per key of plan.keys.
+
+    geo maps each user to its (position, BS distance, surface distance)
+    arrays, a position being a (trials, 2) array of x and y columns.  Every
+    gain is written into its own row of one arena matrix, in place.  The
+    Rayleigh powers of the direct and cross keys are drawn first, as one
+    block of unit exponentials into their rows; then only the surface
+    distances of geo are kept.  Then the members take their turns
+    (GainPlan.steps), each cascade drawn into its row, with a hub's spread
+    formed once per face for all of the hub's leaves.  Each user's surface
+    path loss is formed once, after the last vector is dropped, and
+    multiplies every cascade row that reaches the user.  The bounce and the
+    unit SI, |CN(0, 1)|^2 before any point's SI scale, are copied from the
+    block into the last rows, and the NOISE row is filled with ones.
+    """
+    B, arena = len(block.si), block.arena
+    gains = arena.empty((len(plan.keys), B))
+    rayleigh = rng.standard_exponential(out=gains[:plan.scalars])
+    for gain, key in zip(rayleigh, plan.keys):
         d = geo[key[1]][1] if key[0] == "direct" else _distance(geo[key[1]][0], geo[key[2]][0], arena)
         gain *= pathloss(d, block.m, out=arena.empty(B))
-        gains[key] = gain
         del d
     # positions and BS distances are read no more: a caller that hands geo over frees them here
     surface = {u: at[2] for u, at in geo.items()}
     del geo
-    cascades = [k for k in keys if k[0] == "cascade"]
-    leaves = _leaves(cascades)
-    reads = {k: [u for u in k[2:] if u != leaves.get(k)] for k in cascades}   # the vectors each key reads
-    pending, vec = list(cascades), {BS: block.g_br}
-    for u in members:
-        if any(u in reads[k] for k in pending):
-            vec[u] = _rician(links[u.link], rng, B, arena)
-        # every leaf of a hub is ready once the hub is drawn, so a spread lives one step, and
-        # the step's leaves go last, so the spread is not alive during a hub-hub product
-        spreads = {}
-        for key in sorted((k for k in pending if all(v in vec for v in reads[k])), key=lambda k: k in leaves):
-            pending.remove(key)
-            gains[key] = _cascade_draw(key, leaves.get(key), vec, block.coeffs, links, rng, spreads, arena)
-        for v in [v for v in vec if v != BS and not any(v in reads[k] for k in pending)]:
+    vec = {BS: block.g_br}
+    for step in plan.steps:
+        if step.draw:
+            vec[step.user] = _rician(links[step.user.link], rng, B, arena)
+        spreads = {}   # a spread lives one step
+        for row, key, leaf in step.cascades:
+            _cascade_draw(key, leaf, vec, block.coeffs, links, rng, spreads, arena, gains[row])
+        for v in step.drop:
             del vec[v]
     # the surface path losses last, once the vectors are gone: one per user, for all of its keys
-    for u in dict.fromkeys(v for k in cascades for v in k[2:]):
+    for u, rows in plan.losses:
         loss = block.l_br if u == BS else pathloss(surface[u], block.m, out=arena.empty(B))
-        for key in cascades:
-            if u in key[2:]:
-                gains[key] *= loss
+        for row in rows:
+            gains[row] *= loss
+    shared = {NOISE: 1.0, ("bounce",): block.bounce, ("si",): block.si}
+    for row, key in enumerate(plan.keys):
+        if key in shared:
+            gains[row] = shared[key]
     return gains
 
 
-def _role_log1p(role, gains, out, den, term) -> np.ndarray:
-    """ln(1 + SINR) per trial of one bound role, into out; den and term are scratch.
+class Stack(NamedTuple):
+    """The roles of one direction of a group at every point of a schedule.
 
-    The denominator adds the noise and every term of nonzero coefficient (a
-    zero one adds +0.0, which changes no bit), so a point without SIC error
-    skips its residual terms.
+    Per trial, role i at point p reads ln(1 + g[signals[i]] / (den[p, i] @
+    g[span])) off the group's gain rows g: den holds the role's noise (the
+    coefficient of the NOISE row of ones) and interference coefficients,
+    each over its signal coefficient.
     """
-    den.fill(role.noise)
-    for t in role.interference:
-        if t.coef != 0.0:
-            den += np.multiply(gains[t.key], t.coef, out=term)
-    np.multiply(gains[role.signal.key], role.signal.coef, out=out)
-    out /= den
-    return np.log1p(out, out=out)
+
+    direction: int        # 0 for DL, 1 for UL: the point totals its roles add into
+    cells: slice          # its roles' moment cells
+    signals: tuple        # the gain row of each role's signal
+    span: slice           # the gain rows its denominators read
+    den: np.ndarray       # (points, roles, span rows) coefficients, 0 where a point's role has no such term
+
+
+def _stacks(tables, rows: dict, si_scales, cell: int = 0) -> list:
+    """The Stacks of one group, a run of roles of one direction each.
+
+    tables holds the group's role table bound at each point, si_scales the
+    points' SI scales, rows the row of each gain key and cell the group's
+    first moment cell.  The unit SI row is read with each point's scale
+    folded into its coefficient, and the noise is the NOISE row's.  Every
+    coefficient of a role is divided by its signal coefficient, which a
+    PowerAllocation keeps positive.
+    """
+    stacks = []
+    for direction, run in groupby(range(len(tables[0])), key=lambda i: tables[0][i].name[:2]):
+        run = list(run)
+        read = [rows[NOISE]] + [rows[t.key] for i in run for t in tables[0][i].interference]
+        span = slice(min(read), max(read) + 1)
+        den = np.zeros((len(tables), len(run), span.stop - span.start))
+        for point, table, si_scale in zip(den, tables, si_scales):
+            for coefs, i in zip(point, run):
+                coefs[rows[NOISE] - span.start] = table[i].noise
+                for t in table[i].interference:
+                    coefs[rows[t.key] - span.start] += t.coef * si_scale if t.key == ("si",) else t.coef
+                coefs /= table[i].signal.coef
+        stacks.append(Stack(
+            ("DL", "UL").index(direction), slice(cell + run[0], cell + run[-1] + 1),
+            tuple(rows[tables[0][i].signal.key] for i in run), span, den,
+        ))
+    return stacks
+
+
+def _tiles(B: int):
+    """Slices of at most _TILE trials that cover a block of B."""
+    return (slice(t, min(t + _TILE, B)) for t in range(0, B, _TILE))
+
+
+def _stack_tiles(stack: Stack, gains, scratch):
+    """(trials, ln(1 + SINR)) of a stack's roles at every point, one tile at a time.
+
+    gains is the group's (keys, B) matrix; scratch is flat, of at least
+    points * roles * min(B, _TILE) floats.  A tile's denominators, the noise
+    included, are one matmul, each point's coefficient block times the
+    span's gain rows; each role's signal row is divided by them in place.
+    The values are a (points, roles, n) view of scratch, valid until the
+    next tile.
+    """
+    shape = stack.den.shape[:2]
+    for cols in _tiles(gains.shape[1]):
+        size = math.prod(shape) * (cols.stop - cols.start)
+        r = np.matmul(stack.den, gains[stack.span, cols], out=scratch[:size].reshape(*shape, -1))
+        for i, row in enumerate(stack.signals):
+            np.divide(gains[row, cols], r[:, i], out=r[:, i])
+        yield cols, np.log1p(r, out=r)
 
 
 # SystemConfig fields that may differ between the points of one draw: they reach
@@ -568,7 +721,10 @@ class Schedule(NamedTuple):
     group's users, once per group, an entry None where no gain key reads it;
     state is the surface state.
     read(results, trials, seed) turns the loop's results into the
-    simulator's own.
+    simulator's own.  The block loop plans a schedule once (_schedule_run):
+    the points' role tables become one GainPlan and the Stacks of each
+    group, so the points must share every group's gain keys, as configs
+    that differ in POINT_FIELDS only do.
     """
 
     points: list
@@ -584,48 +740,49 @@ def _schedule_run(schedule: Schedule):
     every other array of the block taken from the arena, and estimate turns
     the merged moments into the loop's results.
 
-    The moments are one (points, cells, 3) array of (n, sum, sum of squares)
-    of ln(1 + SINR), before the 1/(ln 2 * share) that estimate applies: one
-    cell per role of each group, in schedule order, then each point's DL and
-    UL totals.
+    The plan is made here, once per schedule: each group's GainPlan and the
+    Stacks of its DL and UL roles, which hold their coefficients at every
+    point.  A block draws each group's gain matrix (sample_gains) and then
+    evaluates each stack at all points at once (_stack_tiles), a tile of
+    trials at a time.  The moments are one (points, cells, 3) array of (n,
+    sum, sum of squares) of ln(1 + SINR), before the 1/(ln 2 * share) that
+    estimate applies: one cell per role of each group, in schedule order,
+    then each point's DL and UL totals.
     """
     points, groups, shares = schedule.points, schedule.groups, schedule.shares
     cfg = _shared_draw([c for c, _ in points])
     check_state_size(cfg, schedule.state.N)
     links = cached_links(cfg)
-    bound = [
-        [bind_power(noma_roles(point, dl, ul), power) for (dl, ul), power in zip(groups, powers)]
-        for point, powers in points
-    ]
-    members = [(*dl, *ul) for dl, ul in groups]
-    users = [u for group_users in members for u in group_users]
     si_scales = [si_variance(c) for c, _ in points]
-    names = [[role.name for role in group] for group in bound[0]]
+    plan, names = [], []
+    for g, (dl, ul) in enumerate(groups):
+        tables = [bind_power(noma_roles(point, dl, ul), powers[g]) for point, powers in points]
+        draw = gain_plan(tables[0], (*dl, *ul))
+        cell = sum(map(len, names))   # the group's first moment cell
+        plan.append((draw, _stacks(tables, {key: i for i, key in enumerate(draw.keys)}, si_scales, cell)))
+        names.append([role.name for role in tables[0]])
+    users = [u for draw, _ in plan for u in draw.members]
     scale = {d: 1.0 / (math.log(2.0) * share) for d, share in shares.items()}
     scales = [scale[name[:2]] for group in names for name in group] + [scale["DL"], scale["UL"]]
 
     def run(B, rng, arena):
         resolve = schedule.layout(rng, B, users, arena)
         block = BlockDraws.draw(cfg, schedule.state, links, rng, B, arena)
-        moments = np.empty((len(points), len(scales), 3))
+        moments = np.zeros((len(points), len(scales), 3))
         totals = arena.empty((len(points), 2, B))   # each point's DL and UL sums
         totals.fill(0.0)
-        cell = 0
-        for g, group_users in enumerate(members):
-            gains = sample_gains(bound[0][g], group_users, resolve(group_users), links, rng, block)
-            si, out, den, term = (arena.empty(B) for _ in range(4))   # scratch, taken after the draw's peak
-            gains[("si",)] = si
-            for point_bound, si_scale, point_moments, tot in zip(bound, si_scales, moments, totals):
-                np.multiply(block.si, si_scale, out=si)
-                for c, role in enumerate(point_bound[g], cell):
-                    r = _role_log1p(role, gains, out, den, term)
-                    point_moments[c] = _moments(r, term)
-                    tot[("DL", "UL").index(role.name[:2])] += r
-            cell += len(names[g])
-            del gains, si, out, den, term   # before the next group's draw
-        squares = arena.empty(B)
-        for point_moments, tot in zip(moments, totals):
-            point_moments[cell:] = [_moments(total, squares) for total in tot]
+        for draw, stacks in plan:
+            gains = sample_gains(draw, resolve(draw.members), links, rng, block)
+            # scratch, taken after the draw's peak
+            scratch = arena.empty(max(math.prod(stack.den.shape[:2]) for stack in stacks) * min(B, _TILE))
+            for stack in stacks:
+                for cols, r in _stack_tiles(stack, gains, scratch):
+                    _add_moments(moments[:, stack.cells], r)
+                    for i in range(r.shape[1]):
+                        totals[:, stack.direction, cols] += r[:, i]
+            del gains, scratch, r   # r views scratch: all go before the next group's draw
+        for cols in _tiles(B):
+            _add_moments(moments[:, -2:], totals[..., cols])
         return moments
 
     def estimate(moments):
@@ -649,8 +806,9 @@ def simulate_groups(schedules, trials, seed, block_size=_DEFAULT_BLOCK) -> list:
     generators are spawned from SeedSequence(seed), so its results do not
     depend on the other schedules.  Each point rates every group's role
     table bound to its allocation (rates.bind_power).  A block draws the
-    layout, its BlockDraws, then each group's gains in schedule order, its
-    users sampled DL first; every point evaluates its SINRs from them.  The
+    layout, its BlockDraws, then each group's gain matrix in schedule
+    order, its users sampled DL first, and the stacked pass evaluates the
+    SINRs of all points from it, a tile of _TILE trials at a time.  The
     blocks of all schedules form one queue (_map_blocks), the largest
     (trials times N) first, each worker running its blocks in one _Arena,
     and each schedule's moments merge in block order (_merge), whatever
@@ -924,7 +1082,9 @@ def estimate_expectation(
         else:   # a strong user's log-mean, its SIC residual (none for UL1) on its own gain
             gain = _ordered_draw(rng, B, strong, cfg.m, arena) * _draw_power(rng, B, arena)
             vals = np.log2(1.0 + total * gain) - np.log2(1.0 + residual * gain)
-        return np.array(_moments(np.asarray(vals, dtype=float)))
+        moments = np.zeros(3)
+        _add_moments(moments, np.asarray(vals, dtype=float))
+        return moments
 
     return _estimate(_merge(_map_blocks([(draw, *block) for block in _blocks(trials, seed, block_size)])))
 

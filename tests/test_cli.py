@@ -1,7 +1,10 @@
 import csv
 import dataclasses
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,6 +292,25 @@ class TestSharedDrawRows:
             for role in ROLES:
                 want[(var, str(value), role + tag)] = (repr(report.rates[role]), repr(report.stderr[role]))
         assert got == want
+
+
+class TestBlasThreads:
+    def test_blas_thread_count_changes_no_byte(self, tmp_path):
+        # the simulator's denominators are BLAS matrix products: a sweep's bytes
+        # must not depend on how many threads the BLAS library runs them on
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = {}
+        for threads in ("1", "2"):
+            out[threads] = tmp_path / f"sweep-{threads}.csv"
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from starnoma.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "sweep", "--experiment", "cluster-vs-pair", "--trials", "3000", "--seed", "5", "--out", str(out[threads])],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert out["1"].read_bytes() == out["2"].read_bytes()
 
 
 class TestInputsAreNeverIgnored:

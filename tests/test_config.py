@@ -243,3 +243,35 @@ def test_integral_counts_are_stored_as_int():
     assert type(dataclasses.replace(cfg, M_d=3.0).M_d) is int
     with pytest.raises(ConfigError, match="N must be an integer"):
         dataclasses.replace(cfg, N=True)
+
+
+@pytest.mark.parametrize(
+    "doc,match",
+    [
+        ("geometry:\n  R: true\n", "geometry.R must be a number, got True"),
+        ("impairments:\n  xi_sic: true\n", "impairments.xi_sic must be a number, got True"),
+        ("power:\n  P_b: '100'\n", "power.P_b must be a number, got '100'"),
+        ("impairments:\n  beta_si: 1e-3\n", r"impairments.beta_si must be a number, got '1e-3' \(YAML reads an exponent"),
+        ("users:\n  K_cd: '6'\n", "users.K_cd must be an integer, got '6'"),
+        ("rician:\n  default: true\n", "rician.default must be a number, got True"),
+        ("rician:\n  r,u3d: false\n", "rician.r,u3d must be a number, got False"),
+        ("weights:\n  ul: [1.0, true, 1.0]\n", "weights.ul must be a number, got True"),
+        ("angles:\n  b,r: [true, 1.5]\n", "angles.b,r must be a number, got True"),
+        ("allocation:\n  alpha: [0.1, 0.3, 0.6]\n  p_ul: [true, 1.0, 1.0]\n", "allocation.p_ul must be a number, got True"),
+        ("geometry:\n  R: 1" + "0" * 400 + "\n", "geometry.R must be a finite number, got an integer too large"),
+        ("rician:\n  default: 1" + "0" * 400 + "\n", "rician.default must be a finite number"),
+    ],
+    ids=["geometry", "impairments", "power-text", "exponent-text", "count-text", "rician-default", "rician-link",
+         "weights", "angles", "allocation", "huge-integer", "huge-rician"],
+)
+def test_what_is_not_a_number_is_rejected_by_name(doc, match):
+    # float() would read true as 1.0 and '100' as 100.0, and overflow on a huge integer;
+    # a config value must be a YAML number a float holds
+    with pytest.raises(ConfigError, match=match):
+        load_config(io.StringIO(doc))
+
+
+def test_schema_scalars_are_stored_as_floats():
+    cfg = load_config(io.StringIO("geometry:\n  R: 40\npower:\n  P_b: 1.0e+3\n"))
+    assert type(cfg.R) is float and cfg.R == 40.0
+    assert cfg.P_b == 1000.0

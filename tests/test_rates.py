@@ -332,16 +332,24 @@ class TestRoleTable:
     def test_every_key_has_a_mean_and_a_sampler(self, cfg, state):
         from starnoma.comparison import pair_groups
         from starnoma.rates import group_tables, surface_terms
-        from starnoma.simulator import BlockDraws, sample_gains
+        from types import SimpleNamespace
+
+        from starnoma.simulator import NOISE, BlockDraws, gain_plan, sample_gains
         from starnoma.channel import build_links
 
         links = build_links(cfg)
         rng = np.random.default_rng(0)
-        block = BlockDraws.draw(cfg, state, links, rng, 4)
+        # every array the draw takes starts as NaN, so a row that is never written shows
+        unwritten = SimpleNamespace(empty=lambda shape, dtype=float: np.full(shape, np.nan, dtype))
+        block = BlockDraws.draw(cfg, state, links, rng, 4, unwritten)
         fake = (np.zeros((4, 2)), np.ones(4), np.ones(4))   # position, BS and surface distance
 
         def sampled(roles, users):
-            return set(sample_gains(roles, users, {u: fake for u in users}, links, rng, block))
+            plan = gain_plan(roles, users)
+            gains = sample_gains(plan, {u: fake for u in users}, links, rng, block)
+            assert gains.shape == (len(plan.keys), 4) and np.isfinite(gains).all()
+            assert np.all(gains[plan.keys.index(NOISE)] == 1.0)
+            return set(plan.keys) - {NOISE}
 
         for j in (1, 2, 3):
             inputs = _inputs(cfg, default_power_allocation(cfg), state, cluster=j)

@@ -252,10 +252,10 @@ class TestBlockPool:
     def test_block_exception_reaches_the_caller(self, cfg, power, state, monkeypatch, failing, workers):
         sample_gains = simulator.sample_gains
 
-        def fail(roles, members, geo, links, rng, block):
+        def fail(plan, geo, links, rng, block):
             if len(block.si) == failing:
                 raise BlockFailure("block failed")
-            return sample_gains(roles, members, geo, links, rng, block)
+            return sample_gains(plan, geo, links, rng, block)
 
         monkeypatch.setattr(simulator, "_cores", lambda: workers)
         monkeypatch.setattr(simulator, "sample_gains", fail)
@@ -269,11 +269,11 @@ class TestBlockPool:
         # a pair has 4 members and a cluster 6: only the pairing's blocks fail
         sample_gains, calls = simulator.sample_gains, []
 
-        def fail(roles, members, geo, links, rng, block):
-            calls.append(len(members))
-            if len(members) == 4:
+        def fail(plan, geo, links, rng, block):
+            calls.append(len(plan.members))
+            if len(plan.members) == 4:
                 raise BlockFailure("pairing block failed")
-            return sample_gains(roles, members, geo, links, rng, block)
+            return sample_gains(plan, geo, links, rng, block)
 
         monkeypatch.setattr(simulator, "_cores", lambda: workers)
         monkeypatch.setattr(simulator, "sample_gains", fail)
@@ -525,7 +525,8 @@ class TestLeafCascades:
         block = simulator.BlockDraws.draw(cfg, state, links, rng, B)
         block = dataclasses.replace(block, l_br=1.0)
         geo = dict.fromkeys(members, at_anchor)
-        gains = simulator.sample_gains(cluster_roles(cfg, 1), members, geo, links, rng, block)
+        plan = simulator.gain_plan(cluster_roles(cfg, 1), members)
+        gains = dict(zip(plan.keys, simulator.sample_gains(plan, geo, links, rng, block)))
         pairs = [
             (("cascade", "r", u3d, u1u), ("cascade", "r", u3d, u2u)),
             (("cascade", "t", u1d, u3u), ("cascade", "t", u2d, u3u)),

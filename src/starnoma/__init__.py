@@ -9,7 +9,7 @@ from .config import (
     dump_config,
     load_config,
 )
-from .specfun import SeriesConvergenceError, gamma, gauss_legendre, hyp_pfq
+from .specfun import gauss_legendre
 from .geometry import (
     OrderSpec,
     ordered_pathloss_density,

@@ -60,6 +60,9 @@ class StarRisState:
     def __post_init__(self):
         for name in ("rho_t", "rho_r", "phi_t", "phi_r"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            # a column or a matrix would broadcast against the length-N vectors it meets
+            if getattr(self, name).ndim != 1:
+                raise ValueError(f"{name} must be a 1-D array of N values, got shape {getattr(self, name).shape}")
             # every comparison with NaN is false, so the range checks below would pass it
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must hold finite numbers only")
@@ -208,7 +211,7 @@ def cached_links(cfg) -> Mapping[str, RicianLink]:
     return _memo(_LINKS, link_key(cfg), make)
 
 
-def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=None, out=None) -> np.ndarray:
+def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=None) -> np.ndarray:
     """scale / sqrt(2) * (x + 1j*y) + shift, x and y iid N(0, 1), of the given shape.
 
     shift (optional) broadcasts over the last axis.  The standard normals are
@@ -218,18 +221,8 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=No
     besides the output is made.  The values are those of the complex formula
     written with z = rng.standard_normal((*shape, 2)), x = z[..., 0] and
     y = z[..., 1], to the bit.
-
-    out, if given, receives the draw: a C-contiguous complex128 array of the
-    shape, or a ValueError is raised.  The simulator's block loop passes one
-    from its worker's arena (simulator._Arena), so that after the worker's
-    first block a draw allocates nothing.
     """
-    shape = tuple(shape) if np.iterable(shape) else (shape,)
-    if out is None:
-        out = np.empty(shape, dtype=complex)
-    elif out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous complex128 array of shape {shape}, got a {out.dtype} "
-                         f"array of shape {out.shape} (C-contiguous: {out.flags.c_contiguous})")
+    out = np.empty(shape, dtype=complex)
     rng.standard_normal(out=out.view(float))
     out *= scale / np.sqrt(2.0)
     if shift is not None:
@@ -237,13 +230,13 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=No
     return out
 
 
-def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int, out=None) -> np.ndarray:
+def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Draw trials link vectors sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I), as a
-    (trials, N) batch sharing the same LoS.  complex_normal draws it, into
-    out if given, so it is the complex formula's to the bit.
+    (trials, N) batch sharing the same LoS.  complex_normal draws it, so it is
+    the complex formula's to the bit.
     """
     shape = (trials, link.los.size)
-    return complex_normal(rng, shape, np.sqrt(link.scatter_weight), np.sqrt(link.los_weight) * link.los, out)
+    return complex_normal(rng, shape, np.sqrt(link.scatter_weight), np.sqrt(link.los_weight) * link.los)
 
 
 def cascaded_power_mean(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> float:

@@ -146,23 +146,22 @@ def ranked_layout(cfg: SystemConfig):
     surface distance r and bearing t, an edge user's squared BS distance is
     d_br^2 + r^2 + 2 d_br r cos t.  An edge user's position is not handed
     out (only center users have cross keys), but its BS distance is, as
-    `starnoma cluster` prints it.  The draws and the ranked rows, one
-    (ranks, B) array each, are taken from the layout call's arena; the
-    bearings t are rng.uniform(0, 2 pi)'s values, drawn as 2 pi times
-    rng.random().
+    `starnoma cluster` prints it.  The ranked rows are one (ranks, B) array
+    each; the bearings t are rng.uniform(0, 2 pi)'s values, drawn as 2 pi
+    times rng.random().
     """
-    def edge(rng, B, ranks, K, arena):
-        r = rng.random(out=arena.empty((B, K)))
+    def edge(rng, B, ranks, K):
+        r = rng.random((B, K))
         r = np.sqrt(r, out=r)
         r *= cfg.R_r
-        d2 = rng.random(out=arena.empty((B, K)))
+        d2 = rng.random((B, K))
         d2 *= 2.0 * np.pi
         d2 = np.cos(d2, out=d2)
         d2 *= 2.0 * cfg.d_br
         d2 += r
         d2 *= r
         d2 += cfg.d_br**2
-        d_bs, surface = arena.empty((len(ranks), B)), arena.empty((len(ranks), B))
+        d_bs, surface = np.empty((len(ranks), B)), np.empty((len(ranks), B))
         cols = np.subtract(ranks, 1)
         for start in range(0, B, _CHUNK_ROWS):   # the sort's index arrays, a chunk of trials at a time
             rows = slice(start, start + _CHUNK_ROWS)

@@ -19,8 +19,9 @@ user's path loss; a 128-node rule on the pair density, whose
 (2R - d)^(3/2) edge needs the extra nodes; and a C-node rule on the
 outside-point density, mapped by r = r1 + R(1 - cos t) so that its
 square-root edges do not slow it down.  The tests compare each rule with adaptive
-quadrature of the exact density, and with hypergeometric series forms where
-those converge (sub-unit disk radii).  The (1+d) offset keeps the path loss finite at zero distance and is applied
+quadrature of the exact density, and the order-statistic and pair rules also
+with hypergeometric series forms where those converge (sub-unit disk radii).
+The (1+d) offset keeps the path loss finite at zero distance and is applied
 uniformly across analysis and simulation.
 
 The position terms depend on the geometry alone, so ordered_pathloss_mean,

@@ -135,17 +135,9 @@ _OMEGA_PATHS = {
 _OMEGA_NAME = {path: name for name, path in _OMEGA_PATHS.items()}
 
 
-def pathloss(d, m: float, out=None):
-    """Distance-to-gain map (1+d)^-m shared by analysis and simulation.
-
-    out, if given, is a float array of d's shape that receives the gains (it
-    may be d itself); the operations are the same, and so are the bits.
-    """
-    if out is None:
-        return (1.0 + np.asarray(d, dtype=float)) ** (-m)
-    np.add(1.0, d, out=out)
-    out **= -m
-    return out
+def pathloss(d, m: float):
+    """Distance-to-gain map (1+d)^-m shared by analysis and simulation."""
+    return (1.0 + np.asarray(d, dtype=float)) ** (-m)
 
 
 def si_variance(cfg: SystemConfig) -> float:

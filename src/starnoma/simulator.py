@@ -66,19 +66,17 @@ use.  Complex Gaussian draws are written straight into their output
 (channel.complex_normal), and a cascade between two hubs is one einsum into
 a complex vector per trial.
 
-Every array of a block (the layout's rows, the shared draws, the fading
-vectors, the gain matrices, the path losses, the tile scratch and the
-totals) is taken from its worker's _Arena and written in place.  Each worker
-thread has one arena for the length of a simulate_groups call: memory a
-block drops goes back to it and serves the block's next arrays, the worker's
-first block sizes it, and every later block, the queue serving the largest
-first, runs in that memory without allocating or page-faulting it in again.
-The arena is released when the worker's last block of the call ends; only
-each block's moments array is new.  At N = 10 and the default 16,384 trials
-per block, the traced peak of one block is 13.5 MB for cluster 1 at one
-point, and 19.9 MB (clusters) and 19.0 MB (pairing) at the 12 points of the
-cluster-versus-pairing sweep, arena included; a later block adds under 1 MiB
-to it.
+Every array of a block is a plain numpy array, written in place wherever a
+step allows (out=).  A worker's blocks ask for the same arrays in the same
+order, so importing the module sets two malloc thresholds of the C library,
+for the whole process (_keep_heap): the heap memory a worker's first block
+pages in, the queue serving the largest blocks first, is kept and serves
+every later block, which page-faults almost none of it in again.  An array
+above 32 MiB, such as a fading vector at N > 128 and the default 16,384
+trials per block, is still mapped afresh for every block.  At N = 10 and the
+default block, the traced peak of one block is 12.3 MB for cluster 1 at one
+point, and 17.9 MB (clusters) and 18.0 MB (pairing) at the 12 points of the
+cluster-versus-pairing sweep.
 
 A schedule holds a whole grid of points (cluster_schedule, and
 comparison.pair_schedule for the pairing; simulate_clusters and
@@ -134,15 +132,14 @@ averaged over their position and fading.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
-import weakref
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from itertools import groupby
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -197,8 +194,25 @@ _DEFAULT_BLOCK = 1 << 14
 # the gain key of a row of ones in a group's gain matrix: its coefficient in a role's denominator is the noise
 NOISE = ("noise",)
 _TILE = 1 << 12         # trials per step of the stacked SINR pass, which bounds its scratch
-_SLAB = 1 << 20         # bytes of an arena slab that several arrays share
-_ALIGN = 64             # bytes: every arena array starts on a cache line, as aligned as malloc's or more
+
+
+def _keep_heap() -> None:
+    """Keep freed block memory in the process, where the C library has mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):   # no C library symbols to load, or no mallopt among them
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # Each block frees its arrays and the next one asks for the same sizes.  glibc
+    # gives large arrays an mmap of their own and hands freed heap back to the
+    # kernel, so every block would page-fault its working set in again (about
+    # 5.9k minor faults a block at N = 10).  Arrays below 32 MiB come from the
+    # heap, and up to 256 MiB of it stays free for the next block.
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
+
+
+_keep_heap()
 
 
 @dataclass(frozen=True)
@@ -218,67 +232,10 @@ class SimPlan:
             raise ValueError("trials must be >= 1")
 
 
-class _Arena:
-    """One worker's block memory for the length of one simulate_groups call.
-
-    The arena holds byte slabs of _SLAB bytes, or of one array's size if that
-    is larger, and a list of their free extents.  empty(shape, dtype) hands
-    out a C-contiguous array of the shape in the smallest free extent that
-    holds it (best fit), and makes a new slab only if none does.  The extent
-    is free again once no array views it any more (a finalizer on the array
-    that owns the extent queues it, and the next request merges it with its
-    free neighbours), so the block's arrays go back to the arena as the block
-    drops them, as they would go back to the heap, and memory freed by one
-    kind of array serves the next kind.  A later block asks for the same
-    arrays in the same order, each of the same size or smaller, and finds
-    room for them in the slabs the worker's first block made, in memory
-    already paged in: its arrays are written in place (out=), and it makes
-    no slab.  The slabs are released with the arena, when the worker has run
-    its last block of the call.
-    """
-
-    def __init__(self):
-        self._slabs = []      # memoryviews of the byte slabs
-        self._gaps = []       # free extents [slab index, start, end]
-        self._released = []   # extents whose arrays have died, not yet merged into the gaps
-
-    def empty(self, shape, dtype=float) -> np.ndarray:
-        """An uninitialized array of the shape, as np.empty makes it, in the arena's memory."""
-        while self._released:
-            self._free(*self._released.pop())
-        shape = shape if isinstance(shape, tuple) else (shape,)
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        size = max(-(-nbytes // _ALIGN) * _ALIGN, _ALIGN)
-        gap = min((g for g in self._gaps if g[2] - g[1] >= size), key=lambda g: g[2] - g[1], default=None)
-        if gap is None:
-            self._slabs.append(memoryview(np.empty(max(size, _SLAB), np.uint8)))
-            gap = [len(self._slabs) - 1, 0, len(self._slabs[-1])]
-            self._gaps.append(gap)
-        k, start = gap[0], gap[1]
-        gap[1] += size
-        if gap[1] == gap[2]:
-            self._gaps.remove(gap)
-        owner = np.frombuffer(self._slabs[k][start:start + size], np.uint8)
-        weakref.finalize(owner, self._released.append, (k, start, start + size))
-        return owner[:nbytes].view(dtype).reshape(shape)
-
-    def _free(self, k, start, end):
-        """Return an extent of slab k to the free extents, merged with its free neighbours."""
-        for gap in [g for g in self._gaps if g[0] == k and (g[2] == start or g[1] == end)]:
-            self._gaps.remove(gap)
-            start, end = min(start, gap[1]), max(end, gap[2])
-        self._gaps.append([k, start, end])
-
-
-# the allocator of a call made outside the block loop: every array is new
-_HEAP = SimpleNamespace(empty=np.empty)
-
-
-def _draw_power(rng: np.random.Generator, shape, arena=_HEAP) -> np.ndarray:
+def _draw_power(rng: np.random.Generator, shape) -> np.ndarray:
     """|CN(0, 1)|^2 draws.  The squared modulus of a unit complex Gaussian is a
     unit exponential, so it is drawn as one: one value per draw, not two normals."""
-    return rng.standard_exponential(out=arena.empty(shape))
+    return rng.standard_exponential(shape)
 
 
 def _add_moments(moments, values) -> None:
@@ -331,15 +288,15 @@ def _cores() -> int:
 
 
 def _map_blocks(jobs, sizes=None) -> list:
-    """[run(B, rng, arena) for run, B, rng in jobs], in job order, on one thread per core.
+    """[run(B, rng) for run, B, rng in jobs], in job order, on one thread per core.
 
     Every thread, the calling one included, takes the next job off one shared
     queue until none is left, so a core that ends a short block starts the
     next job at once, whichever schedule it belongs to; each writes only its
     own slot.  The queue holds the jobs largest first, by sizes (each job's
-    trial count if not given), ties in job order, and each thread runs its
-    jobs in one _Arena: its first job sizes the arena, and every later one
-    fits in it.  An exception in any job stops the others before their next
+    trial count if not given), ties in job order, so a thread's first job
+    pages in the most heap memory and its later ones reuse it (see
+    _keep_heap).  An exception in any job stops the others before their next
     job and is raised here once every thread has ended.
     """
     workers = min(_cores(), len(jobs))
@@ -349,7 +306,6 @@ def _map_blocks(jobs, sizes=None) -> list:
     queue, lock = iter(sorted(range(len(jobs)), key=lambda i: -sizes[i])), threading.Lock()
 
     def work():
-        arena = _Arena()
         try:
             while not errors:
                 with lock:
@@ -357,7 +313,7 @@ def _map_blocks(jobs, sizes=None) -> list:
                 if i is None:
                     return
                 run, B, rng = jobs[i]
-                results[i] = run(B, rng, arena)
+                results[i] = run(B, rng)
         except BaseException as exc:   # re-raised in the calling thread below
             errors.append(exc)
 
@@ -372,17 +328,11 @@ def _map_blocks(jobs, sizes=None) -> list:
     return results
 
 
-def _rician(link: RicianLink, rng, B: int, arena) -> np.ndarray:
-    """sample_rician of B trials, drawn into a vector taken from the arena."""
-    return sample_rician(link, rng, B, out=arena.empty((B, link.los.size), complex))
-
-
 @dataclass(frozen=True)
 class BlockDraws:
     """What one block of trials shares across its groups and points: the
     BS-surface vector, the BS's own signal off the surface and the unit
-    residual SI |CN(0, 1)|^2, which each point scales by its si_variance,
-    and the arena that every array of the block is taken from."""
+    residual SI |CN(0, 1)|^2, which each point scales by its si_variance."""
 
     g_br: np.ndarray
     bounce: np.ndarray
@@ -390,22 +340,20 @@ class BlockDraws:
     coeffs: dict      # face -> element coefficients rho * exp(j*phi)
     l_br: float
     m: float
-    arena: object     # an _Arena in the block loop; _HEAP makes every array new
 
     @classmethod
-    def draw(cls, cfg, state, links, rng, B, arena=_HEAP):
-        g_br = _rician(links["b,r"], rng, B, arena)
-        si = _draw_power(rng, B, arena)
+    def draw(cls, cfg, state, links, rng, B):
+        g_br = sample_rician(links["b,r"], rng, B)
+        si = _draw_power(rng, B)
         c = {side: state.coefficients(side) for side in ("t", "r")}
         l_br = pathloss(cfg.d_br, cfg.m)
         # |sum_n |g[n]|^2 c[n]|^2, its real and imaginary sums each one einsum over g's parts
         parts = g_br.view(float)
-        re, im = (np.einsum("bk,bk,k->b", parts, parts, np.repeat(part, 2), out=arena.empty(B))
-                  for part in (c["t"].real, c["t"].imag))
+        re, im = (np.einsum("bk,bk,k->b", parts, parts, np.repeat(part, 2)) for part in (c["t"].real, c["t"].imag))
         bounce = np.square(re, out=re)
         bounce += np.square(im, out=im)
         bounce *= l_br * l_br
-        return cls(g_br, bounce, si, c, l_br, cfg.m, arena)
+        return cls(g_br, bounce, si, c, l_br, cfg.m)
 
 
 def _scalar_rank(key) -> int:
@@ -414,34 +362,34 @@ def _scalar_rank(key) -> int:
     return 1 if key[0] == "cross" else 0 if key[1].direction == "DL" else 2
 
 
-def _distance(pu, pv, arena=_HEAP) -> np.ndarray:
+def _distance(pu, pv) -> np.ndarray:
     """Per-trial distance between (trials, 2) position arrays, from their x and y
     columns; pv may be one (1, 2) point."""
-    d = np.subtract(pu[:, 0], pv[:, 0], out=arena.empty(len(pu)))
+    d = np.subtract(pu[:, 0], pv[:, 0])
     d *= d
-    dy = np.subtract(pu[:, 1], pv[:, 1], out=arena.empty(len(pu)))
+    dy = np.subtract(pu[:, 1], pv[:, 1])
     dy *= dy
     d += dy
     return np.sqrt(d, out=d)
 
 
-def _cascade_power(g_out, c, g_in, arena=_HEAP, out=None) -> np.ndarray:
+def _cascade_power(g_out, c, g_in, out=None) -> np.ndarray:
     """|sum_n g_out[n] c[n] g_in[n]|^2 per trial, into out if given: the sums are
     one einsum, so the products need no (trials, N) temporary, and the power is
     re^2 + im^2."""
-    s = np.einsum("bk,k,bk->b", g_out, c, g_in, out=arena.empty(len(g_out), complex)).view(float)
+    s = np.einsum("bk,k,bk->b", g_out, c, g_in).view(float)
     s = np.square(s, out=s)
-    return np.add(s[0::2], s[1::2], out=arena.empty(len(g_out)) if out is None else out)
+    return np.add(s[0::2], s[1::2], out=out)
 
 
-def _spread(g_hub, c, arena=_HEAP) -> np.ndarray:
+def _spread(g_hub, c) -> np.ndarray:
     """sum_n |g_hub[n]|^2 |c[n]|^2 per trial: one einsum over the real and
     imaginary parts, so no (trials, N) temporary is made."""
     parts = g_hub.view(float)
-    return np.einsum("bk,bk,k->b", parts, parts, np.repeat(np.abs(c) ** 2, 2), out=arena.empty(len(g_hub)))
+    return np.einsum("bk,bk,k->b", parts, parts, np.repeat(np.abs(c) ** 2, 2))
 
 
-def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None, arena=_HEAP, out=None) -> np.ndarray:
+def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None, out=None) -> np.ndarray:
     """|sum_n g_hub[n] c[n] g_leaf[n]|^2 per trial, into out if given, for a Rician
     leaf vector g_leaf that no other gain reads.
 
@@ -454,13 +402,13 @@ def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None, arena=_HEA
     """
     B = len(g_hub)
     if spread is None:
-        spread = _spread(g_hub, c, arena)
-    t = arena.empty(B, complex)
+        spread = _spread(g_hub, c)
+    t = np.empty(B, complex)
     rng.standard_normal(out=t.view(float))
-    scale = np.multiply(spread, 0.5 * leaf.scatter_weight, out=arena.empty(B))
+    scale = np.multiply(spread, 0.5 * leaf.scatter_weight)
     t *= np.sqrt(scale, out=scale)
-    t += np.matmul(g_hub, np.sqrt(leaf.los_weight) * c * leaf.los, out=arena.empty(B, complex))
-    power = np.square(t.real, out=arena.empty(B) if out is None else out)
+    t += np.matmul(g_hub, np.sqrt(leaf.los_weight) * c * leaf.los)
+    power = np.square(t.real, out=out)
     power += np.square(t.imag, out=scale)
     return power
 
@@ -482,7 +430,7 @@ def _leaves(cascades) -> dict:
     return leaves
 
 
-def _cascade_draw(key, leaf, vec, coeffs, links, rng, spreads=None, arena=_HEAP, out=None) -> np.ndarray:
+def _cascade_draw(key, leaf, vec, coeffs, links, rng, spreads=None, out=None) -> np.ndarray:
     """Cascade power of one key before path loss, into out if given: the product
     of both users' drawn vectors, or, for a key with a leaf, the leaf drawn
     given the other side (vec holds every vector the key reads).  spreads, if
@@ -490,14 +438,14 @@ def _cascade_draw(key, leaf, vec, coeffs, links, rng, spreads=None, arena=_HEAP,
     and face."""
     _, side, u_out, u_in = key
     if leaf is None:
-        return _cascade_power(vec[u_out], coeffs[side], vec[u_in], arena, out)
+        return _cascade_power(vec[u_out], coeffs[side], vec[u_in], out)
     hub = u_in if leaf == u_out else u_out
     spread = None
     if spreads is not None:
         spread = spreads.get((hub, side))
         if spread is None:
-            spread = spreads[hub, side] = _spread(vec[hub], coeffs[side], arena)
-    return _leaf_cascade_power(vec[hub], coeffs[side], links[leaf.link], rng, spread, arena, out)
+            spread = spreads[hub, side] = _spread(vec[hub], coeffs[side])
+    return _leaf_cascade_power(vec[hub], coeffs[side], links[leaf.link], rng, spread, out)
 
 
 class _Step(NamedTuple):
@@ -571,7 +519,7 @@ def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarr
 
     geo maps each user to its (position, BS distance, surface distance)
     arrays, a position being a (trials, 2) array of x and y columns.  Every
-    gain is written into its own row of one arena matrix, in place.  The
+    gain is written into its own row of one matrix, in place.  The
     Rayleigh powers of the direct and cross keys are drawn first, as one
     block of unit exponentials into their rows; then only the surface
     distances of geo are kept.  Then the members take their turns
@@ -582,12 +530,12 @@ def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarr
     unit SI, |CN(0, 1)|^2 before any point's SI scale, are copied from the
     block into the last rows, and the NOISE row is filled with ones.
     """
-    B, arena = len(block.si), block.arena
-    gains = arena.empty((len(plan.keys), B))
+    B = len(block.si)
+    gains = np.empty((len(plan.keys), B))
     rayleigh = rng.standard_exponential(out=gains[:plan.scalars])
     for gain, key in zip(rayleigh, plan.keys):
-        d = geo[key[1]][1] if key[0] == "direct" else _distance(geo[key[1]][0], geo[key[2]][0], arena)
-        gain *= pathloss(d, block.m, out=arena.empty(B))
+        d = geo[key[1]][1] if key[0] == "direct" else _distance(geo[key[1]][0], geo[key[2]][0])
+        gain *= pathloss(d, block.m)
         del d
     # positions and BS distances are read no more: a caller that hands geo over frees them here
     surface = {u: at[2] for u, at in geo.items()}
@@ -595,15 +543,15 @@ def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarr
     vec = {BS: block.g_br}
     for step in plan.steps:
         if step.draw:
-            vec[step.user] = _rician(links[step.user.link], rng, B, arena)
+            vec[step.user] = sample_rician(links[step.user.link], rng, B)
         spreads = {}   # a spread lives one step
         for row, key, leaf in step.cascades:
-            _cascade_draw(key, leaf, vec, block.coeffs, links, rng, spreads, arena, gains[row])
+            _cascade_draw(key, leaf, vec, block.coeffs, links, rng, spreads, gains[row])
         for v in step.drop:
             del vec[v]
     # the surface path losses last, once the vectors are gone: one per user, for all of its keys
     for u, rows in plan.losses:
-        loss = block.l_br if u == BS else pathloss(surface[u], block.m, out=arena.empty(B))
+        loss = block.l_br if u == BS else pathloss(surface[u], block.m)
         for row in rows:
             gains[row] *= loss
     shared = {NOISE: 1.0, ("bounce",): block.bounce, ("si",): block.si}
@@ -715,11 +663,11 @@ class Schedule(NamedTuple):
     points holds (cfg, [PowerAllocation per group]) per point, the configs
     differing in POINT_FIELDS only; groups lists the NOMA groups (dl users,
     ul users), strong first; shares maps "DL" and "UL" to the time-share
-    divisor of that direction; layout(rng, B, users, arena) draws a block's
-    positions of the given users in the arena and returns resolve(group),
-    which gives {user: (position, BS distance, surface distance)} for a
-    group's users, once per group, an entry None where no gain key reads it;
-    state is the surface state.
+    divisor of that direction; layout(rng, B, users) draws a block's
+    positions of the given users and returns resolve(group), which gives
+    {user: (position, BS distance, surface distance)} for a group's users,
+    once per group, an entry None where no gain key reads it; state is the
+    surface state.
     read(results, trials, seed) turns the loop's results into the
     simulator's own.  The block loop plans a schedule once (_schedule_run):
     the points' role tables become one GainPlan and the Stacks of each
@@ -736,9 +684,8 @@ class Schedule(NamedTuple):
 
 
 def _schedule_run(schedule: Schedule):
-    """(run, estimate) of a schedule: run(B, rng, arena) is one block's moments,
-    every other array of the block taken from the arena, and estimate turns
-    the merged moments into the loop's results.
+    """(run, estimate) of a schedule: run(B, rng) is one block's moments, and
+    estimate turns the merged moments into the loop's results.
 
     The plan is made here, once per schedule: each group's GainPlan and the
     Stacks of its DL and UL roles, which hold their coefficients at every
@@ -765,16 +712,15 @@ def _schedule_run(schedule: Schedule):
     scale = {d: 1.0 / (math.log(2.0) * share) for d, share in shares.items()}
     scales = [scale[name[:2]] for group in names for name in group] + [scale["DL"], scale["UL"]]
 
-    def run(B, rng, arena):
-        resolve = schedule.layout(rng, B, users, arena)
-        block = BlockDraws.draw(cfg, schedule.state, links, rng, B, arena)
+    def run(B, rng):
+        resolve = schedule.layout(rng, B, users)
+        block = BlockDraws.draw(cfg, schedule.state, links, rng, B)
         moments = np.zeros((len(points), len(scales), 3))
-        totals = arena.empty((len(points), 2, B))   # each point's DL and UL sums
-        totals.fill(0.0)
+        totals = np.zeros((len(points), 2, B))   # each point's DL and UL sums
         for draw, stacks in plan:
             gains = sample_gains(draw, resolve(draw.members), links, rng, block)
-            # scratch, taken after the draw's peak
-            scratch = arena.empty(max(math.prod(stack.den.shape[:2]) for stack in stacks) * min(B, _TILE))
+            # scratch, made after the draw's peak
+            scratch = np.empty(max(math.prod(stack.den.shape[:2]) for stack in stacks) * min(B, _TILE))
             for stack in stacks:
                 for cols, r in _stack_tiles(stack, gains, scratch):
                     _add_moments(moments[:, stack.cells], r)
@@ -810,11 +756,12 @@ def simulate_groups(schedules, trials, seed, block_size=_DEFAULT_BLOCK) -> list:
     order, its users sampled DL first, and the stacked pass evaluates the
     SINRs of all points from it, a tile of _TILE trials at a time.  The
     blocks of all schedules form one queue (_map_blocks), the largest
-    (trials times N) first, each worker running its blocks in one _Arena,
-    and each schedule's moments merge in block order (_merge), whatever
-    order they ran in.  The loop's results are
-    one ([{role: (mean, stderr)} per group], {dl_sum, ul_sum and their
-    stderrs}) per point; each schedule's read turns them into its result.
+    (trials times N) first, so that a worker's later blocks run in the heap
+    memory its first one paged in (_keep_heap), and each schedule's moments
+    merge in block order (_merge), whatever order they ran in.  The loop's
+    results are one ([{role: (mean, stderr)} per group], {dl_sum, ul_sum and
+    their stderrs}) per point; each schedule's read turns them into its
+    result.
     """
     runs = [_schedule_run(schedule) for schedule in schedules]
     jobs = [(run, B, rng) for run, _ in runs for B, rng in _blocks(trials, seed, block_size)]
@@ -833,7 +780,7 @@ def as_points(cfgs, settings) -> list:
     return list(zip(cfgs, settings))
 
 
-def _ranked_radii(rng, B, ranks, K, radius, arena=_HEAP) -> list:
+def _ranked_radii(rng, B, ranks, K, radius) -> list:
     """Distances to the center of the given sorted ranks (1 = nearest, increasing)
     among K points dropped uniformly in a disk: one length-B row per rank.
 
@@ -843,11 +790,11 @@ def _ranked_radii(rng, B, ranks, K, radius, arena=_HEAP) -> list:
     ranks asked for, the last one up to K + 1, gives their distances directly:
     each gap's B increments are one draw of its scalar shape, and the partial
     sums are formed by adding each row to the next, in place.  Each rank's
-    row is its own arena array, so it is freed with the last view of it.
+    row is its own array, so it is freed with the last view of it.
     """
     gaps = np.diff(ranks, prepend=0, append=K + 1)
-    rows = [arena.empty(B) for _ in ranks]   # S_k at the ranks, then the distances
-    total = arena.empty(B)                   # S_{K+1}
+    rows = [np.empty(B) for _ in ranks]   # S_k at the ranks, then the distances
+    total = np.empty(B)                   # S_{K+1}
     for row, gap in zip((*rows, total), gaps):
         rng.standard_gamma(gap, out=row)
     for before, row in zip(rows, (*rows[1:], total)):
@@ -859,23 +806,23 @@ def _ranked_radii(rng, B, ranks, K, radius, arena=_HEAP) -> list:
     return rows
 
 
-def _bearings(rng, n: int, B: int, arena) -> list:
-    """n rows of B uniform bearings in [0, 2 pi), each its own arena array: the
+def _bearings(rng, n: int, B: int) -> list:
+    """n rows of B uniform bearings in [0, 2 pi), each its own array: the
     values and the stream of rng.uniform(0, 2 pi, (n, B))."""
-    rows = [rng.random(out=arena.empty(B)) for _ in range(n)]
+    rows = [rng.random(B) for _ in range(n)]
     for theta in rows:
         theta *= 2.0 * np.pi
     return rows
 
 
-def _center_geometry(r, theta, d_br: float, arena=_HEAP) -> tuple:
+def _center_geometry(r, theta, d_br: float) -> tuple:
     """(position, BS distance, surface distance) of a center user at radii r and
     bearings theta about the BS, the surface at (d_br, 0); the position is a
     (trials, 2) array whose x and y columns are each contiguous."""
-    xy = arena.empty((2, len(r)))
+    xy = np.empty((2, len(r)))
     np.multiply(r, np.cos(theta, out=xy[0]), out=xy[0])
     np.multiply(r, np.sin(theta, out=xy[1]), out=xy[1])
-    return xy.T, r, _distance(xy.T, np.array([[d_br, 0.0]]), arena)
+    return xy.T, r, _distance(xy.T, np.array([[d_br, 0.0]]))
 
 
 def class_layout(cfg, order, edge):
@@ -886,17 +833,17 @@ def class_layout(cfg, order, edge):
     center class is drawn only at the distance ranks asked for
     (_ranked_radii), each at a uniform bearing; it keeps its radius and
     bearing until its group is resolved, when its position and surface
-    distance are formed.  edge(rng, B, ranks, K, arena) draws an edge
-    class's K users at the given ranks as (BS distance, surface distance),
-    each a sequence of one length-B row per rank, or the first None where no
-    caller reads it.  Every array is taken from the layout call's arena; a
-    center user's radius and bearing are rows of their own, so they are
-    freed with the user's group, not with its class's last group.
+    distance are formed.  edge(rng, B, ranks, K) draws an edge class's K
+    users at the given ranks as (BS distance, surface distance), each a
+    sequence of one length-B row per rank, or the first None where no
+    caller reads it.  A center user's radius and bearing are rows of their
+    own, so they are freed with the user's group, not with its class's last
+    group.
     """
     counts = {("center", "DL"): cfg.K_cd, ("center", "UL"): cfg.K_cu,
               ("edge", "DL"): cfg.K_ed, ("edge", "UL"): cfg.K_eu}
 
-    def layout(rng, B, users, arena=_HEAP):
+    def layout(rng, B, users):
         drawn = {}   # center user: (BS distance, bearing); edge user: (BS distance, surface distance)
         for kind, direction in order:
             wanted = [u for u in users if (u.kind, u.direction) == (kind, direction)]
@@ -905,16 +852,16 @@ def class_layout(cfg, order, edge):
             ranks = sorted({u.order for u in wanted})
             K = counts[kind, direction]
             if kind == "center":
-                rows = _ranked_radii(rng, B, ranks, K, cfg.R, arena), _bearings(rng, len(ranks), B, arena)
+                rows = _ranked_radii(rng, B, ranks, K, cfg.R), _bearings(rng, len(ranks), B)
             else:
-                rows = edge(rng, B, ranks, K, arena)
+                rows = edge(rng, B, ranks, K)
             for u in wanted:
                 i = ranks.index(u.order)
                 drawn[u] = tuple(None if r is None else r[i] for r in rows)
 
         def resolve(group):
             # a center user's bearing is read here only, so it is dropped here
-            return {u: _center_geometry(*drawn.pop(u), cfg.d_br, arena) if u.kind == "center" else (None, *drawn[u])
+            return {u: _center_geometry(*drawn.pop(u), cfg.d_br) if u.kind == "center" else (None, *drawn[u])
                     for u in group}
 
         return resolve
@@ -928,8 +875,8 @@ def sorted_layout(cfg):
     at its surface-distance rank (_ranked_radii) and keeps only that
     distance, as no gain key of a cluster reads its position, bearing or BS
     distance."""
-    def edge(rng, B, ranks, K, arena):
-        return None, _ranked_radii(rng, B, ranks, K, cfg.R_r, arena)
+    def edge(rng, B, ranks, K):
+        return None, _ranked_radii(rng, B, ranks, K, cfg.R_r)
 
     return class_layout(cfg, [("center", "DL"), ("center", "UL"), ("edge", "DL"), ("edge", "UL")], edge)
 
@@ -1015,8 +962,8 @@ _POSITION_KEYS = {
 }
 
 
-def _ordered_draw(rng, B, spec, m, arena):
-    return pathloss(_ranked_radii(rng, B, [spec.k], spec.K, spec.radius, arena)[0], m)
+def _ordered_draw(rng, B, spec, m):
+    return pathloss(_ranked_radii(rng, B, [spec.k], spec.K, spec.radius)[0], m)
 
 
 def _outside_draw(rng, B, cfg):
@@ -1054,19 +1001,19 @@ def estimate_expectation(
         leaf = _leaves(cascades).get(cascade)
         coeffs = {side: state.coefficients(side) for side in ("t", "r")}
 
-    def member_draw(rng, B, u, at_surface, arena):
+    def member_draw(rng, B, u, at_surface):
         """A member's path loss to its anchor, or, at_surface, to the surface."""
         if at_surface and u.kind == "center":
             return _outside_draw(rng, B, cfg)
-        return _ordered_draw(rng, B, order_spec(cfg, u), cfg.m, arena)
+        return _ordered_draw(rng, B, order_spec(cfg, u), cfg.m)
 
-    def draw(B, rng, arena):
+    def draw(B, rng):
         """One block's moments of the key's random quantity."""
         if key in _POSITION_KEYS:
             users = [members[i] for i in _POSITION_KEYS[key]]
-            vals = member_draw(rng, B, users[0], len(users) > 1, arena)
+            vals = member_draw(rng, B, users[0], len(users) > 1)
             for u in users[1:]:
-                vals = vals * member_draw(rng, B, u, True, arena)
+                vals = vals * member_draw(rng, B, u, True)
         elif key == "y1":
             p1 = sample_disk(rng, B, cfg.R)
             p2 = sample_disk(rng, B, cfg.R)
@@ -1075,12 +1022,12 @@ def estimate_expectation(
             vals = _outside_draw(rng, B, cfg)
         elif key in _OMEGA_PATHS:
             vec = {u: sample_rician(links[u.link], rng, trials=B) for u in cascade[2:] if u != leaf}
-            vals = _cascade_draw(cascade, leaf, vec, coeffs, links, rng, arena=arena)
+            vals = _cascade_draw(cascade, leaf, vec, coeffs, links, rng)
         elif key == "y3":
             g = sample_rician(links["b,r"], rng, trials=B)
             vals = np.abs(np.sum(np.abs(g) ** 2 * state.coefficients("t"), axis=-1)) ** 2
         else:   # a strong user's log-mean, its SIC residual (none for UL1) on its own gain
-            gain = _ordered_draw(rng, B, strong, cfg.m, arena) * _draw_power(rng, B, arena)
+            gain = _ordered_draw(rng, B, strong, cfg.m) * _draw_power(rng, B)
             vals = np.log2(1.0 + total * gain) - np.log2(1.0 + residual * gain)
         moments = np.zeros(3)
         _add_moments(moments, np.asarray(vals, dtype=float))

@@ -1,5 +1,7 @@
-"""Numerical primitives: gamma, generalized hypergeometric series, Gauss-Legendre
-rules and the scaled exponential integral.
+"""Numerical primitives: Gauss-Legendre rules and the scaled exponential
+integral, which the closed forms use, and the generalized hypergeometric
+series, which the package never calls: the tests check the disk path-loss
+rules against series forms built from it, where those converge.
 
 Everything here is plain Python and numpy: the package's runtime path needs
 no scipy.
@@ -24,7 +26,6 @@ import numpy.polynomial.legendre
 
 __all__ = [
     "SeriesConvergenceError",
-    "gamma",
     "hyp_pfq",
     "gauss_legendre",
     "exp_e1",
@@ -39,17 +40,6 @@ class SeriesConvergenceError(ArithmeticError):
     """Raised when term-wise summation fails to settle within the term cap."""
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0 and float(x).is_integer()
-
-
-def gamma(x: float) -> float:
-    """Gamma function with an explicit pole check at non-positive integers."""
-    if _is_nonpositive_integer(x):
-        raise ValueError(f"gamma pole at non-positive integer x={x}")
-    return math.gamma(x)
-
-
 def hyp_pfq(upper: Sequence[float], lower: Sequence[float], x: float, rtol: float = SERIES_RTOL) -> float:
     """Term-wise sum of the generalized hypergeometric series H(upper, lower, x).
 
@@ -61,7 +51,7 @@ def hyp_pfq(upper: Sequence[float], lower: Sequence[float], x: float, rtol: floa
     """
     upper, lower, x = tuple(float(a) for a in upper), tuple(float(b) for b in lower), float(x)
     for b in lower:
-        if _is_nonpositive_integer(b):
+        if b <= 0 and b.is_integer():
             raise ValueError(f"lower parameter {b} is a pole of the series")
 
     total = 0.0

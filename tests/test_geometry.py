@@ -15,7 +15,7 @@ from starnoma.geometry import (
     pair_distance_density,
     pair_pathloss_mean,
 )
-from starnoma.specfun import gamma, hyp_pfq
+from starnoma.specfun import hyp_pfq
 
 # The oracle: adaptive quadrature of each exact density, tighter than the rules it checks.
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-13, limit=500)
@@ -57,7 +57,7 @@ def ordered_pathloss_mean_series(spec, m):
     """
     k, K, R = spec.k, spec.K, spec.radius
     f1 = hyp_pfq((k, (1 + m) / 2, m / 2), (0.5, 1 + K), R * R)
-    coeff = math.factorial(K) * gamma(k + 0.5) / (math.factorial(k - 1) * gamma(K + 1.5))
+    coeff = math.factorial(K) * math.gamma(k + 0.5) / (math.factorial(k - 1) * math.gamma(K + 1.5))
     f2 = hyp_pfq((k + 0.5, (1 + m) / 2, (2 + m) / 2), (1.5, 1.5 + K), R * R)
     return f1 - m * R * coeff * f2
 

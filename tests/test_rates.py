@@ -329,19 +329,19 @@ class TestWiringOracles:
 
 
 class TestRoleTable:
-    def test_every_key_has_a_mean_and_a_sampler(self, cfg, state):
+    def test_every_key_has_a_mean_and_a_sampler(self, cfg, state, monkeypatch):
         from starnoma.comparison import pair_groups
         from starnoma.rates import group_tables, surface_terms
-        from types import SimpleNamespace
 
         from starnoma.simulator import NOISE, BlockDraws, gain_plan, sample_gains
         from starnoma.channel import build_links
 
         links = build_links(cfg)
         rng = np.random.default_rng(0)
-        # every array the draw takes starts as NaN, so a row that is never written shows
-        unwritten = SimpleNamespace(empty=lambda shape, dtype=float: np.full(shape, np.nan, dtype))
-        block = BlockDraws.draw(cfg, state, links, rng, 4, unwritten)
+        # every array np.empty makes starts as NaN, so a row that is never written shows
+        full = np.full
+        monkeypatch.setattr(np, "empty", lambda shape, dtype=float: full(shape, np.nan, dtype))
+        block = BlockDraws.draw(cfg, state, links, rng, 4)
         fake = (np.zeros((4, 2)), np.ones(4), np.ones(4))   # position, BS and surface distance
 
         def sampled(roles, users):

@@ -3,28 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from starnoma.specfun import SeriesConvergenceError, exp_e1, gamma, gauss_legendre, hyp_pfq
+from starnoma.specfun import SeriesConvergenceError, exp_e1, gauss_legendre, hyp_pfq
 
 # arbitrary-precision term-by-term oracle value, frozen before the build
 HYP_ORACLE = 2.9169395823506307691  # H({1.5, 1.85, 1.35}, {0.5, 7}, 0.8)
-
-
-class TestGamma:
-    def test_known_values(self):
-        assert gamma(1.0) == pytest.approx(1.0, rel=1e-12, abs=0)
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12, abs=0)
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
-    def test_poles(self, x):
-        with pytest.raises(ValueError):
-            gamma(x)
-
-    def test_accuracy_against_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 30
-        for x in np.linspace(0.1, 50.0, 37):
-            assert gamma(float(x)) == pytest.approx(float(mp.gamma(x)), rel=1e-12, abs=0)
 
 
 class TestHyp:

@@ -131,9 +131,6 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     return sums["DL"], sums["UL"]
 
 
-_CHUNK_ROWS = 1 << 12   # trials per step of ranked_layout's sort
-
-
 def ranked_layout(cfg: SystemConfig):
     """Pairing layout (simulator.class_layout): each direction's users ranked by
     BS distance, its center class first.
@@ -150,25 +147,27 @@ def ranked_layout(cfg: SystemConfig):
     each; the bearings t are rng.uniform(0, 2 pi)'s values, drawn as 2 pi
     times rng.random().
     """
-    def edge(rng, B, ranks, K):
-        r = rng.random((B, K))
-        r = np.sqrt(r, out=r)
-        r *= cfg.R_r
-        d2 = rng.random((B, K))
-        d2 *= 2.0 * np.pi
-        d2 = np.cos(d2, out=d2)
-        d2 *= 2.0 * cfg.d_br
-        d2 += r
-        d2 *= r
-        d2 += cfg.d_br**2
-        d_bs, surface = np.empty((len(ranks), B)), np.empty((len(ranks), B))
+    def edge(ranks, K):
         cols = np.subtract(ranks, 1)
-        for start in range(0, B, _CHUNK_ROWS):   # the sort's index arrays, a chunk of trials at a time
-            rows = slice(start, start + _CHUNK_ROWS)
-            ranked = np.argsort(d2[rows], kind="stable", axis=-1)[:, cols]
-            d_bs[:, rows] = np.take_along_axis(d2[rows], ranked, axis=-1).T
-            surface[:, rows] = np.take_along_axis(r[rows], ranked, axis=-1).T
-        return np.sqrt(d_bs, out=d_bs), surface
+
+        def draw(rng, B):
+            r = rng.random((B, K))
+            r = np.sqrt(r, out=r)
+            r *= cfg.R_r
+            d2 = rng.random((B, K))
+            d2 *= 2.0 * np.pi
+            d2 = np.cos(d2, out=d2)
+            d2 *= 2.0 * cfg.d_br
+            d2 += r
+            d2 *= r
+            d2 += cfg.d_br**2
+            d_bs, surface = np.empty((len(ranks), B)), np.empty((len(ranks), B))
+            ranked = np.argsort(d2, kind="stable", axis=-1)[:, cols]
+            d_bs[:] = np.take_along_axis(d2, ranked, axis=-1).T
+            surface[:] = np.take_along_axis(r, ranked, axis=-1).T
+            return np.sqrt(d_bs, out=d_bs), surface
+
+        return draw
 
     return class_layout(cfg, [("center", "DL"), ("edge", "DL"), ("center", "UL"), ("edge", "UL")], edge)
 

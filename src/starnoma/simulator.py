@@ -4,7 +4,7 @@ Each trial drops the users the rates read at their distance ranks, draws
 their fading, and evaluates the exact per-role SINRs; rates are the means of
 (1/M) * log2(1 + SINR).  The SINRs are those of the role table
 (rates.noma_roles): sample_gains() draws one row of a (keys, trials) matrix
-per gain key, once per block and group, and the stacked pass (_stack_tiles)
+per gain key, once per block and group, and the stacked pass (_stack_pass)
 combines the rows with the table's coefficients, so imperfect SIC enters
 exactly as in the closed forms.  The residual self-interference is drawn per
 trial as a CN(0, beta * P_b^lambda) scalar.  simulate_groups() is the one
@@ -20,7 +20,7 @@ only the coordinates, losses and products a gain key reads:
   drawn as one (_draw_power): one value, not two normals;
 * both layouts are one class-by-class draw (class_layout): a center class
   is drawn at the sorted ranks asked for, from gamma increments
-  (_ranked_radii), not a whole sorted drop, each user at a uniform
+  (_rank_draw), not a whole sorted drop, each user at a uniform
   bearing; the schemes differ only in their class order and edge rule, the
   clusters' edge users drawn at their surface-distance ranks without a
   bearing, as no key reads it (sorted_layout), the pairing's drawn whole
@@ -72,11 +72,12 @@ order, so importing the module sets two malloc thresholds of the C library,
 for the whole process (_keep_heap): the heap memory a worker's first block
 pages in, the queue serving the largest blocks first, is kept and serves
 every later block, which page-faults almost none of it in again.  An array
-above 32 MiB, such as a fading vector at N > 128 and the default 16,384
-trials per block, is still mapped afresh for every block.  At N = 10 and the
-default block, the traced peak of one block is 12.3 MB for cluster 1 at one
-point, and 17.9 MB (clusters) and 18.0 MB (pairing) at the 12 points of the
-cluster-versus-pairing sweep.
+above 32 MiB, such as a fading vector at N > 512 and the default 4,096
+trials per block (_DEFAULT_BLOCK), is still mapped afresh for every block.
+At N = 10 and the default block, the traced peak of one block is 3.1 MB for
+cluster 1 at one point, and 4.3 MiB (clusters) and 4.4 MiB (pairing) at the
+12 points of the cluster-versus-pairing sweep: a quarter of what a block of
+16,384 trials holds.
 
 A schedule holds a whole grid of points (cluster_schedule, and
 comparison.pair_schedule for the pairing; simulate_clusters and
@@ -90,26 +91,33 @@ draws and each group's gains are drawn once, then every point evaluates its
 own SINRs from them.  Points that differ in a field of the draw are
 rejected.
 
-The plan of a schedule is made once (_schedule_run), not once per block.
-For each group it holds the GainPlan (the gain keys in row order, the
-members' turns, the path losses) and a Stack for each direction's run of
+The plan of a schedule is made once (_schedule_run), not once per block, so
+that a block carries little fixed work besides its draws.  It holds the
+surface state as the draws read it (Surface: each face's coefficients, the
+weights of its spreads and of the bounce, the terms of a leaf on each
+link, the BS-surface path loss), the layout's classes (class_layout: which
+ranks each draws and where each user's row is), and for each group the
+GainPlan (the gain keys in row order, the members' turns, the path losses,
+the rows copied from the block) and a Stack for each direction's run of
 roles: each point's (roles, keys) block of denominator coefficients, the SI
 scale folded into the unit SI's column, the noise into the column of a row
 of ones (NOISE) and 0 wherever a point's role has no such term, each row
 over the role's signal coefficient, and the roles' signal rows.  A block
-draws each group's (keys, trials) gain matrix once and then, for each stack
-and each tile of at most _TILE (4,096) trials:
+draws each group's (keys, trials) gain matrix once and then, for each stack,
+in one pass over all of the block's trials:
 
 1. the denominators of all roles and points, noise included, are one
-   np.matmul, each point's coefficient block times the tile's gain rows;
+   np.matmul, each point's coefficient block times the gain rows;
 2. each role's signal row is divided by its denominators, one broadcast
    divide per role, and np.log1p is applied in place;
 3. each row's sum and sum of squares (a dot product, so no square is
    stored) is added into the (points, cells, 3) moments, and the rows into
-   each point's DL or UL totals.
+   each point's DL or UL totals, whose moments are added once per block.
 
-The tile bounds the scratch at points * roles * 4,096 floats, whatever the
-block size.  The denominators and the sums of squares are BLAS sums, so
+The pass's scratch is points * roles * B floats, B the block's trials, so it
+grows with the block like every other array of it: 1.2 MB at the default
+block and the 12 points of the cluster-versus-pairing sweep.  The
+denominators and the sums of squares are BLAS sums, so
 their rounding, and with it the last bits of every simulated value and
 standard error, depends on the BLAS build and the CPU it dispatches to; one
 and two BLAS threads give the same bytes.  A zero coefficient enters the sum
@@ -133,7 +141,9 @@ averaged over their position and fading.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
+import operator
 import os
 import threading
 from collections import Counter
@@ -144,7 +154,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import RicianLink, StarRisState, cached_links, sample_rician
+from .channel import StarRisState, cached_links, sample_rician
 from .config import PowerAllocation, SystemConfig, default_power_allocation
 from .geometry import sample_disk
 from .rates import (
@@ -190,10 +200,9 @@ __all__ = [
     "LOG_MEAN_KEYS",
 ]
 
-_DEFAULT_BLOCK = 1 << 14
+_DEFAULT_BLOCK = 1 << 12
 # the gain key of a row of ones in a group's gain matrix: its coefficient in a role's denominator is the noise
 NOISE = ("noise",)
-_TILE = 1 << 12         # trials per step of the stacked SINR pass, which bounds its scratch
 
 
 def _keep_heap() -> None:
@@ -206,8 +215,8 @@ def _keep_heap() -> None:
     # Each block frees its arrays and the next one asks for the same sizes.  glibc
     # gives large arrays an mmap of their own and hands freed heap back to the
     # kernel, so every block would page-fault its working set in again (about
-    # 5.9k minor faults a block at N = 10).  Arrays below 32 MiB come from the
-    # heap, and up to 256 MiB of it stays free for the next block.
+    # 1.1k minor faults a 4,096-trial block at N = 10).  Arrays below 32 MiB
+    # come from the heap, and up to 256 MiB of it stays free for the next block.
     mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
     mallopt(-1, 256 << 20)   # M_TRIM_THRESHOLD
 
@@ -228,8 +237,8 @@ class SimPlan:
     block_size: int = _DEFAULT_BLOCK
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _count("trials", self.trials)
+        _count("block_size", self.block_size)
 
 
 def _draw_power(rng: np.random.Generator, shape) -> np.ndarray:
@@ -269,11 +278,23 @@ def _estimate(moments, scale: float = 1.0) -> tuple:
     return mean, scale * math.sqrt(var / n)
 
 
+def _count(name: str, value) -> int:
+    """value as an int of at least 1, else a ValueError naming it: a bool, a float
+    or any other non-integer is rejected, as is a count below 1."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return value
+
+
 def _blocks(trials: int, seed: int, block_size: int):
     """(size, generator) of each block: an SFC64 stream, its seed spawned from one SeedSequence."""
-    for name, value in (("trials", trials), ("block_size", block_size)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    trials, block_size = _count("trials", trials), _count("block_size", block_size)
     nblocks = (trials + block_size - 1) // block_size
     for b, block_seed in enumerate(np.random.SeedSequence(seed).spawn(nblocks)):
         yield min(block_size, trials - b * block_size), np.random.Generator(np.random.SFC64(block_seed))
@@ -328,6 +349,38 @@ def _map_blocks(jobs, sizes=None) -> list:
     return results
 
 
+class _Face(NamedTuple):
+    """One surface face as a block's draws read it (Surface)."""
+
+    c: np.ndarray       # element coefficients rho * exp(j*phi)
+    spread: np.ndarray  # |c[n]|^2, each twice: _spread's weights over a vector's real and imaginary parts
+    leaves: dict        # link label -> (sqrt(k/(k+1)) * c * los, (1/(k+1)) / 2) of a leaf on the link (_leaf_cascade_power)
+
+
+def _face(c, links) -> _Face:
+    """The _Face of element coefficients c, with the terms of a leaf on each of links."""
+    leaves = {label: (np.sqrt(link.los_weight) * c * link.los, 0.5 * link.scatter_weight) for label, link in links.items()}
+    return _Face(c, np.repeat(np.abs(c) ** 2, 2), leaves)
+
+
+class Surface(NamedTuple):
+    """What every block of one surface state reads of it, made once per schedule
+    (Surface.of), not once per block: each face's _Face, the bounce's weights
+    and the BS-surface path loss."""
+
+    faces: dict         # "t" and "r" -> _Face
+    bounce: tuple       # Re c and Im c of the t face, each entry twice: weights over g_br's parts
+    l_br: float
+    m: float
+
+    @classmethod
+    def of(cls, cfg, state, links) -> "Surface":
+        """The Surface of a config's geometry, its surface state and its links."""
+        faces = {side: _face(state.coefficients(side), links) for side in ("t", "r")}
+        c = faces["t"].c
+        return cls(faces, (np.repeat(c.real, 2), np.repeat(c.imag, 2)), pathloss(cfg.d_br, cfg.m), cfg.m)
+
+
 @dataclass(frozen=True)
 class BlockDraws:
     """What one block of trials shares across its groups and points: the
@@ -337,23 +390,24 @@ class BlockDraws:
     g_br: np.ndarray
     bounce: np.ndarray
     si: np.ndarray
-    coeffs: dict      # face -> element coefficients rho * exp(j*phi)
+    faces: dict       # face -> its _Face
     l_br: float
     m: float
 
     @classmethod
-    def draw(cls, cfg, state, links, rng, B):
+    def draw(cls, cfg, state, links, rng, B, surface=None):
+        """One block's draws; surface is Surface.of(cfg, state, links), if the caller made it once for all its blocks."""
+        if surface is None:
+            surface = Surface.of(cfg, state, links)
         g_br = sample_rician(links["b,r"], rng, B)
         si = _draw_power(rng, B)
-        c = {side: state.coefficients(side) for side in ("t", "r")}
-        l_br = pathloss(cfg.d_br, cfg.m)
         # |sum_n |g[n]|^2 c[n]|^2, its real and imaginary sums each one einsum over g's parts
         parts = g_br.view(float)
-        re, im = (np.einsum("bk,bk,k->b", parts, parts, np.repeat(part, 2)) for part in (c["t"].real, c["t"].imag))
+        re, im = (np.einsum("bk,bk,k->b", parts, parts, weights) for weights in surface.bounce)
         bounce = np.square(re, out=re)
         bounce += np.square(im, out=im)
-        bounce *= l_br * l_br
-        return cls(g_br, bounce, si, c, l_br, cfg.m)
+        bounce *= surface.l_br * surface.l_br
+        return cls(g_br, bounce, si, surface.faces, surface.l_br, surface.m)
 
 
 def _scalar_rank(key) -> int:
@@ -382,32 +436,34 @@ def _cascade_power(g_out, c, g_in, out=None) -> np.ndarray:
     return np.add(s[0::2], s[1::2], out=out)
 
 
-def _spread(g_hub, c) -> np.ndarray:
-    """sum_n |g_hub[n]|^2 |c[n]|^2 per trial: one einsum over the real and
-    imaginary parts, so no (trials, N) temporary is made."""
+def _spread(g_hub, face: _Face) -> np.ndarray:
+    """sum_n |g_hub[n]|^2 |c[n]|^2 per trial on a face: one einsum over the real
+    and imaginary parts, so no (trials, N) temporary is made."""
     parts = g_hub.view(float)
-    return np.einsum("bk,bk,k->b", parts, parts, np.repeat(np.abs(c) ** 2, 2))
+    return np.einsum("bk,bk,k->b", parts, parts, face.spread)
 
 
-def _leaf_cascade_power(g_hub, c, leaf: RicianLink, rng, spread=None, out=None) -> np.ndarray:
+def _leaf_cascade_power(g_hub, face: _Face, link: str, rng, spread=None, out=None) -> np.ndarray:
     """|sum_n g_hub[n] c[n] g_leaf[n]|^2 per trial, into out if given, for a Rician
-    leaf vector g_leaf that no other gain reads.
+    leaf vector g_leaf on the given link that no other gain reads.
 
     The leaf's scatter entries are iid CN(0, 1) and independent of g_hub, so
     given g_hub the sum is a * (g_hub @ (c * los)) plus a CN(0, s^2 * ||c * g_hub||^2)
     scatter part, a = sqrt(k/(k+1)) and s = sqrt(1/(k+1)): one CN(0, 1)
     scalar per trial stands in for the leaf's N entries, its real and
-    imaginary parts two consecutive standard normals.  spread is the hub's
-    _spread on this face, if already formed; it is read, not changed.
+    imaginary parts two consecutive standard normals.  a * c * los and s^2 / 2
+    are the face's (_Face.leaves).  spread is the hub's _spread on this face,
+    if already formed; it is read, not changed.
     """
     B = len(g_hub)
     if spread is None:
-        spread = _spread(g_hub, c)
+        spread = _spread(g_hub, face)
+    los, scatter = face.leaves[link]
     t = np.empty(B, complex)
     rng.standard_normal(out=t.view(float))
-    scale = np.multiply(spread, 0.5 * leaf.scatter_weight)
+    scale = np.multiply(spread, scatter)
     t *= np.sqrt(scale, out=scale)
-    t += np.matmul(g_hub, np.sqrt(leaf.los_weight) * c * leaf.los)
+    t += np.matmul(g_hub, los)
     power = np.square(t.real, out=out)
     power += np.square(t.imag, out=scale)
     return power
@@ -430,22 +486,23 @@ def _leaves(cascades) -> dict:
     return leaves
 
 
-def _cascade_draw(key, leaf, vec, coeffs, links, rng, spreads=None, out=None) -> np.ndarray:
+def _cascade_draw(key, leaf, vec, faces, rng, spreads=None, out=None) -> np.ndarray:
     """Cascade power of one key before path loss, into out if given: the product
     of both users' drawn vectors, or, for a key with a leaf, the leaf drawn
     given the other side (vec holds every vector the key reads).  spreads, if
     given, keeps each (hub, face)'s _spread for the next leaf of the same hub
     and face."""
     _, side, u_out, u_in = key
+    face = faces[side]
     if leaf is None:
-        return _cascade_power(vec[u_out], coeffs[side], vec[u_in], out)
+        return _cascade_power(vec[u_out], face.c, vec[u_in], out)
     hub = u_in if leaf == u_out else u_out
     spread = None
     if spreads is not None:
         spread = spreads.get((hub, side))
         if spread is None:
-            spread = spreads[hub, side] = _spread(vec[hub], coeffs[side])
-    return _leaf_cascade_power(vec[hub], coeffs[side], links[leaf.link], rng, spread, out)
+            spread = spreads[hub, side] = _spread(vec[hub], face)
+    return _leaf_cascade_power(vec[hub], face, leaf.link, rng, spread, out)
 
 
 class _Step(NamedTuple):
@@ -469,7 +526,8 @@ class GainPlan(NamedTuple):
     noise, then the cascades in the order they are evaluated, then the
     bounce and the unit SI, which are copied in.  steps gives each
     member's turn (_Step), losses each user's surface path loss with the
-    cascade rows it multiplies.
+    cascade rows it multiplies, and shared the (row, BlockDraws field) of
+    the bounce and the unit SI.
     """
 
     members: tuple
@@ -477,6 +535,7 @@ class GainPlan(NamedTuple):
     scalars: int
     steps: tuple
     losses: tuple
+    shared: tuple
 
 
 def gain_plan(roles, members) -> GainPlan:
@@ -511,6 +570,7 @@ def gain_plan(roles, members) -> GainPlan:
         tuple(_Step(u, draw, tuple((rows[k], k, leaves.get(k)) for k in ready), drop)
               for u, draw, ready, drop in steps),
         tuple((u, tuple(rows[k] for k in cascades if u in k[2:])) for u in dict.fromkeys(v for k in cascades for v in k[2:])),
+        tuple((len(rows) + i, k[0]) for i, k in enumerate(shared)),
     )
 
 
@@ -528,7 +588,8 @@ def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarr
     path loss is formed once, after the last vector is dropped, and
     multiplies every cascade row that reaches the user.  The bounce and the
     unit SI, |CN(0, 1)|^2 before any point's SI scale, are copied from the
-    block into the last rows, and the NOISE row is filled with ones.
+    block into their rows (GainPlan.shared), and the NOISE row, the one
+    after the Rayleigh rows, is filled with ones.
     """
     B = len(block.si)
     gains = np.empty((len(plan.keys), B))
@@ -546,7 +607,7 @@ def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarr
             vec[step.user] = sample_rician(links[step.user.link], rng, B)
         spreads = {}   # a spread lives one step
         for row, key, leaf in step.cascades:
-            _cascade_draw(key, leaf, vec, block.coeffs, links, rng, spreads, gains[row])
+            _cascade_draw(key, leaf, vec, block.faces, rng, spreads, gains[row])
         for v in step.drop:
             del vec[v]
     # the surface path losses last, once the vectors are gone: one per user, for all of its keys
@@ -554,10 +615,9 @@ def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarr
         loss = block.l_br if u == BS else pathloss(surface[u], block.m)
         for row in rows:
             gains[row] *= loss
-    shared = {NOISE: 1.0, ("bounce",): block.bounce, ("si",): block.si}
-    for row, key in enumerate(plan.keys):
-        if key in shared:
-            gains[row] = shared[key]
+    gains[plan.scalars] = 1.0
+    for row, field in plan.shared:
+        gains[row] = getattr(block, field)
     return gains
 
 
@@ -606,28 +666,21 @@ def _stacks(tables, rows: dict, si_scales, cell: int = 0) -> list:
     return stacks
 
 
-def _tiles(B: int):
-    """Slices of at most _TILE trials that cover a block of B."""
-    return (slice(t, min(t + _TILE, B)) for t in range(0, B, _TILE))
-
-
-def _stack_tiles(stack: Stack, gains, scratch):
-    """(trials, ln(1 + SINR)) of a stack's roles at every point, one tile at a time.
+def _stack_pass(stack: Stack, gains, scratch) -> np.ndarray:
+    """ln(1 + SINR) of a stack's roles at every point, per trial: a (points, roles, B)
+    view of scratch.
 
     gains is the group's (keys, B) matrix; scratch is flat, of at least
-    points * roles * min(B, _TILE) floats.  A tile's denominators, the noise
-    included, are one matmul, each point's coefficient block times the
-    span's gain rows; each role's signal row is divided by them in place.
-    The values are a (points, roles, n) view of scratch, valid until the
-    next tile.
+    points * roles * B floats.  The denominators, the noise included, are
+    one matmul, each point's coefficient block times the span's gain rows;
+    each role's signal row is divided by them in place.
     """
     shape = stack.den.shape[:2]
-    for cols in _tiles(gains.shape[1]):
-        size = math.prod(shape) * (cols.stop - cols.start)
-        r = np.matmul(stack.den, gains[stack.span, cols], out=scratch[:size].reshape(*shape, -1))
-        for i, row in enumerate(stack.signals):
-            np.divide(gains[row, cols], r[:, i], out=r[:, i])
-        yield cols, np.log1p(r, out=r)
+    r = scratch[:math.prod(shape) * gains.shape[1]].reshape(*shape, -1)
+    np.matmul(stack.den, gains[stack.span], out=r)
+    for i, row in enumerate(stack.signals):
+        np.divide(gains[row], r[:, i], out=r[:, i])
+    return np.log1p(r, out=r)
 
 
 # SystemConfig fields that may differ between the points of one draw: they reach
@@ -687,48 +740,51 @@ def _schedule_run(schedule: Schedule):
     """(run, estimate) of a schedule: run(B, rng) is one block's moments, and
     estimate turns the merged moments into the loop's results.
 
-    The plan is made here, once per schedule: each group's GainPlan and the
-    Stacks of its DL and UL roles, which hold their coefficients at every
-    point.  A block draws each group's gain matrix (sample_gains) and then
-    evaluates each stack at all points at once (_stack_tiles), a tile of
-    trials at a time.  The moments are one (points, cells, 3) array of (n,
+    The plan is made here, once per schedule: the Surface terms of its
+    state, each group's GainPlan and the Stacks of its DL and UL roles,
+    which hold their coefficients at every point, and the width of the
+    group's scratch; the layout plans its classes once per list of users
+    (class_layout).  A block draws each group's gain matrix (sample_gains)
+    and then evaluates each stack at all points and trials at once
+    (_stack_pass).  The moments are one (points, cells, 3) array of (n,
     sum, sum of squares) of ln(1 + SINR), before the 1/(ln 2 * share) that
     estimate applies: one cell per role of each group, in schedule order,
-    then each point's DL and UL totals.
+    then each point's DL and UL totals, added once the block's groups are
+    done.
     """
     points, groups, shares = schedule.points, schedule.groups, schedule.shares
     cfg = _shared_draw([c for c, _ in points])
     check_state_size(cfg, schedule.state.N)
     links = cached_links(cfg)
+    surface = Surface.of(cfg, schedule.state, links)
     si_scales = [si_variance(c) for c, _ in points]
     plan, names = [], []
     for g, (dl, ul) in enumerate(groups):
         tables = [bind_power(noma_roles(point, dl, ul), powers[g]) for point, powers in points]
         draw = gain_plan(tables[0], (*dl, *ul))
         cell = sum(map(len, names))   # the group's first moment cell
-        plan.append((draw, _stacks(tables, {key: i for i, key in enumerate(draw.keys)}, si_scales, cell)))
+        stacks = _stacks(tables, {key: i for i, key in enumerate(draw.keys)}, si_scales, cell)
+        plan.append((draw, stacks, max(math.prod(stack.den.shape[:2]) for stack in stacks)))
         names.append([role.name for role in tables[0]])
-    users = [u for draw, _ in plan for u in draw.members]
+    users = [u for draw, _, _ in plan for u in draw.members]
     scale = {d: 1.0 / (math.log(2.0) * share) for d, share in shares.items()}
     scales = [scale[name[:2]] for group in names for name in group] + [scale["DL"], scale["UL"]]
 
     def run(B, rng):
         resolve = schedule.layout(rng, B, users)
-        block = BlockDraws.draw(cfg, schedule.state, links, rng, B)
+        block = BlockDraws.draw(cfg, schedule.state, links, rng, B, surface)
         moments = np.zeros((len(points), len(scales), 3))
         totals = np.zeros((len(points), 2, B))   # each point's DL and UL sums
-        for draw, stacks in plan:
+        for draw, stacks, width in plan:
             gains = sample_gains(draw, resolve(draw.members), links, rng, block)
-            # scratch, made after the draw's peak
-            scratch = np.empty(max(math.prod(stack.den.shape[:2]) for stack in stacks) * min(B, _TILE))
+            scratch = np.empty(width * B)   # made after the draw's peak
             for stack in stacks:
-                for cols, r in _stack_tiles(stack, gains, scratch):
-                    _add_moments(moments[:, stack.cells], r)
-                    for i in range(r.shape[1]):
-                        totals[:, stack.direction, cols] += r[:, i]
+                r = _stack_pass(stack, gains, scratch)
+                _add_moments(moments[:, stack.cells], r)
+                for i in range(r.shape[1]):
+                    totals[:, stack.direction] += r[:, i]
             del gains, scratch, r   # r views scratch: all go before the next group's draw
-        for cols in _tiles(B):
-            _add_moments(moments[:, -2:], totals[..., cols])
+        _add_moments(moments[:, -2:], totals)
         return moments
 
     def estimate(moments):
@@ -754,14 +810,16 @@ def simulate_groups(schedules, trials, seed, block_size=_DEFAULT_BLOCK) -> list:
     table bound to its allocation (rates.bind_power).  A block draws the
     layout, its BlockDraws, then each group's gain matrix in schedule
     order, its users sampled DL first, and the stacked pass evaluates the
-    SINRs of all points from it, a tile of _TILE trials at a time.  The
-    blocks of all schedules form one queue (_map_blocks), the largest
-    (trials times N) first, so that a worker's later blocks run in the heap
-    memory its first one paged in (_keep_heap), and each schedule's moments
-    merge in block order (_merge), whatever order they ran in.  The loop's
-    results are one ([{role: (mean, stderr)} per group], {dl_sum, ul_sum and
-    their stderrs}) per point; each schedule's read turns them into its
-    result.
+    SINRs of all points and trials from it at once: one matmul, divide and
+    log1p per stack and block, into points * roles * block_size floats of
+    scratch.  The default block of 4,096 trials (_DEFAULT_BLOCK) holds
+    about 3.1 MB at one point and N = 10.  The blocks of all schedules form
+    one queue (_map_blocks), the largest (trials times N) first, so that a
+    worker's later blocks run in the heap memory its first one paged in
+    (_keep_heap), and each schedule's moments merge in block order
+    (_merge), whatever order they ran in.  The loop's results are one
+    ([{role: (mean, stderr)} per group], {dl_sum, ul_sum and their
+    stderrs}) per point; each schedule's read turns them into its result.
     """
     runs = [_schedule_run(schedule) for schedule in schedules]
     jobs = [(run, B, rng) for run, _ in runs for B, rng in _blocks(trials, seed, block_size)]
@@ -780,9 +838,10 @@ def as_points(cfgs, settings) -> list:
     return list(zip(cfgs, settings))
 
 
-def _ranked_radii(rng, B, ranks, K, radius) -> list:
-    """Distances to the center of the given sorted ranks (1 = nearest, increasing)
-    among K points dropped uniformly in a disk: one length-B row per rank.
+def _rank_draw(ranks, K, radius):
+    """draw(rng, B): distances to the center of the given sorted ranks (1 =
+    nearest, increasing) among K points dropped uniformly in a disk, one
+    length-B row per rank.
 
     A point's squared distance over radius^2 is uniform, and K sorted
     uniforms are the partial sums S_k / S_{K+1} of K + 1 unit exponentials
@@ -790,20 +849,30 @@ def _ranked_radii(rng, B, ranks, K, radius) -> list:
     ranks asked for, the last one up to K + 1, gives their distances directly:
     each gap's B increments are one draw of its scalar shape, and the partial
     sums are formed by adding each row to the next, in place.  Each rank's
-    row is its own array, so it is freed with the last view of it.
+    row is its own array, so it is freed with the last view of it.  The gaps
+    are found here, once, not once per draw.
     """
     gaps = np.diff(ranks, prepend=0, append=K + 1)
-    rows = [np.empty(B) for _ in ranks]   # S_k at the ranks, then the distances
-    total = np.empty(B)                   # S_{K+1}
-    for row, gap in zip((*rows, total), gaps):
-        rng.standard_gamma(gap, out=row)
-    for before, row in zip(rows, (*rows[1:], total)):
-        row += before
-    for row in rows:
-        row /= total
-        np.sqrt(row, out=row)
-        row *= radius
-    return rows
+
+    def draw(rng, B) -> list:
+        rows = [np.empty(B) for _ in ranks]   # S_k at the ranks, then the distances
+        total = np.empty(B)                   # S_{K+1}
+        for row, gap in zip((*rows, total), gaps):
+            rng.standard_gamma(gap, out=row)
+        for before, row in zip(rows, (*rows[1:], total)):
+            row += before
+        for row in rows:
+            row /= total
+            np.sqrt(row, out=row)
+            row *= radius
+        return rows
+
+    return draw
+
+
+def _ranked_radii(rng, B, ranks, K, radius) -> list:
+    """One draw of _rank_draw(ranks, K, radius)."""
+    return _rank_draw(ranks, K, radius)(rng, B)
 
 
 def _bearings(rng, n: int, B: int) -> list:
@@ -815,14 +884,15 @@ def _bearings(rng, n: int, B: int) -> list:
     return rows
 
 
-def _center_geometry(r, theta, d_br: float) -> tuple:
+def _center_geometry(r, theta, at_surface) -> tuple:
     """(position, BS distance, surface distance) of a center user at radii r and
-    bearings theta about the BS, the surface at (d_br, 0); the position is a
-    (trials, 2) array whose x and y columns are each contiguous."""
+    bearings theta about the BS, the surface at the (1, 2) point at_surface;
+    the position is a (trials, 2) array whose x and y columns are each
+    contiguous."""
     xy = np.empty((2, len(r)))
     np.multiply(r, np.cos(theta, out=xy[0]), out=xy[0])
     np.multiply(r, np.sin(theta, out=xy[1]), out=xy[1])
-    return xy.T, r, _distance(xy.T, np.array([[d_br, 0.0]]))
+    return xy.T, r, _distance(xy.T, at_surface)
 
 
 def class_layout(cfg, order, edge):
@@ -831,37 +901,47 @@ def class_layout(cfg, order, edge):
     order lists the (kind, direction) classes in the order they are drawn,
     which fixes the draw stream; a class no user asks for draws nothing.  A
     center class is drawn only at the distance ranks asked for
-    (_ranked_radii), each at a uniform bearing; it keeps its radius and
+    (_rank_draw), each at a uniform bearing; it keeps its radius and
     bearing until its group is resolved, when its position and surface
-    distance are formed.  edge(rng, B, ranks, K) draws an edge class's K
-    users at the given ranks as (BS distance, surface distance), each a
-    sequence of one length-B row per rank, or the first None where no
-    caller reads it.  A center user's radius and bearing are rows of their
+    distance are formed.  edge(ranks, K) plans an edge class's draw of its
+    K users at the given ranks: it returns draw(rng, B), which gives their
+    (BS distance, surface distance), each a sequence of one length-B row
+    per rank, or the first None where no caller reads it.  The classes are
+    planned once per list of users, which a schedule's blocks share, not
+    once per block.  A center user's radius and bearing are rows of their
     own, so they are freed with the user's group, not with its class's last
     group.
     """
     counts = {("center", "DL"): cfg.K_cd, ("center", "UL"): cfg.K_cu,
               ("edge", "DL"): cfg.K_ed, ("edge", "UL"): cfg.K_eu}
+    at_surface = np.array([[cfg.d_br, 0.0]])
+
+    def center(ranks, K):
+        radii = _rank_draw(ranks, K, cfg.R)
+        return lambda rng, B: (radii(rng, B), _bearings(rng, len(ranks), B))
+
+    @functools.cache
+    def plan(users: tuple) -> list:
+        """[(draw(rng, B), [(user, its row of the draw)])] of each class users ask for, in draw order."""
+        classes = []
+        for kind, direction in order:
+            wanted = [u for u in users if (u.kind, u.direction) == (kind, direction)]
+            if wanted:
+                ranks = sorted({u.order for u in wanted})
+                draw = (center if kind == "center" else edge)(ranks, counts[kind, direction])
+                classes.append((draw, [(u, ranks.index(u.order)) for u in wanted]))
+        return classes
 
     def layout(rng, B, users):
         drawn = {}   # center user: (BS distance, bearing); edge user: (BS distance, surface distance)
-        for kind, direction in order:
-            wanted = [u for u in users if (u.kind, u.direction) == (kind, direction)]
-            if not wanted:
-                continue
-            ranks = sorted({u.order for u in wanted})
-            K = counts[kind, direction]
-            if kind == "center":
-                rows = _ranked_radii(rng, B, ranks, K, cfg.R), _bearings(rng, len(ranks), B)
-            else:
-                rows = edge(rng, B, ranks, K)
-            for u in wanted:
-                i = ranks.index(u.order)
+        for draw, slots in plan(tuple(users)):
+            rows = draw(rng, B)
+            for u, i in slots:
                 drawn[u] = tuple(None if r is None else r[i] for r in rows)
 
         def resolve(group):
             # a center user's bearing is read here only, so it is dropped here
-            return {u: _center_geometry(*drawn.pop(u), cfg.d_br) if u.kind == "center" else (None, *drawn[u])
+            return {u: _center_geometry(*drawn.pop(u), at_surface) if u.kind == "center" else (None, *drawn[u])
                     for u in group}
 
         return resolve
@@ -872,11 +952,12 @@ def class_layout(cfg, order, edge):
 def sorted_layout(cfg):
     """Cluster layout (class_layout): the users of each class at their distance
     ranks from its anchor, the center classes first.  An edge user is drawn
-    at its surface-distance rank (_ranked_radii) and keeps only that
+    at its surface-distance rank (_rank_draw) and keeps only that
     distance, as no gain key of a cluster reads its position, bearing or BS
     distance."""
-    def edge(rng, B, ranks, K):
-        return None, _ranked_radii(rng, B, ranks, K, cfg.R_r)
+    def edge(ranks, K):
+        radii = _rank_draw(ranks, K, cfg.R_r)
+        return lambda rng, B: (None, radii(rng, B))
 
     return class_layout(cfg, [("center", "DL"), ("center", "UL"), ("edge", "DL"), ("edge", "UL")], edge)
 
@@ -999,7 +1080,7 @@ def estimate_expectation(
         cascades = [k for k in table_keys(cluster_roles(cfg, cluster)) if k[0] == "cascade"]
         cascade = next(k for k in cascades if (k[2].link, k[1], k[3].link) == _OMEGA_PATHS[key])
         leaf = _leaves(cascades).get(cascade)
-        coeffs = {side: state.coefficients(side) for side in ("t", "r")}
+        faces = Surface.of(cfg, state, links).faces
 
     def member_draw(rng, B, u, at_surface):
         """A member's path loss to its anchor, or, at_surface, to the surface."""
@@ -1022,7 +1103,7 @@ def estimate_expectation(
             vals = _outside_draw(rng, B, cfg)
         elif key in _OMEGA_PATHS:
             vec = {u: sample_rician(links[u.link], rng, trials=B) for u in cascade[2:] if u != leaf}
-            vals = _cascade_draw(cascade, leaf, vec, coeffs, links, rng)
+            vals = _cascade_draw(cascade, leaf, vec, faces, rng)
         elif key == "y3":
             g = sample_rician(links["b,r"], rng, trials=B)
             vals = np.abs(np.sum(np.abs(g) ** 2 * state.coefficients("t"), axis=-1)) ** 2

@@ -102,6 +102,26 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             estimate_expectation("y1", cfg, state, trials, 0, block_size=block_size)
 
+    @pytest.mark.parametrize("name,trials,block_size", [
+        ("trials", 1000.0, 16), ("trials", True, 16), ("trials", "1000", 16),
+        ("block_size", 1000, 512.0), ("block_size", 1000, True), ("block_size", 1000, np.float64(512)),
+    ])
+    def test_block_loop_rejects_non_integer_counts(self, cfg, power, state, name, trials, block_size):
+        # a bool, a float or a string is no count, though it may compare or divide as one
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            simulate_clusters(cfg, power, state, trials, 0, block_size=block_size)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            simulate_pair_sums(cfg, pair_power_policy(cfg, state), state, trials, 0, block_size=block_size)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            estimate_expectation("y1", cfg, state, trials, 0, block_size=block_size)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimPlan(cfg=cfg, power=power, state=state, trials=trials, block_size=block_size)
+
+    def test_numpy_integer_counts_are_counts(self, cfg, power, state):
+        want = simulate(_plan(cfg, power, state, trials=3_000, block_size=1_024))
+        got = simulate(_plan(cfg, power, state, trials=np.int64(3_000), block_size=np.int32(1_024)))
+        assert (got.rates, got.stderr) == (want.rates, want.stderr)
+
 
 def _grid(cfg):
     """Points that differ in every field a shared draw may vary."""
@@ -329,16 +349,16 @@ class TestBlockPool:
     def test_one_block_working_set(self, cfg, power, state, monkeypatch):
         # one default-size block of cluster 1 at N = 10: the layout draws only
         # the ranks it keeps, cascades are formed as their vectors arrive, and
-        # a leaf's vector is never drawn (about 13.8e6 bytes)
+        # a leaf's vector is never drawn (about 3.10e6 bytes at 4,096 trials)
         monkeypatch.setattr(simulator, "_cores", lambda: 1)
         simulate_clusters(cfg, power, state, 100, 0, clusters=[1])
         tracemalloc.start()
         try:
-            simulate_clusters(cfg, power, state, 1 << 14, 0, clusters=[1])
+            simulate_clusters(cfg, power, state, simulator._DEFAULT_BLOCK, 0, clusters=[1])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 19e6
+        assert peak <= 3.9e6
 
     @staticmethod
     def _cluster_vs_pair(cfg, state):
@@ -349,26 +369,26 @@ class TestBlockPool:
     @pytest.mark.parametrize("scheme", ["clusters", "pairing"])
     def test_full_block_working_set_of_the_comparison(self, cfg, state, monkeypatch, scheme):
         # both schemes' blocks share one queue, so on 2 cores a full block of each is in
-        # flight at once: each must stay near the old size of one (29.1e6 and 28.0e6
-        # bytes before the trims, 20.8e6 and 19.6e6 after)
+        # flight at once: one default block of 4,096 trials at the 12 points holds
+        # about 4.34 MiB (clusters) and 4.37 MiB (pairing)
         points, cl, pr = self._cluster_vs_pair(cfg, state)
-        run = {"clusters": lambda B: _cluster_grid(points, cl, state, B, 0),
-               "pairing": lambda B: _pair_grid(points, pr, state, B, 0)}[scheme]
+        run = {"clusters": lambda B: _cluster_grid(points, cl, state, B, 0, block_size=simulator._DEFAULT_BLOCK),
+               "pairing": lambda B: _pair_grid(points, pr, state, B, 0, block_size=simulator._DEFAULT_BLOCK)}[scheme]
         monkeypatch.setattr(simulator, "_cores", lambda: 1)
         run(100)
         tracemalloc.start()
         try:
-            run(1 << 14)
+            run(simulator._DEFAULT_BLOCK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 21 * 2**20
+        assert peak <= 5.5 * 2**20
 
     @pytest.mark.skipif(not _block_faults_readable(), reason="needs RUSAGE_THREAD and the C library's mallopt")
     @pytest.mark.parametrize("scheme", ["clusters", "pairing"])
     def test_later_blocks_run_in_the_first_blocks_memory(self, cfg, power, state, monkeypatch, scheme):
-        # one worker, three full blocks and a partial one: the first block pages its
-        # working set in (about 3.6k minor faults), and the malloc thresholds the
+        # one worker, three full default blocks and a partial one: the first block pages
+        # its working set in (about 660 minor faults), and the malloc thresholds the
         # simulator sets keep that memory for the later ones, which fault almost none
         import resource
 
@@ -389,7 +409,7 @@ class TestBlockPool:
 
         monkeypatch.setattr(simulator, "_cores", lambda: 1)
         monkeypatch.setattr(simulator, "_schedule_run", counted)
-        run(3 * (1 << 14) + 5_000)
+        run(3 * simulator._DEFAULT_BLOCK + 1_000)
         _, *later = faults
         assert len(later) == 3
         assert max(later) < 200
@@ -443,17 +463,21 @@ class TestLeafCascades:
     """A leaf vector is drawn only through its one cascade, conditioned on the other side."""
 
     def _cascade(self, cfg, state, n, hub, leaf, side):
+        """The hub's and the leaf's links, the face's coefficients, and the leaf's
+        cascade power given a hub vector, as the simulator draws it."""
         point = dataclasses.replace(cfg, N=n)
         links = build_links(point)
         st = state if n == cfg.N else StarRisState.random(n, np.random.default_rng(n))
-        return links[hub], links[leaf], st.coefficients(side)
+        c = st.coefficients(side)
+        face = simulator._face(c, links)
+        return links[hub], links[leaf], c, lambda g_hub, rng: simulator._leaf_cascade_power(g_hub, face, leaf, rng)
 
     @pytest.mark.parametrize("n", [4, 10, 64])
     def test_single_leaf_cascade_matches_full_draw(self, cfg, state, n):
-        hub, leaf, c = self._cascade(cfg, state, n, "r,u3d", "r,u1u", "r")
+        hub, leaf, c, leaf_power = self._cascade(cfg, state, n, "r,u3d", "r,u1u", "r")
         rng = np.random.default_rng(2024 + n)
         B = 40_000
-        cond = simulator._leaf_cascade_power(sample_rician(hub, rng, trials=B), c, leaf, rng)
+        cond = leaf_power(sample_rician(hub, rng, trials=B), rng)
         full = _full_cascade(sample_rician(hub, rng, trials=B), c, leaf, rng)
         assert _agree(cond, full)
         assert _agree(cond**2, full**2)
@@ -465,9 +489,9 @@ class TestLeafCascades:
     @pytest.mark.parametrize("n", [4, 10])
     def test_leaf_on_the_bs_side(self, cfg, state, n):
         # a leaf whose cascade's other side is the BS-surface vector g_br
-        hub, leaf, c = self._cascade(cfg, state, n, "b,r", "r,u3u", "t")
+        hub, leaf, c, leaf_power = self._cascade(cfg, state, n, "b,r", "r,u3u", "t")
         rng = np.random.default_rng(7 + n)
-        cond = simulator._leaf_cascade_power(sample_rician(hub, rng, trials=40_000), c, leaf, rng)
+        cond = leaf_power(sample_rician(hub, rng, trials=40_000), rng)
         full = _full_cascade(sample_rician(hub, rng, trials=40_000), c, leaf, rng)
         assert _agree(cond, full)
         assert stats.ks_2samp(cond, full).pvalue > 1e-3

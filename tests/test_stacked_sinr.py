@@ -2,7 +2,7 @@
 
 The block loop evaluates each direction's roles of a group at every point at
 once: the denominators are one matmul of the points' coefficient blocks with
-the group's gain rows, tile by tile.  per_point_log1p below is the old
+the group's gain rows, one per block.  per_point_log1p below is the old
 evaluation of one bound role at one point, kept here as the oracle: the
 noise plus coefficient times gain over the terms of nonzero coefficient,
 added in table order, with the unit SI gain scaled by the point's
@@ -22,8 +22,7 @@ from starnoma.config import PowerAllocation
 from starnoma.rates import bind_power, noma_roles, si_variance
 from starnoma.simulator import cluster_schedule
 
-TILE = simulator._TILE
-B = 2 * TILE + 123   # two full tiles and a partial one
+B = 2 * simulator._DEFAULT_BLOCK + 123   # a block larger than the default, in one pass all the same
 
 
 def per_point_log1p(role, gains: dict, si_scale: float) -> np.ndarray:
@@ -52,9 +51,7 @@ def stacked_groups(schedule, trials: int, seed: int):
         gains = simulator.sample_gains(plan, resolve(plan.members), links, rng, block)
         got = np.full((len(tables), len(tables[0]), trials), np.nan)
         for stack in simulator._stacks(tables, {key: i for i, key in enumerate(plan.keys)}, si_scales):
-            scratch = np.empty(stack.den[..., 0].size * min(trials, TILE))
-            for cols, r in simulator._stack_tiles(stack, gains, scratch):
-                got[:, stack.cells, cols] = r
+            got[:, stack.cells] = simulator._stack_pass(stack, gains, np.empty(stack.den[..., 0].size * trials))
         out.append((tables, dict(zip(plan.keys, gains)), got))
     return out
 

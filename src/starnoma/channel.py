@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -42,6 +42,8 @@ __all__ = [
 
 # Links carrying the raw (unconjugated) array response; user links flip sign.
 ARRIVAL_LINKS = frozenset({"b,r"})
+# complex_normal's divisor of its scale, made once
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -141,17 +143,28 @@ def array_response(N: int, azimuth: float, elevation: float, spacing: float, wav
 
 @dataclass(frozen=True)
 class RicianLink:
-    """One surface-side fading link: Rician factor plus its deterministic LoS vector."""
+    """One surface-side fading link: Rician factor plus its deterministic LoS vector.
+
+    The link keeps its own read-only copy of los, and with it sample_rician's
+    two constants, made once: scatter_scale, the factor sqrt(1/(k+1)) / sqrt(2)
+    on each unit normal, and los_shift, the LoS part sqrt(k/(k+1)) * los.
+    """
 
     kappa: float
     los: np.ndarray
+    scatter_scale: float = field(init=False, repr=False, compare=False)
+    los_shift: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "los", np.asarray(self.los, dtype=complex))
+        object.__setattr__(self, "los", np.array(self.los, dtype=complex))
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
         if np.max(np.abs(np.abs(self.los) - 1.0)) > 1e-9:
             raise ValueError("LoS entries must have unit modulus")
+        object.__setattr__(self, "scatter_scale", float(np.sqrt(self.scatter_weight) / _SQRT2))
+        object.__setattr__(self, "los_shift", np.sqrt(self.los_weight) * self.los)
+        for a in (self.los, self.los_shift):
+            a.flags.writeable = False
 
     @property
     def los_weight(self) -> float:
@@ -199,16 +212,9 @@ def _memo(memo: dict, key, make):
 
 def cached_links(cfg) -> Mapping[str, RicianLink]:
     """build_links(cfg), built once per link_key: every point of a sweep over SNR,
-    powers or impairments reads the same links.  The map and the LoS arrays
-    are read-only, so that no caller can change the cached copy."""
-
-    def make():
-        links = build_links(cfg)
-        for link in links.values():
-            link.los.flags.writeable = False
-        return MappingProxyType(links)
-
-    return _memo(_LINKS, link_key(cfg), make)
+    powers or impairments reads the same links.  The map is read-only, as are
+    the links' arrays, so that no caller can change the cached copy."""
+    return _memo(_LINKS, link_key(cfg), lambda: MappingProxyType(build_links(cfg)))
 
 
 def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=None) -> np.ndarray:
@@ -222,9 +228,14 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=No
     written with z = rng.standard_normal((*shape, 2)), x = z[..., 0] and
     y = z[..., 1], to the bit.
     """
+    return _scaled_normals(rng, shape, scale / _SQRT2, shift)
+
+
+def _scaled_normals(rng: np.random.Generator, shape, factor: float, shift) -> np.ndarray:
+    """factor * (x + 1j*y) + shift, drawn as complex_normal describes."""
     out = np.empty(shape, dtype=complex)
     rng.standard_normal(out=out.view(float))
-    out *= scale / np.sqrt(2.0)
+    out *= factor
     if shift is not None:
         out += shift
     return out
@@ -232,11 +243,11 @@ def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=No
 
 def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Draw trials link vectors sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I), as a
-    (trials, N) batch sharing the same LoS.  complex_normal draws it, so it is
-    the complex formula's to the bit.
+    (trials, N) batch sharing the same LoS.  It is complex_normal's draw at
+    scale sqrt(1/(k+1)) with the link's premade constants, so it is the
+    complex formula's to the bit.
     """
-    shape = (trials, link.los.size)
-    return complex_normal(rng, shape, np.sqrt(link.scatter_weight), np.sqrt(link.los_weight) * link.los)
+    return _scaled_normals(rng, (trials, link.los.size), link.scatter_scale, link.los_shift)
 
 
 def cascaded_power_mean(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> float:

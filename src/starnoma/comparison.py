@@ -224,9 +224,10 @@ def _center_split(roles, means: dict, x_at, lo: float = 0.02, hi: float = 0.48) 
 
     x_at is affine in f, so each role's mean signal S and denominator D are
     too, and d/df ln(1 + S/D) = k / ((D + S) D) with k = S'D - S D' constant:
-    the stationary points are the roots of the quadratic k1 (D2 + S2) D2 +
-    k2 (D1 + S1) D1 (the cubic of the four log terms loses its leading
-    term).  The objective is compared at lo, hi and the real roots between.
+    the stationary points are the real zeros of the quadratic k1 (D2 + S2) D2
+    + k2 (D1 + S1) D1 (the cubic of the four log terms loses its leading
+    term), solved in closed form by _quadratic_roots.  The objective is
+    compared at lo, hi and the zeros between.
     """
     lines, polys = [], []   # each role's (S, S', D, D'); its k and (D + S) D, ascending in f
     for role in roles:
@@ -235,8 +236,25 @@ def _center_split(roles, means: dict, x_at, lo: float = 0.02, hi: float = 0.48) 
         lines.append((s, ds, d, dd))
         polys.append((ds * d - s * dd, np.array([(s + d) * d, (s + d) * dd + (ds + dd) * d, (ds + dd) * dd])))
     (k1, q1), (k2, q2) = polys
-    roots = [float(r.real) for r in np.roots((k1 * q2 + k2 * q1)[::-1]) if r.imag == 0 and lo < r.real < hi]
+    roots = [r for r in _quadratic_roots(*map(float, k1 * q2 + k2 * q1)) if lo < r < hi]
     return max([lo, hi, *roots], key=lambda f: sum(math.log1p((s + f * ds) / (d + f * dd)) for s, ds, d, dd in lines))
+
+
+def _quadratic_roots(c0: float, c1: float, c2: float) -> list:
+    """The real zeros of c0 + c1 f + c2 f^2, without cancellation.
+
+    q = -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0)) / 2 adds two terms of one sign,
+    and the zeros are q / c2 and c0 / q (Numerical Recipes 5.6).  With c2 = 0
+    the zero is -c0 / c1, or none if c1 = 0 too; a negative discriminant has
+    none, and a double zero is returned twice.
+    """
+    if c2 == 0.0:
+        return [] if c1 == 0.0 else [-c0 / c1]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [q / c2, c0 / q] if q != 0.0 else [0.0, 0.0]
 
 
 # reference NOMA split used to derive achievable default edge targets

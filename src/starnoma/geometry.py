@@ -54,8 +54,9 @@ __all__ = [
 ]
 
 # The Gauss-Legendre rules on [-1, 1] that the position rules map onto their
-# laws.  Computing one takes milliseconds, far longer than mapping it, so
-# both are made once, at import.
+# laws.  specfun builds each by Newton's method on the Legendre recurrence,
+# about 1.3 ms for 64 nodes and 2.5 ms for 128, far longer than mapping it,
+# and caches it; both are made here, at import, so that no call pays for them.
 # ordered_pathloss_rule: on the 50 m baseline disk 64 nodes match adaptive
 # quadrature of the strong users' rate integrands to 3e-15 relative at
 # 0-50 dB; the integrands are analytic on [0, R], their nearest singularity

@@ -128,6 +128,18 @@ class TestRician:
         with pytest.raises(ValueError):
             RicianLink(kappa=3.0, los=np.array([2.0 + 0j]))
 
+    def test_link_constants_are_its_own_and_read_only(self):
+        # sample_rician's shift is made from los once, so los must not change under it
+        los = array_response(4, 0.5, 1.1, 0.05, 0.1)
+        link = RicianLink(kappa=3.0, los=los)
+        los *= -1.0
+        assert np.array_equal(link.los, -los)
+        assert np.array_equal(link.los_shift, np.sqrt(link.los_weight) * link.los)
+        assert link.scatter_scale == np.sqrt(link.scatter_weight) / np.sqrt(2.0)
+        for a in (link.los, link.los_shift):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
     def test_infinite_kappa_limit(self):
         los = array_response(9, 0.2, 0.9, 0.05, 0.1)
         link = RicianLink(kappa=1e12, los=los)

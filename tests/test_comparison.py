@@ -26,9 +26,39 @@ from starnoma.geometry import sample_disk
 from starnoma.rates import Role, Term, bind, cluster_group, group_tables, rate_report, role_log2_mean, surface_terms
 from starnoma.simulator import simulate_groups
 
+# the policies at the cluster-vs-pair points, pinned as float.hex; a change that moves them on purpose
+# recaptures with
+#     PYTHONPATH=src python tests/test_comparison.py > tests/policy_pins.json
+# and the pair sums of analytic_pins.json through tests/test_rates.py
 PINS = Path(__file__).with_name("policy_pins.json")
 ANALYTIC_PINS = Path(__file__).with_name("analytic_pins.json")
+SWEEP_POINTS = tuple((xi, snr) for xi in (0.0, 0.1) for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0))
 OVERLAP = r"d_br - R_r = 30 must be at least R = 50 \(d_br = 60, R_r = 30\)"
+
+
+def _sweep_point(cfg, xi_sic, snr_db):
+    return dataclasses.replace(cfg.with_snr(snr_db), xi_sic=xi_sic)
+
+
+def _allocation_hex(allocation):
+    return [[x.hex() for x in allocation.alpha], [x.hex() for x in allocation.p_ul]]
+
+
+def policy_pin(cfg, state, xi_sic, snr_db) -> dict:
+    """One policy_pins.json entry: both policies' allocations at one sweep point."""
+    point = _sweep_point(cfg, xi_sic, snr_db)
+    return {
+        "xi_sic": xi_sic, "snr_db": snr_db,
+        "cluster": [_allocation_hex(a) for _, a in sorted(cluster_power_policy(point, state).items())],
+        "pair": [_allocation_hex(a) for a in pair_power_policy(point, state)],
+    }
+
+
+def pair_sums_pin(cfg, state, xi_sic, snr_db) -> dict:
+    """One analytic_pins.json pair_rate_sums entry: the pair sums at the pair policy."""
+    point = _sweep_point(cfg, xi_sic, snr_db)
+    dl, ul = pair_rate_sums(point, pair_power_policy(point, state), state)
+    return {"xi_sic": xi_sic, "snr_db": snr_db, "dl_sum": dl.hex(), "ul_sum": ul.hex()}
 
 
 def _split_objective(roles, means, x_at, f):
@@ -160,6 +190,30 @@ class TestPolicies:
             interior += 0.02 < got < 0.98
         assert interior >= 3   # the roots are exercised, not only the ends
 
+    def test_quadratic_roots_match_the_companion_matrix(self):
+        rng = np.random.default_rng(8)
+        for c0, c1, c2 in rng.standard_normal((2_000, 3)) * 10.0 ** rng.integers(-6, 7, (2_000, 3)):
+            want = sorted(r.real for r in np.roots([c2, c1, c0]) if r.imag == 0)
+            got = sorted(comparison._quadratic_roots(c0, c1, c2))
+            assert got == pytest.approx(want, rel=1e-12, abs=0), (c0, c1, c2)
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ((3.0, -2.0, 0.0), [1.5]),                      # a = 0: the linear zero
+        ((3.0, 0.0, 0.0), []),                          # constant: no zero
+        ((1.0, -2.0, 1.0), [1.0, 1.0]),                 # (f - 1)^2: a double zero
+        ((0.0, 0.0, 2.0), [0.0, 0.0]),                  # 2 f^2: a double zero at 0
+        ((1.0, 1.0, 1.0), []),                          # negative discriminant
+        ((1e-8, 1.0, -1e-8), [-1e-8, 1e8]),             # no cancellation in the small zero
+    ])
+    def test_quadratic_roots_edge_cases(self, coeffs, want):
+        c0, c1, c2 = coeffs
+        got = sorted(comparison._quadratic_roots(c0, c1, c2))
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+        # np.roots drops a zero leading coefficient too, but splits a double zero by about
+        # sqrt(eps), maybe off the real axis
+        real = sorted(r.real for r in np.roots(coeffs[::-1]) if abs(r.imag) <= 1e-7 * abs(r))
+        assert got == pytest.approx(real, rel=1e-7, abs=0)
+
     def test_center_split_finds_an_interior_optimum(self):
         # log2(1 + 2f) + log2(1 + (1 - f)) peaks where 2 / (1 + 2f) = 1 / (2 - f), at f = 3/4
         roles = (
@@ -174,13 +228,7 @@ class TestPolicies:
         # the cluster-vs-pair points on the seed-1 random state, as float.hex; the pair
         # allocations move, and are re-pinned, once the pair targets use the schedule's share
         for pin in json.loads(PINS.read_text()):
-            point = dataclasses.replace(cfg.with_snr(pin["snr_db"]), xi_sic=pin["xi_sic"])
-            cluster = cluster_power_policy(point, state)
-            got = {
-                "cluster": [[[x.hex() for x in a.alpha], [x.hex() for x in a.p_ul]] for _, a in sorted(cluster.items())],
-                "pair": [[[x.hex() for x in a.alpha], [x.hex() for x in a.p_ul]] for a in pair_power_policy(point, state)],
-            }
-            assert got == {"cluster": pin["cluster"], "pair": pin["pair"]}, (pin["xi_sic"], pin["snr_db"])
+            assert policy_pin(cfg, state, pin["xi_sic"], pin["snr_db"]) == pin, (pin["xi_sic"], pin["snr_db"])
 
     @pytest.mark.parametrize("policy", [cluster_power_policy, pair_power_policy])
     @pytest.mark.parametrize("name", ["dl_edge_targets", "ul_edge_targets"])
@@ -285,9 +333,7 @@ class TestPairRates:
     def test_sums_pinned_at_the_sweep_points(self, cfg, state):
         # the cluster-vs-pair points on the seed-1 random state at the pinned policy, as float.hex
         for pin in json.loads(ANALYTIC_PINS.read_text())["pair_rate_sums"]:
-            point = dataclasses.replace(cfg.with_snr(pin["snr_db"]), xi_sic=pin["xi_sic"])
-            dl, ul = pair_rate_sums(point, pair_power_policy(point, state), state)
-            assert (dl.hex(), ul.hex()) == (pin["dl_sum"], pin["ul_sum"]), (pin["xi_sic"], pin["snr_db"])
+            assert pair_sums_pin(cfg, state, pin["xi_sic"], pin["snr_db"]) == pin, (pin["xi_sic"], pin["snr_db"])
 
     def test_wrong_allocation_count(self, cfg, state):
         with pytest.raises(ValueError):
@@ -399,3 +445,12 @@ class TestBearingRule:
         pair_rate_sums(cfg, allocs, state)
         simulate_pair_sums(cfg, allocs, state, trials=200, seed=1)
         assert seen == [groups, groups]
+
+
+if __name__ == "__main__":
+    import sys
+
+    cfg = baseline_config()
+    state = StarRisState.random(cfg.N, np.random.default_rng(1))
+    pins = [policy_pin(cfg, state, xi, snr) for xi, snr in SWEEP_POINTS]
+    sys.stdout.write("[\n" + ",\n".join(" " + json.dumps(pin) for pin in pins) + "\n]\n")

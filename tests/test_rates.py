@@ -42,7 +42,17 @@ from starnoma.simulator import sorted_layout
 from starnoma.specfun import exp_e1
 from starnoma.design import aligned_state
 
+# the closed forms pinned as float.hex; a change that moves them on purpose recaptures with
+#     PYTHONPATH=src python tests/test_rates.py > tests/analytic_pins.json
 PINS = Path(__file__).with_name("analytic_pins.json")
+PIN_SNRS_DB = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
+
+
+def rate_report_pin(cfg, state, model, snr_db, cluster) -> dict:
+    """One analytic_pins.json rate_report entry: a cluster's rates at the default allocation."""
+    point = cfg.with_snr(snr_db)
+    report = rate_report(point, default_power_allocation(point), state, cluster=cluster, model=model)
+    return {"model": model, "snr_db": snr_db, "cluster": cluster, "rates": {r: v.hex() for r, v in report.rates.items()}}
 
 
 def _log2_1p(x):
@@ -412,9 +422,8 @@ class TestAggregation:
         # clusters 1-3, both models, the default SNRs, at the default allocation and the
         # seed-1 random state, as float.hex: a refactor that moves any digit fails here
         for pin in json.loads(PINS.read_text())["rate_report"]:
-            point = cfg.with_snr(pin["snr_db"])
-            report = rate_report(point, default_power_allocation(point), state, cluster=pin["cluster"], model=pin["model"])
-            assert {r: v.hex() for r, v in report.rates.items()} == pin["rates"], (pin["model"], pin["snr_db"], pin["cluster"])
+            point = pin["model"], pin["snr_db"], pin["cluster"]
+            assert rate_report_pin(cfg, state, *point) == pin, point
 
     def test_sic_error_monotonicity(self, cfg, state, power):
         # DL1, UL2, UL3 never gain from a worse SIC residual
@@ -506,3 +515,21 @@ class TestExactSignal:
             rate_report(cfg, power, state, model="jensen")
         with pytest.raises(ValueError, match="rate model"):
             weighted_sum_rate(_inputs(cfg, power, state), model="jensen")
+
+
+if __name__ == "__main__":
+    import sys
+
+    from starnoma import baseline_config
+    from test_comparison import SWEEP_POINTS, pair_sums_pin
+
+    cfg = baseline_config()
+    state = StarRisState.random(cfg.N, np.random.default_rng(1))
+    sections = {
+        "rate_report": [rate_report_pin(cfg, state, model, snr, cluster)
+                        for model in RATE_MODELS for snr in PIN_SNRS_DB for cluster in (1, 2, 3)],
+        "pair_rate_sums": [pair_sums_pin(cfg, state, xi, snr) for xi, snr in SWEEP_POINTS],
+    }
+    sys.stdout.write("{\n" + ",\n".join(
+        f" {json.dumps(name)}: [\n" + ",\n".join("  " + json.dumps(pin) for pin in pins) + "\n ]"
+        for name, pins in sections.items()) + "\n}\n")

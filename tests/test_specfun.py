@@ -87,6 +87,39 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre(order)
 
+    def test_every_order_matches_the_eigenvalue_rule(self):
+        # numpy's leggauss takes the nodes from companion-matrix eigenvalues; it is the oracle only
+        from numpy.polynomial.legendre import leggauss
+
+        for order in range(1, 129):
+            nodes, weights = gauss_legendre(order)
+            want_nodes, want_weights = leggauss(order)
+            assert np.max(np.abs(nodes - want_nodes)) <= 4.5e-16, order
+            assert np.max(np.abs(weights / want_weights - 1.0)) <= 1e-10, order
+
+    def test_every_order_integrates_its_top_even_monomial(self):
+        # x^(2n - 2), the highest even degree the n-node rule is exact for, leans on the end
+        # weights; leggauss(128) leaves 1.7e-12 here, its weights taken at unpolished nodes
+        for order in range(1, 129):
+            nodes, weights = gauss_legendre(order)
+            want = 2.0 / (2 * order - 1)
+            assert abs(float(weights @ nodes ** (2 * order - 2)) / want - 1.0) <= 1e-13, order
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 64, 127])
+    def test_rule_is_symmetric_and_ascending(self, order):
+        nodes, weights = gauss_legendre(order)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        if order % 2:
+            assert nodes[order // 2] == 0.0
+
+    def test_rule_is_the_cached_read_only_copy(self):
+        nodes, weights = gauss_legendre(32)
+        assert gauss_legendre(32.0)[0] is nodes
+        for a in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
 
 class TestExpE1:
     def test_accuracy_against_mpmath(self):
@@ -100,7 +133,7 @@ class TestExpE1:
         got = exp_e1(x)
         for xi, g in zip(x, got):
             want = float(mp.exp(mp.mpf(xi)) * mp.e1(mp.mpf(xi)))
-            assert g == pytest.approx(want, rel=1e-14, abs=0)
+            assert g == pytest.approx(want, rel=2e-15, abs=0)
 
     def test_scalar_and_limit(self):
         assert isinstance(exp_e1(2.0), float)

@@ -31,7 +31,7 @@ from .rates import (
     rate_report,
     weighted_sum_rate,
 )
-from .simulator import SimPlan, estimate_expectation, simulate, simulate_clusters
+from .simulator import SimPlan, simulate, simulate_clusters
 from .design import (
     InfeasibleTargetsError,
     PgamSettings,

@@ -32,7 +32,6 @@ __all__ = [
     "link_key",
     "cached_links",
     "sample_rician",
-    "complex_normal",
     "cascaded_power_mean",
     "cascaded_power_mean_grad",
     "self_reflection_power_mean",
@@ -42,8 +41,6 @@ __all__ = [
 
 # Links carrying the raw (unconjugated) array response; user links flip sign.
 ARRIVAL_LINKS = frozenset({"b,r"})
-# complex_normal's divisor of its scale, made once
-_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,7 @@ class RicianLink:
             raise ValueError("kappa must be nonnegative")
         if np.max(np.abs(np.abs(self.los) - 1.0)) > 1e-9:
             raise ValueError("LoS entries must have unit modulus")
-        object.__setattr__(self, "scatter_scale", float(np.sqrt(self.scatter_weight) / _SQRT2))
+        object.__setattr__(self, "scatter_scale", float(np.sqrt(self.scatter_weight) / np.sqrt(2.0)))
         object.__setattr__(self, "los_shift", np.sqrt(self.los_weight) * self.los)
         for a in (self.los, self.los_shift):
             a.flags.writeable = False
@@ -217,37 +214,22 @@ def cached_links(cfg) -> Mapping[str, RicianLink]:
     return _memo(_LINKS, link_key(cfg), lambda: MappingProxyType(build_links(cfg)))
 
 
-def complex_normal(rng: np.random.Generator, shape, scale: float = 1.0, shift=None) -> np.ndarray:
-    """scale / sqrt(2) * (x + 1j*y) + shift, x and y iid N(0, 1), of the given shape.
-
-    shift (optional) broadcasts over the last axis.  The standard normals are
-    drawn straight into the output's float view, so a value's real and
-    imaginary parts are two consecutive normals of rng, the values in C
-    order; the scale and the shift are then applied in place, and no array
-    besides the output is made.  The values are those of the complex formula
-    written with z = rng.standard_normal((*shape, 2)), x = z[..., 0] and
-    y = z[..., 1], to the bit.
-    """
-    return _scaled_normals(rng, shape, scale / _SQRT2, shift)
-
-
-def _scaled_normals(rng: np.random.Generator, shape, factor: float, shift) -> np.ndarray:
-    """factor * (x + 1j*y) + shift, drawn as complex_normal describes."""
-    out = np.empty(shape, dtype=complex)
-    rng.standard_normal(out=out.view(float))
-    out *= factor
-    if shift is not None:
-        out += shift
-    return out
-
-
 def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Draw trials link vectors sqrt(k/(k+1))*los + sqrt(1/(k+1))*CN(0, I), as a
-    (trials, N) batch sharing the same LoS.  It is complex_normal's draw at
-    scale sqrt(1/(k+1)) with the link's premade constants, so it is the
-    complex formula's to the bit.
+    (trials, N) batch sharing the same LoS.
+
+    The standard normals are drawn straight into the output's float view, so
+    an entry's real and imaginary parts are two consecutive normals of rng,
+    the entries in C order; the link's premade scatter_scale and los_shift
+    are then applied in place, and no array besides the output is made.  The
+    values are those of the complex formula written with
+    z = rng.standard_normal((trials, N, 2)), to the bit.
     """
-    return _scaled_normals(rng, (trials, link.los.size), link.scatter_scale, link.los_shift)
+    out = np.empty((trials, link.los.size), dtype=complex)
+    rng.standard_normal(out=out.view(float))
+    out *= link.scatter_scale
+    out += link.los_shift
+    return out
 
 
 def cascaded_power_mean(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> float:

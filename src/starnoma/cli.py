@@ -269,10 +269,9 @@ def _cmd_cluster(args):
 
 def _cmd_optimize(args):
     cfg = _load(args)
-    settings = PgamSettings(max_iters=args.iters, restarts=args.restarts)
     state, trace = pgam_optimize(
-        cfg, default_power_allocation(cfg), settings, initial=_pick_state(cfg, args.state, args.seed),
-        rng=np.random.default_rng(args.seed), model="ratio-of-means",
+        cfg, default_power_allocation(cfg), PgamSettings(max_iters=args.iters),
+        initial=_pick_state(cfg, args.state, args.seed), model="ratio-of-means",
     )
     with _csv_out(args.out) as writer:
         writer.writerow(["element", "rho_t", "rho_r", "phi_t", "phi_r"])
@@ -351,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p)
     p.add_argument("--iters", type=int, default=60)
-    p.add_argument("--restarts", type=int, default=0)
     p.add_argument("--state", default="aligned", choices=("random", "aligned", "uniform"))
     p.add_argument("--trace", help="objective trace CSV path")
     p.set_defaults(fn=_cmd_optimize)

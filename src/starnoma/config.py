@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import IO
@@ -238,6 +239,20 @@ def _all_finite(value) -> bool:
     items = value.values() if isinstance(value, dict) else (value,)
     entries = [x for v in items for x in (v if isinstance(v, tuple) else (v,))]
     return all(isinstance(x, numbers.Real) and math.isfinite(x) for x in entries)
+
+
+def _count(name: str, value) -> int:
+    """value as an int of at least 1, else a ValueError naming it: a bool, a float
+    or any other non-integer is rejected, as is a count below 1."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return value
 
 
 def default_power_allocation(cfg: SystemConfig) -> PowerAllocation:

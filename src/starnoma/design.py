@@ -8,14 +8,15 @@ after every step: entrywise unit modulus for phases, the per-element segment
 rho_t + rho_r = 1, rho >= 0 for amplitudes.  A halving line search keeps the
 best-seen objective monotone, which the convergence test relies on.
 
-Off the unit-modulus manifold the objective is evaluated through the combined
-element coefficients c = rho * theta (so the scatter power is sum |c|^2);
-on-manifold this coincides with the closed-form rates.  Every surface term is
-a real quadratic form in c, and every role rate a smooth function of the key
-means, so the gradient follows by the chain rule: role rates to key means
-(rates.role_log2_mean_grad), key means to surface terms (the role table's
-position factors), surface terms to c (rates.surface_gradients), and c to
-(theta, rho).
+The ascent evaluates the objective at feasible points only: every trial step
+is projected before its value is taken, and the gradient is taken at the
+projected iterate.  The objective reads the surface through the combined
+element coefficients c = rho * theta (so the scatter power is sum |c|^2).
+Every surface term is a real quadratic form in c, and every role rate a
+smooth function of the key means, so the gradient follows by the chain rule:
+role rates to key means (rates.role_log2_mean_grad), key means to surface
+terms (the role table's position factors), surface terms to c
+(rates.surface_gradients), and c to (theta, rho).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import StarRisState, build_links, element_grid
-from .config import PowerAllocation, SystemConfig
+from .config import PowerAllocation, SystemConfig, _count
 from .rates import (
     DEFAULT_MODEL,
     ROLES,
@@ -78,16 +79,12 @@ _MAX_BACKTRACKS = 30
 
 @dataclass(frozen=True)
 class PgamSettings:
-    """Ascent controls a run may set: the iteration cap and the number of restarts."""
+    """Ascent controls a run may set: the iteration cap."""
 
     max_iters: int = 80
-    restarts: int = 0             # extra random starting points
 
     def __post_init__(self):
-        for name, least in (("max_iters", 1), ("restarts", 0)):
-            value = getattr(self, name)
-            if not value >= least:
-                raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        _count("max_iters", self.max_iters)
 
 
 def project_phases(raw_t: np.ndarray, raw_r: np.ndarray):
@@ -133,7 +130,6 @@ class _Objective:
         self.rules = model_rules(self.table, model)
 
     def value(self, theta_t, theta_r, rho_t, rho_r) -> float:
-        # the surface terms come straight from the (possibly infeasible) trial point
         surface = surface_terms(self.cfg, (rho_t * theta_t, rho_r * theta_r), self.links)
         return weighted_sum_rate(RateInputs(self.cfg, self.table, self.bound, surface), self.model)
 
@@ -168,7 +164,6 @@ def pgam_optimize(
     settings: PgamSettings | None = None,
     initial: StarRisState | None = None,
     cluster: int = 1,
-    rng: np.random.Generator | None = None,
     model: str = DEFAULT_MODEL,
 ):
     """Maximize the weighted sum rate over surface phases and amplitudes, each
@@ -177,9 +172,6 @@ def pgam_optimize(
     Returns (best_state, trace): the best feasible iterate seen and the
     non-decreasing per-iteration objective sequence.  initial=None starts
     from aligned_state(cfg), the aligned phases at an even split, for any N.
-    When restarts are requested, additional random feasible starting points
-    are attacked with the same loop and the overall best is kept (the trace
-    is the winner's).
 
     model names the rate model of the objective (rates.RATE_MODELS).  The
     default matches rate_report; "ratio-of-means" poses the paper's surface
@@ -187,17 +179,7 @@ def pgam_optimize(
     """
     settings = settings or PgamSettings()
     obj = _Objective(cfg, power, cluster, model)
-    starts = [aligned_state(cfg) if initial is None else initial]
-    if settings.restarts:
-        rng = rng or np.random.default_rng(0)
-        starts += [StarRisState.random(cfg.N, rng) for _ in range(settings.restarts)]
-
-    best_state, best_trace = None, None
-    for start in starts:
-        state, trace = _ascend(obj, start, settings.max_iters)
-        if best_trace is None or trace[-1] > best_trace[-1]:
-            best_state, best_trace = state, trace
-    return best_state, best_trace
+    return _ascend(obj, aligned_state(cfg) if initial is None else initial, settings.max_iters)
 
 
 def _ascend(obj: _Objective, start: StarRisState, max_iters: int):

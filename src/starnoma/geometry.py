@@ -1,7 +1,8 @@
 """Expected path loss over disk geometries, and uniform points in a disk.
 
-sample_disk drops uniform points in a disk; only the term oracle
-(simulator.estimate_expectation) uses it.  Both simulators draw their users
+sample_disk drops uniform points in a disk; no CLI path calls it, but the
+tests' term oracle (tests/oracles.py) draws its disk laws with it, and
+perfbench/tracer.py counts its calls.  Both simulators draw their users
 class by class at their distance ranks instead (simulator.class_layout), and
 their layouts are what `starnoma cluster` resolves its groups on.
 

@@ -404,19 +404,16 @@ def check_state_size(cfg: SystemConfig, n: int) -> None:
         raise ValueError(f"surface state has N={n} elements but the config has N={cfg.N}")
 
 
-def surface_terms(cfg: SystemConfig, state, links=None) -> SurfaceTerms:
+def surface_terms(cfg: SystemConfig, coeffs, links) -> SurfaceTerms:
     """Evaluate the omega family and the self-bounce power for one state.
 
-    state is a StarRisState, or the pair (c_t, c_r) of its element
-    coefficients rho * exp(j*phi), which is how the optimizer passes its
-    trial points off the unit-modulus set.  links is the config's link map
-    (channel.build_links), the cached one (channel.cached_links) if omitted.
+    coeffs is the pair (c_t, c_r) of the state's element coefficients
+    rho * exp(j*phi), which is how the optimizer passes its projected
+    iterates; links is the config's link map (channel.build_links).  A
+    StarRisState's terms come from cached_surface_terms.
     """
-    if isinstance(state, StarRisState):
-        state = (state.coefficients("t"), state.coefficients("r"))
-    check_state_size(cfg, len(state[0]))
-    links = links or cached_links(cfg)
-    coeffs = dict(zip(("t", "r"), state))
+    check_state_size(cfg, len(coeffs[0]))
+    coeffs = dict(zip(("t", "r"), coeffs))
     values = {
         name: cascaded_power_mean(coeffs[side], links[out], links[inp])
         for name, (out, side, inp) in _OMEGA_PATHS.items()
@@ -435,8 +432,8 @@ def cached_surface_terms(cfg: SystemConfig, state: StarRisState) -> SurfaceTerms
     (channel.link_key) and both faces' element coefficients, by value.  Every
     point of a sweep over SNR, powers or impairments, and every reader of one
     point (the power policies, the rate reports, the pairing sums), shares
-    the one evaluation.  The optimizer's trial coefficients go to
-    surface_terms directly.
+    the one evaluation.  The optimizer's iterates go to surface_terms
+    directly.
     """
     coeffs = (state.coefficients("t"), state.coefficients("r"))
     key = (link_key(cfg), coeffs[0].tobytes(), coeffs[1].tobytes())

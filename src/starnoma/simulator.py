@@ -17,7 +17,7 @@ only the coordinates, losses and products a gain key reads:
 
 * a Rayleigh power |h|^2 (the direct and cross links, the unit SI) is a
   unit exponential, as the squared modulus of a CN(0, 1) scalar is, and is
-  drawn as one (_draw_power): one value, not two normals;
+  drawn as one: one value, not two normals;
 * both layouts are one class-by-class draw (class_layout): a center class
   is drawn at the sorted ranks asked for, from gamma increments
   (_rank_draw), not a whole sorted drop, each user at a uniform
@@ -52,8 +52,8 @@ array of (n, sum r, sum r^2), a cell per group and role and one for each
 point's DL and UL totals.  Each schedule's are merged in block order
 (_merge), the float additions of a serial loop, so the bytes of a run do not
 depend on the core count or the queue; _estimate turns a merged cell into
-its (mean, stderr).  The term oracle runs its blocks on the same queue and
-merges them the same way.
+its (mean, stderr).  The tests' term oracle (tests/oracles.py) runs its
+blocks on the same queue and merges them the same way.
 
 A block holds only what the next step reads.  A center user keeps its radius
 and bearing, each a row of its own, until its group is resolved, when its
@@ -63,7 +63,7 @@ formed.  A group's gains are dropped before the next group's draw, a hub's
 vector after its last cascade, a spread after the leaves of its step, which
 come after that step's hub-hub products, and a surface loss after its one
 use.  Complex Gaussian draws are written straight into their output
-(channel.complex_normal), and a cascade between two hubs is one einsum into
+(channel.sample_rician), and a cascade between two hubs is one einsum into
 a complex vector per trial.
 
 Every array of a block is a plain numpy array, written in place wherever a
@@ -129,13 +129,6 @@ whatever the other points, so a schedule of points returns, bit for bit,
 what one call per point returns.  One product of all points' rows at once
 would not: a BLAS computes a row differently with the number of rows beside
 it.
-
-estimate_expectation() evaluates exactly the random quantity behind each
-closed-form expectation term, which is what makes the term-level oracle
-checks agree to within Monte-Carlo error (no log, no ratio approximation).
-The same holds for the strong users' log-means of the exact-signal model
-(LOG_MEAN_KEYS): the log of their SINR with the interference at its mean,
-averaged over their position and fading.
 """
 
 from __future__ import annotations
@@ -143,7 +136,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import operator
 import os
 import threading
 from collections import Counter
@@ -155,28 +147,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import StarRisState, cached_links, sample_rician
-from .config import PowerAllocation, SystemConfig, default_power_allocation
-from .geometry import sample_disk
+from .config import PowerAllocation, SystemConfig, _count
 from .rates import (
     BS,
     RateReport,
     ROLES,
-    _OMEGA_PATHS,
     bind_power,
-    build_rate_inputs,
-    cached_surface_terms,
     check_state_size,
     cluster_group,
-    cluster_members,
-    cluster_roles,
-    expectation_terms,
     noma_roles,
-    order_spec,
     pathloss,
-    role_rates,
     si_variance,
     table_keys,
-    unit_gain_scales,
 )
 
 __all__ = [
@@ -194,10 +176,6 @@ __all__ = [
     "as_points",
     "draw_key",
     "POINT_FIELDS",
-    "estimate_expectation",
-    "analytic_expectation",
-    "EXPECTATION_KEYS",
-    "LOG_MEAN_KEYS",
 ]
 
 _DEFAULT_BLOCK = 1 << 12
@@ -241,12 +219,6 @@ class SimPlan:
         _count("block_size", self.block_size)
 
 
-def _draw_power(rng: np.random.Generator, shape) -> np.ndarray:
-    """|CN(0, 1)|^2 draws.  The squared modulus of a unit complex Gaussian is a
-    unit exponential, so it is drawn as one: one value per draw, not two normals."""
-    return rng.standard_exponential(shape)
-
-
 def _add_moments(moments, values) -> None:
     """Add the (n, sum, sum of squares) of each row of values (..., n) into
     moments (..., 3); the sums of squares are dot products, so no square is
@@ -278,20 +250,6 @@ def _estimate(moments, scale: float = 1.0) -> tuple:
     return mean, scale * math.sqrt(var / n)
 
 
-def _count(name: str, value) -> int:
-    """value as an int of at least 1, else a ValueError naming it: a bool, a float
-    or any other non-integer is rejected, as is a count below 1."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value!r}")
-    return value
-
-
 def _blocks(trials: int, seed: int, block_size: int):
     """(size, generator) of each block: an SFC64 stream, its seed spawned from one SeedSequence."""
     trials, block_size = _count("trials", trials), _count("block_size", block_size)
@@ -308,22 +266,20 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(jobs, sizes=None) -> list:
+def _map_blocks(jobs, sizes) -> list:
     """[run(B, rng) for run, B, rng in jobs], in job order, on one thread per core.
 
     Every thread, the calling one included, takes the next job off one shared
     queue until none is left, so a core that ends a short block starts the
     next job at once, whichever schedule it belongs to; each writes only its
-    own slot.  The queue holds the jobs largest first, by sizes (each job's
-    trial count if not given), ties in job order, so a thread's first job
-    pages in the most heap memory and its later ones reuse it (see
-    _keep_heap).  An exception in any job stops the others before their next
+    own slot.  The queue holds the jobs largest first, by sizes (one per
+    job), ties in job order, so a thread's first job pages in the most heap
+    memory and its later ones reuse it (see _keep_heap).  An exception in any job stops the others before their next
     job and is raised here once every thread has ended.
     """
     workers = min(_cores(), len(jobs))
     results = [None] * len(jobs)
     errors = []
-    sizes = [B for _, B, _ in jobs] if sizes is None else sizes
     queue, lock = iter(sorted(range(len(jobs)), key=lambda i: -sizes[i])), threading.Lock()
 
     def work():
@@ -385,29 +341,26 @@ class Surface(NamedTuple):
 class BlockDraws:
     """What one block of trials shares across its groups and points: the
     BS-surface vector, the BS's own signal off the surface and the unit
-    residual SI |CN(0, 1)|^2, which each point scales by its si_variance."""
+    residual SI |CN(0, 1)|^2, which each point scales by its si_variance,
+    with the Surface they were drawn for."""
 
     g_br: np.ndarray
     bounce: np.ndarray
     si: np.ndarray
-    faces: dict       # face -> its _Face
-    l_br: float
-    m: float
+    surface: Surface
 
     @classmethod
-    def draw(cls, cfg, state, links, rng, B, surface=None):
-        """One block's draws; surface is Surface.of(cfg, state, links), if the caller made it once for all its blocks."""
-        if surface is None:
-            surface = Surface.of(cfg, state, links)
+    def draw(cls, surface: Surface, links, rng, B):
+        """One block's draws for a schedule's Surface and links."""
         g_br = sample_rician(links["b,r"], rng, B)
-        si = _draw_power(rng, B)
+        si = rng.standard_exponential(B)   # |CN(0, 1)|^2 is a unit exponential
         # |sum_n |g[n]|^2 c[n]|^2, its real and imaginary sums each one einsum over g's parts
         parts = g_br.view(float)
         re, im = (np.einsum("bk,bk,k->b", parts, parts, weights) for weights in surface.bounce)
         bounce = np.square(re, out=re)
         bounce += np.square(im, out=im)
         bounce *= surface.l_br * surface.l_br
-        return cls(g_br, bounce, si, surface.faces, surface.l_br, surface.m)
+        return cls(g_br, bounce, si, surface)
 
 
 def _scalar_rank(key) -> int:
@@ -443,7 +396,7 @@ def _spread(g_hub, face: _Face) -> np.ndarray:
     return np.einsum("bk,bk,k->b", parts, parts, face.spread)
 
 
-def _leaf_cascade_power(g_hub, face: _Face, link: str, rng, spread=None, out=None) -> np.ndarray:
+def _leaf_cascade_power(g_hub, face: _Face, link: str, rng, spread, out=None) -> np.ndarray:
     """|sum_n g_hub[n] c[n] g_leaf[n]|^2 per trial, into out if given, for a Rician
     leaf vector g_leaf on the given link that no other gain reads.
 
@@ -452,12 +405,10 @@ def _leaf_cascade_power(g_hub, face: _Face, link: str, rng, spread=None, out=Non
     scatter part, a = sqrt(k/(k+1)) and s = sqrt(1/(k+1)): one CN(0, 1)
     scalar per trial stands in for the leaf's N entries, its real and
     imaginary parts two consecutive standard normals.  a * c * los and s^2 / 2
-    are the face's (_Face.leaves).  spread is the hub's _spread on this face,
-    if already formed; it is read, not changed.
+    are the face's (_Face.leaves).  spread is the hub's _spread on this face;
+    it is read, not changed.
     """
     B = len(g_hub)
-    if spread is None:
-        spread = _spread(g_hub, face)
     los, scatter = face.leaves[link]
     t = np.empty(B, complex)
     rng.standard_normal(out=t.view(float))
@@ -486,22 +437,20 @@ def _leaves(cascades) -> dict:
     return leaves
 
 
-def _cascade_draw(key, leaf, vec, faces, rng, spreads=None, out=None) -> np.ndarray:
+def _cascade_draw(key, leaf, vec, faces, rng, spreads, out=None) -> np.ndarray:
     """Cascade power of one key before path loss, into out if given: the product
     of both users' drawn vectors, or, for a key with a leaf, the leaf drawn
-    given the other side (vec holds every vector the key reads).  spreads, if
-    given, keeps each (hub, face)'s _spread for the next leaf of the same hub
-    and face."""
+    given the other side (vec holds every vector the key reads).  spreads
+    keeps each (hub, face)'s _spread for the next leaf of the same hub and
+    face."""
     _, side, u_out, u_in = key
     face = faces[side]
     if leaf is None:
         return _cascade_power(vec[u_out], face.c, vec[u_in], out)
     hub = u_in if leaf == u_out else u_out
-    spread = None
-    if spreads is not None:
-        spread = spreads.get((hub, side))
-        if spread is None:
-            spread = spreads[hub, side] = _spread(vec[hub], face)
+    spread = spreads.get((hub, side))
+    if spread is None:
+        spread = spreads[hub, side] = _spread(vec[hub], face)
     return _leaf_cascade_power(vec[hub], face, leaf.link, rng, spread, out)
 
 
@@ -591,12 +540,12 @@ def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarr
     block into their rows (GainPlan.shared), and the NOISE row, the one
     after the Rayleigh rows, is filled with ones.
     """
-    B = len(block.si)
+    B, surf = len(block.si), block.surface
     gains = np.empty((len(plan.keys), B))
     rayleigh = rng.standard_exponential(out=gains[:plan.scalars])
     for gain, key in zip(rayleigh, plan.keys):
         d = geo[key[1]][1] if key[0] == "direct" else _distance(geo[key[1]][0], geo[key[2]][0])
-        gain *= pathloss(d, block.m)
+        gain *= pathloss(d, surf.m)
         del d
     # positions and BS distances are read no more: a caller that hands geo over frees them here
     surface = {u: at[2] for u, at in geo.items()}
@@ -607,12 +556,12 @@ def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarr
             vec[step.user] = sample_rician(links[step.user.link], rng, B)
         spreads = {}   # a spread lives one step
         for row, key, leaf in step.cascades:
-            _cascade_draw(key, leaf, vec, block.faces, rng, spreads, gains[row])
+            _cascade_draw(key, leaf, vec, surf.faces, rng, spreads, gains[row])
         for v in step.drop:
             del vec[v]
     # the surface path losses last, once the vectors are gone: one per user, for all of its keys
     for u, rows in plan.losses:
-        loss = block.l_br if u == BS else pathloss(surface[u], block.m)
+        loss = surf.l_br if u == BS else pathloss(surface[u], surf.m)
         for row in rows:
             gains[row] *= loss
     gains[plan.scalars] = 1.0
@@ -772,7 +721,7 @@ def _schedule_run(schedule: Schedule):
 
     def run(B, rng):
         resolve = schedule.layout(rng, B, users)
-        block = BlockDraws.draw(cfg, schedule.state, links, rng, B, surface)
+        block = BlockDraws.draw(surface, links, rng, B)
         moments = np.zeros((len(points), len(scales), 3))
         totals = np.zeros((len(points), 2, B))   # each point's DL and UL sums
         for draw, stacks, width in plan:
@@ -868,11 +817,6 @@ def _rank_draw(ranks, K, radius):
         return rows
 
     return draw
-
-
-def _ranked_radii(rng, B, ranks, K, radius) -> list:
-    """One draw of _rank_draw(ranks, K, radius)."""
-    return _rank_draw(ranks, K, radius)(rng, B)
 
 
 def _bearings(rng, n: int, B: int) -> list:
@@ -1020,117 +964,3 @@ def simulate(plan: SimPlan) -> RateReport:
     )
     return reports[plan.cluster]
 
-
-# -- term-level oracle ------------------------------------------------------
-
-EXPECTATION_KEYS = (
-    "x1_u1d", "x1_u2d", "x1_u3d", "x1_u3u", "chi_u1u", "chi_u2u",
-    "y1", "q_center", "y2_u1d", "y1_u3d", "y2_u3d",
-    "omega_u1d_u3u", "omega_u2d_u3u", "omega_u3d_br", "omega_u3d_u1u",
-    "omega_u3d_u2u", "omega_u3d_u3u", "omega_br_u3u", "y3",
-)
-
-# E log2(1 + SINR) of the DL and UL strong user at the config's default
-# power allocation, interference at its mean: M times the exact-signal rate
-LOG_MEAN_KEYS = ("log_u1d", "log_u1u")
-
-# the cluster members (by index in rates.cluster_members) behind each position
-# key: one member's own ordered path loss, or the product of two members'
-# path losses to the surface
-_POSITION_KEYS = {
-    "x1_u1d": (0,), "x1_u2d": (1,), "x1_u3d": (2,), "chi_u1u": (3,), "chi_u2u": (4,), "x1_u3u": (5,),
-    "y2_u1d": (5, 0), "y1_u3d": (2, 0), "y2_u3d": (2, 5),
-}
-
-
-def _ordered_draw(rng, B, spec, m):
-    return pathloss(_ranked_radii(rng, B, [spec.k], spec.K, spec.radius)[0], m)
-
-
-def _outside_draw(rng, B, cfg):
-    pts = sample_disk(rng, B, cfg.R)
-    d = np.linalg.norm(pts - np.array([cfg.d_br, 0.0]), axis=-1)
-    return pathloss(d, cfg.m)
-
-
-def estimate_expectation(
-    key: str,
-    cfg: SystemConfig,
-    state: StarRisState,
-    trials: int = 1_000_000,
-    seed: int = 0,
-    cluster: int = 1,
-    block_size: int = 1 << 16,
-):
-    """Monte-Carlo estimate (mean, stderr) of one closed-form expectation term.
-
-    Each key names exactly the random quantity whose mean the corresponding
-    closed form claims, so agreement is exact up to Monte-Carlo error.
-    """
-    if key not in EXPECTATION_KEYS + LOG_MEAN_KEYS:
-        raise KeyError(f"unknown expectation key {key!r}")
-    members = cluster_members(cfg, cluster)
-    links = cached_links(cfg)
-    if key in LOG_MEAN_KEYS:
-        inputs = build_rate_inputs(cfg, default_power_allocation(cfg), state, cluster)
-        role = inputs.bound[0 if key == "log_u1d" else 3]   # DL1 or UL1
-        total, residual = unit_gain_scales(role, inputs.means())
-        strong = order_spec(cfg, role.signal.key[1])
-    if key in _OMEGA_PATHS:   # the cluster table's key of this path, drawn as the simulator draws it
-        cascades = [k for k in table_keys(cluster_roles(cfg, cluster)) if k[0] == "cascade"]
-        cascade = next(k for k in cascades if (k[2].link, k[1], k[3].link) == _OMEGA_PATHS[key])
-        leaf = _leaves(cascades).get(cascade)
-        faces = Surface.of(cfg, state, links).faces
-
-    def member_draw(rng, B, u, at_surface):
-        """A member's path loss to its anchor, or, at_surface, to the surface."""
-        if at_surface and u.kind == "center":
-            return _outside_draw(rng, B, cfg)
-        return _ordered_draw(rng, B, order_spec(cfg, u), cfg.m)
-
-    def draw(B, rng):
-        """One block's moments of the key's random quantity."""
-        if key in _POSITION_KEYS:
-            users = [members[i] for i in _POSITION_KEYS[key]]
-            vals = member_draw(rng, B, users[0], len(users) > 1)
-            for u in users[1:]:
-                vals = vals * member_draw(rng, B, u, True)
-        elif key == "y1":
-            p1 = sample_disk(rng, B, cfg.R)
-            p2 = sample_disk(rng, B, cfg.R)
-            vals = pathloss(np.linalg.norm(p1 - p2, axis=-1), cfg.m)
-        elif key == "q_center":
-            vals = _outside_draw(rng, B, cfg)
-        elif key in _OMEGA_PATHS:
-            vec = {u: sample_rician(links[u.link], rng, trials=B) for u in cascade[2:] if u != leaf}
-            vals = _cascade_draw(cascade, leaf, vec, faces, rng)
-        elif key == "y3":
-            g = sample_rician(links["b,r"], rng, trials=B)
-            vals = np.abs(np.sum(np.abs(g) ** 2 * state.coefficients("t"), axis=-1)) ** 2
-        else:   # a strong user's log-mean, its SIC residual (none for UL1) on its own gain
-            gain = _ordered_draw(rng, B, strong, cfg.m) * _draw_power(rng, B)
-            vals = np.log2(1.0 + total * gain) - np.log2(1.0 + residual * gain)
-        moments = np.zeros(3)
-        _add_moments(moments, np.asarray(vals, dtype=float))
-        return moments
-
-    return _estimate(_merge(_map_blocks([(draw, *block) for block in _blocks(trials, seed, block_size)])))
-
-
-def analytic_expectation(key: str, cfg: SystemConfig, state: StarRisState, cluster: int = 1) -> float:
-    """Closed-form value matching estimate_expectation's key."""
-    if key not in EXPECTATION_KEYS + LOG_MEAN_KEYS:
-        raise KeyError(f"unknown expectation key {key!r}")
-    if key in LOG_MEAN_KEYS:
-        rates = role_rates(build_rate_inputs(cfg, default_power_allocation(cfg), state, cluster))
-        return cfg.M_d * rates["DL1"] if key == "log_u1d" else cfg.M_u * rates["UL1"]
-    pos = expectation_terms(cfg, cluster)
-    if key in ("y1", "q_center"):
-        return getattr(pos, key)
-    if key in _POSITION_KEYS:
-        users = [cluster_members(cfg, cluster)[i] for i in _POSITION_KEYS[key]]
-        return pos.loss[users[0]] if len(users) == 1 else math.prod(pos.at_surface(u) for u in users)
-    s = cached_surface_terms(cfg, state)
-    if key == "y3":
-        return s.y3_raw
-    return getattr(s, key)

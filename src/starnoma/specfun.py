@@ -1,91 +1,24 @@
-"""Numerical primitives: Gauss-Legendre rules and the scaled exponential
-integral, which the closed forms use, and the generalized hypergeometric
-series, which the package never calls: the tests check the disk path-loss
-rules against series forms built from it, where those converge.
+"""Numerical primitives of the closed forms: Gauss-Legendre rules and the
+scaled exponential integral.
 
 Everything here is plain Python and numpy: the package's runtime path needs
 no scipy, and no eigen-solver either.  A Gauss-Legendre rule is built by
 Newton's method on the Legendre three-term recurrence (gauss_legendre), not
 by numpy.polynomial's companion-matrix eigenvalues, which load LAPACK: the
 128-node rule takes about 2.5 ms, the 32-node rule under 1 ms.
-
-The hypergeometric series here is the plain term-wise sum
-
-    H({a}, {b}, x) = sum_{n>=0} [prod_i (a_i)_n / prod_j (b_j)_n] * x^n / n!
-
-with Pochhammer symbols (a)_n.  No analytic continuation is attempted: if the
-terms do not settle below the tolerance within the term cap, evaluation fails
-loudly instead of returning a misleading partial sum.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "SeriesConvergenceError",
-    "hyp_pfq",
     "gauss_legendre",
     "exp_e1",
 ]
-
-# Series controls: cap and tolerance for term-wise summation.
-MAX_TERMS = 10_000
-SERIES_RTOL = 1e-12
-
-
-class SeriesConvergenceError(ArithmeticError):
-    """Raised when term-wise summation fails to settle within the term cap."""
-
-
-def hyp_pfq(upper: Sequence[float], lower: Sequence[float], x: float, rtol: float = SERIES_RTOL) -> float:
-    """Term-wise sum of the generalized hypergeometric series H(upper, lower, x).
-
-    Lower parameters must avoid non-positive integers, where every term past
-    some index divides by zero.  The sum stops once the running term stays
-    below rtol * |partial sum| for three consecutive terms; a terminating
-    series (non-positive integer upper parameter) returns its finite sum
-    exactly.
-    """
-    upper, lower, x = tuple(float(a) for a in upper), tuple(float(b) for b in lower), float(x)
-    for b in lower:
-        if b <= 0 and b.is_integer():
-            raise ValueError(f"lower parameter {b} is a pole of the series")
-
-    total = 0.0
-    term = 1.0
-    quiet = 0
-    for n in range(MAX_TERMS):
-        total += term
-        ratio = 1.0
-        for a in upper:
-            ratio *= a + n
-        if ratio == 0.0:  # terminating series: next and all later terms vanish
-            return total
-        for b in lower:
-            ratio /= b + n
-        term = term * ratio * x / (n + 1)
-        if not math.isfinite(term):
-            raise SeriesConvergenceError(
-                f"series terms overflowed at n={n} "
-                f"(upper={upper}, lower={lower}, x={x}); "
-                "the argument is outside the term-wise convergence region"
-            )
-        if abs(term) <= rtol * abs(total):
-            quiet += 1
-            if quiet >= 3:
-                return total + term
-        else:
-            quiet = 0
-    raise SeriesConvergenceError(
-        f"series did not settle within {MAX_TERMS} terms "
-        f"(upper={upper}, lower={lower}, x={x}); "
-        "the argument is likely outside the term-wise convergence region"
-    )
 
 
 def gauss_legendre(order: int):

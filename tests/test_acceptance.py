@@ -33,14 +33,13 @@ from starnoma.design import (
 from starnoma.geometry import OrderSpec, ordered_pathloss_density
 from starnoma.rates import ROLES, build_rate_inputs, rate_report, weighted_sum_rate
 from starnoma.simulator import (
-    EXPECTATION_KEYS,
     SimPlan,
-    analytic_expectation,
-    estimate_expectation,
     simulate,
     simulate_clusters,
 )
-from starnoma.specfun import gauss_legendre, hyp_pfq
+from starnoma.specfun import gauss_legendre
+
+from oracles import EXPECTATION_KEYS, analytic_expectation, estimate_expectation, hyp_pfq
 
 SNR_GRID = (10.0, 20.0, 30.0, 40.0)
 WIDE_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)

@@ -11,7 +11,6 @@ from starnoma.channel import (
     array_response,
     build_links,
     cascaded_power_mean,
-    complex_normal,
     element_grid,
     sample_rician,
     self_reflection_power_mean,
@@ -199,15 +198,17 @@ class TestSamplerOracle:
 
 
 class TestComplexNormal:
-    SCALE, SHIFT = 1.7, np.array([0.0, 0.5 - 2.0j, -1.0 + 0.25j, 3.0j])
+    """The complex Gaussian scatter part of sample_rician, standardized by its link's constants."""
+
+    LINK = RicianLink(kappa=2.5, los=np.exp(1j * np.array([0.0, 0.5, 1.3, 2.9])))
 
     def _standardized(self, n):
-        """n // 4 rows of 4 draws from an SFC64 stream, shift removed and scaled to unit parts."""
-        z = complex_normal(np.random.Generator(np.random.SFC64(17)), (n // 4, 4), self.SCALE, self.SHIFT)
-        return ((z - self.SHIFT) / (self.SCALE / np.sqrt(2.0))).ravel()
+        """n // 4 trials of a 4-entry link from an SFC64 stream, LoS removed and scaled to unit parts."""
+        z = sample_rician(self.LINK, np.random.Generator(np.random.SFC64(17)), n // 4)
+        return ((z - self.LINK.los_shift) / self.LINK.scatter_scale).ravel()
 
     def test_parts_are_normal_about_the_shift(self):
-        # each part of scale / sqrt(2) * (x + jy) + shift is N(shift part, scale^2 / 2)
+        # each part of sqrt(1/(k+1)) * CN(0, 1) + sqrt(k/(k+1)) * los is N(LoS part, 1 / (2(k+1)))
         w = self._standardized(100_000)
         for part in (w.real, w.imag):
             assert stats.kstest(part, "norm").pvalue > 1e-3

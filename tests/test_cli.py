@@ -363,6 +363,14 @@ class TestTrialsOption:
         assert "unrecognized arguments: --trials 5" in capsys.readouterr().err
 
 
+def test_optimize_has_no_restarts_option(cfg_path, capsys):
+    # the ascent runs from one start, the one --state names
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--config", cfg_path, "--iters", "1", "--restarts", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --restarts 2" in capsys.readouterr().err
+
+
 class TestSettledOncePerSweep:
     """The analytic phase reads each geometry's links and each (geometry, state)'s surface terms
     from one evaluation, however many points and readers a sweep has."""
@@ -393,7 +401,7 @@ class TestSettledOncePerSweep:
 
         links = self._count(monkeypatch, "build_links", link_key)
         surface = self._count(monkeypatch, "surface_terms",
-                              lambda cfg, state, *rest: (link_key(cfg), np.asarray(state).tobytes()))
+                              lambda cfg, coeffs, *rest: (link_key(cfg), np.asarray(coeffs).tobytes()))
         run, grid = SWEEPS[experiment]
         run(baseline_config(), 1, 200, grid)
         assert len(links) == geometries and set(links.values()) == {1}

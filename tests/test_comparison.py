@@ -23,7 +23,16 @@ from starnoma.channel import StarRisState
 from starnoma.config import PowerAllocation, baseline_config
 from starnoma.design import aligned_state
 from starnoma.geometry import sample_disk
-from starnoma.rates import Role, Term, bind, cluster_group, group_tables, rate_report, role_log2_mean, surface_terms
+from starnoma.rates import (
+    Role,
+    Term,
+    bind,
+    cached_surface_terms,
+    cluster_group,
+    group_tables,
+    rate_report,
+    role_log2_mean,
+)
 from starnoma.simulator import simulate_groups
 
 # the policies at the cluster-vs-pair points, pinned as float.hex; a change that moves them on purpose
@@ -77,7 +86,7 @@ def _assert_no_grid_point_beats(roles, means, x_at, lo, hi):
 def _baseline_split_cases(cfg, state):
     """(roles, means, x_at) of the policies' splits on the baseline cluster and center-only pair tables."""
     clusters = [cluster_group(cfg, j) for j in (1, 2, 3)]
-    surface = surface_terms(cfg, state)
+    surface = cached_surface_terms(cfg, state)
     tables = [(t.roles, t.means(surface)) for t in group_tables(cfg, clusters + pair_groups(cfg)[:4])]
     cases = [(roles[:2], means, lambda f: (0.4 * f, 0.4 - 0.4 * f, 0.6, 1.0, 1.0, 0.5, 1.0))
              for roles, means in tables[:3]]

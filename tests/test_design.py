@@ -121,12 +121,33 @@ class TestPgam:
             pgam_optimize(cfg, power, PgamSettings(max_iters=1), initial=StarRisState.uniform(cfg.N + 1))
 
     def test_settings_validation(self):
+        # a bool or a float is no iteration count, though range() or a comparison may take it as one
         for field, value in [
             ("max_iters", 0),
-            ("restarts", -1),
+            ("max_iters", 2.5),
+            ("max_iters", True),
         ]:
             with pytest.raises(ValueError, match=field):
                 PgamSettings(**{field: value})
+
+    @pytest.mark.parametrize("model", ["ratio-of-means", "exact-signal"])
+    @pytest.mark.parametrize("start", ["aligned", "random"])
+    def test_objective_is_taken_at_feasible_points_only(self, cfg, power, monkeypatch, model, start):
+        # every trial step is projected before its value, and the gradient is taken at the projected iterate
+        seen = []
+        for name in ("value", "gradient"):
+            def wrapped(obj, *point, _name=name, _original=getattr(_Objective, name)):
+                seen.append((_name, point))
+                return _original(obj, *point)
+
+            monkeypatch.setattr(_Objective, name, wrapped)
+        initial = None if start == "aligned" else StarRisState.random(cfg.N, np.random.default_rng(3))
+        pgam_optimize(cfg, power, PgamSettings(max_iters=5), initial=initial, model=model)
+        assert {name for name, _ in seen} == {"value", "gradient"}
+        for _, (theta_t, theta_r, rho_t, rho_r) in seen:
+            assert np.max(np.abs(np.abs(np.concatenate([theta_t, theta_r])) - 1.0)) <= 1e-12
+            assert np.max(np.abs(rho_t + rho_r - 1.0)) <= 1e-12
+            assert np.min(np.concatenate([rho_t, rho_r])) >= 0.0
 
 
 def _central_differences(fun, x: np.ndarray, h: float, complex_vars: bool) -> np.ndarray:

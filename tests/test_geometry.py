@@ -15,7 +15,8 @@ from starnoma.geometry import (
     pair_distance_density,
     pair_pathloss_mean,
 )
-from starnoma.specfun import hyp_pfq
+
+from oracles import hyp_pfq
 
 # The oracle: adaptive quadrature of each exact density, tighter than the rules it checks.
 _QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-13, limit=500)

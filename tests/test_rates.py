@@ -341,9 +341,9 @@ class TestWiringOracles:
 class TestRoleTable:
     def test_every_key_has_a_mean_and_a_sampler(self, cfg, state, monkeypatch):
         from starnoma.comparison import pair_groups
-        from starnoma.rates import group_tables, surface_terms
+        from starnoma.rates import cached_surface_terms, group_tables
 
-        from starnoma.simulator import NOISE, BlockDraws, gain_plan, sample_gains
+        from starnoma.simulator import NOISE, BlockDraws, Surface, gain_plan, sample_gains
         from starnoma.channel import build_links
 
         links = build_links(cfg)
@@ -351,7 +351,7 @@ class TestRoleTable:
         # every array np.empty makes starts as NaN, so a row that is never written shows
         full = np.full
         monkeypatch.setattr(np, "empty", lambda shape, dtype=float: full(shape, np.nan, dtype))
-        block = BlockDraws.draw(cfg, state, links, rng, 4)
+        block = BlockDraws.draw(Surface.of(cfg, state, links), links, rng, 4)
         fake = (np.zeros((4, 2)), np.ones(4), np.ones(4))   # position, BS and surface distance
 
         def sampled(roles, users):
@@ -365,7 +365,7 @@ class TestRoleTable:
             inputs = _inputs(cfg, default_power_allocation(cfg), state, cluster=j)
             keys = set(table_keys(inputs.table.roles))
             assert keys == set(inputs.means()) == sampled(inputs.table.roles, cluster_members(cfg, j))
-        surface = surface_terms(cfg, state)
+        surface = cached_surface_terms(cfg, state)
         for table in group_tables(cfg, pair_groups(cfg)):
             assert set(table_keys(table.roles)) == set(table.means(surface))
         for dl, ul in pair_groups(cfg):

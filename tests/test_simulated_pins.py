@@ -23,7 +23,9 @@ import pytest
 from starnoma import StarRisState, baseline_config, default_power_allocation, simulator
 from starnoma.cli import main
 from starnoma.comparison import pair_power_policy, simulate_pair_sums
-from starnoma.simulator import estimate_expectation, simulate_clusters
+from starnoma.simulator import simulate_clusters
+
+from oracles import estimate_expectation
 
 PINS = Path(__file__).with_name("simulated_pins.json")
 

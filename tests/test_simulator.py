@@ -16,16 +16,15 @@ from starnoma.comparison import cluster_power_policy, pair_groups, pair_power_po
 from starnoma.config import PowerAllocation
 from starnoma.rates import BS, cluster_members, cluster_roles, noma_roles, table_keys
 from starnoma.simulator import (
-    EXPECTATION_KEYS,
-    LOG_MEAN_KEYS,
     SimPlan,
-    analytic_expectation,
     cluster_schedule,
-    estimate_expectation,
     simulate,
     simulate_clusters,
     simulate_groups,
 )
+
+import oracles
+from oracles import EXPECTATION_KEYS, LOG_MEAN_KEYS, analytic_expectation, estimate_expectation
 
 
 def _plan(cfg, power, state, **kw):
@@ -332,7 +331,7 @@ class TestBlockPool:
     @pytest.mark.parametrize("failing", [TRIALS % BLOCK, BLOCK], ids=["last-block", "every-full-block"])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_oracle_block_exception_reaches_the_caller(self, cfg, state, monkeypatch, failing, workers):
-        sample_rician = simulator.sample_rician
+        sample_rician = oracles.sample_rician
 
         def fail(link, rng, trials):
             if trials == failing:
@@ -340,7 +339,7 @@ class TestBlockPool:
             return sample_rician(link, rng, trials)
 
         monkeypatch.setattr(simulator, "_cores", lambda: workers)
-        monkeypatch.setattr(simulator, "sample_rician", fail)
+        monkeypatch.setattr(oracles, "sample_rician", fail)
         before = threading.active_count()
         with pytest.raises(BlockFailure):
             estimate_expectation("y3", cfg, state, self.TRIALS, 2, block_size=self.BLOCK)
@@ -416,19 +415,21 @@ class TestBlockPool:
 
 
 class TestDraws:
-    @pytest.mark.parametrize("B", [1, 4_095, 4_097, 16_384])
-    @pytest.mark.parametrize("k", [None, 8])
-    def test_draw_power_keeps_the_whole_shape_bits(self, B, k):
-        # one whole-shape unit-exponential draw: the same values, and the stream left where it leaves it
-        shape = (B,) if k is None else (B, k)
-        a, b = np.random.default_rng(21), np.random.default_rng(21)
-        assert simulator._draw_power(a, shape).tobytes() == b.standard_exponential(shape).tobytes()
-        assert a.random() == b.random()
-
-    @pytest.mark.parametrize("shape", [(131_072,), (16_384, 8)], ids=["trials", "trials-by-keys"])
-    def test_draw_power_is_unit_exponential(self, shape):
+    @pytest.mark.parametrize("rows", ["si", "rayleigh"], ids=["trials", "trials-by-keys"])
+    def test_draw_power_is_unit_exponential(self, cfg, state, rows):
+        # the |CN(0, 1)|^2 powers a block draws as unit exponentials: its unit SI,
+        # and a group's Rayleigh rows (direct and cross keys) at unit path loss
+        links, rng = build_links(cfg), np.random.default_rng(21)
+        B = 131_072 if rows == "si" else 16_384   # cluster 1 has 8 Rayleigh rows
+        block = simulator.BlockDraws.draw(simulator.Surface.of(cfg, state, links), links, rng, B)
+        if rows == "si":
+            x = block.si
+        else:
+            members = cluster_members(cfg, 1)
+            plan = simulator.gain_plan(cluster_roles(cfg, 1), members)
+            geo = dict.fromkeys(members, (np.zeros((B, 2)), np.zeros(B), np.zeros(B)))
+            x = simulator.sample_gains(plan, geo, links, rng, block)[:plan.scalars].ravel()
         # |x + jy|^2 / 2 of two independent standard normals is Exp(1): mean 1, variance 1
-        x = simulator._draw_power(np.random.default_rng(21), shape).ravel()
         assert x.size >= 100_000 and np.all(x >= 0.0)
         assert stats.kstest(x, "expon").pvalue > 1e-3
         se = 1.0 / np.sqrt(x.size)   # the standard error of the mean at unit variance
@@ -470,7 +471,8 @@ class TestLeafCascades:
         st = state if n == cfg.N else StarRisState.random(n, np.random.default_rng(n))
         c = st.coefficients(side)
         face = simulator._face(c, links)
-        return links[hub], links[leaf], c, lambda g_hub, rng: simulator._leaf_cascade_power(g_hub, face, leaf, rng)
+        return links[hub], links[leaf], c, lambda g_hub, rng: simulator._leaf_cascade_power(
+            g_hub, face, leaf, rng, simulator._spread(g_hub, face))
 
     @pytest.mark.parametrize("n", [4, 10, 64])
     def test_single_leaf_cascade_matches_full_draw(self, cfg, state, n):
@@ -525,8 +527,8 @@ class TestLeafCascades:
         B = 60_000
         rng = np.random.default_rng(31)
         at_anchor = (np.zeros((B, 2)), np.zeros(B), np.zeros(B))   # unit path loss everywhere
-        block = simulator.BlockDraws.draw(cfg, state, links, rng, B)
-        block = dataclasses.replace(block, l_br=1.0)
+        block = simulator.BlockDraws.draw(simulator.Surface.of(cfg, state, links), links, rng, B)
+        block = dataclasses.replace(block, surface=block.surface._replace(l_br=1.0))
         geo = dict.fromkeys(members, at_anchor)
         plan = simulator.gain_plan(cluster_roles(cfg, 1), members)
         gains = dict(zip(plan.keys, simulator.sample_gains(plan, geo, links, rng, block)))
@@ -554,7 +556,7 @@ class TestRankedLayout:
     def test_rank_matches_sorted_full_draw(self, k, K):
         rng = np.random.default_rng(100 * k + K)
         B, R = 40_000, 50.0
-        direct = simulator._ranked_radii(rng, B, [k], K, R)[0]
+        direct = simulator._rank_draw([k], K, R)(rng, B)[0]
         sorted_full = np.sort(R * np.sqrt(rng.random((B, K))), axis=1)[:, k - 1]
         assert stats.ks_2samp(direct, sorted_full).pvalue > 1e-3
         assert np.all((0.0 <= direct) & (direct <= R))
@@ -562,7 +564,7 @@ class TestRankedLayout:
     def test_ranks_drawn_together_keep_their_joint_law(self):
         rng = np.random.default_rng(12)
         B, R, ranks = 40_000, 30.0, [1, 4, 6]
-        direct = np.column_stack(simulator._ranked_radii(rng, B, ranks, 6, R))
+        direct = np.column_stack(simulator._rank_draw(ranks, 6, R)(rng, B))
         full = np.sort(R * np.sqrt(rng.random((B, 6))), axis=1)[:, [k - 1 for k in ranks]]
         assert np.all(np.diff(direct, axis=1) >= 0)
         for i in range(len(ranks)):

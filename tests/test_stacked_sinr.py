@@ -42,7 +42,7 @@ def stacked_groups(schedule, trials: int, seed: int):
     links = build_links(cfg)
     rng = np.random.Generator(np.random.SFC64(seed))
     resolve = schedule.layout(rng, trials, [u for dl, ul in schedule.groups for u in (*dl, *ul)])
-    block = simulator.BlockDraws.draw(cfg, schedule.state, links, rng, trials)
+    block = simulator.BlockDraws.draw(simulator.Surface.of(cfg, schedule.state, links), links, rng, trials)
     si_scales = [si_variance(point) for point, _ in schedule.points]
     out = []
     for g, (dl, ul) in enumerate(schedule.groups):

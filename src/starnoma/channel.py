@@ -68,6 +68,8 @@ class StarRisState:
         n = self.rho_t.shape
         if not (self.rho_r.shape == self.phi_t.shape == self.phi_r.shape == n):
             raise ValueError("state arrays must share one length N")
+        if n == (0,):
+            raise ValueError("a surface state needs at least 1 element, got 0")
         if np.any(self.rho_t < -1e-12) or np.any(self.rho_r < -1e-12):
             raise ValueError("amplitudes must be nonnegative")
         if np.max(np.abs(self.rho_t + self.rho_r - 1.0)) > 1e-12:

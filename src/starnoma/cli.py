@@ -32,7 +32,6 @@ from .comparison import (
     cluster_power_policy,
     pair_groups,
     pair_power_policy,
-    pair_rate_sums,
     pair_schedule,
     ranked_layout,
     reference_edge_targets,
@@ -40,7 +39,7 @@ from .comparison import (
 from .config import SystemConfig, baseline_config, default_power_allocation, load_config
 from .design import PgamSettings, aligned_state, pgam_optimize
 from .rates import ROLES, cluster_group, noma_roles, rate_report
-from .simulator import SimPlan, cluster_schedule, draw_key, simulate, simulate_groups, sorted_layout
+from .simulator import SimPlan, cluster_schedule, draw_key, rate_groups, simulate, simulate_groups, sorted_layout
 
 CSV_COLUMNS = ("sweep_var", "value", "role", "method", "rate", "stderr", "seed")
 DEFAULT_SNR_GRID = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
@@ -83,12 +82,13 @@ def _row(*cells) -> dict:
     return dict(zip(CSV_COLUMNS, cells))
 
 
-def _report_rows(report, sweep_var, value, seed, tag=""):
-    return [
-        _row(sweep_var, value, role + tag, report.method, float(report.rates[role]),
-             float(report.stderr[role]) if report.stderr else "", seed)
-        for role in ROLES
-    ]
+def _role_rows(method, rates, sweep_var, value, seed, tag=""):
+    """One row per role: rates maps it to its analytic rate or to its simulated (mean, stderr)."""
+    rows = []
+    for role in ROLES:
+        rate, stderr = (float(rates[role]), "") if method == "analytic" else map(float, rates[role])
+        rows.append(_row(sweep_var, value, role + tag, method, rate, stderr, seed))
+    return rows
 
 
 def validate_table(path: str) -> None:
@@ -115,23 +115,22 @@ def _point_rows(points, seed, trials):
     """Analytic and simulated rows of cluster 1 at every (sweep_var, value, cfg, state, tag) point.
 
     Points that share a draw (simulator.draw_key) and a state form one
-    schedule; a geometry sweep makes one schedule per point.  All schedules
-    run in one block queue.
+    schedule; a geometry sweep makes one schedule per point.  Every schedule
+    is rated by simulator.rate_groups, and all of them run in one block queue.
     """
     shared = {}
     for point in points:
         shared.setdefault((draw_key(point[2]), id(point[3])), []).append(point)
     draws = list(shared.values())
-    powers = [[default_power_allocation(cfg) for _, _, cfg, _, _ in draw] for draw in draws]
-    schedules = [
-        cluster_schedule([cfg for _, _, cfg, _, _ in draw], draw_powers, draw[0][3], clusters=[1])
-        for draw, draw_powers in zip(draws, powers)
-    ]
+    schedules = []
+    for draw in draws:
+        cfgs = [cfg for _, _, cfg, _, _ in draw]
+        schedules.append(cluster_schedule(cfgs, [default_power_allocation(c) for c in cfgs], draw[0][3], clusters=[1]))
     rows = []
-    for draw, draw_powers, sims in zip(draws, powers, simulate_groups(schedules, trials, seed)):
-        for (sweep_var, value, cfg, state, tag), power, (reports, _) in zip(draw, draw_powers, sims):
-            for report in (rate_report(cfg, power, state), reports[1]):
-                rows += _report_rows(report, sweep_var, value, seed, tag)
+    for draw, analytic, simulated in zip(draws, rate_groups(schedules), simulate_groups(schedules, trials, seed)):
+        for (sweep_var, value, _, _, tag), ([rates], _), ([sims], _) in zip(draw, analytic, simulated):
+            rows += _role_rows("analytic", rates, sweep_var, value, seed, tag)
+            rows += _role_rows("simulated", sims, sweep_var, value, seed, tag)
     return rows
 
 
@@ -171,21 +170,16 @@ def experiment_cluster_vs_pair(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
         dl_t, ul_t = reference_edge_targets(point, state)
         cl_pow.append(cluster_power_policy(point, state, dl_t, ul_t))
         pr_pow.append(pair_power_policy(point, state, dl_t, ul_t))
-    cl_sim, pr_sim = simulate_groups(
-        [cluster_schedule(points, cl_pow, state), pair_schedule(points, pr_pow, state)], trials, seed)
-
+    schedules = [cluster_schedule(points, cl_pow, state), pair_schedule(points, pr_pow, state)]
     rows = []
-    for (xi, snr), point, cl, pr, (simulated, _), pr_s in zip(cells, points, cl_pow, pr_pow, cl_sim, pr_sim):
-        analytic = [rate_report(point, cl[j], state, cluster=j) for j in cl]
-        pr_ana = dict(zip(("dl_sum", "ul_sum"), pair_rate_sums(point, pr, state)))
-        for d in ("dl", "ul"):
-            for scheme, method, rate, err in (
-                ("clustering", "analytic", sum(getattr(r, f"{d}_sum") for r in analytic), ""),
-                ("pairing", "analytic", pr_ana[f"{d}_sum"], ""),
-                ("clustering", "simulated", sum(getattr(r, f"{d}_sum") for r in simulated.values()), ""),
-                ("pairing", "simulated", pr_s[f"{d}_sum"], pr_s[f"{d}_sum_stderr"]),
-            ):
-                rows.append(_row("snr_db", snr, f"{d}_sum_{scheme}[xi={xi:g}]", method, float(rate), err, seed))
+    for scheme, analytic, simulated in zip(
+            ("clustering", "pairing"), rate_groups(schedules), simulate_groups(schedules, trials, seed)):
+        for (xi, snr), (_, ana), (_, sim) in zip(cells, analytic, simulated):
+            for d in ("dl", "ul"):
+                role = f"{d}_sum_{scheme}[xi={xi:g}]"
+                rows.append(_row("snr_db", snr, role, "analytic", float(ana[f"{d}_sum"]), "", seed))
+                rows.append(_row("snr_db", snr, role, "simulated", float(sim[f"{d}_sum"]),
+                                 float(sim[f"{d}_sum_stderr"]), seed))
     return rows
 
 
@@ -219,7 +213,7 @@ def _cmd_analytic(args):
     cfg = _load(args)
     state = _pick_state(cfg, args.state, args.seed)
     report = rate_report(cfg, default_power_allocation(cfg), state, cluster=args.cluster)
-    _write_rows(_report_rows(report, "snr_db", cfg.snr_db, args.seed), args.out)
+    _write_rows(_role_rows("analytic", report.rates, "snr_db", cfg.snr_db, args.seed), args.out)
     return 0
 
 

@@ -2,10 +2,10 @@
 
 Rates the near-far pairing baseline (2-user groups) with the same role table
 as the 3-user clusters: each pair, and the lone median user's slot, is a
-NOMA group of rates.noma_roles, its table built by rates.group_tables, read
-by the same analytic reader and run through the cluster simulator's block
-loop (simulator.simulate_groups) with a layout of its own; a grid of points
-shares one draw there, as the clusters' does.
+NOMA group of rates.noma_roles.  Its Schedule (pair_schedule) is read by the
+clusters' closed-form reader (simulator.rate_groups) and run through their
+block loop (simulator.simulate_groups) with a layout of its own; a grid of
+points shares one draw there, as the clusters' does.
 
 Also implements the power policy of the comparison experiment, one body
 (_group_powers) for clusters and pairs alike: spend whatever power the
@@ -37,12 +37,10 @@ from .config import PowerAllocation, SystemConfig
 from .rates import (
     Member,
     bind,
-    bind_power,
     cached_surface_terms,
     cluster_group,
     group_tables,
     mean_signal_and_denominator,
-    read_rates,
     solve_sinr,
 )
 from .simulator import (
@@ -50,6 +48,8 @@ from .simulator import (
     Schedule,
     as_points,
     class_layout,
+    cluster_schedule,
+    rate_groups,
     simulate_groups,
 )
 
@@ -121,14 +121,8 @@ def pair_rate_sums(cfg: SystemConfig, allocations, state: StarRisState):
     member that is a center user, decoded first, has its log averaged
     exactly over its direct-link signal, its interference held at the mean.
     """
-    groups = pair_groups(cfg)
-    powers = _slot_powers(cfg, allocations, groups)
-    surface, shares = cached_surface_terms(cfg, state), {"DL": len(groups), "UL": len(groups)}
-    sums = {"DL": 0.0, "UL": 0.0}
-    for table, power in zip(group_tables(cfg, groups), powers):
-        for name, rate in read_rates(bind_power(table.roles, power), table.means(surface), table.rules, shares).items():
-            sums[name[:2]] += rate
-    return sums["DL"], sums["UL"]
+    sums = rate_groups([pair_schedule([cfg], [allocations], state)])[0][0][1]
+    return sums["dl_sum"], sums["ul_sum"]
 
 
 def ranked_layout(cfg: SystemConfig):
@@ -174,18 +168,14 @@ def ranked_layout(cfg: SystemConfig):
 
 def pair_schedule(cfgs, allocations, state: StarRisState) -> Schedule:
     """The pairing's request to the block loop at every point of cfgs, all off one draw,
-    as simulator.cluster_schedule; allocations gives each point's list, and the
-    result is a list of what simulate_pair_sums returns, one per point."""
+    as simulator.cluster_schedule; allocations gives each point's list, one
+    PowerAllocation per pair, and a lone median slot sends at full power."""
     points = as_points(cfgs, allocations)
     cfg = points[0][0]
     groups = pair_groups(cfg)
-
-    def read(results, trials, seed):
-        return [point_sums for _, point_sums in results]
-
     return Schedule(
         [(point, _slot_powers(point, allocs, groups)) for point, allocs in points], groups,
-        {"DL": len(groups), "UL": len(groups)}, ranked_layout(cfg), state, read,
+        {"DL": len(groups), "UL": len(groups)}, ranked_layout(cfg), state,
     )
 
 
@@ -202,7 +192,7 @@ def simulate_pair_sums(
     allocations is one PowerAllocation per pair.  Returns {dl_sum, ul_sum}
     and their standard errors.
     """
-    return simulate_groups([pair_schedule([cfg], [allocations], state)], trials, seed, block_size)[0][0]
+    return simulate_groups([pair_schedule([cfg], [allocations], state)], trials, seed, block_size)[0][0][1]
 
 
 # -- shared power policy ------------------------------------------------------
@@ -270,15 +260,10 @@ def reference_edge_targets(cfg: SystemConfig, state: StarRisState):
     time share.
     """
     reference = PowerAllocation(_REFERENCE_ALPHA, (cfg.p_um,) * 3)
+    groups = rate_groups([cluster_schedule([cfg], [reference], state)])[0][0][0]
     clusters = range(1, min(cfg.M_d, cfg.M_u) + 1)
-    surface = cached_surface_terms(cfg, state)
-    dl, ul = {}, {}
-    for j, table in zip(clusters, group_tables(cfg, [cluster_group(cfg, j) for j in clusters])):
-        # only the two edge roles, read as rate_report reads them
-        edge = bind_power([role for role in table.roles if role.name in ("DL3", "UL3")], reference)
-        rates = read_rates(edge, table.means(surface), table.rules, {"DL": cfg.M_d, "UL": cfg.M_u})
-        dl[j], ul[j] = rates["DL3"], rates["UL3"]
-    return dl, ul
+    return ({j: rates["DL3"] for j, rates in zip(clusters, groups)},
+            {j: rates["UL3"] for j, rates in zip(clusters, groups)})
 
 
 def _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets):

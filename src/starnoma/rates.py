@@ -88,7 +88,6 @@ __all__ = [
     "Term",
     "Role",
     "cluster_group",
-    "cluster_roles",
     "noma_roles",
     "order_spec",
     "positions",
@@ -253,11 +252,6 @@ def cluster_group(cfg: SystemConfig, cluster: int = 1) -> tuple:
     """Cluster j as a NOMA group (dl users, ul users), strong first."""
     members = cluster_members(cfg, cluster)
     return members[:3], members[3:]
-
-
-def cluster_roles(cfg: SystemConfig, cluster: int = 1) -> tuple:
-    """The six roles DL1..DL3, UL1..UL3 of cluster j."""
-    return noma_roles(cfg, *cluster_group(cfg, cluster))
 
 
 def table_keys(roles) -> tuple:

@@ -10,7 +10,8 @@ exactly as in the closed forms.  The residual self-interference is drawn per
 trial as a CN(0, beta * P_b^lambda) scalar.  simulate_groups() is the one
 block loop: the clusters here and the pairing baseline
 (comparison.simulate_pair_sums) differ only in their Schedule of groups,
-time shares and layout, and one call takes any number of schedules.
+time shares and layout, and one call takes any number of schedules, which
+rate_groups() reads in closed form into results of the same shape.
 
 A block draws only what its rates read, each in its exact law, and forms
 only the coordinates, losses and products a gain key reads:
@@ -153,10 +154,13 @@ from .rates import (
     RateReport,
     ROLES,
     bind_power,
+    cached_surface_terms,
     check_state_size,
     cluster_group,
+    group_tables,
     noma_roles,
     pathloss,
+    read_rates,
     si_variance,
     table_keys,
 )
@@ -169,6 +173,7 @@ __all__ = [
     "simulate",
     "simulate_clusters",
     "simulate_groups",
+    "rate_groups",
     "Schedule",
     "cluster_schedule",
     "class_layout",
@@ -660,7 +665,7 @@ def _shared_draw(cfgs) -> SystemConfig:
 
 
 class Schedule(NamedTuple):
-    """One simulator's request to the block loop (simulate_groups).
+    """One scheme's request to the block loop (simulate_groups) and its closed-form reader (rate_groups).
 
     points holds (cfg, [PowerAllocation per group]) per point, the configs
     differing in POINT_FIELDS only; groups lists the NOMA groups (dl users,
@@ -669,9 +674,7 @@ class Schedule(NamedTuple):
     positions of the given users and returns resolve(group), which gives
     {user: (position, BS distance, surface distance)} for a group's users,
     once per group, an entry None where no gain key reads it; state is the
-    surface state.
-    read(results, trials, seed) turns the loop's results into the
-    simulator's own.  The block loop plans a schedule once (_schedule_run):
+    surface state.  The block loop plans a schedule once (_schedule_run):
     the points' role tables become one GainPlan and the Stacks of each
     group, so the points must share every group's gain keys, as configs
     that differ in POINT_FIELDS only do.
@@ -682,7 +685,6 @@ class Schedule(NamedTuple):
     shares: dict
     layout: Callable
     state: StarRisState
-    read: Callable
 
 
 def _schedule_run(schedule: Schedule):
@@ -766,17 +768,37 @@ def simulate_groups(schedules, trials, seed, block_size=_DEFAULT_BLOCK) -> list:
     one queue (_map_blocks), the largest (trials times N) first, so that a
     worker's later blocks run in the heap memory its first one paged in
     (_keep_heap), and each schedule's moments merge in block order
-    (_merge), whatever order they ran in.  The loop's results are one
+    (_merge), whatever order they ran in.  A schedule's result is one
     ([{role: (mean, stderr)} per group], {dl_sum, ul_sum and their
-    stderrs}) per point; each schedule's read turns them into its result.
+    stderrs}) per point.
     """
     runs = [_schedule_run(schedule) for schedule in schedules]
     jobs = [(run, B, rng) for run, _ in runs for B, rng in _blocks(trials, seed, block_size)]
     n = -(-trials // block_size)   # blocks per schedule
     # a block's working set grows with its trials times the surface size N
     done = _map_blocks(jobs, [B * schedules[i // n].state.N for i, (_, B, _) in enumerate(jobs)])
-    return [schedule.read(estimate(_merge(done[i * n: (i + 1) * n])), trials, seed)
-            for i, (schedule, (_, estimate)) in enumerate(zip(schedules, runs))]
+    return [estimate(_merge(done[i * n: (i + 1) * n])) for i, (_, estimate) in enumerate(runs)]
+
+
+def rate_groups(schedules) -> list:
+    """The closed-form reader of the schedules simulate_groups takes: one
+    ([{role: rate} per group], {dl_sum, ul_sum}) per point of each schedule.
+
+    Each point's tables (one rates.group_tables call) are bound to its
+    allocations and read at the schedule's time shares on the tables' rules,
+    the exact-signal model; the sums add the rates group by group, role by role.
+    """
+    def rate_point(schedule, cfg, powers):
+        surface = cached_surface_terms(cfg, schedule.state)
+        groups, sums = [], {"DL": 0.0, "UL": 0.0}
+        for table, power in zip(group_tables(cfg, schedule.groups), powers):
+            rates = read_rates(bind_power(table.roles, power), table.means(surface), table.rules, schedule.shares)
+            for name, rate in rates.items():
+                sums[name[:2]] += rate
+            groups.append(rates)
+        return groups, {"dl_sum": sums["DL"], "ul_sum": sums["UL"]}
+
+    return [[rate_point(schedule, cfg, powers) for cfg, powers in schedule.points] for schedule in schedules]
 
 
 def as_points(cfgs, settings) -> list:
@@ -906,35 +928,30 @@ def sorted_layout(cfg):
     return class_layout(cfg, [("center", "DL"), ("center", "UL"), ("edge", "DL"), ("edge", "UL")], edge)
 
 
+def _cluster_indices(cfg, clusters) -> list:
+    """The requested cluster indices, sorted; every cluster when clusters is None."""
+    if clusters is None:
+        return list(range(1, min(cfg.M_d, cfg.M_u) + 1))
+    return sorted(int(j) for j in clusters)
+
+
 def cluster_schedule(cfgs, powers, state: StarRisState, clusters=None) -> Schedule:
     """The clusters' request to the block loop at every point of cfgs, all off one draw.
 
     The configs differ in POINT_FIELDS only, and powers gives each point's
-    powers as simulate_clusters takes them.  The result is a list of what
-    simulate_clusters returns, one per point.
+    powers as simulate_clusters takes them.  The groups are the requested
+    clusters in ascending order.
     """
     points = as_points(cfgs, powers)
     cfg = points[0][0]
-    if clusters is None:
-        clusters = list(range(1, min(cfg.M_d, cfg.M_u) + 1))
-    clusters = sorted(int(j) for j in clusters)
+    clusters = _cluster_indices(cfg, clusters)
 
     def allocations(power):
         return [power if isinstance(power, PowerAllocation) else power[j] for j in clusters]
 
-    def read(results, trials, seed):
-        out = []
-        for groups, sums in results:
-            reports = {}
-            for j, group in zip(clusters, groups):
-                rates, stderr = ({role: group[role][i] for role in ROLES} for i in (0, 1))
-                reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
-            out.append((reports, sums))
-        return out
-
     return Schedule(
         [(point, allocations(power)) for point, power in points], [cluster_group(cfg, j) for j in clusters],
-        {"DL": cfg.M_d, "UL": cfg.M_u}, sorted_layout(cfg), state, read,
+        {"DL": cfg.M_d, "UL": cfg.M_u}, sorted_layout(cfg), state,
     )
 
 
@@ -953,7 +970,13 @@ def simulate_clusters(
     map.  Returns ({cluster: RateReport}, totals) where totals carries the
     per-trial network sums over all simulated clusters.
     """
-    return simulate_groups([cluster_schedule([cfg], [powers], state, clusters)], trials, seed, block_size)[0][0]
+    clusters = _cluster_indices(cfg, clusters)
+    groups, sums = simulate_groups([cluster_schedule([cfg], [powers], state, clusters)], trials, seed, block_size)[0][0]
+    reports = {}
+    for j, group in zip(clusters, groups):
+        rates, stderr = ({role: group[role][i] for role in ROLES} for i in (0, 1))
+        reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
+    return reports, sums
 
 
 def simulate(plan: SimPlan) -> RateReport:

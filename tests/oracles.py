@@ -36,9 +36,10 @@ from starnoma.rates import (
     _OMEGA_PATHS,
     build_rate_inputs,
     cached_surface_terms,
+    cluster_group,
     cluster_members,
-    cluster_roles,
     expectation_terms,
+    noma_roles,
     order_spec,
     pathloss,
     role_rates,
@@ -113,7 +114,7 @@ def estimate_expectation(
         total, residual = unit_gain_scales(role, inputs.means())
         strong = order_spec(cfg, role.signal.key[1])
     if key in _OMEGA_PATHS:   # the cluster table's key of this path, drawn as the simulator draws it
-        cascades = [k for k in table_keys(cluster_roles(cfg, cluster)) if k[0] == "cascade"]
+        cascades = [k for k in table_keys(noma_roles(cfg, *cluster_group(cfg, cluster))) if k[0] == "cascade"]
         cascade = next(k for k in cascades if (k[2].link, k[1], k[3].link) == _OMEGA_PATHS[key])
         leaf = _leaves(cascades).get(cascade)
         faces = Surface.of(cfg, state, links).faces

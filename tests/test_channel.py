@@ -81,6 +81,16 @@ class TestState:
         with pytest.raises(ValueError, match=rf"^{columns[0]} must be a 1-D array of N values, got shape \(10, 1\)"):
             StarRisState(**arrays)
 
+    @pytest.mark.parametrize("make", [
+        lambda: StarRisState([], [], [], []),
+        lambda: StarRisState.uniform(0),
+        lambda: StarRisState.random(0, np.random.default_rng(0)),
+    ], ids=["arrays", "uniform", "random"])
+    def test_empty_state_rejected(self, make):
+        # an empty state used to fail inside numpy's max() of the energy-split check
+        with pytest.raises(ValueError, match="needs at least 1 element"):
+            make()
+
     def test_random_state_feasible(self):
         s = StarRisState.random(64, np.random.default_rng(0))
         assert np.allclose(s.rho_t + s.rho_r, 1.0)

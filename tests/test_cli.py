@@ -252,8 +252,9 @@ class TestSweep:
         assert len(rows) == 32  # 2 SIC factors x 4 sums x 2 methods x 2 grid points
         sums = ("dl_sum_clustering", "ul_sum_clustering", "dl_sum_pairing", "ul_sum_pairing")
         assert {r["role"] for r in rows} == {f"{s}[xi={xi}]" for s in sums for xi in ("0", "0.1")}
-        # only the pairing simulator reports a standard error
-        assert {r["role"] for r in rows if r["stderr"]} == {f"{s}[xi={xi}]" for s in sums[2:] for xi in ("0", "0.1")}
+        # every simulated row reports its standard error, and no analytic row has one
+        assert all(float(r["stderr"]) > 0 for r in rows if r["method"] == "simulated")
+        assert all(r["stderr"] == "" for r in rows if r["method"] == "analytic")
 
 
 def _sweep_points(experiment, seed):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from starnoma import comparison
+from starnoma import comparison, simulator
 from starnoma.comparison import (
     _center_split,
     cluster_power_policy,
@@ -24,6 +24,7 @@ from starnoma.config import PowerAllocation, baseline_config
 from starnoma.design import aligned_state
 from starnoma.geometry import sample_disk
 from starnoma.rates import (
+    ROLES,
     Role,
     Term,
     bind,
@@ -33,7 +34,7 @@ from starnoma.rates import (
     rate_report,
     role_log2_mean,
 )
-from starnoma.simulator import simulate_groups
+from starnoma.simulator import cluster_schedule, rate_groups, simulate_groups
 
 # the policies at the cluster-vs-pair points, pinned as float.hex; a change that moves them on purpose
 # recaptures with
@@ -328,7 +329,7 @@ class TestPairRates:
         ]
         [got] = simulate_groups([pair_schedule(points, allocations, state)], 20_000, 6, block_size)
         assert len(got) == len(points)
-        for point, allocs, sums in zip(points, allocations, got):
+        for point, allocs, (_, sums) in zip(points, allocations, got):
             assert sums == simulate_pair_sums(point, allocs, state, 20_000, 6, block_size=block_size)
 
     @pytest.mark.parametrize("field", ["N", "R", "kappa_map"])
@@ -347,6 +348,38 @@ class TestPairRates:
     def test_wrong_allocation_count(self, cfg, state):
         with pytest.raises(ValueError):
             pair_rate_sums(cfg, [PowerAllocation((0.3, 0.7), (1.0, 1.0))], state)
+
+
+class TestRateGroups:
+    """The closed-form reader of the block loop's schedules (simulator.rate_groups) at the
+    cluster-vs-pair points and policies, as the sweep rates them."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, cfg, state):
+        points = [_sweep_point(cfg, xi, snr) for xi, snr in SWEEP_POINTS]
+        targets = [reference_edge_targets(point, state) for point in points]
+        return (points, [cluster_power_policy(p, state, *t) for p, t in zip(points, targets)],
+                [pair_power_policy(p, state, *t) for p, t in zip(points, targets)])
+
+    def test_cluster_schedule_reads_what_rate_report_reads(self, state, grid):
+        points, powers, _ = grid
+        [got] = rate_groups([cluster_schedule(points, powers, state)])
+        assert len(got) == len(points)
+        for point, power, (groups, sums) in zip(points, powers, got):
+            assert len(groups) == len(power)
+            for (j, allocation), rates in zip(sorted(power.items()), groups):
+                assert rates == rate_report(point, allocation, state, cluster=j).rates
+            # the totals add the rates group by group and role by role
+            for d in ("DL", "UL"):
+                assert sums[f"{d.lower()}_sum"] == sum(g[role] for g in groups for role in ROLES if role[:2] == d)
+
+    def test_pair_schedule_reads_what_pair_rate_sums_reads(self, state, grid):
+        points, _, allocations = grid
+        [got] = rate_groups([pair_schedule(points, allocations, state)])
+        assert len(got) == len(points)
+        for point, allocs, (groups, sums) in zip(points, allocations, got):
+            assert len(groups) == len(pair_groups(point))
+            assert (sums["dl_sum"], sums["ul_sum"]) == pair_rate_sums(point, allocs, state)
 
 
 class TestPairingGeometry:
@@ -447,8 +480,9 @@ class TestBearingRule:
             assert table.parts[("cascade", "r", dl[1], ul[1])][1] == "omega_u3d_u2u"
         allocs = pair_power_policy(cfg, state)
         seen = []
-        real_tables, real_simulate = comparison.group_tables, comparison.simulate_groups
-        monkeypatch.setattr(comparison, "group_tables", lambda c, g: seen.append(g) or real_tables(c, g))
+        # the analytic sums build their tables in the closed-form reader, simulator.rate_groups
+        real_tables, real_simulate = simulator.group_tables, comparison.simulate_groups
+        monkeypatch.setattr(simulator, "group_tables", lambda c, g: seen.append(g) or real_tables(c, g))
         monkeypatch.setattr(
             comparison, "simulate_groups", lambda s, *a, **k: seen.append(s[0].groups) or real_simulate(s, *a, **k))
         pair_rate_sums(cfg, allocs, state)

@@ -14,7 +14,7 @@ from starnoma.channel import StarRisState, build_links, cascaded_power_mean, sam
 from starnoma.cli import DEFAULT_SNR_GRID, XIS
 from starnoma.comparison import cluster_power_policy, pair_groups, pair_power_policy, pair_schedule, simulate_pair_sums
 from starnoma.config import PowerAllocation
-from starnoma.rates import BS, cluster_members, cluster_roles, noma_roles, table_keys
+from starnoma.rates import BS, cluster_group, cluster_members, noma_roles, table_keys
 from starnoma.simulator import (
     SimPlan,
     cluster_schedule,
@@ -133,13 +133,19 @@ def _grid(cfg):
 
 
 def _cluster_grid(points, powers, state, trials, seed, clusters=None, block_size=1 << 14):
-    """simulate_clusters' result at every point of a grid, off one shared draw."""
+    """The block loop's clusters at every point of a grid, off one shared draw:
+    ([{role: (mean, stderr)} per cluster], sums) per point."""
     return simulate_groups([cluster_schedule(points, powers, state, clusters)], trials, seed, block_size)[0]
 
 
 def _pair_grid(points, allocations, state, trials, seed, block_size=1 << 14):
-    """simulate_pair_sums' result at every point of a grid, off one shared draw."""
+    """The block loop's pairing at every point of a grid, off one shared draw, as _cluster_grid."""
     return simulate_groups([pair_schedule(points, allocations, state)], trials, seed, block_size)[0]
+
+
+def _rates_and_stderrs(groups) -> list:
+    """({role: mean}, {role: stderr}) of each group of a block-loop result, as a RateReport holds them."""
+    return [tuple({role: cell[i] for role, cell in group.items()} for i in (0, 1)) for group in groups]
 
 
 def _grid_powers(points):
@@ -158,21 +164,23 @@ class TestSharedDraw:
         powers = _grid_powers(points)
         got = _cluster_grid(points, powers, state, 20_000, 3, block_size=block_size)
         assert len(got) == len(points)
-        for point, power, (reports, sums) in zip(points, powers, got):
+        for point, power, (groups, sums) in zip(points, powers, got):
             want_reports, want_sums = simulate_clusters(point, power, state, 20_000, 3, block_size=block_size)
             assert sums == want_sums
-            for j, report in reports.items():
-                assert report.rates == want_reports[j].rates
-                assert report.stderr == want_reports[j].stderr
+            for (rates, stderr), report in zip(_rates_and_stderrs(groups), want_reports.values(), strict=True):
+                assert rates == report.rates
+                assert stderr == report.stderr
 
     def test_cluster_power_maps_and_cluster_subset(self, cfg, state):
         points = _grid(cfg)[:2]
         powers = [dict(zip((1, 2, 3), _grid_powers(_grid(cfg))[:3])), _grid_powers(points)[1]]
         got = _cluster_grid(points, powers, state, 3_000, 8, clusters=[3, 1])
-        for point, power, (reports, sums) in zip(points, powers, got):
+        for point, power, (groups, sums) in zip(points, powers, got):
             want = simulate_clusters(point, power, state, 3_000, 8, clusters=[3, 1])
             assert sums == want[1]
-            assert {j: r.rates for j, r in reports.items()} == {j: r.rates for j, r in want[0].items()}
+            # the schedule's groups are the requested clusters in ascending order
+            assert list(want[0]) == [1, 3]
+            assert [rates for rates, _ in _rates_and_stderrs(groups)] == [r.rates for r in want[0].values()]
 
     @pytest.mark.parametrize("field", ["N", "R", "kappa_map"])
     def test_points_that_differ_in_the_draw_are_rejected(self, cfg, power, state, field):
@@ -184,6 +192,20 @@ class TestSharedDraw:
     def test_points_need_one_power_each(self, cfg, power, state):
         with pytest.raises(ValueError, match="one setting per config"):
             _cluster_grid([cfg, cfg], [power], state, 100, 0)
+
+
+def test_rate_groups_returns_the_block_loops_shape(cfg, state):
+    # the closed-form reader takes the schedules the block loop takes and returns its cells, rates in place
+    # of (mean, stderr)
+    points = _grid(cfg)
+    schedules = [cluster_schedule(points, _grid_powers(points), state),
+                 pair_schedule(points, [pair_power_policy(p, state) for p in points], state)]
+    for analytic, simulated in zip(simulator.rate_groups(schedules), simulate_groups(schedules, 200, 0), strict=True):
+        assert len(analytic) == len(simulated) == len(points)
+        for (groups, sums), (sim_groups, sim_sums) in zip(analytic, simulated):
+            assert [list(group) for group in groups] == [list(group) for group in sim_groups]
+            assert all(isinstance(rate, float) for group in groups for rate in group.values())
+            assert list(sums) == ["dl_sum", "ul_sum"] and set(sums) < set(sim_sums)
 
 
 def _block_faults_readable() -> bool:
@@ -225,11 +247,6 @@ class TestBlockPool:
         alone = [simulator.simulate_groups([s], self.TRIALS, 6, self.BLOCK)[0] for s in self._schedules(cfg, state)]
         return together, alone
 
-    @staticmethod
-    def _plain(clusters):
-        """A cluster grid result with the reports as (rates, stderr), comparable by ==."""
-        return [({j: (r.rates, r.stderr) for j, r in reports.items()}, sums) for reports, sums in clusters]
-
     def test_each_block_draws_from_its_own_sfc64_stream(self, cfg, power, state, monkeypatch):
         schedule_run, firsts = simulator._schedule_run, []
 
@@ -254,7 +271,7 @@ class TestBlockPool:
         mine = cluster_schedule([cfg], [power], state)
         alone = simulate_groups([mine], self.TRIALS, 5, self.BLOCK)[0]
         beside = simulate_groups([other, mine], self.TRIALS, 5, self.BLOCK)[1]
-        assert self._plain(beside) == self._plain(alone)
+        assert beside == alone
 
     def test_worker_count_changes_no_bit(self, cfg, state, monkeypatch):
         got = {}
@@ -269,13 +286,13 @@ class TestBlockPool:
         clusters, pairs, _ = got[1]
         for workers in (1, 2, 3):
             assert got[workers][1] == pairs
-            assert self._plain(got[workers][0]) == self._plain(clusters)
+            assert got[workers][0] == clusters
             # one queue holding both schedules returns what a call per schedule returns
             (shared_clusters, shared_pairs), (alone_clusters, alone_pairs) = got[workers][2]
             assert shared_pairs == alone_pairs
-            assert self._plain(shared_clusters) == self._plain(alone_clusters)
+            assert shared_clusters == alone_clusters
             assert shared_pairs == got[1][2][0][1]
-            assert self._plain(shared_clusters) == self._plain(got[1][2][0][0])
+            assert shared_clusters == got[1][2][0][0]
 
     @pytest.mark.parametrize("failing", [TRIALS % BLOCK, BLOCK], ids=["last-block", "every-full-block"])
     @pytest.mark.parametrize("workers", [1, 3])
@@ -426,7 +443,7 @@ class TestDraws:
             x = block.si
         else:
             members = cluster_members(cfg, 1)
-            plan = simulator.gain_plan(cluster_roles(cfg, 1), members)
+            plan = simulator.gain_plan(noma_roles(cfg, *cluster_group(cfg, 1)), members)
             geo = dict.fromkeys(members, (np.zeros((B, 2)), np.zeros(B), np.zeros(B)))
             x = simulator.sample_gains(plan, geo, links, rng, block)[:plan.scalars].ravel()
         # |x + jy|^2 / 2 of two independent standard normals is Exp(1): mean 1, variance 1
@@ -501,7 +518,7 @@ class TestLeafCascades:
     def test_cluster_leaves_come_from_the_table(self, cfg):
         members = cluster_members(cfg, 2)
         u1d, u2d, u3d, u1u, u2u, u3u = members
-        cascades = [k for k in table_keys(cluster_roles(cfg, 2)) if k[0] == "cascade"]
+        cascades = [k for k in table_keys(noma_roles(cfg, *cluster_group(cfg, 2))) if k[0] == "cascade"]
         assert simulator._leaves(cascades) == {
             ("cascade", "t", u1d, u3u): u1d, ("cascade", "t", u2d, u3u): u2d,
             ("cascade", "r", u3d, u1u): u1u, ("cascade", "r", u3d, u2u): u2u,
@@ -530,7 +547,7 @@ class TestLeafCascades:
         block = simulator.BlockDraws.draw(simulator.Surface.of(cfg, state, links), links, rng, B)
         block = dataclasses.replace(block, surface=block.surface._replace(l_br=1.0))
         geo = dict.fromkeys(members, at_anchor)
-        plan = simulator.gain_plan(cluster_roles(cfg, 1), members)
+        plan = simulator.gain_plan(noma_roles(cfg, *cluster_group(cfg, 1)), members)
         gains = dict(zip(plan.keys, simulator.sample_gains(plan, geo, links, rng, block)))
         pairs = [
             (("cascade", "r", u3d, u1u), ("cascade", "r", u3d, u2u)),

@@ -5,7 +5,10 @@ a reflection coefficient, rho_t[n] + rho_r[n] = 1, and applies independent
 phase shifts phi_t[n], phi_r[n].  Surface-side channels are Rician: a
 deterministic line-of-sight vector built from the planar-array response plus
 an i.i.d. complex-Gaussian scatter part.  Direct BS-user and user-user
-channels are plain Rayleigh scalars and live in the simulator.
+channels are plain Rayleigh scalars and live in the simulator.  This module
+builds and samples the links; the mean powers of the paths through the
+surface are quadratic forms in the element coefficients, which the rates
+module stacks per face from the cached links (rates.surface_forms).
 
 Line-of-sight convention: the BS-surface link carries the raw array response
 and every surface-user link carries its conjugate (the two surface faces see
@@ -32,10 +35,6 @@ __all__ = [
     "link_key",
     "cached_links",
     "sample_rician",
-    "cascaded_power_mean",
-    "cascaded_power_mean_grad",
-    "self_reflection_power_mean",
-    "self_reflection_power_mean_grad",
     "ARRIVAL_LINKS",
 ]
 
@@ -193,8 +192,8 @@ def link_key(cfg) -> tuple:
     )
 
 
-# entries held by cached_links and rates.cached_surface_terms: a sweep reads one
-# per geometry (and surface state), so the oldest, another sweep's, go first
+# entries held by cached_links, rates.surface_forms and rates.cached_surface_terms: a
+# sweep reads one per geometry (and surface state), so the oldest, another sweep's, go first
 _MEMO_SIZE = 32
 _LINKS: dict = {}
 
@@ -232,66 +231,3 @@ def sample_rician(link: RicianLink, rng: np.random.Generator, trials: int) -> np
     out *= link.scatter_scale
     out += link.los_shift
     return out
-
-
-def cascaded_power_mean(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> float:
-    """Mean cascaded power E|g_out diag(c) g_in|^2 through one surface face with
-    element coefficients c, for two independent Rician links.
-
-    Splitting each Rician vector into LoS and scatter parts and dropping the
-    zero-mean cross terms leaves one deterministic LoS term and three scatter
-    terms, each proportional to sum_n |c_n|^2.
-    """
-    los_gain = np.abs(np.sum(link_out.los * c * link_in.los)) ** 2
-    p = float(np.sum(np.abs(c) ** 2))
-    wo, wi = link_out.los_weight, link_in.los_weight
-    so, si = link_out.scatter_weight, link_in.scatter_weight
-    return wo * wi * los_gain + (wo * si + wi * so + so * si) * p
-
-
-def cascaded_power_mean_grad(c: np.ndarray, link_out: RicianLink, link_in: RicianLink) -> np.ndarray:
-    """Wirtinger gradient d/d conj(c) of cascaded_power_mean.
-
-    With a = los_out * los_in the term is wo*wi*|a^T c|^2 + (...)*|c|^2, a
-    real quadratic form in c.
-    """
-    a = link_out.los * link_in.los
-    wo, wi = link_out.los_weight, link_in.los_weight
-    so, si = link_out.scatter_weight, link_in.scatter_weight
-    return wo * wi * np.sum(a * c) * np.conj(a) + (wo * si + wi * so + so * si) * c
-
-
-def self_reflection_power_mean(c: np.ndarray, link: RicianLink) -> float:
-    """Mean power E|g^H diag(c) g|^2 of the surface bounce of a node's own signal,
-    the same Rician vector g hitting both sides.
-
-    Unlike the two-link cascade, the identical vector on both sides correlates
-    the scatter contributions, which brings in the element coherence term
-    |sum_n c_n|^2.
-    """
-    zeta = np.sum(np.conj(link.los) * c * link.los)
-    xi8 = np.abs(zeta) ** 2
-    p = float(np.sum(np.abs(c) ** 2))
-    sum_c = np.sum(c)
-    u, v = link.los_weight, link.scatter_weight
-    # Fourth-moment bookkeeping: |w|^4 has mean 2, so the pure-scatter term
-    # carries 2*p plus the off-diagonal double sum |sum c|^2 - p; the LoS /
-    # scatter cross term is real by construction.
-    return (
-        u * u * xi8
-        + 2.0 * u * v * p
-        + v * v * (2.0 * p + (np.abs(sum_c) ** 2 - p))
-        + 2.0 * u * v * float(np.real(zeta * np.conj(sum_c)))
-    )
-
-
-def self_reflection_power_mean_grad(c: np.ndarray, link: RicianLink) -> np.ndarray:
-    """Wirtinger gradient d/d conj(c) of self_reflection_power_mean.
-
-    With b = conj(los) * los, zeta = b^T c and sigma = 1^T c the term is
-    u^2 |zeta|^2 + 2uv |c|^2 + v^2 (|c|^2 + |sigma|^2) + 2uv Re(zeta conj(sigma)).
-    """
-    b = np.conj(link.los) * link.los
-    zeta, sum_c = np.sum(b * c), np.sum(c)
-    u, v = link.los_weight, link.scatter_weight
-    return u * u * zeta * np.conj(b) + 2.0 * u * v * c + v * v * (c + sum_c) + u * v * (zeta + sum_c * np.conj(b))

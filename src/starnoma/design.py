@@ -16,19 +16,22 @@ Every surface term is a real quadratic form in c, and every role rate a
 smooth function of the key means, so the gradient follows by the chain rule:
 role rates to key means (rates.role_log2_mean_grad), key means to surface
 terms (the role table's position factors), surface terms to c
-(rates.surface_gradients), and c to (theta, rho).
+(rates.surface_gradient) and c to (theta, rho), each at the surface terms
+of the evaluation that accepted the iterate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import StarRisState, build_links, element_grid
+from .channel import StarRisState, element_grid
 from .config import PowerAllocation, SystemConfig, _count
 from .rates import (
+    _FACES,
     DEFAULT_MODEL,
     ROLES,
     RateInputs,
@@ -44,7 +47,7 @@ from .rates import (
     role_log2_mean_grad,
     role_weights,
     sinr_row,
-    surface_gradients,
+    surface_gradient,
     surface_terms,
     weighted_sum_rate,
 )
@@ -113,12 +116,19 @@ def project_amplitudes(raw_t: np.ndarray, raw_r: np.ndarray):
     return t, 1.0 - t
 
 
+class _Iterate(NamedTuple):
+    """One evaluated point of the ascent: where, its surface terms and its objective value."""
+
+    point: tuple            # (theta_t, theta_r, rho_t, rho_r)
+    surface: SurfaceTerms
+    value: float
+
+
 class _Objective:
     """Weighted sum rate as a smooth function of (theta_t, theta_r, rho_t, rho_r)."""
 
     def __init__(self, cfg, power, cluster=1, model=DEFAULT_MODEL):
         self.cfg = cfg
-        self.links = build_links(cfg)
         self.table = group_tables(cfg, [cluster_group(cfg, cluster)])[0]
         self.bound = bind_power(self.table.roles, power)
         self.model = model
@@ -129,19 +139,27 @@ class _Objective:
         }
         self.rules = model_rules(self.table, model)
 
-    def value(self, theta_t, theta_r, rho_t, rho_r) -> float:
-        surface = surface_terms(self.cfg, (rho_t * theta_t, rho_r * theta_r), self.links)
-        return weighted_sum_rate(RateInputs(self.cfg, self.table, self.bound, surface), self.model)
+    def evaluate(self, theta_t, theta_r, rho_t, rho_r) -> _Iterate:
+        surface = surface_terms(self.cfg, (rho_t * theta_t, rho_r * theta_r))
+        value = weighted_sum_rate(RateInputs(self.cfg, self.table, self.bound, surface), self.model)
+        return _Iterate((theta_t, theta_r, rho_t, rho_r), surface, value)
 
-    def gradient(self, theta_t, theta_r, rho_t, rho_r):
-        """(g_theta_t, g_theta_r, g_rho_t, g_rho_r) of value at the same point.
+    def value(self, *point) -> float:
+        return self.evaluate(*point).value
+
+    def gradient(self, *point):
+        return self.gradient_at(self.evaluate(*point))
+
+    def gradient_at(self, at: _Iterate):
+        """(g_theta_t, g_theta_r, g_rho_t, g_rho_r) of value at an evaluated point,
+        from the surface terms of its evaluation.
 
         A complex entry is d/dRe + j d/dIm, a real one the plain derivative.
         With G = 2 df/d conj(c) on a face whose coefficients are c = rho * theta,
         g_theta = rho * G and g_rho = Re(G * conj(theta)).
         """
-        coeffs = (rho_t * theta_t, rho_r * theta_r)
-        means = self.table.means(surface_terms(self.cfg, coeffs, self.links))
+        theta_t, theta_r, rho_t, rho_r = at.point
+        means = self.table.means(at.surface)
         d_surface = dict.fromkeys(SurfaceTerms.__dataclass_fields__, 0.0)
         for role in self.bound:
             scale = self.role_scale[role.name]
@@ -149,13 +167,8 @@ class _Objective:
                 factor, name = self.table.parts[key]
                 if name is not None:
                     d_surface[name] += scale * d * factor
-        G = {"t": np.zeros(len(theta_t), dtype=complex), "r": np.zeros(len(theta_r), dtype=complex)}
-        for name, (side, grad) in surface_gradients(coeffs, self.links).items():
-            G[side] += 2.0 * d_surface[name] * grad
-        return (
-            rho_t * G["t"], rho_r * G["r"],
-            np.real(G["t"] * np.conj(theta_t)), np.real(G["r"] * np.conj(theta_r)),
-        )
+        G_t, G_r = (2.0 * g for g in surface_gradient(self.cfg, (rho_t * theta_t, rho_r * theta_r), d_surface))
+        return rho_t * G_t, rho_r * G_r, np.real(G_t * np.conj(theta_t)), np.real(G_r * np.conj(theta_r))
 
 
 def pgam_optimize(
@@ -183,56 +196,41 @@ def pgam_optimize(
 
 
 def _ascend(obj: _Objective, start: StarRisState, max_iters: int):
-    theta_t = np.exp(1j * start.phi_t)
-    theta_r = np.exp(1j * start.phi_r)
-    rho_t, rho_r = start.rho_t.copy(), start.rho_r.copy()
-
-    def feasible_value(tt, tr, at, ar):
+    def feasible(tt, tr, at, ar):
         pt, pr = project_phases(tt, tr)
         qt, qr = project_amplitudes(at, ar)
-        return obj.value(np.exp(1j * pt), np.exp(1j * pr), qt, qr), (pt, pr, qt, qr)
+        return obj.evaluate(np.exp(1j * pt), np.exp(1j * pr), qt, qr), (pt, pr, qt, qr)
 
-    f_cur, (pt, pr, qt, qr) = feasible_value(theta_t, theta_r, rho_t, rho_r)
-    theta_t, theta_r = np.exp(1j * pt), np.exp(1j * pr)
-    rho_t, rho_r = qt, qr
-    trace = [f_cur]
+    cur, (pt, pr, qt, qr) = feasible(np.exp(1j * start.phi_t), np.exp(1j * start.phi_r), start.rho_t, start.rho_r)
+    trace = [cur.value]
     nu, vartheta = _PHASE_STEP, _AMPLITUDE_STEP
 
     for _ in range(max_iters):
-        g_tt, g_tr, g_at, g_ar = obj.gradient(theta_t, theta_r, rho_t, rho_r)
+        g_tt, g_tr, g_at, g_ar = obj.gradient_at(cur)
 
         g_phase = math.sqrt(np.sum(np.abs(g_tt) ** 2) + np.sum(np.abs(g_tr) ** 2))
         g_amp = math.sqrt(np.sum(g_at**2) + np.sum(g_ar**2))
         if g_phase == 0.0 and g_amp == 0.0:
-            trace.append(f_cur)
+            trace.append(cur.value)
             break
-        d_tt = g_tt / g_phase if g_phase > 0 else g_tt
-        d_tr = g_tr / g_phase if g_phase > 0 else g_tr
-        d_at = g_at / g_amp if g_amp > 0 else g_at
-        d_ar = g_ar / g_amp if g_amp > 0 else g_ar
+        d_tt, d_tr = (g / g_phase if g_phase > 0 else g for g in (g_tt, g_tr))
+        d_at, d_ar = (g / g_amp if g_amp > 0 else g for g in (g_at, g_ar))
 
-        improved = False
+        theta_t, theta_r, rho_t, rho_r = cur.point
         step_p, step_a = nu, vartheta
         for _ in range(_MAX_BACKTRACKS):
-            f_new, proj = feasible_value(
-                theta_t + step_p * d_tt,
-                theta_r + step_p * d_tr,
-                rho_t + step_a * d_at,
-                rho_r + step_a * d_ar,
-            )
-            if f_new > f_cur:
-                improved = True
+            new, proj = feasible(theta_t + step_p * d_tt, theta_r + step_p * d_tr,
+                                 rho_t + step_a * d_at, rho_r + step_a * d_ar)
+            if new.value > cur.value:
                 break
             step_p *= _STEP_DECAY
             step_a *= _STEP_DECAY
-        if not improved:
-            trace.append(f_cur)
+        else:   # no step within the backtracks raised the objective
+            trace.append(cur.value)
             break
         pt, pr, qt, qr = proj
-        theta_t, theta_r = np.exp(1j * pt), np.exp(1j * pr)
-        rho_t, rho_r = qt, qr
-        gain, f_cur = f_new - f_cur, f_new
-        trace.append(f_cur)
+        gain, cur = new.value - cur.value, new
+        trace.append(cur.value)
         if gain < _TOLERANCE:
             break
 
@@ -350,10 +348,6 @@ def _invert_fading_log2_mean(rule, level: float) -> float:
     while fading_log2_mean(rule, hi) < level:
         hi *= 2.0
     return _find_root(lambda x: fading_log2_mean(rule, x) - level, 0.0, hi)
-
-
-# the surface face of each cascade side, by name
-_FACES = {"t": "transmission", "r": "reflection"}
 
 
 def min_power_allocation(

@@ -36,7 +36,7 @@ a surface term:
   (BS or surface), the path-loss rule of each group's center strong member,
   and the shared pair and outside-point laws;
 * surface terms (omega / y3 families) depend on the surface state through the
-  element coefficients rho * exp(j*phi).
+  element coefficients rho * exp(j*phi), as forms stacked per face (surface_forms).
 
 group_tables() builds the GroupTable of every NOMA group from one
 positions() call: its roles, each key's position factor and the signal rules
@@ -54,21 +54,14 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    StarRisState,
-    _memo,
-    cached_links,
-    cascaded_power_mean,
-    cascaded_power_mean_grad,
-    link_key,
-    self_reflection_power_mean,
-    self_reflection_power_mean_grad,
-)
+from .channel import StarRisState, _memo, cached_links, link_key
 from .config import PowerAllocation, SystemConfig
 from .geometry import (
     OrderSpec,
@@ -94,9 +87,11 @@ __all__ = [
     "expectation_terms",
     "GroupTable",
     "group_tables",
+    "FaceForms",
+    "surface_forms",
     "surface_terms",
     "cached_surface_terms",
-    "surface_gradients",
+    "surface_gradient",
     "build_rate_inputs",
     "bind_power",
     "mean_signal_and_denominator",
@@ -398,21 +393,89 @@ def check_state_size(cfg: SystemConfig, n: int) -> None:
         raise ValueError(f"surface state has N={n} elements but the config has N={cfg.N}")
 
 
-def surface_terms(cfg: SystemConfig, coeffs, links) -> SurfaceTerms:
+# the two surface faces, by cascade side
+_FACES = {"t": "transmission", "r": "reflection"}
+
+
+class FaceForms(NamedTuple):
+    """The paths through one surface face, one row each, whose mean powers are
+    los_weight * |sum_n los_out[n] c[n] los_in[n]|^2 + scatter_weight * sum_n |c[n]|^2:
+    a path's LoS term and three scatter terms, once the zero-mean cross terms drop.
+    The transmission face's last row is the self bounce y3_raw, the BS-surface
+    vector on both sides of diag(c): its LoS row is conj(los) * los, and the one
+    vector adds coherence terms, weighted by bounce.
+    """
+
+    names: tuple                 # each path's SurfaceTerms field
+    los_out: np.ndarray          # (paths, N): LoS of each path's out-link
+    los_in: np.ndarray           # (paths, N): LoS of each path's in-link
+    paths: np.ndarray            # (paths, N): los_out * los_in, the rows of the gradient
+    los_weight: np.ndarray       # (paths,): wo*wi, with w = k/(k+1) a link's LoS weight
+    scatter_weight: np.ndarray   # (paths,): wo*si + wi*so + so*si, with s = 1/(k+1)
+    bounce: tuple | None         # (u, v) = (w, s) of the BS-surface link if the last row is the bounce
+
+
+_FORMS: dict = {}
+
+
+def surface_forms(cfg: SystemConfig) -> Mapping:
+    """side -> FaceForms of the config, stacked on first use from cached_links(cfg)
+    and kept once per channel.link_key; the arrays are read-only."""
+    return _memo(_FORMS, link_key(cfg), lambda: _stack_forms(cached_links(cfg)))
+
+
+def _stack_forms(links) -> Mapping:
+    rows = {side: [] for side in _FACES}
+    for name, (out, side, inp) in _OMEGA_PATHS.items():
+        o, i = links[out], links[inp]
+        wo, wi, so, si = o.los_weight, i.los_weight, o.scatter_weight, i.scatter_weight
+        rows[side].append((name, o.los, i.los, wo * wi, wo * si + wi * so + so * si))
+    br = links["b,r"]
+    u, v = br.los_weight, br.scatter_weight
+    rows["t"].append(("y3_raw", np.conj(br.los), br.los, u * u, 2.0 * u * v))
+    forms = {}
+    for side, face in rows.items():
+        names, *columns = zip(*face)
+        los_out, los_in, w, k = (np.array(column) for column in columns)
+        arrays = (los_out, los_in, los_out * los_in, w, k)
+        for a in arrays:
+            a.flags.writeable = False
+        forms[side] = FaceForms(names, *arrays, bounce=(u, v) if side == "t" else None)
+    return MappingProxyType(forms)
+
+
+def _faces(cfg: SystemConfig, coeffs) -> dict:
+    """side -> c of the pair (c_t, c_r), each checked to be 1-D: a column broadcasts into wrong terms."""
+    faces = dict(zip(_FACES, coeffs, strict=True))
+    for side, c in faces.items():
+        if np.ndim(c) != 1 or len(c) != cfg.N:
+            raise ValueError(f"c_{side}, the {_FACES[side]} face's coefficients, must be 1-D with the config's "
+                             f"N={cfg.N} elements, got N={np.size(c)} in shape {np.shape(c)}")
+    return faces
+
+
+def surface_terms(cfg: SystemConfig, coeffs) -> SurfaceTerms:
     """Evaluate the omega family and the self-bounce power for one state.
 
     coeffs is the pair (c_t, c_r) of the state's element coefficients
-    rho * exp(j*phi), which is how the optimizer passes its projected
-    iterates; links is the config's link map (channel.build_links).  A
-    StarRisState's terms come from cached_surface_terms.
+    rho * exp(j*phi), each a 1-D array of cfg.N values, which is how the
+    optimizer passes its projected iterates.  Each face's paths take one
+    pass over its stacked forms (surface_forms).  A StarRisState's terms
+    come from cached_surface_terms.
     """
-    check_state_size(cfg, len(coeffs[0]))
-    coeffs = dict(zip(("t", "r"), coeffs))
-    values = {
-        name: cascaded_power_mean(coeffs[side], links[out], links[inp])
-        for name, (out, side, inp) in _OMEGA_PATHS.items()
-    }
-    values["y3_raw"] = self_reflection_power_mean(coeffs["t"], links["b,r"])
+    forms, values = surface_forms(cfg), {}
+    for side, c in _faces(cfg, coeffs).items():
+        face = forms[side]
+        sums = np.sum(face.los_out * c * face.los_in, axis=1)
+        p = float(np.sum(np.abs(c) ** 2))
+        terms = face.los_weight * np.abs(sums) ** 2 + face.scatter_weight * p
+        if face.bounce is not None:
+            # |w|^4 has mean 2, so the bounce's pure-scatter term carries 2p plus the off-diagonal
+            # double sum |sum c|^2 - p; its LoS / scatter cross term is real by construction
+            (u, v), sum_c = face.bounce, np.sum(c)
+            cross = float(np.real(sums[-1] * np.conj(sum_c)))
+            terms[-1] = terms[-1] + v * v * (2.0 * p + (np.abs(sum_c) ** 2 - p)) + 2.0 * u * v * cross
+        values.update(zip(face.names, terms))
     return SurfaceTerms(**values)
 
 
@@ -431,19 +494,26 @@ def cached_surface_terms(cfg: SystemConfig, state: StarRisState) -> SurfaceTerms
     """
     coeffs = (state.coefficients("t"), state.coefficients("r"))
     key = (link_key(cfg), coeffs[0].tobytes(), coeffs[1].tobytes())
-    return _memo(_SURFACE, key, lambda: surface_terms(cfg, coeffs, cached_links(cfg)))
+    return _memo(_SURFACE, key, lambda: surface_terms(cfg, coeffs))
 
 
-def surface_gradients(coeffs, links: dict) -> dict:
-    """Each SurfaceTerms field's face and its gradient d/d conj(c) at the element
-    coefficients (c_t, c_r), the same terms surface_terms evaluates."""
-    coeffs = dict(zip(("t", "r"), coeffs))
-    grads = {
-        name: (side, cascaded_power_mean_grad(coeffs[side], links[out], links[inp]))
-        for name, (out, side, inp) in _OMEGA_PATHS.items()
-    }
-    grads["y3_raw"] = ("t", self_reflection_power_mean_grad(coeffs["t"], links["b,r"]))
-    return grads
+def surface_gradient(cfg: SystemConfig, coeffs, weights) -> tuple:
+    """(g_t, g_r): each face's gradient d/d conj(c) of sum_name weights[name] * term over
+    the SurfaceTerms fields.  With a face's path rows A, weights d, LoS weights w and
+    scatter weights k, the terms sum to sum_i d_i (w_i |A_i c|^2 + k_i |c|^2), whose
+    gradient is A^H (d * w * (A c)) + (d . k) c; the bounce adds its coherence terms'.
+    """
+    forms, grads = surface_forms(cfg), []
+    for side, c in _faces(cfg, coeffs).items():
+        face = forms[side]
+        d = np.array([weights[name] for name in face.names])
+        sums = face.paths @ c
+        g = np.conj(face.paths).T @ (d * face.los_weight * sums) + (d @ face.scatter_weight) * c
+        if face.bounce is not None:
+            (u, v), sum_c = face.bounce, np.sum(c)
+            g = g + d[-1] * (v * v * (c + sum_c) + u * v * (sums[-1] + sum_c * np.conj(face.paths[-1])))
+        grads.append(g)
+    return tuple(grads)
 
 
 @dataclass(frozen=True)

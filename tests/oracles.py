@@ -1,5 +1,6 @@
-"""The tests' oracles: the term oracle of the closed-form expectation terms and
-the hypergeometric series that the disk path-loss rules are checked against.
+"""The tests' oracles: the term oracle of the closed-form expectation terms, the
+per-path surface terms that the stacked per-face forms are checked against,
+and the hypergeometric series that the disk path-loss rules are checked against.
 
 estimate_expectation() evaluates exactly the random quantity behind each
 closed-form expectation term, which is what makes the term-level oracle
@@ -34,6 +35,7 @@ from starnoma.config import SystemConfig, default_power_allocation
 from starnoma.geometry import sample_disk
 from starnoma.rates import (
     _OMEGA_PATHS,
+    SurfaceTerms,
     build_rate_inputs,
     cached_surface_terms,
     cluster_group,
@@ -172,6 +174,96 @@ def analytic_expectation(key: str, cfg: SystemConfig, state: StarRisState, clust
     if key == "y3":
         return s.y3_raw
     return getattr(s, key)
+
+
+# -- per-path surface terms -------------------------------------------------
+
+
+def cascaded_power_mean(c: np.ndarray, link_out, link_in) -> float:
+    """Mean cascaded power E|g_out diag(c) g_in|^2 through one surface face with
+    element coefficients c, for two independent Rician links.
+
+    Splitting each Rician vector into LoS and scatter parts and dropping the
+    zero-mean cross terms leaves one deterministic LoS term and three scatter
+    terms, each proportional to sum_n |c_n|^2.
+    """
+    los_gain = np.abs(np.sum(link_out.los * c * link_in.los)) ** 2
+    p = float(np.sum(np.abs(c) ** 2))
+    wo, wi = link_out.los_weight, link_in.los_weight
+    so, si = link_out.scatter_weight, link_in.scatter_weight
+    return wo * wi * los_gain + (wo * si + wi * so + so * si) * p
+
+
+def cascaded_power_mean_grad(c: np.ndarray, link_out, link_in) -> np.ndarray:
+    """Wirtinger gradient d/d conj(c) of cascaded_power_mean.
+
+    With a = los_out * los_in the term is wo*wi*|a^T c|^2 + (...)*|c|^2, a
+    real quadratic form in c.
+    """
+    a = link_out.los * link_in.los
+    wo, wi = link_out.los_weight, link_in.los_weight
+    so, si = link_out.scatter_weight, link_in.scatter_weight
+    return wo * wi * np.sum(a * c) * np.conj(a) + (wo * si + wi * so + so * si) * c
+
+
+def self_reflection_power_mean(c: np.ndarray, link) -> float:
+    """Mean power E|g^H diag(c) g|^2 of the surface bounce of a node's own signal,
+    the same Rician vector g hitting both sides.
+
+    Unlike the two-link cascade, the identical vector on both sides correlates
+    the scatter contributions, which brings in the element coherence term
+    |sum_n c_n|^2.
+    """
+    zeta = np.sum(np.conj(link.los) * c * link.los)
+    xi8 = np.abs(zeta) ** 2
+    p = float(np.sum(np.abs(c) ** 2))
+    sum_c = np.sum(c)
+    u, v = link.los_weight, link.scatter_weight
+    # Fourth-moment bookkeeping: |w|^4 has mean 2, so the pure-scatter term
+    # carries 2*p plus the off-diagonal double sum |sum c|^2 - p; the LoS /
+    # scatter cross term is real by construction.
+    return (
+        u * u * xi8
+        + 2.0 * u * v * p
+        + v * v * (2.0 * p + (np.abs(sum_c) ** 2 - p))
+        + 2.0 * u * v * float(np.real(zeta * np.conj(sum_c)))
+    )
+
+
+def self_reflection_power_mean_grad(c: np.ndarray, link) -> np.ndarray:
+    """Wirtinger gradient d/d conj(c) of self_reflection_power_mean.
+
+    With b = conj(los) * los, zeta = b^T c and sigma = 1^T c the term is
+    u^2 |zeta|^2 + 2uv |c|^2 + v^2 (|c|^2 + |sigma|^2) + 2uv Re(zeta conj(sigma)).
+    """
+    b = np.conj(link.los) * link.los
+    zeta, sum_c = np.sum(b * c), np.sum(c)
+    u, v = link.los_weight, link.scatter_weight
+    return u * u * zeta * np.conj(b) + 2.0 * u * v * c + v * v * (c + sum_c) + u * v * (zeta + sum_c * np.conj(b))
+
+
+def per_path_surface_terms(cfg: SystemConfig, coeffs) -> SurfaceTerms:
+    """rates.surface_terms one path at a time: each omega term by cascaded_power_mean
+    and the self bounce by self_reflection_power_mean."""
+    links = cached_links(cfg)
+    coeffs = dict(zip("tr", coeffs))
+    values = {
+        name: cascaded_power_mean(coeffs[side], links[out], links[inp])
+        for name, (out, side, inp) in _OMEGA_PATHS.items()
+    }
+    values["y3_raw"] = self_reflection_power_mean(coeffs["t"], links["b,r"])
+    return SurfaceTerms(**values)
+
+
+def per_path_surface_gradient(cfg: SystemConfig, coeffs, weights) -> tuple:
+    """rates.surface_gradient one path at a time: the weights times each term's own gradient."""
+    links = cached_links(cfg)
+    coeffs = dict(zip("tr", coeffs))
+    grads = {side: np.zeros(cfg.N, dtype=complex) for side in "tr"}
+    for name, (out, side, inp) in _OMEGA_PATHS.items():
+        grads[side] += weights[name] * cascaded_power_mean_grad(coeffs[side], links[out], links[inp])
+    grads["t"] += weights["y3_raw"] * self_reflection_power_mean_grad(coeffs["t"], links["b,r"])
+    return grads["t"], grads["r"]
 
 
 # -- hypergeometric series --------------------------------------------------

@@ -10,11 +10,11 @@ from starnoma.channel import (
     StarRisState,
     array_response,
     build_links,
-    cascaded_power_mean,
     element_grid,
     sample_rician,
-    self_reflection_power_mean,
 )
+
+from oracles import cascaded_power_mean, self_reflection_power_mean
 
 
 def steering_vector(N, azimuth, elevation, spacing, wavelength):

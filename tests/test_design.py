@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from starnoma.channel import StarRisState, build_links
+from starnoma import design
 from starnoma.config import PowerAllocation, baseline_config, default_power_allocation
 from starnoma.design import (
     InfeasibleTargetsError,
@@ -27,7 +29,7 @@ from starnoma.rates import (
     expectation_terms,
     fading_log2_mean,
     rate_report,
-    surface_gradients,
+    surface_gradient,
     surface_terms,
     weighted_sum_rate,
 )
@@ -135,15 +137,15 @@ class TestPgam:
     def test_objective_is_taken_at_feasible_points_only(self, cfg, power, monkeypatch, model, start):
         # every trial step is projected before its value, and the gradient is taken at the projected iterate
         seen = []
-        for name in ("value", "gradient"):
-            def wrapped(obj, *point, _name=name, _original=getattr(_Objective, name)):
-                seen.append((_name, point))
-                return _original(obj, *point)
+        for name in ("evaluate", "gradient_at"):
+            def wrapped(obj, *args, _name=name, _original=getattr(_Objective, name)):
+                seen.append((_name, args if _name == "evaluate" else args[0].point))
+                return _original(obj, *args)
 
             monkeypatch.setattr(_Objective, name, wrapped)
         initial = None if start == "aligned" else StarRisState.random(cfg.N, np.random.default_rng(3))
         pgam_optimize(cfg, power, PgamSettings(max_iters=5), initial=initial, model=model)
-        assert {name for name, _ in seen} == {"value", "gradient"}
+        assert {name for name, _ in seen} == {"evaluate", "gradient_at"}
         for _, (theta_t, theta_r, rho_t, rho_r) in seen:
             assert np.max(np.abs(np.abs(np.concatenate([theta_t, theta_r])) - 1.0)) <= 1e-12
             assert np.max(np.abs(rho_t + rho_r - 1.0)) <= 1e-12
@@ -169,22 +171,34 @@ class TestGradient:
     def test_surface_terms(self, n):
         # every term is quadratic in c, so central differences are exact up to rounding
         c = baseline_config(N=n)
-        links = build_links(c)
         rng = np.random.default_rng(n)
         coeffs = tuple(rng.uniform(0, 1, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)) for _ in "tr")
-        grads = surface_gradients(coeffs, links)
-        assert set(grads) == set(SurfaceTerms.__dataclass_fields__)
-        for name, (side, grad) in grads.items():
-            k = "tr".index(side)
-
-            def term(x):
+        weights = {name: rng.uniform(-1, 1) for name in SurfaceTerms.__dataclass_fields__}
+        for k, grad in enumerate(surface_gradient(c, coeffs, weights)):
+            def weighted(x):
                 trial = list(coeffs)
                 trial[k] = x
-                return getattr(surface_terms(c, tuple(trial), links), name)
+                terms = surface_terms(c, tuple(trial))
+                return sum(w * getattr(terms, name) for name, w in weights.items())
 
             # G = 2 d/d conj(c) is the d/dRe + j d/dIm the differences give
-            want = _central_differences(term, coeffs[k], 1e-3, True)
+            want = _central_differences(weighted, coeffs[k], 1e-3, True)
             assert 2.0 * grad == pytest.approx(want, rel=1e-8, abs=0)
+
+    def test_one_surface_evaluation_per_point(self, monkeypatch):
+        # the gradient at an accepted iterate reuses the surface terms of the evaluation that accepted it
+        calls = Counter()
+        for name in ("surface_terms", "weighted_sum_rate"):
+            def counted(*args, _name=name, _original=getattr(design, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(design, name, counted)
+        point = baseline_config(N=64)
+        _, trace = pgam_optimize(point, default_power_allocation(point), PgamSettings(max_iters=16))
+        # 16 steps from the aligned start, none backtracking: the start and one trial per step
+        assert len(trace) == 17
+        assert calls == {"surface_terms": 17, "weighted_sum_rate": 17}
 
     @pytest.mark.parametrize("n", [10, 64])
     @pytest.mark.parametrize("model", ["ratio-of-means", "exact-signal"])

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from starnoma.channel import StarRisState
-from starnoma.config import ConfigError, PowerAllocation, default_power_allocation
+from starnoma.config import ConfigError, PowerAllocation, baseline_config, default_power_allocation
 from starnoma.comparison import pair_groups
 from starnoma.geometry import (
     OrderSpec,
@@ -20,6 +20,7 @@ from starnoma.rates import (
     RATE_MODELS,
     RateReport,
     Role,
+    SurfaceTerms,
     Term,
     Positions,
     build_rate_inputs,
@@ -34,6 +35,8 @@ from starnoma.rates import (
     rate_report,
     role_log2_mean,
     role_rates,
+    surface_gradient,
+    surface_terms,
     table_keys,
     unit_gain_scales,
     weighted_sum_rate,
@@ -41,6 +44,8 @@ from starnoma.rates import (
 from starnoma.simulator import sorted_layout
 from starnoma.specfun import exp_e1
 from starnoma.design import aligned_state
+
+from oracles import cascaded_power_mean, per_path_surface_gradient, per_path_surface_terms, self_reflection_power_mean
 
 # the closed forms pinned as float.hex; a change that moves them on purpose recaptures with
 #     PYTHONPATH=src python tests/test_rates.py > tests/analytic_pins.json
@@ -238,7 +243,7 @@ class TestWiringOracles:
     """Rates reassembled from the primitive operations, bypassing the terms cache."""
 
     def test_dl_edge_assembly(self, cfg, state, power):
-        from starnoma.channel import build_links, cascaded_power_mean
+        from starnoma.channel import build_links
         from starnoma.geometry import (
             OrderSpec,
             ordered_pathloss_mean,
@@ -263,11 +268,7 @@ class TestWiringOracles:
         assert _paper(_inputs(cfg, power, state), "DL3") == pytest.approx(hand, rel=1e-14, abs=0)
 
     def test_ul_strong_assembly(self, cfg, state, power):
-        from starnoma.channel import (
-            build_links,
-            cascaded_power_mean,
-            self_reflection_power_mean,
-        )
+        from starnoma.channel import build_links
         from starnoma.geometry import OrderSpec, ordered_pathloss_mean
 
         links = build_links(cfg)
@@ -287,7 +288,7 @@ class TestWiringOracles:
 
     @staticmethod
     def _primitives(cfg, state):
-        from starnoma.channel import build_links, cascaded_power_mean, self_reflection_power_mean
+        from starnoma.channel import build_links
         from starnoma.geometry import (
             OrderSpec,
             ordered_pathloss_mean,
@@ -375,6 +376,60 @@ class TestRoleTable:
     def test_state_size_checked_at_the_boundary(self, cfg, power):
         with pytest.raises(ValueError, match="N=11"):
             rate_report(cfg, power, StarRisState.uniform(cfg.N + 1))
+
+
+def _surface_states(cfg) -> dict:
+    """Random states, the aligned even split, both one-face states and mode switching
+    (alternate elements on each face), by name."""
+    n, rng = cfg.N, np.random.default_rng(cfg.N)
+    even = aligned_state(cfg)
+    switching = (np.arange(n) % 2 == 0).astype(float)
+    return {
+        **{f"random-{i}": StarRisState.random(n, rng) for i in range(3)},
+        "even-split": even,
+        "transmission-only": aligned_state(cfg, rho_t=1.0),
+        "reflection-only": aligned_state(cfg, rho_t=0.0),
+        "mode-switching": StarRisState(rho_t=switching, rho_r=1.0 - switching, phi_t=even.phi_t, phi_r=even.phi_r),
+    }
+
+
+class TestStackedSurfaceTerms:
+    """surface_terms and surface_gradient take each face's paths in one stacked pass;
+    the per-path oracles are the reference."""
+
+    @pytest.mark.parametrize("n", [1, 4, 10, 64, 256])
+    def test_terms_equal_per_path_oracle(self, n):
+        point = baseline_config(N=n)
+        for name, s in _surface_states(point).items():
+            coeffs = (s.coefficients("t"), s.coefficients("r"))
+            # the same products and the same reductions, so equal to the bit
+            assert surface_terms(point, coeffs) == per_path_surface_terms(point, coeffs), name
+
+    @pytest.mark.parametrize("n", [1, 4, 10, 64, 256])
+    def test_gradient_matches_per_path_oracle(self, n):
+        point = baseline_config(N=n)
+        rng = np.random.default_rng(n)
+        for name, s in _surface_states(point).items():
+            coeffs = (s.coefficients("t"), s.coefficients("r"))
+            weights = {field: rng.uniform(-1, 1) for field in SurfaceTerms.__dataclass_fields__}
+            # matrix products sum in another order than the per-path sums: rounding only
+            for got, want in zip(surface_gradient(point, coeffs, weights),
+                                 per_path_surface_gradient(point, coeffs, weights)):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+
+    @pytest.mark.parametrize("side", ["t", "r"])
+    @pytest.mark.parametrize("bad", ["long", "column"])
+    def test_face_shape_checked(self, cfg, state, side, bad):
+        # a face of N+1 values used to fail inside numpy, and a column c_r returned wrong terms
+        coeffs = {s: state.coefficients(s) for s in "tr"}
+        c = coeffs[side]
+        coeffs[side] = np.append(c, c[0]) if bad == "long" else c[:, None]
+        face = {"t": "transmission", "r": "reflection"}[side]
+        weights = dict.fromkeys(SurfaceTerms.__dataclass_fields__, 1.0)
+        with pytest.raises(ValueError, match=f"c_{side}, the {face} face's coefficients"):
+            surface_terms(cfg, (coeffs["t"], coeffs["r"]))
+        with pytest.raises(ValueError, match=f"c_{side}, the {face} face's coefficients"):
+            surface_gradient(cfg, (coeffs["t"], coeffs["r"]), weights)
 
 
 class TestAggregation:

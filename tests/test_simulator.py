@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 from starnoma import simulator
-from starnoma.channel import StarRisState, build_links, cascaded_power_mean, sample_rician
+from starnoma.channel import StarRisState, build_links, sample_rician
 from starnoma.cli import DEFAULT_SNR_GRID, XIS
 from starnoma.comparison import cluster_power_policy, pair_groups, pair_power_policy, pair_schedule, simulate_pair_sums
 from starnoma.config import PowerAllocation
@@ -24,7 +24,7 @@ from starnoma.simulator import (
 )
 
 import oracles
-from oracles import EXPECTATION_KEYS, LOG_MEAN_KEYS, analytic_expectation, estimate_expectation
+from oracles import EXPECTATION_KEYS, LOG_MEAN_KEYS, analytic_expectation, cascaded_power_mean, estimate_expectation
 
 
 def _plan(cfg, power, state, **kw):

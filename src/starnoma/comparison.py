@@ -28,7 +28,6 @@ few edge users are sorted.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .channel import StarRisState
 from .config import PowerAllocation, SystemConfig
 from .rates import (
     Member,
+    _is_rate,
     bind,
     cached_surface_terms,
     cluster_group,
@@ -280,7 +280,7 @@ def _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets):
             out.append(ref)
             continue
         values = list(t.values()) if isinstance(t, dict) else [t]
-        if not values or not all(isinstance(v, numbers.Real) and 0 <= v < math.inf for v in values):
+        if not values or not all(map(_is_rate, values)):
             raise ValueError(f"{name} must be a finite nonnegative rate or a nonempty map of them, got {t!r}")
         out.append(dict(t) if isinstance(t, dict) else dict.fromkeys(clusters, float(t)))
     return tuple(out)

@@ -241,15 +241,20 @@ def _all_finite(value) -> bool:
     return all(isinstance(x, numbers.Real) and math.isfinite(x) for x in entries)
 
 
-def _count(name: str, value) -> int:
-    """value as an int of at least 1, else a ValueError naming it: a bool, a float
-    or any other non-integer is rejected, as is a count below 1."""
+def _integer(name: str, value) -> int:
+    """value as an int, else a ValueError naming it: a bool, a float or any
+    other non-integer is rejected."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _count(name: str, value) -> int:
+    """_integer(name, value), which must also be at least 1."""
+    value = _integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
     return value

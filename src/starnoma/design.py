@@ -32,6 +32,7 @@ from .channel import StarRisState, element_grid
 from .config import PowerAllocation, SystemConfig, _count
 from .rates import (
     _FACES,
+    _is_rate,
     DEFAULT_MODEL,
     ROLES,
     RateInputs,
@@ -39,6 +40,7 @@ from .rates import (
     bind,
     bind_power,
     cached_surface_terms,
+    check_state_size,
     cluster_group,
     fading_log2_mean,
     group_tables,
@@ -144,12 +146,6 @@ class _Objective:
         value = weighted_sum_rate(RateInputs(self.cfg, self.table, self.bound, surface), self.model)
         return _Iterate((theta_t, theta_r, rho_t, rho_r), surface, value)
 
-    def value(self, *point) -> float:
-        return self.evaluate(*point).value
-
-    def gradient(self, *point):
-        return self.gradient_at(self.evaluate(*point))
-
     def gradient_at(self, at: _Iterate):
         """(g_theta_t, g_theta_r, g_rho_t, g_rho_r) of value at an evaluated point,
         from the surface terms of its evaluation.
@@ -190,9 +186,9 @@ def pgam_optimize(
     default matches rate_report; "ratio-of-means" poses the paper's surface
     design on its closed-form sum rate, which `starnoma optimize` reproduces.
     """
-    settings = settings or PgamSettings()
-    obj = _Objective(cfg, power, cluster, model)
-    return _ascend(obj, aligned_state(cfg) if initial is None else initial, settings.max_iters)
+    start = aligned_state(cfg) if initial is None else initial
+    check_state_size(cfg, start.N)
+    return _ascend(_Objective(cfg, power, cluster, model), start, (settings or PgamSettings()).max_iters)
 
 
 def _ascend(obj: _Objective, start: StarRisState, max_iters: int):
@@ -285,57 +281,35 @@ class InfeasibleTargetsError(RuntimeError):
         super().__init__(f"targets infeasible, binding constraint: {binding}" + (f" ({detail})" if detail else ""))
 
 
-# the root solver stops at a relative tolerance of 4 ulp; the absolute one
-# only keeps the stop test meaningful at x = 0
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
-_ROOT_XTOL = 1e-300
+_ROOT_RTOL = 4.0 * np.finfo(float).eps   # the root solver stops at a bracket within 4 ulp of its estimate
 _ROOT_MAX_ITERS = 100
 
 
 def _find_root(f, a: float, b: float) -> float:
-    """A root of f inside the bracket [a, b] by Brent's method.
+    """A root of f inside the bracket [a, b] by the Illinois variant of regula falsi.
 
-    Each step tries inverse quadratic (or secant) interpolation through the
-    last three points and falls back to bisection whenever the trial step is
-    not short enough; the bracket [x, blk] always holds a sign change.  The
-    solver stops once half the bracket is within 2 ulp of the estimate x.
+    Each step takes the secant point x of the bracket's ends x0 and x1 (the
+    latest) and keeps the pair that still changes sign.  When x0 survives,
+    because f(x) has the sign of f(x1), its f value is halved, so it cannot
+    stick: a simple root is approached superlinearly, a multiple one only
+    linearly.  The solver returns x1 once f is 0 there or the bracket is
+    within 4 ulp of it.
     """
-    x_pre, x = a, b
-    f_pre, fx = f(x_pre), f(x)
-    if f_pre == 0.0:
-        return x_pre
-    if fx == 0.0:
-        return x
-    if math.copysign(1.0, f_pre) == math.copysign(1.0, fx):
+    x0, f0, x1, f1 = a, f(a), b, f(b)
+    if f0 == 0.0:
+        return a
+    if f1 != 0.0 and (f0 > 0.0) == (f1 > 0.0):
         raise ValueError(f"f({a!r}) and f({b!r}) have the same sign; [a, b] brackets no root")
-    blk = f_blk = step_pre = step = 0.0
     for _ in range(_ROOT_MAX_ITERS):
-        if f_pre != 0.0 and fx != 0.0 and math.copysign(1.0, f_pre) != math.copysign(1.0, fx):
-            blk, f_blk = x_pre, f_pre
-            step_pre = step = x - x_pre
-        if abs(f_blk) < abs(fx):   # keep the best estimate in x
-            x_pre, x, blk = x, blk, x
-            f_pre, fx, f_blk = fx, f_blk, fx
-        tol = 0.5 * (_ROOT_XTOL + _ROOT_RTOL * abs(x))
-        half = 0.5 * (blk - x)
-        if fx == 0.0 or abs(half) < tol:
-            return x
-        bisect = True
-        if abs(step_pre) > tol and abs(fx) < abs(f_pre):
-            if x_pre == blk:   # secant
-                trial = -fx * (x - x_pre) / (fx - f_pre)
-            else:              # inverse quadratic interpolation
-                d_pre = (f_pre - fx) / (x_pre - x)
-                d_blk = (f_blk - fx) / (blk - x)
-                trial = -fx * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
-            if 2.0 * abs(trial) < min(abs(step_pre), 3.0 * abs(half) - tol):
-                step_pre, step = step, trial
-                bisect = False
-        if bisect:
-            step_pre = step = half
-        x_pre, f_pre = x, fx
-        x += step if abs(step) > tol else math.copysign(tol, half)
+        if f1 == 0.0 or abs(x1 - x0) <= _ROOT_RTOL * abs(x1):
+            return x1
+        x = (x0 * f1 - x1 * f0) / (f1 - f0)
         fx = f(x)
+        if (fx > 0.0) == (f1 > 0.0):
+            f0 *= 0.5
+        else:
+            x0, f0 = x1, f1
+        x1, f1 = x, fx
     raise RuntimeError(f"no root within {_ROOT_MAX_ITERS} steps in [{a!r}, {b!r}]")
 
 
@@ -378,8 +352,9 @@ def min_power_allocation(
     missing = set(ROLES) - set(targets)
     if missing:
         raise ValueError(f"targets missing roles: {sorted(missing)}")
-    if any(targets[r] < 0 for r in ROLES):
-        raise ValueError("targets must be nonnegative")
+    for r in ROLES:
+        if not _is_rate(targets[r]):
+            raise ValueError(f"target of {r} must be a finite nonnegative rate, got {targets[r]!r}")
     if all(targets[r] == 0 for r in ROLES):
         raise InfeasibleTargetsError("degenerate", "all-zero targets have no positive minimal powers")
 

@@ -53,6 +53,7 @@ user; the UL cluster takes the j-th nearest user of every group.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import StarRisState, _memo, cached_links, link_key
-from .config import PowerAllocation, SystemConfig
+from .config import PowerAllocation, SystemConfig, _integer
 from .geometry import (
     OrderSpec,
     ordered_pathloss_mean,
@@ -226,7 +227,7 @@ def noma_roles(cfg: SystemConfig, dl, ul) -> tuple:
 
 def cluster_members(cfg: SystemConfig, cluster: int = 1) -> tuple:
     """The users of cluster j (1-based): DL strong, mid, edge, then UL strong, mid, edge."""
-    j = int(cluster)
+    j = _integer("cluster", cluster)
     if not 1 <= j <= min(cfg.M_d, cfg.M_u):
         raise ValueError(f"cluster index {j} outside 1..{min(cfg.M_d, cfg.M_u)}")
     if cfg.K_d1 + j > cfg.K_cd or cfg.K_u1 + j > cfg.K_cu:
@@ -267,7 +268,12 @@ def bind(role: Role, x) -> Role:
 
 
 def bind_power(roles, power: PowerAllocation) -> tuple:
-    """A group's roles bound to its allocation's variables x = (alpha..., p..., 1)."""
+    """A group's roles bound to its allocation's variables x = (alpha..., p..., 1), which
+    must hold one alpha per DL role and one p per UL role: x pairs with the coefficients."""
+    for name, given, direction in (("alpha", power.alpha, "DL"), ("p_ul", power.p_ul, "UL")):
+        size = sum(role.name.startswith(direction) for role in roles)
+        if len(given) != size:
+            raise ValueError(f"allocation.{name} has {len(given)} entries but the group has {size} {direction} users")
     x = (*power.alpha, *power.p_ul, 1.0)
     return tuple(bind(r, x) for r in roles)
 
@@ -387,6 +393,11 @@ def group_tables(cfg: SystemConfig, groups) -> list:
     return tables
 
 
+def _is_rate(value) -> bool:
+    """True for a finite nonnegative real number: NaN, inf, bools and strings are not rates."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value < math.inf
+
+
 def check_state_size(cfg: SystemConfig, n: int) -> None:
     """Reject a surface state whose element count is not the config's N."""
     if n != cfg.N:
@@ -492,6 +503,7 @@ def cached_surface_terms(cfg: SystemConfig, state: StarRisState) -> SurfaceTerms
     the one evaluation.  The optimizer's iterates go to surface_terms
     directly.
     """
+    check_state_size(cfg, state.N)
     coeffs = (state.coefficients("t"), state.coefficients("r"))
     key = (link_key(cfg), coeffs[0].tobytes(), coeffs[1].tobytes())
     return _memo(_SURFACE, key, lambda: surface_terms(cfg, coeffs))
@@ -704,7 +716,7 @@ class RateReport:
         if missing:
             raise ValueError(f"report missing roles: {sorted(missing)}")
         for role, v in self.rates.items():
-            if not 0 <= v < math.inf:   # NaN fails this test too
+            if not _is_rate(v):
                 raise ValueError(f"rate of {role} must be finite and nonnegative, got {v}")
 
     @property

@@ -148,7 +148,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import StarRisState, cached_links, sample_rician
-from .config import PowerAllocation, SystemConfig, _count
+from .config import PowerAllocation, SystemConfig, _count, _integer
 from .rates import (
     BS,
     RateReport,
@@ -932,7 +932,7 @@ def _cluster_indices(cfg, clusters) -> list:
     """The requested cluster indices, sorted; every cluster when clusters is None."""
     if clusters is None:
         return list(range(1, min(cfg.M_d, cfg.M_u) + 1))
-    return sorted(int(j) for j in clusters)
+    return sorted(_integer("cluster", j) for j in clusters)
 
 
 def cluster_schedule(cfgs, powers, state: StarRisState, clusters=None) -> Schedule:
@@ -945,12 +945,16 @@ def cluster_schedule(cfgs, powers, state: StarRisState, clusters=None) -> Schedu
     points = as_points(cfgs, powers)
     cfg = points[0][0]
     clusters = _cluster_indices(cfg, clusters)
+    groups = [cluster_group(cfg, j) for j in clusters]
 
     def allocations(power):
+        missing = [] if isinstance(power, PowerAllocation) else [j for j in clusters if j not in power]
+        if missing:
+            raise ValueError(f"powers map has no allocation for cluster(s) {missing}")
         return [power if isinstance(power, PowerAllocation) else power[j] for j in clusters]
 
     return Schedule(
-        [(point, allocations(power)) for point, power in points], [cluster_group(cfg, j) for j in clusters],
+        [(point, allocations(power)) for point, power in points], groups,
         {"DL": cfg.M_d, "UL": cfg.M_u}, sorted_layout(cfg), state,
     )
 

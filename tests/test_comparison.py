@@ -242,7 +242,7 @@ class TestPolicies:
 
     @pytest.mark.parametrize("policy", [cluster_power_policy, pair_power_policy])
     @pytest.mark.parametrize("name", ["dl_edge_targets", "ul_edge_targets"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, {1: 1e-6, 2: math.nan, 3: 1e-6}, {1: -1.0}, {}, "0.1"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, {1: 1e-6, 2: math.nan, 3: 1e-6}, {1: -1.0}, {}, "0.1", True])
     def test_bad_edge_targets_rejected_by_name(self, cfg, state, policy, name, bad):
         with pytest.raises(ValueError, match=name):
             policy(cfg.with_snr(20), state, **{name: bad})

@@ -119,7 +119,7 @@ class TestPgam:
         assert default[-1] >= flat[-1]
 
     def test_initial_state_size_checked(self, cfg, power):
-        with pytest.raises(ValueError, match="N=11"):
+        with pytest.raises(ValueError, match="surface state has N=11 elements but the config has N=10"):
             pgam_optimize(cfg, power, PgamSettings(max_iters=1), initial=StarRisState.uniform(cfg.N + 1))
 
     def test_settings_validation(self):
@@ -215,10 +215,10 @@ class TestGradient:
             def f(v, k=k):
                 trial = list(x)
                 trial[k] = v
-                return obj.value(*trial)
+                return obj.evaluate(*trial).value
 
             want.append(_central_differences(f, x[k], 1e-2, k < 2))
-        got, want = np.concatenate(obj.gradient(*x)), np.concatenate(want)
+        got, want = np.concatenate(obj.gradient_at(obj.evaluate(*x))), np.concatenate(want)
         # the objective is a sum of log2(1 + SINR) whose surface-dependent part
         # is tiny, so each value carries about 1e-16 of absolute rounding; at this
         # step the differences are off by up to 1.0e-6 of the gradient's norm
@@ -299,6 +299,11 @@ class TestRootSolver:
         with pytest.raises(ValueError, match="brackets no root"):
             _find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
+    def test_step_cap(self):
+        # a triple root at 0 converges only linearly and never meets the relative stop
+        with pytest.raises(RuntimeError, match="no root within 100 steps"):
+            _find_root(lambda x: x**3, -1.0, 3.0)
+
 
 class TestMinPower:
     def _roundtrip(self, cfg, state, seed):
@@ -368,9 +373,26 @@ class TestMinPower:
         assert err.value.binding == f"dark-face:{role}"
 
     def test_state_size_checked(self, cfg, state, power):
+        # every entry point names the state's size, not an internal array
+        from starnoma.comparison import cluster_power_policy, pair_power_policy
+
         targets = rate_report(cfg, power, state).rates
-        with pytest.raises(ValueError, match="N=11"):
-            min_power_allocation(targets, cfg, StarRisState.uniform(cfg.N + 1))
+        big = StarRisState.uniform(cfg.N + 1)
+        for call in (
+            lambda: min_power_allocation(targets, cfg, big),
+            lambda: rate_report(cfg, power, big),
+            lambda: cluster_power_policy(cfg, big),
+            lambda: pair_power_policy(cfg, big),
+        ):
+            with pytest.raises(ValueError, match="surface state has N=11 elements but the config has N=10"):
+                call()
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, "0.1", True], ids=["negative", "nan", "inf", "str", "bool"])
+    def test_non_rate_target_rejected(self, cfg, state, power, bad):
+        # a NaN or inf target failed inside the root solver, a string on the comparison
+        targets = dict(rate_report(cfg, power, state).rates, UL2=bad)
+        with pytest.raises(ValueError, match=f"target of UL2 must be a finite nonnegative rate, got {bad!r}"):
+            min_power_allocation(targets, cfg, state)
 
     def test_missing_role_rejected(self, cfg, state):
         with pytest.raises(ValueError):

@@ -132,6 +132,15 @@ class TestTermBookkeeping:
             with pytest.raises(ValueError, match=message):
                 cluster_members(dataclasses.replace(cfg, **counts), cluster)
 
+    @pytest.mark.parametrize("cluster", [1.5, 2.0, True, "1"])
+    def test_non_integer_cluster_rejected(self, cfg, power, state, cluster):
+        # int() read 1.5 and True as cluster 1 and rated it silently
+        with pytest.raises(ValueError, match=f"cluster must be an integer, got {cluster!r}"):
+            rate_report(cfg, power, state, cluster=cluster)
+
+    def test_numpy_integer_cluster_accepted(self, cfg, power, state):
+        assert rate_report(cfg, power, state, cluster=np.int64(2)) == rate_report(cfg, power, state, cluster=2)
+
     def test_positions_keyed_by_member(self, cfg):
         for cluster in (1, 3):
             k = _orders(cfg, cluster)
@@ -374,8 +383,43 @@ class TestRoleTable:
             assert set(table_keys(roles)) == sampled(roles, dl + ul)
 
     def test_state_size_checked_at_the_boundary(self, cfg, power):
-        with pytest.raises(ValueError, match="N=11"):
+        with pytest.raises(ValueError, match="surface state has N=11 elements but the config has N=10"):
             rate_report(cfg, power, StarRisState.uniform(cfg.N + 1))
+
+
+class TestAllocationSize:
+    """An allocation pairs with its group's variables entry by entry: one of the
+    wrong size is rejected where it is bound, by every reader."""
+
+    TWO = PowerAllocation((0.2, 0.8), (1.0, 1.0))
+
+    @pytest.mark.parametrize("power,message", [
+        (TWO, "allocation.alpha has 2 entries but the group has 3 DL users"),
+        (PowerAllocation((0.1, 0.3, 0.6), (1.0,) * 4), "allocation.p_ul has 4 entries but the group has 3 UL users"),
+    ], ids=["alpha", "p_ul"])
+    def test_rate_report(self, cfg, state, power, message):
+        with pytest.raises(ValueError, match=message):
+            rate_report(cfg, power, state)
+
+    def test_pair_rate_sums(self, cfg, power, state):
+        from starnoma.comparison import pair_rate_sums
+
+        # one allocation per pair; the lone median slot gets its own
+        with pytest.raises(ValueError, match="allocation.alpha has 3 entries but the group has 2 DL users"):
+            pair_rate_sums(cfg, [power] * (len(pair_groups(cfg)) - 1), state)
+
+    def test_pgam_optimize(self, cfg):
+        from starnoma.design import PgamSettings, pgam_optimize
+
+        with pytest.raises(ValueError, match="allocation.alpha has 2 entries"):
+            pgam_optimize(cfg, self.TWO, PgamSettings(max_iters=1))
+
+    def test_simulate(self, cfg, state):
+        from starnoma.simulator import SimPlan, simulate
+
+        # this used to fail only once the block loop was done, on a NaN UL3 rate
+        with pytest.raises(ValueError, match="allocation.alpha has 2 entries"):
+            simulate(SimPlan(cfg=cfg, power=self.TWO, state=state, trials=100, seed=0))
 
 
 def _surface_states(cfg) -> dict:

@@ -87,6 +87,14 @@ class TestSimulate:
         with pytest.raises(ValueError, match="N=11"):
             simulate_clusters(cfg, power, StarRisState.uniform(cfg.N + 1), 100, 0)
 
+    def test_powers_map_missing_clusters_named(self, cfg, power, state):
+        with pytest.raises(ValueError, match=r"powers map has no allocation for cluster\(s\) \[2, 3\]"):
+            simulate_clusters(cfg, {1: power}, state, 100, 0)
+
+    def test_non_integer_cluster_rejected(self, cfg, power, state):
+        with pytest.raises(ValueError, match="cluster must be an integer, got 1.5"):
+            simulate_clusters(cfg, power, state, 100, 0, clusters=[1.5])
+
     def test_bad_trials_rejected(self, cfg, power, state):
         with pytest.raises(ValueError):
             SimPlan(cfg=cfg, power=power, state=state, trials=0)

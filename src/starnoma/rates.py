@@ -3,15 +3,19 @@
 A NOMA group (a 3-user cluster, or a 2-user pair of the pairing baseline)
 gives each user one role, DL1..DLn and UL1..ULn from strong (decoded first)
 to weak.  noma_roles() writes each role's SINR as signal / (sum of
-interference terms + noise).  A term is a coefficient times a gain key: the
+interference terms).  A term is a coefficient times a gain key: the
 coefficient weighs the group's variables x = (alpha_1..alpha_n, p_1..p_n, 1)
-linearly, with P_b and xi_sic inside it, and the key names one random gain:
-("direct", u) a center user's BS link, ("cross", rx, tx) a DL-center/UL-center
-link, ("cascade", side, out, in) a path through one surface face, ("bounce",)
-the BS's own signal off the surface, ("si",) the residual self-interference.
-Three readers use the table: GroupTable.means() and role_log2_mean() here (the
-closed forms), simulator.sample_gains() (per-trial draws), and sinr_row()
-(the linear rows of min-power allocation and the power policies).
+linearly, with P_b, xi_sic, the SI variance and the noise inside it, and the
+key names one random gain: ("direct", u) a center user's BS link, ("cross",
+rx, tx) a DL-center/UL-center link, ("cascade", side, out, in) a path through
+one surface face, ("bounce",) the BS's own signal off the surface, ("si",) the
+unit residual self-interference |CN(0, 1)|^2, and NOISE, a unit gain.  The
+residual SI is the last term but one of every UL role, and the noise the
+last term of every role, so no reader handles either by name: only
+noma_roles() knows how SNR, the impairments and the noise enter a SINR.
+Three readers use the table: GroupTable.means() and role_log2_mean() here
+(the closed forms), simulator.sample_gains() (per-trial draws), and
+sinr_row() (the linear rows of min-power allocation and the power policies).
 
 Two models evaluate a rate (1/M) E log2(1 + SINR), selected by name:
 
@@ -29,7 +33,7 @@ Two models evaluate a rate (1/M) E log2(1 + SINR), selected by name:
   30-40 dB.
 
 A key's mean is a position factor times, for the keys through the surface,
-a surface term:
+a surface term (the unit SI and NOISE have mean 1):
 
 * position terms depend only on the config and on which users a group
   holds: positions() gives each user's ordered path-loss mean to its anchor
@@ -140,6 +144,10 @@ def si_variance(cfg: SystemConfig) -> float:
     return cfg.beta_si * cfg.P_b**cfg.lambda_si
 
 
+# the gain key of the noise: a unit gain, whose coefficient in a role is the noise variance
+NOISE = ("noise",)
+
+
 # -- the role table -----------------------------------------------------------
 
 
@@ -167,12 +175,12 @@ class Term(NamedTuple):
 
 
 class Role(NamedTuple):
-    """One role's SINR: signal / (sum of interference terms + noise)."""
+    """One role's SINR: signal / (sum of interference terms), the residual SI and
+    the noise among them."""
 
     name: str
     signal: Term
     interference: tuple
-    noise: float
 
 
 def signal_key(m: Member) -> tuple:
@@ -199,7 +207,9 @@ def noma_roles(cfg: SystemConfig, dl, ul) -> tuple:
     decodes the UL users strong-first, so a UL user hears its weaker
     partners in full and the residual of the stronger ones.  Every DL user
     also hears every UL sender, and every UL user the BS's own signal off
-    the surface and the residual self-interference.
+    the surface and the residual self-interference, of variance
+    si_variance(cfg) on the unit SI gain.  Every role's last term is the
+    noise, of variance sigma2 on the unit NOISE gain.
     """
     nd, nu = len(dl), len(ul)
     P, xi = cfg.P_b, cfg.xi_sic
@@ -210,18 +220,19 @@ def noma_roles(cfg: SystemConfig, dl, ul) -> tuple:
             c[i] += w
         return tuple(c)
 
+    noise = (Term(coef((nd + nu, cfg.sigma2)), NOISE),)
     roles = []
     for i, m in enumerate(dl):
         partners = [(j, P if j < i else xi * P) for j in range(nd) if j != i]
         own = (Term(coef(*partners), signal_key(m)),) if partners else ()
         heard = tuple(Term(coef((nd + k, 1.0)), _heard_at(m, u)) for k, u in enumerate(ul))
-        roles.append(Role(f"DL{i + 1}", Term(coef((i, P)), signal_key(m)), own + heard, cfg.sigma2))
-    floor = (Term(coef((nd + nu, P)), ("bounce",)), Term(coef((nd + nu, 1.0)), ("si",)))
+        roles.append(Role(f"DL{i + 1}", Term(coef((i, P)), signal_key(m)), own + heard + noise))
+    floor = (Term(coef((nd + nu, P)), ("bounce",)), Term(coef((nd + nu, si_variance(cfg))), ("si",)), *noise)
     for i, u in enumerate(ul):
         others = tuple(
             Term(coef((nd + j, 1.0 if j > i else xi)), signal_key(v)) for j, v in enumerate(ul) if j != i
         )
-        roles.append(Role(f"UL{i + 1}", Term(coef((nd + i, 1.0)), signal_key(u)), others + floor, cfg.sigma2))
+        roles.append(Role(f"UL{i + 1}", Term(coef((nd + i, 1.0)), signal_key(u)), others + floor))
     return tuple(roles)
 
 
@@ -263,7 +274,7 @@ def bind(role: Role, x) -> Role:
     """The role with every coefficient evaluated at variables x, as the readers take it."""
     return Role(
         role.name, Term(_dot(role.signal.coef, x), role.signal.key),
-        tuple(Term(_dot(t.coef, x), t.key) for t in role.interference), role.noise,
+        tuple(Term(_dot(t.coef, x), t.key) for t in role.interference),
     )
 
 
@@ -348,8 +359,9 @@ def positions(cfg: SystemConfig, groups) -> Positions:
     )
 
 
-def position_parts(keys, pos: Positions, cfg: SystemConfig) -> dict:
-    """Each gain key's mean as (position factor, name of its SurfaceTerms factor or None)."""
+def position_parts(keys, pos: Positions) -> dict:
+    """Each gain key's mean as (position factor, name of its SurfaceTerms factor or None);
+    the unit SI and NOISE have mean 1."""
     parts = {}
     for key in keys:
         if key[0] == "direct":
@@ -362,7 +374,7 @@ def position_parts(keys, pos: Positions, cfg: SystemConfig) -> dict:
         elif key[0] == "bounce":
             parts[key] = (pos.l_br**2, "y3_raw")
         else:
-            parts[key] = (si_variance(cfg), None)
+            parts[key] = (1.0, None)
     return parts
 
 
@@ -370,7 +382,7 @@ class GroupTable(NamedTuple):
     """A NOMA group's role table with everything but the surface state settled."""
 
     roles: tuple    # its roles, coefficients over the group's variables
-    parts: dict     # key -> position_parts entry
+    parts: dict     # key -> position_parts entry, which depends on the draw's config fields alone
     rules: dict     # signal key -> path-loss rule, for the exact-signal model
 
     def means(self, surface: SurfaceTerms) -> dict:
@@ -389,7 +401,7 @@ def group_tables(cfg: SystemConfig, groups) -> list:
     tables = []
     for dl, ul in groups:
         roles = noma_roles(cfg, dl, ul)
-        tables.append(GroupTable(roles, position_parts(table_keys(roles), pos, cfg), pos.rules))
+        tables.append(GroupTable(roles, position_parts(table_keys(roles), pos), pos.rules))
     return tables
 
 
@@ -599,13 +611,13 @@ def unit_gain_scales(role: Role, means: dict) -> tuple:
 
 
 def _off_signal_denominator(role: Role, means: dict) -> float:
-    """The interference on keys other than the signal's, at their means, plus the noise."""
-    return sum(t.coef * means[t.key] for t in role.interference if t.key != role.signal.key) + role.noise
+    """The interference on keys other than the signal's, the noise included, at their means."""
+    return sum(t.coef * means[t.key] for t in role.interference if t.key != role.signal.key)
 
 
 def mean_signal_and_denominator(role: Role, means: dict) -> tuple:
-    """(S, D): a bound role's mean signal and its mean interference plus noise."""
-    den = sum(t.coef * means[t.key] for t in role.interference) + role.noise
+    """(S, D): a bound role's mean signal and its mean interference, the noise included."""
+    den = sum(t.coef * means[t.key] for t in role.interference)
     return role.signal.coef * means[role.signal.key], den
 
 
@@ -654,11 +666,13 @@ def role_log2_mean_grad(role: Role, means: dict, rules: dict) -> dict:
 
 def sinr_row(role: Role, means: dict, g: float) -> tuple:
     """(row, rhs) over the group's powers v = (alpha..., p...): the role's
-    ratio-of-means SINR equals g exactly where row . v = rhs."""
+    ratio-of-means SINR equals g exactly where row . v = rhs.  The last
+    variable is the constant 1, so the terms' constant parts, the SI and the
+    noise among them, move to the right-hand side."""
     r = means[role.signal.key] * np.asarray(role.signal.coef)
     for t in role.interference:
         r = r - g * means[t.key] * np.asarray(t.coef)
-    return r[:-1], g * role.noise - r[-1]
+    return r[:-1], -r[-1]
 
 
 def solve_sinr(role: Role, means: dict, g: float, v0, dv) -> float:
@@ -705,11 +719,7 @@ class RateReport:
     """Per-role ergodic rates of one cluster plus their aggregates."""
 
     rates: dict                  # role -> bits/s/Hz
-    method: str                  # "analytic" | "simulated"
-    cluster: int
-    stderr: dict | None = None
-    trials: int | None = None
-    seed: int | None = None
+    stderr: dict | None = None   # role -> standard error, for a simulated report
 
     def __post_init__(self):
         missing = set(ROLES) - set(self.rates)
@@ -737,4 +747,4 @@ def rate_report(
 ) -> RateReport:
     """Analytic per-role rates of one cluster under the named model (see module docstring)."""
     inputs = build_rate_inputs(cfg, power, state, cluster)
-    return RateReport(rates=role_rates(inputs, model), method="analytic", cluster=int(cluster))
+    return RateReport(role_rates(inputs, model))

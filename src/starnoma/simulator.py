@@ -5,13 +5,15 @@ their fading, and evaluates the exact per-role SINRs; rates are the means of
 (1/M) * log2(1 + SINR).  The SINRs are those of the role table
 (rates.noma_roles): sample_gains() draws one row of a (keys, trials) matrix
 per gain key, once per block and group, and the stacked pass (_stack_pass)
-combines the rows with the table's coefficients, so imperfect SIC enters
-exactly as in the closed forms.  The residual self-interference is drawn per
-trial as a CN(0, beta * P_b^lambda) scalar.  simulate_groups() is the one
-block loop: the clusters here and the pairing baseline
-(comparison.simulate_pair_sums) differ only in their Schedule of groups,
-time shares and layout, and one call takes any number of schedules, which
-rate_groups() reads in closed form into results of the same shape.
+combines the rows with the table's coefficients, so imperfect SIC, the
+residual self-interference and the noise enter exactly as in the closed
+forms: the unit SI |CN(0, 1)|^2 is drawn per trial, the noise's gain is a
+row of ones, and the table's coefficients carry beta * P_b^lambda and
+sigma2.  simulate_groups() is the one block loop: the clusters here and the
+pairing baseline (comparison.simulate_pair_sums) differ only in their
+Schedule of groups, time shares and layout, and one call takes any number
+of schedules, which rate_groups() reads in closed form into results of the
+same shape.
 
 A block draws only what its rates read, each in its exact law, and forms
 only the coordinates, losses and products a gain key reads:
@@ -86,11 +88,10 @@ comparison.simulate_pair_sums run one point).  A draw depends only on the
 geometry, N, the user counts, the Rician factors, the bearings, the surface
 state, the seed, the trial count and the block size; SNR, the SIC and SI
 impairments, the powers and the noise reach the simulator only through the
-bound role coefficients and the SI scale (POINT_FIELDS).  So every point of
-a grid reads the same draw of each block: the layout, the block's shared
-draws and each group's gains are drawn once, then every point evaluates its
-own SINRs from them.  Points that differ in a field of the draw are
-rejected.
+bound role coefficients (POINT_FIELDS).  So every point of a grid reads the
+same draw of each block: the layout, the block's shared draws and each
+group's gains are drawn once, then every point evaluates its own SINRs from
+them.  Points that differ in a field of the draw are rejected.
 
 The plan of a schedule is made once (_schedule_run), not once per block, so
 that a block carries little fixed work besides its draws.  It holds the
@@ -100,12 +101,11 @@ link, the BS-surface path loss), the layout's classes (class_layout: which
 ranks each draws and where each user's row is), and for each group the
 GainPlan (the gain keys in row order, the members' turns, the path losses,
 the rows copied from the block) and a Stack for each direction's run of
-roles: each point's (roles, keys) block of denominator coefficients, the SI
-scale folded into the unit SI's column, the noise into the column of a row
-of ones (NOISE) and 0 wherever a point's role has no such term, each row
-over the role's signal coefficient, and the roles' signal rows.  A block
-draws each group's (keys, trials) gain matrix once and then, for each stack,
-in one pass over all of the block's trials:
+roles: each point's (roles, keys) block of denominator coefficients, 0
+wherever a point's role has no such term, each row over the role's signal
+coefficient, and the roles' signal rows.  A block draws each group's (keys,
+trials) gain matrix once and then, for each stack, in one pass over all of
+the block's trials:
 
 1. the denominators of all roles and points, noise included, are one
    np.matmul, each point's coefficient block times the gain rows;
@@ -151,6 +151,7 @@ from .channel import StarRisState, cached_links, sample_rician
 from .config import PowerAllocation, SystemConfig, _count, _integer
 from .rates import (
     BS,
+    NOISE,
     RateReport,
     ROLES,
     bind_power,
@@ -161,7 +162,6 @@ from .rates import (
     noma_roles,
     pathloss,
     read_rates,
-    si_variance,
     table_keys,
 )
 
@@ -184,8 +184,6 @@ __all__ = [
 ]
 
 _DEFAULT_BLOCK = 1 << 12
-# the gain key of a row of ones in a group's gain matrix: its coefficient in a role's denominator is the noise
-NOISE = ("noise",)
 
 
 def _keep_heap() -> None:
@@ -346,7 +344,7 @@ class Surface(NamedTuple):
 class BlockDraws:
     """What one block of trials shares across its groups and points: the
     BS-surface vector, the BS's own signal off the surface and the unit
-    residual SI |CN(0, 1)|^2, which each point scales by its si_variance,
+    residual SI |CN(0, 1)|^2, the gain of the role table's ("si",) key,
     with the Surface they were drawn for."""
 
     g_br: np.ndarray
@@ -476,9 +474,9 @@ class GainPlan(NamedTuple):
 
     keys lists the gain keys in the rows of the group's (keys, trials)
     matrix: the Rayleigh keys in the order of their one block of draws
-    (scalars of them), a row of ones (NOISE), whose coefficient is the
-    noise, then the cascades in the order they are evaluated, then the
-    bounce and the unit SI, which are copied in.  steps gives each
+    (scalars of them), a row of ones (NOISE, the noise's unit gain), then
+    the cascades in the order they are evaluated, then the bounce and the
+    unit SI, which are copied in.  steps gives each
     member's turn (_Step), losses each user's surface path loss with the
     cascade rows it multiplies, and shared the (row, BlockDraws field) of
     the bounce and the unit SI.
@@ -541,9 +539,9 @@ def sample_gains(plan: GainPlan, geo, links, rng, block: BlockDraws) -> np.ndarr
     formed once per face for all of the hub's leaves.  Each user's surface
     path loss is formed once, after the last vector is dropped, and
     multiplies every cascade row that reaches the user.  The bounce and the
-    unit SI, |CN(0, 1)|^2 before any point's SI scale, are copied from the
-    block into their rows (GainPlan.shared), and the NOISE row, the one
-    after the Rayleigh rows, is filled with ones.
+    unit SI |CN(0, 1)|^2 are copied from the block into their rows
+    (GainPlan.shared), and the NOISE row, the one after the Rayleigh rows,
+    is filled with ones.
     """
     B, surf = len(block.si), block.surface
     gains = np.empty((len(plan.keys), B))
@@ -579,9 +577,9 @@ class Stack(NamedTuple):
     """The roles of one direction of a group at every point of a schedule.
 
     Per trial, role i at point p reads ln(1 + g[signals[i]] / (den[p, i] @
-    g[span])) off the group's gain rows g: den holds the role's noise (the
-    coefficient of the NOISE row of ones) and interference coefficients,
-    each over its signal coefficient.
+    g[span])) off the group's gain rows g: den holds the role's interference
+    coefficients, the SI's and the noise's among them, each over its signal
+    coefficient.
     """
 
     direction: int        # 0 for DL, 1 for UL: the point totals its roles add into
@@ -591,27 +589,25 @@ class Stack(NamedTuple):
     den: np.ndarray       # (points, roles, span rows) coefficients, 0 where a point's role has no such term
 
 
-def _stacks(tables, rows: dict, si_scales, cell: int = 0) -> list:
+def _stacks(tables, rows: dict, cell: int = 0) -> list:
     """The Stacks of one group, a run of roles of one direction each.
 
-    tables holds the group's role table bound at each point, si_scales the
-    points' SI scales, rows the row of each gain key and cell the group's
-    first moment cell.  The unit SI row is read with each point's scale
-    folded into its coefficient, and the noise is the NOISE row's.  Every
-    coefficient of a role is divided by its signal coefficient, which a
-    PowerAllocation keeps positive.
+    tables holds the group's role table bound at each point, rows the row of
+    each gain key and cell the group's first moment cell.  Every term enters
+    by its key's row, the SI and the noise as any other.  Every coefficient
+    of a role is divided by its signal coefficient, which a PowerAllocation
+    keeps positive.
     """
     stacks = []
     for direction, run in groupby(range(len(tables[0])), key=lambda i: tables[0][i].name[:2]):
         run = list(run)
-        read = [rows[NOISE]] + [rows[t.key] for i in run for t in tables[0][i].interference]
+        read = [rows[t.key] for i in run for t in tables[0][i].interference]
         span = slice(min(read), max(read) + 1)
         den = np.zeros((len(tables), len(run), span.stop - span.start))
-        for point, table, si_scale in zip(den, tables, si_scales):
+        for point, table in zip(den, tables):
             for coefs, i in zip(point, run):
-                coefs[rows[NOISE] - span.start] = table[i].noise
                 for t in table[i].interference:
-                    coefs[rows[t.key] - span.start] += t.coef * si_scale if t.key == ("si",) else t.coef
+                    coefs[rows[t.key] - span.start] += t.coef
                 coefs /= table[i].signal.coef
         stacks.append(Stack(
             ("DL", "UL").index(direction), slice(cell + run[0], cell + run[-1] + 1),
@@ -625,9 +621,9 @@ def _stack_pass(stack: Stack, gains, scratch) -> np.ndarray:
     view of scratch.
 
     gains is the group's (keys, B) matrix; scratch is flat, of at least
-    points * roles * B floats.  The denominators, the noise included, are
-    one matmul, each point's coefficient block times the span's gain rows;
-    each role's signal row is divided by them in place.
+    points * roles * B floats.  The denominators, the SI and the noise
+    included, are one matmul, each point's coefficient block times the
+    span's gain rows; each role's signal row is divided by them in place.
     """
     shape = stack.den.shape[:2]
     r = scratch[:math.prod(shape) * gains.shape[1]].reshape(*shape, -1)
@@ -638,7 +634,7 @@ def _stack_pass(stack: Stack, gains, scratch) -> np.ndarray:
 
 
 # SystemConfig fields that may differ between the points of one draw: they reach
-# the simulator only through the bound role coefficients and the SI scale
+# the simulator only through the bound role coefficients
 POINT_FIELDS = frozenset({"xi_sic", "beta_si", "lambda_si", "sigma2", "P_b", "p_um", "weights_dl", "weights_ul",
                           "allocation"})
 
@@ -708,13 +704,12 @@ def _schedule_run(schedule: Schedule):
     check_state_size(cfg, schedule.state.N)
     links = cached_links(cfg)
     surface = Surface.of(cfg, schedule.state, links)
-    si_scales = [si_variance(c) for c, _ in points]
     plan, names = [], []
     for g, (dl, ul) in enumerate(groups):
         tables = [bind_power(noma_roles(point, dl, ul), powers[g]) for point, powers in points]
         draw = gain_plan(tables[0], (*dl, *ul))
         cell = sum(map(len, names))   # the group's first moment cell
-        stacks = _stacks(tables, {key: i for i, key in enumerate(draw.keys)}, si_scales, cell)
+        stacks = _stacks(tables, {key: i for i, key in enumerate(draw.keys)}, cell)
         plan.append((draw, stacks, max(math.prod(stack.den.shape[:2]) for stack in stacks)))
         names.append([role.name for role in tables[0]])
     users = [u for draw, _, _ in plan for u in draw.members]
@@ -929,10 +924,14 @@ def sorted_layout(cfg):
 
 
 def _cluster_indices(cfg, clusters) -> list:
-    """The requested cluster indices, sorted; every cluster when clusters is None."""
+    """The requested cluster indices, sorted; every cluster when clusters is None.
+    An empty request or a repeated index is rejected: each cluster is one group of the draw."""
     if clusters is None:
         return list(range(1, min(cfg.M_d, cfg.M_u) + 1))
-    return sorted(_integer("cluster", j) for j in clusters)
+    indices = sorted(_integer("cluster", j) for j in clusters)
+    if not indices or len(set(indices)) < len(indices):
+        raise ValueError(f"clusters must list at least one cluster and none twice, got {indices}")
+    return indices
 
 
 def cluster_schedule(cfgs, powers, state: StarRisState, clusters=None) -> Schedule:
@@ -979,7 +978,7 @@ def simulate_clusters(
     reports = {}
     for j, group in zip(clusters, groups):
         rates, stderr = ({role: group[role][i] for role in ROLES} for i in (0, 1))
-        reports[j] = RateReport(rates=rates, stderr=stderr, method="simulated", cluster=j, trials=trials, seed=seed)
+        reports[j] = RateReport(rates, stderr)
     return reports, sums
 
 

@@ -24,6 +24,7 @@ from starnoma.config import PowerAllocation, baseline_config
 from starnoma.design import aligned_state
 from starnoma.geometry import sample_disk
 from starnoma.rates import (
+    NOISE,
     ROLES,
     Role,
     Term,
@@ -190,11 +191,12 @@ class TestPolicies:
         interior = 0
         for _ in range(40):
             roles = tuple(
-                Role(name, Term(coef(i), (f"s{i}",)), (Term(coef(1 - i, 2), (f"i{i}",)), Term(coef(0, 1, 2), ("c",))),
-                     float(rng.uniform(0.01, 1.0)))
+                Role(name, Term(coef(i), (f"s{i}",)), (Term(coef(1 - i, 2), (f"i{i}",)), Term(coef(0, 1, 2), ("c",)),
+                                                       Term((0.0, 0.0, float(rng.uniform(0.01, 1.0))), NOISE)))
                 for i, name in enumerate(("DL1", "DL2"))
             )
-            means = {(k,): float(10.0 ** rng.uniform(-3, 3)) for k in ("s0", "s1")}
+            means = {NOISE: 1.0}
+            means.update({(k,): float(10.0 ** rng.uniform(-3, 3)) for k in ("s0", "s1")})
             means.update({(k,): float(10.0 ** rng.uniform(-6, 0)) for k in ("i0", "i1", "c")})
             got = _assert_no_grid_point_beats(roles, means, lambda f: (f, 1.0 - f, 1.0), 0.02, 0.98)
             interior += 0.02 < got < 0.98
@@ -227,10 +229,10 @@ class TestPolicies:
     def test_center_split_finds_an_interior_optimum(self):
         # log2(1 + 2f) + log2(1 + (1 - f)) peaks where 2 / (1 + 2f) = 1 / (2 - f), at f = 3/4
         roles = (
-            Role("DL1", Term((1.0, 0.0, 0.0), ("a",)), (), 1.0),
-            Role("DL2", Term((0.0, 1.0, 0.0), ("b",)), (), 1.0),
+            Role("DL1", Term((1.0, 0.0, 0.0), ("a",)), (Term((0.0, 0.0, 1.0), NOISE),)),
+            Role("DL2", Term((0.0, 1.0, 0.0), ("b",)), (Term((0.0, 0.0, 1.0), NOISE),)),
         )
-        means = {("a",): 2.0, ("b",): 1.0}
+        means = {("a",): 2.0, ("b",): 1.0, NOISE: 1.0}
         got = _center_split(roles, means, lambda f: (f, 1.0 - f, 1.0), 0.02, 0.98)
         assert got == pytest.approx(0.75, rel=0, abs=1e-12)
 

@@ -132,6 +132,40 @@ class TestPgam:
             with pytest.raises(ValueError, match=field):
                 PgamSettings(**{field: value})
 
+    def test_backtracks_halve_the_step(self):
+        # steps 1 and 2 accept their 3rd and 2nd trials, step 3 rejects all of them: the ascent
+        # ends there with the state of step 2's accepted trial
+        obj = _RejectingObjective([2, 1, design._MAX_BACKTRACKS])
+        phases = np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, (2, 4))
+        start = StarRisState(rho_t=np.full(4, 0.5), rho_r=np.full(4, 0.5), phi_t=phases[0], phi_r=phases[1])
+        state, trace = design._ascend(obj, start, max_iters=5)
+        assert [len(trials) for trials in obj.trials] == [3, 2, design._MAX_BACKTRACKS]
+        norm = math.sqrt(2 * 4)   # each unit-normalized direction spreads over both faces' 4 elements
+        for (theta_t, _, rho_t, _), trials in zip(obj.starts, obj.trials):
+            for i, (new_t, _, new_rho_t, _) in enumerate(trials):
+                # the phase turns by atan(step / norm), the amplitude moves by step / norm; both are
+                # read off differences of O(1) values, so the last trials' tiny steps keep an
+                # absolute error of a few ulp
+                phase_step = np.tan(np.angle(new_t / theta_t)) * norm
+                assert phase_step == pytest.approx(np.full(4, design._PHASE_STEP * 0.5**i), rel=1e-12, abs=1e-14)
+                assert (new_rho_t - rho_t) * norm == pytest.approx(np.full(4, design._AMPLITUDE_STEP * 0.5**i),
+                                                                   rel=1e-12, abs=1e-14)
+        accepted = [obj.trials[0][2], obj.trials[1][1]]
+        assert trace == [2.0, *(float(np.sum(point[2])) for point in accepted), float(np.sum(accepted[-1][2]))]
+        assert trace[0] < trace[1] < trace[2] == trace[3]
+        theta_t, theta_r, rho_t, rho_r = accepted[-1]
+        assert np.array_equal(np.exp(1j * state.phi_t), theta_t) and np.array_equal(np.exp(1j * state.phi_r), theta_r)
+        assert np.array_equal(state.rho_t, rho_t) and np.array_equal(state.rho_r, rho_r)
+
+    def test_zero_gradient_ends_the_ascent(self, cfg, power):
+        # all-zero weights: the objective and its gradient are 0, so the start is returned at once
+        zero = dataclasses.replace(cfg, weights_dl=(0.0,) * 3, weights_ul=(0.0,) * 3)
+        state, trace = pgam_optimize(zero, power, PgamSettings(max_iters=5))
+        assert trace == [0.0, 0.0]
+        start = aligned_state(cfg)
+        assert np.array_equal(state.rho_t, start.rho_t) and np.array_equal(state.rho_r, start.rho_r)
+        assert np.allclose(np.exp(1j * state.phi_t), np.exp(1j * start.phi_t), rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("model", ["ratio-of-means", "exact-signal"])
     @pytest.mark.parametrize("start", ["aligned", "random"])
     def test_objective_is_taken_at_feasible_points_only(self, cfg, power, monkeypatch, model, start):
@@ -150,6 +184,30 @@ class TestPgam:
             assert np.max(np.abs(np.abs(np.concatenate([theta_t, theta_r])) - 1.0)) <= 1e-12
             assert np.max(np.abs(rho_t + rho_r - 1.0)) <= 1e-12
             assert np.min(np.concatenate([rho_t, rho_r])) >= 0.0
+
+
+class _RejectingObjective:
+    """A stand-in for design._Objective whose value is sum(rho_t) and whose gradient
+    turns every phase forward and moves every amplitude toward the transmission
+    face; step k's first rejects[k] trials are rejected (valued -inf).  starts
+    keeps each step's iterate and trials each step's evaluated points."""
+
+    def __init__(self, rejects):
+        self.rejects, self.starts, self.trials = rejects, [], []
+
+    def evaluate(self, theta_t, theta_r, rho_t, rho_r):
+        point = (theta_t, theta_r, rho_t, rho_r)
+        rejected = False
+        if self.trials:   # the start is evaluated before any step
+            self.trials[-1].append(point)
+            rejected = len(self.trials[-1]) <= self.rejects[len(self.trials) - 1]
+        return design._Iterate(point, None, -math.inf if rejected else float(np.sum(rho_t)))
+
+    def gradient_at(self, at):
+        self.starts.append(at.point)
+        self.trials.append([])
+        theta_t, theta_r, rho_t, rho_r = at.point
+        return 1j * theta_t, 1j * theta_r, np.ones_like(rho_t), -np.ones_like(rho_r)
 
 
 def _central_differences(fun, x: np.ndarray, h: float, complex_vars: bool) -> np.ndarray:
@@ -353,6 +411,13 @@ class TestMinPower:
         with pytest.raises(InfeasibleTargetsError) as err:
             min_power_allocation(targets, cfg, state)
         assert "budget" in err.value.binding or "positivity" in err.value.binding
+
+    def test_ul_budget_violation_at_twice_p_um(self, cfg, state, power):
+        # targets rated at p_ul = 2 p_um give back those powers, which the UL budget rejects
+        targets = rate_report(cfg, dataclasses.replace(power, p_ul=(2.0 * cfg.p_um,) * 3), state).rates
+        with pytest.raises(InfeasibleTargetsError, match=r"p_u1u = 200 > p_um = 100") as err:
+            min_power_allocation(targets, cfg, state)
+        assert err.value.binding == "ul-power-budget:p_u1u"
 
     def test_all_zero_targets_degenerate(self, cfg, state):
         with pytest.raises(InfeasibleTargetsError) as err:

@@ -17,6 +17,7 @@ from starnoma.geometry import (
     ordered_pathloss_rule,
 )
 from starnoma.rates import (
+    NOISE,
     RATE_MODELS,
     RateReport,
     Role,
@@ -353,7 +354,7 @@ class TestRoleTable:
         from starnoma.comparison import pair_groups
         from starnoma.rates import cached_surface_terms, group_tables
 
-        from starnoma.simulator import NOISE, BlockDraws, Surface, gain_plan, sample_gains
+        from starnoma.simulator import BlockDraws, Surface, gain_plan, sample_gains
         from starnoma.channel import build_links
 
         links = build_links(cfg)
@@ -369,7 +370,7 @@ class TestRoleTable:
             gains = sample_gains(plan, {u: fake for u in users}, links, rng, block)
             assert gains.shape == (len(plan.keys), 4) and np.isfinite(gains).all()
             assert np.all(gains[plan.keys.index(NOISE)] == 1.0)
-            return set(plan.keys) - {NOISE}
+            return set(plan.keys)
 
         for j in (1, 2, 3):
             inputs = _inputs(cfg, default_power_allocation(cfg), state, cluster=j)
@@ -385,6 +386,17 @@ class TestRoleTable:
     def test_state_size_checked_at_the_boundary(self, cfg, power):
         with pytest.raises(ValueError, match="surface state has N=11 elements but the config has N=10"):
             rate_report(cfg, power, StarRisState.uniform(cfg.N + 1))
+
+    def test_parts_depend_on_the_draw_alone(self, cfg):
+        # SNR, the impairments and the noise enter only through the role coefficients, so
+        # configs that differ in such point fields give every key the same mean
+        from starnoma.rates import cluster_group, group_tables
+
+        other = dataclasses.replace(cfg, beta_si=0.3, lambda_si=0.7, sigma2=2.5, xi_sic=0.2).with_snr(35.0)
+        assert {f.name for f in dataclasses.fields(cfg) if getattr(cfg, f.name) != getattr(other, f.name)} == {
+            "beta_si", "lambda_si", "sigma2", "P_b", "p_um", "xi_sic"}
+        for groups in ([cluster_group(cfg, j) for j in (1, 2, 3)], pair_groups(cfg)):
+            assert [t.parts for t in group_tables(cfg, groups)] == [t.parts for t in group_tables(other, groups)]
 
 
 class TestAllocationSize:
@@ -508,14 +520,14 @@ class TestAggregation:
 
     def test_report_requires_all_roles(self):
         with pytest.raises(ValueError):
-            RateReport(rates={"DL1": 1.0}, method="analytic", cluster=1)
+            RateReport(rates={"DL1": 1.0})
 
     @pytest.mark.parametrize("bad", [math.nan, -1e-3, math.inf])
     def test_report_rejects_a_bad_rate_by_role(self, bad):
         # NaN passes a `v < 0` check
         rates = {**dict.fromkeys(("DL1", "DL2", "DL3", "UL1", "UL2", "UL3"), 0.1), "UL2": bad}
         with pytest.raises(ValueError, match="rate of UL2"):
-            RateReport(rates=rates, method="analytic", cluster=1)
+            RateReport(rates=rates)
 
     def test_rate_reports_pinned(self, cfg, state):
         # clusters 1-3, both models, the default SNRs, at the default allocation and the
@@ -595,7 +607,7 @@ class TestExactSignal:
         # with a one-node rule the exact-signal rate is the fading average of one layout
         t = conditional_terms(cfg, _drop(cfg, np.random.default_rng(5)))
         inputs = _inputs(cfg, power, state)
-        table = inputs.table._replace(parts=position_parts(table_keys(inputs.table.roles), t, cfg), rules=t.rules)
+        table = inputs.table._replace(parts=position_parts(table_keys(inputs.table.roles), t), rules=t.rules)
         inputs = dataclasses.replace(inputs, table=table)
         gain = t.loss[cluster_members(cfg)[0]]
         total, residual = unit_gain_scales(inputs.bound[0], inputs.means())
@@ -604,8 +616,8 @@ class TestExactSignal:
 
     def test_tiny_ratio_of_means_sinr_keeps_its_digits(self):
         # 1 + 1e-9 rounds away the low digits of the SINR; log1p keeps them
-        role = Role("DL2", Term(1e-9, ("si",)), (), 1.0)
-        got = role_log2_mean(role, {("si",): 1.0}, {})
+        role = Role("DL2", Term(1e-9, ("si",)), (Term(1.0, NOISE),))
+        got = role_log2_mean(role, {("si",): 1.0, NOISE: 1.0}, {})
         assert got == pytest.approx(math.log1p(1e-9) / math.log(2.0), rel=1e-15, abs=0)
 
     def test_unknown_model_rejected(self, cfg, state, power):

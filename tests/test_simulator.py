@@ -95,6 +95,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match="cluster must be an integer, got 1.5"):
             simulate_clusters(cfg, power, state, 100, 0, clusters=[1.5])
 
+    @pytest.mark.parametrize("clusters", [[2, 2], [1, 1], []], ids=["repeated-2", "repeated-1", "empty"])
+    def test_repeated_or_empty_clusters_rejected(self, cfg, power, state, clusters):
+        # a repeated cluster died in a worker (simulator) or counted twice in the sums (closed
+        # form), and an empty request returned zero sums
+        message = r"clusters must list at least one cluster and none twice, got \["
+        with pytest.raises(ValueError, match=message):
+            simulate_clusters(cfg, power, state, 4096, 1, clusters=clusters)
+        with pytest.raises(ValueError, match=message):
+            simulator.rate_groups([cluster_schedule([cfg], [power], state, clusters)])
+
     def test_bad_trials_rejected(self, cfg, power, state):
         with pytest.raises(ValueError):
             SimPlan(cfg=cfg, power=power, state=state, trials=0)

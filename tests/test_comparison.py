@@ -40,7 +40,7 @@ from starnoma.simulator import cluster_schedule, rate_groups, simulate_groups
 # the policies at the cluster-vs-pair points, pinned as float.hex; a change that moves them on purpose
 # recaptures with
 #     PYTHONPATH=src python tests/test_comparison.py > tests/policy_pins.json
-# and the pair sums of analytic_pins.json through tests/test_rates.py
+# and the pair sums, sweep schedules and reference targets of analytic_pins.json through tests/test_rates.py
 PINS = Path(__file__).with_name("policy_pins.json")
 ANALYTIC_PINS = Path(__file__).with_name("analytic_pins.json")
 SWEEP_POINTS = tuple((xi, snr) for xi in (0.0, 0.1) for snr in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0))
@@ -70,6 +70,34 @@ def pair_sums_pin(cfg, state, xi_sic, snr_db) -> dict:
     point = _sweep_point(cfg, xi_sic, snr_db)
     dl, ul = pair_rate_sums(point, pair_power_policy(point, state), state)
     return {"xi_sic": xi_sic, "snr_db": snr_db, "dl_sum": dl.hex(), "ul_sum": ul.hex()}
+
+
+def sweep_schedules(cfg, state) -> list:
+    """The cluster-vs-pair sweep's two schedules on the seed-1 random state, at both policies' allocations."""
+    points = [_sweep_point(cfg, xi, snr) for xi, snr in SWEEP_POINTS]
+    return [cluster_schedule(points, [cluster_power_policy(p, state) for p in points], state),
+            pair_schedule(points, [pair_power_policy(p, state) for p in points], state)]
+
+
+def rate_groups_pins(cfg, state) -> list:
+    """The analytic_pins.json rate_groups entries: every role of every group and the sums
+    of both sweep schedules (sweep_schedules) at each sweep point."""
+    pins = []
+    for scheme, results in zip(("cluster", "pair"), rate_groups(sweep_schedules(cfg, state))):
+        for (xi, snr), (groups, sums) in zip(SWEEP_POINTS, results):
+            pins.append({
+                "scheme": scheme, "xi_sic": xi, "snr_db": snr,
+                "groups": [{role: rate.hex() for role, rate in group.items()} for group in groups],
+                "dl_sum": sums["dl_sum"].hex(), "ul_sum": sums["ul_sum"].hex(),
+            })
+    return pins
+
+
+def reference_targets_pin(cfg, state, xi_sic, snr_db) -> dict:
+    """One analytic_pins.json reference_edge_targets entry: the edge rates of the reference split at one sweep point."""
+    dl, ul = reference_edge_targets(_sweep_point(cfg, xi_sic, snr_db), state)
+    return {"xi_sic": xi_sic, "snr_db": snr_db,
+            "dl": {str(j): v.hex() for j, v in dl.items()}, "ul": {str(j): v.hex() for j, v in ul.items()}}
 
 
 def _split_objective(roles, means, x_at, f):
@@ -374,6 +402,20 @@ class TestRateGroups:
             # the totals add the rates group by group and role by role
             for d in ("DL", "UL"):
                 assert sums[f"{d.lower()}_sum"] == sum(g[role] for g in groups for role in ROLES if role[:2] == d)
+
+    def test_schedules_pinned_at_the_sweep_points(self, cfg, state):
+        # both sweep schedules at the policies' allocations: every role of every group and the sums, as float.hex
+        pins = json.loads(ANALYTIC_PINS.read_text())["rate_groups"]
+        got = rate_groups_pins(cfg, state)
+        assert len(got) == len(pins) == 2 * len(SWEEP_POINTS)
+        for want, mine in zip(pins, got):
+            assert mine == want, (want["scheme"], want["xi_sic"], want["snr_db"])
+
+    def test_reference_targets_pinned_at_the_sweep_points(self, cfg, state):
+        pins = json.loads(ANALYTIC_PINS.read_text())["reference_edge_targets"]
+        assert len(pins) == len(SWEEP_POINTS)
+        for pin in pins:
+            assert reference_targets_pin(cfg, state, pin["xi_sic"], pin["snr_db"]) == pin, (pin["xi_sic"], pin["snr_db"])
 
     def test_pair_schedule_reads_what_pair_rate_sums_reads(self, state, grid):
         points, _, allocations = grid

@@ -632,7 +632,7 @@ if __name__ == "__main__":
     import sys
 
     from starnoma import baseline_config
-    from test_comparison import SWEEP_POINTS, pair_sums_pin
+    from test_comparison import SWEEP_POINTS, pair_sums_pin, rate_groups_pins, reference_targets_pin
 
     cfg = baseline_config()
     state = StarRisState.random(cfg.N, np.random.default_rng(1))
@@ -640,6 +640,8 @@ if __name__ == "__main__":
         "rate_report": [rate_report_pin(cfg, state, model, snr, cluster)
                         for model in RATE_MODELS for snr in PIN_SNRS_DB for cluster in (1, 2, 3)],
         "pair_rate_sums": [pair_sums_pin(cfg, state, xi, snr) for xi, snr in SWEEP_POINTS],
+        "rate_groups": rate_groups_pins(cfg, state),
+        "reference_edge_targets": [reference_targets_pin(cfg, state, xi, snr) for xi, snr in SWEEP_POINTS],
     }
     sys.stdout.write("{\n" + ",\n".join(
         f" {json.dumps(name)}: [\n" + ",\n".join("  " + json.dumps(pin) for pin in pins) + "\n ]"

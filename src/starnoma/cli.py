@@ -34,7 +34,6 @@ from .comparison import (
     pair_power_policy,
     pair_schedule,
     ranked_layout,
-    reference_edge_targets,
 )
 from .config import SystemConfig, baseline_config, default_power_allocation, load_config
 from .design import PgamSettings, aligned_state, pgam_optimize
@@ -165,12 +164,9 @@ def experiment_cluster_vs_pair(cfg, seed, trials, grid=DEFAULT_SNR_GRID):
     state = _pick_state(cfg, "random", seed)
     cells = [(xi, snr) for xi in XIS for snr in grid]
     points = [replace(cfg.with_snr(snr), xi_sic=xi) for xi, snr in cells]
-    cl_pow, pr_pow = [], []
-    for point in points:
-        dl_t, ul_t = reference_edge_targets(point, state)
-        cl_pow.append(cluster_power_policy(point, state, dl_t, ul_t))
-        pr_pow.append(pair_power_policy(point, state, dl_t, ul_t))
-    schedules = [cluster_schedule(points, cl_pow, state), pair_schedule(points, pr_pow, state)]
+    # each policy builds its tables once for all points, and takes its edge targets from the reference split
+    schedules = [cluster_schedule(points, cluster_power_policy(points, state), state),
+                 pair_schedule(points, pair_power_policy(points, state), state)]
     rows = []
     for scheme, analytic, simulated in zip(
             ("clustering", "pairing"), rate_groups(schedules), simulate_groups(schedules, trials, seed)):

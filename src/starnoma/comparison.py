@@ -37,18 +37,20 @@ from .rates import (
     Member,
     _is_rate,
     bind,
+    bind_power,
     cached_surface_terms,
     cluster_group,
     group_tables,
     mean_signal_and_denominator,
-    solve_sinr,
+    read_rates,
+    sinr_row,
 )
 from .simulator import (
     _DEFAULT_BLOCK,
     Schedule,
+    _shared_draw,
     as_points,
     class_layout,
-    cluster_schedule,
     rate_groups,
     simulate_groups,
 )
@@ -198,15 +200,28 @@ def simulate_pair_sums(
 # -- shared power policy ------------------------------------------------------
 
 
-def _edge_power(role, means: dict, g: float, v0, dv, lo: float, hi: float) -> float:
-    """The step at which the edge role's SINR reaches g (rates.solve_sinr), clamped to [lo, hi];
-    with a zero signal mean (a dark surface face), lo for a zero target and hi for a positive one."""
+def _configs(cfg) -> list:
+    """A config, or the configs of a schedule's points, as a list of configs."""
+    return [cfg] if isinstance(cfg, SystemConfig) else list(cfg)
+
+
+def _edge_powers(role, means: dict, g, v0, dv, lo, hi) -> list:
+    """Each point's step at which the edge role's ratio-of-means SINR at powers v0[p] + s * dv
+    equals g[p] (rates.sinr_row), clamped to [lo[p], hi[p]]; with a zero signal mean (a dark
+    surface face), lo for a zero target and hi for a positive one.
+
+    The rows of all points are one array, but each point's row is dotted
+    with its powers alone, as a contiguous row of its own: a BLAS dot
+    product rounds with its operands' layout.
+    """
     if means[role.signal.key] == 0.0:
-        return lo if g == 0.0 else hi
-    return min(max(solve_sinr(role, means, g, v0, dv), lo), hi)
+        return [low if target == 0.0 else high for target, low, high in zip(g, lo, hi)]
+    rows, rhs = sinr_row(role, means, np.array(g))
+    steps = ((b - row @ np.asarray(v)) / (row @ np.asarray(dv)) for row, b, v in zip(np.ascontiguousarray(rows.T), rhs, v0))
+    return [min(max(float(step), low), high) for step, low, high in zip(steps, lo, hi)]
 
 
-def _center_split(roles, means: dict, x_at, lo: float = 0.02, hi: float = 0.48) -> float:
+def _center_split(roles, means: dict, x_at, lo: float = 0.02, hi: float = 0.48):
     """The f in [lo, hi] with the best ratio-of-means sum rate of two roles bound at x_at(f).
 
     f is the strong member's share of the center DL budget, below half by
@@ -218,6 +233,10 @@ def _center_split(roles, means: dict, x_at, lo: float = 0.02, hi: float = 0.48) 
     + k2 (D1 + S1) D1 (the cubic of the four log terms loses its leading
     term), solved in closed form by _quadratic_roots.  The objective is
     compared at lo, hi and the zeros between.
+
+    Roles over a schedule's points, with x_at(f) one value per point in each
+    variable, give a list of one f per point: the lines and the quadratics
+    are arrays over the points, and each point's f is then chosen alone.
     """
     lines, polys = [], []   # each role's (S, S', D, D'); its k and (D + S) D, ascending in f
     for role in roles:
@@ -226,8 +245,15 @@ def _center_split(roles, means: dict, x_at, lo: float = 0.02, hi: float = 0.48) 
         lines.append((s, ds, d, dd))
         polys.append((ds * d - s * dd, np.array([(s + d) * d, (s + d) * dd + (ds + dd) * d, (ds + dd) * dd])))
     (k1, q1), (k2, q2) = polys
-    roots = [r for r in _quadratic_roots(*map(float, k1 * q2 + k2 * q1)) if lo < r < hi]
-    return max([lo, hi, *roots], key=lambda f: sum(math.log1p((s + f * ds) / (d + f * dd)) for s, ds, d, dd in lines))
+    quadratic = k1 * q2 + k2 * q1
+
+    def best(coeffs, lines):
+        roots = [r for r in _quadratic_roots(*coeffs) if lo < r < hi]
+        return max([lo, hi, *roots], key=lambda f: sum(math.log1p((s + f * ds) / (d + f * dd)) for s, ds, d, dd in lines))
+
+    if quadratic.ndim == 1:
+        return best(map(float, quadratic), lines)
+    return list(map(best, quadratic.T.tolist(), np.array(lines).transpose(2, 0, 1).tolist()))
 
 
 def _quadratic_roots(c0: float, c1: float, c2: float) -> list:
@@ -251,43 +277,56 @@ def _quadratic_roots(c0: float, c1: float, c2: float) -> list:
 _REFERENCE_ALPHA = (0.1, 0.3, 0.6)
 
 
-def reference_edge_targets(cfg: SystemConfig, state: StarRisState):
-    """Edge-user rates achieved by the reference split at every cluster index.
+def reference_edge_targets(cfg, state: StarRisState):
+    """Edge-user rates achieved by the reference split at every cluster index, as ({j: DL3}, {j: UL3}).
 
     These are the default targets of the shared power policy: achievable by
     construction in the clustering scheme, so the clamps below stay inactive
     there, while the pairing scheme must buy the same rates out of a smaller
-    time share.
+    time share.  cfg may also list the configs of a schedule's points, which
+    differ in point fields only (simulator.POINT_FIELDS); one table build
+    then rates them all, and the pair of maps comes once per point.  Only
+    DL3 and UL3 are read, as rate_groups reads a role.
     """
-    reference = PowerAllocation(_REFERENCE_ALPHA, (cfg.p_um,) * 3)
-    groups = rate_groups([cluster_schedule([cfg], [reference], state)])[0][0][0]
-    clusters = range(1, min(cfg.M_d, cfg.M_u) + 1)
-    return ({j: rates["DL3"] for j, rates in zip(clusters, groups)},
-            {j: rates["UL3"] for j, rates in zip(clusters, groups)})
+    cfgs = _configs(cfg)
+    first = _shared_draw(cfgs)
+    clusters = range(1, min(first.M_d, first.M_u) + 1)
+    surface = cached_surface_terms(first, state)
+    reference = [PowerAllocation(_REFERENCE_ALPHA, (point.p_um,) * 3) for point in cfgs]
+    rates = {}   # (role, cluster) -> its rate at each point
+    for j, table in zip(clusters, group_tables(cfgs, [cluster_group(first, j) for j in clusters])):
+        bound = {role.name: role for role in bind_power(table.roles, reference)}
+        edge = read_rates((bound["DL3"], bound["UL3"]), table.means(surface), table.rules,
+                          {"DL": first.M_d, "UL": first.M_u})
+        rates.update({(name, j): values.tolist() for name, values in edge.items()})
+    out = [tuple({j: rates[name, j][p] for j in clusters} for name in ("DL3", "UL3")) for p in range(len(cfgs))]
+    return out[0] if isinstance(cfg, SystemConfig) else out
 
 
-def _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets):
-    """DL and UL edge target maps: a scalar holds for every cluster, None takes the reference rates.
+def _edge_targets(cfgs, state, dl_edge_targets, ul_edge_targets) -> list:
+    """Each point's DL and UL edge target maps: a scalar holds for every cluster, None takes
+    the point's reference rates.
 
     A target that is not a finite nonnegative number, or an empty map, is rejected, naming its argument.
     """
     given = {"dl_edge_targets": dl_edge_targets, "ul_edge_targets": ul_edge_targets}
-    reference = reference_edge_targets(cfg, state) if None in given.values() else (None, None)
-    clusters = range(1, min(cfg.M_d, cfg.M_u) + 1)
-    out = []
-    for (name, t), ref in zip(given.items(), reference):
-        if t is None:
-            out.append(ref)
-            continue
-        values = list(t.values()) if isinstance(t, dict) else [t]
-        if not values or not all(map(_is_rate, values)):
-            raise ValueError(f"{name} must be a finite nonnegative rate or a nonempty map of them, got {t!r}")
-        out.append(dict(t) if isinstance(t, dict) else dict.fromkeys(clusters, float(t)))
-    return tuple(out)
+    clusters = range(1, min(cfgs[0].M_d, cfgs[0].M_u) + 1)
+    fixed = []
+    for name, t in given.items():
+        if t is not None:
+            values = list(t.values()) if isinstance(t, dict) else [t]
+            if not values or not all(map(_is_rate, values)):
+                raise ValueError(f"{name} must be a finite nonnegative rate or a nonempty map of them, got {t!r}")
+            t = dict(t) if isinstance(t, dict) else dict.fromkeys(clusters, float(t))
+        fixed.append(t)
+    if None not in fixed:
+        return [tuple(fixed)] * len(cfgs)
+    return [tuple(ref if t is None else t for t, ref in zip(fixed, refs)) for refs in reference_edge_targets(cfgs, state)]
 
 
-def _group_powers(cfg, state, groups, shares, dl_floor, dl_edge_targets, ul_edge_targets) -> list:
-    """The PowerAllocation of every NOMA group (dl users, ul users), strong first: the one power policy.
+def _group_powers(cfgs, state, groups, shares, dl_floor, dl_edge_targets, ul_edge_targets) -> list:
+    """The PowerAllocation of every NOMA group (dl users, ul users), strong first, at each point
+    of cfgs: the one power policy.
 
     Center UL users send at the cap.  A weakest member that is an edge user
     gets the power its target needs at a 1/shares[direction] time share
@@ -295,51 +334,66 @@ def _group_powers(cfg, state, groups, shares, dl_floor, dl_edge_targets, ul_edge
     or [dl_floor, 0.95] (DL).  Its target is that of its cluster, DL
     K_ed + 1 - order and UL order, or the smallest one if no cluster holds
     it.  The center DL members share the rest, two of them by _center_split.
-    """
-    dl_t, ul_t = _edge_targets(cfg, state, dl_edge_targets, ul_edge_targets)
-    surface = cached_surface_terms(cfg, state)
 
-    def gain(targets, cluster, share):
-        return 2.0 ** (share * targets.get(cluster, min(targets.values()))) - 1.0
+    The points share one table per group (rates.group_tables of cfgs), and
+    every quantity elementwise in the points is an array over them; each
+    point's edge powers and split are then found alone (_edge_powers,
+    _center_split).
+    """
+    targets = _edge_targets(cfgs, state, dl_edge_targets, ul_edge_targets)
+    first = _shared_draw(cfgs)
+    surface = cached_surface_terms(first, state)
+    p_um = np.array([cfg.p_um for cfg in cfgs])
+
+    def gain(direction, cluster, share):
+        return [2.0 ** (share * t.get(cluster, min(t.values()))) - 1.0 for t in (ts[direction] for ts in targets)]
 
     out = []
-    for (dl, ul), table in zip(groups, group_tables(cfg, groups)):
+    for (dl, ul), table in zip(groups, group_tables(cfgs, groups)):
         roles, means = {r.name: r for r in table.roles}, table.means(surface)
         nd, nu = len(dl), len(ul)
-        p = [cfg.p_um] * nu
+        p = [p_um] * nu
         if ul[-1].kind == "edge":
-            v0, dv = (0.0,) * nd + (*p[:-1], 0.0), (0.0,) * (nd + nu - 1) + (1.0,)
-            g = gain(ul_t, ul[-1].order, shares["UL"])
-            p[-1] = _edge_power(roles[f"UL{nu}"], means, g, v0, dv, 1e-9 * cfg.p_um, cfg.p_um)
+            v0, dv = [(0.0,) * nd + (*point[:-1], 0.0) for point in zip(*p)], (0.0,) * (nd + nu - 1) + (1.0,)
+            g = gain(1, ul[-1].order, shares["UL"])
+            p[-1] = np.array(_edge_powers(roles[f"UL{nu}"], means, g, v0, dv, (1e-9 * p_um).tolist(), p_um.tolist()))
         edge, rest = (), 1.0
         if dl[-1].kind == "edge":
             # the edge coefficient comes out of the strong member's, and only the center sum enters its SINR
-            v0, dv = (1.0,) + (0.0,) * (nd - 1) + tuple(p), (-1.0,) + (0.0,) * (nd - 2) + (1.0,) + (0.0,) * nu
-            g = gain(dl_t, cfg.K_ed + 1 - dl[-1].order, shares["DL"])
-            edge = (_edge_power(roles[f"DL{nd}"], means, g, v0, dv, dl_floor, 0.95),)
+            v0, dv = [(1.0,) + (0.0,) * (nd - 1) + point for point in zip(*p)], (-1.0,) + (0.0,) * (nd - 2) + (1.0,) + (0.0,) * nu
+            g = gain(0, cfgs[0].K_ed + 1 - dl[-1].order, shares["DL"])
+            ends = [(dl_floor, 0.95)] * len(cfgs)
+            edge = (np.array(_edge_powers(roles[f"DL{nd}"], means, g, v0, dv, *zip(*ends))),)
             rest = 1.0 - edge[0]
-        center = (rest,)
+        center = [(r,) for r in np.broadcast_to(rest, len(cfgs)).tolist()]
         if nd - len(edge) == 2:
             f = _center_split((roles["DL1"], roles["DL2"]), means, lambda f: (f * rest, rest - f * rest, *edge, *p, 1.0))
-            center = (f * rest, (1 - f) * rest)
-        out.append(PowerAllocation((*center, *edge), p))
-    return out
+            center = [(fp * r, (1 - fp) * r) for fp, (r,) in zip(f, center)]
+        edges = [e.tolist() for e in edge]
+        powers = [a.tolist() for a in p]
+        out.append([PowerAllocation((*c, *(e[i] for e in edges)), [a[i] for a in powers]) for i, c in enumerate(center)])
+    return [list(point) for point in zip(*out)]
 
 
-def cluster_power_policy(cfg: SystemConfig, state: StarRisState, dl_edge_targets=None, ul_edge_targets=None) -> dict:
+def cluster_power_policy(cfg, state: StarRisState, dl_edge_targets=None, ul_edge_targets=None):
     """{cluster: PowerAllocation} of the shared policy (_group_powers).
 
     Targets may be a scalar, a {cluster: rate} map, or None for the
     reference-derived defaults.  Each direction's share is its cluster
     count, and the DL edge floor alpha3 >= 0.45 keeps the NOMA ordering.
+    cfg may also list the configs of a schedule's points (simulator.
+    POINT_FIELDS apart), which gives one map per point from one table build.
     """
-    clusters = range(1, min(cfg.M_d, cfg.M_u) + 1)
-    groups = [cluster_group(cfg, j) for j in clusters]
-    powers = _group_powers(cfg, state, groups, {"DL": cfg.M_d, "UL": cfg.M_u}, 0.45, dl_edge_targets, ul_edge_targets)
-    return dict(zip(clusters, powers))
+    cfgs = _configs(cfg)
+    clusters = range(1, min(cfgs[0].M_d, cfgs[0].M_u) + 1)
+    groups = [cluster_group(cfgs[0], j) for j in clusters]
+    shares = {"DL": cfgs[0].M_d, "UL": cfgs[0].M_u}
+    out = [dict(zip(clusters, powers))
+           for powers in _group_powers(cfgs, state, groups, shares, 0.45, dl_edge_targets, ul_edge_targets)]
+    return out[0] if isinstance(cfg, SystemConfig) else out
 
 
-def pair_power_policy(cfg: SystemConfig, state: StarRisState, dl_edge_targets=None, ul_edge_targets=None) -> list:
+def pair_power_policy(cfg, state: StarRisState, dl_edge_targets=None, ul_edge_targets=None) -> list:
     """[PowerAllocation] of the shared policy (_group_powers), one per pair, targets as for clusters.
 
     Pair j carries the same edge user as cluster j; a pair without one
@@ -347,7 +401,11 @@ def pair_power_policy(cfg: SystemConfig, state: StarRisState, dl_edge_targets=No
     reference band is recaptured: the targets are inverted at a
     1/len(pairs) share (1/4 at baseline), but the pairing rates give all
     len(pair_groups(cfg)) = 5 slots 1/5, so edge users get 4/5 of them.
+    cfg may also list the configs of a schedule's points, as for clusters,
+    which gives one list per point.
     """
-    pairs = [group for group in pair_groups(cfg) if len(group[0]) == 2]
+    cfgs = _configs(cfg)
+    pairs = [group for group in pair_groups(cfgs[0]) if len(group[0]) == 2]
     share = len(pairs)   # the known mismatch, the one constant its fix changes
-    return _group_powers(cfg, state, pairs, {"DL": share, "UL": share}, 0.55, dl_edge_targets, ul_edge_targets)
+    out = _group_powers(cfgs, state, pairs, {"DL": share, "UL": share}, 0.55, dl_edge_targets, ul_edge_targets)
+    return out[0] if isinstance(cfg, SystemConfig) else out

@@ -56,9 +56,9 @@ user; the UL cluster takes the j-th nearest user of every group.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -105,7 +105,6 @@ __all__ = [
     "read_rates",
     "role_rates",
     "sinr_row",
-    "solve_sinr",
     "fading_log2_mean",
     "fading_log2_mean_dlog",
     "sic_log2_mean",
@@ -142,6 +141,14 @@ def pathloss(d, m: float):
 def si_variance(cfg: SystemConfig) -> float:
     """Residual self-interference variance beta * P_b^lambda."""
     return cfg.beta_si * cfg.P_b**cfg.lambda_si
+
+
+def _point_weights(cfg) -> tuple:
+    """(P_b, xi_sic, SI variance, sigma2) of a config, or of each config of a list as
+    arrays over it, each entry computed as for its config alone."""
+    if isinstance(cfg, SystemConfig):
+        return cfg.P_b, cfg.xi_sic, si_variance(cfg), cfg.sigma2
+    return tuple(np.array(w) for w in zip(*map(_point_weights, cfg)))
 
 
 # the gain key of the noise: a unit gain, whose coefficient in a role is the noise variance
@@ -210,9 +217,15 @@ def noma_roles(cfg: SystemConfig, dl, ul) -> tuple:
     the surface and the residual self-interference, of variance
     si_variance(cfg) on the unit SI gain.  Every role's last term is the
     noise, of variance sigma2 on the unit NOISE gain.
+
+    cfg may also list the configs of a schedule's points, which differ in
+    point fields only (simulator.POINT_FIELDS): every weight that P_b,
+    xi_sic, the SI variance or sigma2 sets is then an array over the points,
+    so one table holds every point's coefficients, each entry as that
+    point's own table has it.
     """
     nd, nu = len(dl), len(ul)
-    P, xi = cfg.P_b, cfg.xi_sic
+    P, xi, si, sigma2 = _point_weights(cfg)
 
     def coef(*weights):   # (variable index, weight) pairs -> coefficient vector
         c = [0.0] * (nd + nu + 1)
@@ -220,14 +233,14 @@ def noma_roles(cfg: SystemConfig, dl, ul) -> tuple:
             c[i] += w
         return tuple(c)
 
-    noise = (Term(coef((nd + nu, cfg.sigma2)), NOISE),)
+    noise = (Term(coef((nd + nu, sigma2)), NOISE),)
     roles = []
     for i, m in enumerate(dl):
         partners = [(j, P if j < i else xi * P) for j in range(nd) if j != i]
         own = (Term(coef(*partners), signal_key(m)),) if partners else ()
         heard = tuple(Term(coef((nd + k, 1.0)), _heard_at(m, u)) for k, u in enumerate(ul))
         roles.append(Role(f"DL{i + 1}", Term(coef((i, P)), signal_key(m)), own + heard + noise))
-    floor = (Term(coef((nd + nu, P)), ("bounce",)), Term(coef((nd + nu, si_variance(cfg))), ("si",)), *noise)
+    floor = (Term(coef((nd + nu, P)), ("bounce",)), Term(coef((nd + nu, si)), ("si",)), *noise)
     for i, u in enumerate(ul):
         others = tuple(
             Term(coef((nd + j, 1.0 if j > i else xi)), signal_key(v)) for j, v in enumerate(ul) if j != i
@@ -266,26 +279,48 @@ def table_keys(roles) -> tuple:
     return tuple(dict.fromkeys(t.key for role in roles for t in (role.signal, *role.interference)))
 
 
-def _dot(coef, x) -> float:
-    return sum(map(operator.mul, coef, x))
+def _dot(coef, x):
+    """sum_v coef[v] * x[v], added in variable order; a coefficient that is the float 0.0
+    adds nothing, so it is skipped."""
+    return sum((c * v for c, v in zip(coef, x) if type(c) is not float or c != 0.0), 0.0)
 
 
 def bind(role: Role, x) -> Role:
-    """The role with every coefficient evaluated at variables x, as the readers take it."""
+    """The role with every coefficient evaluated at variables x, as the readers take it.
+
+    Weights and variables may be arrays over a schedule's points (bind_power):
+    each bound coefficient is then an array, every entry the fold a lone
+    point's would be, as the arithmetic is elementwise.
+    """
     return Role(
         role.name, Term(_dot(role.signal.coef, x), role.signal.key),
         tuple(Term(_dot(t.coef, x), t.key) for t in role.interference),
     )
 
 
-def bind_power(roles, power: PowerAllocation) -> tuple:
-    """A group's roles bound to its allocation's variables x = (alpha..., p..., 1), which
-    must hold one alpha per DL role and one p per UL role: x pairs with the coefficients."""
+def _variables(roles, power: PowerAllocation) -> tuple:
+    """The variables x = (alpha..., p..., 1) of an allocation, which must hold one alpha per
+    DL role and one p per UL role: x pairs with the coefficients."""
     for name, given, direction in (("alpha", power.alpha, "DL"), ("p_ul", power.p_ul, "UL")):
         size = sum(role.name.startswith(direction) for role in roles)
         if len(given) != size:
             raise ValueError(f"allocation.{name} has {len(given)} entries but the group has {size} {direction} users")
-    x = (*power.alpha, *power.p_ul, 1.0)
+    return (*power.alpha, *power.p_ul, 1.0)
+
+
+def bind_power(roles, power) -> tuple:
+    """A group's roles bound to its allocation's variables (_variables).
+
+    power may also list one allocation per point of a table over a
+    schedule's points (noma_roles of a list of configs): each point's
+    coefficients are then bound to its own allocation, in one pass, and
+    every bound coefficient is an array over the points with the bits of
+    that point's own binding.
+    """
+    if isinstance(power, PowerAllocation):
+        x = _variables(roles, power)
+    else:
+        x = tuple(np.array([_variables(roles, p) for p in power]).T)
     return tuple(bind(r, x) for r in roles)
 
 
@@ -395,9 +430,15 @@ def expectation_terms(cfg: SystemConfig, cluster: int = 1) -> Positions:
     return positions(cfg, [cluster_group(cfg, cluster)])
 
 
-def group_tables(cfg: SystemConfig, groups) -> list:
-    """The GroupTable of every NOMA group (dl users, ul users), from one positions() call."""
-    pos = positions(cfg, groups)
+def group_tables(cfg, groups) -> list:
+    """The GroupTable of every NOMA group (dl users, ul users), from one positions() call.
+
+    cfg may also list the configs of a schedule's points, which share every
+    field but the point fields: one table per group then serves every point,
+    its coefficients arrays over the points (noma_roles), and its parts and
+    rules, which the point fields do not reach, are the first config's.
+    """
+    pos = positions(cfg if isinstance(cfg, SystemConfig) else cfg[0], groups)
     tables = []
     for dl, ul in groups:
         roles = noma_roles(cfg, dl, ul)
@@ -621,18 +662,36 @@ def mean_signal_and_denominator(role: Role, means: dict) -> tuple:
     return role.signal.coef * means[role.signal.key], den
 
 
-def role_log2_mean(role: Role, means: dict, rules: dict) -> float:
+def _log2_1p(x: float) -> float:
+    return math.log1p(x) / math.log(2.0)
+
+
+def _each_point(f, *values):
+    """f(*values), or, for arrays over a schedule's points, the array of f at each point's values."""
+    if not isinstance(values[0], np.ndarray):
+        return f(*values)
+    return np.array([f(*point) for point in zip(*(v.tolist() for v in values))])
+
+
+def role_log2_mean(role: Role, means: dict, rules: dict):
     """E log2(1 + SINR) of one bound role.
 
     A signal key found in rules is averaged exactly (exact-signal model);
     any other role takes the log of the ratio of means, as log1p so that an
     SINR far below 1 keeps its digits.
+
+    A role bound at a schedule's points (bind_power) gives an array over
+    them: its mean signal and denominator are arrays, summed in term order
+    as for one point, and each point then takes math.log1p, or one
+    sic_log2_mean call, alone.  Both would round differently in a batch:
+    np.log1p differs from math.log1p in the last bit of some values on some
+    CPUs, and exp_e1's matrix product rounds with the batch's shape.
     """
     rule = rules.get(role.signal.key)
     if rule is not None:
-        return sic_log2_mean(rule, *unit_gain_scales(role, means))
+        return _each_point(functools.partial(sic_log2_mean, rule), *unit_gain_scales(role, means))
     signal, den = mean_signal_and_denominator(role, means)
-    return math.log1p(signal / den) / math.log(2.0)
+    return _each_point(_log2_1p, signal / den)
 
 
 def role_log2_mean_grad(role: Role, means: dict, rules: dict) -> dict:
@@ -664,21 +723,23 @@ def role_log2_mean_grad(role: Role, means: dict, rules: dict) -> dict:
     return grad
 
 
-def sinr_row(role: Role, means: dict, g: float) -> tuple:
+def _weights(coef, points: tuple) -> np.ndarray:
+    """A coefficient's weights as one (variables, *points) array, points being () for one config."""
+    return np.array([np.broadcast_to(c, points) for c in coef])
+
+
+def sinr_row(role: Role, means: dict, g) -> tuple:
     """(row, rhs) over the group's powers v = (alpha..., p...): the role's
     ratio-of-means SINR equals g exactly where row . v = rhs.  The last
     variable is the constant 1, so the terms' constant parts, the SI and the
-    noise among them, move to the right-hand side."""
-    r = means[role.signal.key] * np.asarray(role.signal.coef)
+    noise among them, move to the right-hand side.  A table over a
+    schedule's points, with g an array of one target per point, gives the
+    rows as the columns of a (powers, points) array and one rhs per point."""
+    points = np.shape(g)
+    r = means[role.signal.key] * _weights(role.signal.coef, points)
     for t in role.interference:
-        r = r - g * means[t.key] * np.asarray(t.coef)
+        r = r - g * means[t.key] * _weights(t.coef, points)
     return r[:-1], -r[-1]
-
-
-def solve_sinr(role: Role, means: dict, g: float, v0, dv) -> float:
-    """The step s at which the role's ratio-of-means SINR at powers v0 + s * dv equals g."""
-    row, rhs = sinr_row(role, means, g)
-    return float((rhs - row @ np.asarray(v0)) / (row @ np.asarray(dv)))
 
 
 RATE_MODELS = ("ratio-of-means", "exact-signal")

@@ -589,29 +589,31 @@ class Stack(NamedTuple):
     den: np.ndarray       # (points, roles, span rows) coefficients, 0 where a point's role has no such term
 
 
-def _stacks(tables, rows: dict, cell: int = 0) -> list:
+def _stacks(roles, rows: dict, cell: int = 0) -> list:
     """The Stacks of one group, a run of roles of one direction each.
 
-    tables holds the group's role table bound at each point, rows the row of
-    each gain key and cell the group's first moment cell.  Every term enters
-    by its key's row, the SI and the noise as any other.  Every coefficient
-    of a role is divided by its signal coefficient, which a PowerAllocation
-    keeps positive.
+    roles is the group's role table bound at every point of its schedule
+    (rates.bind_power), each coefficient an array over the points; rows
+    gives the row of each gain key and cell the group's first moment cell.
+    Every term enters by its key's row, the SI and the noise as any other,
+    added in term order at all points at once.  Every coefficient of a role
+    is divided by its signal coefficient, which a PowerAllocation keeps
+    positive.
     """
     stacks = []
-    for direction, run in groupby(range(len(tables[0])), key=lambda i: tables[0][i].name[:2]):
+    points = len(roles[0].signal.coef)
+    for direction, run in groupby(range(len(roles)), key=lambda i: roles[i].name[:2]):
         run = list(run)
-        read = [rows[t.key] for i in run for t in tables[0][i].interference]
+        read = [rows[t.key] for i in run for t in roles[i].interference]
         span = slice(min(read), max(read) + 1)
-        den = np.zeros((len(tables), len(run), span.stop - span.start))
-        for point, table in zip(den, tables):
-            for coefs, i in zip(point, run):
-                for t in table[i].interference:
-                    coefs[rows[t.key] - span.start] += t.coef
-                coefs /= table[i].signal.coef
+        den = np.zeros((points, len(run), span.stop - span.start))
+        for j, i in enumerate(run):
+            for t in roles[i].interference:
+                den[:, j, rows[t.key] - span.start] += t.coef
+            den[:, j] /= roles[i].signal.coef[:, None]
         stacks.append(Stack(
             ("DL", "UL").index(direction), slice(cell + run[0], cell + run[-1] + 1),
-            tuple(rows[tables[0][i].signal.key] for i in run), span, den,
+            tuple(rows[roles[i].signal.key] for i in run), span, den,
         ))
     return stacks
 
@@ -689,8 +691,10 @@ def _schedule_run(schedule: Schedule):
 
     The plan is made here, once per schedule: the Surface terms of its
     state, each group's GainPlan and the Stacks of its DL and UL roles,
-    which hold their coefficients at every point, and the width of the
-    group's scratch; the layout plans its classes once per list of users
+    which hold their coefficients at every point, from one role table of
+    all points bound to each point's allocation at once (rates.noma_roles
+    and rates.bind_power of the points), and the width of the group's
+    scratch; the layout plans its classes once per list of users
     (class_layout).  A block draws each group's gain matrix (sample_gains)
     and then evaluates each stack at all points and trials at once
     (_stack_pass).  The moments are one (points, cells, 3) array of (n,
@@ -700,18 +704,19 @@ def _schedule_run(schedule: Schedule):
     done.
     """
     points, groups, shares = schedule.points, schedule.groups, schedule.shares
-    cfg = _shared_draw([c for c, _ in points])
+    cfgs = [c for c, _ in points]
+    cfg = _shared_draw(cfgs)
     check_state_size(cfg, schedule.state.N)
     links = cached_links(cfg)
     surface = Surface.of(cfg, schedule.state, links)
     plan, names = [], []
     for g, (dl, ul) in enumerate(groups):
-        tables = [bind_power(noma_roles(point, dl, ul), powers[g]) for point, powers in points]
-        draw = gain_plan(tables[0], (*dl, *ul))
+        bound = bind_power(noma_roles(cfgs, dl, ul), [powers[g] for _, powers in points])
+        draw = gain_plan(bound, (*dl, *ul))
         cell = sum(map(len, names))   # the group's first moment cell
-        stacks = _stacks(tables, {key: i for i, key in enumerate(draw.keys)}, cell)
+        stacks = _stacks(bound, {key: i for i, key in enumerate(draw.keys)}, cell)
         plan.append((draw, stacks, max(math.prod(stack.den.shape[:2]) for stack in stacks)))
-        names.append([role.name for role in tables[0]])
+        names.append([role.name for role in bound])
     users = [u for draw, _, _ in plan for u in draw.members]
     scale = {d: 1.0 / (math.log(2.0) * share) for d, share in shares.items()}
     scales = [scale[name[:2]] for group in names for name in group] + [scale["DL"], scale["UL"]]
@@ -779,21 +784,35 @@ def rate_groups(schedules) -> list:
     """The closed-form reader of the schedules simulate_groups takes: one
     ([{role: rate} per group], {dl_sum, ul_sum}) per point of each schedule.
 
-    Each point's tables (one rates.group_tables call) are bound to its
-    allocations and read at the schedule's time shares on the tables' rules,
-    the exact-signal model; the sums add the rates group by group, role by role.
+    A schedule's points share one table per group (rates.group_tables of
+    its configs, which must share their draw, as the block loop's do).
+    Each group's table is bound to every point's allocation at once
+    (rates.bind_power) and read at the schedule's time shares on the
+    table's rules, the exact-signal model, giving each role's rates at all
+    points as one array (rates.role_log2_mean); the sums add the rates group
+    by group, role by role.
     """
-    def rate_point(schedule, cfg, powers):
-        surface = cached_surface_terms(cfg, schedule.state)
-        groups, sums = [], {"DL": 0.0, "UL": 0.0}
-        for table, power in zip(group_tables(cfg, schedule.groups), powers):
-            rates = read_rates(bind_power(table.roles, power), table.means(surface), table.rules, schedule.shares)
-            for name, rate in rates.items():
-                sums[name[:2]] += rate
-            groups.append(rates)
-        return groups, {"dl_sum": sums["DL"], "ul_sum": sums["UL"]}
-
-    return [[rate_point(schedule, cfg, powers) for cfg, powers in schedule.points] for schedule in schedules]
+    out = []
+    for schedule in schedules:
+        cfgs = [cfg for cfg, _ in schedule.points]
+        surface = cached_surface_terms(_shared_draw(cfgs), schedule.state)
+        groups = [
+            read_rates(bind_power(table.roles, [powers[g] for _, powers in schedule.points]),
+                       table.means(surface), table.rules, schedule.shares)
+            for g, table in enumerate(group_tables(cfgs, schedule.groups))
+        ]
+        rates = [{name: values.tolist() for name, values in group.items()} for group in groups]
+        points = []
+        for p in range(len(cfgs)):
+            sums = {"DL": 0.0, "UL": 0.0}
+            point = []
+            for group in rates:
+                point.append({name: values[p] for name, values in group.items()})
+                for name, rate in point[-1].items():
+                    sums[name[:2]] += rate
+            points.append((point, {"dl_sum": sums["DL"], "ul_sum": sums["UL"]}))
+        out.append(points)
+    return out
 
 
 def as_points(cfgs, settings) -> list:

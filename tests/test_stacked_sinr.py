@@ -9,6 +9,11 @@ table order, the residual SI (on the unit SI gain) and the noise (on the
 row of ones) as any other term, then ln(1 + signal / denominator).  The two
 differ only in rounding, so every trial of every role must agree to 1e-12
 relative.
+
+The stacks' coefficient blocks come from one role table of all points, bound
+to every point's allocation at once; per_point_den builds them from each
+point's own table (bind_power(noma_roles(point, ...))), and the two must
+agree bit for bit.
 """
 
 import dataclasses
@@ -18,6 +23,7 @@ import pytest
 
 from starnoma import simulator
 from starnoma.channel import build_links
+from starnoma.channel import StarRisState
 from starnoma.comparison import pair_power_policy, pair_schedule
 from starnoma.config import PowerAllocation
 from starnoma.rates import bind_power, noma_roles
@@ -35,6 +41,31 @@ def per_point_log1p(role, gains: dict) -> np.ndarray:
     return np.log1p(gains[role.signal.key] * role.signal.coef / den)
 
 
+def per_point_den(tables, rows: dict, run, span: slice) -> np.ndarray:
+    """Oracle: the (points, roles, span rows) coefficient block of a stack's run of roles,
+    from each point's own bound table: every term added into its key's row in term
+    order, then the row divided by the role's signal coefficient."""
+    den = np.zeros((len(tables), len(run), span.stop - span.start))
+    for point, table in zip(den, tables):
+        for coefs, i in zip(point, run):
+            for t in table[i].interference:
+                coefs[rows[t.key] - span.start] += t.coef
+            coefs /= table[i].signal.coef
+    return den
+
+
+def group_stacks(schedule, g: int) -> tuple:
+    """(each point's bound role table, the group's GainPlan, its Stacks) for group g of the
+    schedule, the stacks made as the block loop makes them: from the table of all points,
+    bound to each point's allocation at once."""
+    dl, ul = schedule.groups[g]
+    tables = [bind_power(noma_roles(point, dl, ul), powers[g]) for point, powers in schedule.points]
+    bound = bind_power(noma_roles([point for point, _ in schedule.points], dl, ul),
+                       [powers[g] for _, powers in schedule.points])
+    plan = simulator.gain_plan(bound, (*dl, *ul))
+    return tables, plan, simulator._stacks(bound, {key: i for i, key in enumerate(plan.keys)})
+
+
 def stacked_groups(schedule, trials: int, seed: int):
     """Per group of the schedule, off one block's draw: (each point's bound role
     table, {gain key: per-trial gain}, the stacked values (points, roles, trials))."""
@@ -44,12 +75,11 @@ def stacked_groups(schedule, trials: int, seed: int):
     resolve = schedule.layout(rng, trials, [u for dl, ul in schedule.groups for u in (*dl, *ul)])
     block = simulator.BlockDraws.draw(simulator.Surface.of(cfg, schedule.state, links), links, rng, trials)
     out = []
-    for g, (dl, ul) in enumerate(schedule.groups):
-        tables = [bind_power(noma_roles(point, dl, ul), powers[g]) for point, powers in schedule.points]
-        plan = simulator.gain_plan(tables[0], (*dl, *ul))
+    for g in range(len(schedule.groups)):
+        tables, plan, stacks = group_stacks(schedule, g)
         gains = simulator.sample_gains(plan, resolve(plan.members), links, rng, block)
         got = np.full((len(tables), len(tables[0]), trials), np.nan)
-        for stack in simulator._stacks(tables, {key: i for i, key in enumerate(plan.keys)}):
+        for stack in stacks:
             got[:, stack.cells] = simulator._stack_pass(stack, gains, np.empty(stack.den[..., 0].size * trials))
         out.append((tables, dict(zip(plan.keys, gains)), got))
     return out
@@ -94,3 +124,22 @@ def test_a_one_point_schedule_gives_each_point_its_bits(cfg, state, kind):
         alone = stacked_groups(_schedule(kind, cfg, state, [point]), B, 12)
         for (_, _, got), (_, _, mine) in zip(grid, alone):
             assert np.array_equal(mine[0], got[p])
+
+
+@pytest.mark.parametrize("kind", ["cluster", "pair"])
+@pytest.mark.parametrize("face", ["both", "transmission-only"])
+def test_stacks_from_the_schedule_binding_match_each_points_table(cfg, state, kind, face):
+    # every coefficient block, at xi = 0, the defaults and xi = 0.3 with other noise and SI, bit for bit;
+    # a state that sends everything through one face moves the pairing's edge powers to their clamps
+    if face == "transmission-only":
+        state = StarRisState(np.ones(cfg.N), np.zeros(cfg.N), state.phi_t, state.phi_r)
+    schedule = _schedule(kind, cfg, state, _points(cfg))
+    for g in range(len(schedule.groups)):
+        tables, plan, stacks = group_stacks(schedule, g)
+        rows = {key: i for i, key in enumerate(plan.keys)}
+        assert [stack.cells for stack in stacks] == [slice(0, len(schedule.groups[g][0])),
+                                                      slice(len(schedule.groups[g][0]), len(tables[0]))]
+        for stack in stacks:
+            want = per_point_den(tables, rows, range(stack.cells.start, stack.cells.stop), stack.span)
+            assert want.dtype == stack.den.dtype and np.array_equal(stack.den, want), (g, stack.cells)
+            assert np.array_equal(np.signbit(stack.den), np.signbit(want))

@@ -134,8 +134,10 @@ it.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import glob
 import math
 import os
 import threading
@@ -269,6 +271,44 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, through ctypes, or None
+    where the library or either function is not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):   # not loadable, or without the thread controls
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, and give it back its old count on the way out.
+
+    The block workers already take one thread per core, and BLAS threads of
+    their own would compete with them for those cores.  Nothing changes
+    where the library's thread controls are not found.
+    """
+    controls = _blas_threads()
+    if controls is None:
+        yield
+        return
+    get, set_ = controls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _map_blocks(jobs, sizes) -> list:
     """[run(B, rng) for run, B, rng in jobs], in job order, on one thread per core.
 
@@ -278,7 +318,9 @@ def _map_blocks(jobs, sizes) -> list:
     own slot.  The queue holds the jobs largest first, by sizes (one per
     job), ties in job order, so a thread's first job pages in the most heap
     memory and its later ones reuse it (see _keep_heap).  An exception in any job stops the others before their next
-    job and is raised here once every thread has ended.
+    job and is raised here once every thread has ended.  With more than one
+    thread, numpy's OpenBLAS runs one thread of its own meanwhile
+    (_one_blas_thread); its sums round alike at any thread count.
     """
     workers = min(_cores(), len(jobs))
     results = [None] * len(jobs)
@@ -298,11 +340,12 @@ def _map_blocks(jobs, sizes) -> list:
             errors.append(exc)
 
     threads = [threading.Thread(target=work, daemon=True) for _ in range(1, workers)]
-    for t in threads:
-        t.start()
-    work()
-    for t in threads:
-        t.join()
+    with _one_blas_thread() if threads else contextlib.nullcontext():
+        for t in threads:
+            t.start()
+        work()
+        for t in threads:
+            t.join()
     if errors:
         raise errors[0]
     return results

@@ -256,6 +256,32 @@ class TestSweep:
         assert all(float(r["stderr"]) > 0 for r in rows if r["method"] == "simulated")
         assert all(r["stderr"] == "" for r in rows if r["method"] == "analytic")
 
+    def test_cluster_vs_pair_builds_its_tables_once_per_schedule(self, monkeypatch):
+        # the sweep's points differ in point fields only, so each reader builds every group's
+        # role table and position terms once for all points: the calls do not grow with the grid
+        from starnoma import cli, comparison, design, rates, simulator
+
+        counts = Counter()
+        for name in ("noma_roles", "positions"):
+            original = getattr(rates, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in (rates, simulator, comparison, cli, design):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+        def calls(grid):
+            counts.clear()
+            cli.experiment_cluster_vs_pair(baseline_config(), 1, 1, grid)
+            return dict(counts)
+
+        two = calls((10.0, 30.0))
+        assert two == calls(DEFAULT_SNR_GRID)
+        assert two["noma_roles"] > 0 and two["positions"] > 0
+
 
 def _sweep_points(experiment, seed):
     """(sweep_var, value, cfg, state, role tag) of every point of a named sweep, built by hand."""

@@ -349,6 +349,54 @@ class TestBlockPool:
         assert threading.active_count() == before
         assert calls.count(4) <= workers   # each thread stops at its next job after a failure
 
+    @pytest.mark.parametrize("failing", [None, BLOCK], ids=["completes", "a-block-raises"])
+    def test_blas_thread_count_restored(self, cfg, power, state, monkeypatch, failing):
+        # with more than one worker numpy's OpenBLAS runs one thread of its own, and
+        # gets its count back afterwards, also when a block raises
+        controls = simulator._blas_threads()
+        if controls is None:
+            pytest.skip("numpy's bundled OpenBLAS thread controls not found")
+        get, set_ = controls
+        sample_gains, seen = simulator.sample_gains, []
+
+        def spy(plan, geo, links, rng, block):
+            seen.append(get())
+            if len(block.si) == failing:
+                raise BlockFailure("block failed")
+            return sample_gains(plan, geo, links, rng, block)
+
+        monkeypatch.setattr(simulator, "_cores", lambda: 2)
+        monkeypatch.setattr(simulator, "sample_gains", spy)
+        original = get()
+        try:
+            set_(2)
+            if failing is None:
+                simulate_clusters(cfg, power, state, self.TRIALS, 3, block_size=self.BLOCK)
+            else:
+                with pytest.raises(BlockFailure):
+                    simulate_clusters(cfg, power, state, self.TRIALS, 3, block_size=self.BLOCK)
+            after = get()
+        finally:
+            set_(original)
+        assert seen and set(seen) == {1}
+        assert after == 2
+
+    def test_one_worker_leaves_blas_threads_alone(self, cfg, power, state, monkeypatch):
+        controls = simulator._blas_threads()
+        if controls is None:
+            pytest.skip("numpy's bundled OpenBLAS thread controls not found")
+        get, set_ = controls
+        sample_gains, seen = simulator.sample_gains, []
+        monkeypatch.setattr(simulator, "_cores", lambda: 1)
+        monkeypatch.setattr(simulator, "sample_gains", lambda *a: seen.append(get()) or sample_gains(*a))
+        original = get()
+        try:
+            set_(2)
+            simulate_clusters(cfg, power, state, self.TRIALS, 3, block_size=self.BLOCK)
+        finally:
+            set_(original)
+        assert seen and set(seen) == {2}
+
     @pytest.mark.parametrize("key", ["x1_u1d", "y1", "omega_u3d_u3u", "log_u1d"])
     def test_oracle_worker_count_changes_no_bit(self, cfg, state, monkeypatch, key):
         # the term oracle's blocks run on the same queue and merge in block order

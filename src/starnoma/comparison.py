@@ -217,7 +217,8 @@ def _edge_powers(role, means: dict, g, v0, dv, lo, hi) -> list:
     if means[role.signal.key] == 0.0:
         return [low if target == 0.0 else high for target, low, high in zip(g, lo, hi)]
     rows, rhs = sinr_row(role, means, np.array(g))
-    steps = ((b - row @ np.asarray(v)) / (row @ np.asarray(dv)) for row, b, v in zip(np.ascontiguousarray(rows.T), rhs, v0))
+    rows = np.ascontiguousarray(rows.T)
+    steps = ((b - row @ np.asarray(v)) / (row @ np.asarray(dv)) for row, b, v in zip(rows, rhs, v0))
     return [min(max(float(step), low), high) for step, low, high in zip(steps, lo, hi)]
 
 
@@ -249,7 +250,8 @@ def _center_split(roles, means: dict, x_at, lo: float = 0.02, hi: float = 0.48):
 
     def best(coeffs, lines):
         roots = [r for r in _quadratic_roots(*coeffs) if lo < r < hi]
-        return max([lo, hi, *roots], key=lambda f: sum(math.log1p((s + f * ds) / (d + f * dd)) for s, ds, d, dd in lines))
+        return max([lo, hi, *roots],
+                   key=lambda f: sum(math.log1p((s + f * ds) / (d + f * dd)) for s, ds, d, dd in lines))
 
     if quadratic.ndim == 1:
         return best(map(float, quadratic), lines)
@@ -304,24 +306,23 @@ def reference_edge_targets(cfg, state: StarRisState):
 
 
 def _edge_targets(cfgs, state, dl_edge_targets, ul_edge_targets) -> list:
-    """Each point's DL and UL edge target maps: a scalar holds for every cluster, None takes
-    the point's reference rates.
+    """Each point's {"DL": map, "UL": map} of edge targets: a scalar holds for every cluster,
+    None takes the point's reference rates.
 
     A target that is not a finite nonnegative number, or an empty map, is rejected, naming its argument.
     """
-    given = {"dl_edge_targets": dl_edge_targets, "ul_edge_targets": ul_edge_targets}
+    given = {"DL": ("dl_edge_targets", dl_edge_targets), "UL": ("ul_edge_targets", ul_edge_targets)}
     clusters = range(1, min(cfgs[0].M_d, cfgs[0].M_u) + 1)
-    fixed = []
-    for name, t in given.items():
+    fixed = {}
+    for direction, (name, t) in given.items():
         if t is not None:
             values = list(t.values()) if isinstance(t, dict) else [t]
             if not values or not all(map(_is_rate, values)):
                 raise ValueError(f"{name} must be a finite nonnegative rate or a nonempty map of them, got {t!r}")
-            t = dict(t) if isinstance(t, dict) else dict.fromkeys(clusters, float(t))
-        fixed.append(t)
-    if None not in fixed:
-        return [tuple(fixed)] * len(cfgs)
-    return [tuple(ref if t is None else t for t, ref in zip(fixed, refs)) for refs in reference_edge_targets(cfgs, state)]
+            fixed[direction] = dict(t) if isinstance(t, dict) else dict.fromkeys(clusters, float(t))
+    if len(fixed) == len(given):
+        return [fixed] * len(cfgs)
+    return [{"DL": dl, "UL": ul, **fixed} for dl, ul in reference_edge_targets(cfgs, state)]
 
 
 def _group_powers(cfgs, state, groups, shares, dl_floor, dl_edge_targets, ul_edge_targets) -> list:
@@ -336,16 +337,15 @@ def _group_powers(cfgs, state, groups, shares, dl_floor, dl_edge_targets, ul_edg
     it.  The center DL members share the rest, two of them by _center_split.
 
     The points share one table per group (rates.group_tables of cfgs), and
-    every quantity elementwise in the points is an array over them; each
-    point's edge powers and split are then found alone (_edge_powers,
-    _center_split).
+    each power is an array over them; each point's edge powers and split
+    are then found alone (_edge_powers, _center_split).
     """
     targets = _edge_targets(cfgs, state, dl_edge_targets, ul_edge_targets)
-    first = _shared_draw(cfgs)
-    surface = cached_surface_terms(first, state)
-    p_um = np.array([cfg.p_um for cfg in cfgs])
+    surface = cached_surface_terms(_shared_draw(cfgs), state)
+    n, p_um = len(cfgs), np.array([cfg.p_um for cfg in cfgs])
 
-    def gain(direction, cluster, share):
+    def gain(direction, cluster):
+        share = shares[direction]
         return [2.0 ** (share * t.get(cluster, min(t.values()))) - 1.0 for t in (ts[direction] for ts in targets)]
 
     out = []
@@ -355,23 +355,23 @@ def _group_powers(cfgs, state, groups, shares, dl_floor, dl_edge_targets, ul_edg
         p = [p_um] * nu
         if ul[-1].kind == "edge":
             v0, dv = [(0.0,) * nd + (*point[:-1], 0.0) for point in zip(*p)], (0.0,) * (nd + nu - 1) + (1.0,)
-            g = gain(1, ul[-1].order, shares["UL"])
+            g = gain("UL", ul[-1].order)
             p[-1] = np.array(_edge_powers(roles[f"UL{nu}"], means, g, v0, dv, (1e-9 * p_um).tolist(), p_um.tolist()))
-        edge, rest = (), 1.0
+        edge, rest = [], np.ones(n)
         if dl[-1].kind == "edge":
             # the edge coefficient comes out of the strong member's, and only the center sum enters its SINR
-            v0, dv = [(1.0,) + (0.0,) * (nd - 1) + point for point in zip(*p)], (-1.0,) + (0.0,) * (nd - 2) + (1.0,) + (0.0,) * nu
-            g = gain(0, cfgs[0].K_ed + 1 - dl[-1].order, shares["DL"])
-            ends = [(dl_floor, 0.95)] * len(cfgs)
-            edge = (np.array(_edge_powers(roles[f"DL{nd}"], means, g, v0, dv, *zip(*ends))),)
+            v0 = [(1.0,) + (0.0,) * (nd - 1) + point for point in zip(*p)]
+            dv = (-1.0,) + (0.0,) * (nd - 2) + (1.0,) + (0.0,) * nu
+            g = gain("DL", cfgs[0].K_ed + 1 - dl[-1].order)
+            edge = [np.array(_edge_powers(roles[f"DL{nd}"], means, g, v0, dv, [dl_floor] * n, [0.95] * n))]
             rest = 1.0 - edge[0]
-        center = [(r,) for r in np.broadcast_to(rest, len(cfgs)).tolist()]
+        center = [rest]
         if nd - len(edge) == 2:
-            f = _center_split((roles["DL1"], roles["DL2"]), means, lambda f: (f * rest, rest - f * rest, *edge, *p, 1.0))
-            center = [(fp * r, (1 - fp) * r) for fp, (r,) in zip(f, center)]
-        edges = [e.tolist() for e in edge]
-        powers = [a.tolist() for a in p]
-        out.append([PowerAllocation((*c, *(e[i] for e in edges)), [a[i] for a in powers]) for i, c in enumerate(center)])
+            f = np.array(_center_split((roles["DL1"], roles["DL2"]), means,
+                                       lambda f: (f * rest, rest - f * rest, *edge, *p, 1.0)))
+            center = [f * rest, (1 - f) * rest]
+        alphas, powers = np.column_stack([*center, *edge]).tolist(), np.column_stack(p).tolist()
+        out.append([PowerAllocation(alpha, p_ul) for alpha, p_ul in zip(alphas, powers)])
     return [list(point) for point in zip(*out)]
 
 

@@ -49,6 +49,12 @@ the optimizer re-evaluates the rates many times while only they move; for a
 fixed surface state, cached_surface_terms() settles them once per (links,
 state), however many points and readers of a sweep ask.
 
+The points of a schedule differ in point fields only, so one table serves
+them all: given their configs, noma_roles() and group_tables() make every
+weight a point field sets an array over the points, bind_power() binds each
+point's coefficients to its own allocation in one pass, and the per-role
+readers take those arrays as they take one point's floats, value for value.
+
 Role indices inside cluster j: the DL cluster pairs the j-th nearest users of
 both center groups with the (K_ed+1-j)-th nearest (i.e. j-th farthest) edge
 user; the UL cluster takes the j-th nearest user of every group.

@@ -50,9 +50,11 @@ form one queue, served by one thread per core this process may use (numpy's
 generators and array arithmetic release the interpreter lock): a core that
 ends a block takes the next one, whichever schedule it belongs to, so a
 short last block of one schedule does not leave a core idle while another
-schedule waits.  Each block returns only its moments: one (points, cells, 3)
-array of (n, sum r, sum r^2), a cell per group and role and one for each
-point's DL and UL totals.  Each schedule's are merged in block order
+schedule waits.  Meanwhile numpy's OpenBLAS runs one thread of its own
+(_one_blas_thread), as the workers already take every core.  Each block
+returns only its moments: one (points, cells, 3) array of (n, sum r,
+sum r^2), a cell per group and role and one for each point's DL and UL
+totals.  Each schedule's are merged in block order
 (_merge), the float additions of a serial loop, so the bytes of a run do not
 depend on the core count or the queue; _estimate turns a merged cell into
 its (mean, stderr).  The tests' term oracle (tests/oracles.py) runs its
@@ -101,11 +103,12 @@ link, the BS-surface path loss), the layout's classes (class_layout: which
 ranks each draws and where each user's row is), and for each group the
 GainPlan (the gain keys in row order, the members' turns, the path losses,
 the rows copied from the block) and a Stack for each direction's run of
-roles: each point's (roles, keys) block of denominator coefficients, 0
-wherever a point's role has no such term, each row over the role's signal
-coefficient, and the roles' signal rows.  A block draws each group's (keys,
-trials) gain matrix once and then, for each stack, in one pass over all of
-the block's trials:
+roles, made from the group's one role table of all points, bound to every
+point's allocation at once: each point's (roles, keys) block of denominator
+coefficients, 0 wherever a point's role has no such term, each row over the
+role's signal coefficient, and the roles' signal rows.  A block draws each
+group's (keys, trials) gain matrix once and then, for each stack, in one
+pass over all of the block's trials:
 
 1. the denominators of all roles and points, noise included, are one
    np.matmul, each point's coefficient block times the gain rows;
@@ -847,12 +850,10 @@ def rate_groups(schedules) -> list:
         rates = [{name: values.tolist() for name, values in group.items()} for group in groups]
         points = []
         for p in range(len(cfgs)):
+            point = [{name: values[p] for name, values in group.items()} for group in rates]
             sums = {"DL": 0.0, "UL": 0.0}
-            point = []
-            for group in rates:
-                point.append({name: values[p] for name, values in group.items()})
-                for name, rate in point[-1].items():
-                    sums[name[:2]] += rate
+            for name, rate in (item for group in point for item in group.items()):
+                sums[name[:2]] += rate
             points.append((point, {"dl_sum": sums["DL"], "ul_sum": sums["UL"]}))
         out.append(points)
     return out

@@ -202,7 +202,10 @@ def simulate_pair_sums(
 
 def _configs(cfg) -> list:
     """A config, or the configs of a schedule's points, as a list of configs."""
-    return [cfg] if isinstance(cfg, SystemConfig) else list(cfg)
+    cfgs = [cfg] if isinstance(cfg, SystemConfig) else list(cfg)
+    if not cfgs:
+        raise ValueError("cfg must be a SystemConfig or a nonempty list of them")
+    return cfgs
 
 
 def _edge_powers(role, means: dict, g, v0, dv, lo, hi) -> list:

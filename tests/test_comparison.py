@@ -194,6 +194,25 @@ class TestPolicies:
                 assert sum(pa.alpha) <= 1 + 1e-12
                 assert all(0 < p <= point.p_um for p in pa.p_ul)
 
+    def test_a_list_of_points_gives_each_points_results(self, cfg, state):
+        # one table build for all points returns what one call per point returns; the last point
+        # differs in every point field the tables read
+        points = [_sweep_point(cfg, xi, snr) for xi, snr in SWEEP_POINTS]
+        points.append(dataclasses.replace(cfg.with_snr(30.0), p_um=50.0, sigma2=2.0, beta_si=1.0, lambda_si=0.4,
+                                          xi_sic=0.3))
+        assert reference_edge_targets(points, state) == [reference_edge_targets(p, state) for p in points]
+        for policy in (cluster_power_policy, pair_power_policy):
+            for targets in ((None, None), (1e-3, {1: 1e-4, 2: 2e-4})):
+                assert policy(points, state, *targets) == [policy(p, state, *targets) for p in points]
+
+    def test_points_of_different_draws_rejected(self, cfg, state):
+        points = [cfg.with_snr(20.0), dataclasses.replace(cfg.with_snr(20.0), N=16)]
+        for reader in (reference_edge_targets, cluster_power_policy, pair_power_policy):
+            with pytest.raises(ValueError, match="differ in N "):
+                reader(points, state)
+            with pytest.raises(ValueError, match="nonempty list"):
+                reader([], state)
+
     def test_explicit_scalar_targets_accepted(self, cfg, state):
         point = cfg.with_snr(20)
         alloc = cluster_power_policy(point, state, 1e-6, 1e-6)
